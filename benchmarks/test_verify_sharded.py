@@ -74,8 +74,8 @@ def test_sharded_dpor_verifies_corpus(benchmark, emit_report,
 
     stats = aggregate_sweep(sweep)
     pruned = stats.enum_pruned_fraction
-    # The legacy seed-baseline file reads through the sentinel's floor
-    # loader, the same path `python -m repro perf check --floors` uses.
+    # The committed floor reads through the sentinel's floor loader,
+    # the same path `python -m repro perf check --floors` uses.
     floor = load_floors(FLOOR_FILE)["enum_pruned_fraction"]
     assert pruned >= floor, (
         f"pruned fraction regressed: {pruned:.4f} < recorded floor "

@@ -108,10 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cache-ns", metavar="NAME",
                         help="behaviour-cache namespace "
                              "(REPRO_BEHAVIOR_CACHE_NS) for this run")
-    verify.add_argument("--min-pruned", type=float, default=None,
-                        metavar="FRAC",
-                        help="fail (exit 1) when the sweep's pruned "
-                             "fraction drops below this floor")
     verify.add_argument("--stats-txt", metavar="PATH",
                         help="write the verifier stats report here")
     verify.add_argument("--bench-json", metavar="PATH",
@@ -186,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--rel-tol", type=float, default=0.05,
                        help="relative tolerance floor (default 0.05)")
     check.add_argument("--floors", metavar="FILE",
-                       help="absolute metric floors (accepts the "
-                            "legacy verify_floor.json shape)")
+                       help="absolute metric floors: "
+                            "{\"floors\": {metric: min}}")
     check.add_argument("--require-baseline", action="store_true",
                        help="fail when a payload has no matching "
                             "history baseline instead of skipping")
@@ -506,12 +502,6 @@ def _cmd_verify(args) -> int:
     trace_path = flush_env_trace()
     if trace_path:
         print(f"wrote {trace_path}")
-    if args.min_pruned is not None \
-            and stats.enum_pruned_fraction < args.min_pruned:
-        print(f"FAIL: pruned fraction "
-              f"{stats.enum_pruned_fraction:.4f} below floor "
-              f"{args.min_pruned:.4f}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -580,30 +570,27 @@ def _cmd_perf(args) -> int:
 # ----------------------------------------------------------------------
 # cache
 # ----------------------------------------------------------------------
-def _dir_usage(directory) -> tuple[int, int]:
-    """(file count, total bytes) of a cache directory tree."""
-    entries = files = 0
-    if directory.is_dir():
-        for path in directory.rglob("*.json"):
-            try:
-                entries += path.stat().st_size
-                files += 1
-            except OSError:
-                continue
-    return files, entries
+def _disk_figures(cache) -> dict:
+    """A cache module's disk block: ``disk_entries``/``disk_bytes`` are
+    the active namespace's row of ``namespaces``, so no tenant listed
+    there is counted a second time at the root."""
+    spaces = cache.namespace_usage()
+    active = spaces.get(cache.namespace(), {"entries": 0, "bytes": 0})
+    return {"disk_entries": active["entries"],
+            "disk_bytes": active["bytes"],
+            "namespaces": spaces}
 
 
 def _cache_stats_payload() -> dict:
-    xlat_files, xlat_bytes = _dir_usage(api.xlat_cache_dir())
-    behavior_files, behavior_bytes = _dir_usage(api.behavior_cache_dir())
+    from .core import behavior_cache
+    from .dbt import xlat_cache
+
     mem = api.behavior_cache_stats()
     xlat = api.xlat_cache_stats()
     return {
         "xlat": {
             "enabled": api.xlat_cache_enabled(),
             "dir": str(api.xlat_cache_dir()),
-            "disk_entries": xlat_files,
-            "disk_bytes": xlat_bytes,
             "hits": xlat.hits,
             "misses": xlat.misses,
             "memory_hits": xlat.memory_hits,
@@ -611,18 +598,16 @@ def _cache_stats_payload() -> dict:
             "stores": xlat.stores,
             "evictions": xlat.evictions,
             "corrupt_entries": xlat.corrupt_entries,
-            "namespaces": api.xlat_cache_namespaces(),
+            **_disk_figures(xlat_cache),
         },
         "behavior": {
             "enabled": api.behavior_cache_enabled(),
             "dir": str(api.behavior_cache_dir()),
-            "disk_entries": behavior_files,
-            "disk_bytes": behavior_bytes,
             "hits": mem.hits,
             "misses": mem.misses,
             "disk_hits": mem.disk_hits,
             "disk_misses": mem.disk_misses,
-            "namespaces": api.behavior_cache_namespaces(),
+            **_disk_figures(behavior_cache),
         },
     }
 

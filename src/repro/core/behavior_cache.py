@@ -19,33 +19,34 @@ Key structure (any change misses, never corrupts):
   computation flows through, so editing the enumerator or an axiom
   invalidates every stale entry instead of silently serving it.
 
-Entries are JSON files written atomically (temp file + ``os.replace``),
-making concurrent writers from a process pool safe: last writer wins
-with identical content.
+Entries are JSON texts in a :class:`repro.store.DiskStore` with no
+byte budget (behaviour sets are small and never evicted); layout,
+atomic writes and namespaces are :mod:`repro.store`'s.
 
-Configuration via ``REPRO_BEHAVIOR_CACHE``: unset uses
-``<cwd>/.repro-cache/behaviors``; a path overrides the directory; ``0``
-or ``off`` disables the disk layer entirely (the in-process memo in
-:mod:`repro.core.enumerate` still applies).
-
-``REPRO_BEHAVIOR_CACHE_NS`` names a *namespace* — a subdirectory of the
-store.  Sharded verification runs set it so concurrent sweeps with
-different corpora (or experimental model edits) never interleave in one
-directory; writers in the same namespace stay safe through the atomic
-replace, and ``clear_disk_cache`` touches only the active namespace.
+Configuration via ``REPRO_BEHAVIOR_CACHE`` (directory override, or
+``0``/``off`` to disable the disk layer; the in-process memo in
+:mod:`repro.core.enumerate` still applies) and
+``REPRO_BEHAVIOR_CACHE_NS`` (the namespace: sharded verification runs
+set it so concurrent sweeps with different corpora or experimental
+model edits never interleave) — see :class:`repro.store.StoreEnv`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
-from pathlib import Path
+
+from ..store import DiskStore, StoreEnv
 
 ENV_VAR = "REPRO_BEHAVIOR_CACHE"
 NAMESPACE_ENV = "REPRO_BEHAVIOR_CACHE_NS"
-_OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
+_ENV = StoreEnv(ENV_VAR, NAMESPACE_ENV, "behaviors")
+enabled = _ENV.enabled
+namespace = _ENV.namespace
+base_dir = _ENV.base_dir
+cache_dir = _ENV.cache_dir
+namespace_usage = _ENV.namespace_usage
+clear_disk_cache = _ENV.clear
 
 #: Lazily computed digest of the behaviour-computation source.
 _CODE_SALT: str | None = None
@@ -100,138 +101,33 @@ def entry_key(program, model) -> str:
 # ----------------------------------------------------------------------
 # Disk layer
 # ----------------------------------------------------------------------
-def enabled() -> bool:
-    return os.environ.get(ENV_VAR, "").strip().lower() not in _OFF_VALUES
-
-
-def namespace() -> str:
-    """The active cache namespace (sanitized), or "" for the root.
-
-    Only ``[A-Za-z0-9._-]`` survive, and a name reduced to dots alone
-    is dropped entirely — ``..`` must never become a path component.
-    """
-    raw = os.environ.get(NAMESPACE_ENV, "").strip()
-    ns = "".join(c for c in raw if c.isalnum() or c in "._-")
-    if not ns.strip("."):
-        return ""
-    return ns
-
-
-def base_dir() -> Path:
-    """The store root, *before* namespace scoping."""
-    override = os.environ.get(ENV_VAR, "").strip()
-    if override and override.lower() not in _OFF_VALUES:
-        return Path(override)
-    return Path.cwd() / ".repro-cache" / "behaviors"
-
-
-def cache_dir() -> Path:
-    base = base_dir()
-    ns = namespace()
-    return base / ns if ns else base
-
-
-def namespace_usage() -> dict[str, dict]:
-    """Per-namespace ``{"entries": n, "bytes": b}`` of the disk store,
-    keyed by namespace name ("" is the root namespace).
-
-    Entries live flat in their namespace directory (``<key>.json``),
-    so any subdirectory of the root is a namespace and the root's own
-    entry files form the "" namespace.
-    """
-    base = base_dir()
-    usage: dict[str, dict] = {}
-    if not base.is_dir():
-        return usage
-    root_files = root_bytes = 0
-    namespaces: list[tuple[str, int, int]] = []
-    for child in sorted(base.iterdir()):
-        if child.is_dir():
-            files = size = 0
-            for path in child.glob("*.json"):
-                try:
-                    size += path.stat().st_size
-                    files += 1
-                except OSError:  # pragma: no cover
-                    continue
-            namespaces.append((child.name, files, size))
-        elif child.suffix == ".json":
-            try:
-                root_bytes += child.stat().st_size
-                root_files += 1
-            except OSError:  # pragma: no cover
-                continue
-    usage[""] = {"entries": root_files, "bytes": root_bytes}
-    for name, files, size in namespaces:
-        usage[name] = {"entries": files, "bytes": size}
-    return usage
-
-
-def _entry_path(key: str) -> Path:
-    return cache_dir() / f"{key}.json"
-
-
 def load(program, model) -> frozenset | None:
     """The cached behaviour set, or None on miss/corruption/disabled."""
     if not enabled():
         return None
-    path = _entry_path(entry_key(program, model))
     try:
-        payload = json.loads(path.read_text())
+        text = DiskStore(cache_dir()).read(entry_key(program, model))
+        if text is None:
+            return None
         return frozenset(
             frozenset((str(k), int(v)) for k, v in beh)
-            for beh in payload["behaviors"]
+            for beh in json.loads(text)["behaviors"]
         )
-    except (OSError, ValueError, KeyError, TypeError):
-        # Missing, unreadable or malformed entries are plain misses;
-        # the store below rewrites them.
+    except (ValueError, KeyError, TypeError):
+        # A malformed entry is a plain miss; the store below
+        # rewrites it.
         return None
 
 
 def store(program, model, behaviors: frozenset) -> None:
-    """Persist one behaviour set atomically; failures are silent (the
-    cache is an accelerator, never a correctness dependency)."""
+    """Persist one behaviour set; failures are silent (the cache is an
+    accelerator, never a correctness dependency)."""
     if not enabled():
         return
-    payload = json.dumps({
+    DiskStore(cache_dir()).write(entry_key(program, model), json.dumps({
         "program": program.name,
         "model": model.name,
         "behaviors": sorted(
             [[k, v] for k, v in sorted(b)] for b in behaviors
         ),
-    }, separators=(",", ":"))
-    path = _entry_path(entry_key(program, model))
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError:  # pragma: no cover - read-only cache dir
-        pass
-
-
-def clear_disk_cache() -> int:
-    """Remove every cached entry; returns the number removed.
-
-    Alongside the ``*.json`` entries this sweeps orphaned ``*.tmp``
-    files: a writer that dies between ``mkstemp`` and ``os.replace``
-    leaves its temp file behind, and nothing else ever cleans it up.
-    Orphans count toward the return value like any other removal.
-    """
-    removed = 0
-    directory = cache_dir()
-    if not directory.is_dir():
-        return 0
-    for pattern in ("*.json", "*.tmp"):
-        for path in directory.glob(pattern):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:  # pragma: no cover - concurrent removal
-                pass
-    return removed
+    }, separators=(",", ":")))

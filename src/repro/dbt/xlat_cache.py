@@ -18,10 +18,9 @@ with the block's :class:`~repro.tcg.optimizer.OptStats` — in two
 levels:
 
 * an **in-memory LRU** shared by every engine in the process (bounded
-  by ``REPRO_XLAT_CACHE_MEM`` entries), and
-* a **persistent on-disk store**, sharded by the first two hex digits
-  of the content fingerprint, shared across ``run_parallel`` workers
-  and across runs.
+  by :data:`DEFAULT_MEM_ENTRIES`), and
+* a **persistent on-disk store** (:class:`repro.store.DiskStore`),
+  shared across ``run_parallel`` workers and across runs.
 
 On a hit the engine skips frontend, optimizer and backend entirely;
 ``_install`` still runs per engine, binding the run-specific trap
@@ -43,33 +42,22 @@ Key structure (any change misses, never corrupts):
   editing the translator invalidates stale entries;
 * **schema tag** — :data:`SCHEMA`, bumped on entry-layout changes.
 
-Entries are JSON files written atomically (temp file + ``os.replace``),
-making concurrent pool workers safe: last writer wins with an
-equivalent artifact.  Corrupt or truncated entries read as misses and
-are rewritten by the following store.  The disk layer enforces a byte
-budget (``REPRO_XLAT_CACHE_BUDGET``) by evicting the
+Entries are JSON texts; layout, atomic writes and namespaces are
+:mod:`repro.store`'s.  Corrupt or truncated entries read as misses and
+are rewritten by the following store.  After every put the disk level
+is trimmed to :data:`DEFAULT_DISK_BUDGET` bytes by evicting the
 least-recently-written entries.
 
-Configuration via ``REPRO_XLAT_CACHE``: unset uses
-``<cwd>/.repro-cache/xlat``; a path overrides the directory; ``0`` or
-``off`` disables the cache entirely (both levels).
-
-``REPRO_XLAT_CACHE_NS`` names a *namespace* — a subdirectory of the
-store, mirroring the behavior cache's ``REPRO_BEHAVIOR_CACHE_NS``.
-The serve front-end scopes each tenant's entries under its namespace
-so concurrent clients never read each other's artifacts; eviction,
-``clear_disk_cache`` and the in-memory LRU all operate per namespace
-(instances are keyed by the resolved directory), and
-:func:`namespace_usage` enumerates every namespace for
-``python -m repro cache stats``.
+Configuration via ``REPRO_XLAT_CACHE`` (directory override, or
+``0``/``off`` to disable both levels) and ``REPRO_XLAT_CACHE_NS`` (the
+namespace; the in-memory LRU is per namespace too, as instances are
+keyed by the resolved directory) — see :class:`repro.store.StoreEnv`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -77,6 +65,7 @@ from pathlib import Path
 from ..errors import MachineError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
+from ..store import DiskStore, StoreEnv
 from ..tcg.backend_arm import CompiledBlock, HelperRequest
 from ..tcg.optimizer import OptStats
 
@@ -92,13 +81,19 @@ TRACE_SCHEMA = "repro-xlat-trace/2"
 
 ENV_VAR = "REPRO_XLAT_CACHE"
 NAMESPACE_ENV = "REPRO_XLAT_CACHE_NS"
-ENV_BUDGET = "REPRO_XLAT_CACHE_BUDGET"
-ENV_MEM = "REPRO_XLAT_CACHE_MEM"
-_OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
+_ENV = StoreEnv(ENV_VAR, NAMESPACE_ENV, "xlat")
+enabled = _ENV.enabled
+namespace = _ENV.namespace
+base_dir = _ENV.base_dir
+cache_dir = _ENV.cache_dir
+namespace_usage = _ENV.namespace_usage
+#: Removes the active namespace's disk entries (memory levels survive).
+clear_disk_cache = _ENV.clear
 
-#: Disk budget in bytes (entries are a few hundred bytes each).
+#: Disk budget in bytes (entries are a few hundred bytes each); 0
+#: disables eviction.
 DEFAULT_DISK_BUDGET = 64 * 1024 * 1024
-#: In-memory LRU capacity in entries.
+#: In-memory LRU capacity in entries; 0 disables the memory level.
 DEFAULT_MEM_ENTRIES = 4096
 
 #: Bytes the frontend may consult per decoded instruction (it reads
@@ -224,61 +219,6 @@ def metrics_snapshot() -> dict:
 
 
 # ----------------------------------------------------------------------
-# Environment plumbing
-# ----------------------------------------------------------------------
-def enabled() -> bool:
-    return os.environ.get(ENV_VAR, "").strip().lower() \
-        not in _OFF_VALUES
-
-
-def namespace() -> str:
-    """The active cache namespace (sanitized), or "" for the root.
-
-    Only ``[A-Za-z0-9._-]`` survive, and a name reduced to dots alone
-    is dropped entirely — ``..`` must never become a path component.
-    """
-    raw = os.environ.get(NAMESPACE_ENV, "").strip()
-    ns = "".join(c for c in raw if c.isalnum() or c in "._-")
-    if not ns.strip("."):
-        return ""
-    return ns
-
-
-def base_dir() -> Path:
-    """The store root, *before* namespace scoping."""
-    override = os.environ.get(ENV_VAR, "").strip()
-    if override and override.lower() not in _OFF_VALUES:
-        return Path(override)
-    return Path.cwd() / ".repro-cache" / "xlat"
-
-
-def cache_dir() -> Path:
-    base = base_dir()
-    ns = namespace()
-    return base / ns if ns else base
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return default
-
-
-def disk_budget() -> int:
-    """Disk budget in bytes; 0 disables eviction."""
-    return _env_int(ENV_BUDGET, DEFAULT_DISK_BUDGET)
-
-
-def mem_entries() -> int:
-    """In-memory LRU capacity; 0 disables the memory level."""
-    return _env_int(ENV_MEM, DEFAULT_MEM_ENTRIES)
-
-
-# ----------------------------------------------------------------------
 # Entry (de)serialization
 # ----------------------------------------------------------------------
 def _entry_to_json(compiled: CompiledBlock, opt: OptStats) -> str:
@@ -342,18 +282,17 @@ class XlatHit:
 class XlatCache:
     """One two-level translation cache (memory LRU over a disk store).
 
-    ``directory=None`` runs memory-only (used by tests); the public
-    entry point is :func:`get_cache`, which builds instances from the
-    environment and shares them process-wide so every engine sees one
-    LRU.
+    The public entry point is :func:`get_cache`, which builds
+    instances from the environment and shares them process-wide so
+    every engine sees one LRU; tests construct their own to size the
+    two levels.
     """
 
-    def __init__(self, directory: Path | None,
+    def __init__(self, directory: Path,
                  max_mem_entries: int = DEFAULT_MEM_ENTRIES,
                  max_disk_bytes: int = DEFAULT_DISK_BUDGET):
-        self.directory = Path(directory) if directory else None
+        self._disk = DiskStore(directory, max_disk_bytes)
         self.max_mem_entries = max_mem_entries
-        self.max_disk_bytes = max_disk_bytes
         self._mem: OrderedDict[str, tuple[CompiledBlock, OptStats]] = \
             OrderedDict()
 
@@ -388,11 +327,6 @@ class XlatCache:
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
-    def _entry_path(self, key: str) -> Path:
-        # Sharded by fingerprint prefix: bounded directory fan-out for
-        # large sweeps, and `cache stats` can size shards cheaply.
-        return self.directory / key[:2] / f"{key}.json"
-
     def get(self, key: str) -> XlatHit | None:
         _STATS.lookups += 1
         entry = self._mem.get(key)
@@ -401,22 +335,19 @@ class XlatCache:
             _STATS.hits += 1
             _STATS.memory_hits += 1
             return XlatHit(entry[0], entry[1], "memory")
-        if self.directory is not None:
-            path = self._entry_path(key)
-            try:
-                entry = _entry_from_json(path.read_text())
-            except OSError:
-                entry = None  # plain miss
-            except (ValueError, KeyError, TypeError):
-                # Present but unreadable: corruption or a stale layout.
-                # Fall back to translating; the store below rewrites it.
-                _STATS.corrupt_entries += 1
-                entry = None
-            if entry is not None:
-                self._remember(key, entry)
-                _STATS.hits += 1
-                _STATS.disk_hits += 1
-                return XlatHit(entry[0], entry[1], "disk")
+        try:
+            text = self._disk.read(key)
+            entry = None if text is None else _entry_from_json(text)
+        except (ValueError, KeyError, TypeError):
+            # Present but unreadable: corruption or a stale layout.
+            # Fall back to translating; the store below rewrites it.
+            _STATS.corrupt_entries += 1
+            entry = None
+        if entry is not None:
+            self._remember(key, entry)
+            _STATS.hits += 1
+            _STATS.disk_hits += 1
+            return XlatHit(entry[0], entry[1], "disk")
         _STATS.misses += 1
         return None
 
@@ -424,23 +355,7 @@ class XlatCache:
             opt: OptStats) -> None:
         self._remember(key, (compiled, opt))
         _STATS.stores += 1
-        if self.directory is None:
-            return
-        payload = _entry_to_json(compiled, opt)
-        path = self._entry_path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(payload)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:  # pragma: no cover - read-only cache dir
-            return
-        if self.max_disk_bytes:
+        if self._disk.write(key, _entry_to_json(compiled, opt)):
             self.evict_to_budget(keep=key)
 
     def _remember(self, key: str,
@@ -455,56 +370,24 @@ class XlatCache:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _disk_entries(self) -> list[tuple[float, int, Path]]:
-        """(mtime, size, path) of every entry file, oldest first."""
-        if self.directory is None or not self.directory.is_dir():
-            return []
-        found: list[tuple[float, int, Path]] = []
-        for shard in self.directory.iterdir():
-            if not shard.is_dir():
-                continue
-            for path in shard.glob("*.json"):
-                try:
-                    stat = path.stat()
-                except OSError:  # pragma: no cover - concurrent removal
-                    continue
-                found.append((stat.st_mtime, stat.st_size, path))
-        found.sort(key=lambda item: (item[0], item[2].name))
-        return found
-
     def disk_usage(self) -> tuple[int, int]:
         """(entry count, total bytes) of the disk level."""
-        entries = self._disk_entries()
-        return len(entries), sum(size for _, size, _ in entries)
+        return self._disk.usage()
 
     def evict_to_budget(self, keep: str | None = None) -> int:
-        """Drop least-recently-written entries until the store fits
-        the byte budget; the ``keep`` key (the entry just written)
-        survives even when it alone exceeds the budget.  Returns the
-        number of entries evicted."""
-        if not self.max_disk_bytes:
-            return 0
-        entries = self._disk_entries()
-        total = sum(size for _, size, _ in entries)
-        evicted = 0
-        for _, size, path in entries:
-            if total <= self.max_disk_bytes:
-                break
-            if keep is not None and path.stem == keep:
-                continue
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent removal
-                continue
-            self._mem.pop(path.stem, None)
-            total -= size
-            evicted += 1
+        """Trim the disk level to its byte budget (see
+        :meth:`repro.store.DiskStore.evict_to_budget`), dropping the
+        evicted keys from memory too.  Returns the number evicted."""
+        evicted = self._disk.evict_to_budget(keep)
+        for key in evicted:
+            self._mem.pop(key, None)
         if evicted:
-            _STATS.evictions += evicted
+            _STATS.evictions += len(evicted)
             tracer = get_tracer()
             if tracer.enabled:
-                tracer.counter("xlat_cache.evictions", evicted=evicted)
-        return evicted
+                tracer.counter("xlat_cache.evictions",
+                               evicted=len(evicted))
+        return len(evicted)
 
     def clear_memory(self) -> int:
         removed = len(self._mem)
@@ -512,43 +395,28 @@ class XlatCache:
         return removed
 
     def clear_disk(self) -> int:
-        """Remove every disk entry (and orphaned ``*.tmp`` files a
-        dying writer may have left); returns the number removed."""
-        removed = 0
-        if self.directory is None or not self.directory.is_dir():
-            return 0
-        for shard in self.directory.iterdir():
-            if not shard.is_dir():
-                continue
-            for pattern in ("*.json", "*.tmp"):
-                for path in shard.glob(pattern):
-                    try:
-                        path.unlink()
-                        removed += 1
-                    except OSError:  # pragma: no cover
-                        pass
-        return removed
+        """Remove every disk entry (and orphaned ``*.tmp`` files);
+        returns the number removed."""
+        return self._disk.clear()
 
 
 # ----------------------------------------------------------------------
 # Process-wide instances
 # ----------------------------------------------------------------------
-#: Instances keyed by resolved settings, so monkeypatched environments
-#: get their own cache while every engine under one configuration
-#: shares one memory LRU.
-_INSTANCES: dict[tuple, XlatCache] = {}
+#: Instances keyed by resolved directory, so monkeypatched
+#: environments and namespaces get their own cache while every engine
+#: under one configuration shares one memory LRU.
+_INSTANCES: dict[str, XlatCache] = {}
 
 
 def get_cache() -> XlatCache | None:
     """The cache for the current environment, or ``None`` if disabled."""
     if not enabled():
         return None
-    key = (str(cache_dir()), mem_entries(), disk_budget())
-    cache = _INSTANCES.get(key)
+    directory = cache_dir()
+    cache = _INSTANCES.get(str(directory))
     if cache is None:
-        cache = _INSTANCES[key] = XlatCache(
-            cache_dir(), max_mem_entries=mem_entries(),
-            max_disk_bytes=disk_budget())
+        cache = _INSTANCES[str(directory)] = XlatCache(directory)
     return cache
 
 
@@ -556,70 +424,3 @@ def reset_memory() -> int:
     """Drop every in-process memory level (disk survives); used by the
     warm/cold benchmark to attribute hits to the persistent layer."""
     return sum(cache.clear_memory() for cache in _INSTANCES.values())
-
-
-def clear_disk_cache() -> int:
-    """Remove every disk entry of the current environment's cache."""
-    cache = XlatCache(cache_dir()) if enabled() else None
-    if cache is None:
-        return 0
-    return cache.clear_disk()
-
-
-# ----------------------------------------------------------------------
-# Multi-tenant observability
-# ----------------------------------------------------------------------
-def _shard_files(directory: Path) -> tuple[int, int]:
-    """(entry count, bytes) of one shard directory's ``*.json``."""
-    files = size = 0
-    for path in directory.glob("*.json"):
-        try:
-            size += path.stat().st_size
-            files += 1
-        except OSError:  # pragma: no cover - concurrent removal
-            continue
-    return files, size
-
-
-def _looks_like_shard(directory: Path) -> bool:
-    """Shards are two hex digits holding only entry files; a
-    namespace that *spells* like a shard still contains shard
-    subdirectories, so contents disambiguate the two."""
-    name = directory.name
-    if len(name) != 2 or any(c not in "0123456789abcdef"
-                             for c in name):
-        return False
-    try:
-        return not any(child.is_dir() for child in directory.iterdir())
-    except OSError:  # pragma: no cover - concurrent removal
-        return True
-
-
-def namespace_usage() -> dict[str, dict]:
-    """Per-namespace ``{"entries": n, "bytes": b}`` of the disk store,
-    keyed by namespace name ("" is the root namespace)."""
-    base = base_dir()
-    usage: dict[str, dict] = {}
-    if not base.is_dir():
-        return usage
-    root_files = root_bytes = 0
-    namespaces: list[tuple[str, int, int]] = []
-    for child in sorted(base.iterdir()):
-        if not child.is_dir():
-            continue
-        if _looks_like_shard(child):
-            files, size = _shard_files(child)
-            root_files += files
-            root_bytes += size
-        else:
-            files = size = 0
-            for shard in child.iterdir():
-                if shard.is_dir():
-                    shard_count, shard_size = _shard_files(shard)
-                    files += shard_count
-                    size += shard_size
-            namespaces.append((child.name, files, size))
-    usage[""] = {"entries": root_files, "bytes": root_bytes}
-    for name, files, size in namespaces:
-        usage[name] = {"entries": files, "bytes": size}
-    return usage

@@ -16,10 +16,9 @@ recorded baseline in the history store (:mod:`repro.obs.history`):
   determinism break, not noise).
 
 Beyond history baselines the sentinel applies **floors** — absolute
-minima for up-is-good metrics.  The legacy
-``results/verify_floor.json`` file (``{"min_pruned_fraction": x}``)
-loads directly as a floor on ``enum_pruned_fraction``, subsuming the
-ad-hoc CI gate it used to drive.
+minima for up-is-good metrics, read from a ``{"floors": {metric:
+min}}`` file.  ``results/verify_floor.json`` sets one on
+``enum_pruned_fraction`` for the ``verify-sharded`` CI gate.
 """
 
 from __future__ import annotations
@@ -64,12 +63,6 @@ STAT_METRIC_SPECS: dict[str, MetricSpec] = {
     "enum_executions": MetricSpec("down", abs_tol=8),
     "enum_pruned_fraction": MetricSpec("up", abs_tol=0.005),
 }
-
-#: Legacy floor-file keys -> the stats metric they bound.
-_LEGACY_FLOOR_KEYS = {
-    "min_pruned_fraction": "enum_pruned_fraction",
-}
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -147,8 +140,7 @@ class SentinelReport:
 
 
 def load_floors(path) -> dict[str, float]:
-    """Read a floors file: ``{"floors": {metric: min}}`` or the legacy
-    ``verify_floor.json`` shape (``{"min_pruned_fraction": x}``)."""
+    """Read a floors file: ``{"floors": {metric: min}}``."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -157,18 +149,10 @@ def load_floors(path) -> dict[str, float]:
             from None
     if not isinstance(payload, dict):
         raise ReproError(f"{path}: floors file must be an object")
-    if isinstance(payload.get("floors"), dict):
-        return {str(k): float(v)
-                for k, v in payload["floors"].items()}
-    floors = {}
-    for legacy, metric in _LEGACY_FLOOR_KEYS.items():
-        if legacy in payload:
-            floors[metric] = float(payload[legacy])
-    if not floors:
+    if not isinstance(payload.get("floors"), dict):
         raise ReproError(
-            f"{path}: no floors found (expected a 'floors' object or "
-            f"one of {sorted(_LEGACY_FLOOR_KEYS)})")
-    return floors
+            f"{path}: no floors found (expected a 'floors' object)")
+    return {str(k): float(v) for k, v in payload["floors"].items()}
 
 
 def _mad(values: list[float], center: float) -> float:

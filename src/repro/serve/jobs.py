@@ -34,6 +34,7 @@ from ..dbt import xlat_cache
 from ..errors import ErrorInfo, JobError, classify_error
 from ..machine.timing import CostModel
 from ..machine.weakmem import BufferMode
+from ..store import sanitize_namespace
 from ..workloads.casbench import CasConfig, run_cas_benchmark
 from ..workloads.kernels import KernelSpec
 from ..workloads.parallel import LIBRARY_BUILDERS, MEMORY_SETUPS
@@ -45,15 +46,6 @@ JOB_SCHEMA = "repro-serve/1"
 
 #: The job kinds the dispatcher knows how to execute.
 JOB_KINDS = ("kernel", "library", "cas")
-
-
-def sanitize_namespace(raw: str) -> str:
-    """The cache layers' namespace sanitizer (shared spelling): only
-    ``[A-Za-z0-9._-]`` survive and all-dots names collapse to ""."""
-    ns = "".join(c for c in raw.strip() if c.isalnum() or c in "._-")
-    if not ns.strip("."):
-        return ""
-    return ns
 
 
 @dataclass(frozen=True)

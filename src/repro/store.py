@@ -1,0 +1,235 @@
+"""Content-addressed, namespaced, byte-budgeted directory store.
+
+The disk level under both persistent caches
+(:mod:`repro.dbt.xlat_cache`, :mod:`repro.core.behavior_cache`).  A
+mapping and a behaviour set are pure functions of their inputs ("On
+Architecture to Architecture Mapping for Concurrency"), so an entry
+keyed by a content fingerprint can never go stale: the store moves
+text and never interprets it, while keys, code salts, codecs and
+counters stay with the cache that owns their meaning.
+
+Layout: ``<root>/[<namespace>/]<key[:2]>/<key>.json`` — sharded by the
+first two hex digits of the fingerprint, so directory fan-out stays
+bounded for large sweeps.  Entries are written atomically (temp file +
+``os.replace``): concurrent pool workers are safe, last writer wins
+with an equivalent entry, and a reader sees a whole entry or none.
+
+:class:`StoreEnv` resolves one cache's location from the environment:
+``<env_var>`` unset uses ``<cwd>/.repro-cache/<default_name>``, a path
+overrides the root, and ``0``/``off``/``none``/``disabled`` turns the
+cache off.  ``<namespace_env>`` names a *namespace* — a subdirectory
+of the root.  The serve front-end scopes each tenant's entries under
+its namespace and sharded verification runs isolate their corpora the
+same way; eviction and :meth:`DiskStore.clear` touch only the active
+namespace, and :func:`namespace_usage` enumerates them all for
+``python -m repro cache stats``.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
+
+
+def sanitize_namespace(raw: str) -> str:
+    """``raw`` reduced to a safe path component, or "" for the root.
+
+    Only ``[A-Za-z0-9._-]`` survive, and a name reduced to dots alone
+    is dropped entirely — ``..`` must never become a path component.
+    """
+    ns = "".join(c for c in raw.strip() if c.isalnum() or c in "._-")
+    if not ns.strip("."):
+        return ""
+    return ns
+
+
+@dataclass(frozen=True)
+class StoreEnv:
+    """One cache's environment knobs, re-read on every call so a
+    scoped namespace or a monkeypatched root takes effect at once."""
+
+    env_var: str
+    namespace_env: str
+    default_name: str
+
+    def _setting(self) -> str:
+        return os.environ.get(self.env_var, "").strip()
+
+    def enabled(self) -> bool:
+        return self._setting().lower() not in OFF_VALUES
+
+    def namespace(self) -> str:
+        """The active namespace (sanitized), or "" for the root."""
+        return sanitize_namespace(
+            os.environ.get(self.namespace_env, ""))
+
+    def base_dir(self) -> Path:
+        """The store root, *before* namespace scoping."""
+        override = self._setting()
+        if override and override.lower() not in OFF_VALUES:
+            return Path(override)
+        return Path.cwd() / ".repro-cache" / self.default_name
+
+    def cache_dir(self) -> Path:
+        base = self.base_dir()
+        ns = self.namespace()
+        return base / ns if ns else base
+
+    def namespace_usage(self) -> dict[str, dict]:
+        """:func:`namespace_usage` of this cache's root."""
+        return namespace_usage(self.base_dir())
+
+    def clear(self) -> int:
+        """Remove every disk entry of the active namespace (none when
+        the cache is off); returns the number of files removed."""
+        return DiskStore(self.cache_dir()).clear() \
+            if self.enabled() else 0
+
+
+def _shard_entries(shard: Path) -> list[tuple[float, int, Path]]:
+    """(mtime, size, path) of one shard directory's entry files."""
+    found = []
+    for path in shard.glob("*.json"):
+        try:
+            stat = path.stat()
+        except OSError:  # pragma: no cover - concurrent removal
+            continue
+        found.append((stat.st_mtime, stat.st_size, path))
+    return found
+
+
+class DiskStore:
+    """The entries of one namespace directory.
+
+    ``max_bytes`` is the budget :meth:`evict_to_budget` enforces; 0
+    means entries are never evicted.
+    """
+
+    def __init__(self, directory: Path, max_bytes: int = 0):
+        self.directory = Path(directory)
+        self.max_bytes = max_bytes
+
+    def path(self, key: str) -> Path:
+        return self.directory / key[:2] / f"{key}.json"
+
+    def read(self, key: str) -> str | None:
+        """The entry's text, or ``None`` when there is none.  Whether
+        the text still decodes is the caller's concern: a damaged
+        entry is a miss there and the next :meth:`write` replaces it."""
+        try:
+            return self.path(key).read_text()
+        except OSError:
+            return None
+
+    def write(self, key: str, text: str) -> bool:
+        """Atomically (re)place one entry; ``False`` when the
+        directory is not writable (a cache is an accelerator, never a
+        correctness dependency)."""
+        path = self.path(key)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(text)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError:  # pragma: no cover - read-only cache dir
+            return False
+        return True
+
+    def _shards(self) -> list[Path]:
+        if not self.directory.is_dir():
+            return []
+        return [child for child in self.directory.iterdir()
+                if child.is_dir()]
+
+    def entries(self) -> list[tuple[float, int, Path]]:
+        """(mtime, size, path) of every entry, oldest first."""
+        found = [entry for shard in self._shards()
+                 for entry in _shard_entries(shard)]
+        found.sort(key=lambda item: (item[0], item[2].name))
+        return found
+
+    def usage(self) -> tuple[int, int]:
+        """(entry count, total bytes)."""
+        entries = self.entries()
+        return len(entries), sum(size for _, size, _ in entries)
+
+    def evict_to_budget(self, keep: str | None = None) -> list[str]:
+        """Drop least-recently-written entries until the store fits
+        ``max_bytes``; the ``keep`` key (the entry just written)
+        survives even when it alone exceeds the budget.  Returns the
+        evicted keys."""
+        if not self.max_bytes:
+            return []
+        entries = self.entries()
+        total = sum(size for _, size, _ in entries)
+        evicted = []
+        for _, size, path in entries:
+            if total <= self.max_bytes:
+                break
+            if path.stem == keep:
+                continue
+            try:
+                path.unlink()
+            except OSError:  # pragma: no cover - concurrent removal
+                continue
+            total -= size
+            evicted.append(path.stem)
+        return evicted
+
+    def clear(self) -> int:
+        """Remove every entry, plus the ``*.tmp`` orphans a writer
+        killed between ``mkstemp`` and ``os.replace`` leaves behind
+        (nothing else ever collects those); returns the number of
+        files removed."""
+        removed = 0
+        for shard in self._shards():
+            for pattern in ("*.json", "*.tmp"):
+                for path in shard.glob(pattern):
+                    try:
+                        path.unlink()
+                        removed += 1
+                    except OSError:  # pragma: no cover
+                        pass
+        return removed
+
+
+def _looks_like_shard(directory: Path) -> bool:
+    """Shards are two hex digits holding only entry files; a
+    namespace that *spells* like a shard still contains shard
+    subdirectories, so contents disambiguate the two."""
+    name = directory.name
+    if len(name) != 2 or any(c not in "0123456789abcdef" for c in name):
+        return False
+    try:
+        return not any(child.is_dir() for child in directory.iterdir())
+    except OSError:  # pragma: no cover - concurrent removal
+        return True
+
+
+def namespace_usage(base: Path) -> dict[str, dict]:
+    """Per-namespace ``{"entries": n, "bytes": b}`` of the store
+    rooted at ``base``, keyed by namespace name ("" is the root
+    namespace); empty when the root does not exist."""
+    if not base.is_dir():
+        return {}
+    usage = {"": {"entries": 0, "bytes": 0}}
+    for child in sorted(base.iterdir()):
+        if not child.is_dir():
+            continue
+        if _looks_like_shard(child):
+            name, entries = "", _shard_entries(child)
+        else:
+            name, entries = child.name, DiskStore(child).entries()
+        row = usage.setdefault(name, {"entries": 0, "bytes": 0})
+        row["entries"] += len(entries)
+        row["bytes"] += sum(size for _, size, _ in entries)
+    return usage

@@ -112,6 +112,10 @@ class TestCache:
         assert spaces["tenant-a"]["entries"] > 0
         assert spaces["tenant-a"]["bytes"] > 0
         assert spaces[""]["entries"] == 0
+        # The root's own figures are its namespace row: a tenant is
+        # never counted once under "namespaces" and again at the root.
+        assert payload["xlat"]["disk_entries"] == spaces[""]["entries"]
+        assert payload["xlat"]["disk_bytes"] == spaces[""]["bytes"]
         assert "namespaces" in payload["behavior"]
         capsys.readouterr()
         assert main(["cache", "stats"]) == 0
@@ -186,11 +190,13 @@ class TestPerf:
                      "--bench-json", str(bench)]) == 0
         capsys.readouterr()
         floors = tmp_path / "floors.json"
-        floors.write_text(json.dumps({"min_pruned_fraction": 0.05}))
+        floors.write_text(json.dumps(
+            {"floors": {"enum_pruned_fraction": 0.05}}))
         assert main(["perf", "check", str(bench),
                      "--floors", str(floors)]) == 0
         capsys.readouterr()
-        floors.write_text(json.dumps({"min_pruned_fraction": 0.9999}))
+        floors.write_text(json.dumps(
+            {"floors": {"enum_pruned_fraction": 0.9999}}))
         assert main(["perf", "check", str(bench),
                      "--floors", str(floors)]) == 1
         assert "enum_pruned_fraction" in capsys.readouterr().out

@@ -140,15 +140,19 @@ class TestFloors:
 
     def test_load_floors_modern_shape(self, tmp_path):
         path = tmp_path / "floors.json"
-        path.write_text('{"floors": {"enum_pruned_fraction": 0.9}}')
+        path.write_text('{"comment": "seed", '
+                        '"floors": {"enum_pruned_fraction": 0.9}}')
         assert load_floors(path) == {"enum_pruned_fraction": 0.9}
 
     def test_load_floors_legacy_verify_floor(self, tmp_path):
-        # The seed results/verify_floor.json shape keeps working.
+        # There is one floors format: a file still in the pre-sentinel
+        # verify_floor.json spelling fails loudly instead of loading
+        # as "no floors" and passing vacuously.
         path = tmp_path / "verify_floor.json"
         path.write_text(
             '{"comment": "seed", "min_pruned_fraction": 0.9}')
-        assert load_floors(path) == {"enum_pruned_fraction": 0.9}
+        with pytest.raises(ReproError, match="floor"):
+            load_floors(path)
 
     def test_load_floors_rejects_unknown_shape(self, tmp_path):
         path = tmp_path / "bad.json"

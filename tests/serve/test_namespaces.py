@@ -17,6 +17,7 @@ from repro import api
 from repro.core import behavior_cache
 from repro.dbt import xlat_cache
 from repro.dbt.xlat_cache import XlatCache
+from repro.store import DiskStore
 from repro.serve import (
     ReproServer,
     ServeClient,
@@ -38,7 +39,6 @@ def cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BEHAVIOR_CACHE", str(tmp_path / "beh"))
     monkeypatch.delenv("REPRO_XLAT_CACHE_NS", raising=False)
     monkeypatch.delenv("REPRO_BEHAVIOR_CACHE_NS", raising=False)
-    monkeypatch.delenv("REPRO_XLAT_CACHE_BUDGET", raising=False)
     yield tmp_path
     xlat_cache.reset_memory()
 
@@ -141,29 +141,26 @@ class TestNamespaceUsage:
 
     def test_behavior_cache_namespaces(self, cache_env, monkeypatch):
         base = behavior_cache.base_dir()
-        (base / "alice").mkdir(parents=True)
-        (base / "alice" / "k1.json").write_text("{}")
-        (base / "k0.json").parent.mkdir(parents=True, exist_ok=True)
-        (base / "k0.json").write_text("{}")
+        assert DiskStore(base / "alice").write("0a" * 32, "{}")
+        assert DiskStore(base).write("0b" * 32, "{}")
         usage = behavior_cache.namespace_usage()
         assert usage[""]["entries"] == 1
         assert usage["alice"]["entries"] == 1
 
-    def test_api_reexports(self):
-        assert api.xlat_cache_namespaces is xlat_cache.namespace_usage
-        assert api.behavior_cache_namespaces \
-            is behavior_cache.namespace_usage
+    def test_api_reexports(self, cache_env):
+        from repro.store import namespace_usage
+        DiskStore(xlat_cache.base_dir() / "alice").write("0a" * 32, "{}")
+        DiskStore(behavior_cache.base_dir()).write("0b" * 32, "{}")
+        assert api.xlat_cache_namespaces() \
+            == namespace_usage(xlat_cache.base_dir()) \
+            == {"": {"entries": 0, "bytes": 0},
+                "alice": {"entries": 1, "bytes": 2}}
+        assert api.behavior_cache_namespaces() \
+            == namespace_usage(behavior_cache.base_dir()) \
+            == {"": {"entries": 1, "bytes": 2}}
 
 
 class TestNamespaceSanitization:
-    def test_env_traversal_collapses_to_root(self, monkeypatch):
-        monkeypatch.setenv("REPRO_XLAT_CACHE_NS", "..")
-        assert xlat_cache.namespace() == ""
-        monkeypatch.setenv("REPRO_XLAT_CACHE_NS", "../../etc")
-        assert xlat_cache.namespace() == "....etc"  # no separators
-        monkeypatch.setenv("REPRO_BEHAVIOR_CACHE_NS", "a/b")
-        assert behavior_cache.namespace() == "ab"
-
     def test_cache_dir_scopes_by_namespace(self, cache_env,
                                            monkeypatch):
         root = xlat_cache.cache_dir()
@@ -219,6 +216,8 @@ class TestConcurrentEviction:
         assert size <= budget
         assert entries > 0
         # Survivors are intact entries, not torn writes.
-        for _, _, path in cache._disk_entries():
+        survivors = DiskStore(tmp_path / "xlat" / "tenant").entries()
+        assert len(survivors) == entries
+        for _, _, path in survivors:
             assert path.suffix == ".json"
             assert path.read_text().startswith("{")

@@ -1,0 +1,399 @@
+"""The disk-store contract (:mod:`repro.store`), stated once.
+
+Every case in :class:`TestContract` runs three times: against a bare
+:class:`~repro.store.DiskStore` behind a :class:`~repro.store.StoreEnv`
+and through each persistent cache built on it (the translation cache
+and the behaviour cache), so the namespace / traversal / clear /
+orphan-``.tmp`` / damaged-entry / concurrent-writer guarantees are the
+same guarantees for both.  What only one cache means — keys, codecs,
+counters, the memory LRU, warm-vs-cold identity — stays in that
+cache's own suite.
+"""
+
+import json
+import os
+import re
+import threading
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from repro.core import X86, behavior_cache
+from repro.core.litmus_library import R, W, outcome, x86
+from repro.dbt import xlat_cache
+from repro.store import DiskStore, StoreEnv
+from repro.tcg.backend_arm import CompiledBlock
+from repro.tcg.optimizer import OptStats
+
+REPO = Path(__file__).parents[1]
+SRC = REPO / "src" / "repro"
+
+
+# ----------------------------------------------------------------------
+# Subjects: one surface over the bare store and both caches
+# ----------------------------------------------------------------------
+def _bare_subject():
+    """A DiskStore resolved through its own pair of env vars; entries
+    are JSON texts decoded by the subject, as a cache would."""
+    env = StoreEnv("REPRO_TEST_STORE", "REPRO_TEST_STORE_NS", "bare")
+
+    def key(i):
+        return f"{i:02x}" * 32
+
+    def put(i):
+        if env.enabled():
+            DiskStore(env.cache_dir()).write(key(i),
+                                             json.dumps({"value": i}))
+
+    def get(i):
+        text = DiskStore(env.cache_dir()).read(key(i)) \
+            if env.enabled() else None
+        try:
+            return None if text is None else json.loads(text)["value"]
+        except ValueError:
+            return None
+
+    return SimpleNamespace(
+        ENV_VAR=env.env_var, NAMESPACE_ENV=env.namespace_env,
+        enabled=env.enabled, namespace=env.namespace,
+        base_dir=env.base_dir, cache_dir=env.cache_dir,
+        namespace_usage=env.namespace_usage,
+        clear_disk_cache=env.clear, key=key, put=put, get=get)
+
+
+def _xlat_subject():
+    def key(i):
+        return xlat_cache.block_key("fp", 0x400000 + 16 * i, b"\x90")
+
+    def entry(i):
+        return CompiledBlock(
+            guest_pc=0x400000 + 16 * i,
+            asm=f"block_{i}:\n" + "    nop\n" * 40 + "    ret\n",
+            helper_requests=[], guest_insns=3, op_count=7,
+            fence_origins=["RMOV->ld;Frm"]), OptStats(folded=i)
+
+    def put(i):
+        cache = xlat_cache.get_cache()
+        if cache is not None:
+            cache.put(key(i), *entry(i))
+
+    def get(i):
+        xlat_cache.reset_memory()  # the disk level alone answers
+        cache = xlat_cache.get_cache()
+        hit = cache.get(key(i)) if cache is not None else None
+        if hit is not None:
+            assert (hit.compiled, hit.opt_stats) == entry(i)
+        return hit
+
+    return SimpleNamespace(
+        ENV_VAR=xlat_cache.ENV_VAR,
+        NAMESPACE_ENV=xlat_cache.NAMESPACE_ENV,
+        enabled=xlat_cache.enabled, namespace=xlat_cache.namespace,
+        base_dir=xlat_cache.base_dir, cache_dir=xlat_cache.cache_dir,
+        namespace_usage=xlat_cache.namespace_usage,
+        clear_disk_cache=xlat_cache.clear_disk_cache,
+        key=key, put=put, get=get)
+
+
+def _behavior_subject():
+    def program(i):
+        return x86(f"p{i}", (W("X", i + 1),), (R("a", "X"),))
+
+    def expected(i):
+        return frozenset({outcome(X=i + 1, T1_a=0),
+                          outcome(X=i + 1, T1_a=i + 1)})
+
+    def get(i):
+        loaded = behavior_cache.load(program(i), X86)
+        assert loaded is None or loaded == expected(i)
+        return loaded
+
+    return SimpleNamespace(
+        ENV_VAR=behavior_cache.ENV_VAR,
+        NAMESPACE_ENV=behavior_cache.NAMESPACE_ENV,
+        enabled=behavior_cache.enabled,
+        namespace=behavior_cache.namespace,
+        base_dir=behavior_cache.base_dir,
+        cache_dir=behavior_cache.cache_dir,
+        namespace_usage=behavior_cache.namespace_usage,
+        clear_disk_cache=behavior_cache.clear_disk_cache,
+        key=lambda i: behavior_cache.entry_key(program(i), X86),
+        put=lambda i: behavior_cache.store(program(i), X86,
+                                           expected(i)),
+        get=get)
+
+
+SUBJECTS = {"store": _bare_subject, "xlat": _xlat_subject,
+            "behavior": _behavior_subject}
+
+
+@pytest.fixture(params=sorted(SUBJECTS))
+def subject(request, tmp_path, monkeypatch):
+    """The subject, enabled and rooted at ``tmp_path / "root"`` in the
+    root namespace; ``subject.scope(ns)`` switches namespace."""
+    subj = SUBJECTS[request.param]()
+    subj.root = tmp_path / "root"
+    monkeypatch.setenv(subj.ENV_VAR, str(subj.root))
+    monkeypatch.delenv(subj.NAMESPACE_ENV, raising=False)
+    subj.scope = lambda ns: monkeypatch.setenv(subj.NAMESPACE_ENV, ns)
+    subj.off = lambda: monkeypatch.setenv(subj.ENV_VAR, "off")
+    yield subj
+    xlat_cache.reset_memory()
+
+
+def _files(directory: Path, pattern: str) -> list[Path]:
+    return sorted(directory.rglob(pattern))
+
+
+# ----------------------------------------------------------------------
+# The contract
+# ----------------------------------------------------------------------
+class TestContract:
+    def test_round_trip_on_the_one_layout(self, subject):
+        assert subject.get(0) is None
+        subject.put(0)
+        key = subject.key(0)
+        # <root>/[<ns>/]<key[:2]>/<key>.json, for every subject.
+        assert _files(subject.root, "*") == [
+            subject.root / key[:2],
+            subject.root / key[:2] / f"{key}.json"]
+        assert subject.get(0) is not None
+        assert subject.get(1) is None
+        subject.scope("tenant")
+        subject.put(1)
+        key = subject.key(1)
+        assert (subject.root / "tenant" / key[:2]
+                / f"{key}.json").is_file()
+
+    def test_cache_dir_override(self, subject):
+        assert subject.base_dir() == subject.root
+        assert subject.cache_dir() == subject.root
+
+    def test_off_switch_disables_the_disk_level(self, subject):
+        subject.put(0)
+        subject.off()
+        assert not subject.enabled()
+        assert subject.get(0) is None
+        subject.put(1)
+        assert subject.clear_disk_cache() == 0
+        # Nothing was read, written or removed while off.
+        assert [p.stem for p in _files(subject.root, "*.json")] == \
+            [subject.key(0)]
+
+    def test_namespace_becomes_a_subdirectory(self, subject):
+        subject.scope("shard-3")
+        assert subject.namespace() == "shard-3"
+        assert subject.cache_dir() == subject.root / "shard-3"
+        assert subject.base_dir() == subject.root
+
+    def test_blank_namespace_is_the_root(self, subject):
+        subject.scope("   ")
+        assert subject.namespace() == ""
+        assert subject.cache_dir() == subject.root
+
+    def test_traversal_characters_cannot_escape(self, subject):
+        # Separators are stripped; a name reduced to dots is dropped
+        # entirely, so "../evil" cannot become a parent reference.
+        subject.scope("../evil")
+        assert subject.cache_dir() == subject.root / "..evil"
+        subject.scope("..")
+        assert subject.namespace() == ""
+        assert subject.cache_dir() == subject.root
+        subject.scope("../../etc")
+        assert subject.namespace() == "....etc"  # no separators
+        subject.scope("a/b\\c")
+        assert subject.cache_dir() == subject.root / "abc"
+
+    def test_namespaces_do_not_share_entries(self, subject):
+        subject.scope("left")
+        subject.put(0)
+        assert subject.get(0) is not None
+        # The other namespace starts cold and fills its own directory.
+        subject.scope("right")
+        assert subject.get(0) is None
+        subject.put(0)
+        assert subject.get(0) is not None
+        for ns in ("left", "right"):
+            assert len(DiskStore(subject.root / ns).entries()) == 1
+
+    def test_clear_sweeps_entries_and_orphaned_tmp(self, subject):
+        """A writer killed between ``mkstemp`` and ``os.replace``
+        leaves a ``*.tmp`` orphan that nothing else removes; clear
+        sweeps and counts it like any other removal."""
+        subject.put(0)
+        subject.put(1)
+        orphan = subject.root / subject.key(0)[:2] / "deadbeef.tmp"
+        orphan.write_text("{\"partial\":")
+        assert subject.clear_disk_cache() == 3
+        assert not orphan.exists()
+        assert _files(subject.root, "*.json") == []
+        assert _files(subject.root, "*.tmp") == []
+        assert DiskStore(subject.root).usage() == (0, 0)
+        assert subject.clear_disk_cache() == 0
+
+    def test_clear_touches_only_the_active_namespace(self, subject):
+        subject.put(0)                       # root namespace
+        subject.scope("keep")
+        subject.put(0)
+        subject.scope("drop")
+        subject.put(0)
+        assert subject.clear_disk_cache() == 1
+        assert subject.get(0) is None
+        subject.scope("keep")
+        assert subject.get(0) is not None
+        subject.scope("")
+        assert subject.get(0) is not None
+        # ...and clearing the root leaves every tenant alone.
+        assert subject.clear_disk_cache() == 1
+        assert subject.namespace_usage()["keep"]["entries"] == 1
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "empty"])
+    def test_damaged_entry_is_a_miss_and_is_rewritten(self, subject,
+                                                      damage):
+        subject.put(0)
+        path = DiskStore(subject.root).path(subject.key(0))
+        whole = path.read_text()
+        # "truncated" is what a torn, non-atomic write would have left.
+        path.write_text({"garbage": "{ not json",
+                         "truncated": whole[:len(whole) // 2],
+                         "empty": ""}[damage])
+        assert subject.get(0) is None
+        subject.put(0)
+        assert path.read_text() == whole
+        assert subject.get(0) is not None
+
+    def test_missing_store_has_no_namespaces(self, subject):
+        assert subject.namespace_usage() == {}
+
+    def test_namespace_usage_enumerates_root_and_tenants(self, subject):
+        subject.put(0)
+        subject.put(1)
+        subject.scope("alice")
+        subject.put(0)
+        usage = subject.namespace_usage()
+        assert list(usage) == ["", "alice"]
+        assert usage[""]["entries"] == 2
+        assert usage["alice"]["entries"] == 1
+        size = DiskStore(subject.root / "alice").entries()[0][1]
+        assert usage["alice"]["bytes"] == size > 0
+        assert usage[""]["bytes"] == DiskStore(subject.root).usage()[1]
+
+    def test_shard_spelled_namespace_is_a_namespace(self, subject):
+        # A tenant named like a shard ("ab": two hex digits) must not
+        # be folded into the root: contents disambiguate.
+        subject.scope("ab")
+        subject.put(0)
+        usage = subject.namespace_usage()
+        assert usage["ab"]["entries"] == 1
+        assert usage[""]["entries"] == 0
+
+    def test_concurrent_writers_in_one_namespace_are_safe(self, subject):
+        subject.scope("shared")
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(20):
+                    subject.put(0)
+                    # get() checks content: a torn entry would either
+                    # fail to decode (None) or decode to a wrong value.
+                    if subject.get(0) is None:
+                        errors.append("entry vanished or tore")
+            except Exception as exc:  # noqa: BLE001 - fail loud
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert subject.get(0) is not None
+        assert _files(subject.root, "*.tmp") == []
+        assert subject.namespace_usage()["shared"]["entries"] == 1
+
+
+# ----------------------------------------------------------------------
+# DiskStore alone: the budget
+# ----------------------------------------------------------------------
+class TestBudget:
+    KEYS = [f"{i:02x}" * 32 for i in range(8)]
+
+    def _fill(self, disk: DiskStore, text: str = "x" * 100):
+        for age, key in enumerate(self.KEYS):
+            assert disk.write(key, text)
+            # Distinct, increasing mtimes whatever the clock resolution.
+            os.utime(disk.path(key), (1_000 + age, 1_000 + age))
+
+    def test_entries_are_oldest_first(self, tmp_path):
+        disk = DiskStore(tmp_path)
+        self._fill(disk)
+        assert [path.stem for _, _, path in disk.entries()] == self.KEYS
+        assert disk.usage() == (8, 800)
+
+    def test_evicts_least_recently_written_down_to_budget(self, tmp_path):
+        disk = DiskStore(tmp_path, max_bytes=300)
+        self._fill(disk)
+        assert disk.evict_to_budget() == self.KEYS[:5]
+        assert [p.stem for _, _, p in disk.entries()] == self.KEYS[5:]
+        assert disk.evict_to_budget() == []
+
+    def test_keep_survives_even_alone_over_budget(self, tmp_path):
+        disk = DiskStore(tmp_path, max_bytes=1)
+        self._fill(disk)
+        assert disk.evict_to_budget(keep=self.KEYS[0]) == self.KEYS[1:]
+        assert disk.read(self.KEYS[0]) == "x" * 100
+
+    def test_zero_budget_never_evicts(self, tmp_path):
+        disk = DiskStore(tmp_path)
+        self._fill(disk)
+        assert disk.evict_to_budget() == []
+        assert disk.usage() == (8, 800)
+
+
+# ----------------------------------------------------------------------
+# Tooling guard: the forks must not grow back
+# ----------------------------------------------------------------------
+class TestOneStore:
+    """``store.py`` is the only module under ``src/repro`` that writes
+    a temp file and renames it or sanitises a namespace, and the two
+    retired knobs stay retired in code and docs."""
+
+    FORKED = re.compile(
+        r"mkstemp|os\.replace|isalnum\(\) or c in \"\._-\"")
+    RETIRED = re.compile(r"REPRO_XLAT_CACHE_(BUDGET|MEM)")
+
+    def _sources(self):
+        sources = sorted(SRC.rglob("*.py"))
+        assert SRC / "store.py" in sources and len(sources) > 50
+        return sources
+
+    def test_atomic_writer_and_sanitiser_exist_once(self):
+        offenders = [
+            f"{path.relative_to(REPO)}:{n}: {line.strip()}"
+            for path in self._sources() if path.name != "store.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if self.FORKED.search(line)
+        ]
+        assert offenders == []
+        assert len(self.FORKED.findall(
+            (SRC / "store.py").read_text())) >= 3
+
+    def test_caches_do_no_filesystem_plumbing(self):
+        for name in ("dbt/xlat_cache.py", "core/behavior_cache.py"):
+            text = (SRC / name).read_text()
+            for banned in ("os.environ", "tempfile", "glob", "iterdir"):
+                assert not re.search(rf"\b{re.escape(banned)}\b", text), \
+                    (name, banned)
+        cli = (SRC / "cli.py").read_text()
+        for walker in ("glob", "rglob", "iterdir", "walk", "scandir"):
+            assert not re.search(rf"\b{walker}\b", cli), walker
+
+    def test_retired_knobs_stay_retired(self):
+        docs = [REPO / "README.md", REPO / "DESIGN.md"]
+        offenders = [str(path.relative_to(REPO))
+                     for path in self._sources() + docs
+                     if self.RETIRED.search(path.read_text())]
+        assert offenders == []
