@@ -73,7 +73,6 @@ def _sweep_stats(sweep) -> dict:
         "enum_rf_pruned": stats.enum_rf_pruned,
         "enum_rf_rejected": stats.enum_rf_rejected,
         "enum_consistent": stats.enum_consistent,
-        "enum_sleep_skips": stats.enum_sleep_skips,
         "enum_symmetry_collapsed": stats.enum_symmetry_collapsed,
         "enum_co_classes": stats.enum_co_classes,
         "enum_pruned_fraction": stats.enum_pruned_fraction,

@@ -113,12 +113,11 @@ def run_stats_footer(sweep, title: str = "harness stats") -> str:
             f"({_fmt_pct(stats.enum_pruned_fraction).strip()} pruned; "
             f"{stats.enum_rf_pruned} rf options pruned, "
             f"{stats.enum_rf_rejected} rf choices rejected)")
-        if (stats.enum_sleep_skips or stats.enum_symmetry_collapsed
-                or stats.enum_co_classes):
+        if stats.enum_symmetry_collapsed or stats.enum_co_classes:
             lines.append(
-                f"reduction: {stats.enum_sleep_skips} sleep-set skips, "
-                f"{stats.enum_symmetry_collapsed} symmetric combos "
-                f"collapsed, {stats.enum_co_classes} coherence classes, "
+                f"reduction: {stats.enum_symmetry_collapsed} symmetric "
+                f"combos collapsed, {stats.enum_co_classes} coherence "
+                f"classes, "
                 f"{stats.enum_consistent} consistent witnesses")
     return "\n".join(lines)
 

@@ -206,11 +206,10 @@ class SweepStats:
     enum_executions: int = 0
     enum_rf_pruned: int = 0
     enum_rf_rejected: int = 0
-    #: Reduction counters: consistent executions found, sleep-set
-    #: skips, symmetric trace combos collapsed, and coherence classes
-    #: explored by the DPOR search.
+    #: Reduction counters: consistent executions found, symmetric
+    #: trace combos collapsed, and coherence classes explored by the
+    #: DPOR search.
     enum_consistent: int = 0
-    enum_sleep_skips: int = 0
     enum_symmetry_collapsed: int = 0
     enum_co_classes: int = 0
     #: Translation-cache counters: ``xlat_misses`` counts actual
@@ -294,7 +293,6 @@ def aggregate_sweep(sweep) -> SweepStats:
         stats.enum_rf_pruned += getattr(row, "enum_rf_pruned", 0)
         stats.enum_rf_rejected += getattr(row, "enum_rf_rejected", 0)
         stats.enum_consistent += getattr(row, "enum_consistent", 0)
-        stats.enum_sleep_skips += getattr(row, "enum_sleep_skips", 0)
         stats.enum_symmetry_collapsed += getattr(
             row, "enum_symmetry_collapsed", 0)
         stats.enum_co_classes += getattr(row, "enum_co_classes", 0)

@@ -1,32 +1,28 @@
-"""Source-DPOR-style reduction over the rf/co candidate search.
+"""The reductions of the rf/co candidate search.
 
-The staged enumerator of PR 2 walked the *full* rf product and ran the
-model precheck once per complete rf assignment — so a doomed choice for
-one read was rediscovered under every assignment of the other reads,
-and every surviving rf choice still expanded the full linear-extension
-product of coherence orders.  This module replaces that walk with the
-machinery real stateless model checkers use:
+:func:`repro.core.enumerate.enumerate_consistent` is one walk — trace
+combos → rf assignments → coherence orders → the model's axioms — and
+this module holds the three pieces that keep that walk small:
 
 * :class:`RfSearch` — a DFS over rf assignments in most-constrained-
   first order with (a) incremental forced-coherence closures per
-  location, (b) RMW source-disjointness cuts, (c) the model's monotone
-  rf-stage precheck on every *partial* assignment, so an inconsistent
-  prefix kills its whole subtree, and (d) sleep-set memoization: a
-  rejected (read, source) pair is remembered with the exact assignment
-  *footprint* that doomed it, and skipped without re-running closure or
-  precheck whenever that footprint recurs.  The search is exact — it
-  removes only candidates no consistent execution can extend — so
-  :func:`~repro.core.enumerate.enumerate_consistent` keeps its full
-  execution-set semantics on top of it.
+  location, (b) RMW source-disjointness cuts and (c) the model's
+  monotone rf-stage precheck on every *partial* assignment, so an
+  inconsistent prefix kills its whole subtree.  The search is exact —
+  it removes only candidates no consistent execution can extend — so
+  both configurations of the walk sit on it.
 
-* :func:`reduced_behaviors` — the representative mode used by
-  :func:`~repro.core.enumerate.behaviors`: one canonical trace combo
-  per orbit of identical-thread permutations (behaviours of the others
-  recovered by register renaming), and one coherence *witness* per
-  behaviour-distinguishing class of co instead of every linear
-  extension.  Executions sharing (combo, rf, per-location final write
-  value) have the same ``full_behavior``, so the class search explores
-  candidates until the first consistent witness and moves on — exact
+* thread symmetry — one canonical trace combo per orbit of identical-
+  thread permutations (:func:`is_canonical`, weighted by
+  :func:`orbit_size`), the behaviours of the others recovered by
+  register renaming.
+
+* :func:`reduced_behaviors` — the walk in *representative* mode, as
+  used by :func:`~repro.core.enumerate.behaviors`: canonical combos
+  only, and one coherence *witness* per behaviour-distinguishing class
+  of co instead of every linear extension.  Executions sharing (combo,
+  rf, per-location final write value) have the same ``full_behavior``,
+  so the walk stops at the first consistent witness of a class — exact
   for behaviour *sets*, which is all Theorem-1 checking consumes.
 
 Soundness notes (each prune, in one line):
@@ -35,11 +31,6 @@ Soundness notes (each prune, in one line):
   (see :class:`~repro.core.models.base.MemoryModel`); extending an
   assignment only grows rf and the forced co edges, so a violated
   axiom stays violated.
-* sleep sets — a rejection's footprint is the set of (read, source)
-  assignments it depended on (same-location assignments for coherence
-  cycles, the whole prefix for precheck failures); any later state
-  whose assignment set contains the footprint reproduces a superset of
-  the offending edges.
 * symmetry — identical thread bodies yield identical trace lists, and
   relabeling identical threads is an isomorphism of candidate
   executions for tid-agnostic models; behaviours follow by renaming
@@ -48,33 +39,42 @@ Soundness notes (each prune, in one line):
   is its co-last write, which must be maximal in the forced partial
   order; grouping maximal writes by value partitions the co extensions
   into behaviour-equivalent classes.
+
+Nothing here imports :mod:`repro.core.enumerate` at load time: that
+module builds its walk on these pieces, and only
+:func:`reduced_behaviors` calls back up into it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import TYPE_CHECKING
 
-from ..errors import ModelError
-from ..obs.trace import get_tracer
 from .execution import Execution
 from .program import Program
-from .relations import Rel, linear_extensions_with_last
-from . import enumerate as enumerate_mod
-from .enumerate import (
-    DEFAULT_CANDIDATE_LIMIT,
-    EnumerationStats,
-    _feasible_rf_options,
-    _forced_co_base,
-    _materialize_combo,
-    _naive_size,
-    _trace_sets,
-)
+from .relations import Rel
 
-#: Rejection footprints memoized per (read, source) key.  A small cap
-#: keeps the memo O(reads × sources): the first few footprints catch
-#: the recurring rejections, the long tail is cheaper to re-derive.
-SLEEP_FOOTPRINT_CAP = 8
+if TYPE_CHECKING:
+    from .enumerate import EnumerationStats
+
+
+def _forced_co_base(graph) -> dict[str, set]:
+    """rf-independent forced coherence edges, per location: the init
+    write first, and same-thread same-location writes in program order
+    (both are consequences of sc-per-loc ∪ co well-formedness)."""
+    base: dict[str, set] = {}
+    for loc, writes in graph.writes_by_loc.items():
+        init = graph.init_writes[loc]
+        edges = {(init, w.eid) for w in writes if w.eid != init}
+        for w1, w2 in itertools.combinations(writes, 2):
+            if w1.tid == w2.tid and not w1.is_init:
+                if w1.idx < w2.idx:
+                    edges.add((w1.eid, w2.eid))
+                else:
+                    edges.add((w2.eid, w1.eid))
+        base[loc] = edges
+    return base
 
 
 class RfSearch:
@@ -107,9 +107,6 @@ class RfSearch:
                        for loc, pairs in self.edges.items()}
         self.choice: dict[int, int] = {}       # read eid -> source eid
         self.rmw_used: set[int] = set()
-        self.assigned: set[tuple[int, int]] = set()
-        self.by_loc_assigned = {loc: set() for loc in self.edges}
-        self.sleep: dict[tuple[int, int], list[frozenset]] = {}
 
     def __iter__(self):
         yield from self._rec(0)
@@ -130,26 +127,16 @@ class RfSearch:
             if is_rmw and src in self.rmw_used:
                 stats.rf_rejected_rmw += 1
                 continue
-            key = (rd.eid, src)
-            if self._asleep(key):
-                stats.rf_sleep_skips += 1
-                continue
             new_edges = self._forced_edges(rd, src) - self.edges[loc]
             self.edges[loc] |= new_edges
             closure = Rel(self.edges[loc]).plus()
             if not closure.is_irreflexive():
                 stats.rf_rejected_coherence += 1
-                # Only same-location assignments contribute edges at
-                # ``loc``, so they are the whole footprint of the cycle.
-                self._remember(key,
-                               frozenset(self.by_loc_assigned[loc]))
                 self.edges[loc] -= new_edges
                 continue
             prev_closed = self.closed[loc]
             self.closed[loc] = closure
             self.choice[rd.eid] = src
-            self.assigned.add(key)
-            self.by_loc_assigned[loc].add(key)
             if is_rmw:
                 self.rmw_used.add(src)
             if self._precheck():
@@ -158,11 +145,8 @@ class RfSearch:
                 stats.rf_rejected_precheck += 1
                 if not last_depth:
                     stats.rf_prefix_rejected += 1
-                self._remember(key, frozenset(self.assigned - {key}))
             if is_rmw:
                 self.rmw_used.discard(src)
-            self.by_loc_assigned[loc].discard(key)
-            self.assigned.discard(key)
             del self.choice[rd.eid]
             self.closed[loc] = prev_closed
             self.edges[loc] -= new_edges
@@ -200,17 +184,6 @@ class RfSearch:
         )
         return self.model.rf_stage_consistent(ex)
 
-    def _asleep(self, key) -> bool:
-        return any(fp <= self.assigned
-                   for fp in self.sleep.get(key, ()))
-
-    def _remember(self, key, footprint: frozenset) -> None:
-        entries = self.sleep.setdefault(key, [])
-        if any(fp <= footprint for fp in entries):
-            return  # an existing footprint already covers this state
-        if len(entries) < SLEEP_FOOTPRINT_CAP:
-            entries.append(footprint)
-
 
 # ----------------------------------------------------------------------
 # Thread symmetry
@@ -226,7 +199,7 @@ def thread_symmetry_classes(program: Program) -> tuple[tuple[int, ...],
                  if len(tids) > 1)
 
 
-def _is_canonical(combo_idx: tuple[int, ...], classes) -> bool:
+def is_canonical(combo_idx: tuple[int, ...], classes) -> bool:
     """A combo is the orbit representative when trace indices are
     non-decreasing within every identity class."""
     for tids in classes:
@@ -236,7 +209,7 @@ def _is_canonical(combo_idx: tuple[int, ...], classes) -> bool:
     return True
 
 
-def _orbit_size(combo_idx: tuple[int, ...], classes) -> int:
+def orbit_size(combo_idx: tuple[int, ...], classes) -> int:
     """Distinct combos reachable by permuting identical threads: the
     multinomial k!/Π(mult!) per class, multiplied over classes."""
     size = 1
@@ -296,130 +269,19 @@ def reduced_behaviors(program: Program, model,
     differential tests pin this); exponentially fewer candidates
     materialized.
 
-    ``limit`` bounds *materialized* candidates like the other paths;
-    models without ``supports_staged`` fall back to the (accounted)
-    naive filter.  Counters merge into the module-wide
-    :func:`~repro.core.enumerate.enumeration_stats` and ``stats``.
+    This is :func:`~repro.core.enumerate.enumerate_consistent` in
+    representative mode — which owns the candidate ``limit``, the
+    ``supports_staged`` fallback and the accounting into ``stats`` —
+    with each witness's behaviour spread over its symmetry orbit.
     """
-    limit = DEFAULT_CANDIDATE_LIMIT if limit is None else limit
-    if not getattr(model, "supports_staged", False):
-        return frozenset(
-            ex.full_behavior
-            for ex in enumerate_mod.enumerate_consistent(
-                program, model, limit=limit, stats=stats)
-        )
-    run = EnumerationStats()
-    tracer = get_tracer()
-    try:
-        with tracer.span("enum.reduced", cat="enum",
-                         program=program.name):
-            result = _reduced_staged(program, model, limit, run)
-    finally:
-        if tracer.enabled:
-            tracer.counter(
-                "enum.stats", combos=run.combos,
-                rf_choices=run.rf_choices,
-                executions=run.executions_enumerated,
-                consistent=run.consistent)
-        enumerate_mod._ENUM_STATS.merge(run)
-        if stats is not None:
-            stats.merge(run)
-    return result
+    from . import enumerate as enumerate_mod
 
-
-def _reduced_staged(program: Program, model, limit: int,
-                    stats: EnumerationStats) -> frozenset:
-    per_thread, locations = _trace_sets(program)
-    classes = thread_symmetry_classes(program)
-    renamings = _tid_renamings(classes)
-    produced = 0
+    renamings = _tid_renamings(thread_symmetry_classes(program))
     behaviors: set = set()
-
-    for combo_idx in itertools.product(
-            *(range(len(traces)) for traces in per_thread)):
-        if classes and not _is_canonical(combo_idx, classes):
-            stats.symmetry_collapsed += 1
-            continue
-        combo = tuple(per_thread[t][i]
-                      for t, i in enumerate(combo_idx))
-        graph = _materialize_combo(program, locations, combo)
-        stats.combos += 1
-        naive = _naive_size(graph)
-        orbit = _orbit_size(combo_idx, classes) if classes else 1
-        # The whole orbit contributes to the naive denominator — every
-        # symmetric image has the same cross-product size.
-        stats.candidates_naive += naive * orbit
-        if naive == 0:
-            continue
-        rf_options = _feasible_rf_options(graph, stats)
-        if rf_options is None:
-            continue
-        write_ids = {
-            loc: [w.eid for w in writes]
-            for loc, writes in graph.writes_by_loc.items()
-        }
-
-        for rf_choice, forced in RfSearch(graph, rf_options, model,
-                                          stats):
-            stats.rf_choices += 1
-            rf = Rel(
-                (src, rd.eid)
-                for src, rd in zip(rf_choice, graph.reads)
-            )
-            # Per location: forced-order-maximal writes, grouped by the
-            # value they would leave behind.  Each cross-location value
-            # class is one candidate behaviour; search it for a single
-            # consistent witness.
-            class_lists = []
-            for loc in locations:
-                ids = write_ids[loc]
-                closed_pairs = forced[loc].pairs
-                maximal = [
-                    w for w in ids
-                    if not any((w, x) in closed_pairs for x in ids)
-                ]
-                by_val: dict[int, list[int]] = {}
-                for w in maximal:
-                    by_val.setdefault(graph.events[w].val,
-                                      []).append(w)
-                class_lists.append(
-                    [wids for _, wids in sorted(by_val.items())])
-
-            for class_choice in itertools.product(*class_lists):
-                stats.co_classes += 1
-                witness = None
-                for lasts in itertools.product(*class_choice):
-                    exts = [
-                        linear_extensions_with_last(
-                            write_ids[loc], forced[loc].pairs, last)
-                        for loc, last in zip(locations, lasts)
-                    ]
-                    for co_parts in itertools.product(*exts):
-                        produced += 1
-                        stats.executions_enumerated += 1
-                        if produced > limit:
-                            raise ModelError(
-                                f"{program.name}: candidate executions "
-                                f"exceed limit {limit}"
-                            )
-                        co = Rel(frozenset().union(
-                            *(part.pairs for part in co_parts)
-                        )) if co_parts else Rel()
-                        ex = Execution(
-                            events=graph.events, po=graph.po, rf=rf,
-                            co=co, data=graph.data, ctrl=graph.ctrl,
-                            regs=graph.regs,
-                        )
-                        if model.is_consistent(ex):
-                            witness = ex
-                            break
-                    if witness is not None:
-                        break
-                if witness is None:
-                    continue
-                stats.consistent += 1
-                beh = witness.full_behavior
-                for mapping in renamings:
-                    behaviors.add(_rename_behavior(beh, mapping))
-
+    for ex in enumerate_mod.enumerate_consistent(
+            program, model, limit=limit, stats=stats,
+            representatives=True):
+        beh = ex.full_behavior
+        behaviors.update(_rename_behavior(beh, mapping)
+                         for mapping in renamings)
     return frozenset(behaviors)

@@ -12,30 +12,35 @@ candidate execution graph, in the style of the herd7 simulator:
 3. **coherence** — every per-location total order of writes, with the
    initialization write pinned first.
 
-Two enumeration paths share that pipeline:
+Two walks share that pipeline:
 
-* :func:`enumerate_executions` — the naive path: the full rf × co cross
+* :func:`enumerate_executions` — the naive one: the full rf × co cross
   product, no model consulted.  Kept as the differential-testing oracle.
-* :func:`enumerate_consistent` — the staged fast path used by
+* :func:`enumerate_consistent` — the rf/co search behind
   :func:`consistent_executions`/:func:`behaviors`.  It prunes rf
   candidates with model-independent coherence facts, then walks the
   rf assignment space as a DPOR-style DFS (:class:`repro.core.dpor.
   RfSearch`): RMW source-disjointness cuts, incremental forced-
-  coherence closures, the model's monotone rf-stage precheck on every
-  *partial* assignment (so an inconsistent prefix kills its whole
-  subtree, not one leaf), and sleep-set memoization of rejections.
-  Surviving rf leaves expand only the linear extensions of the forced
-  coherence order.  Every prune is justified by sc-per-loc/atomicity
-  alone (the axioms all the paper's models share), and the prefix
-  precheck by rf/co-monotonicity of the axioms;
-  ``tests/core/test_differential_enumeration.py`` checks the two paths
-  bit-identical over the whole corpus.
-* :func:`repro.core.dpor.reduced_behaviors` — the representative mode
-  behind :func:`behaviors`: on top of the DFS it collapses symmetric
-  trace combinations (identical threads) and enumerates one coherence
-  witness per behaviour-distinguishing class of co instead of every
-  linear extension.  It computes behaviour *sets* (bit-identical to
-  the full enumeration), not execution lists.
+  coherence closures and the model's monotone rf-stage precheck on
+  every *partial* assignment (so an inconsistent prefix kills its
+  whole subtree, not one leaf).  Every prune is justified by
+  sc-per-loc/atomicity alone (the axioms all the paper's models
+  share), and the prefix precheck by rf/co-monotonicity of the axioms.
+  The search runs in two configurations that differ only in which
+  trace combos it visits and how a surviving rf leaf expands into
+  coherence orders:
+
+  - *staged* (the default) visits every combo and materializes every
+    linear extension of the forced coherence order, yielding every
+    consistent execution — ``tests/core/
+    test_differential_enumeration.py`` checks it bit-identical to the
+    naive product over the whole corpus;
+  - *representative* (``representatives=True``, i.e.
+    :func:`repro.core.dpor.reduced_behaviors`) visits one canonical
+    combo per orbit of identical-thread permutations and yields one
+    coherence witness per behaviour-distinguishing class of co.  It
+    computes behaviour *sets* (bit-identical to the full enumeration),
+    not execution lists.
 
 Consistency filtering against a memory model and behaviour collection
 are thin wrappers at the bottom; behaviours are memoized in-process and
@@ -51,16 +56,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import ModelError
 from ..obs.trace import get_tracer
-from . import behavior_cache
+from . import behavior_cache, dpor
 from .events import INIT_TID, Event, Mode, RmwFlavor
 from .execution import Execution
 from .program import FenceOp, If, Load, Op, Program, Rmw, Store
-from .relations import Rel, linear_extensions, total_order_extensions
+from .relations import Rel, linear_extensions, \
+    linear_extensions_with_last, total_order_extensions
 
 #: Safety valve: enumeration aborts (with a clear error) past this many
 #: candidate executions, so a malformed "litmus" program cannot hang the
@@ -433,11 +438,11 @@ def enumerate_executions(program: Program,
 
 
 # ----------------------------------------------------------------------
-# Staged enumeration (the fast path)
+# The rf/co search (staged and representative configurations)
 # ----------------------------------------------------------------------
 @dataclass
 class EnumerationStats:
-    """Counters from one (or many merged) staged enumeration runs."""
+    """Counters from one (or many merged) enumeration runs."""
 
     #: Trace combinations examined.
     combos: int = 0
@@ -459,9 +464,6 @@ class EnumerationStats:
     #: leaves, i.e. genuine subtree cuts the per-leaf staged path of
     #: PR 2 could not make.
     rf_prefix_rejected: int = 0
-    #: DFS branches skipped because a memoized sleep-set footprint
-    #: proved the same rejection without re-running closure/precheck.
-    rf_sleep_skips: int = 0
     #: Trace combinations skipped as symmetric images of a canonical
     #: combo (identical-thread permutations; representative mode only).
     symmetry_collapsed: int = 0
@@ -481,31 +483,29 @@ class EnumerationStats:
         return 1.0 - self.executions_enumerated / self.candidates_naive
 
     def merge(self, other: "EnumerationStats") -> None:
-        self.combos += other.combos
-        self.candidates_naive += other.candidates_naive
-        self.rf_options_pruned += other.rf_options_pruned
-        self.rf_choices += other.rf_choices
-        self.rf_rejected_rmw += other.rf_rejected_rmw
-        self.rf_rejected_coherence += other.rf_rejected_coherence
-        self.rf_rejected_precheck += other.rf_rejected_precheck
-        self.rf_prefix_rejected += other.rf_prefix_rejected
-        self.rf_sleep_skips += other.rf_sleep_skips
-        self.symmetry_collapsed += other.symmetry_collapsed
-        self.co_classes += other.co_classes
-        self.executions_enumerated += other.executions_enumerated
-        self.consistent += other.consistent
+        for f in fields(self):
+            setattr(self, f.name,
+                    getattr(self, f.name) + getattr(other, f.name))
 
     def snapshot(self) -> "EnumerationStats":
         copy = EnumerationStats()
         copy.merge(self)
         return copy
 
+    def since(self, before: "EnumerationStats") -> "EnumerationStats":
+        """Field-wise ``self - before``: the share of a process-wide
+        total accumulated after the ``before`` snapshot was taken."""
+        return EnumerationStats(**{
+            f.name: getattr(self, f.name) - getattr(before, f.name)
+            for f in fields(self)
+        })
+
 
 _ENUM_STATS = EnumerationStats()
 
 
 def enumeration_stats() -> EnumerationStats:
-    """Process-wide staged-enumeration counters since the last reset."""
+    """Process-wide enumeration counters since the last reset."""
     return _ENUM_STATS.snapshot()
 
 
@@ -562,77 +562,78 @@ def _feasible_rf_options(graph: _ComboGraph,
     return rf_options
 
 
-def _forced_co_base(graph: _ComboGraph) -> dict[str, set]:
-    """rf-independent forced coherence edges, per location: the init
-    write first, and same-thread same-location writes in program order
-    (both are consequences of sc-per-loc ∪ co well-formedness)."""
-    base: dict[str, set] = {}
-    for loc, writes in graph.writes_by_loc.items():
-        init = graph.init_writes[loc]
-        edges = {(init, w.eid) for w in writes if w.eid != init}
-        for w1, w2 in itertools.combinations(writes, 2):
-            if w1.tid == w2.tid and not w1.is_init:
-                if w1.idx < w2.idx:
-                    edges.add((w1.eid, w2.eid))
-                else:
-                    edges.add((w2.eid, w1.eid))
-        base[loc] = edges
-    return base
+def _coherence_groups(graph: _ComboGraph, write_ids: dict, forced: dict,
+                      representatives: bool, stats: EnumerationStats):
+    """The coherence orders of one rf leaf, as groups of candidates
+    (each candidate a tuple of per-location total orders extending
+    ``forced``).
 
-
-def enumerate_consistent(program: Program, model,
-                         limit: int = DEFAULT_CANDIDATE_LIMIT,
-                         stats: EnumerationStats | None = None):
-    """Yield every ``model``-consistent execution via the staged path.
-
-    Requires ``model.supports_staged`` (axioms monotone in rf and co,
-    inclusive of sc-per-loc + atomicity); models without it fall back
-    to filtering the naive product.  Both paths account identically:
-    counters accumulate into the module-wide :func:`enumeration_stats`
-    and, when given, ``stats``.
+    Staged mode has one group, the full linear-extension product, and
+    the walk keeps every consistent member.  Representative mode has
+    one group per cross-location *value class* — per location, the
+    forced-order-maximal writes grouped by the value they would leave
+    behind — and the walk keeps the group's first consistent witness:
+    all its members share (combo, rf, final values), hence the
+    behaviour.
     """
-    run = EnumerationStats()
-    tracer = get_tracer()
-    supports_staged = getattr(model, "supports_staged", False)
-    span = "enum.staged" if supports_staged else "enum.naive_fallback"
-    try:
-        with tracer.span(span, cat="enum", program=program.name):
-            if supports_staged:
-                yield from _enumerate_staged(program, model, limit, run)
-            else:
-                for ex in enumerate_executions(program, limit=limit,
-                                               stats=run):
-                    if model.is_consistent(ex):
-                        run.consistent += 1
-                        yield ex
-    finally:
-        if tracer.enabled:
-            tracer.counter(
-                "enum.stats", combos=run.combos,
-                rf_choices=run.rf_choices,
-                executions=run.executions_enumerated,
-                consistent=run.consistent)
-        _ENUM_STATS.merge(run)
-        if stats is not None:
-            stats.merge(run)
+    locations = graph.locations
+    if not representatives:
+        yield itertools.product(*(
+            linear_extensions(write_ids[loc], forced[loc].pairs)
+            for loc in locations))
+        return
+    class_lists = []
+    for loc in locations:
+        ids = write_ids[loc]
+        closed_pairs = forced[loc].pairs
+        maximal = [
+            w for w in ids
+            if not any((w, x) in closed_pairs for x in ids)
+        ]
+        by_val: dict[int, list[int]] = {}
+        for w in maximal:
+            by_val.setdefault(graph.events[w].val, []).append(w)
+        class_lists.append([wids for _, wids in sorted(by_val.items())])
+    for class_choice in itertools.product(*class_lists):
+        stats.co_classes += 1
+        yield itertools.chain.from_iterable(
+            itertools.product(*(
+                linear_extensions_with_last(
+                    write_ids[loc], forced[loc].pairs, last)
+                for loc, last in zip(locations, lasts)))
+            for lasts in itertools.product(*class_choice))
 
 
-def _enumerate_staged(program: Program, model, limit: int,
-                      stats: EnumerationStats):
-    from .dpor import RfSearch
-
+def _search(program: Program, model, limit: int,
+            stats: EnumerationStats, representatives: bool):
+    """The rf/co search for staged-capable models (see the module
+    docstring for its two configurations)."""
+    per_thread, locations = _trace_sets(program)
+    # Symmetric combos have symmetric behaviours, not equal executions,
+    # so only the representative mode may skip them.
+    classes = dpor.thread_symmetry_classes(program) \
+        if representatives else ()
     produced = 0
     tracer = get_tracer()
-    trace_stages = tracer.enabled
-    for graph in _combo_graphs(program):
+    for combo_idx in itertools.product(
+            *(range(len(traces)) for traces in per_thread)):
+        if not dpor.is_canonical(combo_idx, classes):
+            stats.symmetry_collapsed += 1
+            continue
+        graph = _materialize_combo(
+            program, locations,
+            tuple(per_thread[t][i] for t, i in enumerate(combo_idx)))
         stats.combos += 1
-        if trace_stages:
+        if tracer.enabled:
             tracer.instant("enum.combo", cat="enum",
                            combo=stats.combos,
                            reads=len(graph.reads))
 
         naive = _naive_size(graph)
-        stats.candidates_naive += naive
+        # The whole orbit contributes to the naive denominator — every
+        # symmetric image has the same cross-product size.
+        stats.candidates_naive += \
+            naive * dpor.orbit_size(combo_idx, classes)
         if naive == 0:
             continue
 
@@ -645,39 +646,98 @@ def _enumerate_staged(program: Program, model, limit: int,
             for loc, writes in graph.writes_by_loc.items()
         }
 
-        for rf_choice, forced in RfSearch(graph, rf_options, model,
-                                          stats):
+        for rf_choice, forced in dpor.RfSearch(graph, rf_options, model,
+                                               stats):
             stats.rf_choices += 1
             rf = Rel(
                 (src, rd.eid) for src, rd in zip(rf_choice, graph.reads)
             )
-            ext_per_loc = [
-                list(linear_extensions(write_ids[loc],
-                                       forced[loc].pairs))
-                for loc in graph.locations
-            ]
-            for co_parts in itertools.product(*ext_per_loc):
-                produced += 1
-                stats.executions_enumerated += 1
-                if produced > limit:
-                    raise ModelError(
-                        f"{program.name}: candidate executions exceed "
-                        f"limit {limit}"
+            for group in _coherence_groups(graph, write_ids, forced,
+                                           representatives, stats):
+                for co_parts in group:
+                    produced += 1
+                    stats.executions_enumerated += 1
+                    if produced > limit:
+                        raise ModelError(
+                            f"{program.name}: candidate executions "
+                            f"exceed limit {limit}"
+                        )
+                    co = Rel(frozenset().union(
+                        *(part.pairs for part in co_parts)
+                    )) if co_parts else Rel()
+                    ex = Execution(
+                        events=graph.events, po=graph.po, rf=rf, co=co,
+                        data=graph.data, ctrl=graph.ctrl,
+                        regs=graph.regs,
                     )
-                co = Rel(frozenset().union(
-                    *(part.pairs for part in co_parts)
-                )) if co_parts else Rel()
-                ex = Execution(
-                    events=graph.events, po=graph.po, rf=rf, co=co,
-                    data=graph.data, ctrl=graph.ctrl, regs=graph.regs,
-                )
-                # rf_stage_consistent is only a monotone *precheck* —
-                # even when the forced order is already total, the full
-                # axioms must judge the candidate (a model's precheck
-                # may be strictly weaker than is_consistent).
-                if model.is_consistent(ex):
-                    stats.consistent += 1
-                    yield ex
+                    # rf_stage_consistent is only a monotone *precheck*
+                    # — even when the forced order is already total,
+                    # the full axioms must judge the candidate (a
+                    # model's precheck may be strictly weaker than
+                    # is_consistent).
+                    if model.is_consistent(ex):
+                        stats.consistent += 1
+                        yield ex
+                        if representatives:
+                            break
+
+
+def _enumerate(program: Program, model, limit: int | None,
+               stats: EnumerationStats | None, reduction: str):
+    """Yield ``model``-consistent executions of ``program`` — the one
+    accounting path under every reduction.
+
+    ``dpor`` and ``staged`` run :func:`_search` and need
+    ``model.supports_staged`` (axioms monotone in rf and co, inclusive
+    of sc-per-loc + atomicity); without it they fall back to ``naive``,
+    the filter over :func:`enumerate_executions`.  All three account
+    identically: counters accumulate into the module-wide
+    :func:`enumeration_stats` and, when given, ``stats``.
+    """
+    limit = DEFAULT_CANDIDATE_LIMIT if limit is None else limit
+    if not getattr(model, "supports_staged", False):
+        reduction = "naive"
+    run = EnumerationStats()
+    tracer = get_tracer()
+    try:
+        with tracer.span(f"enum.{reduction}", cat="enum",
+                         program=program.name):
+            if reduction == "naive":
+                for ex in enumerate_executions(program, limit=limit,
+                                               stats=run):
+                    if model.is_consistent(ex):
+                        run.consistent += 1
+                        yield ex
+            else:
+                yield from _search(program, model, limit, run,
+                                   representatives=reduction == "dpor")
+    finally:
+        if tracer.enabled:
+            tracer.counter(
+                "enum.stats", combos=run.combos,
+                rf_choices=run.rf_choices,
+                executions=run.executions_enumerated,
+                consistent=run.consistent)
+        _ENUM_STATS.merge(run)
+        if stats is not None:
+            stats.merge(run)
+
+
+def enumerate_consistent(program: Program, model,
+                         limit: int | None = None,
+                         stats: EnumerationStats | None = None,
+                         representatives: bool = False):
+    """Yield every ``model``-consistent execution via the rf/co search
+    — or, with ``representatives``, one witness per behaviour class of
+    each canonical trace combo (enough for behaviour sets; see
+    :func:`repro.core.dpor.reduced_behaviors`).
+
+    ``limit`` (default :data:`DEFAULT_CANDIDATE_LIMIT`) bounds the
+    candidates materialized; models without ``supports_staged`` get
+    the accounted naive filter instead.
+    """
+    return _enumerate(program, model, limit, stats,
+                      "dpor" if representatives else "staged")
 
 
 # ----------------------------------------------------------------------
@@ -739,31 +799,21 @@ def consistent_executions(program: Program, model,
     valve on materialized candidates); ``staged`` forces the fast or
     the naive path, defaulting to whatever the model supports.
     """
-    limit = DEFAULT_CANDIDATE_LIMIT if limit is None else limit
-    if staged is None:
-        staged = getattr(model, "supports_staged", False)
-    if staged:
+    if staged is None or staged:
         return list(enumerate_consistent(program, model, limit=limit))
-    return [
-        ex for ex in enumerate_executions(program, limit=limit)
-        if model.is_consistent(ex)
-    ]
+    return list(_enumerate(program, model, limit, None, "naive"))
 
 
-#: Environment override for the enumeration strategy behind
-#: :func:`behaviors`: ``dpor`` (default — DFS + symmetry + coherence
-#: classes), ``staged`` (the DFS without the representative-mode
-#: reductions, materializing every consistent execution) or ``naive``
-#: (the full cross product, the differential oracle).
-REDUCTION_ENV = "REPRO_ENUM_REDUCTION"
+#: The enumeration strategies behind :func:`behaviors`: ``dpor``
+#: (default — the search in representative mode), ``staged`` (the same
+#: search materializing every consistent execution) or ``naive`` (the
+#: full cross product, the differential oracle).
 REDUCTIONS = ("dpor", "staged", "naive")
 
 
 def resolve_reduction(reduction: str | None) -> str:
-    """Validate a reduction mode, defaulting from the environment."""
-    if reduction is None:
-        reduction = os.environ.get(REDUCTION_ENV, "").strip().lower() \
-            or "dpor"
+    """Validate a reduction name; ``None`` means ``dpor``."""
+    reduction = reduction or "dpor"
     if reduction not in REDUCTIONS:
         raise ModelError(
             f"unknown enumeration reduction {reduction!r}; expected "
@@ -771,23 +821,20 @@ def resolve_reduction(reduction: str | None) -> str:
     return reduction
 
 
-def _enumerate_behaviors(program: Program, model, limit: int | None,
-                         reduction: str | None) -> frozenset:
-    """Behaviour set via the chosen reduction (no caching)."""
-    mode = resolve_reduction(reduction)
-    if mode == "dpor":
-        from .dpor import reduced_behaviors
-        return reduced_behaviors(program, model, limit=limit)
-    if mode == "staged":
-        return frozenset(
-            ex.full_behavior
-            for ex in consistent_executions(program, model, limit=limit)
-        )
-    return frozenset(
-        ex.full_behavior
-        for ex in consistent_executions(program, model, limit=limit,
-                                        staged=False)
-    )
+def enumerate_behaviors(program: Program, model,
+                        limit: int | None = None,
+                        reduction: str | None = None) -> frozenset:
+    """Behaviour set via the chosen reduction, uncached — the one
+    dispatch over :data:`REDUCTIONS`.  Its counters land in
+    :func:`enumeration_stats`."""
+    reduction = resolve_reduction(reduction)
+    if reduction == "dpor":
+        return dpor.reduced_behaviors(program, model, limit=limit)
+    if reduction == "staged":
+        executions = enumerate_consistent(program, model, limit=limit)
+    else:
+        executions = _enumerate(program, model, limit, None, "naive")
+    return frozenset(ex.full_behavior for ex in executions)
 
 
 def behaviors(program: Program, model, limit: int | None = None,
@@ -803,11 +850,11 @@ def behaviors(program: Program, model, limit: int | None = None,
     without re-enumerating, so ``limit`` only takes effect on misses.
 
     ``reduction`` picks the enumeration strategy on a miss (see
-    :data:`REDUCTIONS`; default ``dpor``, overridable via
-    :data:`REDUCTION_ENV`).  All strategies compute the identical set —
-    the differential tests pin that — so cache entries are shared
-    across modes.
+    :data:`REDUCTIONS`; default ``dpor``).  All strategies compute the
+    identical set — the differential tests pin that — so cache entries
+    are shared across modes.
     """
+    reduction = resolve_reduction(reduction)
     key = (program, behavior_cache.model_fingerprint(model))
     cached = _BEHAVIOR_CACHE.get(key)
     if cached is None:
@@ -818,8 +865,8 @@ def behaviors(program: Program, model, limit: int | None = None,
         else:
             if behavior_cache.enabled():
                 _CACHE_STATS.disk_misses += 1
-            cached = _enumerate_behaviors(program, model, limit,
-                                          reduction)
+            cached = enumerate_behaviors(program, model, limit,
+                                         reduction)
             behavior_cache.store(program, model, cached)
         _BEHAVIOR_CACHE[key] = cached
     else:

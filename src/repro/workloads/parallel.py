@@ -28,7 +28,6 @@ pool, used as the reference in determinism tests.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import time
@@ -170,10 +169,9 @@ class RunRow:
     enum_rf_pruned: int = 0
     enum_rf_rejected: int = 0
     #: reduction counters (litmus ablations/verify rows): consistent
-    #: executions found, sleep-set skips, symmetric trace combos
-    #: collapsed, and coherence classes explored by the DPOR search.
+    #: executions found, symmetric trace combos collapsed, and
+    #: coherence classes explored by the DPOR search.
     enum_consistent: int = 0
-    enum_sleep_skips: int = 0
     enum_symmetry_collapsed: int = 0
     enum_co_classes: int = 0
     #: translation-cache counters (machine workloads; zero for litmus
@@ -321,15 +319,6 @@ def _run_metrics(spec: RunSpec, row: RunRow) -> dict:
     return reg.snapshot()
 
 
-def _enum_delta(before: EnumerationStats,
-                after: EnumerationStats) -> EnumerationStats:
-    """Field-wise ``after - before`` over every counter."""
-    return EnumerationStats(**{
-        f.name: getattr(after, f.name) - getattr(before, f.name)
-        for f in dataclasses.fields(EnumerationStats)
-    })
-
-
 def _enum_fields(run: EnumerationStats) -> dict:
     """EnumerationStats -> the ``enum_*`` RunRow kwargs."""
     return dict(
@@ -340,31 +329,38 @@ def _enum_fields(run: EnumerationStats) -> dict:
                           + run.rf_rejected_coherence
                           + run.rf_rejected_precheck),
         enum_consistent=run.consistent,
-        enum_sleep_skips=run.rf_sleep_skips,
         enum_symmetry_collapsed=run.symmetry_collapsed,
         enum_co_classes=run.co_classes,
+    )
+
+
+def _litmus_row(spec: RunSpec, started: float, work) -> RunRow:
+    """The row of one model-checking cell: ``work()`` returns its
+    ``payload``.  Behaviour-cache and enumeration counters are
+    process-wide, so the cell's share is a before/after delta (a cache
+    hit legitimately reports zero enumeration work)."""
+    cache_before = behavior_cache_stats()
+    enum_before = enumeration_stats()
+    payload = work()
+    cache = behavior_cache_stats()
+    return RunRow(
+        benchmark=spec.benchmark,
+        variant=spec.variant,
+        wall_seconds=time.perf_counter() - started,
+        cache_hits=cache.hits - cache_before.hits,
+        cache_misses=cache.misses - cache_before.misses,
+        cache_disk_hits=cache.disk_hits - cache_before.disk_hits,
+        cache_disk_misses=cache.disk_misses - cache_before.disk_misses,
+        payload=payload,
+        **_enum_fields(enumeration_stats().since(enum_before)),
     )
 
 
 def _run_ablation(spec: RunSpec, started: float) -> RunRow:
     from ..core.ablations import run_named_ablation
 
-    before = behavior_cache_stats()
-    enum_before = enumeration_stats()
-    result = run_named_ablation(spec.ablation or spec.benchmark)
-    after = behavior_cache_stats()
-    run = _enum_delta(enum_before, enumeration_stats())
-    return RunRow(
-        benchmark=spec.benchmark,
-        variant=spec.variant,
-        wall_seconds=time.perf_counter() - started,
-        cache_hits=after.hits - before.hits,
-        cache_misses=after.misses - before.misses,
-        cache_disk_hits=after.disk_hits - before.disk_hits,
-        cache_disk_misses=after.disk_misses - before.disk_misses,
-        payload=tuple(result.broken_tests),
-        **_enum_fields(run),
-    )
+    return _litmus_row(spec, started, lambda: tuple(
+        run_named_ablation(spec.ablation or spec.benchmark).broken_tests))
 
 
 def _behavior_digest(behs: frozenset) -> str:
@@ -382,9 +378,7 @@ def _run_verify(spec: RunSpec, started: float) -> RunRow:
     """One sharded-verification cell: enumerate the behaviours of one
     litmus test under one model with the requested reduction."""
     from ..core.corpus_large import verify_registry
-    from ..core.dpor import reduced_behaviors
-    from ..core.enumerate import behaviors, enumerate_consistent, \
-        enumerate_executions, resolve_reduction
+    from ..core.enumerate import behaviors, enumerate_behaviors
     from ..core.models import MODEL_BY_NAME
 
     registry = verify_registry()
@@ -401,53 +395,14 @@ def _run_verify(spec: RunSpec, started: float) -> RunRow:
         raise ReproError(
             f"unknown model {model_name!r}; expected one of "
             f"{sorted(MODEL_BY_NAME)}") from None
-    mode = resolve_reduction(spec.reduction)
+    enumerate_ = behaviors if spec.use_cache else enumerate_behaviors
 
-    cache_before = behavior_cache_stats()
-    run = EnumerationStats()
-    if spec.use_cache:
-        # behaviors() merges its counters into the module-wide stats;
-        # recover this run's share as a before/after delta.  A cache
-        # hit legitimately reports zero enumeration work.
-        enum_before = enumeration_stats()
-        behs = behaviors(test.program, model, limit=spec.enum_limit,
-                         reduction=mode)
-        run = _enum_delta(enum_before, enumeration_stats())
-    elif mode == "dpor":
-        behs = reduced_behaviors(test.program, model,
-                                 limit=spec.enum_limit, stats=run)
-    elif mode == "staged":
-        kwargs = {} if spec.enum_limit is None \
-            else {"limit": spec.enum_limit}
-        behs = frozenset(
-            ex.full_behavior
-            for ex in enumerate_consistent(test.program, model,
-                                           stats=run, **kwargs)
-        )
-    else:  # naive
-        kwargs = {} if spec.enum_limit is None \
-            else {"limit": spec.enum_limit}
-        out = set()
-        for ex in enumerate_executions(test.program, stats=run,
-                                       **kwargs):
-            if model.is_consistent(ex):
-                run.consistent += 1
-                out.add(ex.full_behavior)
-        behs = frozenset(out)
-    cache_after = behavior_cache_stats()
+    def work() -> tuple:
+        behs = enumerate_(test.program, model, limit=spec.enum_limit,
+                          reduction=spec.reduction)
+        return (_behavior_digest(behs), len(behs))
 
-    return RunRow(
-        benchmark=spec.benchmark,
-        variant=spec.variant,
-        wall_seconds=time.perf_counter() - started,
-        cache_hits=cache_after.hits - cache_before.hits,
-        cache_misses=cache_after.misses - cache_before.misses,
-        cache_disk_hits=cache_after.disk_hits - cache_before.disk_hits,
-        cache_disk_misses=(cache_after.disk_misses
-                           - cache_before.disk_misses),
-        payload=(_behavior_digest(behs), len(behs)),
-        **_enum_fields(run),
-    )
+    return _litmus_row(spec, started, work)
 
 
 def _run_scheme(spec: RunSpec, started: float) -> RunRow:
@@ -470,26 +425,14 @@ def _run_scheme(spec: RunSpec, started: float) -> RunRow:
             f"unknown scheme mapping {mapping_name!r}; expected one "
             f"of {sorted(SCHEME_MAPPINGS)}") from None
 
-    cache_before = behavior_cache_stats()
-    enum_before = enumeration_stats()
-    report = check_corpus(X86_CORPUS, mapping, X86, ARM,
-                          limit=spec.enum_limit)
-    run = _enum_delta(enum_before, enumeration_stats())
-    cache_after = behavior_cache_stats()
-    broken = tuple(v.test_name for v in report.verdicts if not v.ok)
-    return RunRow(
-        benchmark=spec.benchmark,
-        variant=spec.variant,
-        wall_seconds=time.perf_counter() - started,
-        cache_hits=cache_after.hits - cache_before.hits,
-        cache_misses=cache_after.misses - cache_before.misses,
-        cache_disk_hits=cache_after.disk_hits - cache_before.disk_hits,
-        cache_disk_misses=(cache_after.disk_misses
-                           - cache_before.disk_misses),
-        payload=(report.ok, SCHEME_EXPECTED[mapping_name],
-                 len(report.verdicts)) + broken,
-        **_enum_fields(run),
-    )
+    def work() -> tuple:
+        report = check_corpus(X86_CORPUS, mapping, X86, ARM,
+                              limit=spec.enum_limit)
+        broken = tuple(v.test_name for v in report.verdicts if not v.ok)
+        return (report.ok, SCHEME_EXPECTED[mapping_name],
+                len(report.verdicts)) + broken
+
+    return _litmus_row(spec, started, work)
 
 
 def execute_spec(spec: RunSpec) -> RunRow:
@@ -509,7 +452,12 @@ def execute_spec(spec: RunSpec) -> RunRow:
             raise ReproError(
                 f"unknown library {spec.library!r}; expected one of "
                 f"{sorted(LIBRARY_BUILDERS)}") from None
-        setup = MEMORY_SETUPS[spec.setup] if spec.setup else None
+        try:
+            setup = MEMORY_SETUPS[spec.setup] if spec.setup else None
+        except KeyError:
+            raise ReproError(
+                f"unknown memory setup {spec.setup!r}; expected one of "
+                f"{sorted(MEMORY_SETUPS)}") from None
         outcome = run_library_workload(
             spec.function, spec.args, spec.calls, spec.variant, library,
             setup_memory=setup, seed=spec.seed, costs=spec.costs,

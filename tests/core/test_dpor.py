@@ -1,6 +1,6 @@
 """Unit tests for the source-DPOR reduction layer.
 
-:mod:`repro.core.dpor` claims three reductions — sleep sets over the
+:mod:`repro.core.dpor` claims three reductions — prefix cuts in the
 rf DFS, thread-symmetry collapse of trace combos, and coherence value
 classes with a single linear-extension witness — and each is exercised
 here on a program *constructed* to trigger it, with the naive
@@ -25,8 +25,8 @@ from repro.core.corpus_large import (
 )
 from repro.core.dpor import (
     RfSearch,
-    _is_canonical,
-    _orbit_size,
+    is_canonical,
+    orbit_size,
     _rename_behavior,
     _tid_renamings,
     reduced_behaviors,
@@ -57,17 +57,18 @@ def reduced(program, model, stats=None, limit=None) -> frozenset:
 
 
 # ----------------------------------------------------------------------
-# Sleep sets
+# Forced-coherence cycles
 # ----------------------------------------------------------------------
 
-#: Crafted so a coherence rejection carries a *cross-thread* footprint:
-#: with c=1, a=2, b=1 the assignment a←(T2's write) forces
-#: co(W X 2, W X 1) inside T1, while b←(T1's write) forces the reverse
-#: edge inside T2 — an immediate forced-co cycle whose footprint is
-#: just {a's choice}.  The Y reader (two identical Y writers give it
-#: two options) sits first in the most-constrained-first order, so
-#: after it backtracks the same (b, src) pair comes up again under an
-#: unchanged footprint and must be sleep-skipped, not re-derived.
+#: Crafted so a coherence rejection spans threads: with c=1, a=2, b=1
+#: the assignment a←(T2's write) forces co(W X 2, W X 1) inside T1,
+#: while b←(T1's write) forces the reverse edge inside T2 — an
+#: immediate forced-co cycle.  The Y reader (two identical Y writers
+#: give it two options) sits first in the most-constrained-first
+#: order, so after it backtracks the same (b, src) pair comes up again
+#: and is rejected again: the one program on which the retired sleep
+#: sets ever skipped anything (one closure), kept as a differential
+#: input.
 SLEEP_CYCLE = x86(
     "sleep-cycle",
     (R("c", "Y"),),
@@ -80,18 +81,13 @@ SLEEP_CYCLE = x86(
 )
 
 
-class TestSleepSets:
-    def test_coherence_rejections_are_sleep_skipped(self):
+class TestCoherenceCycle:
+    @pytest.mark.parametrize("model", [X86, SC], ids=lambda m: m.name)
+    def test_cycle_rejections_never_lose_behaviours(self, model):
         stats = EnumerationStats()
-        behs = reduced(SLEEP_CYCLE, X86, stats=stats)
+        behs = reduced(SLEEP_CYCLE, model, stats=stats)
         assert stats.rf_rejected_coherence >= 1
-        assert stats.rf_sleep_skips >= 1
-        assert behs == naive_behaviors(SLEEP_CYCLE, X86)
-
-    def test_sleep_skip_never_loses_behaviours_under_sc(self):
-        stats = EnumerationStats()
-        behs = reduced(SLEEP_CYCLE, SC, stats=stats)
-        assert behs == naive_behaviors(SLEEP_CYCLE, SC)
+        assert behs == naive_behaviors(SLEEP_CYCLE, model)
 
 
 # ----------------------------------------------------------------------
@@ -167,15 +163,15 @@ class TestThreadSymmetry:
 
     def test_canonical_combos_are_nondecreasing_per_class(self):
         classes = ((0, 1, 2),)
-        assert _is_canonical((0, 0, 1), classes)
-        assert not _is_canonical((1, 0, 0), classes)
+        assert is_canonical((0, 0, 1), classes)
+        assert not is_canonical((1, 0, 0), classes)
 
     def test_orbit_size_is_multinomial(self):
         classes = ((0, 1, 2),)
         # (0, 0, 1): three arrangements of {0, 0, 1}.
-        assert _orbit_size((0, 0, 1), classes) == 3
-        assert _orbit_size((0, 0, 0), classes) == 1
-        assert _orbit_size((0, 1, 2), classes) == 6
+        assert orbit_size((0, 0, 1), classes) == 3
+        assert orbit_size((0, 0, 0), classes) == 1
+        assert orbit_size((0, 1, 2), classes) == 6
 
     def test_renamings_cover_the_permutation_group(self):
         renamings = _tid_renamings(((1, 2),))

@@ -25,7 +25,11 @@ from repro.workloads import (
 )
 from repro.workloads.casbench import CasConfig
 from repro.workloads.kernels import KernelSpec
-from repro.workloads.parallel import LIBRARY_BUILDERS, deterministic_row
+from repro.workloads.parallel import (
+    LIBRARY_BUILDERS,
+    MEMORY_SETUPS,
+    deterministic_row,
+)
 
 #: A tiny kernel so each worker run stays under a second.
 TINY = KernelSpec("tiny", loads=2, stores=1, alu=2, fp=1,
@@ -67,6 +71,16 @@ class TestExecuteSpec:
                        function="exp", args=(1,), calls=1)
         with pytest.raises(ReproError, match="unknown library"):
             execute_spec(spec)
+
+    def test_unknown_memory_setup_is_a_typed_request_error(self):
+        spec = RunSpec(kind="library", benchmark="x", library="libm",
+                       function="exp", args=(1,), calls=1,
+                       setup="digest-bufer")
+        sweep = run_parallel((spec,), workers=1)
+        (failure,) = sweep.failures
+        assert failure.code == "repro"
+        assert "digest-bufer" in failure.error
+        assert str(sorted(MEMORY_SETUPS)) in failure.error
 
     def test_missing_kernel_raises(self):
         with pytest.raises(ReproError, match="kernel spec missing"):
