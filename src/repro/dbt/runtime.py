@@ -207,9 +207,7 @@ class Runtime:
     def _atomic_entry(self, core: ArmCore, addr: int) -> None:
         """Common cost/ordering work of an atomic helper: the builtin
         compiles to casal/ldaxr+stlxr, which drains the buffer."""
-        core.drain_buffer()
-        if core.coherence:
-            core.cycles += core.coherence.on_write(core.core_id, addr)
+        core.own_line(addr)
         core.cycles += core.costs.cas_op
 
     def _helper_cmpxchg(self, core: ArmCore, addr: int, expected: int,

@@ -10,13 +10,13 @@ shaped by.
 from .cpu import ArmCore, cond_index
 from .memory import CoherenceTracker, Memory
 from .scheduler import Machine
-from .timing import DEFAULT_COSTS, CostModel, fence_cost
+from .timing import DEFAULT_COSTS, CostModel
 from .weakmem import BufferMode, StoreBuffer
 
 __all__ = [
     "ArmCore", "cond_index",
     "CoherenceTracker", "Memory",
     "Machine",
-    "DEFAULT_COSTS", "CostModel", "fence_cost",
+    "DEFAULT_COSTS", "CostModel",
     "BufferMode", "StoreBuffer",
 ]

@@ -1,4 +1,4 @@
-"""The simulated Arm core: fetch/decode/execute with weak memory.
+"""The simulated Arm core: a pre-bound instruction table over weak memory.
 
 Each core owns a store buffer (see :mod:`repro.machine.weakmem`), an
 exclusive monitor for LDXR/STXR pairs (with seeded *spurious failures*,
@@ -6,11 +6,23 @@ which the paper calls out as an LX/SX hazard x86 RMWs don't have), a
 cycle counter driven by the :class:`~repro.machine.timing.CostModel`,
 and a trap table through which the DBT runtime installs Python-level
 entry points (QEMU-style helpers, native host library functions).
+
+Decoding and operand resolution are per-*instruction* work, so they
+are paid once per pc, not once per step: the first time a pc executes,
+:meth:`ArmCore.step` fetches and decodes it and a per-mnemonic *binder*
+(the second half of this module) resolves register names, masked
+immediates, the address shape and the cycle costs into a handler
+``handler(core)``.  ``(handler, size)`` goes into the table the
+machine's :class:`~repro.machine.memory.Memory` keeps for all its
+cores, and every later step at that pc is one dict lookup and one
+call.  Handlers take the core as their argument and capture none, so
+the table holds no reference back into the machine.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from random import Random
@@ -18,7 +30,6 @@ from typing import Callable
 
 from ..errors import MachineError
 from ..isa.arm.insns import (
-    ACCESS_ORDERING,
     CODER,
     CONDITIONAL_BRANCHES,
     CONDITIONS,
@@ -27,14 +38,18 @@ from ..isa.arm.insns import (
 )
 from ..isa.common import Imm, Insn, Mem, Reg
 from .memory import CoherenceTracker, Memory
-from .timing import CostModel, fence_cost
+from .timing import CostModel
 from .weakmem import BufferMode, StoreBuffer
 
 U64 = (1 << 64) - 1
+_SIGN = 1 << 63
 
 #: Origin bucket for fence cycles with no provenance entry (native
 #: workload code, hand-assembled harness snippets).
 UNTAGGED_ORIGIN = "untagged"
+
+_DOUBLE = struct.Struct("<d")
+_QWORD = struct.Struct("<Q")
 
 
 def cond_index(name: str) -> int:
@@ -43,11 +58,30 @@ def cond_index(name: str) -> int:
 
 
 def _bits_to_double(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<Q", bits & U64))[0]
+    return _DOUBLE.unpack(_QWORD.pack(bits & U64))[0]
 
 
 def _double_to_bits(value: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", value))[0]
+    return _QWORD.unpack(_DOUBLE.pack(value))[0]
+
+
+#: Condition name -> test over the NZCV flag dict.
+_CONDITION_TESTS: dict[str, Callable[[dict], bool]] = {
+    "eq": lambda f: f["z"],
+    "ne": lambda f: not f["z"],
+    "lt": lambda f: f["n"] != f["v"],
+    "ge": lambda f: f["n"] == f["v"],
+    "le": lambda f: f["z"] or f["n"] != f["v"],
+    "gt": lambda f: (not f["z"]) and f["n"] == f["v"],
+    "lo": lambda f: not f["c"],
+    "hs": lambda f: f["c"],
+    "ls": lambda f: (not f["c"]) or f["z"],
+    "hi": lambda f: f["c"] and not f["z"],
+    "mi": lambda f: f["n"],
+    "pl": lambda f: not f["n"],
+}
+#: The same tests by CSET/CSEL immediate (see :func:`cond_index`).
+_TEST_BY_INDEX = tuple(_CONDITION_TESTS[name] for name in CONDITIONS)
 
 
 @dataclass
@@ -84,6 +118,9 @@ class ArmCore:
     svc_handler: Callable[["ArmCore", int], None] | None = None
 
     def __post_init__(self):
+        #: ``xzr`` is an entry like any other register so handlers can
+        #: read it unconditionally; nothing ever stores a non-zero
+        #: there (:meth:`set`, :func:`_discarding`).
         self.regs = {r: 0 for r in GPR}
         self.flags = {"n": False, "z": False, "c": False, "v": False}
         self.buffer = StoreBuffer(mode=self.buffer_mode)
@@ -91,6 +128,9 @@ class ArmCore:
         #: before advancing) — fence accounting keys the origin map
         #: on it.
         self._insn_pc = 0
+        #: pc -> (handler, size): the memory's table for this core's
+        #: cost model, shared with every other core on the machine.
+        self._code = self.memory.code_table(self.costs)
 
     # ------------------------------------------------------------------
     # Register access (xzr handling)
@@ -105,28 +145,15 @@ class ArmCore:
             return
         self.regs[name] = value & U64
 
-    def _value(self, op) -> int:
-        if isinstance(op, Reg):
-            return self.get(op.name)
-        if isinstance(op, Imm):
-            return op.value & U64
-        raise MachineError(f"bad value operand {op!r}")
-
-    def _address(self, op: Mem) -> int:
-        addr = op.offset
-        if op.base:
-            addr += self.get(op.base)
-        if op.index:
-            addr += self.get(op.index) * op.scale
-        return addr & U64
-
     # ------------------------------------------------------------------
     # Memory with buffer + coherence
     # ------------------------------------------------------------------
     def _mem_load(self, addr: int) -> int:
-        forwarded = self.buffer.forward(addr)
-        if forwarded is not None:
-            return forwarded
+        buffer = self.buffer
+        if buffer.entries:
+            forwarded = buffer.forward(addr)
+            if forwarded is not None:
+                return forwarded
         if self.coherence:
             self.cycles += self.coherence.on_read(self.core_id, addr)
         return self.memory.load_word(addr)
@@ -139,6 +166,13 @@ class ArmCore:
         else:
             self.buffer.push(addr, value)
 
+    def own_line(self, addr: int) -> None:
+        """What every atomic does first: drain the buffer and take the
+        cache line exclusively."""
+        self.buffer.drain_all(self.memory)
+        if self.coherence:
+            self.cycles += self.coherence.on_write(self.core_id, addr)
+
     def drain_buffer(self) -> None:
         self.buffer.drain_all(self.memory)
 
@@ -148,10 +182,13 @@ class ArmCore:
     drain_probability: float = 0.08
 
     def maybe_background_drain(self) -> None:
-        """Called by the scheduler between instructions: lazily drain."""
-        if self.buffer.pending() > 8 or \
-                (self.buffer.pending()
-                 and self.rng.random() < self.drain_probability):
+        """Called by the scheduler between instructions: lazily drain.
+
+        ``rng`` is drawn only while stores are pending, so the
+        scheduler may skip the call when the buffer is empty."""
+        pending = self.buffer.pending()
+        if pending > 8 or \
+                (pending and self.rng.random() < self.drain_probability):
             self.buffer.drain_one(self.memory, self.rng)
 
     # ------------------------------------------------------------------
@@ -177,32 +214,17 @@ class ArmCore:
     # ------------------------------------------------------------------
     def _set_nzcv_sub(self, a: int, b: int) -> None:
         result = (a - b) & U64
-        self.flags["n"] = bool(result & (1 << 63))
-        self.flags["z"] = result == 0
-        self.flags["c"] = a >= b  # no borrow
-        sa = a - (1 << 64) if a & (1 << 63) else a
-        sb = b - (1 << 64) if b & (1 << 63) else b
-        sr = result - (1 << 64) if result & (1 << 63) else result
-        self.flags["v"] = (sa >= 0) != (sb >= 0) and (sr >= 0) != (sa >= 0)
+        flags = self.flags
+        flags["n"] = result >= _SIGN
+        flags["z"] = result == 0
+        flags["c"] = a >= b  # no borrow
+        # Signed overflow: the operands' signs differ and the result's
+        # sign is not the minuend's.
+        flags["v"] = (a >= _SIGN) != (b >= _SIGN) \
+            and (result >= _SIGN) != (a >= _SIGN)
 
     def condition(self, name: str) -> bool:
-        n, z, c, v = (self.flags["n"], self.flags["z"],
-                      self.flags["c"], self.flags["v"])
-        table = {
-            "eq": z,
-            "ne": not z,
-            "lt": n != v,
-            "ge": n == v,
-            "le": z or n != v,
-            "gt": (not z) and n == v,
-            "lo": not c,
-            "hs": c,
-            "ls": (not c) or z,
-            "hi": c and not z,
-            "mi": n,
-            "pl": not n,
-        }
-        return table[name]
+        return _CONDITION_TESTS[name](self.flags)
 
     # ------------------------------------------------------------------
     # Fetch / execute
@@ -212,253 +234,492 @@ class ArmCore:
         self.halted = False
 
     def step(self) -> None:
-        """Execute one instruction (or a trap at the current pc)."""
-        trap = self.traps.get(self.pc)
+        """Execute one instruction (or a trap at the current pc).
+
+        Traps come first and are not instructions.  A pc is bound on
+        its first execution and never ahead of it: images carry data
+        after code, and the DBT maps new images while cores run, so
+        neither a byte that is never reached nor a fetch that faulted
+        may leave anything in the table.
+        """
+        pc = self.pc
+        trap = self.traps.get(pc)
         if trap is not None:
             trap(self)
             return
-        code = self.memory.read_bytes(self.pc, 32)
-        insn, size = CODER.decode(code)
-        self._insn_pc = self.pc
-        self.pc += size
-        self.execute(insn)
+        bound = self._code.get(pc)
+        if bound is None:
+            insn, size = CODER.decode(self.memory.read_bytes(pc, 32))
+            bound = self._code[pc] = (bind(insn, self.costs), size)
+        self._insn_pc = pc
+        self.pc = pc + bound[1]
+        bound[0](self)
         self.insn_count += 1
 
-    # ------------------------------------------------------------------
     def execute(self, insn: Insn) -> None:
-        m = insn.mnemonic
-        ops = insn.operands
-        costs = self.costs
+        """Run one instruction that did not come from memory; ``pc``
+        is the caller's business."""
+        bind(insn, self.costs)(self)
 
-        # -------------------------------------------------- moves/ALU
-        if m in ("mov", "movz"):
-            self.set(ops[0].name, self._value(ops[1]))
-            self.cycles += costs.mov
-            return
-        if m in ("add", "sub", "and", "orr", "eor", "lsl", "lsr",
-                 "asr", "mul", "udiv"):
-            a = self._value(ops[1])
-            b = self._value(ops[2])
-            if m == "add":
-                result = a + b
-            elif m == "sub":
-                result = a - b
-            elif m == "and":
-                result = a & b
-            elif m == "orr":
-                result = a | b
-            elif m == "eor":
-                result = a ^ b
-            elif m == "lsl":
-                result = a << (b & 63)
-            elif m == "lsr":
-                result = a >> (b & 63)
-            elif m == "asr":
-                sa = a - (1 << 64) if a & (1 << 63) else a
-                result = sa >> (b & 63)
-            elif m == "mul":
-                result = a * b
-            else:  # udiv
-                result = a // b if b else 0
-            self.set(ops[0].name, result)
-            self.cycles += costs.alu
-            return
-        if m == "mvn":
-            self.set(ops[0].name, ~self._value(ops[1]) & U64)
-            self.cycles += costs.alu
-            return
-        if m == "neg":
-            self.set(ops[0].name, (-self._value(ops[1])) & U64)
-            self.cycles += costs.alu
-            return
-        if m == "cmp":
-            self._set_nzcv_sub(self._value(ops[0]), self._value(ops[1]))
-            self.cycles += costs.alu
-            return
-        if m == "cset":
-            cond = CONDITIONS[self._value(ops[1])]
-            self.set(ops[0].name, 1 if self.condition(cond) else 0)
-            self.cycles += costs.alu
-            return
-        if m == "csel":
-            cond = CONDITIONS[self._value(ops[3])]
-            value = self._value(ops[1]) if self.condition(cond) \
-                else self._value(ops[2])
-            self.set(ops[0].name, value)
-            self.cycles += costs.alu
-            return
 
-        # -------------------------------------------------- branches
-        if m == "b":
-            self.pc = self._value(ops[0])
-            self.cycles += costs.branch_taken
-            return
-        if m in CONDITIONAL_BRANCHES:
-            if self.condition(CONDITIONAL_BRANCHES[m]):
-                self.pc = self._value(ops[0])
-                self.cycles += costs.branch_taken
+# ----------------------------------------------------------------------
+# Binders: instruction -> handler(core)
+# ----------------------------------------------------------------------
+# A binder takes the operand tuple and the cost model and returns the
+# handler.  Register operands become dict keys into ``core.regs``,
+# immediates become masked constants, and a shape that only matters on
+# a hot mnemonic (``mov``, the ALU group) gets a closure of its own;
+# everything else goes through the small getters below.
+
+Handler = Callable[[ArmCore], None]
+
+
+def _reg(op) -> str:
+    if not isinstance(op, Reg):
+        raise MachineError(f"bad register operand {op!r}")
+    return op.name
+
+
+def _value(op) -> Callable[[dict], int]:
+    """Getter for a register-or-immediate operand: ``get(regs)``."""
+    if isinstance(op, Reg):
+        name = op.name
+        return lambda regs: regs[name]
+    if isinstance(op, Imm):
+        value = op.value & U64
+        return lambda regs: value
+    raise MachineError(f"bad value operand {op!r}")
+
+
+def _address(op) -> Callable[[dict], int]:
+    """Getter for a memory operand's effective address."""
+    if not isinstance(op, Mem):
+        raise MachineError(f"bad memory operand {op!r}")
+    base, index, scale, offset = op.base, op.index, op.scale, op.offset
+    if base and index:
+        return lambda regs: \
+            (offset + regs[base] + regs[index] * scale) & U64
+    if base:
+        return lambda regs: (offset + regs[base]) & U64
+    if index:
+        return lambda regs: (offset + regs[index] * scale) & U64
+    absolute = offset & U64
+    return lambda regs: absolute
+
+
+def _discarding(dest: str, handler: Handler) -> Handler:
+    """``xzr`` as a destination: let the handler write, then put the
+    zero back, so no handler needs a second shape for it."""
+    if dest != "xzr":
+        return handler
+
+    def discard(core):
+        handler(core)
+        core.regs["xzr"] = 0
+    return discard
+
+
+def _bind_mov(ops, costs):
+    dest, source = ops
+    d, cost = _reg(dest), costs.mov
+    if isinstance(source, Reg):
+        s = source.name
+
+        def handler(core):
+            regs = core.regs
+            regs[d] = regs[s]
+            core.cycles += cost
+    else:
+        if not isinstance(source, Imm):
+            raise MachineError(f"bad value operand {source!r}")
+        value = source.value & U64
+
+        def handler(core):
+            core.regs[d] = value
+            core.cycles += cost
+    return _discarding(d, handler)
+
+
+def _unary(fn, cost_of):
+    def binder(ops, costs):
+        dest, source = ops
+        d, get, cost = _reg(dest), _value(source), cost_of(costs)
+
+        def handler(core):
+            regs = core.regs
+            regs[d] = fn(get(regs)) & U64
+            core.cycles += cost
+        return _discarding(d, handler)
+    return binder
+
+
+def _binary(fn, cost_of):
+    """``dest = fn(left, right)``: the ALU group and scalar FP."""
+    def binder(ops, costs):
+        dest, left, right = ops
+        d, cost = _reg(dest), cost_of(costs)
+        if isinstance(left, Reg) and isinstance(right, Reg):
+            a, b = left.name, right.name
+
+            def handler(core):
+                regs = core.regs
+                regs[d] = fn(regs[a], regs[b]) & U64
+                core.cycles += cost
+        elif isinstance(left, Reg) and isinstance(right, Imm):
+            a, imm = left.name, right.value & U64
+
+            def handler(core):
+                regs = core.regs
+                regs[d] = fn(regs[a], imm) & U64
+                core.cycles += cost
+        else:
+            get_a, get_b = _value(left), _value(right)
+
+            def handler(core):
+                regs = core.regs
+                regs[d] = fn(get_a(regs), get_b(regs)) & U64
+                core.cycles += cost
+        return _discarding(d, handler)
+    return binder
+
+
+def _asr(a: int, b: int) -> int:
+    return (a - (1 << 64) if a & _SIGN else a) >> (b & 63)
+
+
+def _fp(fn):
+    return lambda a, b: _double_to_bits(
+        fn(_bits_to_double(a), _bits_to_double(b)))
+
+
+def _fsqrt(bits: int) -> int:
+    a = _bits_to_double(bits)
+    return _double_to_bits(math.sqrt(a) if a >= 0 else math.nan)
+
+
+def _bind_cmp(ops, costs):
+    left, right = ops
+    get_a, get_b, cost = _value(left), _value(right), costs.alu
+
+    def handler(core):
+        regs = core.regs
+        core._set_nzcv_sub(get_a(regs), get_b(regs))
+        core.cycles += cost
+    return handler
+
+
+def _bind_cset(ops, costs):
+    dest, cond = ops
+    d, index, cost = _reg(dest), _value(cond), costs.alu
+
+    def handler(core):
+        regs = core.regs
+        regs[d] = 1 if _TEST_BY_INDEX[index(regs)](core.flags) else 0
+        core.cycles += cost
+    return _discarding(d, handler)
+
+
+def _bind_csel(ops, costs):
+    dest, if_true, if_false, cond = ops
+    d, index, cost = _reg(dest), _value(cond), costs.alu
+    get_true, get_false = _value(if_true), _value(if_false)
+
+    def handler(core):
+        regs = core.regs
+        chosen = get_true if _TEST_BY_INDEX[index(regs)](core.flags) \
+            else get_false
+        regs[d] = chosen(regs)
+        core.cycles += cost
+    return _discarding(d, handler)
+
+
+# ---------------------------------------------------------- branches
+def _bind_b(ops, costs):
+    (target,) = ops
+    target, cost = _value(target), costs.branch_taken
+
+    def handler(core):
+        core.pc = target(core.regs)
+        core.cycles += cost
+    return handler
+
+
+def _conditional_branch(condition: str):
+    test = _CONDITION_TESTS[condition]
+
+    def binder(ops, costs):
+        (target,) = ops
+        target = _value(target)
+        taken, fallthrough = costs.branch_taken, costs.branch
+
+        def handler(core):
+            if test(core.flags):
+                core.pc = target(core.regs)
+                core.cycles += taken
             else:
-                self.cycles += costs.branch
-            return
-        if m in ("cbz", "cbnz"):
-            taken = (self.get(ops[0].name) == 0) == (m == "cbz")
-            if taken:
-                self.pc = self._value(ops[1])
-                self.cycles += costs.branch_taken
-            else:
-                self.cycles += costs.branch
-            return
-        if m == "bl":
-            self.set(LINK_REGISTER, self.pc)
-            self.pc = self._value(ops[0])
-            self.cycles += costs.call
-            return
-        if m == "blr":
-            self.set(LINK_REGISTER, self.pc)
-            self.pc = self.get(ops[0].name)
-            self.cycles += costs.call
-            return
-        if m == "br":
-            self.pc = self.get(ops[0].name)
-            self.cycles += costs.branch_taken
-            return
-        if m == "ret":
-            self.pc = self.get(LINK_REGISTER)
-            self.cycles += costs.branch_taken
-            return
+                core.cycles += fallthrough
+        return handler
+    return binder
 
-        # -------------------------------------------------- memory
-        if m in ("ldr", "ldar", "ldapr"):
-            addr = self._address(ops[1])
-            self.set(ops[0].name, self._mem_load(addr))
-            self.cycles += costs.load
-            if m != "ldr":
-                self.cycles += costs.acquire_extra
-            return
-        if m == "str":
-            addr = self._address(ops[1])
-            self._mem_store(addr, self.get(ops[0].name))
-            self.cycles += costs.store
-            return
-        if m == "stlr":
-            addr = self._address(ops[1])
-            self.buffer.barrier()
-            self._mem_store(addr, self.get(ops[0].name))
-            self.cycles += costs.store + costs.release_extra
-            return
-        if m in ("ldxr", "ldaxr"):
-            addr = self._address(ops[1])
-            self.set(ops[0].name, self._mem_load(addr))
-            self.memory.register_exclusive(self.core_id, addr)
-            self.cycles += costs.exclusive_op
-            if m == "ldaxr":
-                self.cycles += costs.acquire_extra
-            return
-        if m in ("stxr", "stlxr"):
-            status, src, mem = ops
-            addr = self._address(mem)
-            ok = self.memory.take_exclusive(self.core_id, addr)
-            if ok and self.spurious_failure_rate and \
-                    self.rng.random() < self.spurious_failure_rate:
+
+def _compare_branch(on_zero: bool):
+    def binder(ops, costs):
+        probe, target = ops
+        r, target = _reg(probe), _value(target)
+        taken, fallthrough = costs.branch_taken, costs.branch
+
+        def handler(core):
+            regs = core.regs
+            if (regs[r] == 0) == on_zero:
+                core.pc = target(regs)
+                core.cycles += taken
+            else:
+                core.cycles += fallthrough
+        return handler
+    return binder
+
+
+def _bind_bl(ops, costs):
+    (target,) = ops
+    target, cost = _value(target), costs.call
+
+    def handler(core):
+        regs = core.regs
+        regs[LINK_REGISTER] = core.pc
+        core.pc = target(regs)
+        core.cycles += cost
+    return handler
+
+
+def _bind_blr(ops, costs):
+    (target,) = ops
+    r, cost = _reg(target), costs.call
+
+    def handler(core):
+        regs = core.regs
+        regs[LINK_REGISTER] = core.pc
+        core.pc = regs[r]
+        core.cycles += cost
+    return handler
+
+
+def _bind_br(ops, costs):
+    (target,) = ops
+    r, cost = _reg(target), costs.branch_taken
+
+    def handler(core):
+        core.pc = core.regs[r]
+        core.cycles += cost
+    return handler
+
+
+def _bind_ret(ops, costs):
+    () = ops
+    cost = costs.branch_taken
+
+    def handler(core):
+        core.pc = core.regs[LINK_REGISTER]
+        core.cycles += cost
+    return handler
+
+
+# ------------------------------------------------------------ memory
+def _load(cost_of, exclusive: bool = False):
+    def binder(ops, costs):
+        dest, mem = ops
+        d, address, cost = _reg(dest), _address(mem), cost_of(costs)
+
+        def handler(core):
+            regs = core.regs
+            addr = address(regs)
+            regs[d] = core._mem_load(addr)
+            if exclusive:
+                core.memory.register_exclusive(core.core_id, addr)
+            core.cycles += cost
+        return _discarding(d, handler)
+    return binder
+
+
+def _store(cost_of, release: bool = False):
+    def binder(ops, costs):
+        source, mem = ops
+        s, address, cost = _reg(source), _address(mem), cost_of(costs)
+
+        def handler(core):
+            regs = core.regs
+            if release:
+                core.buffer.barrier()
+            core._mem_store(address(regs), regs[s])
+            core.cycles += cost
+        return handler
+    return binder
+
+
+def _store_exclusive(cost_of):
+    def binder(ops, costs):
+        status, source, mem = ops
+        st, s = _reg(status), _reg(source)
+        address, cost = _address(mem), cost_of(costs)
+
+        def handler(core):
+            regs = core.regs
+            addr = address(regs)
+            ok = core.memory.take_exclusive(core.core_id, addr)
+            if ok and core.spurious_failure_rate and \
+                    core.rng.random() < core.spurious_failure_rate:
                 ok = False
             if ok:
-                self.drain_buffer()
-                if self.coherence:
-                    self.cycles += self.coherence.on_write(
-                        self.core_id, addr)
-                self.memory.store_word(addr, self.get(src.name))
-                self.set(status.name, 0)
+                core.own_line(addr)
+                core.memory.store_word(addr, regs[s])
+                regs[st] = 0
             else:
-                self.set(status.name, 1)
-            self.cycles += costs.exclusive_op
-            if m == "stlxr":
-                self.cycles += costs.release_extra
-            return
-        if m in ("cas", "casa", "casl", "casal"):
-            expected_reg, new_reg, mem = ops
-            addr = self._address(mem)
-            self.drain_buffer()
-            if self.coherence:
-                self.cycles += self.coherence.on_write(
-                    self.core_id, addr)
-            old = self.memory.load_word(addr)
-            if old == self.get(expected_reg.name):
-                self.memory.store_word(addr, self.get(new_reg.name))
-            self.set(expected_reg.name, old)
-            self.cycles += costs.cas_op
-            return
-        if m == "ldaddal":
-            addend_reg, out_reg, mem = ops
-            addr = self._address(mem)
-            self.drain_buffer()
-            if self.coherence:
-                self.cycles += self.coherence.on_write(
-                    self.core_id, addr)
-            old = self.memory.load_word(addr)
-            self.memory.store_word(
-                addr, (old + self.get(addend_reg.name)) & U64)
-            self.set(out_reg.name, old)
-            self.cycles += costs.atomic_add_op
-            return
-        if m == "swpal":
-            src_reg, out_reg, mem = ops
-            addr = self._address(mem)
-            self.drain_buffer()
-            if self.coherence:
-                self.cycles += self.coherence.on_write(
-                    self.core_id, addr)
-            old = self.memory.load_word(addr)
-            self.memory.store_word(addr, self.get(src_reg.name))
-            self.set(out_reg.name, old)
-            self.cycles += costs.atomic_add_op
-            return
+                regs[st] = 1
+            core.cycles += cost
+        return _discarding(st, handler)
+    return binder
 
-        # -------------------------------------------------- fences
-        if m == "dmbff":
-            self.drain_buffer()
-            self._account_fence(costs.dmb_ff)
-            return
-        if m == "dmbld":
-            self._account_fence(fence_cost(costs, m))
-            return
-        if m == "dmbst":
-            self.buffer.barrier()
-            self._account_fence(fence_cost(costs, m))
-            return
 
-        # -------------------------------------------------- FP
-        if m in ("fadd", "fmul", "fdiv"):
-            a = _bits_to_double(self._value(ops[1]))
-            b = _bits_to_double(self._value(ops[2]))
-            if m == "fadd":
-                value = a + b
-            elif m == "fmul":
-                value = a * b
-            else:
-                value = a / b if b else math.inf
-            self.set(ops[0].name, _double_to_bits(value))
-            self.cycles += costs.fp_native
-            return
-        if m == "fsqrt":
-            a = _bits_to_double(self._value(ops[1]))
-            self.set(ops[0].name,
-                     _double_to_bits(math.sqrt(a) if a >= 0 else math.nan))
-            self.cycles += costs.fp_native
-            return
+def _atomic(stored, result_in: int, cost_of):
+    """The single-instruction atomics, ``op first, second, [mem]``:
+    ``stored(old, first, second)`` is the word to write back (``None``
+    to leave memory alone) and operand ``result_in`` receives the old
+    value."""
+    def binder(ops, costs):
+        first, second, address = \
+            _reg(ops[0]), _reg(ops[1]), _address(ops[2])
+        dest, cost = (first, second)[result_in], cost_of(costs)
 
-        # -------------------------------------------------- system
-        if m == "svc":
-            if self.svc_handler is None:
-                raise MachineError("SVC with no handler installed")
-            self.svc_handler(self, self._value(ops[0]))
-            self.cycles += costs.syscall
-            return
-        if m == "nop":
-            self.cycles += costs.alu
-            return
-        if m == "hlt":
-            self.drain_buffer()
-            self.halted = True
-            return
+        def handler(core):
+            regs = core.regs
+            addr = address(regs)
+            core.own_line(addr)
+            memory = core.memory
+            old = memory.load_word(addr)
+            word = stored(old, regs[first], regs[second])
+            if word is not None:
+                memory.store_word(addr, word)
+            regs[dest] = old
+            core.cycles += cost
+        return _discarding(dest, handler)
+    return binder
 
+
+_bind_cas = _atomic(
+    lambda old, expected, new: new if old == expected else None,
+    0, lambda c: c.cas_op)
+
+
+# ------------------------------------------------------------ fences
+def _fence(cost_of, drain: bool = False, barrier: bool = False):
+    def binder(ops, costs):
+        () = ops
+        cost = cost_of(costs)
+
+        def handler(core):
+            if drain:
+                core.buffer.drain_all(core.memory)
+            if barrier:
+                core.buffer.barrier()
+            core._account_fence(cost)
+        return handler
+    return binder
+
+
+# ------------------------------------------------------------ system
+def _bind_svc(ops, costs):
+    (number,) = ops
+    number, cost = _value(number), costs.syscall
+
+    def handler(core):
+        if core.svc_handler is None:
+            raise MachineError("SVC with no handler installed")
+        core.svc_handler(core, number(core.regs))
+        core.cycles += cost
+    return handler
+
+
+def _bind_nop(ops, costs):
+    cost = costs.alu
+
+    def handler(core):
+        core.cycles += cost
+    return handler
+
+
+def _halt(core) -> None:
+    core.drain_buffer()
+    core.halted = True
+
+
+_alu = operator.attrgetter("alu")
+_fp_native = operator.attrgetter("fp_native")
+
+_BINDERS: dict[str, Callable] = {
+    "mov": _bind_mov,
+    "movz": _bind_mov,
+    "add": _binary(operator.add, _alu),
+    "sub": _binary(operator.sub, _alu),
+    "and": _binary(operator.and_, _alu),
+    "orr": _binary(operator.or_, _alu),
+    "eor": _binary(operator.xor, _alu),
+    "lsl": _binary(lambda a, b: a << (b & 63), _alu),
+    "lsr": _binary(lambda a, b: a >> (b & 63), _alu),
+    "asr": _binary(_asr, _alu),
+    "mul": _binary(operator.mul, _alu),
+    "udiv": _binary(lambda a, b: a // b if b else 0, _alu),
+    "mvn": _unary(operator.invert, _alu),
+    "neg": _unary(operator.neg, _alu),
+    "cmp": _bind_cmp,
+    "cset": _bind_cset,
+    "csel": _bind_csel,
+    "b": _bind_b,
+    **{mnemonic: _conditional_branch(condition)
+       for mnemonic, condition in CONDITIONAL_BRANCHES.items()},
+    "cbz": _compare_branch(on_zero=True),
+    "cbnz": _compare_branch(on_zero=False),
+    "bl": _bind_bl,
+    "blr": _bind_blr,
+    "br": _bind_br,
+    "ret": _bind_ret,
+    "ldr": _load(lambda c: c.load),
+    "ldar": _load(lambda c: c.load + c.acquire_extra),
+    "ldapr": _load(lambda c: c.load + c.acquire_extra),
+    "str": _store(lambda c: c.store),
+    "stlr": _store(lambda c: c.store + c.release_extra, release=True),
+    "ldxr": _load(lambda c: c.exclusive_op, exclusive=True),
+    "ldaxr": _load(lambda c: c.exclusive_op + c.acquire_extra,
+                   exclusive=True),
+    "stxr": _store_exclusive(lambda c: c.exclusive_op),
+    "stlxr": _store_exclusive(
+        lambda c: c.exclusive_op + c.release_extra),
+    "cas": _bind_cas,
+    "casa": _bind_cas,
+    "casl": _bind_cas,
+    "casal": _bind_cas,
+    "ldaddal": _atomic(lambda old, addend, _: (old + addend) & U64,
+                       1, lambda c: c.atomic_add_op),
+    "swpal": _atomic(lambda old, new, _: new,
+                     1, lambda c: c.atomic_add_op),
+    "dmbff": _fence(lambda c: c.dmb_ff, drain=True),
+    "dmbld": _fence(lambda c: c.dmb_ld),
+    "dmbst": _fence(lambda c: c.dmb_st, barrier=True),
+    "fadd": _binary(_fp(operator.add), _fp_native),
+    "fmul": _binary(_fp(operator.mul), _fp_native),
+    "fdiv": _binary(_fp(lambda a, b: a / b if b else math.inf),
+                    _fp_native),
+    "fsqrt": _unary(_fsqrt, _fp_native),
+    "svc": _bind_svc,
+    "nop": _bind_nop,
+    "hlt": lambda ops, costs: _halt,
+}
+
+
+def bind(insn: Insn, costs: CostModel) -> Handler:
+    """Resolve one decoded instruction into its handler."""
+    binder = _BINDERS.get(insn.mnemonic)
+    if binder is None:
         raise MachineError(f"unimplemented Arm instruction {insn}")
+    try:
+        return binder(insn.operands, costs)
+    except (ValueError, IndexError):
+        raise MachineError(f"malformed operands in {insn}") from None

@@ -10,78 +10,122 @@ on real hardware.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..errors import MachineError
 
 WORD = 8
 LINE_SHIFT = 6  # 64-byte cache lines
+_U64 = (1 << 64) - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Image:
     base: int
     data: bytes
-
-    @property
-    def end(self) -> int:
-        return self.base + len(self.data)
+    end: int
 
 
 class Memory:
     """Sparse word-addressed memory with code images.
 
-    Data writes shadow code bytes (self-modifying code is out of scope
-    and raises).
+    Images are append-only, never overlap and are never altered:
+    instruction fetch (:meth:`read_bytes`) reads image bytes only, and
+    a data write to an address inside an image *shadows* it for
+    :meth:`load_word` while fetch keeps seeing the image.  There is no
+    self-modifying code in this machine, which is what lets the cores
+    keep every instruction they have decoded (:meth:`code_table`)
+    without any invalidation.
     """
 
     def __init__(self):
         self._words: dict[int, int] = {}
+        #: Images sorted by base, and their bases for bisection (the
+        #: DBT adds one image per translated block).
         self._images: list[Image] = []
+        self._bases: list[int] = []
         #: Global exclusives monitor: core_id -> reserved word address.
         #: Any committed store to a reserved address clears the
         #: reservation, so a cross-core write landing between a core's
         #: LDXR and STXR makes the STXR fail (atomicity).
         self._exclusive: dict[int, int] = {}
+        #: Cost model -> {pc: (handler, size)}; see :meth:`code_table`.
+        self._code: dict[object, dict[int, tuple]] = {}
 
     # ------------------------------------------------------------------
     # Code images
     # ------------------------------------------------------------------
     def add_image(self, base: int, data: bytes) -> None:
-        for image in self._images:
-            if base < image.end and image.base < base + len(data):
+        """Map ``data`` at ``base``; an empty image maps nothing."""
+        if not data:
+            return
+        end = base + len(data)
+        pos = bisect_right(self._bases, base)
+        # Existing images are disjoint and sorted, so only the two
+        # neighbours can overlap the new one.
+        for image in self._images[max(pos - 1, 0):pos + 1]:
+            if base < image.end and image.base < end:
                 raise MachineError(
                     f"image at 0x{base:x} overlaps image at "
                     f"0x{image.base:x}")
-        self._images.append(Image(base, bytes(data)))
+        self._images.insert(pos, Image(base, bytes(data), end))
+        self._bases.insert(pos, base)
+
+    def _image_at(self, addr: int) -> Image | None:
+        pos = bisect_right(self._bases, addr)
+        if pos:
+            image = self._images[pos - 1]
+            if addr < image.end:
+                return image
+        return None
 
     def read_bytes(self, addr: int, count: int) -> bytes:
         """Fetch raw bytes (instruction fetch path)."""
-        for image in self._images:
-            if image.base <= addr < image.end:
-                off = addr - image.base
-                return image.data[off:off + count]
-        raise MachineError(f"instruction fetch from unmapped 0x{addr:x}")
+        image = self._image_at(addr)
+        if image is None:
+            raise MachineError(
+                f"instruction fetch from unmapped 0x{addr:x}")
+        off = addr - image.base
+        return image.data[off:off + count]
 
     def in_image(self, addr: int) -> bool:
-        return any(img.base <= addr < img.end for img in self._images)
+        return self._image_at(addr) is not None
+
+    def code_table(self, costs) -> dict[int, tuple]:
+        """The instructions bound so far for cores running under
+        ``costs``: ``pc -> (handler, size)``, filled by
+        :meth:`ArmCore.step <repro.machine.cpu.ArmCore.step>` the first
+        time a pc executes.  It lives here because all cores of a
+        machine share it, and it is keyed by cost model because a
+        handler has its cycle costs bound in.  Entries stay valid for
+        as long as the memory does (see the class docstring)."""
+        return self._code.setdefault(costs, {})
+
+    def release_code(self) -> None:
+        """Drop every bound instruction (cores keep their tables and
+        refill them on demand).  :meth:`Machine.run` calls this when it
+        returns: a finished machine sits in a reference cycle until a
+        full collection, and should not pin its table that long."""
+        for table in self._code.values():
+            table.clear()
 
     # ------------------------------------------------------------------
     # Data
     # ------------------------------------------------------------------
     def load_word(self, addr: int) -> int:
-        if addr in self._words:
-            return self._words[addr]
+        value = self._words.get(addr)
+        if value is not None:
+            return value
         # Initialized data inside an image (e.g. .data section).
-        for image in self._images:
-            if image.base <= addr and addr + WORD <= image.end:
-                off = addr - image.base
-                return int.from_bytes(
-                    image.data[off:off + WORD], "little")
+        image = self._image_at(addr)
+        if image is not None and addr + WORD <= image.end:
+            off = addr - image.base
+            return int.from_bytes(image.data[off:off + WORD], "little")
         return 0
 
     def store_word(self, addr: int, value: int) -> None:
-        self._words[addr] = value & ((1 << 64) - 1)
+        self._words[addr] = value & _U64
         if self._exclusive:
             stale = [cid for cid, watched in self._exclusive.items()
                      if watched == addr]
@@ -120,12 +164,9 @@ class CoherenceTracker:
     share_cost: int = 60
     _owner: dict[int, int | None] = field(default_factory=dict)
 
-    def _line(self, addr: int) -> int:
-        return addr >> LINE_SHIFT
-
     def on_read(self, core_id: int, addr: int) -> int:
         """Extra cycles a read pays; demotes foreign lines to shared."""
-        line = self._line(addr)
+        line = addr >> LINE_SHIFT
         owner = self._owner.get(line)
         if owner is None or owner == core_id:
             return 0
@@ -134,7 +175,7 @@ class CoherenceTracker:
 
     def on_write(self, core_id: int, addr: int) -> int:
         """Extra cycles a write/atomic pays; takes exclusive ownership."""
-        line = self._line(addr)
+        line = addr >> LINE_SHIFT
         owner = self._owner.get(line, core_id)
         self._owner[line] = core_id
         if owner == core_id:
@@ -142,7 +183,7 @@ class CoherenceTracker:
         return self.transfer_cost
 
     def owner_of(self, addr: int) -> int | None:
-        return self._owner.get(self._line(addr))
+        return self._owner.get(addr >> LINE_SHIFT)
 
     def reset(self) -> None:
         self._owner.clear()

@@ -66,34 +66,56 @@ class Machine:
     def core(self, core_id: int) -> ArmCore:
         return self.cores[core_id]
 
-    def runnable(self) -> list[ArmCore]:
-        return [c for c in self.cores if not c.halted]
-
     def run(self, max_steps: int = 50_000_000) -> int:
         """Run until every core halts; returns total steps executed."""
         tracer = get_tracer()
-        with tracer.span("machine.run", cat="machine",
-                         n_cores=self.n_cores):
-            steps = self._run_loop(max_steps, tracer)
+        try:
+            with tracer.span("machine.run", cat="machine",
+                             n_cores=self.n_cores):
+                steps = self._run_loop(max_steps, tracer)
+        finally:
+            # Machine, cores and the runtime's trap closures form a
+            # reference cycle, so a finished machine lingers until a
+            # full collection; its bound instructions need not.
+            self.memory.release_code()
         for core in self.cores:
             core.drain_buffer()
         return steps
 
     def _run_loop(self, max_steps: int, tracer) -> int:
+        """One step per turn: the cores within ``jitter`` cycles of the
+        slowest runnable one form the window (in core order), and
+        ``rng`` picks among them — one draw per step, also when the
+        window holds a single core, so the stream does not depend on
+        how many cores happen to be runnable."""
         steps = 0
         trace_dispatch = tracer.enabled
+        cores, jitter, choice = self.cores, self.jitter, self.rng.choice
         while True:
-            running = self.runnable()
-            if not running:
+            window = []
+            low = high = 0
+            for core in cores:
+                if not core.halted:
+                    cycles = core.cycles
+                    if not window:
+                        low = high = cycles
+                    elif cycles < low:
+                        low = cycles
+                    elif cycles > high:
+                        high = cycles
+                    window.append(core)
+            if not window:
                 break
             if steps >= max_steps:
                 raise MachineError(
                     f"machine did not quiesce within {max_steps} steps")
-            low = min(c.cycles for c in running)
-            window = [c for c in running if c.cycles <= low + self.jitter]
-            core = self.rng.choice(window)
+            if high - low > jitter:
+                limit = low + jitter
+                window = [c for c in window if c.cycles <= limit]
+            core = choice(window)
             core.step()
-            core.maybe_background_drain()
+            if core.buffer.entries:
+                core.maybe_background_drain()
             steps += 1
             if trace_dispatch and steps % _TRACE_SAMPLE_STEPS == 0:
                 tracer.counter(

@@ -77,11 +77,3 @@ class CostModel:
 
 #: Default host cost model.
 DEFAULT_COSTS = CostModel()
-
-
-def fence_cost(costs: CostModel, mnemonic: str) -> int:
-    return {
-        "dmbff": costs.dmb_ff,
-        "dmbld": costs.dmb_ld,
-        "dmbst": costs.dmb_st,
-    }[mnemonic]

@@ -51,9 +51,16 @@ class StoreBuffer:
     mode: BufferMode = BufferMode.WEAK
     entries: list = field(default_factory=list)
 
+    def __post_init__(self):
+        #: Stores among ``entries`` (the rest are barrier markers).
+        #: A barrier is never first or alone, so the buffer holds a
+        #: store exactly when ``entries`` is non-empty.
+        self._stores = sum(1 for e in self.entries if e is not _BARRIER)
+
     # ------------------------------------------------------------------
     def push(self, addr: int, value: int) -> None:
         self.entries.append((addr, value))
+        self._stores += 1
 
     def barrier(self) -> None:
         """Insert a store-store barrier (DMBST semantics)."""
@@ -69,7 +76,7 @@ class StoreBuffer:
         return None
 
     def pending(self) -> int:
-        return sum(1 for e in self.entries if e is not _BARRIER)
+        return self._stores
 
     # ------------------------------------------------------------------
     def _eligible_indices(self) -> list[int]:
@@ -98,6 +105,7 @@ class StoreBuffer:
         index = eligible[0] if self.mode is BufferMode.TSO \
             else rng.choice(eligible)
         addr, value = self.entries.pop(index)
+        self._stores -= 1
         memory.store_word(addr, value)
         self._pop_leading_barriers()
         return True
@@ -111,6 +119,7 @@ class StoreBuffer:
             memory.store_word(entry[0], entry[1])
             count += 1
         self.entries.clear()
+        self._stores = 0
         return count
 
     def _pop_leading_barriers(self) -> None:
