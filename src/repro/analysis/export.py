@@ -10,10 +10,11 @@ what they do not understand instead of misreading it.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from ..errors import ReproError
-from .stats import BenchTable, aggregate_sweep
+from .stats import BenchTable, RunCounters, aggregate_sweep
 
 #: Version tag of the export payload.  Bump on breaking layout change.
 BENCH_SCHEMA = "repro-bench/1"
@@ -37,46 +38,24 @@ def _table_rows(table: BenchTable) -> list[dict]:
 
 
 def _sweep_stats(sweep) -> dict:
+    """The sweep's ``stats`` block: the sweep-level scalars, then every
+    :class:`RunCounters` field in declaration order — a counter declared
+    there is exported without being named here."""
     stats = aggregate_sweep(sweep)
-    return {
+    out = {
         "runs": stats.runs,
         "failed_runs": stats.failed_runs,
         "workers": stats.workers,
         "wall_seconds": stats.wall_seconds,
         "run_seconds": stats.run_seconds,
-        "blocks_translated": stats.blocks_translated,
-        "guest_insns_translated": stats.guest_insns_translated,
-        "block_dispatches": stats.block_dispatches,
-        "chained_dispatches": stats.chained_dispatches,
-        "helper_calls": stats.helper_calls,
-        "opt_folded": stats.opt_folded,
-        "opt_mem_eliminated": stats.opt_mem_eliminated,
-        "opt_fences_merged": stats.opt_fences_merged,
-        "opt_dead_removed": stats.opt_dead_removed,
-        "opt_empty_fences_dropped": stats.opt_empty_fences_dropped,
-        "opt_helpers_inlined": stats.opt_helpers_inlined,
-        "tier2_traces": stats.tier2_traces,
-        "tier2_trace_blocks": stats.tier2_trace_blocks,
-        "tier2_trace_dispatches": stats.tier2_trace_dispatches,
-        "tier2_cycles": stats.tier2_cycles,
-        "fence_cycles": stats.fence_cycles,
-        "total_cycles": stats.total_cycles,
-        "fence_cycles_by_origin": dict(
-            sorted(stats.fence_cycles_by_origin.items())),
-        "cache_hits": stats.cache_hits,
-        "cache_misses": stats.cache_misses,
-        "xlat_hits": stats.xlat_hits,
-        "xlat_misses": stats.xlat_misses,
-        "xlat_disk_hits": stats.xlat_disk_hits,
-        "enum_candidates_naive": stats.enum_candidates_naive,
-        "enum_executions": stats.enum_executions,
-        "enum_rf_pruned": stats.enum_rf_pruned,
-        "enum_rf_rejected": stats.enum_rf_rejected,
-        "enum_consistent": stats.enum_consistent,
-        "enum_symmetry_collapsed": stats.enum_symmetry_collapsed,
-        "enum_co_classes": stats.enum_co_classes,
-        "enum_pruned_fraction": stats.enum_pruned_fraction,
     }
+    for f in fields(RunCounters):
+        value = getattr(stats, f.name)
+        if isinstance(value, dict):
+            value = dict(sorted(value.items()))
+        out[f.metadata.get("export", f.name)] = value
+    out["enum_pruned_fraction"] = stats.enum_pruned_fraction
+    return out
 
 
 def bench_payload(figure: str, table: BenchTable | None = None,

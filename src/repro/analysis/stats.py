@@ -9,7 +9,7 @@ average/maximum gains (Section 7.2's prose numbers).
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import ReproError
 
@@ -50,7 +50,7 @@ class BenchTable:
                   ) -> "BenchTable":
         """Build a table from parallel-harness result rows (anything
         with benchmark/variant/cycles/fence_cycles/total_cycles/
-        checksum attributes)."""
+        checksum/fence_origin_cycles attributes)."""
         table = cls(name=name, baseline=baseline)
         for row in rows:
             table.add(BenchRow(
@@ -60,8 +60,7 @@ class BenchTable:
                 fence_cycles=row.fence_cycles,
                 total_cycles=row.total_cycles,
                 checksum=row.checksum,
-                fence_origin_cycles=dict(
-                    getattr(row, "fence_origin_cycles", {}) or {}),
+                fence_origin_cycles=dict(row.fence_origin_cycles),
             ))
         return table
 
@@ -172,63 +171,111 @@ class BenchTable:
         return len(values) <= 1
 
 
-@dataclass
-class SweepStats:
-    """Observability aggregate over one sweep's result rows."""
+@dataclass(kw_only=True)
+class RunCounters:
+    """Every additive quantity of a run, declared once.
 
-    runs: int = 0
-    workers: int = 1
-    wall_seconds: float = 0.0
-    run_seconds: float = 0.0          # sum of per-run wall times
+    :class:`~repro.workloads.parallel.RunRow` (one run) and
+    :class:`SweepStats` (the sum over a sweep) both inherit this block,
+    :meth:`add` folds it and :mod:`repro.analysis.export` writes it by
+    iterating :func:`dataclasses.fields` — so a new counter is one field
+    here plus the field on the producer it is copied from.  Keyword-only,
+    so subclasses keep their own required leading fields.
+    """
+
+    #: translated-block / dispatch counters from RunStats.
     blocks_translated: int = 0
     guest_insns_translated: int = 0
     block_dispatches: int = 0
     chained_dispatches: int = 0
     helper_calls: int = 0
+    #: optimizer work from OptStats.
     opt_folded: int = 0
     opt_mem_eliminated: int = 0
     opt_fences_merged: int = 0
     opt_dead_removed: int = 0
     opt_empty_fences_dropped: int = 0
     opt_helpers_inlined: int = 0
-    #: tier-2 (superblock) counters summed over the sweep's rows.
+    #: tier-2 (superblock) counters from RunStats; all zero when
+    #: tier-2 is off or the variant is native.
     tier2_traces: int = 0
     tier2_trace_blocks: int = 0
     tier2_trace_dispatches: int = 0
     tier2_cycles: int = 0
     fence_cycles: int = 0
     total_cycles: int = 0
+    #: fence cycles split by provenance tag (mapping rule / optimizer
+    #: decision); values sum exactly to ``fence_cycles`` when every
+    #: fence is tagged.  Exported under the key the payload always had.
+    fence_origin_cycles: dict = field(
+        default_factory=dict,
+        metadata={"export": "fence_cycles_by_origin"})
+    #: behaviour-cache counters accumulated during the run (litmus
+    #: ablations; zero for machine workloads).  ``cache_misses`` counts
+    #: in-process misses; the disk pair splits those misses into
+    #: persistent-layer hits and true enumerations.
     cache_hits: int = 0
     cache_misses: int = 0
     cache_disk_hits: int = 0
     cache_disk_misses: int = 0
+    #: translation-cache counters (machine workloads; zero for litmus
+    #: ablations).  ``xlat_misses`` counts actual frontend+optimizer+
+    #: backend pipeline runs — a fully warm run reports 0 — while
+    #: ``blocks_translated`` above counts installs, identical warm or
+    #: cold.  These depend on cache warmth, not on the spec: compare
+    #: rows via :func:`~repro.workloads.parallel.deterministic_row`.
+    xlat_hits: int = 0
+    xlat_misses: int = 0
+    xlat_disk_hits: int = 0
+    #: staged-enumeration counters (litmus ablations; zero elsewhere):
+    #: the naive rf × co product size, what was actually materialized,
+    #: and the rf-stage cuts that account for the difference.
     enum_candidates_naive: int = 0
     enum_executions: int = 0
     enum_rf_pruned: int = 0
     enum_rf_rejected: int = 0
-    #: Reduction counters: consistent executions found, symmetric
-    #: trace combos collapsed, and coherence classes explored by the
-    #: DPOR search.
+    #: reduction counters (litmus ablations/verify rows): consistent
+    #: executions found, symmetric trace combos collapsed, and
+    #: coherence classes explored by the DPOR search.
     enum_consistent: int = 0
     enum_symmetry_collapsed: int = 0
     enum_co_classes: int = 0
-    #: Translation-cache counters: ``xlat_misses`` counts actual
-    #: frontend+optimizer+backend runs (0 on a fully warm sweep);
-    #: ``blocks_translated`` above counts installs, warm or cold.
-    xlat_hits: int = 0
-    xlat_misses: int = 0
-    xlat_disk_hits: int = 0
-    #: Fence cycles by provenance tag, summed over the sweep's rows;
-    #: values total exactly ``fence_cycles`` when every row is tagged.
-    fence_cycles_by_origin: dict = field(default_factory=dict)
-    #: Runs that died in a worker (see SweepResult.failures).
-    failed_runs: int = 0
+
+    def add(self, other: "RunCounters") -> None:
+        """Field-wise ``self += other`` over this block only (the
+        subclasses' own fields — identity, wall time — do not sum)."""
+        for f in fields(RunCounters):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine[key] = mine.get(key, 0) + value
+            else:
+                setattr(self, f.name, mine + theirs)
 
     @property
     def fence_share(self) -> float:
         if not self.total_cycles:
             return 0.0
         return self.fence_cycles / self.total_cycles
+
+
+@dataclass
+class SweepStats(RunCounters):
+    """Observability aggregate over one sweep's result rows: the
+    :class:`RunCounters` block summed, plus what only a sweep has."""
+
+    runs: int = 0
+    workers: int = 1
+    wall_seconds: float = 0.0
+    run_seconds: float = 0.0          # sum of per-run wall times
+    #: Runs that died in a worker (see SweepResult.failures).
+    failed_runs: int = 0
+
+    @property
+    def fence_cycles_by_origin(self) -> dict:
+        """The summed ``fence_origin_cycles``, under the sweep-level
+        name the footers and exports use."""
+        return self.fence_origin_cycles
 
     @property
     def chain_rate(self) -> float:
@@ -270,47 +317,5 @@ def aggregate_sweep(sweep) -> SweepStats:
     for row in sweep:
         stats.runs += 1
         stats.run_seconds += row.wall_seconds
-        stats.blocks_translated += row.blocks_translated
-        stats.guest_insns_translated += row.guest_insns_translated
-        stats.block_dispatches += row.block_dispatches
-        stats.chained_dispatches += row.chained_dispatches
-        stats.helper_calls += row.helper_calls
-        stats.opt_folded += row.opt_folded
-        stats.opt_mem_eliminated += row.opt_mem_eliminated
-        stats.opt_fences_merged += row.opt_fences_merged
-        stats.opt_dead_removed += row.opt_dead_removed
-        stats.fence_cycles += row.fence_cycles
-        stats.total_cycles += row.total_cycles
-        stats.cache_hits += row.cache_hits
-        stats.cache_misses += row.cache_misses
-        # getattr-with-default: older row shapes (plain BenchRow-likes
-        # in tests) predate the staged-enumeration counters.
-        stats.cache_disk_hits += getattr(row, "cache_disk_hits", 0)
-        stats.cache_disk_misses += getattr(row, "cache_disk_misses", 0)
-        stats.enum_candidates_naive += getattr(
-            row, "enum_candidates_naive", 0)
-        stats.enum_executions += getattr(row, "enum_executions", 0)
-        stats.enum_rf_pruned += getattr(row, "enum_rf_pruned", 0)
-        stats.enum_rf_rejected += getattr(row, "enum_rf_rejected", 0)
-        stats.enum_consistent += getattr(row, "enum_consistent", 0)
-        stats.enum_symmetry_collapsed += getattr(
-            row, "enum_symmetry_collapsed", 0)
-        stats.enum_co_classes += getattr(row, "enum_co_classes", 0)
-        stats.xlat_hits += getattr(row, "xlat_hits", 0)
-        stats.xlat_misses += getattr(row, "xlat_misses", 0)
-        stats.xlat_disk_hits += getattr(row, "xlat_disk_hits", 0)
-        stats.opt_empty_fences_dropped += getattr(
-            row, "opt_empty_fences_dropped", 0)
-        stats.opt_helpers_inlined += getattr(
-            row, "opt_helpers_inlined", 0)
-        stats.tier2_traces += getattr(row, "tier2_traces", 0)
-        stats.tier2_trace_blocks += getattr(
-            row, "tier2_trace_blocks", 0)
-        stats.tier2_trace_dispatches += getattr(
-            row, "tier2_trace_dispatches", 0)
-        stats.tier2_cycles += getattr(row, "tier2_cycles", 0)
-        by_origin = getattr(row, "fence_origin_cycles", None) or {}
-        for origin, cycles in by_origin.items():
-            stats.fence_cycles_by_origin[origin] = \
-                stats.fence_cycles_by_origin.get(origin, 0) + cycles
+        stats.add(row)
     return stats

@@ -29,6 +29,7 @@ facade's first consumer.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -585,28 +586,19 @@ def _cache_stats_payload() -> dict:
     from .core import behavior_cache
     from .dbt import xlat_cache
 
-    mem = api.behavior_cache_stats()
-    xlat = api.xlat_cache_stats()
+    # Every counter of the two producers, by field: one added to
+    # XlatCacheStats / BehaviorCacheStats shows up here unnamed.
     return {
         "xlat": {
             "enabled": api.xlat_cache_enabled(),
             "dir": str(api.xlat_cache_dir()),
-            "hits": xlat.hits,
-            "misses": xlat.misses,
-            "memory_hits": xlat.memory_hits,
-            "disk_hits": xlat.disk_hits,
-            "stores": xlat.stores,
-            "evictions": xlat.evictions,
-            "corrupt_entries": xlat.corrupt_entries,
+            **dataclasses.asdict(api.xlat_cache_stats()),
             **_disk_figures(xlat_cache),
         },
         "behavior": {
             "enabled": api.behavior_cache_enabled(),
             "dir": str(api.behavior_cache_dir()),
-            "hits": mem.hits,
-            "misses": mem.misses,
-            "disk_hits": mem.disk_hits,
-            "disk_misses": mem.disk_misses,
+            **dataclasses.asdict(api.behavior_cache_stats()),
             **_disk_figures(behavior_cache),
         },
     }

@@ -56,9 +56,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..errors import ModelError
+from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
 from . import behavior_cache, dpor
 from .events import INIT_TID, Event, Mode, RmwFlavor
@@ -441,7 +442,7 @@ def enumerate_executions(program: Program,
 # The rf/co search (staged and representative configurations)
 # ----------------------------------------------------------------------
 @dataclass
-class EnumerationStats:
+class EnumerationStats(Counters):
     """Counters from one (or many merged) enumeration runs."""
 
     #: Trace combinations examined.
@@ -482,24 +483,6 @@ class EnumerationStats:
             return 0.0
         return 1.0 - self.executions_enumerated / self.candidates_naive
 
-    def merge(self, other: "EnumerationStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name,
-                    getattr(self, f.name) + getattr(other, f.name))
-
-    def snapshot(self) -> "EnumerationStats":
-        copy = EnumerationStats()
-        copy.merge(self)
-        return copy
-
-    def since(self, before: "EnumerationStats") -> "EnumerationStats":
-        """Field-wise ``self - before``: the share of a process-wide
-        total accumulated after the ``before`` snapshot was taken."""
-        return EnumerationStats(**{
-            f.name: getattr(self, f.name) - getattr(before, f.name)
-            for f in fields(self)
-        })
-
 
 _ENUM_STATS = EnumerationStats()
 
@@ -510,8 +493,7 @@ def enumeration_stats() -> EnumerationStats:
 
 
 def reset_enumeration_stats() -> None:
-    global _ENUM_STATS
-    _ENUM_STATS = EnumerationStats()
+    _ENUM_STATS.reset()
 
 
 def _pruned_sources(rd: Event, writes: list[Event],
@@ -747,7 +729,7 @@ _BEHAVIOR_CACHE: dict[tuple[Program, str], frozenset] = {}
 
 
 @dataclass
-class BehaviorCacheStats:
+class BehaviorCacheStats(Counters):
     """Hit/miss counters for the behaviour memo (observability layer).
 
     ``hits``/``misses`` describe the in-process memo; every miss then
@@ -772,22 +754,13 @@ class BehaviorCacheStats:
             return 0.0
         return self.hits / self.lookups
 
-    def merge(self, other: "BehaviorCacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.disk_hits += other.disk_hits
-        self.disk_misses += other.disk_misses
-
 
 _CACHE_STATS = BehaviorCacheStats()
 
 
 def behavior_cache_stats() -> BehaviorCacheStats:
     """A snapshot of the cache counters since the last reset."""
-    return BehaviorCacheStats(hits=_CACHE_STATS.hits,
-                              misses=_CACHE_STATS.misses,
-                              disk_hits=_CACHE_STATS.disk_hits,
-                              disk_misses=_CACHE_STATS.disk_misses)
+    return _CACHE_STATS.snapshot()
 
 
 def consistent_executions(program: Program, model,
@@ -880,9 +853,6 @@ def clear_behavior_cache(disk: bool = False) -> None:
     ``disk=True`` additionally clears the persistent layer.
     """
     _BEHAVIOR_CACHE.clear()
-    _CACHE_STATS.hits = 0
-    _CACHE_STATS.misses = 0
-    _CACHE_STATS.disk_hits = 0
-    _CACHE_STATS.disk_misses = 0
+    _CACHE_STATS.reset()
     if disk:
         behavior_cache.clear_disk_cache()

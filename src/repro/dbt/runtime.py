@@ -311,8 +311,12 @@ class Runtime:
         core.halted = True
 
     def _thread_of(self, core: ArmCore) -> GuestThread | None:
+        """The live thread on ``core``.  ``_free_core`` recycles the
+        cores of finished threads, so earlier threads with the same
+        ``core_id`` must be skipped — finishing one of those again
+        would leave the live thread unjoinable."""
         for thread in self.threads.values():
-            if thread.core_id == core.core_id:
+            if thread.core_id == core.core_id and not thread.finished:
                 return thread
         return None
 

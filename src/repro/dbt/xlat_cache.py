@@ -59,11 +59,11 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from ..errors import MachineError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
 from ..store import DiskStore, StoreEnv
 from ..tcg.backend_arm import CompiledBlock, HelperRequest
@@ -168,10 +168,10 @@ def trace_key(config_fp: str,
 
 
 # ----------------------------------------------------------------------
-# Counters (surfaced via repro.obs metrics and `python -m repro cache`)
+# Counters (surfaced via `python -m repro cache stats`)
 # ----------------------------------------------------------------------
 @dataclass
-class XlatCacheStats:
+class XlatCacheStats(Counters):
     """Process-wide cache event counters."""
 
     lookups: int = 0
@@ -191,31 +191,9 @@ class XlatCacheStats:
 
 
 _STATS = XlatCacheStats()
-
-
-def cache_stats() -> XlatCacheStats:
-    """A copy of the process-wide counters."""
-    return XlatCacheStats(**{
-        f.name: getattr(_STATS, f.name) for f in fields(_STATS)
-    })
-
-
-def reset_stats() -> None:
-    for f in fields(_STATS):
-        setattr(_STATS, f.name, 0)
-
-
-def metrics_snapshot() -> dict:
-    """The counters as a :mod:`repro.obs.metrics` snapshot, mergeable
-    into any sweep- or process-level registry."""
-    reg = MetricsRegistry()
-    counter = reg.counter("repro_xlat_cache_events_total",
-                          "Translation-cache events by kind")
-    for f in fields(_STATS):
-        value = getattr(_STATS, f.name)
-        if value:
-            counter.labels(event=f.name).inc(value)
-    return reg.snapshot()
+#: A copy of the process-wide counters.
+cache_stats = _STATS.snapshot
+reset_stats = _STATS.reset
 
 
 # ----------------------------------------------------------------------
@@ -233,9 +211,7 @@ def _entry_to_json(compiled: CompiledBlock, opt: OptStats) -> str:
         "guest_insns": compiled.guest_insns,
         "op_count": compiled.op_count,
         "fence_origins": list(compiled.fence_origins),
-        "opt_stats": [opt.folded, opt.mem_eliminated,
-                      opt.fences_merged, opt.dead_removed,
-                      opt.empty_fences_dropped, opt.helpers_inlined],
+        "opt_stats": astuple(opt),
     }, separators=(",", ":"))
 
 
@@ -259,15 +235,11 @@ def _entry_from_json(text: str) -> tuple[CompiledBlock, OptStats]:
             for origin in payload["fence_origins"]
         ],
     )
-    folded, mem_eliminated, fences_merged, dead_removed, \
-        empty_fences_dropped, helpers_inlined = payload["opt_stats"]
-    opt = OptStats(folded=int(folded),
-                   mem_eliminated=int(mem_eliminated),
-                   fences_merged=int(fences_merged),
-                   dead_removed=int(dead_removed),
-                   empty_fences_dropped=int(empty_fences_dropped),
-                   helpers_inlined=int(helpers_inlined))
-    return compiled, opt
+    values = payload["opt_stats"]
+    if len(values) != len(fields(OptStats)):
+        # A short list would silently zero-fill through the defaults.
+        raise ValueError(f"opt_stats has {len(values)} counters")
+    return compiled, OptStats(*map(int, values))
 
 
 @dataclass

@@ -15,11 +15,16 @@ protocol:
 
 Label sets are serialized into a stable ``k=v,k2=v2`` key so snapshots
 survive JSON round-trips; :func:`parse_labels` recovers the dict.
+
+Hot paths (the dispatch trap, the enumerator's inner loop, the cache
+lookup) do not pay for label formatting: their producers are plain
+dataclasses of ints incremented as attributes, and :class:`Counters`
+below is the one place that folds, copies, subtracts and zeroes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from ..errors import ReproError
 
@@ -30,6 +35,39 @@ SNAPSHOT_SCHEMA = "repro-metrics/1"
 DEFAULT_BUCKETS: tuple[float, ...] = (
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
 )
+
+
+class Counters:
+    """Base of the producer ``*Stats`` dataclasses (``OptStats``,
+    ``XlatCacheStats``, ``EnumerationStats``, ``BehaviorCacheStats``):
+    every field is an ``int`` with a default, bumped in place where the
+    event happens.  The fold / copy / delta / zero idioms are written
+    here once, over :func:`dataclasses.fields`, so a new counter is one
+    field on its producer and nothing else."""
+
+    def merge(self, other) -> None:
+        """Field-wise ``self += other``."""
+        for f in fields(self):
+            setattr(self, f.name,
+                    getattr(self, f.name) + getattr(other, f.name))
+
+    def snapshot(self):
+        """A copy detached from the live counters."""
+        return replace(self)
+
+    def since(self, before):
+        """Field-wise ``self - before``: the share of a process-wide
+        total accumulated after the ``before`` snapshot was taken."""
+        return type(self)(**{
+            f.name: getattr(self, f.name) - getattr(before, f.name)
+            for f in fields(self)
+        })
+
+    def reset(self) -> None:
+        """Zero every counter in place (module-wide instances keep
+        their identity, so no ``global`` rebinding)."""
+        for f in fields(self):
+            setattr(self, f.name, f.default)
 
 
 def label_key(labels: dict) -> str:

@@ -35,11 +35,9 @@ from ..errors import ErrorInfo, JobError, classify_error
 from ..machine.timing import CostModel
 from ..machine.weakmem import BufferMode
 from ..store import sanitize_namespace
-from ..workloads.casbench import CasConfig, run_cas_benchmark
+from ..workloads.casbench import CasConfig
 from ..workloads.kernels import KernelSpec
-from ..workloads.parallel import LIBRARY_BUILDERS, MEMORY_SETUPS
-from ..workloads.runner import WorkloadResult, run_kernel, \
-    run_library_workload
+from ..workloads.runner import WorkloadResult, run_workload
 
 #: Wire-format version; both sides check it and reject mismatches.
 JOB_SCHEMA = "repro-serve/1"
@@ -228,9 +226,6 @@ class JobResult:
     def from_workload(cls, job: JobSpec, outcome: WorkloadResult,
                       wall: float) -> "JobResult":
         stats = outcome.result.stats
-        hits = getattr(stats, "xlat_hits", 0)
-        misses = getattr(stats, "xlat_misses", 0)
-        disk_hits = getattr(stats, "xlat_disk_hits", 0)
         return cls(
             job_id=job.job_id,
             kind=job.kind,
@@ -246,10 +241,11 @@ class JobResult:
             exit_code=outcome.result.exit_code,
             wall_seconds=outcome.wall_seconds or wall,
             blocks_translated=stats.blocks_translated,
-            xlat_hits=hits,
-            xlat_misses=misses,
-            xlat_disk_hits=disk_hits,
-            cache_tier=cache_tier(hits, misses, disk_hits),
+            xlat_hits=stats.xlat_hits,
+            xlat_misses=stats.xlat_misses,
+            xlat_disk_hits=stats.xlat_disk_hits,
+            cache_tier=cache_tier(stats.xlat_hits, stats.xlat_misses,
+                                  stats.xlat_disk_hits),
             outcome=outcome,
         )
 
@@ -391,40 +387,6 @@ def scoped_namespace(namespace: str):
                 os.environ[var] = value
 
 
-def _execute(job: JobSpec, *, library=None) -> WorkloadResult:
-    if job.kind == "kernel":
-        return run_kernel(job.kernel, job.variant, seed=job.seed,
-                          costs=job.costs, max_steps=job.max_steps,
-                          buffer_mode=job.buffer_mode,
-                          tier2_threshold=job.tier2_threshold)
-    if job.kind == "library":
-        if library is None:
-            try:
-                library = LIBRARY_BUILDERS[job.library]()
-            except KeyError:
-                raise JobError(
-                    f"unknown library {job.library!r}; expected one "
-                    f"of {sorted(LIBRARY_BUILDERS)}") from None
-        setup = None
-        if job.setup is not None:
-            try:
-                setup = MEMORY_SETUPS[job.setup]
-            except KeyError:
-                raise JobError(
-                    f"unknown memory setup {job.setup!r}; expected "
-                    f"one of {sorted(MEMORY_SETUPS)}") from None
-        return run_library_workload(
-            job.function, job.args, job.calls, job.variant, library,
-            setup_memory=setup, seed=job.seed, costs=job.costs,
-            max_steps=job.max_steps, buffer_mode=job.buffer_mode,
-            tier2_threshold=job.tier2_threshold)
-    if job.kind == "cas":
-        return run_cas_benchmark(job.cas, job.variant, seed=job.seed,
-                                 costs=job.costs,
-                                 buffer_mode=job.buffer_mode)
-    raise JobError(f"unknown job kind {job.kind!r}")  # unreachable
-
-
 def execute_job(job: JobSpec, *, library=None) -> JobResult:
     """Run one job in-process and return its result; raises on
     failure (the local :func:`repro.api.submit` contract — callers
@@ -438,7 +400,7 @@ def execute_job(job: JobSpec, *, library=None) -> JobResult:
     job.validate()
     started = time.perf_counter()
     with scoped_namespace(job.namespace):
-        outcome = _execute(job, library=library)
+        outcome = run_workload(job, library=library)
     return JobResult.from_workload(
         job, outcome, time.perf_counter() - started)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ...obs.metrics import Counters
 from ...obs.trace import get_tracer
 from ..ir import TCGBlock
 from .constprop import constant_propagation
@@ -37,7 +38,7 @@ class OptimizerConfig:
 
 
 @dataclass
-class OptStats:
+class OptStats(Counters):
     """What each pass removed/changed (surfaced in bench reports)."""
 
     folded: int = 0
@@ -51,14 +52,6 @@ class OptStats:
     #: helper calls rewritten to first-class IR ops by the tier-2
     #: inlining pass (RMW + FP; see optimizer.inline_helpers).
     helpers_inlined: int = 0
-
-    def merge(self, other: "OptStats") -> None:
-        self.folded += other.folded
-        self.mem_eliminated += other.mem_eliminated
-        self.fences_merged += other.fences_merged
-        self.dead_removed += other.dead_removed
-        self.empty_fences_dropped += other.empty_fences_dropped
-        self.helpers_inlined += other.helpers_inlined
 
 
 def optimize(block: TCGBlock,

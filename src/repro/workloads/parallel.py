@@ -32,8 +32,9 @@ import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
+from ..analysis.stats import RunCounters
 from ..core.enumerate import EnumerationStats, behavior_cache_stats, \
     enumeration_stats
 from ..errors import ReproError, classify_error
@@ -41,33 +42,12 @@ from ..machine.timing import CostModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
 from ..machine.weakmem import BufferMode
-from .casbench import CasConfig, run_cas_benchmark
+from .casbench import CasConfig
 from .kernels import KernelSpec
-from .libs import build_libcrypto, build_libm, build_libsqlite, \
-    standard_libraries
-from .runner import WorkloadResult, run_kernel, run_library_workload
-
-#: Name -> zero-argument library factory, rebuilt inside each worker.
-LIBRARY_BUILDERS = {
-    "libm": build_libm,
-    "libcrypto": build_libcrypto,
-    "libsqlite": build_libsqlite,
-    "standard": standard_libraries,
-}
-
-#: Guest buffer the digest workloads hash (Figure 13's input data).
-DATA_BUF = 0x0220_0000
-
-
-def _fill_digest_buffer(memory) -> None:
-    for i in range(8192 // 8):
-        memory.store_word(DATA_BUF + 8 * i, (i * 2654435761) & 0xFFFF)
-
-
-#: Name -> memory-setup callable, applied before the run in the worker.
-MEMORY_SETUPS = {
-    "digest-buffer": _fill_digest_buffer,
-}
+# The registries live with the executor; re-exported here for
+# ``repro.api`` (DATA_BUF, the MEMORY_SETUPS lookup) and the tests.
+from .runner import DATA_BUF, LIBRARY_BUILDERS, MEMORY_SETUPS, \
+    WorkloadResult, run_workload
 
 
 @dataclass(frozen=True)
@@ -122,70 +102,17 @@ class RunSpec:
 
 
 @dataclass
-class RunRow:
-    """The picklable result of one run: figure data + observability."""
+class RunRow(RunCounters):
+    """The picklable result of one run: figure data + observability
+    (the inherited :class:`~repro.analysis.stats.RunCounters` block)."""
 
     benchmark: str
     variant: str
     cycles: int = 0
-    fence_cycles: int = 0
-    total_cycles: int = 0
     checksum: int | None = None
     exit_code: int = 0
     #: wall-clock seconds of the run itself (engine build + execute).
     wall_seconds: float = 0.0
-    #: translated-block / dispatch counters from RunStats.
-    blocks_translated: int = 0
-    guest_insns_translated: int = 0
-    block_dispatches: int = 0
-    chained_dispatches: int = 0
-    helper_calls: int = 0
-    #: optimizer work from OptStats.
-    opt_folded: int = 0
-    opt_mem_eliminated: int = 0
-    opt_fences_merged: int = 0
-    opt_dead_removed: int = 0
-    opt_empty_fences_dropped: int = 0
-    opt_helpers_inlined: int = 0
-    #: tier-2 (superblock) counters from RunStats; all zero when
-    #: tier-2 is off or the variant is native.
-    tier2_traces: int = 0
-    tier2_trace_blocks: int = 0
-    tier2_trace_dispatches: int = 0
-    tier2_cycles: int = 0
-    #: behaviour-cache counters accumulated during the run (litmus
-    #: ablations; zero for machine workloads).  ``cache_misses`` counts
-    #: in-process misses; the disk pair splits those misses into
-    #: persistent-layer hits and true enumerations.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_disk_hits: int = 0
-    cache_disk_misses: int = 0
-    #: staged-enumeration counters (litmus ablations; zero elsewhere):
-    #: the naive rf × co product size, what was actually materialized,
-    #: and the rf-stage cuts that account for the difference.
-    enum_candidates_naive: int = 0
-    enum_executions: int = 0
-    enum_rf_pruned: int = 0
-    enum_rf_rejected: int = 0
-    #: reduction counters (litmus ablations/verify rows): consistent
-    #: executions found, symmetric trace combos collapsed, and
-    #: coherence classes explored by the DPOR search.
-    enum_consistent: int = 0
-    enum_symmetry_collapsed: int = 0
-    enum_co_classes: int = 0
-    #: translation-cache counters (machine workloads; zero for litmus
-    #: ablations).  ``xlat_misses`` counts actual frontend+optimizer+
-    #: backend pipeline runs — a fully warm run reports 0 — while
-    #: ``blocks_translated`` above counts installs, identical warm or
-    #: cold.  These depend on cache warmth, not on the spec: compare
-    #: rows via :func:`deterministic_row`.
-    xlat_hits: int = 0
-    xlat_misses: int = 0
-    xlat_disk_hits: int = 0
-    #: fence cycles split by provenance tag (mapping rule / optimizer
-    #: decision); values sum exactly to ``fence_cycles``.
-    fence_origin_cycles: dict = field(default_factory=dict)
     #: hottest translated blocks: (guest_pc, dispatches, cycles)
     #: triples, by attributed cycles, descending.  ``None`` when the
     #: run tracked no profile at all (native runs), as opposed to
@@ -205,12 +132,6 @@ class RunRow:
     trace_epoch_ns: int = 0
     #: kind-specific extras (e.g. broken litmus tests of an ablation).
     payload: tuple = ()
-
-    @property
-    def fence_share(self) -> float:
-        if not self.total_cycles:
-            return 0.0
-        return self.fence_cycles / self.total_cycles
 
 
 #: Hot-block entries kept per run row (the profile's heavy tail is
@@ -232,9 +153,26 @@ def _hot_blocks(result) -> tuple | None:
     )
 
 
+_COUNTER_NAMES = frozenset(f.name for f in fields(RunCounters))
+
+
+def _prefixed(prefix: str, stats) -> dict:
+    """Every field of a producer's stats as a ``<prefix>_<name>``
+    RunRow kwarg — one the counter block does not declare is a
+    ``TypeError`` in ``RunRow(...)``, not a silently dropped number."""
+    return {f"{prefix}_{f.name}": getattr(stats, f.name)
+            for f in fields(stats)}
+
+
 def _row_from_workload(spec: RunSpec, outcome: WorkloadResult,
                        wall: float) -> RunRow:
+    """Producer stats -> row, by name: the ``RunStats`` fields that are
+    run counters (``plt_calls``, ``syscalls`` and ``output`` are not)
+    under their own names, ``OptStats`` as ``opt_<name>``."""
     result = outcome.result
+    counters = {f.name: getattr(result.stats, f.name)
+                for f in fields(result.stats)
+                if f.name in _COUNTER_NAMES}
     return RunRow(
         benchmark=spec.benchmark,
         variant=spec.variant,
@@ -244,31 +182,10 @@ def _row_from_workload(spec: RunSpec, outcome: WorkloadResult,
         checksum=outcome.checksum,
         exit_code=result.exit_code,
         wall_seconds=outcome.wall_seconds or wall,
-        blocks_translated=result.stats.blocks_translated,
-        guest_insns_translated=result.stats.guest_insns_translated,
-        block_dispatches=result.stats.block_dispatches,
-        chained_dispatches=result.stats.chained_dispatches,
-        helper_calls=result.stats.helper_calls,
-        opt_folded=result.opt_stats.folded,
-        opt_mem_eliminated=result.opt_stats.mem_eliminated,
-        opt_fences_merged=result.opt_stats.fences_merged,
-        opt_dead_removed=result.opt_stats.dead_removed,
-        opt_empty_fences_dropped=getattr(
-            result.opt_stats, "empty_fences_dropped", 0),
-        opt_helpers_inlined=getattr(
-            result.opt_stats, "helpers_inlined", 0),
-        tier2_traces=getattr(result.stats, "tier2_traces", 0),
-        tier2_trace_blocks=getattr(
-            result.stats, "tier2_trace_blocks", 0),
-        tier2_trace_dispatches=getattr(
-            result.stats, "tier2_trace_dispatches", 0),
-        tier2_cycles=getattr(result.stats, "tier2_cycles", 0),
-        fence_origin_cycles=dict(
-            getattr(result, "fence_cycles_by_origin", {}) or {}),
+        fence_origin_cycles=dict(result.fence_cycles_by_origin),
         hot_blocks=_hot_blocks(result),
-        xlat_hits=getattr(result.stats, "xlat_hits", 0),
-        xlat_misses=getattr(result.stats, "xlat_misses", 0),
-        xlat_disk_hits=getattr(result.stats, "xlat_disk_hits", 0),
+        **counters,
+        **_prefixed("opt", result.opt_stats),
     )
 
 
@@ -342,16 +259,12 @@ def _litmus_row(spec: RunSpec, started: float, work) -> RunRow:
     cache_before = behavior_cache_stats()
     enum_before = enumeration_stats()
     payload = work()
-    cache = behavior_cache_stats()
     return RunRow(
         benchmark=spec.benchmark,
         variant=spec.variant,
         wall_seconds=time.perf_counter() - started,
-        cache_hits=cache.hits - cache_before.hits,
-        cache_misses=cache.misses - cache_before.misses,
-        cache_disk_hits=cache.disk_hits - cache_before.disk_hits,
-        cache_disk_misses=cache.disk_misses - cache_before.disk_misses,
         payload=payload,
+        **_prefixed("cache", behavior_cache_stats().since(cache_before)),
         **_enum_fields(enumeration_stats().since(enum_before)),
     )
 
@@ -435,56 +348,25 @@ def _run_scheme(spec: RunSpec, started: float) -> RunRow:
     return _litmus_row(spec, started, work)
 
 
+#: The model-checking kinds: kind -> ``function(spec, started)``.
+#: Every other kind is a machine workload and goes to ``run_workload``.
+_LITMUS_KINDS = {
+    "ablation": _run_ablation,
+    "verify": _run_verify,
+    "scheme": _run_scheme,
+}
+
+
 def execute_spec(spec: RunSpec) -> RunRow:
     """Worker entry point: build the engine in-process and run it."""
     started = time.perf_counter()
-    if spec.kind == "kernel":
-        if spec.kernel is None:
-            raise ReproError(f"kernel spec missing for {spec.benchmark}")
-        outcome = run_kernel(spec.kernel, spec.variant, seed=spec.seed,
-                             costs=spec.costs, max_steps=spec.max_steps,
-                             buffer_mode=spec.buffer_mode,
-                             tier2_threshold=spec.tier2_threshold)
-    elif spec.kind == "library":
-        try:
-            library = LIBRARY_BUILDERS[spec.library]()
-        except KeyError:
-            raise ReproError(
-                f"unknown library {spec.library!r}; expected one of "
-                f"{sorted(LIBRARY_BUILDERS)}") from None
-        try:
-            setup = MEMORY_SETUPS[spec.setup] if spec.setup else None
-        except KeyError:
-            raise ReproError(
-                f"unknown memory setup {spec.setup!r}; expected one of "
-                f"{sorted(MEMORY_SETUPS)}") from None
-        outcome = run_library_workload(
-            spec.function, spec.args, spec.calls, spec.variant, library,
-            setup_memory=setup, seed=spec.seed, costs=spec.costs,
-            max_steps=spec.max_steps, buffer_mode=spec.buffer_mode,
-            tier2_threshold=spec.tier2_threshold)
-    elif spec.kind == "cas":
-        if spec.cas is None:
-            raise ReproError(f"cas config missing for {spec.benchmark}")
-        outcome = run_cas_benchmark(spec.cas, spec.variant,
-                                    seed=spec.seed, costs=spec.costs,
-                                    buffer_mode=spec.buffer_mode)
-    elif spec.kind == "ablation":
-        row = _run_ablation(spec, started)
-        row.metrics = _run_metrics(spec, row)
-        return row
-    elif spec.kind == "verify":
-        row = _run_verify(spec, started)
-        row.metrics = _run_metrics(spec, row)
-        return row
-    elif spec.kind == "scheme":
-        row = _run_scheme(spec, started)
-        row.metrics = _run_metrics(spec, row)
-        return row
+    run_litmus = _LITMUS_KINDS.get(spec.kind)
+    if run_litmus is not None:
+        row = run_litmus(spec, started)
     else:
-        raise ReproError(f"unknown run-spec kind {spec.kind!r}")
-    row = _row_from_workload(spec, outcome,
-                             time.perf_counter() - started)
+        outcome = run_workload(spec)
+        row = _row_from_workload(spec, outcome,
+                                 time.perf_counter() - started)
     row.metrics = _run_metrics(spec, row)
     return row
 

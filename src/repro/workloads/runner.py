@@ -5,6 +5,12 @@ Runs a workload under any DBT variant (``qemu``, ``no-fences``,
 machine, and returns the :class:`~repro.dbt.engine.RunResult` plus the
 workload's reported checksum/count — the raw material every figure
 harness consumes.
+
+:func:`run_workload` is the one dispatcher over the three machine
+kinds (``kernel`` / ``library`` / ``cas``): the sweep harness hands it
+a :class:`~repro.workloads.parallel.RunSpec`, the job API a
+:class:`~repro.serve.jobs.JobSpec`, and both get the same run and the
+same typed errors.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from ..dbt import DBTEngine, NATIVE, NativeRunner, RunResult, \
     VARIANT_NAMES, VARIANTS, resolve_variant
 from ..dbt.config import Tier2Config
-from ..errors import ReproError
+from ..errors import JobError, ReproError
 from ..isa.arm.assembler import assemble as assemble_arm
 from ..loader.gelf import GuestBinary, build_binary
 from ..loader.hostlibs import ARG_REGISTERS, HostLibrary
@@ -23,6 +29,8 @@ from ..loader.linker import HostLinker
 from ..machine.timing import CostModel
 from ..machine.weakmem import BufferMode
 from .kernels import KernelSpec, gen_arm_program, gen_x86_program
+from .libs import build_libcrypto, build_libm, build_libsqlite, \
+    standard_libraries
 
 # Compatibility alias for the registry now owned by repro.dbt.config.
 ALL_VARIANTS: tuple[str, ...] = VARIANT_NAMES
@@ -234,3 +242,78 @@ def _native_call_trap(runtime, function):
         core.pc = core.get("x30")
 
     return trap
+
+
+# ----------------------------------------------------------------------
+# The machine-kind executor (sweeps and jobs)
+# ----------------------------------------------------------------------
+#: Name -> zero-argument library factory, rebuilt inside each worker.
+LIBRARY_BUILDERS = {
+    "libm": build_libm,
+    "libcrypto": build_libcrypto,
+    "libsqlite": build_libsqlite,
+    "standard": standard_libraries,
+}
+
+#: Guest buffer the digest workloads hash (Figure 13's input data).
+DATA_BUF = 0x0220_0000
+
+
+def _fill_digest_buffer(memory) -> None:
+    for i in range(8192 // 8):
+        memory.store_word(DATA_BUF + 8 * i, (i * 2654435761) & 0xFFFF)
+
+
+#: Name -> memory-setup callable, applied before the run in the worker.
+MEMORY_SETUPS = {
+    "digest-buffer": _fill_digest_buffer,
+}
+
+
+def _registered(registry: dict, name, what: str):
+    try:
+        return registry[name]
+    except KeyError:
+        raise JobError(f"unknown {what} {name!r}; expected one of "
+                       f"{sorted(registry)}") from None
+
+
+def run_workload(desc, *, library=None) -> WorkloadResult:
+    """Execute one ``kernel`` / ``library`` / ``cas`` run description.
+
+    ``desc`` is a ``RunSpec`` or a ``JobSpec`` — they share every field
+    read here.  Callables never travel in a description: libraries and
+    memory setups are registry names, rebuilt in the executing process;
+    a name no registry knows is a :class:`~repro.errors.JobError`
+    (``bad-request``) on every path.  ``library`` overrides the
+    registry lookup with an already-built
+    :class:`~repro.loader.hostlibs.HostLibrary`.
+    """
+    if desc.kind == "kernel":
+        if desc.kernel is None:
+            raise JobError(f"kernel spec missing for {desc.benchmark}")
+        return run_kernel(desc.kernel, desc.variant, seed=desc.seed,
+                          costs=desc.costs, max_steps=desc.max_steps,
+                          buffer_mode=desc.buffer_mode,
+                          tier2_threshold=desc.tier2_threshold)
+    if desc.kind == "library":
+        if library is None:
+            library = _registered(LIBRARY_BUILDERS, desc.library,
+                                  "library")()
+        setup = None if desc.setup is None else _registered(
+            MEMORY_SETUPS, desc.setup, "memory setup")
+        return run_library_workload(
+            desc.function, desc.args, desc.calls, desc.variant, library,
+            setup_memory=setup, seed=desc.seed, costs=desc.costs,
+            max_steps=desc.max_steps, buffer_mode=desc.buffer_mode,
+            tier2_threshold=desc.tier2_threshold)
+    if desc.kind == "cas":
+        # casbench builds on this module's WorkloadResult.
+        from .casbench import run_cas_benchmark
+
+        if desc.cas is None:
+            raise JobError(f"cas config missing for {desc.benchmark}")
+        return run_cas_benchmark(desc.cas, desc.variant, seed=desc.seed,
+                                 costs=desc.costs,
+                                 buffer_mode=desc.buffer_mode)
+    raise JobError(f"unknown run-spec kind {desc.kind!r}")

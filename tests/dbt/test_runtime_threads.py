@@ -1,11 +1,15 @@
 """Runtime services: threads, syscalls, dispatch, block cache, CAS."""
 
+import dataclasses
+
 import pytest
 
 from repro.dbt import DBTEngine, VARIANTS
 from repro.dbt.config import RISOTTO
 from repro.errors import GuestFault
 from repro.isa.x86 import assemble
+from repro.workloads.runner import run_kernel
+from repro.workloads.suites import SPEC_BY_NAME
 
 
 def run(source, variant="risotto", n_cores=4, **kw):
@@ -137,6 +141,28 @@ worker:
         finished = [t for t in engine.runtime.threads.values()
                     if t.tid == 2]
         assert finished and finished[0].exit_code == 15
+
+
+class TestRecycledCore:
+    """A worker that finishes before the next spawn frees its core, and
+    ``_free_core`` hands that core to the next worker.  ``_thread_of``
+    used to return the first thread ever scheduled there, so the second
+    worker marked the dead thread finished again, never itself, and the
+    main thread's ``SYS_JOIN`` polled until ``max_steps``.  Short
+    kernels (workers that outrun the spawn loop) are where it shows."""
+
+    @pytest.mark.parametrize("iterations", (1, 4, 8, 16))
+    @pytest.mark.parametrize("kernel",
+                             ("freqmine", "canneal", "blackscholes"))
+    def test_short_kernels_join_under_every_engine(self, kernel,
+                                                   iterations):
+        spec = dataclasses.replace(SPEC_BY_NAME[kernel],
+                                   iterations=iterations)
+        outcomes = [run_kernel(spec, variant, max_steps=3_000_000)
+                    for variant in ("native", "qemu", "risotto")]
+        assert all(o.result.exit_code == 0 for o in outcomes)
+        assert len({o.checksum for o in outcomes}) == 1
+        assert outcomes[0].checksum is not None
 
 
 class TestBlockCache:

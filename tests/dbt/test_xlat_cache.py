@@ -11,6 +11,7 @@ too.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -113,6 +114,23 @@ class TestDiskLayer:
         cache.put("ab" * 32, compiled, opt)
         cache.clear_memory()
         assert cache.get("ab" * 32) is not None
+
+    def test_short_opt_stats_list_is_corrupt_not_zero_filled(
+            self, tmp_path):
+        # The positional list is read back as ``OptStats(*values)``: a
+        # truncated one must not pass through the field defaults.
+        cache = XlatCache(tmp_path)
+        compiled, opt = _entry()
+        cache.put("ab" * 32, compiled, opt)
+        path = tmp_path / "ab" / ("ab" * 32 + ".json")
+        payload = json.loads(path.read_text())
+        assert payload["opt_stats"] == list(dataclasses.astuple(opt))
+        payload["opt_stats"].pop()
+        path.write_text(json.dumps(payload))
+        cache.clear_memory()
+        before = xlat_cache.cache_stats().corrupt_entries
+        assert cache.get("ab" * 32) is None
+        assert xlat_cache.cache_stats().corrupt_entries == before + 1
 
     def test_stale_schema_entry_reads_as_miss(self, tmp_path,
                                               monkeypatch):

@@ -82,7 +82,7 @@ class TestRunSpecPlumbing:
             captured.update(kw, kernel=kernel, variant=variant)
             return run_kernel(kernel, variant, **kw)
 
-        monkeypatch.setattr("repro.workloads.parallel.run_kernel",
+        monkeypatch.setattr("repro.workloads.runner.run_kernel",
                             spy_run_kernel)
         spec = RunSpec(kind="kernel", benchmark="tiny", kernel=TINY,
                        variant="native",

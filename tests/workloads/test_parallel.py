@@ -11,6 +11,7 @@ import pickle
 import pytest
 
 from repro.errors import ReproError
+from repro.serve.jobs import library_job, run_job
 from repro.workloads import (
     RunSpec,
     SweepResult,
@@ -78,9 +79,15 @@ class TestExecuteSpec:
                        setup="digest-bufer")
         sweep = run_parallel((spec,), workers=1)
         (failure,) = sweep.failures
-        assert failure.code == "repro"
+        assert failure.code == "bad-request"
         assert "digest-bufer" in failure.error
         assert str(sorted(MEMORY_SETUPS)) in failure.error
+        # The serve path runs the same executor: same job, same code.
+        served = run_job(library_job(
+            "exp", (1,), 1, variant=spec.variant, library="libm",
+            setup="digest-bufer"))
+        assert not served.ok
+        assert served.error.code == failure.code
 
     def test_missing_kernel_raises(self):
         with pytest.raises(ReproError, match="kernel spec missing"):
