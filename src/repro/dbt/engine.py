@@ -2,10 +2,12 @@
 
 ``DBTEngine`` wires the pipeline together: guest x86 bytes are decoded
 by the frontend into TCG IR (with the configured fence policy),
-optimized, lowered to Arm by the backend, assembled into the code
-cache, and executed by the simulated host machine.  Translation happens
-lazily at dispatch time and blocks are cached — QEMU's
-translate-execute loop.
+optimized, lowered to Arm by the backend, encoded once into a
+relocatable form, placed in the code cache, and executed by the
+simulated host machine.  Translation happens lazily at dispatch time
+and blocks are cached — QEMU's translate-execute loop.  Only placement
+(``_install``) runs per engine; the rest is shared through the
+translation cache.
 
 ``NativeRunner`` executes Arm-native builds of a workload directly on
 the same machine and syscall layer: the "native" bars of Figures 12-14.
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import TranslationError
-from ..isa.arm.assembler import assemble as assemble_arm
 from ..machine.scheduler import Machine
 from ..machine.timing import CostModel, DEFAULT_COSTS
 from ..machine.weakmem import BufferMode
@@ -247,54 +248,30 @@ class DBTEngine:
         return compiled, stats
 
     def _install(self, compiled: CompiledBlock) -> int:
-        labels: dict[str, int] = {}
+        """Bind one artifact into this engine's code cache.
+
+        The block is encoded once (``CompiledBlock.link``: here, or
+        when the cache decoded it); the host address and this engine's
+        trap addresses are patched into a copy of those bytes, whose
+        length depends on neither, so the one allocation is exact.
+        """
+        linked = compiled.linked or compiled.link()
+        traps: dict[str, int] = {}
         for request in compiled.helper_requests:
             hint = "goto_tb" if request.trap_label.endswith("goto_tb") \
                 else "exit_tb"
-            labels[request.trap_label] = self._trap_for(
+            traps[request.trap_label] = self._trap_for(
                 request.helper, request.arg_regs, request.ret_reg,
                 hint)
-        # Two-pass: measure at a dummy base, then place for real.  The
-        # allocation is sized by the probe, so a relocated encoding that
-        # drifts in length would overrun into the next block's cache
-        # slot — corrupting already-installed code silently.
-        probe = assemble_arm(compiled.asm, base=0,
-                             external_labels=labels)
-        host_pc = self.runtime.alloc_code(len(probe.code))
-        final = assemble_arm(compiled.asm, base=host_pc,
-                             external_labels=labels)
-        if len(final.code) != len(probe.code):
-            raise TranslationError(
-                f"block @{compiled.guest_pc:#x}: relocated encoding is "
-                f"{len(final.code)} bytes but {len(probe.code)} were "
-                f"allocated from the probe pass"
-            )
-        self._register_fence_origins(compiled, final)
-        self.machine.memory.add_image(host_pc, final.code)
-        return host_pc
-
-    def _register_fence_origins(self, compiled: CompiledBlock,
-                                final) -> None:
-        """Map each installed DMB's host address to its provenance.
-
-        The backend records origins in DMB emission order; the
-        assembler preserves instruction order, so zipping the
-        assembled ``dmb*`` addresses with that list is exact.  A
-        drift between the two would mis-attribute fence cycles
-        silently, hence the hard check.
-        """
-        dmb_addrs = [
-            addr for insn, addr in zip(final.insns, final.addresses)
-            if insn.mnemonic.startswith("dmb")
-        ]
-        if len(dmb_addrs) != len(compiled.fence_origins):
-            raise TranslationError(
-                f"block @{compiled.guest_pc:#x}: {len(dmb_addrs)} "
-                f"assembled DMBs but {len(compiled.fence_origins)} "
-                f"recorded fence origins")
-        for addr, origin in zip(dmb_addrs, compiled.fence_origins):
+        host_pc = self.runtime.alloc_code(len(linked.code))
+        code = linked.place(host_pc, traps)
+        fence_origins = self.machine.fence_origins
+        for offset, origin in zip(linked.dmb_offsets,
+                                  compiled.fence_origins):
             if origin is not None:
-                self.machine.fence_origins[addr] = origin
+                fence_origins[host_pc + offset] = origin
+        self.machine.memory.add_image(host_pc, code)
+        return host_pc
 
     # ------------------------------------------------------------------
     def run(self, entry_pc: int,

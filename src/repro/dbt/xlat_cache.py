@@ -26,7 +26,10 @@ On a hit the engine skips frontend, optimizer and backend entirely;
 ``_install`` still runs per engine, binding the run-specific trap
 addresses through the stored relocation requests, so cached and
 freshly-translated runs are bit-identical (simulated cycles never
-depend on host-side translation work).
+depend on host-side translation work).  The asm is encoded once
+(``CompiledBlock.link``: as a disk entry is decoded, or at a fresh
+block's first install) and that form stays, unserialized, on the
+instance the memory level shares: a memory hit installs with no parsing.
 
 Key structure (any change misses, never corrupts):
 
@@ -44,9 +47,13 @@ Key structure (any change misses, never corrupts):
 
 Entries are JSON texts; layout, atomic writes and namespaces are
 :mod:`repro.store`'s.  Corrupt or truncated entries read as misses and
-are rewritten by the following store.  After every put the disk level
-is trimmed to :data:`DEFAULT_DISK_BUDGET` bytes by evicting the
-least-recently-written entries.
+are rewritten by the following store, as do well-formed entries that
+do not link (bad asm, a label defined twice, fence origins that
+disagree with the asm's DMBs).  The disk level is held to
+:data:`DEFAULT_DISK_BUDGET` bytes by evicting the least-recently-
+written entries; a put sizes the store only once this process has
+written a quarter of the headroom the last walk found
+(:class:`repro.store.DiskStore`).
 
 Configuration via ``REPRO_XLAT_CACHE`` (directory override, or
 ``0``/``off`` to disable both levels) and ``REPRO_XLAT_CACHE_NS`` (the
@@ -62,7 +69,7 @@ from collections import OrderedDict
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
-from ..errors import MachineError
+from ..errors import AssemblerError, MachineError, TranslationError
 from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
 from ..store import DiskStore, StoreEnv
@@ -235,6 +242,8 @@ def _entry_from_json(text: str) -> tuple[CompiledBlock, OptStats]:
             for origin in payload["fence_origins"]
         ],
     )
+    # Link here, where damage is still a miss and not an install error.
+    compiled.link()
     values = payload["opt_stats"]
     if len(values) != len(fields(OptStats)):
         # A short list would silently zero-fill through the defaults.
@@ -310,9 +319,11 @@ class XlatCache:
         try:
             text = self._disk.read(key)
             entry = None if text is None else _entry_from_json(text)
-        except (ValueError, KeyError, TypeError):
-            # Present but unreadable: corruption or a stale layout.
-            # Fall back to translating; the store below rewrites it.
+        except (ValueError, KeyError, TypeError, AssemblerError,
+                TranslationError):
+            # Present but unusable: corruption, a stale layout, or asm
+            # that does not link.  Fall back to translating; the store
+            # below rewrites it.
             _STATS.corrupt_entries += 1
             entry = None
         if entry is not None:
@@ -327,7 +338,8 @@ class XlatCache:
             opt: OptStats) -> None:
         self._remember(key, (compiled, opt))
         _STATS.stores += 1
-        if self._disk.write(key, _entry_to_json(compiled, opt)):
+        if self._disk.write(key, _entry_to_json(compiled, opt)) \
+                and self._disk.walk_due():
             self.evict_to_budget(keep=key)
 
     def _remember(self, key: str,

@@ -1,4 +1,4 @@
-"""A two-pass text assembler for the host Arm subset.
+"""A link-then-place text assembler for the host Arm subset.
 
 Syntax (A64-flavoured)::
 
@@ -13,12 +13,17 @@ Syntax (A64-flavoured)::
         ret
 
 Branch targets assemble to absolute 64-bit immediates (same layout
-trick as the x86 assembler).
+trick as the x86 assembler), so the encoding is relocatable:
+:func:`link` parses and encodes a unit once, :meth:`LinkedCode.place`
+binds it to a base and to external labels by patching those
+immediates, and :func:`assemble` is the two run back to back.
 """
 
 from __future__ import annotations
 
 import re
+import struct
+from functools import lru_cache
 from dataclasses import dataclass
 
 from ...errors import AssemblerError
@@ -28,6 +33,8 @@ from .insns import CODER, REGISTER_IDS
 _LABEL_RE = re.compile(r"^([.\w]+):$")
 _INT_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F]+|\d+)$")
 _IDENT_RE = re.compile(r"^[.\w]+$")
+_IMM64 = struct.Struct("<Q")
+_U64_MASK = (1 << 64) - 1
 
 
 @dataclass
@@ -47,6 +54,9 @@ class Assembly:
             raise AssemblerError(f"unknown label {name!r}") from None
 
 
+# Translated blocks spell the same few dozen registers and small
+# immediates over and over, and operands are immutable: memoize.
+@lru_cache(maxsize=1024)
 def parse_operand(text: str) -> Reg | Imm | Mem | Label:
     text = text.strip()
     if not text:
@@ -108,6 +118,8 @@ def parse_line(line: str) -> Insn | str | None:
 
 
 def _split_operands(text: str) -> list[str]:
+    if "[" not in text and "]" not in text:
+        return [tok for tok in map(str.strip, text.split(",")) if tok]
     out, depth, current = [], 0, []
     for ch in text:
         if ch == "[":
@@ -124,53 +136,107 @@ def _split_operands(text: str) -> list[str]:
     return [tok for tok in (t.strip() for t in out) if tok]
 
 
-def assemble(source: str, base: int = 0x10000000,
-             external_labels: dict[str, int] | None = None) -> Assembly:
-    """Assemble Arm text into bytes loaded at ``base``."""
-    items: list[Insn | str] = []
+@dataclass(frozen=True)
+class LinkedCode:
+    """One source unit encoded once, not yet bound to an address.
+
+    Immediates are a fixed 8 bytes, so length and layout depend on
+    neither the base nor what labels resolve to: binding is a copy
+    plus one 64-bit store per relocation.  Immutable, so one instance
+    serves every engine that installs the block.
+    """
+
+    #: The encoding with every label immediate zeroed.
+    code: bytes
+    #: (offset of an imm64 inside ``code``, the label it holds).
+    relocs: tuple[tuple[int, str], ...]
+    #: Labels the unit defines -> their offset from the base.
+    labels: dict[str, int]
+    #: Offsets of the ``dmb*`` instructions, in program order.
+    dmb_offsets: tuple[int, ...]
+
+    def bind(self, base: int,
+             external_labels: dict[str, int] | None = None
+             ) -> dict[str, int]:
+        """Every label's address with the unit loaded at ``base``."""
+        labels = dict(external_labels or {})
+        for name, offset in self.labels.items():
+            if name in labels:
+                raise AssemblerError(f"duplicate label {name!r}")
+            labels[name] = base + offset
+        return labels
+
+    def place(self, base: int,
+              external_labels: dict[str, int] | None = None) -> bytes:
+        """The unit's bytes when loaded at ``base``."""
+        labels = self.bind(base, external_labels)
+        code = bytearray(self.code)
+        for offset, name in self.relocs:
+            if name not in labels:
+                raise AssemblerError(f"undefined label {name!r}")
+            _IMM64.pack_into(code, offset, labels[name] & _U64_MASK)
+        return bytes(code)
+
+
+def _link(source: str) -> tuple[LinkedCode, list[Insn], list[int]]:
+    """The linked form plus the parsed instructions and their offsets
+    (what :func:`assemble` reports and :func:`link` need not retain)."""
+    code = bytearray()
+    relocs: list[tuple[int, str]] = []
+    labels: dict[str, int] = {}
+    dmb_offsets, insns, offsets = [], [], []
     for lineno, line in enumerate(source.splitlines(), start=1):
         try:
             item = parse_line(line)
         except AssemblerError as exc:
             raise AssemblerError(f"line {lineno}: {exc}") from exc
-        if item is not None:
-            items.append(item)
-
-    labels: dict[str, int] = dict(external_labels or {})
-    addresses: list[int] = []
-    insns: list[Insn] = []
-    cursor = base
-    for item in items:
+        if item is None:
+            continue
         if isinstance(item, str):
             if item in labels:
                 raise AssemblerError(f"duplicate label {item!r}")
-            labels[item] = cursor
+            labels[item] = len(code)
             continue
-        placeholder = Insn(
-            item.mnemonic,
-            tuple(Imm(0) if isinstance(op, Label) else op
-                  for op in item.operands),
-        )
-        addresses.append(cursor)
+        placeholder = item
+        if any(isinstance(op, Label) for op in item.operands):
+            # Encode a zero where each label's address will go.
+            placeholder = Insn(
+                item.mnemonic,
+                tuple(Imm(0) if isinstance(op, Label) else op
+                      for op in item.operands))
+            relocs.extend(
+                (len(code) + CODER.imm_offset(placeholder, index),
+                 op.name)
+                for index, op in enumerate(item.operands)
+                if isinstance(op, Label))
+        if item.mnemonic.startswith("dmb"):
+            dmb_offsets.append(len(code))
         insns.append(item)
-        cursor += CODER.encoded_size(placeholder)
+        offsets.append(len(code))
+        code.extend(CODER.encode(placeholder))
+    linked = LinkedCode(bytes(code), tuple(relocs), labels,
+                        tuple(dmb_offsets))
+    return linked, insns, offsets
 
-    code = bytearray()
-    resolved_insns = []
-    for insn in insns:
-        resolved_ops = []
-        for op in insn.operands:
-            if isinstance(op, Label):
-                if op.name not in labels:
-                    raise AssemblerError(f"undefined label {op.name!r}")
-                resolved_ops.append(Imm(labels[op.name]))
-            else:
-                resolved_ops.append(op)
-        resolved = Insn(insn.mnemonic, tuple(resolved_ops))
-        resolved_insns.append(resolved)
-        code.extend(CODER.encode(resolved))
 
+def link(source: str) -> LinkedCode:
+    """Parse and encode Arm text once, for any number of placements."""
+    return _link(source)[0]
+
+
+def assemble(source: str, base: int = 0x10000000,
+             external_labels: dict[str, int] | None = None) -> Assembly:
+    """Assemble Arm text into bytes loaded at ``base``."""
+    linked, insns, offsets = _link(source)
+    code = linked.place(base, external_labels)
+    labels = linked.bind(base, external_labels)
+    resolved = [
+        Insn(insn.mnemonic,
+             tuple(Imm(labels[op.name]) if isinstance(op, Label) else op
+                   for op in insn.operands))
+        for insn in insns
+    ]
     return Assembly(
-        code=bytes(code), base=base, labels=labels,
-        insns=resolved_insns, addresses=addresses,
+        code=code, base=base, labels=labels, insns=resolved,
+        addresses=[base + offset for offset in offsets],
     )

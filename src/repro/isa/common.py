@@ -93,6 +93,9 @@ class Label:
 
 Operand = Reg | Imm | Mem | Label
 
+#: Encoded width of each operand kind, tag byte included.
+_OPERAND_BYTES = {Reg: 2, Imm: 9, Mem: 8}
+
 
 @dataclass(frozen=True)
 class Insn:
@@ -187,6 +190,13 @@ class InsnCoder:
 
     def encoded_size(self, insn: Insn) -> int:
         return len(self.encode(insn))
+
+    def imm_offset(self, insn: Insn, index: int) -> int:
+        """Where, inside ``encode(insn)``, the 8 immediate bytes of
+        operand ``index`` sit: operand widths are fixed, so rewriting
+        them retargets the instruction and moves nothing."""
+        return (4 if insn.lock else 3) + sum(
+            _OPERAND_BYTES[type(op)] for op in insn.operands[:index])
 
     # ------------------------------------------------------------------
     # Decode

@@ -107,11 +107,28 @@ class DiskStore:
 
     ``max_bytes`` is the budget :meth:`evict_to_budget` enforces; 0
     means entries are never evicted.
+
+    Sizing the store means walking it, so a writer does not do that
+    per entry.  Each walk leaves this instance an *allowance*, a
+    quarter of the headroom it found; :meth:`write` spends it (an
+    overwrite in full, so the estimate errs high, never low) and
+    :meth:`walk_due` asks for the next walk only once it is gone.  A
+    quarter, so four writers that sized the store together cannot
+    overfill it between them, give or take the entry each was writing
+    when its allowance ran out; one still holding an allowance from
+    before others filled the store can carry the total over by that
+    much (at most a quarter of the budget) until its next walk, which
+    trims exactly.  A store at its budget has no headroom to hand out
+    and is walked on every write; there is no low-water mark because
+    no committed workload fills its budget.
     """
 
     def __init__(self, directory: Path, max_bytes: int = 0):
         self.directory = Path(directory)
         self.max_bytes = max_bytes
+        #: Bytes this instance may still write before it must walk
+        #: again; nothing until the first walk has sized the store.
+        self._allowance = 0
 
     def path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
@@ -142,7 +159,13 @@ class DiskStore:
                 raise
         except OSError:  # pragma: no cover - read-only cache dir
             return False
+        self._allowance -= len(text.encode())
         return True
+
+    def walk_due(self) -> bool:
+        """Whether this instance has written as much as its last walk
+        allowed, so the budget needs :meth:`evict_to_budget` now."""
+        return bool(self.max_bytes) and self._allowance <= 0
 
     def _shards(self) -> list[Path]:
         if not self.directory.is_dir():
@@ -183,6 +206,7 @@ class DiskStore:
                 continue
             total -= size
             evicted.append(path.stem)
+        self._allowance = max(self.max_bytes - total, 0) // 4
         return evicted
 
     def clear(self) -> int:

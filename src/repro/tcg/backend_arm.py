@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import TranslationError
+from ..isa.arm.assembler import LinkedCode, link
 from ..isa.x86.insns import GPR as X86_GPR
 from .ir import (
     Cond,
@@ -97,9 +98,30 @@ class CompiledBlock:
     guest_insns: int
     op_count: int
     #: Provenance tag of each emitted DMB, in emission order (None for
-    #: untagged fences).  The engine zips this with the assembled
-    #: ``dmb*`` addresses to build the host fence-origin map.
+    #: untagged fences).  The engine zips this with the linked form's
+    #: DMB offsets to build the host fence-origin map.
     fence_origins: list[str | None] = field(default_factory=list)
+    #: ``asm`` encoded once (:meth:`link`): derived, so no part of the
+    #: block's identity and never serialized.  It rides on the instance
+    #: the translation cache shares, so engines install without parsing.
+    linked: LinkedCode | None = field(default=None, compare=False,
+                                      repr=False)
+
+    def link(self) -> LinkedCode:
+        """Encode ``asm`` into its relocatable form and keep it.
+
+        Origins are recorded in DMB emission order and the assembler
+        preserves instruction order, so pairing by position is exact;
+        a count mismatch would mis-attribute fence cycles silently.
+        """
+        linked = link(self.asm)
+        if len(linked.dmb_offsets) != len(self.fence_origins):
+            raise TranslationError(
+                f"block @{self.guest_pc:#x}: "
+                f"{len(linked.dmb_offsets)} assembled DMBs but "
+                f"{len(self.fence_origins)} recorded fence origins")
+        self.linked = linked
+        return linked
 
 
 class _TempAllocator:

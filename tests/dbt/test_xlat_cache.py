@@ -23,8 +23,11 @@ from repro.dbt.xlat_cache import (
     XlatCache,
     block_key,
     config_fingerprint,
+    trace_key,
 )
-from repro.tcg.backend_arm import CompiledBlock, HelperRequest
+from repro.errors import TranslationError
+from repro.store import DiskStore
+from repro.tcg.backend_arm import ArmBackend, CompiledBlock, HelperRequest
 from repro.tcg.optimizer import OptStats
 from repro.workloads.kernels import KernelSpec
 
@@ -140,6 +143,103 @@ class TestDiskLayer:
         cache.clear_memory()
         monkeypatch.setattr(xlat_cache, "SCHEMA", "repro-xlat/999")
         assert cache.get("ab" * 32) is None
+
+
+#: Entries that parse as JSON and carry every field, yet cannot be
+#: installed: asm that does not assemble, one fence origin missing
+#: for the DMBs the asm has, a label defined twice.
+WELL_FORMED_DAMAGE = {
+    "bad-asm": lambda payload: payload.update(
+        asm=payload["asm"].replace("ret", "frobnicate x0")),
+    "origin-short": lambda payload: payload["fence_origins"].pop(),
+    "duplicate-label": lambda payload: payload.update(
+        asm=payload["asm"] + "block_400000:\n"),
+}
+KEYS = {
+    "block": block_key("fp", 0x400000, b"\x90" * 64),
+    "trace": trace_key("fp", [(0x400000, b"\x90" * 64),
+                              (0x400010, b"\x91" * 64)]),
+}
+
+
+def _damage(path, how) -> None:
+    payload = json.loads(path.read_text())
+    how(payload)
+    path.write_text(json.dumps(payload))
+
+
+class TestWellFormedDamage:
+    """A cache is an accelerator, never a correctness dependency: an
+    entry that decodes but does not link is a counted miss, not a
+    ``TranslationError`` out of the warm run's install."""
+
+    @pytest.mark.parametrize("kind", sorted(KEYS))
+    @pytest.mark.parametrize("damage", sorted(WELL_FORMED_DAMAGE))
+    def test_is_a_counted_miss_and_is_rewritten(self, tmp_path, kind,
+                                                damage):
+        cache = XlatCache(tmp_path)
+        compiled, opt = _entry()
+        key = KEYS[kind]
+        cache.put(key, compiled, opt)
+        path = DiskStore(tmp_path).path(key)
+        whole = path.read_text()
+        _damage(path, WELL_FORMED_DAMAGE[damage])
+        cache.clear_memory()
+        before = xlat_cache.cache_stats().corrupt_entries
+        assert cache.get(key) is None
+        assert xlat_cache.cache_stats().corrupt_entries == before + 1
+        cache.put(key, compiled, opt)
+        assert path.read_text() == whole
+        cache.clear_memory()
+        hit = cache.get(key)
+        assert hit is not None and hit.source == "disk"
+        # Decoding linked it: the engine installs with no parsing.
+        assert hit.compiled.linked.dmb_offsets == (0,)
+
+    def test_warm_run_over_a_damaged_store_is_bit_identical(
+            self, cache_env):
+        def run():
+            return run_kernel(TINY, variant="risotto",
+                              tier2_threshold=1).result
+
+        cold = run()
+        entries = DiskStore(cache_env).entries()
+        # Block entries and trace entries both.
+        assert len(entries) > cold.stats.xlat_misses > 0
+        for _, _, path in entries:
+            _damage(path, lambda payload:
+                    payload["fence_origins"].append("bogus"))
+        xlat_cache.reset_memory()
+        xlat_cache.reset_stats()
+        warm = run()
+        assert xlat_cache.cache_stats().corrupt_entries == len(entries)
+        assert warm.stats.xlat_hits == 0
+        assert (warm.elapsed_cycles, warm.total_cycles,
+                warm.fence_cycles_by_origin, warm.opt_stats) == \
+            (cold.elapsed_cycles, cold.total_cycles,
+             cold.fence_cycles_by_origin, cold.opt_stats)
+        # ...and the warm run's puts repaired every entry.
+        xlat_cache.reset_memory()
+        xlat_cache.reset_stats()
+        assert run().stats.xlat_misses == 0
+        assert xlat_cache.cache_stats().corrupt_entries == 0
+
+    def test_fresh_mismatch_is_still_a_translation_error(
+            self, cache_env, monkeypatch):
+        plain = ArmBackend.compile_block
+
+        def one_origin_too_many(self, block):
+            compiled = plain(self, block)
+            compiled.fence_origins.append("bogus")
+            return compiled
+
+        monkeypatch.setattr(ArmBackend, "compile_block",
+                            one_origin_too_many)
+        for _ in range(2):  # the entry it stored must not mask it
+            xlat_cache.reset_memory()
+            with pytest.raises(TranslationError,
+                               match="recorded fence origins"):
+                run_kernel(TINY, variant="risotto")
 
 
 class TestEviction:

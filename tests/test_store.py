@@ -11,6 +11,7 @@ cache's own suite.
 """
 
 import json
+import multiprocessing
 import os
 import re
 import threading
@@ -69,7 +70,7 @@ def _xlat_subject():
     def entry(i):
         return CompiledBlock(
             guest_pc=0x400000 + 16 * i,
-            asm=f"block_{i}:\n" + "    nop\n" * 40 + "    ret\n",
+            asm=f"block_{i}:\n" + "    nop\n" * 40 + "    dmbld\n    ret\n",
             helper_requests=[], guest_insns=3, op_count=7,
             fence_origins=["RMOV->ld;Frm"]), OptStats(folded=i)
 
@@ -351,6 +352,115 @@ class TestBudget:
         self._fill(disk)
         assert disk.evict_to_budget() == []
         assert disk.usage() == (8, 800)
+
+
+# ----------------------------------------------------------------------
+# The put path: a running estimate, walked only when it runs out
+# ----------------------------------------------------------------------
+def _put_block():
+    """One translation-cache entry; every put below stores this same
+    content under its own key, so all entries are one size."""
+    compiled = CompiledBlock(
+        guest_pc=0x400000, asm="block:\n" + "    nop\n" * 40 + "    ret\n",
+        helper_requests=[], guest_insns=3, op_count=7)
+    opt = OptStats()
+    return compiled, opt, len(xlat_cache._entry_to_json(compiled, opt))
+
+
+def _put_key(i: int) -> str:
+    return xlat_cache.block_key("fp", 0x400000 + 16 * i, b"\x90")
+
+
+def _overfill(directory: str, budget: int, first: int, count: int):
+    compiled, opt, _ = _put_block()
+    cache = xlat_cache.XlatCache(Path(directory), max_disk_bytes=budget)
+    for i in range(first, first + count):
+        cache.put(_put_key(i), compiled, opt)
+
+
+class TestPutPath:
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        """One item per walk of a namespace, whoever asked for it."""
+        seen = []
+        plain = DiskStore.entries
+
+        def counted(self):
+            seen.append(self.directory)
+            return plain(self)
+
+        monkeypatch.setattr(DiskStore, "entries", counted)
+        return seen
+
+    @pytest.mark.parametrize("puts", [600, 1200])
+    def test_walks_do_not_grow_with_the_store(self, tmp_path, walks,
+                                              puts):
+        compiled, opt, size = _put_block()
+        cache = xlat_cache.XlatCache(tmp_path)
+        for i in range(puts):
+            cache.put(_put_key(i), compiled, opt)
+        assert len(walks) <= 8
+        assert cache.disk_usage() == (puts, puts * size)
+
+    def test_overwrites_do_not_inflate_the_estimate_past_a_walk(
+            self, tmp_path, walks):
+        """Every overwrite is charged as if it were new bytes, so the
+        allowance (a quarter of 40 entries' headroom) runs out every
+        tenth put; the walk then finds one entry and hands the same
+        allowance out again.  An estimate that only ever grew would
+        end up walking on every put."""
+        compiled, opt, size = _put_block()
+        cache = xlat_cache.XlatCache(tmp_path,
+                                     max_disk_bytes=41 * size)
+        before = xlat_cache.cache_stats().evictions
+        for _ in range(200):
+            cache.put(_put_key(0), compiled, opt)
+        assert 200 // 10 <= len(walks) <= 200 // 10 + 2
+        assert xlat_cache.cache_stats().evictions == before
+        assert cache.disk_usage() == (1, size)
+
+    def test_a_store_at_its_budget_is_trimmed_on_every_put(
+            self, tmp_path, walks):
+        compiled, opt, size = _put_block()
+        cache = xlat_cache.XlatCache(tmp_path, max_disk_bytes=5 * size)
+        for i in range(30):
+            cache.put(_put_key(i), compiled, opt)
+            assert cache.disk_usage()[1] <= 5 * size
+        cache.clear_memory()
+        assert cache.get(_put_key(29)) is not None
+
+    def test_explicit_eviction_walks_and_trims_exactly(self, tmp_path,
+                                                       walks):
+        compiled, opt, size = _put_block()
+        roomy = xlat_cache.XlatCache(tmp_path)
+        for i in range(12):
+            roomy.put(_put_key(i), compiled, opt)
+        tight = xlat_cache.XlatCache(tmp_path, max_disk_bytes=5 * size)
+        del walks[:]
+        assert tight.evict_to_budget() == 7
+        assert len(walks) == 1
+        assert tight.disk_usage() == (5, 5 * size)
+
+    def test_four_processes_overfilling_stay_within_budget(
+            self, tmp_path):
+        _, _, size = _put_block()
+        budget, each = 50 * size, 50
+        fork = multiprocessing.get_context("fork")
+        writers = [
+            fork.Process(target=_overfill,
+                         args=(str(tmp_path), budget, n * each, each))
+            for n in range(4)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0] * 4
+        entries = DiskStore(tmp_path).entries()
+        assert 0 < sum(size for _, size, _ in entries) \
+            <= budget + 4 * size
+        for _, _, path in entries:
+            xlat_cache._entry_from_json(path.read_text())
+        assert _files(tmp_path, "*.tmp") == []
 
 
 # ----------------------------------------------------------------------
