@@ -41,18 +41,17 @@ from .core.corpus_large import FIVE_THREAD_CORPUS, verify_registry
 from .core.dpor import reduced_behaviors
 from .core.enumerate import behavior_cache_stats, enumeration_stats, \
     reset_enumeration_stats
+from .core.mappings import SCHEME_EXPECTED, SCHEME_MAPPINGS, \
+    scheme_mapping
 from .core.models import MODEL_BY_NAME
 from .core.most import (
     FenceScheme,
     MOST,
-    SCHEME_EXPECTED,
-    SCHEME_MAPPINGS,
     SCHEMES,
     SOURCE_TABLES,
     TARGET_MENUS,
     derive_scheme,
     known_origins,
-    scheme_mapping,
 )
 from .dbt import DBTConfig, DBTEngine, NATIVE, NativeRunner, \
     RunResult, VARIANT_NAMES, VARIANTS, resolve_variant

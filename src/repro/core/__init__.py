@@ -16,13 +16,11 @@ from .enumerate import behaviors, consistent_executions, \
     enumerate_consistent, enumerate_executions
 from .dpor import reduced_behaviors
 from .models import ARM, ARM_ORIGINAL, MODEL_BY_NAME, SC, TCG, X86
-# .most registers the derived scheme mappings into
-# mappings.ALL_MAPPINGS as an import side effect — keep it in the
-# package preamble so every entry point sees the full registry.
 from . import corpus_large, litmus_library, mappings, most, \
     transforms, verifier
+from .mappings import scheme_mapping
 from .most import MOST, FenceScheme, SCHEMES, derive_scheme, \
-    known_origins, scheme_mapping
+    known_origins
 
 __all__ = [
     "Arch", "Event", "Fence", "Mode", "RmwFlavor",

@@ -66,20 +66,52 @@ class Fence(enum.Enum):
     DMBST = "DMBST"
 
 
-#: TCG fences, keyed by (predecessor-class, successor-class) where the
-#: classes are "r" (reads), "w" (writes), "m" (both).  Used by the TCG
-#: model's ``ord`` relation and by the fence-merging correctness rules.
-TCG_FENCE_ORDERS: dict[Fence, tuple[str, str]] = {
-    Fence.FRR: ("r", "r"),
-    Fence.FRW: ("r", "w"),
-    Fence.FRM: ("r", "m"),
-    Fence.FWW: ("w", "w"),
-    Fence.FWR: ("w", "r"),
-    Fence.FWM: ("w", "m"),
-    Fence.FMR: ("m", "r"),
-    Fence.FMW: ("m", "w"),
-    Fence.FMM: ("m", "m"),
+def _orders(before: str, after: str) -> frozenset[tuple[str, str]]:
+    """Every ordered access pair (earlier, later) with the earlier
+    access in ``before`` and the later in ``after`` ("r" reads, "w"
+    writes)."""
+    return frozenset((a, b) for a in before for b in after)
+
+
+#: Every ordered access pair, row-major over (r, w) × (r, w) — the order
+#: QEMU's ``TCG_MO_*`` bits follow (LD_LD, LD_ST, ST_LD, ST_ST).
+ACCESS_PAIRS: tuple[tuple[str, str], ...] = tuple(
+    (a, b) for a in "rw" for b in "rw")
+
+#: What each TCG fence orders (Figure 6's ``ord``): the one declaration
+#: of fence strength.  The IR's ``mb`` masks, the Arm lowering, the
+#: scheme menus' costs, fence merging and the optimizer's elimination
+#: side conditions are all derived from it.  Key order is load-bearing:
+#: the fuzzer draws fence kinds with ``rng.choice`` over it.
+TCG_FENCE_PAIRS: dict[Fence, frozenset[tuple[str, str]]] = {
+    Fence.FRR: _orders("r", "r"),
+    Fence.FRW: _orders("r", "w"),
+    Fence.FRM: _orders("r", "rw"),
+    Fence.FWR: _orders("w", "r"),
+    Fence.FWW: _orders("w", "w"),
+    Fence.FWM: _orders("w", "rw"),
+    Fence.FMR: _orders("rw", "r"),
+    Fence.FMW: _orders("rw", "w"),
+    Fence.FMM: _orders("rw", "rw"),
+    Fence.FSC: _orders("rw", "rw"),
 }
+
+#: What each Arm barrier orders, in the order :func:`weakest_dmb` tries
+#: them: ``dmb ld`` keeps earlier reads before everything, ``dmb st``
+#: keeps writes ordered, ``dmb ff`` orders all pairs.
+DMB_PAIRS: dict[Fence, frozenset[tuple[str, str]]] = {
+    Fence.DMBLD: _orders("r", "rw"),
+    Fence.DMBST: _orders("w", "w"),
+    Fence.DMBFF: _orders("rw", "rw"),
+}
+
+
+def weakest_dmb(pairs) -> Fence:
+    """The weakest Arm barrier ordering every pair in ``pairs`` — the
+    Figure 7b fence rows, shared by the op-level mapping and the
+    backend's ``mb`` lowering."""
+    return next(dmb for dmb, ordered in DMB_PAIRS.items()
+                if pairs <= ordered)
 
 
 class RmwFlavor(enum.Enum):

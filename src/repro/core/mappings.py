@@ -1,30 +1,40 @@
 """Mapping schemes between x86, TCG IR, and Arm litmus programs.
 
 These are the op-level counterparts of the translation rules the DBT
-implements, used by the verifier to check Theorem 1:
+implements, used by the verifier to check Theorem 1.  This module owns
+every :class:`OpMapping`:
 
-* :func:`qemu_x86_to_tcg` / :func:`qemu_tcg_to_arm` — QEMU's original
-  scheme (Figure 2): leading ``Frr``/``Fmw`` fences, RMWs emulated by a
-  helper call whose ordering comes from a GCC ``__atomic`` builtin
-  (``ldaxr/stlxr`` with GCC 9, ``casal`` with GCC 10 — Section 3.1).
-* :func:`risotto_x86_to_tcg` / :func:`risotto_tcg_to_arm` — the paper's
-  verified scheme (Figure 7): *trailing* ``Frm`` after loads, *leading*
-  ``Fww`` before stores, RMW as a native TCG RMW lowered to either
-  ``RMW1_AL`` or ``DMBFF; RMW2; DMBFF``.
-* :func:`nofences_x86_to_tcg` — the incorrect performance oracle used in
-  the evaluation (drops every ordering).
-* :func:`armcats_intended` — the direct x86→Arm mapping the Arm-Cats
+* :func:`scheme_x86_to_tcg` — the x86 → TCG mapping a derived
+  :class:`~repro.core.most.FenceScheme` induces.  It is the only x86 →
+  TCG definition: :data:`qemu_x86_to_tcg` (Figure 2: leading
+  ``Frr``/``Fmw``), :data:`risotto_x86_to_tcg` (Figure 7a: trailing
+  ``Frm`` after loads, leading ``Fww`` before stores) and
+  :data:`nofences_x86_to_tcg` (the incorrect performance oracle) are
+  it, applied to the ``qemu``, ``risotto`` and ``no-fences`` schemes.
+* :func:`tcg_to_arm` — TCG → Arm with one RMW lowering: QEMU's helper
+  call, whose ordering comes from a GCC ``__atomic`` builtin
+  (``ldaxr/stlxr`` with GCC 9, ``casal`` with GCC 10 — Section 3.1), or
+  Risotto's ``RMW1_AL`` / ``DMBFF; RMW2; DMBFF`` (Figure 7b).  Fences
+  lower to the weakest sufficient DMB (:func:`lower_tcg_fence`).
+* :func:`scheme_mapping` — the end-to-end ``most-<scheme>-<rmw>``
+  mapping of every registered scheme, with its expected verdict.
+* :data:`armcats_intended` — the direct x86→Arm mapping the Arm-Cats
   paper implies (Figure 3: ``ldapr``/``stlr``/``casal``), which
   Section 3.3 shows is broken under the original Arm model.
+
+:data:`ALL_MAPPINGS` is the one registry of them all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..errors import MappingError
-from .events import Arch, Fence, Mode, RmwFlavor
+from .events import TCG_FENCE_PAIRS, Arch, Fence, Mode, RmwFlavor, \
+    weakest_dmb
+from .most import NOFENCES_SCHEME, QEMU_SCHEME, RISOTTO_SCHEME, SCHEMES, \
+    FenceScheme
 from .program import FenceOp, If, Load, Op, Program, Rmw, Store
 
 OpMapper = Callable[[Op], tuple[Op, ...]]
@@ -92,25 +102,6 @@ class OpMapping:
 # ----------------------------------------------------------------------
 # TCG fence lowering to Arm (shared by QEMU's and Risotto's backends)
 # ----------------------------------------------------------------------
-#: Ordered access-pair classes guaranteed by each Arm fence.
-_DMBLD_PAIRS = {("r", "r"), ("r", "w")}
-_DMBST_PAIRS = {("w", "w")}
-
-#: What access-pair classes each TCG fence must order.
-_TCG_FENCE_PAIRS: dict[Fence, set[tuple[str, str]]] = {
-    Fence.FRR: {("r", "r")},
-    Fence.FRW: {("r", "w")},
-    Fence.FRM: {("r", "r"), ("r", "w")},
-    Fence.FWR: {("w", "r")},
-    Fence.FWW: {("w", "w")},
-    Fence.FWM: {("w", "r"), ("w", "w")},
-    Fence.FMR: {("r", "r"), ("w", "r")},
-    Fence.FMW: {("r", "w"), ("w", "w")},
-    Fence.FMM: {("r", "r"), ("r", "w"), ("w", "r"), ("w", "w")},
-    Fence.FSC: {("r", "r"), ("r", "w"), ("w", "r"), ("w", "w")},
-}
-
-
 def lower_tcg_fence(kind: Fence) -> tuple[Op, ...]:
     """Lower one TCG fence to the weakest sufficient Arm fence.
 
@@ -120,67 +111,61 @@ def lower_tcg_fence(kind: Fence) -> tuple[Op, ...]:
     """
     if kind in (Fence.FACQ, Fence.FREL):
         return ()
-    pairs = _TCG_FENCE_PAIRS.get(kind)
+    pairs = TCG_FENCE_PAIRS.get(kind)
     if pairs is None:
         raise MappingError(f"not a TCG fence: {kind}")
-    if pairs <= _DMBLD_PAIRS:
-        return (FenceOp(Fence.DMBLD),)
-    if pairs <= _DMBST_PAIRS:
-        return (FenceOp(Fence.DMBST),)
-    return (FenceOp(Fence.DMBFF),)
+    return (FenceOp(weakest_dmb(pairs)),)
 
 
 # ----------------------------------------------------------------------
-# x86 → TCG IR
+# x86 → TCG IR: the one definition, induced by a derived scheme
 # ----------------------------------------------------------------------
-def _qemu_x86_op(op: Op) -> tuple[Op, ...]:
-    if isinstance(op, Load):
-        # Fmr demoted to Frr because x86 allows store→load reordering
-        # (Section 3.1).
-        return (FenceOp(Fence.FRR), op)
-    if isinstance(op, Store):
-        return (FenceOp(Fence.FMW), op)
-    if isinstance(op, Rmw):
-        # Helper-call emulation; the TCG-level event is still an SC RMW,
-        # the brokenness appears in the helper's Arm lowering.
-        return (Rmw(op.loc, op.expect, op.new, RmwFlavor.TCG, out=op.out),)
-    if isinstance(op, FenceOp):
-        if op.kind is Fence.MFENCE:
-            return (FenceOp(Fence.FSC),)
-        raise MappingError(f"unexpected x86 fence {op.kind}")
-    raise MappingError(f"cannot map x86 op {op!r}")
+def scheme_x86_to_tcg(scheme: FenceScheme) -> OpMapping:
+    """The op-level x86 -> TCG mapping a scheme induces — the exact
+    counterpart of what the frontend emits around loads and stores."""
+
+    def map_op(op: Op) -> tuple[Op, ...]:
+        if isinstance(op, Load):
+            out: list[Op] = []
+            if scheme.ld_pre is not None:
+                out.append(FenceOp(scheme.ld_pre))
+            out.append(op)
+            if scheme.ld_post is not None:
+                out.append(FenceOp(scheme.ld_post))
+            return tuple(out)
+        if isinstance(op, Store):
+            out = []
+            if scheme.st_pre is not None:
+                out.append(FenceOp(scheme.st_pre))
+            out.append(op)
+            if scheme.st_post is not None:
+                out.append(FenceOp(scheme.st_post))
+            return tuple(out)
+        if isinstance(op, Rmw):
+            # The TCG-level event is an SC RMW under every scheme; how
+            # it orders on Arm is the RMW lowering's business.
+            return (Rmw(op.loc, op.expect, op.new, RmwFlavor.TCG,
+                        out=op.out),)
+        if isinstance(op, FenceOp):
+            if op.kind is Fence.MFENCE:
+                if scheme.mfence is None:
+                    return ()
+                return (FenceOp(scheme.mfence),)
+            raise MappingError(f"unexpected x86 fence {op.kind}")
+        raise MappingError(f"cannot map x86 op {op!r}")
+
+    return OpMapping(
+        name=f"most-{scheme.name}-x86-to-tcg",
+        src_arch=Arch.X86, tgt_arch=Arch.TCG, map_op=map_op)
 
 
-def _risotto_x86_op(op: Op) -> tuple[Op, ...]:
-    if isinstance(op, Load):
-        return (op, FenceOp(Fence.FRM))       # ld; Frm  (Figure 7a)
-    if isinstance(op, Store):
-        return (FenceOp(Fence.FWW), op)       # Fww; st
-    if isinstance(op, Rmw):
-        return (Rmw(op.loc, op.expect, op.new, RmwFlavor.TCG, out=op.out),)
-    if isinstance(op, FenceOp):
-        if op.kind is Fence.MFENCE:
-            return (FenceOp(Fence.FSC),)
-        raise MappingError(f"unexpected x86 fence {op.kind}")
-    raise MappingError(f"cannot map x86 op {op!r}")
-
-
-def _nofences_x86_op(op: Op) -> tuple[Op, ...]:
-    if isinstance(op, (Load, Store)):
-        return (op,)
-    if isinstance(op, Rmw):
-        return (Rmw(op.loc, op.expect, op.new, RmwFlavor.TCG, out=op.out),)
-    if isinstance(op, FenceOp):
-        return ()
-    raise MappingError(f"cannot map x86 op {op!r}")
-
-
-qemu_x86_to_tcg = OpMapping(
-    "qemu-x86-to-tcg", Arch.X86, Arch.TCG, _qemu_x86_op)
-risotto_x86_to_tcg = OpMapping(
-    "risotto-x86-to-tcg", Arch.X86, Arch.TCG, _risotto_x86_op)
-nofences_x86_to_tcg = OpMapping(
-    "nofences-x86-to-tcg", Arch.X86, Arch.TCG, _nofences_x86_op)
+#: The paper's three x86 -> TCG schemes under their historical names.
+qemu_x86_to_tcg = replace(scheme_x86_to_tcg(QEMU_SCHEME),
+                          name="qemu-x86-to-tcg")
+risotto_x86_to_tcg = replace(scheme_x86_to_tcg(RISOTTO_SCHEME),
+                             name="risotto-x86-to-tcg")
+nofences_x86_to_tcg = replace(scheme_x86_to_tcg(NOFENCES_SCHEME),
+                              name="nofences-x86-to-tcg")
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +248,56 @@ armcats_intended = OpMapping(
     "armcats-intended", Arch.X86, Arch.ARM, _armcats_intended_op)
 
 
-#: Mapping registry for reporting and table generation.
+# ----------------------------------------------------------------------
+# The derived scheme family as verifiable mappings
+# ----------------------------------------------------------------------
+#: RMW lowerings a scheme composes with (Figure 7b's verified pair).
+SCHEME_RMW_LOWERINGS = ("rmw1al", "rmw2ff")
+
+
+def scheme_mapping(scheme: FenceScheme,
+                   rmw_lowering: str = "rmw1al") -> OpMapping:
+    """The end-to-end x86 -> Arm mapping of one (scheme, RMW lowering)
+    pair, named ``most-<scheme>-<rmw>`` for registries and CLIs."""
+    composed = scheme_x86_to_tcg(scheme).then(
+        tcg_to_arm(rmw_lowering, f"tcg-to-arm-{rmw_lowering}"))
+    return OpMapping(
+        name=f"most-{scheme.name}-{rmw_lowering}",
+        src_arch=Arch.X86, tgt_arch=Arch.ARM,
+        map_op=composed.map_op)
+
+
+def expected_verdict(scheme: FenceScheme, rmw_lowering: str) -> bool:
+    """Whether Theorem 1 should hold over the corpus for this pair.
+
+    A sound source table is necessary but not sufficient: the RMW1
+    (``casal``) lowering relies on loads carrying a *trailing* fence to
+    order the read of a failed CAS (Section 3.2 — the MPQ bug QEMU
+    exhibits even with the GCC-10 helper).  Schemes that fence loads
+    with a leading fence only are therefore expected to fail with
+    ``rmw1al`` exactly as QEMU does, and to pass with ``rmw2ff``
+    (whose surrounding DMBFFs restore the order).
+    """
+    if not scheme.expect_sound:
+        return False
+    if rmw_lowering == "rmw1al" and scheme.ld_post is None:
+        return False
+    return True
+
+
+#: Every registered (scheme × RMW lowering) mapping, by name.
+SCHEME_MAPPINGS: dict[str, OpMapping] = {
+    f"most-{scheme.name}-{rmw}": scheme_mapping(scheme, rmw)
+    for scheme in SCHEMES.values() for rmw in SCHEME_RMW_LOWERINGS
+}
+#: Mapping name -> whether the Theorem-1 corpus check should pass.
+SCHEME_EXPECTED: dict[str, bool] = {
+    f"most-{scheme.name}-{rmw}": expected_verdict(scheme, rmw)
+    for scheme in SCHEMES.values() for rmw in SCHEME_RMW_LOWERINGS
+}
+
+#: Every mapping, by name: the paper's hand-named mappings, then the
+#: derived scheme family — what the verifier CLI and the fuzzer resolve.
 ALL_MAPPINGS: dict[str, OpMapping] = {
     m.name: m for m in (
         qemu_x86_to_tcg,
@@ -281,3 +315,4 @@ ALL_MAPPINGS: dict[str, OpMapping] = {
         armcats_intended,
     )
 }
+ALL_MAPPINGS.update(SCHEME_MAPPINGS)

@@ -19,23 +19,26 @@ reordering and false-dependency-elimination passes (Section 5.4).
 
 from __future__ import annotations
 
-from ..events import Arch, Fence
+from ..events import TCG_FENCE_PAIRS, Arch, Fence
 from ..execution import Execution
 from ..relations import Rel, union
 from .base import MemoryModel
 
+
+def _access_class(side: set[str]) -> str:
+    """The class of one side of a fence's pairs: r, w, or m (both)."""
+    return "m" if len(side) > 1 else next(iter(side))
+
+
 #: The nine directional TCG fences and their (predecessor, successor)
-#: access classes, exactly as enumerated in Figure 6's ``ord``.
-_FENCE_RULES: tuple[tuple[Fence, str, str], ...] = (
-    (Fence.FRR, "r", "r"),
-    (Fence.FRW, "r", "w"),
-    (Fence.FRM, "r", "m"),
-    (Fence.FWR, "w", "r"),
-    (Fence.FWW, "w", "w"),
-    (Fence.FWM, "w", "m"),
-    (Fence.FMR, "m", "r"),
-    (Fence.FMW, "m", "w"),
-    (Fence.FMM, "m", "m"),
+#: access classes — Figure 6's ``ord``, read off the pair table (every
+#: directional fence orders a product of classes).  ``Fsc`` has its
+#: own SC rule below.
+_FENCE_RULES: tuple[tuple[Fence, str, str], ...] = tuple(
+    (kind,
+     _access_class({first for first, _ in pairs}),
+     _access_class({second for _, second in pairs}))
+    for kind, pairs in TCG_FENCE_PAIRS.items() if kind is not Fence.FSC
 )
 
 

@@ -1,8 +1,8 @@
 """ArMOR-style MOSTs: declarative ordering tables and derived schemes.
 
-The frontend's fence mappings (Figure 2's QEMU scheme, Figure 7a's
-verified Risotto scheme) used to be hardwired ``if policy is ...``
-branches.  ArMOR (Lustig et al.) shows the requirement is *data*: a
+The x86 → TCG fence mappings (Figure 2's QEMU scheme, Figure 7a's
+verified Risotto scheme, the no-fences oracle) are derived here, not
+written out.  ArMOR (Lustig et al.) shows the requirement is *data*: a
 Memory Ordering Specification Table (MOST) with one cell per ordered
 access pair — (first access, second access) over {ld, st} — whose
 strength says whether the source architecture preserves that order.
@@ -25,10 +25,11 @@ Three layers live here:
   scheme says, and :func:`known_origins` is what reports validate
   against.
 
-Every derived scheme is also a verifiable artifact: :func:`scheme_mapping`
-turns it into the op-level :class:`~repro.core.mappings.OpMapping` the
-Theorem-1 checker and the fuzzer's mapping oracle consume, registered
-under ``most-<scheme>-<rmw>`` in ``ALL_MAPPINGS``.
+What each fence orders comes from :data:`repro.core.events.TCG_FENCE_PAIRS`.
+The schemes are pure data: :mod:`repro.core.mappings` turns each one
+into the op-level mappings the Theorem-1 checker and the fuzzer consume
+(``qemu-x86-to-tcg`` and friends, and ``most-<scheme>-<rmw>``), and the
+DBT variants name the scheme their frontend emits from.
 """
 
 from __future__ import annotations
@@ -37,10 +38,7 @@ import enum
 from dataclasses import dataclass
 
 from ..errors import MappingError
-from .events import Arch, Fence, RmwFlavor
-from .mappings import ALL_MAPPINGS, OpMapping, _TCG_FENCE_PAIRS, \
-    tcg_to_arm
-from .program import FenceOp, Load, Op, Rmw, Store
+from .events import ACCESS_PAIRS, TCG_FENCE_PAIRS, Fence, weakest_dmb
 
 #: Access classes a MOST row/column ranges over.
 ACCESSES = ("ld", "st")
@@ -211,12 +209,10 @@ class TargetMenu:
 
 
 def _tcg_menu_fence(kind: Fence) -> MenuFence:
-    pairs = frozenset(_TCG_FENCE_PAIRS[kind])
-    # Cost mirrors the Arm lowering (lower_tcg_fence): kinds that
-    # become dmb ld / dmb st are cheaper than anything needing dmb sy.
-    ld_pairs = frozenset({("r", "r"), ("r", "w")})
-    st_pairs = frozenset({("w", "w")})
-    cost = 1 if (pairs <= ld_pairs or pairs <= st_pairs) else 2
+    pairs = TCG_FENCE_PAIRS[kind]
+    # Kinds the Arm lowering turns into dmb ld / dmb st are cheaper
+    # than anything needing the full barrier.
+    cost = 2 if weakest_dmb(pairs) is Fence.DMBFF else 1
     return MenuFence(name=kind.value, pairs=pairs, cost=cost, kind=kind)
 
 
@@ -225,16 +221,11 @@ def _tcg_menu_fence(kind: Fence) -> MenuFence:
 #: the pipeline spells the full barrier Fsc everywhere.
 ARM_DMB_MENU = TargetMenu(
     name="arm-dmb",
-    fences=tuple(
-        _tcg_menu_fence(kind)
-        for kind in (Fence.FRR, Fence.FRW, Fence.FRM, Fence.FWW,
-                     Fence.FWR, Fence.FWM, Fence.FMR, Fence.FMW,
-                     Fence.FSC)
-    ),
+    fences=tuple(_tcg_menu_fence(kind) for kind in TCG_FENCE_PAIRS
+                 if kind is not Fence.FMM),
 )
 
-_ALL_PAIRS = frozenset(
-    (a, b) for a in ("r", "w") for b in ("r", "w"))
+_ALL_PAIRS = frozenset(ACCESS_PAIRS)
 
 #: A Power-like menu kept as data: lwsync orders everything except
 #: write->read; sync orders all pairs and is much more expensive.  No
@@ -244,7 +235,7 @@ POWER_SYNC_MENU = TargetMenu(
     name="power-sync",
     fences=(
         MenuFence(name="lwsync",
-                  pairs=frozenset(_ALL_PAIRS - {("w", "r")}), cost=1),
+                  pairs=_ALL_PAIRS - TCG_FENCE_PAIRS[Fence.FWR], cost=1),
         MenuFence(name="sync", pairs=_ALL_PAIRS, cost=3),
     ),
 )
@@ -278,8 +269,8 @@ SCHEME_SLOTS = tuple(ORIGIN_FORMATS)
 #: keeps loads before later accesses, sfence keeps stores ordered.
 _EXPLICIT_FENCE_PAIRS = {
     "mfence": _ALL_PAIRS,
-    "lfence": frozenset({("r", "r"), ("r", "w")}),
-    "sfence": frozenset({("w", "w")}),
+    "lfence": TCG_FENCE_PAIRS[Fence.FRM],
+    "sfence": TCG_FENCE_PAIRS[Fence.FWW],
 }
 
 
@@ -459,7 +450,7 @@ PSO_LEAD_SCHEME = _derived("pso-lead", "pso", "pre", "pre",
 RMO_BARE_SCHEME = _derived("rmo-bare", "rmo", "pre", "pre",
                            expect_sound=False)
 #: The incorrect performance oracle: nothing, not even the explicit
-#: x86 fences (matching the historical no-fences policy).
+#: x86 fences (the paper's no-fences variant).
 NOFENCES_SCHEME = derive_scheme(
     RMO_MOST, ARM_DMB_MENU, {"ld": "pre", "st": "pre"},
     name="no-fences", explicit_fences=False, expect_sound=False)
@@ -476,24 +467,6 @@ SCHEMES: dict[str, FenceScheme] = {
         NOFENCES_SCHEME,
     )
 }
-
-#: Legacy FencePolicy value -> the table-derived equivalent scheme.
-_POLICY_SCHEMES = {
-    "qemu": QEMU_SCHEME,
-    "risotto": RISOTTO_SCHEME,
-    "no-fences": NOFENCES_SCHEME,
-}
-
-
-def scheme_for_policy(policy_value: str) -> FenceScheme:
-    """The derived scheme reproducing a legacy ``FencePolicy`` value
-    (``"qemu"``/``"risotto"``/``"no-fences"``) bit-for-bit."""
-    try:
-        return _POLICY_SCHEMES[policy_value]
-    except KeyError:
-        raise MappingError(
-            f"no scheme for fence policy {policy_value!r}; expected "
-            f"one of {sorted(_POLICY_SCHEMES)}") from None
 
 
 # ----------------------------------------------------------------------
@@ -512,92 +485,3 @@ def known_origins(schemes=None) -> frozenset:
     for scheme in schemes:
         names |= scheme.origins()
     return frozenset(names)
-
-
-# ----------------------------------------------------------------------
-# Schemes as verifiable op mappings (Theorem 1 / fuzz oracle)
-# ----------------------------------------------------------------------
-def scheme_x86_to_tcg(scheme: FenceScheme) -> OpMapping:
-    """The op-level x86 -> TCG mapping a scheme induces — the exact
-    counterpart of what the frontend emits around loads and stores."""
-
-    def map_op(op: Op) -> tuple[Op, ...]:
-        if isinstance(op, Load):
-            out: list[Op] = []
-            if scheme.ld_pre is not None:
-                out.append(FenceOp(scheme.ld_pre))
-            out.append(op)
-            if scheme.ld_post is not None:
-                out.append(FenceOp(scheme.ld_post))
-            return tuple(out)
-        if isinstance(op, Store):
-            out = []
-            if scheme.st_pre is not None:
-                out.append(FenceOp(scheme.st_pre))
-            out.append(op)
-            if scheme.st_post is not None:
-                out.append(FenceOp(scheme.st_post))
-            return tuple(out)
-        if isinstance(op, Rmw):
-            return (Rmw(op.loc, op.expect, op.new, RmwFlavor.TCG,
-                        out=op.out),)
-        if isinstance(op, FenceOp):
-            if op.kind is Fence.MFENCE:
-                if scheme.mfence is None:
-                    return ()
-                return (FenceOp(scheme.mfence),)
-            raise MappingError(f"unexpected x86 fence {op.kind}")
-        raise MappingError(f"cannot map x86 op {op!r}")
-
-    return OpMapping(
-        name=f"most-{scheme.name}-x86-to-tcg",
-        src_arch=Arch.X86, tgt_arch=Arch.TCG, map_op=map_op)
-
-
-#: RMW lowerings a scheme composes with (Figure 7b's verified pair).
-SCHEME_RMW_LOWERINGS = ("rmw1al", "rmw2ff")
-
-
-def scheme_mapping(scheme: FenceScheme,
-                   rmw_lowering: str = "rmw1al") -> OpMapping:
-    """The end-to-end x86 -> Arm mapping of one (scheme, RMW lowering)
-    pair, named ``most-<scheme>-<rmw>`` for registries and CLIs."""
-    composed = scheme_x86_to_tcg(scheme).then(
-        tcg_to_arm(rmw_lowering, f"tcg-to-arm-{rmw_lowering}"))
-    return OpMapping(
-        name=f"most-{scheme.name}-{rmw_lowering}",
-        src_arch=Arch.X86, tgt_arch=Arch.ARM,
-        map_op=composed.map_op)
-
-
-def expected_verdict(scheme: FenceScheme, rmw_lowering: str) -> bool:
-    """Whether Theorem 1 should hold over the corpus for this pair.
-
-    A sound source table is necessary but not sufficient: the RMW1
-    (``casal``) lowering relies on loads carrying a *trailing* fence to
-    order the read of a failed CAS (Section 3.2 — the MPQ bug QEMU
-    exhibits even with the GCC-10 helper).  Schemes that fence loads
-    with a leading fence only are therefore expected to fail with
-    ``rmw1al`` exactly as QEMU does, and to pass with ``rmw2ff``
-    (whose surrounding DMBFFs restore the order).
-    """
-    if not scheme.expect_sound:
-        return False
-    if rmw_lowering == "rmw1al" and scheme.ld_post is None:
-        return False
-    return True
-
-
-#: Every registered (scheme × RMW lowering) mapping, merged into
-#: ``ALL_MAPPINGS`` so the verifier CLI and fuzz oracle resolve them
-#: by name like any hand-written mapping.
-SCHEME_MAPPINGS: dict[str, OpMapping] = {}
-#: Mapping name -> whether the Theorem-1 corpus check should pass.
-SCHEME_EXPECTED: dict[str, bool] = {}
-for _scheme in SCHEMES.values():
-    for _rmw in SCHEME_RMW_LOWERINGS:
-        _mapping = scheme_mapping(_scheme, _rmw)
-        SCHEME_MAPPINGS[_mapping.name] = _mapping
-        SCHEME_EXPECTED[_mapping.name] = expected_verdict(_scheme, _rmw)
-ALL_MAPPINGS.update(SCHEME_MAPPINGS)
-del _scheme, _rmw, _mapping

@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import MappingError
-from .events import Fence
-from .mappings import _TCG_FENCE_PAIRS
+from .events import TCG_FENCE_PAIRS, Fence
 from .program import FenceOp, If, Load, Op, Program, Rmw, Store
 
 #: Fences across which read-after-read elimination stays correct (the
@@ -164,34 +163,27 @@ def eliminate_waw(program: Program, tid: int, idx: int) -> Program:
 # ----------------------------------------------------------------------
 # Fence merging / strengthening
 # ----------------------------------------------------------------------
-#: Directional fences ordered by coverage, weakest first; the merge
-#: picks the first that covers the union of the operands' pair sets.
-_DIRECTIONAL_BY_STRENGTH: tuple[Fence, ...] = (
-    Fence.FRR, Fence.FRW, Fence.FWW, Fence.FWR,
-    Fence.FRM, Fence.FWM, Fence.FMR, Fence.FMW,
-    Fence.FMM,
-)
-
-
 def merge_fences(first: Fence, second: Fence) -> Fence:
     """The weakest single fence at least as strong as both.
 
     Merging to a same-or-stronger fence is always correct (Section 5.4);
     ``Fsc`` absorbs everything because of its additional SC semantics.
+    Otherwise the result is the directional fence ordering the fewest
+    pairs that still covers the union — unique, because a covering set
+    of the union's own size is the union.
     """
     if Fence.FSC in (first, second):
         return Fence.FSC
-    pairs_a = _TCG_FENCE_PAIRS.get(first)
-    pairs_b = _TCG_FENCE_PAIRS.get(second)
+    pairs_a = TCG_FENCE_PAIRS.get(first)
+    pairs_b = TCG_FENCE_PAIRS.get(second)
     if pairs_a is None or pairs_b is None:
         raise MappingError(
             f"cannot merge non-directional fences {first}/{second}"
         )
     union = pairs_a | pairs_b
-    for fence in _DIRECTIONAL_BY_STRENGTH:
-        if union <= _TCG_FENCE_PAIRS[fence]:
-            return fence
-    return Fence.FSC  # pragma: no cover - Fmm covers all pairs
+    return min((kind for kind, pairs in TCG_FENCE_PAIRS.items()
+                if kind is not Fence.FSC and union <= pairs),
+               key=lambda kind: len(TCG_FENCE_PAIRS[kind]))
 
 
 def merge_adjacent_fences(program: Program, tid: int, idx: int) -> Program:
@@ -214,8 +206,12 @@ def strengthen_fence(program: Program, tid: int, idx: int,
     if not isinstance(fence, FenceOp):
         raise MappingError(f"op {idx} is not a fence")
     if to is not Fence.FSC:
-        old = _TCG_FENCE_PAIRS.get(fence.kind, set())
-        new = _TCG_FENCE_PAIRS.get(to, set())
+        old = TCG_FENCE_PAIRS.get(fence.kind)
+        new = TCG_FENCE_PAIRS.get(to)
+        if old is None or new is None:
+            raise MappingError(
+                f"cannot strengthen {fence.kind} to {to}: both must be "
+                f"TCG fences with a pair set")
         if not old <= new:
             raise MappingError(f"{to} is not stronger than {fence.kind}")
     new_ops = ops[:idx] + (FenceOp(to),) + ops[idx + 1:]

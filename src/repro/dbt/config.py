@@ -1,13 +1,17 @@
 """DBT variant configurations — the four setups of Section 7.1.
 
-* ``qemu``      — vanilla QEMU 6.1.0: Figure 2 mappings (leading
-  ``Frr``/``Fmw`` fences), RMWs through helper calls.
-* ``no-fences`` — QEMU with no ordering enforcement (the incorrect
-  performance oracle).
-* ``tcg-ver``   — QEMU with Risotto's verified mappings only
+* ``qemu``      — vanilla QEMU 6.1.0: the ``qemu`` scheme (Figure 2:
+  leading ``Frr``/``Fmw`` fences), RMWs through helper calls.
+* ``no-fences`` — QEMU with the ``no-fences`` scheme: no ordering
+  enforcement (the incorrect performance oracle).
+* ``tcg-ver``   — QEMU with Risotto's verified ``risotto`` scheme only
   (Figure 7a fences + fence merging); helper RMWs, no host linker.
-* ``risotto``   — everything: verified mappings, fence merging, direct
-  ``casal`` CAS translation, dynamic host library linker.
+* ``risotto``   — everything: the ``risotto`` scheme, fence merging,
+  direct ``casal`` CAS translation, dynamic host library linker.
+
+Each variant names the :class:`~repro.core.most.FenceScheme` its
+frontend emits from; ``most-<scheme>`` variants do the same for every
+registered scheme.
 
 ``native`` is not a DBT configuration: native runs execute the
 Arm-compiled workload directly on the machine (see
@@ -19,9 +23,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-from ..core.most import SCHEMES, FenceScheme
+from ..core.most import NOFENCES_SCHEME, QEMU_SCHEME, RISOTTO_SCHEME, \
+    SCHEMES, FenceScheme
 from ..errors import ReproError
-from ..tcg.frontend_x86 import CasPolicy, FencePolicy, FrontendConfig
+from ..tcg.frontend_x86 import CasPolicy, FrontendConfig
 from ..tcg.optimizer import OptimizerConfig
 
 
@@ -83,32 +88,32 @@ def tier2_from_env() -> Tier2Config | None:
 QEMU = DBTConfig(
     name="qemu",
     frontend=FrontendConfig(
-        fence_policy=FencePolicy.QEMU,
         cas_policy=CasPolicy.HELPER,
+        scheme=QEMU_SCHEME,
     ),
 )
 
 NO_FENCES = DBTConfig(
     name="no-fences",
     frontend=FrontendConfig(
-        fence_policy=FencePolicy.NOFENCES,
         cas_policy=CasPolicy.HELPER,
+        scheme=NOFENCES_SCHEME,
     ),
 )
 
 TCG_VER = DBTConfig(
     name="tcg-ver",
     frontend=FrontendConfig(
-        fence_policy=FencePolicy.RISOTTO,
         cas_policy=CasPolicy.HELPER,
+        scheme=RISOTTO_SCHEME,
     ),
 )
 
 RISOTTO = DBTConfig(
     name="risotto",
     frontend=FrontendConfig(
-        fence_policy=FencePolicy.RISOTTO,
         cas_policy=CasPolicy.NATIVE,
+        scheme=RISOTTO_SCHEME,
     ),
     use_host_linker=True,
 )
@@ -116,18 +121,6 @@ RISOTTO = DBTConfig(
 VARIANTS: dict[str, DBTConfig] = {
     c.name: c for c in (QEMU, NO_FENCES, TCG_VER, RISOTTO)
 }
-
-def _nearest_policy(scheme: FenceScheme) -> FencePolicy:
-    """The legacy policy name closest to a derived scheme.
-
-    Purely cosmetic — with an explicit ``scheme`` the frontend never
-    branches on ``fence_policy`` — but keeps diagnostics readable.
-    """
-    if scheme.mfence is None:
-        return FencePolicy.NOFENCES
-    if scheme.name == "qemu":
-        return FencePolicy.QEMU
-    return FencePolicy.RISOTTO
 
 
 def scheme_variant(scheme: FenceScheme) -> DBTConfig:
@@ -140,7 +133,6 @@ def scheme_variant(scheme: FenceScheme) -> DBTConfig:
     return DBTConfig(
         name=f"most-{scheme.name}",
         frontend=FrontendConfig(
-            fence_policy=_nearest_policy(scheme),
             cas_policy=CasPolicy.NATIVE,
             scheme=scheme,
         ),

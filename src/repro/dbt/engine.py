@@ -1,7 +1,7 @@
 """The DBT execution engine (Figure 4's execution loop).
 
 ``DBTEngine`` wires the pipeline together: guest x86 bytes are decoded
-by the frontend into TCG IR (with the configured fence policy),
+by the frontend into TCG IR (with the configured fence scheme),
 optimized, lowered to Arm by the backend, encoded once into a
 relocatable form, placed in the code cache, and executed by the
 simulated host machine.  Translation happens lazily at dispatch time

@@ -1,8 +1,8 @@
 """Persistent sharded translation cache for the DBT pipeline.
 
 Translation is pure: the compiled artifact of a guest block is a
-function of the guest code bytes, the mapping scheme (fence/CAS
-policy), the optimizer pass list, and the translation code itself.
+function of the guest code bytes, the frontend config (fence scheme,
+CAS policy), the optimizer pass list, and the translation code itself.
 "On Architecture to Architecture Mapping for Concurrency" makes the
 same observation for the mapping proper — the whole pipeline is
 deterministic, hence perfectly memoizable.  Yet every
@@ -37,12 +37,13 @@ Key structure (any change misses, never corrupts):
   decoder's maximal reach, so identical windows imply identical
   decode), plus the pc itself (blocks embed absolute continuation
   targets);
-* **config** — the frontend fence/CAS policy and the optimizer pass
-  list (``DBTConfig.name`` is deliberately excluded: identically
-  configured variants share entries);
-* **code salt** — a digest of every module the artifact flows
-  through (IR, frontend, optimizer passes, backend, this module), so
-  editing the translator invalidates stale entries;
+* **config** — the frontend fence scheme and CAS policy, and the
+  optimizer pass list (``DBTConfig.name`` is deliberately excluded:
+  identically configured variants share entries);
+* **code salt** — a digest of every module the artifact depends on
+  (:data:`SALTED_MODULES`: the pipeline, the fence and scheme tables
+  it reads from ``repro.core``, the ISA encoders, this module), so
+  editing any of them invalidates stale entries;
 * **schema tag** — :data:`SCHEMA`, bumped on entry-layout changes.
 
 Entries are JSON texts; layout, atomic writes and namespaces are
@@ -64,6 +65,8 @@ keyed by the resolved directory) — see :class:`repro.store.StoreEnv`.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import inspect
 import json
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, fields
@@ -110,6 +113,22 @@ DEFAULT_MEM_ENTRIES = 4096
 #: window only risks spurious misses, never wrong hits.
 DECODE_WINDOW = 32
 
+#: Every module a translated block can depend on: the pipeline, this
+#: module, and everything they import within ``repro`` (the import
+#: closure, pinned by a guard test) except ``repro.errors`` and
+#: ``repro.obs``, which cannot change a block.  Fence strengths,
+#: schemes, origin formats and the elimination side conditions live
+#: in ``repro.core``, so those modules are salted too.
+SALTED_MODULES: tuple[str, ...] = tuple(f"repro.{name}" for name in (
+    "core.events", "core.most", "core.program", "core.transforms",
+    "isa.common", "isa.arm.insns", "isa.arm.assembler", "isa.x86.insns",
+    "tcg.ir", "tcg.frontend_x86", "tcg.optimizer",
+    "tcg.optimizer.constprop", "tcg.optimizer.memopt",
+    "tcg.optimizer.fence_merge", "tcg.optimizer.deadcode",
+    "tcg.optimizer.inline_helpers", "tcg.superblock", "tcg.backend_arm",
+    "store", "dbt.xlat_cache",
+))
+
 #: Lazily computed digest of the translation-pipeline source.
 _CODE_SALT: str | None = None
 
@@ -117,19 +136,9 @@ _CODE_SALT: str | None = None
 def _code_salt() -> str:
     global _CODE_SALT
     if _CODE_SALT is None:
-        import inspect
-        import sys
-
-        from ..tcg import backend_arm, frontend_x86, ir, superblock
-        from ..tcg.optimizer import constprop, deadcode, fence_merge, \
-            inline_helpers, memopt
-        from ..tcg import optimizer
-
         hasher = hashlib.sha256()
-        this_module = sys.modules[__name__]
-        for module in (ir, frontend_x86, optimizer, constprop, memopt,
-                       fence_merge, deadcode, inline_helpers,
-                       superblock, backend_arm, this_module):
+        for name in SALTED_MODULES:
+            module = importlib.import_module(name)
             try:
                 hasher.update(inspect.getsource(module).encode())
             except (OSError, TypeError):  # pragma: no cover - frozen
@@ -141,7 +150,7 @@ def _code_salt() -> str:
 def config_fingerprint(config) -> str:
     """Digest of what translation consumes from a ``DBTConfig``.
 
-    Covers the frontend config (fence policy, CAS policy, block limit)
+    Covers the frontend config (fence scheme, CAS policy, block limit)
     and the optimizer pass list.  The variant *name* and the host
     linker flag are excluded: neither changes a single translated
     block, so identically configured variants share entries.

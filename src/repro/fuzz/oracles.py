@@ -37,8 +37,9 @@ from random import Random
 from ..core import ARM, ARM_ORIGINAL, TCG, X86
 from ..core.enumerate import enumerate_consistent, enumerate_executions
 from ..core.enumerate import behaviors
-from ..core.events import Arch, Fence
-from ..core.mappings import ALL_MAPPINGS, _TCG_FENCE_PAIRS
+from ..core.events import TCG_FENCE_PAIRS, Arch, Fence
+from ..core.mappings import ALL_MAPPINGS, risotto_x86_to_arm_rmw1, \
+    risotto_x86_to_arm_rmw2
 from ..core.program import FenceOp, If, Load, Program, Rmw, Store
 from ..core.transforms import (
     ELIM_SAFE_RAR,
@@ -243,17 +244,15 @@ class DBTDifferentialOracle:
         # ``mapping`` pins the mapping leg to one registered mapping —
         # e.g. a table-derived ``most-*`` scheme — instead of the
         # Risotto pair.
-        from ..core import mappings as M
-        from ..core import most  # noqa: F401  (registers most-* mappings)
         if mapping is None:
             self._safe_mappings = tuple(sorted(
-                m.name for m in (M.risotto_x86_to_arm_rmw1,
-                                 M.risotto_x86_to_arm_rmw2)))
+                m.name for m in (risotto_x86_to_arm_rmw1,
+                                 risotto_x86_to_arm_rmw2)))
         else:
-            if mapping not in M.ALL_MAPPINGS:
+            if mapping not in ALL_MAPPINGS:
                 raise ReproError(
                     f"unknown mapping {mapping!r}; expected one of "
-                    f"{sorted(M.ALL_MAPPINGS)}")
+                    f"{sorted(ALL_MAPPINGS)}")
             self._safe_mappings = (mapping,)
 
     def generate(self, rng: Random) -> dict:
@@ -521,15 +520,15 @@ def _elim_applies(name: str, op, nxt, after) -> bool:
 
 
 def _mergeable(kind: Fence) -> bool:
-    return kind is Fence.FSC or kind in _TCG_FENCE_PAIRS
+    return kind in TCG_FENCE_PAIRS
 
 
 def _stronger_fences(kind: Fence) -> list[Fence]:
-    pairs = _TCG_FENCE_PAIRS.get(kind)
+    pairs = TCG_FENCE_PAIRS.get(kind)
     if pairs is None:
         return []
     return sorted(
-        (f for f, p in _TCG_FENCE_PAIRS.items()
+        (f for f, p in TCG_FENCE_PAIRS.items()
          if pairs < p),
         key=lambda f: f.value)
 
@@ -559,7 +558,7 @@ class TransformOracle:
             # Guarantee at least a merge site: append two directional
             # fences to a random thread.
             tid = rng.randrange(len(program.threads))
-            kinds = [f for f in _TCG_FENCE_PAIRS]
+            kinds = list(TCG_FENCE_PAIRS)
             extra = (FenceOp(rng.choice(kinds)),
                      FenceOp(rng.choice(kinds)))
             threads = tuple(

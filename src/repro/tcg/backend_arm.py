@@ -28,20 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..core.events import weakest_dmb
 from ..errors import TranslationError
 from ..isa.arm.assembler import LinkedCode, link
+from ..isa.arm.insns import CONDITIONS
 from ..isa.x86.insns import GPR as X86_GPR
-from .ir import (
-    Cond,
-    Const,
-    MO_LD_LD,
-    MO_LD_ST,
-    MO_ST_LD,
-    MO_ST_ST,
-    Op,
-    TCGBlock,
-    Temp,
-)
+from .ir import MO_ALL, Cond, Const, Op, TCGBlock, Temp, mask_to_pairs
 
 #: Fixed global register map.
 GUEST_REG_MAP: dict[str, str] = {
@@ -65,17 +57,17 @@ _COND_NAME: dict[Cond, str] = {
 }
 
 
+#: The DMB mnemonic for each of the 16 ``mb`` masks (``None`` for the
+#: empty one), by the same weakest-barrier rule the verified op-level
+#: lowering applies.
+_BARRIERS: tuple[str | None, ...] = (None,) + tuple(
+    weakest_dmb(mask_to_pairs(mask)).value.lower()
+    for mask in range(1, MO_ALL + 1))
+
+
 def lower_barrier(mask: int) -> str | None:
     """The weakest DMB covering a TCG_MO mask (Figure 7b)."""
-    if mask == 0:
-        return None
-    if mask & MO_ST_LD:
-        return "dmbff"
-    if mask & ~(MO_LD_LD | MO_LD_ST) == 0:
-        return "dmbld"
-    if mask & ~MO_ST_ST == 0:
-        return "dmbst"
-    return "dmbff"  # mixed (e.g. Fmw): needs the full barrier
+    return _BARRIERS[mask]
 
 
 @dataclass
@@ -264,9 +256,8 @@ class ArmBackend:
             b = operand(op.args[2], index)
             dst = operand(op.args[0], index, defining=True)
             cond = _COND_NAME[op.args[3]]
-            from ..machine.cpu import cond_index
             lines.append(f"    cmp {a}, {b}")
-            lines.append(f"    cset {dst}, #{cond_index(cond)}")
+            lines.append(f"    cset {dst}, #{CONDITIONS.index(cond)}")
             return
         if name == "brcond":
             a = operand(op.args[0], index)

@@ -1,19 +1,19 @@
 """x86 → TCG IR translation (the guest frontend).
 
 Decodes guest instructions from memory at the emulated IP and emits
-TCG ops one basic block at a time.  Memory fences come from a derived
-:class:`~repro.core.most.FenceScheme` — the concrete per-access
-placement a (source MOST table, target fence menu, placement
-discipline) triple derives — rather than hardwired policy branches.
-The legacy :class:`FencePolicy` names resolve to their table-derived
-equivalents (proven bit-identical by the golden tests):
+TCG ops one basic block at a time.  Memory fences come from the
+config's :class:`~repro.core.most.FenceScheme` — the concrete
+per-access placement a (source MOST table, target fence menu,
+placement discipline) triple derives — rather than hardwired branches.
+The paper's three schemes (proven bit-identical to the old hand-typed
+emission by the golden tests):
 
-* ``QEMU``   — Figure 2: ``Frr`` before loads, ``Fmw`` before stores
-  (the ``qemu`` scheme: TSO table, all-leading placement).
-* ``RISOTTO`` — Figure 7a: ``Frm`` *after* loads, ``Fww`` *before*
-  stores (the ``risotto`` scheme: TSO table, trailing loads).
-* ``NOFENCES`` — the incorrect performance oracle (drops the explicit
-  x86 fences too).
+* ``QEMU_SCHEME`` — Figure 2: ``Frr`` before loads, ``Fmw`` before
+  stores (TSO table, all-leading placement).
+* ``RISOTTO_SCHEME`` (the default) — Figure 7a: ``Frm`` *after* loads,
+  ``Fww`` *before* stores (TSO table, trailing loads).
+* ``NOFENCES_SCHEME`` — the incorrect performance oracle (drops the
+  explicit x86 fences too).
 
 ``CasPolicy`` selects how LOCK'd RMWs translate: ``HELPER`` is QEMU's
 call-out to a C helper (whose ordering comes from the GCC builtin);
@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..core.most import FenceScheme, scheme_for_policy
+from ..core.most import RISOTTO_SCHEME, FenceScheme
 from ..errors import TranslationError
 from ..isa.common import Imm, Insn, Mem, Reg
 from ..isa.x86.insns import BLOCK_TERMINATORS, CODER, CONDITIONAL_JUMPS
@@ -46,12 +46,6 @@ from .ir import (
 )
 
 
-class FencePolicy(enum.Enum):
-    QEMU = "qemu"
-    RISOTTO = "risotto"
-    NOFENCES = "no-fences"
-
-
 class CasPolicy(enum.Enum):
     HELPER = "helper"
     NATIVE = "native"
@@ -59,26 +53,10 @@ class CasPolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    fence_policy: FencePolicy = FencePolicy.RISOTTO
     cas_policy: CasPolicy = CasPolicy.NATIVE
     block_insn_limit: int = 64
-    #: The derived mapping scheme the frontend emits from.  ``None``
-    #: resolves to ``fence_policy``'s table-derived equivalent, so
-    #: legacy configs keep their exact emission; an explicit scheme
-    #: wins over ``fence_policy`` (which then only names the nearest
-    #: legacy policy for diagnostics).
-    scheme: FenceScheme | None = None
-
-    def __post_init__(self):
-        if self.scheme is None:
-            object.__setattr__(
-                self, "scheme",
-                scheme_for_policy(self.fence_policy.value))
-
-
-_COND_FLAG_EXPRS = {
-    # cc suffix -> closure emitting a 0/1 temp (defined in _cond_temp)
-}
+    #: The derived mapping scheme the frontend emits fences from.
+    scheme: FenceScheme = RISOTTO_SCHEME
 
 
 class X86Frontend:
@@ -128,7 +106,7 @@ class X86Frontend:
         return addr
 
     def _read(self, block: TCGBlock, operand) -> Value:
-        """Value of an operand; memory reads get policy fences."""
+        """Value of an operand; memory reads get scheme fences."""
         if isinstance(operand, Reg):
             return GUEST_REG_TEMPS[operand.name]
         if isinstance(operand, Imm):

@@ -10,7 +10,8 @@ lowered to a host instruction instead of a helper call.
 The ``TCG_MO_*`` bitmask encodes which access-pair classes a barrier
 orders, exactly like QEMU's ``tcg_mo`` flags; the correspondence with
 the paper's named fences (Frm, Fww, ...) is given by
-:func:`fence_to_mask` / :func:`mask_to_fence`.
+:func:`fence_to_mask` / :func:`mask_to_fence`, derived from
+:data:`repro.core.events.TCG_FENCE_PAIRS`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from ..core.events import Fence
+from ..core.events import ACCESS_PAIRS, TCG_FENCE_PAIRS, Fence
 from ..errors import TranslationError
 
 # ----------------------------------------------------------------------
@@ -31,19 +32,21 @@ MO_ST_LD = 0x04  # earlier stores before later loads
 MO_ST_ST = 0x08  # earlier stores before later stores
 MO_ALL = MO_LD_LD | MO_LD_ST | MO_ST_LD | MO_ST_ST
 
-#: Paper fence name <-> mask correspondence (Figure 1 / Figure 6).
+#: The bit of each ordered access pair.
+_PAIR_BITS: dict[tuple[str, str], int] = dict(
+    zip(ACCESS_PAIRS, (MO_LD_LD, MO_LD_ST, MO_ST_LD, MO_ST_ST)))
+
+#: Paper fence name -> mask (Figure 1 / Figure 6), from the pair table.
 _FENCE_MASKS: dict[Fence, int] = {
-    Fence.FRR: MO_LD_LD,
-    Fence.FRW: MO_LD_ST,
-    Fence.FRM: MO_LD_LD | MO_LD_ST,
-    Fence.FWR: MO_ST_LD,
-    Fence.FWW: MO_ST_ST,
-    Fence.FWM: MO_ST_LD | MO_ST_ST,
-    Fence.FMR: MO_LD_LD | MO_ST_LD,
-    Fence.FMW: MO_LD_ST | MO_ST_ST,
-    Fence.FMM: MO_ALL,
-    Fence.FSC: MO_ALL,
+    kind: sum(_PAIR_BITS[pair] for pair in pairs)
+    for kind, pairs in TCG_FENCE_PAIRS.items()
 }
+
+
+def mask_to_pairs(mask: int) -> frozenset[tuple[str, str]]:
+    """The access pairs a ``TCG_MO_*`` mask orders."""
+    return frozenset(pair for pair, bit in _PAIR_BITS.items()
+                     if mask & bit)
 
 
 def fence_to_mask(kind: Fence) -> int:
@@ -57,17 +60,10 @@ def mask_to_fence(mask: int) -> Fence:
     """The weakest named fence covering ``mask``."""
     if mask == 0:
         raise TranslationError("empty barrier mask has no fence name")
-    best: Fence | None = None
-    for fence, fence_mask in _FENCE_MASKS.items():
-        if fence is Fence.FSC:
-            continue
-        if mask & ~fence_mask:
-            continue
-        if best is None or bin(fence_mask).count("1") < \
-                bin(_FENCE_MASKS[best]).count("1"):
-            best = fence
-    assert best is not None  # FMM covers everything
-    return best
+    # Fmm covers everything; ties go to the first kind in table order.
+    return min((fence for fence, fence_mask in _FENCE_MASKS.items()
+                if fence is not Fence.FSC and not mask & ~fence_mask),
+               key=lambda fence: bin(_FENCE_MASKS[fence]).count("1"))
 
 
 # ----------------------------------------------------------------------

@@ -6,39 +6,50 @@ scratch temps are recognized as same-address.  On top of that:
 
 * **RAW forwarding** — a load that po-immediately follows a store to
   the same address (only pure ops and *safe* fences between) becomes a
-  ``mov`` from the stored value.  Safe fences are ``Fww``/``Fsc``-class
-  masks; forwarding across an ``Fmr``-class fence would be the FMR bug
-  of Section 3.2, so it is refused — and the Risotto frontend never
-  emits such fences anyway (Section 4.1).
+  ``mov`` from the stored value.  Safe fences are ``Fww``-class masks
+  only: forwarding across an ``Fmr``-class fence would be the FMR bug
+  of Section 3.2, and ``Fsc``, which Figure 10 does license, shares
+  its mask with the unsafe ``Fmm`` (below), so both are refused — and
+  the Risotto frontend never emits such fences anyway (Section 4.1).
 * **RAR reuse** — a load repeating an earlier load with no intervening
   store/atomic and only ``Frm``/``Fww``-safe fences becomes a ``mov``.
 * **WAW removal** — a store overwritten by a same-address store with
   nothing reading memory in between is dropped (only across
   ``Frm``-class fences, per the checker-validated safe set).
 
-Any call, atomic, or store to an unknown address invalidates
-everything (may-alias).
+A fence is safe when its mask is a subset of a licensed one: what the
+checker licenses (:data:`repro.core.transforms.ELIM_SAFE_RAR` & co.) is
+what this pass does.  Any call, atomic, or store to an unknown address
+invalidates everything (may-alias).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir import Const, MO_LD_LD, MO_LD_ST, MO_ST_LD, MO_ST_ST, Op, \
-    TCGBlock, Temp
+from ...core.transforms import ELIM_SAFE_RAR, ELIM_SAFE_RAW, \
+    ELIM_SAFE_WAW
+from ..ir import MO_ALL, Const, Op, TCGBlock, Temp, fence_to_mask
 
-#: Fence masks across which each elimination stays sound (mirrors
-#: repro.core.transforms.ELIM_SAFE_*; Frm = LD_LD|LD_ST, Fww = ST_ST).
-#:
-#: Figure 10 also licenses RAW elimination across *Fsc*, but an ``mb``
-#: op only carries a TCG_MO mask, which cannot distinguish Fsc (safe,
-#: thanks to its direct SC ordering) from Fmm (unsafe — like Fmr, the
-#: eliminated read is a codomain of its ordering rules).  Eliminations
-#: across MO_ALL masks are therefore refused: safety is not monotone in
-#: fence strength, so "stronger fence" is not "safer fence" here.
-_SAFE_RAR_MASKS = (MO_LD_LD | MO_LD_ST, MO_ST_ST)
-_SAFE_RAW_MASKS = (MO_ST_ST,)
-_SAFE_WAW_MASKS = (MO_LD_LD | MO_LD_ST,)
+
+def _licensed_masks(kinds) -> tuple[int, ...]:
+    """The masks of the checker-licensed fences ``kinds``, less the one
+    exclusion: MO_ALL.
+
+    Figure 10 licenses RAW elimination across *Fsc*, but an ``mb`` op
+    only carries a TCG_MO mask, which cannot distinguish Fsc (safe,
+    thanks to its direct SC ordering) from Fmm (unsafe — like Fmr, the
+    eliminated read is a codomain of its ordering rules).  Eliminations
+    across MO_ALL masks are therefore refused: safety is not monotone in
+    fence strength, so "stronger fence" is not "safer fence" here.
+    """
+    return tuple(sorted({fence_to_mask(kind) for kind in kinds}
+                        - {MO_ALL}))
+
+
+_SAFE_RAR_MASKS = _licensed_masks(ELIM_SAFE_RAR)
+_SAFE_RAW_MASKS = _licensed_masks(ELIM_SAFE_RAW)
+_SAFE_WAW_MASKS = _licensed_masks(ELIM_SAFE_WAW)
 
 
 Expr = tuple  # symbolic value: ("const", v) | ("global", name) | (op, ...)

@@ -97,7 +97,7 @@ class RunSpec:
     use_cache: bool = False
     # kind == "scheme" (benchmark is the derived scheme name)
     #: RMW lowering of the scheme's end-to-end mapping, per
-    #: :data:`repro.core.most.SCHEME_RMW_LOWERINGS`.
+    #: :data:`repro.core.mappings.SCHEME_RMW_LOWERINGS`.
     rmw_lowering: str = "rmw1al"
 
 
@@ -327,7 +327,7 @@ def _run_scheme(spec: RunSpec, started: float) -> RunRow:
     """
     from ..core.litmus_library import X86_CORPUS
     from ..core.models import ARM, X86
-    from ..core.most import SCHEME_EXPECTED, SCHEME_MAPPINGS
+    from ..core.mappings import SCHEME_EXPECTED, SCHEME_MAPPINGS
     from ..core.verifier import check_corpus
 
     mapping_name = f"most-{spec.benchmark}-{spec.rmw_lowering}"

@@ -174,7 +174,8 @@ def scheme_grid(schemes=None, *, enum_limit: int | None = None,
     negative controls (``expect_sound=False``) only under ``rmw1al`` —
     they exist to prove the gate trips, once each is enough.
     """
-    from ..core.most import SCHEME_RMW_LOWERINGS, SCHEMES
+    from ..core.mappings import SCHEME_RMW_LOWERINGS
+    from ..core.most import SCHEMES
     from ..errors import ReproError
     from .parallel import RunSpec
 

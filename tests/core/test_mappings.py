@@ -142,10 +142,8 @@ class TestApplyAndCompose:
             M.risotto_x86_to_tcg.then(M.risotto_x86_to_tcg)
 
     def test_registry_names_unique(self):
-        from repro.core.most import SCHEME_MAPPINGS
-
-        # 13 hand-written mappings plus the derived most-* family.
-        assert len(M.ALL_MAPPINGS) == 13 + len(SCHEME_MAPPINGS)
-        assert set(SCHEME_MAPPINGS) <= set(M.ALL_MAPPINGS)
+        # 13 paper-named mappings plus the derived most-* family.
+        assert len(M.ALL_MAPPINGS) == 13 + len(M.SCHEME_MAPPINGS) == 29
+        assert set(M.SCHEME_MAPPINGS) <= set(M.ALL_MAPPINGS)
         assert all(name == mapping.name
                    for name, mapping in M.ALL_MAPPINGS.items())

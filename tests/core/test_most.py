@@ -7,16 +7,26 @@ Three layers under test:
 * menu selection and the derivation pass — cheapest covering fence,
   pre/post slot assignment, uncoverable placements rejected;
 * the derived schemes — golden equivalence of the QEMU/RISOTTO
-  schemes with the historical hardwired placements (kinds, origins,
-  and the induced op mapping), plus the expected Theorem-1 verdict
-  for every registered (scheme × RMW lowering) pair.
+  schemes with the paper's literal Figure 2/7a placements (kinds,
+  origins, and the induced op mapping over every x86 corpus op), plus
+  the expected Theorem-1 verdict for every registered (scheme × RMW
+  lowering) pair.
 """
 
 import pytest
 
 from repro.core import mappings as M
-from repro.core.events import Arch, Fence
-from repro.core.litmus_library import MFENCE, R, W, X86_CORPUS
+from repro.core.corpus_large import verify_registry
+from repro.core.events import Arch, Fence, RmwFlavor
+from repro.core.litmus_library import R, X86_CORPUS
+from repro.core.mappings import (
+    SCHEME_EXPECTED,
+    SCHEME_MAPPINGS,
+    SCHEME_RMW_LOWERINGS,
+    expected_verdict,
+    scheme_mapping,
+    scheme_x86_to_tcg,
+)
 from repro.core.models import ARM, X86
 from repro.core.most import (
     ARM_DMB_MENU,
@@ -29,21 +39,15 @@ from repro.core.most import (
     RISOTTO_SCHEME,
     RMO_MOST,
     SC_MOST,
-    SCHEME_EXPECTED,
-    SCHEME_MAPPINGS,
-    SCHEME_RMW_LOWERINGS,
     SCHEMES,
     SOURCE_TABLES,
     Strength,
     TSO_MOST,
     derive_scheme,
     derive_slots,
-    expected_verdict,
     known_origins,
-    scheme_for_policy,
-    scheme_mapping,
-    scheme_x86_to_tcg,
 )
+from repro.core.program import FenceOp, If, Load, Rmw, Store
 from repro.core.verifier import check_corpus
 from repro.errors import MappingError
 
@@ -230,13 +234,6 @@ class TestRegisteredSchemes:
         with pytest.raises(MappingError, match="unknown scheme slot"):
             RISOTTO_SCHEME.rule("ld_mid")
 
-    def test_scheme_for_policy_round_trip(self):
-        assert scheme_for_policy("qemu") is QEMU_SCHEME
-        assert scheme_for_policy("risotto") is RISOTTO_SCHEME
-        assert scheme_for_policy("no-fences") is NOFENCES_SCHEME
-        with pytest.raises(MappingError, match="no scheme for"):
-            scheme_for_policy("fastest")
-
     def test_known_origins_cover_optimizer_tags(self):
         origins = known_origins()
         assert OPTIMIZER_ORIGINS <= origins
@@ -251,22 +248,77 @@ class TestRegisteredSchemes:
 
 
 # ----------------------------------------------------------------------
-# Schemes as op mappings: golden equivalence with the hand-written
-# mappings, and the Theorem-1 expectation matrix
+# Schemes as op mappings: golden equivalence with the paper's literal
+# rows, and the Theorem-1 expectation matrix
 # ----------------------------------------------------------------------
-SAMPLE_OPS = (R("a", "X"), W("Y", 1), MFENCE())
+#: The x86 -> TCG rows of Figure 2 (QEMU, with the Section 3.1 Frr
+#: demotion), Figure 7a (Risotto) and the no-fences oracle, written out
+#: by hand: per x86 op class, what it becomes ("op" is the access).
+FIGURE_ROWS = {
+    "qemu": {
+        Load: (FenceOp(Fence.FRR), "op"),
+        Store: (FenceOp(Fence.FMW), "op"),
+        FenceOp: (FenceOp(Fence.FSC),),
+    },
+    "risotto": {
+        Load: ("op", FenceOp(Fence.FRM)),
+        Store: (FenceOp(Fence.FWW), "op"),
+        FenceOp: (FenceOp(Fence.FSC),),
+    },
+    "no-fences": {
+        Load: ("op",),
+        Store: ("op",),
+        FenceOp: (),
+    },
+}
+
+#: Every x86 program the sharded verifier addresses (27 of them).
+X86_PROGRAMS = [test.program for test in verify_registry().values()
+                if test.program.arch is Arch.X86]
+
+
+def _x86_ops(ops):
+    for op in ops:
+        if isinstance(op, If):
+            yield from _x86_ops(op.then_ops)
+            yield from _x86_ops(op.else_ops)
+        else:
+            yield op
+
+
+def _figure_row(rows, op):
+    if isinstance(op, Rmw):
+        # Every scheme keeps the RMW as one SC TCG RMW.
+        return (Rmw(op.loc, op.expect, op.new, RmwFlavor.TCG,
+                    out=op.out),)
+    assert not isinstance(op, FenceOp) or op.kind is Fence.MFENCE
+    return tuple(op if part == "op" else part
+                 for part in rows[type(op)])
 
 
 class TestSchemeMappings:
     @pytest.mark.parametrize("scheme_name,legacy", [
-        ("qemu", M.qemu_x86_to_tcg),
-        ("risotto", M.risotto_x86_to_tcg),
-        ("no-fences", M.nofences_x86_to_tcg),
+        ("qemu", FIGURE_ROWS["qemu"]),
+        ("risotto", FIGURE_ROWS["risotto"]),
+        ("no-fences", FIGURE_ROWS["no-fences"]),
     ])
     def test_x86_to_tcg_golden(self, scheme_name, legacy):
+        """The derived mapping, under both of its names, is the
+        figure's row for every op of every x86 corpus program."""
+        assert len(X86_PROGRAMS) == 27
+        named = {"qemu": M.qemu_x86_to_tcg,
+                 "risotto": M.risotto_x86_to_tcg,
+                 "no-fences": M.nofences_x86_to_tcg}[scheme_name]
         derived = scheme_x86_to_tcg(SCHEMES[scheme_name])
-        for op in SAMPLE_OPS:
-            assert derived.map_op(op) == legacy.map_op(op)
+        checked = 0
+        for program in X86_PROGRAMS:
+            for thread in program.threads:
+                for op in _x86_ops(thread):
+                    expected = _figure_row(legacy, op)
+                    assert derived.map_op(op) == expected, op
+                    assert named.map_op(op) == expected, op
+                    checked += 1
+        assert checked > 100
 
     def test_mapping_names_and_registration(self):
         for scheme in SCHEMES.values():

@@ -21,8 +21,12 @@ from repro.core.transforms import (
     strengthen_fence,
     substitute_reg,
 )
+from repro.core.events import TCG_FENCE_PAIRS
 from repro.core.verifier import check_translation
 from repro.errors import MappingError
+from repro.tcg.ir import GUEST_REG_TEMPS, MO_ALL, Const, TCGBlock, \
+    fence_to_mask
+from repro.tcg.optimizer.memopt import memory_access_elimination
 
 
 def correct(src, tgt, model=TCG):
@@ -119,11 +123,9 @@ class TestEliminations:
 class TestFenceMerging:
     def test_frm_fww_merge_covers_both(self):
         merged = merge_fences(Fence.FRM, Fence.FWW)
-        from repro.core.mappings import _TCG_FENCE_PAIRS
-
-        union = _TCG_FENCE_PAIRS[Fence.FRM] | _TCG_FENCE_PAIRS[Fence.FWW]
-        assert union <= _TCG_FENCE_PAIRS.get(
-            merged, _TCG_FENCE_PAIRS[Fence.FMM])
+        union = TCG_FENCE_PAIRS[Fence.FRM] | TCG_FENCE_PAIRS[Fence.FWW]
+        assert union <= TCG_FENCE_PAIRS.get(
+            merged, TCG_FENCE_PAIRS[Fence.FMM])
 
     def test_fsc_absorbs(self):
         assert merge_fences(Fence.FSC, Fence.FRR) is Fence.FSC
@@ -155,6 +157,119 @@ class TestFenceMerging:
         src = with_observer(R("a", "X"), FenceOp(Fence.FMM), R("b", "Y"))
         with pytest.raises(MappingError):
             strengthen_fence(src, 0, 1, Fence.FRR)
+
+    @pytest.mark.parametrize("to", [Fence.DMBLD, Fence.MFENCE,
+                                    Fence.FREL, Fence.FRR],
+                             ids=lambda f: f.value)
+    def test_strengthening_without_pair_sets_rejected(self, to):
+        """Facq has no pair set, so no strength comparison can hold:
+        any target but Fsc must be refused, not accepted vacuously."""
+        src = with_observer(R("a", "X"), FenceOp(Fence.FACQ), R("b", "Y"))
+        with pytest.raises(MappingError, match="pair set"):
+            strengthen_fence(src, 0, 1, to)
+
+    def test_strengthening_to_fsc_still_allowed(self):
+        src = with_observer(R("a", "X"), FenceOp(Fence.FACQ), R("b", "Y"))
+        tgt = strengthen_fence(src, 0, 1, Fence.FSC)
+        assert FenceOp(Fence.FSC) in tgt.threads[0]
+
+
+# ----------------------------------------------------------------------
+# The system optimizer eliminates exactly what the checker licenses
+# ----------------------------------------------------------------------
+ELIM_SAFE = {"RAR": ELIM_SAFE_RAR, "RAW": ELIM_SAFE_RAW,
+             "WAW": ELIM_SAFE_WAW}
+
+#: The minimal IR block of each elimination: (first, second) access.
+SHAPES = {"RAR": ("ld", "ld"), "RAW": ("st", "ld"), "WAW": ("st", "st")}
+
+
+def _memopt_eliminates(elimination: str, kind: Fence) -> bool:
+    """Run memopt on ``first; mb <kind>; second`` at one address."""
+    block = TCGBlock(guest_pc=0)
+    base = GUEST_REG_TEMPS["rbx"]
+    first, second = SHAPES[elimination]
+    for access in (first, "mb", second):
+        if access == "ld":
+            block.emit("ld", block.new_temp(), base, Const(0))
+        elif access == "st":
+            block.emit("st", GUEST_REG_TEMPS["rax"], base, Const(0))
+        else:
+            block.mb(fence_to_mask(kind))
+    return memory_access_elimination(block) == 1
+
+
+def _licensed(elimination: str, kind: Fence) -> bool:
+    """The kind's mask is a subset of a checker-licensed mask other
+    than MO_ALL (which Fsc shares with the unlicensed Fmm)."""
+    mask = fence_to_mask(kind)
+    return any(mask & ~fence_to_mask(safe) == 0
+               for safe in ELIM_SAFE[elimination]
+               if fence_to_mask(safe) != MO_ALL)
+
+
+#: Kinds memopt eliminates across that ELIM_SAFE_* does not list.
+UNLISTED = [(elimination, kind)
+            for elimination in ELIM_SAFE for kind in TCG_FENCE_PAIRS
+            if _memopt_eliminates(elimination, kind)
+            and kind not in ELIM_SAFE[elimination]]
+
+
+def _contexts(elimination: str, kind: Fence):
+    """(source, thread-0 index of the first access) observer contexts
+    for a litmus-level elimination across ``kind``."""
+    f = FenceOp(kind)
+    if elimination == "RAR":
+        return [
+            (with_observer(W("X", 1), R("a", "X"), f, R("b", "X")), 1),
+            (with_observer(R("a", "X"), f, R("b", "X"), W("Y", 1)), 0),
+            (with_observer(W("Y", 1), R("a", "X"), f, R("b", "X")), 1),
+            (tcg("ctx", (R("a", "X"), f, R("b", "X"), Store("Y", "b")),
+                 (R("p", "Y"), FenceOp(Fence.FRR), R("q", "X")),
+                 (W("X", 1),)), 0),
+        ]
+    assert elimination == "WAW"
+    return [
+        (with_observer(W("X", 1), f, W("X", 2), W("Y", 1)), 0),
+        (with_observer(W("Y", 1), W("X", 1), f, W("X", 2)), 1),
+        (with_observer(R("a", "Y"), W("X", 1), f, W("X", 2)), 1),
+        (tcg("ctx", (W("X", 1), f, W("X", 2)),
+             (R("p", "X"), FenceOp(Fence.FRR), R("q", "X"))), 0),
+    ]
+
+
+class TestOptimizerAgreesWithChecker:
+    @pytest.mark.parametrize("kind", list(TCG_FENCE_PAIRS),
+                             ids=lambda f: f.value)
+    @pytest.mark.parametrize("elimination", sorted(ELIM_SAFE))
+    def test_memopt_eliminates_iff_licensed(self, elimination, kind):
+        assert _memopt_eliminates(elimination, kind) == \
+            _licensed(elimination, kind)
+
+    def test_unlisted_kinds_are_the_weaker_read_fences(self):
+        assert UNLISTED == [("RAR", Fence.FRR), ("RAR", Fence.FRW),
+                            ("WAW", Fence.FRR), ("WAW", Fence.FRW)]
+
+    @pytest.mark.parametrize("elimination,kind", UNLISTED,
+                             ids=lambda v: getattr(v, "value", v))
+    def test_unlisted_kinds_are_sound(self, elimination, kind):
+        """A kind weaker than a listed one is accepted by memopt's
+        subset test, so the checker must agree in every context."""
+        eliminate = {"RAR": eliminate_rar, "WAW": eliminate_waw}
+        for src, idx in _contexts(elimination, kind):
+            tgt = eliminate[elimination](src, 0, idx)
+            assert correct(src, tgt), (elimination, kind, src.threads)
+
+    def test_fsc_raw_refused_because_mo_all_is_also_fmm(self):
+        """Figure 10 licenses F-RAW across Fsc, but an ``mb`` carries
+        only its mask and Fsc's mask is Fmm's, which the checker does
+        not license: the optimizer must refuse the shared MO_ALL."""
+        assert Fence.FSC in ELIM_SAFE_RAW
+        assert Fence.FMM not in ELIM_SAFE_RAW
+        assert fence_to_mask(Fence.FSC) == fence_to_mask(Fence.FMM) \
+            == MO_ALL
+        assert not _memopt_eliminates("RAW", Fence.FSC)
+        assert not _memopt_eliminates("RAW", Fence.FMM)
 
 
 class TestReordering:

@@ -1,25 +1,21 @@
-"""x86 frontend tests: fence policies, CAS policies, block shapes."""
+"""x86 frontend tests: fence schemes, CAS policies, block shapes."""
 
 import pytest
 
+from repro.core.most import NOFENCES_SCHEME, QEMU_SCHEME, RISOTTO_SCHEME
 from repro.isa.x86.assembler import assemble
 from repro.machine.memory import Memory
-from repro.tcg.frontend_x86 import (
-    CasPolicy,
-    FencePolicy,
-    FrontendConfig,
-    X86Frontend,
-)
+from repro.tcg.frontend_x86 import CasPolicy, FrontendConfig, X86Frontend
 from repro.tcg.ir import MO_ALL, MO_LD_LD, MO_LD_ST, MO_ST_ST
 
 
-def translate(source, policy=FencePolicy.RISOTTO,
+def translate(source, scheme=RISOTTO_SCHEME,
               cas=CasPolicy.NATIVE, limit=64):
     assembly = assemble(source, base=0x1000)
     memory = Memory()
     memory.add_image(assembly.base, assembly.code)
     frontend = X86Frontend(FrontendConfig(
-        fence_policy=policy, cas_policy=cas, block_insn_limit=limit))
+        cas_policy=cas, block_insn_limit=limit, scheme=scheme))
     return frontend.translate_block(memory, 0x1000)
 
 
@@ -35,7 +31,7 @@ class TestFencePolicies:
     SOURCE = "mov rax, [rbx]\n mov [rbx + 8], rax\n hlt"
 
     def test_risotto_trailing_frm_leading_fww(self):
-        block = translate(self.SOURCE, FencePolicy.RISOTTO)
+        block = translate(self.SOURCE, RISOTTO_SCHEME)
         masks = fence_masks(block)
         assert masks == [MO_LD_LD | MO_LD_ST, MO_ST_ST]
         # Frm comes after the ld, Fww before the st.
@@ -44,7 +40,7 @@ class TestFencePolicies:
         assert names == ["ld", "mb", "mb", "st"]
 
     def test_qemu_leading_frr_fmw(self):
-        block = translate(self.SOURCE, FencePolicy.QEMU)
+        block = translate(self.SOURCE, QEMU_SCHEME)
         masks = fence_masks(block)
         assert masks == [MO_LD_LD, MO_LD_ST | MO_ST_ST]
         names = [op.name for op in block.ops
@@ -52,15 +48,15 @@ class TestFencePolicies:
         assert names == ["mb", "ld", "mb", "st"]
 
     def test_nofences_emits_nothing(self):
-        block = translate(self.SOURCE, FencePolicy.NOFENCES)
+        block = translate(self.SOURCE, NOFENCES_SCHEME)
         assert fence_masks(block) == []
 
     def test_mfence_full_barrier(self):
-        block = translate("mfence\n hlt", FencePolicy.RISOTTO)
+        block = translate("mfence\n hlt", RISOTTO_SCHEME)
         assert fence_masks(block) == [MO_ALL]
 
     def test_mfence_dropped_by_nofences(self):
-        block = translate("mfence\n hlt", FencePolicy.NOFENCES)
+        block = translate("mfence\n hlt", NOFENCES_SCHEME)
         assert fence_masks(block) == []
 
 

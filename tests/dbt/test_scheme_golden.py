@@ -1,9 +1,10 @@
-"""Golden equivalence: table-derived schemes vs the hardwired policies.
+"""Golden equivalence: table-derived schemes vs the hardwired emission.
 
-The frontend used to branch on ``FencePolicy`` with hand-typed masks
-and origin literals; it now emits from a derived
+The frontend used to branch on a fence-policy enum with hand-typed
+masks and origin literals; it now emits from a derived
 :class:`~repro.core.most.FenceScheme`.  ``_LegacyFrontend`` below
-replicates the removed branches verbatim, and every test proves the
+replicates the removed branches verbatim (keyed on the scheme name the
+enum value became), and every test proves the
 scheme-driven frontend is *bit-identical* to it — same op sequences,
 same fence masks, same provenance strings, same compiled Arm assembly
 — across the fig12 workload set and the fence-relevant instruction
@@ -22,19 +23,13 @@ from repro.core.most import SCHEMES, known_origins
 from repro.isa.x86.assembler import assemble
 from repro.machine.memory import Memory
 from repro.tcg.backend_arm import ArmBackend
-from repro.tcg.frontend_x86 import (
-    CasPolicy,
-    FencePolicy,
-    FrontendConfig,
-    X86Frontend,
-)
+from repro.tcg.frontend_x86 import CasPolicy, FrontendConfig, X86Frontend
 from repro.tcg.ir import MO_ALL, MO_LD_LD, MO_LD_ST, MO_ST_ST, Const
 from repro.workloads import ALL_SPECS, gen_x86_program
 
 BASE = 0x1000
 
-POLICIES = (FencePolicy.QEMU, FencePolicy.RISOTTO,
-            FencePolicy.NOFENCES)
+POLICIES = (SCHEMES["qemu"], SCHEMES["risotto"], SCHEMES["no-fences"])
 
 #: Fence-relevant x86 surface: plain loads/stores (direct and via
 #: addressing modes), the explicit fences, stack traffic (push/pop/
@@ -64,21 +59,21 @@ class _LegacyFrontend(X86Frontend):
     }
 
     def _emit_load(self, block, dst, addr):
-        policy = self.config.fence_policy
-        if policy is FencePolicy.QEMU:
+        policy = self.config.scheme.name
+        if policy == "qemu":
             block.mb(MO_LD_LD, origin="RMOV->Frr;ld")
             block.emit("ld", dst, addr, Const(0))
-        elif policy is FencePolicy.RISOTTO:
+        elif policy == "risotto":
             block.emit("ld", dst, addr, Const(0))
             block.mb(MO_LD_LD | MO_LD_ST, origin="RMOV->ld;Frm")
         else:
             block.emit("ld", dst, addr, Const(0))
 
     def _emit_store(self, block, src, addr):
-        policy = self.config.fence_policy
-        if policy is FencePolicy.QEMU:
+        policy = self.config.scheme.name
+        if policy == "qemu":
             block.mb(MO_LD_ST | MO_ST_ST, origin="WMOV->Fmw;st")
-        elif policy is FencePolicy.RISOTTO:
+        elif policy == "risotto":
             block.mb(MO_ST_ST, origin="WMOV->Fww;st")
         block.emit("st", src, addr, Const(0))
 
@@ -86,7 +81,7 @@ class _LegacyFrontend(X86Frontend):
         # Only the explicit x86 fences reach this hook: the load and
         # store paths are fully overridden above.
         assert slot in self._EXPLICIT, slot
-        if self.config.fence_policy is not FencePolicy.NOFENCES:
+        if self.config.scheme.name != "no-fences":
             mask, origin = self._EXPLICIT[slot]
             block.mb(mask, origin=origin)
 
@@ -96,7 +91,7 @@ def _translate(frontend_cls, source, policy, pc=BASE):
     memory = Memory()
     memory.add_image(assembly.base, assembly.code)
     frontend = frontend_cls(FrontendConfig(
-        fence_policy=policy, cas_policy=CasPolicy.NATIVE))
+        cas_policy=CasPolicy.NATIVE, scheme=policy))
     return frontend.translate_block(memory, pc)
 
 
@@ -125,7 +120,7 @@ def _assert_blocks_identical(source, policy, pc=BASE):
 
 class TestSnippetGoldenEquivalence:
     @pytest.mark.parametrize("policy", POLICIES,
-                             ids=lambda p: p.value)
+                             ids=lambda p: p.name)
     @pytest.mark.parametrize("snippet", sorted(SNIPPETS))
     def test_bit_identical(self, snippet, policy):
         _assert_blocks_identical(SNIPPETS[snippet], policy)
@@ -133,7 +128,7 @@ class TestSnippetGoldenEquivalence:
 
 class TestFig12GoldenEquivalence:
     @pytest.mark.parametrize("policy", POLICIES,
-                             ids=lambda p: p.value)
+                             ids=lambda p: p.name)
     @pytest.mark.parametrize("spec", ALL_SPECS,
                              ids=lambda s: s.name)
     def test_every_labelled_block(self, spec, policy):
@@ -149,7 +144,7 @@ class TestOriginRegistry:
     """Satellite 1: emitted provenance is always a registered rule."""
 
     @pytest.mark.parametrize("policy", POLICIES,
-                             ids=lambda p: p.value)
+                             ids=lambda p: p.name)
     @pytest.mark.parametrize("snippet", sorted(SNIPPETS))
     def test_snippet_origins_are_registered(self, snippet, policy):
         registered = known_origins()
@@ -173,16 +168,3 @@ class TestOriginRegistry:
             emitted = {op.origin for op in block.ops
                        if op.origin is not None}
             assert emitted <= scheme.origins(), scheme.name
-
-    def test_explicit_scheme_wins_over_policy(self):
-        """A config carrying both resolves to the explicit scheme."""
-        config = FrontendConfig(fence_policy=FencePolicy.QEMU,
-                                scheme=SCHEMES["risotto"])
-        assert config.scheme is SCHEMES["risotto"]
-
-    def test_policy_resolves_to_derived_equivalent(self):
-        for policy in POLICIES:
-            config = FrontendConfig(fence_policy=policy)
-            assert config.scheme is SCHEMES[
-                {"qemu": "qemu", "risotto": "risotto",
-                 "no-fences": "no-fences"}[policy.value]]

@@ -10,7 +10,9 @@ contract in ``tests/test_store.py``, which runs through this cache
 too.
 """
 
+import ast
 import dataclasses
+import importlib.util
 import json
 
 import pytest
@@ -67,7 +69,7 @@ class TestKeying:
         assert same != block_key(fp, 0x400008, b"\x90" * 64)
 
     def test_config_drift_invalidates(self):
-        # Different fence/CAS policies translate differently.
+        # Different fence schemes / CAS policies translate differently.
         fps = {config_fingerprint(c) for c in (QEMU, TCG_VER, RISOTTO)}
         assert len(fps) == 3
 
@@ -82,6 +84,59 @@ class TestKeying:
         before = config_fingerprint(RISOTTO)
         monkeypatch.setattr(xlat_cache, "SCHEMA", "repro-xlat/999")
         assert config_fingerprint(RISOTTO) != before
+
+    def test_code_salt_covers_the_import_closure(self):
+        """Every ``repro`` module the salted modules import, directly
+        or transitively, is salted too — an edit to any of them (a
+        fence origin format, a pair set, an elimination side condition)
+        must change the key.  Only the error types and the obs layer
+        cannot change a translated block."""
+        salted = set(xlat_cache.SALTED_MODULES)
+        closure = _import_closure(salted)
+        unsalted = sorted(
+            name for name in closure - salted
+            if name != "repro.errors" and not name.startswith("repro.obs.")
+        )
+        assert unsalted == []
+        assert {"repro.core.most", "repro.core.transforms",
+                "repro.tcg.backend_arm"} <= closure
+
+
+def _module_imports(name: str) -> set[str]:
+    """The ``repro`` modules one module's import statements name (a
+    ``from pkg import sub`` counts the submodule, not the package)."""
+    spec = importlib.util.find_spec(name)
+    is_package = spec.origin.endswith("__init__.py")
+    package = name if is_package else name.rpartition(".")[0]
+    found = set()
+    for node in ast.walk(ast.parse(open(spec.origin).read())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+            continue
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        base = package
+        for _ in range(max(node.level - 1, 0)):
+            base = base.rpartition(".")[0]
+        target = f"{base}.{node.module}" if node.level and node.module \
+            else (base if node.level else node.module)
+        for alias in node.names:
+            sub = f"{target}.{alias.name}"
+            found.add(sub if importlib.util.find_spec(target)
+                      .submodule_search_locations is not None
+                      and importlib.util.find_spec(sub) else target)
+    return {module for module in found if module.startswith("repro.")}
+
+
+def _import_closure(roots) -> set[str]:
+    seen: set[str] = set()
+    todo = list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_module_imports(name) - seen)
+    return seen
 
 
 class TestDiskLayer:

@@ -12,7 +12,7 @@ import pytest
 from repro.dbt import DBTEngine, VARIANTS
 from repro.isa.x86 import assemble
 from repro.tcg.backend_arm import lower_barrier
-from repro.tcg.ir import fence_to_mask
+from repro.tcg.ir import fence_to_mask, mask_to_fence
 from repro.core.events import Fence
 from repro.core.mappings import lower_tcg_fence
 from repro.core.program import FenceOp
@@ -176,36 +176,57 @@ class TestMappingConsistency:
         assert isinstance(op, FenceOp)
         assert op.kind.value.lower() == expected
 
+    #: Figure 7b per ``mb`` mask, written out: any store->load bit (0x4)
+    #: needs dmb ff, load-only masks take dmb ld, the store->store mask
+    #: dmb st, and every other mix dmb ff.
+    MASK_LOWERING = (None, "dmbld", "dmbld", "dmbld",
+                     "dmbff", "dmbff", "dmbff", "dmbff",
+                     "dmbst", "dmbff", "dmbff", "dmbff",
+                     "dmbff", "dmbff", "dmbff", "dmbff")
+
+    @pytest.mark.parametrize("mask", range(16))
+    def test_every_mask_matches_verified_lowering(self, mask):
+        assert lower_barrier(mask) == self.MASK_LOWERING[mask]
+        if mask:
+            # The op-level lowering of the weakest fence covering it.
+            (op,) = lower_tcg_fence(mask_to_fence(mask))
+            assert op.kind.value.lower() == self.MASK_LOWERING[mask]
+
     def test_frontend_policies_match_mapping_module(self):
-        """The frontend's per-access fences are the Figure 7a/2 rows."""
+        """The frontend's per-access fences are the Figure 7a/2 rows,
+        and the mapping module's for the same scheme."""
+        from repro.core import mappings as M
+        from repro.core.litmus_library import R, W
+        from repro.core.most import QEMU_SCHEME, RISOTTO_SCHEME
         from repro.isa.x86.assembler import assemble as asm
         from repro.machine.memory import Memory
-        from repro.tcg.frontend_x86 import (
-            FencePolicy,
-            FrontendConfig,
-            X86Frontend,
-        )
+        from repro.tcg.frontend_x86 import FrontendConfig, X86Frontend
         from repro.tcg.ir import MO_LD_LD, MO_LD_ST, MO_ST_ST
 
-        def masks(policy, source):
+        def masks(scheme, source):
             assembly = asm(source, base=0x1000)
             memory = Memory()
             memory.add_image(0x1000, assembly.code)
-            frontend = X86Frontend(FrontendConfig(fence_policy=policy))
+            frontend = X86Frontend(FrontendConfig(scheme=scheme))
             block = frontend.translate_block(memory, 0x1000)
             return [op.args[0].value for op in block.ops
                     if op.name == "mb"]
 
+        def mapped(mapping, op):
+            return [fence_to_mask(o.kind) for o in mapping.map_op(op)
+                    if isinstance(o, FenceOp)]
+
+        load, store = "mov rax, [rbx]\n hlt", "mov [rbx], rax\n hlt"
         # Figure 7a: ld; Frm / Fww; st
-        assert masks(FencePolicy.RISOTTO, "mov rax, [rbx]\n hlt") == \
-            [MO_LD_LD | MO_LD_ST]
-        assert masks(FencePolicy.RISOTTO, "mov [rbx], rax\n hlt") == \
-            [MO_ST_ST]
+        assert masks(RISOTTO_SCHEME, load) == [MO_LD_LD | MO_LD_ST] \
+            == mapped(M.risotto_x86_to_tcg, R("a", "X"))
+        assert masks(RISOTTO_SCHEME, store) == [MO_ST_ST] \
+            == mapped(M.risotto_x86_to_tcg, W("X", 1))
         # Figure 2: Frr; ld / Fmw; st
-        assert masks(FencePolicy.QEMU, "mov rax, [rbx]\n hlt") == \
-            [MO_LD_LD]
-        assert masks(FencePolicy.QEMU, "mov [rbx], rax\n hlt") == \
-            [MO_LD_ST | MO_ST_ST]
+        assert masks(QEMU_SCHEME, load) == [MO_LD_LD] \
+            == mapped(M.qemu_x86_to_tcg, R("a", "X"))
+        assert masks(QEMU_SCHEME, store) == [MO_LD_ST | MO_ST_ST] \
+            == mapped(M.qemu_x86_to_tcg, W("X", 1))
 
 
 class TestGelfThroughEngine:
