@@ -8,20 +8,18 @@ atomicity.  These predicates operate on candidate executions.
 from __future__ import annotations
 
 from .execution import Execution
-from .relations import Rel
+from .relations import union
 
 
 def sc_per_loc(ex: Execution) -> bool:
     """Coherence: ``(po|loc ∪ rf ∪ co ∪ fr)+`` is irreflexive."""
-    rel = ex.po_loc | ex.rf | ex.co | ex.fr
-    return rel.is_acyclic()
+    return union((ex.co, ex.po_loc, ex.rf, ex.fr)).is_acyclic()
 
 
 def atomicity(ex: Execution) -> bool:
     """No write intervenes inside a successful RMW:
     ``rmw ∩ (fre ; coe) = ∅``."""
-    violation = ex.rmw & (ex.fre @ ex.coe)
-    return not violation
+    return not ex.rmw or not ex.rmw & (ex.fre @ ex.coe)
 
 
 def rf_well_formed(ex: Execution) -> bool:
@@ -29,7 +27,7 @@ def rf_well_formed(ex: Execution) -> bool:
     location and value.  The enumerator guarantees this; models assert
     it cheaply so hand-built executions are caught."""
     seen: dict[int, int] = {}
-    for src, dst in ex.rf.pairs:
+    for src, dst in ex.rf:
         if dst in seen:
             return False
         seen[dst] = src
@@ -42,18 +40,17 @@ def rf_well_formed(ex: Execution) -> bool:
 
 
 def co_well_formed(ex: Execution) -> bool:
-    """Sanity: co totally orders writes per location, init first."""
+    """Sanity: co relates only same-location writes (co ⊆ ⋃ₗ Wₗ × Wₗ),
+    never points into an init write, and totally orders each
+    location's writes."""
     by_loc: dict[str, list[int]] = {}
     for eid in ex.writes:
         by_loc.setdefault(ex.events[eid].loc, []).append(eid)
-    for writes in by_loc.values():
-        per_loc = Rel(
-            (a, b) for a, b in ex.co.pairs
-            if a in writes and b in writes
-        )
-        if not per_loc.is_total_on(writes):
+    for a, b in ex.co:
+        first, second = ex.events.get(a), ex.events.get(b)
+        if first is None or second is None or not first.is_write() \
+                or not second.is_write() or first.loc != second.loc \
+                or second.is_init:
             return False
-        for a, b in ex.co.pairs:
-            if ex.events[b].is_init:
-                return False
-    return True
+    return all(ex.co.restrict(writes, writes).is_total_on(writes)
+               for writes in by_loc.values())

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING
 
 from .execution import Execution
 from .program import Program
-from .relations import Rel
+from .relations import Rel, union
 
 if TYPE_CHECKING:
     from .enumerate import EnumerationStats
@@ -101,10 +101,10 @@ class RfSearch:
         self.order = sorted(
             range(len(self.reads)),
             key=lambda i: (len(rf_options[i]), self.reads[i].eid))
-        self.edges = {loc: set(pairs)
-                      for loc, pairs in _forced_co_base(graph).items()}
+        #: Per location, the closure of the forced co edges so far; a
+        #: branch swaps in an extended copy and restores it on backtrack.
         self.closed = {loc: Rel(pairs).plus()
-                       for loc, pairs in self.edges.items()}
+                       for loc, pairs in _forced_co_base(graph).items()}
         self.choice: dict[int, int] = {}       # read eid -> source eid
         self.rmw_used: set[int] = set()
 
@@ -127,14 +127,11 @@ class RfSearch:
             if is_rmw and src in self.rmw_used:
                 stats.rf_rejected_rmw += 1
                 continue
-            new_edges = self._forced_edges(rd, src) - self.edges[loc]
-            self.edges[loc] |= new_edges
-            closure = Rel(self.edges[loc]).plus()
-            if not closure.is_irreflexive():
-                stats.rf_rejected_coherence += 1
-                self.edges[loc] -= new_edges
-                continue
             prev_closed = self.closed[loc]
+            closure = self._extend(prev_closed, rd, src)
+            if closure is None:
+                stats.rf_rejected_coherence += 1
+                continue
             self.closed[loc] = closure
             self.choice[rd.eid] = src
             if is_rmw:
@@ -149,38 +146,46 @@ class RfSearch:
                 self.rmw_used.discard(src)
             del self.choice[rd.eid]
             self.closed[loc] = prev_closed
-            self.edges[loc] -= new_edges
 
     # ------------------------------------------------------------------
-    def _forced_edges(self, rd, src) -> set:
-        """Coherence edges forced by ``rd`` observing ``src``: for every
-        same-location write V of rd's own thread, ``co(V, src)`` when V
-        is po-before rd (else fr(rd,V) cycles with po_loc) and
-        ``co(src, V)`` when V is po-after rd (else rf;po_loc;co cycles).
-        The po-after clause pins a successful RMW's source immediately
-        co-before the pair's own write."""
-        out = set()
+    def _extend(self, closed: Rel, rd, src) -> Rel | None:
+        """``closed`` plus the coherence edges forced by ``rd`` observing
+        ``src``, kept closed; None when they close a cycle.  For every
+        same-location write V of rd's own thread: ``co(V, src)`` when V
+        is po-before rd (else fr(rd,V) cycles with po_loc), ``co(src,
+        V)`` when V is po-after rd (else rf;po_loc;co cycles; this pins
+        a successful RMW's source immediately co-before its write).
+        Adding ``a -> b``: every row reaching ``a``, and ``a``'s own,
+        gains ``b`` and ``b``'s row."""
+        rows = closed.rows
         for v in self.graph.writes_by_loc[rd.loc]:
             if v.eid == src or v.tid != rd.tid:
                 continue
-            if v.idx < rd.idx:
-                out.add((v.eid, src))
-            else:
-                out.add((src, v.eid))
-        return out
+            a, b = (v.eid, src) if v.idx < rd.idx else (src, v.eid)
+            if rows.get(a, 0) >> b & 1:
+                continue
+            reach_b = rows.get(b, 0)
+            if reach_b >> a & 1:
+                return None
+            if rows is closed.rows:
+                rows = dict(rows)
+            gain, bit_a = reach_b | 1 << b, 1 << a
+            for x, row in rows.items():
+                if row & bit_a:
+                    rows[x] = row | gain
+            rows[a] = rows.get(a, 0) | gain
+        return closed if rows is closed.rows else Rel.of_rows(rows)
 
     def _precheck(self) -> bool:
         """The model's monotone precheck on the current partial
         assignment: rf over assigned reads, co the union of per-location
         forced closures."""
         graph = self.graph
-        rf = Rel((src, eid) for eid, src in self.choice.items())
-        partial_co = Rel(frozenset().union(
-            *(rel.pairs for rel in self.closed.values())
-        )) if self.closed else Rel()
         ex = Execution(
-            events=graph.events, po=graph.po, rf=rf, co=partial_co,
-            data=graph.data, ctrl=graph.ctrl, regs=graph.regs,
+            events=graph.events, po=graph.po,
+            rf=Rel((src, eid) for eid, src in self.choice.items()),
+            co=union(self.closed.values()), data=graph.data,
+            ctrl=graph.ctrl, regs=graph.regs, memo=graph.memo,
         )
         return self.model.rf_stage_consistent(ex)
 
@@ -241,20 +246,15 @@ def _tid_renamings(classes) -> list[dict[int, int]]:
     return renamings or [{}]
 
 
-def _rename_behavior(beh: frozenset, mapping: dict[int, int]):
-    """Rename the ``T<tid>:<reg>`` register keys of one behaviour under
-    a tid permutation; memory keys pass through untouched."""
-    if not mapping:
-        return beh
-    renamed = set()
-    for key, val in beh:
-        tid_part, sep, reg = key.partition(":")
-        if sep and tid_part.startswith("T") and tid_part[1:].isdigit():
-            tid = int(tid_part[1:])
-            if tid in mapping:
-                key = f"T{mapping[tid]}:{reg}"
-        renamed.add((key, val))
-    return frozenset(renamed)
+def _renamed_key(key: str, mapping: dict[int, int]) -> str:
+    """A ``T<tid>:<reg>`` register key under a tid permutation; memory
+    keys pass through untouched."""
+    tid_part, sep, reg = key.partition(":")
+    if sep and tid_part.startswith("T") and tid_part[1:].isdigit():
+        tid = int(tid_part[1:])
+        if tid in mapping:
+            return f"T{mapping[tid]}:{reg}"
+    return key
 
 
 # ----------------------------------------------------------------------
@@ -276,12 +276,14 @@ def reduced_behaviors(program: Program, model,
     """
     from . import enumerate as enumerate_mod
 
-    renamings = _tid_renamings(thread_symmetry_classes(program))
-    behaviors: set = set()
-    for ex in enumerate_mod.enumerate_consistent(
-            program, model, limit=limit, stats=stats,
-            representatives=True):
-        beh = ex.full_behavior
-        behaviors.update(_rename_behavior(beh, mapping)
-                         for mapping in renamings)
-    return frozenset(behaviors)
+    witnessed = {ex.full_behavior
+                 for ex in enumerate_mod.enumerate_consistent(
+                     program, model, limit=limit, stats=stats,
+                     representatives=True)}
+    # One key table per renaming, over every key the witnesses carry.
+    keys = {key for beh in witnessed for key, _ in beh}
+    tables = [{key: _renamed_key(key, mapping) for key in keys}
+              for mapping in _tid_renamings(
+                  thread_symmetry_classes(program))]
+    return frozenset(frozenset((table[key], val) for key, val in beh)
+                     for beh in witnessed for table in tables)

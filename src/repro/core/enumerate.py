@@ -66,7 +66,7 @@ from .events import INIT_TID, Event, Mode, RmwFlavor
 from .execution import Execution
 from .program import FenceOp, If, Load, Op, Program, Rmw, Store
 from .relations import Rel, linear_extensions, \
-    linear_extensions_with_last, total_order_extensions
+    linear_extensions_with_last, total_order_extensions, union
 
 #: Safety valve: enumeration aborts (with a clear error) past this many
 #: candidate executions, so a malformed "litmus" program cannot hang the
@@ -277,6 +277,8 @@ class _ComboGraph:
     writes_by_loc: dict[str, list[Event]]
     init_writes: dict[str, int]
     locations: list[str]
+    #: Shared by every candidate :class:`Execution` of the combo.
+    memo: dict = field(default_factory=dict)
 
 
 def _trace_sets(program: Program):
@@ -308,7 +310,7 @@ def _materialize_combo(program: Program, locations: list[str],
         init_writes[loc] = next_eid
         next_eid += 1
 
-    po_pairs: list[tuple[int, int]] = []
+    po_rows: dict[int, int] = {}
     data_pairs: list[tuple[int, int]] = []
     ctrl_pairs: list[tuple[int, int]] = []
     reg_obs: set[tuple[str, int]] = set()
@@ -326,10 +328,9 @@ def _materialize_combo(program: Program, locations: list[str],
             )
             next_eid += 1
         n = len(trace.specs)
-        po_pairs.extend(
-            (base + i, base + j)
-            for i in range(n) for j in range(i + 1, n)
-        )
+        for i in range(n - 1):
+            # Every later event of the thread.
+            po_rows[base + i] = ((1 << n) - (2 << i)) << base
         data_pairs.extend((base + a, base + b) for a, b in trace.data)
         ctrl_pairs.extend((base + a, base + b) for a, b in trace.ctrl)
         for reg, val in trace.regs.items():
@@ -343,7 +344,7 @@ def _materialize_combo(program: Program, locations: list[str],
 
     return _ComboGraph(
         events=events,
-        po=Rel(po_pairs),
+        po=Rel.of_rows(po_rows),
         data=Rel(data_pairs),
         ctrl=Rel(ctrl_pairs),
         regs=frozenset(reg_obs),
@@ -429,12 +430,10 @@ def enumerate_executions(program: Program,
                         f"{program.name}: candidate executions exceed "
                         f"limit {limit}"
                     )
-                co = Rel(frozenset().union(
-                    *(part.pairs for part in co_parts)
-                )) if co_parts else Rel()
                 yield Execution(
-                    events=graph.events, po=graph.po, rf=rf, co=co,
-                    data=graph.data, ctrl=graph.ctrl, regs=graph.regs,
+                    events=graph.events, po=graph.po, rf=rf,
+                    co=union(co_parts), data=graph.data,
+                    ctrl=graph.ctrl, regs=graph.regs,
                 )
 
 
@@ -561,17 +560,13 @@ def _coherence_groups(graph: _ComboGraph, write_ids: dict, forced: dict,
     locations = graph.locations
     if not representatives:
         yield itertools.product(*(
-            linear_extensions(write_ids[loc], forced[loc].pairs)
+            linear_extensions(write_ids[loc], forced[loc])
             for loc in locations))
         return
     class_lists = []
     for loc in locations:
-        ids = write_ids[loc]
-        closed_pairs = forced[loc].pairs
-        maximal = [
-            w for w in ids
-            if not any((w, x) in closed_pairs for x in ids)
-        ]
+        closed = forced[loc].rows
+        maximal = [w for w in write_ids[loc] if not closed.get(w)]
         by_val: dict[int, list[int]] = {}
         for w in maximal:
             by_val.setdefault(graph.events[w].val, []).append(w)
@@ -581,7 +576,7 @@ def _coherence_groups(graph: _ComboGraph, write_ids: dict, forced: dict,
         yield itertools.chain.from_iterable(
             itertools.product(*(
                 linear_extensions_with_last(
-                    write_ids[loc], forced[loc].pairs, last)
+                    write_ids[loc], forced[loc], last)
                 for loc, last in zip(locations, lasts)))
             for lasts in itertools.product(*class_choice))
 
@@ -644,13 +639,11 @@ def _search(program: Program, model, limit: int,
                             f"{program.name}: candidate executions "
                             f"exceed limit {limit}"
                         )
-                    co = Rel(frozenset().union(
-                        *(part.pairs for part in co_parts)
-                    )) if co_parts else Rel()
                     ex = Execution(
-                        events=graph.events, po=graph.po, rf=rf, co=co,
-                        data=graph.data, ctrl=graph.ctrl,
-                        regs=graph.regs,
+                        events=graph.events, po=graph.po, rf=rf,
+                        co=union(co_parts), data=graph.data,
+                        ctrl=graph.ctrl, regs=graph.regs,
+                        memo=graph.memo,
                     )
                     # rf_stage_consistent is only a monotone *precheck*
                     # — even when the forced order is already total,

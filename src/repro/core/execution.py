@@ -5,22 +5,45 @@ This realizes Section 5.1 of the paper: an execution
 variants ``rfe``/``coe``/``fre``, the ``rmw`` pairing relation, and the
 behaviour function ``Behav`` (final values of all memory locations).
 
-Dependency relations (``data``, ``addr``, ``ctrl``) are carried along
-because the Arm model orders some dependent accesses (``dob``); the x86
-and TCG models ignore them — which is exactly why TCG may legally erase
-false dependencies (Section 6.1).
+Dependency relations (``data``, ``ctrl``; the litmus AST computes no
+addresses) are carried along because the Arm model orders some
+dependent accesses (``dob``); the x86 and TCG models ignore them — which
+is exactly why TCG may legally erase false dependencies (Section 6.1).
+What depends on events/po/data/ctrl alone lives in the combo memo
+(:meth:`Execution.invariant`), shared by every candidate of one combo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import FrozenSet
 
 from .events import Event, Fence, Mode, RmwFlavor
 from .relations import Rel
 
 Behavior = FrozenSet[tuple[str, int]]
+
+
+class _cached:
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on every first access."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, ex, owner=None):
+        if ex is None:
+            return self
+        value = ex.__dict__[self.name] = self.fn(ex)
+        return value
+
+
+class _per_combo(_cached):
+    """A property fixed by the trace combo, cached in ``ex.memo``."""
+
+    def __get__(self, ex, owner=None):
+        return self if ex is None \
+            else ex.invariant(self.name, lambda: self.fn(ex))
 
 
 @dataclass
@@ -37,69 +60,72 @@ class Execution:
     rf: Rel
     co: Rel
     data: Rel = field(default_factory=Rel)
-    addr: Rel = field(default_factory=Rel)
     ctrl: Rel = field(default_factory=Rel)
     #: Final register values, as ("T<tid>:<reg>", value) pairs.  These
     #: stand in for the paper's "augment the program with additional
     #: shared variables to observe thread-local values" device, without
     #: polluting the event graph.
     regs: Behavior = frozenset()
+    #: Values fixed by events/po/data/ctrl, shared by every candidate
+    #: of one trace combo (see :meth:`invariant`).
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def invariant(self, key, compute):
+        """``compute()``, memoized under ``key`` in the combo memo: only
+        for values that depend on nothing but events/po/data/ctrl."""
+        memo = self.memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     # ------------------------------------------------------------------
     # Event classes
     # ------------------------------------------------------------------
-    @cached_property
-    def all_ids(self) -> frozenset[int]:
-        return frozenset(self.events)
-
-    @cached_property
+    @_per_combo
     def reads(self) -> frozenset[int]:
         return frozenset(e for e, ev in self.events.items() if ev.is_read())
 
-    @cached_property
+    @_per_combo
     def writes(self) -> frozenset[int]:
         return frozenset(e for e, ev in self.events.items() if ev.is_write())
 
-    @cached_property
+    @_per_combo
     def memory_events(self) -> frozenset[int]:
         return self.reads | self.writes
 
     def fences(self, *kinds: Fence) -> frozenset[int]:
         """Event ids of fences of any of the given kinds."""
-        wanted = set(kinds)
-        return frozenset(
+        return self.invariant(("fences", kinds), lambda: frozenset(
             e for e, ev in self.events.items()
-            if ev.is_fence() and ev.fence in wanted
-        )
+            if ev.is_fence() and ev.fence in kinds))
 
     def with_mode(self, kind: str, mode: Mode) -> frozenset[int]:
         """Memory events of ``kind`` ("R"/"W") carrying annotation ``mode``."""
-        return frozenset(
+        return self.invariant(("mode", kind, mode), lambda: frozenset(
             e for e, ev in self.events.items()
-            if ev.kind == kind and ev.mode == mode
-        )
+            if ev.kind == kind and ev.mode == mode))
 
-    @cached_property
+    @property
     def acquires(self) -> frozenset[int]:
         """Arm ``A`` events (acquire reads)."""
         return self.with_mode("R", Mode.ACQ)
 
-    @cached_property
+    @property
     def acquire_pcs(self) -> frozenset[int]:
         """Arm ``Q`` events (acquirePC reads, e.g. from ``ldapr``)."""
         return self.with_mode("R", Mode.ACQ_PC)
 
-    @cached_property
+    @property
     def releases(self) -> frozenset[int]:
         """Arm ``L`` events (release writes)."""
         return self.with_mode("W", Mode.REL)
 
-    @cached_property
+    @property
     def sc_reads(self) -> frozenset[int]:
         """TCG ``Rsc`` events."""
         return self.with_mode("R", Mode.SC)
 
-    @cached_property
+    @property
     def sc_writes(self) -> frozenset[int]:
         """TCG ``Wsc`` events."""
         return self.with_mode("W", Mode.SC)
@@ -107,28 +133,23 @@ class Execution:
     # ------------------------------------------------------------------
     # RMW relations
     # ------------------------------------------------------------------
-    @cached_property
+    @_per_combo
     def rmw(self) -> Rel:
         """Pairs of rmw-related (read, write) events of successful RMWs."""
-        pairs = []
-        for eid, ev in self.events.items():
-            if ev.is_read() and ev.rmw_partner is not None:
-                pairs.append((eid, ev.rmw_partner))
-        return Rel(pairs)
+        return Rel((eid, ev.rmw_partner) for eid, ev in self.events.items()
+                   if ev.is_read() and ev.rmw_partner is not None)
 
     def rmw_of_flavor(self, *flavors: RmwFlavor) -> Rel:
-        wanted = set(flavors)
-        return Rel(
-            (r, w) for r, w in self.rmw.pairs
-            if self.events[r].rmw_flavor in wanted
-        )
+        return self.invariant(("rmw", flavors), lambda: Rel(
+            (r, w) for r, w in self.rmw
+            if self.events[r].rmw_flavor in flavors))
 
-    @cached_property
+    @property
     def amo(self) -> Rel:
         """Arm single-instruction RMW pairs (``RMW1``)."""
         return self.rmw_of_flavor(RmwFlavor.AMO)
 
-    @cached_property
+    @property
     def lxsx(self) -> Rel:
         """Arm load/store-exclusive RMW pairs (``RMW2``)."""
         return self.rmw_of_flavor(RmwFlavor.LXSX)
@@ -136,40 +157,56 @@ class Execution:
     # ------------------------------------------------------------------
     # Derived communication relations
     # ------------------------------------------------------------------
-    @cached_property
+    @_cached
     def fr(self) -> Rel:
-        """from-read: ``rf^-1 ; co``."""
-        return self.rf.inv() @ self.co
+        """from-read: ``rf^-1 ; co`` — a read's row is its source's co
+        row."""
+        co, out = self.co.rows, {}
+        for src, readers in self.rf.rows.items():
+            while src in co and readers:
+                low = readers & -readers
+                rd = low.bit_length() - 1
+                out[rd] = out.get(rd, 0) | co[src]
+                readers ^= low
+        return Rel.of_rows(out)
+
+    @_per_combo
+    def _same_thread(self) -> dict[int, int]:
+        """eid -> mask of the events of its thread (the init writes
+        share one)."""
+        by_tid: dict[int, int] = {}
+        for eid, ev in self.events.items():
+            by_tid[ev.tid] = by_tid.get(ev.tid, 0) | 1 << eid
+        return {eid: by_tid[ev.tid] for eid, ev in self.events.items()}
 
     def _external(self, rel: Rel) -> Rel:
         """Strip same-thread pairs (po-related or init-involving pairs on
         the same thread never occur; externality is cross-thread)."""
-        return Rel(
-            (a, b) for a, b in rel.pairs
-            if self.events[a].tid != self.events[b].tid
-        )
+        same = self._same_thread
+        return Rel.of_rows({a: other for a, mask in rel.rows.items()
+                            if (other := mask & ~same[a])})
 
-    @cached_property
+    @_cached
     def rfe(self) -> Rel:
         return self._external(self.rf)
 
-    @cached_property
+    @_cached
     def rfi(self) -> Rel:
         return self.rf - self.rfe
 
-    @cached_property
+    @_cached
     def coe(self) -> Rel:
         return self._external(self.co)
 
-    @cached_property
+    @_cached
     def fre(self) -> Rel:
         return self._external(self.fr)
 
-    @cached_property
+    @_per_combo
     def po_loc(self) -> Rel:
         """po restricted to same-location memory accesses."""
         return Rel(
-            (a, b) for a, b in self.po.pairs
+            (a, b) for a, b in self.po
             if self.events[a].is_memory() and self.events[b].is_memory()
             and self.events[a].loc == self.events[b].loc
         )
@@ -177,18 +214,17 @@ class Execution:
     # ------------------------------------------------------------------
     # Behaviour
     # ------------------------------------------------------------------
-    @cached_property
+    @_cached
     def behavior(self) -> Behavior:
         """Final value of every location: writes with no co-successor."""
         out: dict[str, int] = {}
-        co_sources = self.co.domain()
         for eid, ev in self.events.items():
-            if ev.is_write() and eid not in co_sources:
+            if ev.is_write() and eid not in self.co.rows:
                 assert ev.loc is not None and ev.val is not None
                 out[ev.loc] = ev.val
         return frozenset(out.items())
 
-    @cached_property
+    @_cached
     def full_behavior(self) -> Behavior:
         """Memory behaviour plus observed final register values.
 
@@ -201,10 +237,6 @@ class Execution:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def identity(self, ids: frozenset[int] | set[int]) -> Rel:
-        """``[A]`` over a subset of this execution's events."""
-        return Rel.identity(ids)
-
     def describe(self) -> str:
         """Multi-line human-readable dump, for verifier witnesses."""
         lines = []

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import inspect
 
 from ..axioms import atomicity, sc_per_loc
 from ..events import Arch
 from ..execution import Execution
+from ..relations import Rel, union
 
 #: Cached per-class source digests for :meth:`MemoryModel.fingerprint`.
 _CLASS_DIGESTS: dict[type, str] = {}
 
 
-class MemoryModel(abc.ABC):
-    """A consistency predicate over candidate executions."""
+class MemoryModel:
+    """A consistency predicate over candidate executions:
+    ``common_axioms ∧ acyclic(static ∪ communication)``, with
+    :meth:`static` computed once per trace combo (memoized under the
+    model instance)."""
 
     #: Stable identifier used as a cache key.
     name: str
@@ -28,16 +31,23 @@ class MemoryModel(abc.ABC):
     #: checked relations, so a cycle found under a partial assignment
     #: persists under every extension.  The DPOR search leans on the rf
     #: half too — it runs the precheck on *partial* rf assignments to
-    #: cut whole subtrees, and its sleep sets replay rejections under
-    #: supersets of the rejecting footprint.  Set to False in a
-    #: subclass whose axioms inspect rf or co non-monotonically (e.g.
-    #: count co-maximal writes, or require a read to have *no* external
-    #: source).
+    #: cut whole subtrees.  Set to False in a subclass whose axioms
+    #: inspect rf or co non-monotonically (e.g. count co-maximal
+    #: writes, or require a read to have *no* external source).
     supports_staged: bool = True
 
-    @abc.abstractmethod
+    def static(self, ex: Execution) -> Rel:
+        raise NotImplementedError  # the rf/co-free part of the axiom
+
+    def communication(self, ex: Execution) -> tuple[Rel, ...]:
+        raise NotImplementedError  # the rf/co terms beside it
+
     def is_consistent(self, ex: Execution) -> bool:
         """True when ``ex`` satisfies every axiom of the model."""
+        if not self.common_axioms(ex):
+            return False
+        static = ex.invariant(self, lambda: self.static(ex))
+        return union((static, *self.communication(ex))).is_acyclic()
 
     def rf_stage_consistent(self, ex: Execution) -> bool:
         """Precheck for the staged/DPOR enumerators, before co (and
@@ -104,9 +114,9 @@ class SCModel(MemoryModel):
     name = "sc"
     arch = Arch.X86  # judged at any level; arch tag is informational
 
-    def is_consistent(self, ex: Execution) -> bool:
-        if not self.common_axioms(ex):
-            return False
+    def static(self, ex: Execution) -> Rel:
         mem = ex.memory_events
-        po_mem = ex.po.restrict(mem, mem)
-        return (po_mem | ex.rf | ex.co | ex.fr).is_acyclic()
+        return ex.po.restrict(mem, mem)
+
+    def communication(self, ex: Execution) -> tuple[Rel, ...]:
+        return (ex.rf, ex.co, ex.fr)

@@ -74,13 +74,13 @@ class TCGModel(MemoryModel):
         clauses.append(fsc @ po)
         return union(clauses)
 
-    def ghb(self, ex: Execution) -> Rel:
-        return union([self.ord(ex), ex.rfe, ex.coe, ex.fre])
+    static = ord
 
-    def is_consistent(self, ex: Execution) -> bool:
-        if not self.common_axioms(ex):
-            return False
-        return self.ghb(ex).is_acyclic()
+    def communication(self, ex: Execution) -> tuple[Rel, ...]:
+        return (ex.rfe, ex.coe, ex.fre)
+
+    def ghb(self, ex: Execution) -> Rel:
+        return union((self.ord(ex), *self.communication(ex)))
 
     def rf_stage_consistent(self, ex: Execution) -> bool:
         """Sound on partial co: ``ord`` is built from po, fences and

@@ -24,8 +24,8 @@ class X86Model(MemoryModel):
     name = "x86-tso"
     arch = Arch.X86
 
-    def ghb(self, ex: Execution) -> Rel:
-        """The global-happens-before relation (un-closed)."""
+    def static(self, ex: Execution) -> Rel:
+        """``implied ∪ ppo``."""
         reads, writes = ex.reads, ex.writes
         po = ex.po
         ppo = (
@@ -36,12 +36,14 @@ class X86Model(MemoryModel):
         at = ex.rmw.domain() | ex.rmw.codomain()
         barrier = Rel.identity(at | ex.fences(Fence.MFENCE))
         implied = (po @ barrier) | (barrier @ po)
-        return union([implied, ppo, ex.rfe, ex.fr, ex.co])
+        return implied | ppo
 
-    def is_consistent(self, ex: Execution) -> bool:
-        if not self.common_axioms(ex):
-            return False
-        return self.ghb(ex).is_acyclic()
+    def communication(self, ex: Execution) -> tuple[Rel, ...]:
+        return (ex.rfe, ex.fr, ex.co)
+
+    def ghb(self, ex: Execution) -> Rel:
+        """The global-happens-before relation (un-closed)."""
+        return union((self.static(ex), *self.communication(ex)))
 
     def rf_stage_consistent(self, ex: Execution) -> bool:
         """Sound on partial co: every GHB term (implied, ppo, rfe, fr,

@@ -27,7 +27,7 @@ from repro.core.dpor import (
     RfSearch,
     is_canonical,
     orbit_size,
-    _rename_behavior,
+    _renamed_key,
     _tid_renamings,
     reduced_behaviors,
     thread_symmetry_classes,
@@ -183,9 +183,9 @@ class TestThreadSymmetry:
         assert _tid_renamings(()) == [{}]
 
     def test_rename_behavior_rewrites_register_keys_only(self):
-        beh = frozenset({("T0:a", 1), ("X", 2)})
-        assert _rename_behavior(beh, {0: 1}) == \
-            frozenset({("T1:a", 1), ("X", 2)})
+        assert _renamed_key("T0:a", {0: 1}) == "T1:a"
+        assert _renamed_key("T2:a", {0: 1}) == "T2:a"
+        assert _renamed_key("X", {0: 1}) == "X"
 
     def test_iriw5_collapses_symmetric_combos(self):
         stats = EnumerationStats()

@@ -93,6 +93,22 @@ class TestDerivedRelations:
         )
         assert not co_well_formed(broken)
 
+    @pytest.mark.parametrize("edge", [
+        (2, 3),  # W X -> W Y: across locations
+        (0, 3),  # init X -> W Y: across locations
+        (2, 4),  # W -> R
+        (4, 5),  # R -> R
+    ])
+    def test_co_outside_same_location_writes_rejected(self, mp_execution,
+                                                       edge):
+        broken = Execution(
+            events=mp_execution.events,
+            po=mp_execution.po,
+            rf=mp_execution.rf,
+            co=mp_execution.co | Rel([edge]),
+        )
+        assert not co_well_formed(broken)
+
 
 class TestRmwClassification:
     def _rmw_events(self, flavor, acq=False, rel=False):

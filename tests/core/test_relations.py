@@ -1,5 +1,8 @@
 """Unit and property tests for the relational algebra."""
 
+from collections.abc import Iterable, Iterator
+from typing import FrozenSet, Tuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,3 +208,293 @@ class TestLinearExtensions:
         # partial forces 0 before 1, so 0 can never be placed last.
         assert list(
             linear_extensions_with_last([0, 1], [(0, 1)], 0)) == []
+
+
+# ----------------------------------------------------------------------
+# Differential test against the frozenset-of-pairs representation
+# ----------------------------------------------------------------------
+# The oracle is the frozenset-of-pairs Rel the bitmask rows replaced,
+# copied verbatim (renamed PairRel, its union pair_union).
+Pair = Tuple[int, int]
+
+
+class PairRel:
+    """An immutable binary relation over integer event ids.
+
+    Supports the operators used in 'cat'-style model definitions:
+
+    * ``a | b`` — union
+    * ``a & b`` — intersection
+    * ``a - b`` — difference
+    * ``a @ b`` — sequential composition (``a ; b`` in cat syntax)
+    * ``a.inv()`` — inverse (``a^-1``)
+    * ``a.plus()`` — transitive closure (``a^+``)
+    * ``a.is_irreflexive()`` / ``a.is_acyclic()``
+    """
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Iterable[Pair] = ()):
+        self.pairs: FrozenSet[Pair] = frozenset(pairs)
+
+    # ------------------------------------------------------------------
+    # Constructors
+    # ------------------------------------------------------------------
+    @staticmethod
+    def empty() -> "PairRel":
+        return _PAIR_EMPTY
+
+    @staticmethod
+    def identity(elements: Iterable[int]) -> "PairRel":
+        """``[A]`` in cat notation: the identity relation on a set."""
+        return PairRel((e, e) for e in elements)
+
+    @staticmethod
+    def cross(left: Iterable[int], right: Iterable[int]) -> "PairRel":
+        """``A * B``: full cross product of two sets."""
+        right_list = list(right)
+        return PairRel((a, b) for a in left for b in right_list)
+
+    # ------------------------------------------------------------------
+    # Algebra
+    # ------------------------------------------------------------------
+    def __or__(self, other: "PairRel") -> "PairRel":
+        return PairRel(self.pairs | other.pairs)
+
+    def __and__(self, other: "PairRel") -> "PairRel":
+        return PairRel(self.pairs & other.pairs)
+
+    def __sub__(self, other: "PairRel") -> "PairRel":
+        return PairRel(self.pairs - other.pairs)
+
+    def __matmul__(self, other: "PairRel") -> "PairRel":
+        """Sequential composition ``self ; other``."""
+        by_src: dict[int, list[int]] = {}
+        for a, b in other.pairs:
+            by_src.setdefault(a, []).append(b)
+        out: set[Pair] = set()
+        for a, b in self.pairs:
+            for c in by_src.get(b, ()):
+                out.add((a, c))
+        return PairRel(out)
+
+    def inv(self) -> "PairRel":
+        return PairRel((b, a) for a, b in self.pairs)
+
+    def plus(self) -> "PairRel":
+        """Transitive closure via worklist saturation."""
+        succ: dict[int, set[int]] = {}
+        for a, b in self.pairs:
+            succ.setdefault(a, set()).add(b)
+        closure: set[Pair] = set(self.pairs)
+        frontier = list(self.pairs)
+        while frontier:
+            a, b = frontier.pop()
+            for c in succ.get(b, ()):
+                if (a, c) not in closure:
+                    closure.add((a, c))
+                    frontier.append((a, c))
+                    succ.setdefault(a, set()).add(c)
+        return PairRel(closure)
+
+    def opt(self, elements: Iterable[int]) -> "PairRel":
+        """Reflexive closure over the given carrier set (``r?``)."""
+        return self | PairRel.identity(elements)
+
+    # ------------------------------------------------------------------
+    # Restriction and projection
+    # ------------------------------------------------------------------
+    def restrict(self, domain: Iterable[int] | None = None,
+                 codomain: Iterable[int] | None = None) -> "PairRel":
+        """Keep only pairs whose endpoints lie in the given sets."""
+        dom = set(domain) if domain is not None else None
+        cod = set(codomain) if codomain is not None else None
+        return PairRel(
+            (a, b)
+            for a, b in self.pairs
+            if (dom is None or a in dom) and (cod is None or b in cod)
+        )
+
+    def domain(self) -> FrozenSet[int]:
+        """``dom(S)``: the set of sources."""
+        return frozenset(a for a, _ in self.pairs)
+
+    def codomain(self) -> FrozenSet[int]:
+        """``codom(S)``: the set of targets."""
+        return frozenset(b for _, b in self.pairs)
+
+    # ------------------------------------------------------------------
+    # Predicates
+    # ------------------------------------------------------------------
+    def is_irreflexive(self) -> bool:
+        return all(a != b for a, b in self.pairs)
+
+    def is_acyclic(self) -> bool:
+        """True when the transitive closure is irreflexive.
+
+        Implemented as a DFS cycle check rather than materializing the
+        closure, since acyclicity is the hot predicate in consistency
+        checking.
+        """
+        succ: dict[int, list[int]] = {}
+        nodes: set[int] = set()
+        for a, b in self.pairs:
+            succ.setdefault(a, []).append(b)
+            nodes.add(a)
+            nodes.add(b)
+        WHITE, GREY, BLACK = 0, 1, 2
+        color = {n: WHITE for n in nodes}
+        for root in nodes:
+            if color[root] != WHITE:
+                continue
+            stack: list[tuple[int, Iterator[int]]] = [
+                (root, iter(succ.get(root, ())))
+            ]
+            color[root] = GREY
+            while stack:
+                node, it = stack[-1]
+                advanced = False
+                for nxt in it:
+                    if color[nxt] == GREY:
+                        return False
+                    if color[nxt] == WHITE:
+                        color[nxt] = GREY
+                        stack.append((nxt, iter(succ.get(nxt, ()))))
+                        advanced = True
+                        break
+                if not advanced:
+                    color[node] = BLACK
+                    stack.pop()
+        return True
+
+    def is_total_on(self, elements: Iterable[int]) -> bool:
+        """True when the relation totally orders ``elements``."""
+        elems = list(elements)
+        for i, a in enumerate(elems):
+            for b in elems[i + 1:]:
+                if (a, b) not in self.pairs and (b, a) not in self.pairs:
+                    return False
+        return self.is_acyclic()
+
+    # ------------------------------------------------------------------
+    # Dunder plumbing
+    # ------------------------------------------------------------------
+    def __contains__(self, pair: Pair) -> bool:
+        return pair in self.pairs
+
+    def __iter__(self) -> Iterator[Pair]:
+        return iter(sorted(self.pairs))
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __bool__(self) -> bool:
+        return bool(self.pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairRel):
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{a}->{b}" for a, b in sorted(self.pairs))
+        return f"PairRel({{{inner}}})"
+
+
+_PAIR_EMPTY = PairRel(())
+
+
+def pair_union(rels: Iterable[PairRel]) -> PairRel:
+    """N-ary union, convenient when a model has many clauses."""
+    pairs: set[Pair] = set()
+    for rel in rels:
+        pairs |= rel.pairs
+    return PairRel(pairs)
+
+
+#: Ids up to 70, so rows cross the 64-bit word boundary.
+MAX_ID = 70
+ids = st.integers(0, MAX_ID)
+pair_sets = st.frozensets(st.tuples(ids, ids), max_size=40)
+id_sets = st.frozensets(ids, max_size=12)
+
+
+def both(pairs):
+    return Rel(pairs), PairRel(pairs)
+
+
+def agree(new, old):
+    """Same relation: pairs, iteration order, len, bool and repr."""
+    assert isinstance(new, Rel)
+    assert new.pairs == old.pairs
+    assert list(new) == list(old)
+    assert len(new) == len(old)
+    assert bool(new) == bool(old)
+    assert repr(new) == repr(old).replace("PairRel", "Rel", 1)
+
+
+class TestAgainstPairOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(pair_sets, pair_sets)
+    def test_binary_operators(self, a, b):
+        (new_a, old_a), (new_b, old_b) = both(a), both(b)
+        agree(new_a | new_b, old_a | old_b)
+        agree(new_a & new_b, old_a & old_b)
+        agree(new_a - new_b, old_a - old_b)
+        agree(new_a @ new_b, old_a @ old_b)
+        agree(union([new_a, new_b, new_a]),
+              pair_union([old_a, old_b, old_a]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair_sets, id_sets, st.one_of(st.none(), id_sets),
+           st.one_of(st.none(), id_sets))
+    def test_unary_operators(self, a, elems, dom, cod):
+        new, old = both(a)
+        agree(new, old)
+        agree(new.inv(), old.inv())
+        agree(new.plus(), old.plus())
+        agree(new.opt(elems), old.opt(elems))
+        agree(new.restrict(dom, cod), old.restrict(dom, cod))
+        assert new.domain() == old.domain()
+        assert new.codomain() == old.codomain()
+        agree(Rel.identity(elems), PairRel.identity(elems))
+        agree(Rel.cross(elems, sorted(elems)[:3]),
+              PairRel.cross(elems, sorted(elems)[:3]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair_sets, id_sets, st.tuples(ids, ids))
+    def test_predicates(self, a, elems, probe):
+        new, old = both(a)
+        assert new.is_irreflexive() == old.is_irreflexive()
+        assert new.is_acyclic() == old.is_acyclic()
+        assert new.plus().is_acyclic() == old.plus().is_acyclic()
+        assert new.is_total_on(sorted(elems)) == \
+            old.is_total_on(sorted(elems))
+        assert (probe in new) == (probe in old)
+        for pair in old.pairs:
+            assert pair in new
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair_sets, pair_sets)
+    def test_equality_and_hash(self, a, b):
+        (new_a, old_a), (new_b, old_b) = both(a), both(b)
+        assert (new_a == new_b) == (old_a == old_b)
+        # Built in another order, or through the operators: equal
+        # relations hash alike.
+        again = Rel(sorted(a, reverse=True))
+        assert again == new_a and hash(again) == hash(new_a)
+        via_ops = (new_a | new_b) - (new_b - new_a)
+        assert via_ops == new_a
+        assert hash(via_ops) == hash(new_a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair_sets)
+    def test_totally_ordered_chains(self, a):
+        # Dense chains (every id) and their closures stay identical.
+        chain = [(i, i + 1) for i in range(MAX_ID)]
+        new, old = both(chain + sorted(a))
+        agree(new.plus(), old.plus())
+        assert new.is_acyclic() == old.is_acyclic()
