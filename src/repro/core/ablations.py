@@ -18,7 +18,7 @@ from . import mappings as M
 from .events import Fence
 from .mappings import OpMapping
 from .models import ARM, TCG, X86
-from .models.base import MemoryModel
+from .models import MemoryModel
 from .program import FenceOp
 from .verifier import AblationResult, ablate, drop_fences, drop_rmw_fence
 from ..errors import ModelError

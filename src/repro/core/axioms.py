@@ -1,31 +1,14 @@
-"""Consistency axioms shared by all three memory models.
-
-Section 5.2 ("Common features"): both x86 and Arm — and the proposed
-TCG IR model — enforce per-location coherence (sc-per-loc) and RMW
-atomicity.  These predicates operate on candidate executions.
-"""
+"""Well-formedness of candidate executions (the axioms every model
+shares, sc-per-loc and atomicity, are terms in :mod:`.models.terms`)."""
 
 from __future__ import annotations
 
 from .execution import Execution
-from .relations import union
-
-
-def sc_per_loc(ex: Execution) -> bool:
-    """Coherence: ``(po|loc ∪ rf ∪ co ∪ fr)+`` is irreflexive."""
-    return union((ex.co, ex.po_loc, ex.rf, ex.fr)).is_acyclic()
-
-
-def atomicity(ex: Execution) -> bool:
-    """No write intervenes inside a successful RMW:
-    ``rmw ∩ (fre ; coe) = ∅``."""
-    return not ex.rmw or not ex.rmw & (ex.fre @ ex.coe)
 
 
 def rf_well_formed(ex: Execution) -> bool:
     """Sanity: every read has exactly one rf source with matching
-    location and value.  The enumerator guarantees this; models assert
-    it cheaply so hand-built executions are caught."""
+    location and value (the enumerator guarantees it; tests check)."""
     seen: dict[int, int] = {}
     for src, dst in ex.rf:
         if dst in seen:

@@ -13,11 +13,12 @@ Key structure (any change misses, never corrupts):
   canonical ``repr`` of the (frozen) op dataclasses.  The program *name*
   is excluded: two differently-named but identical programs share
   behaviours.
-* **model** — :meth:`~repro.core.models.base.MemoryModel.fingerprint`,
-  covering class identity, class source and instance configuration.
+* **model** — :meth:`~repro.core.models.terms.MemoryModel.fingerprint`,
+  covering class identity, name, arch and the axioms' canonical text.
 * **code salt** — a digest of the source of every module the behaviour
-  computation flows through, so editing the enumerator or an axiom
-  invalidates every stale entry instead of silently serving it.
+  computation flows through (:data:`SALTED_MODULES`), so editing the
+  enumerator, the evaluator or a model invalidates every stale entry
+  instead of silently serving it.
 
 Entries are JSON texts in a :class:`repro.store.DiskStore` with no
 byte budget (behaviour sets are small and never evicted); layout,
@@ -34,6 +35,8 @@ model edits never interleave) — see :class:`repro.store.StoreEnv`.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import inspect
 import json
 
 from ..store import DiskStore, StoreEnv
@@ -48,6 +51,16 @@ cache_dir = _ENV.cache_dir
 namespace_usage = _ENV.namespace_usage
 clear_disk_cache = _ENV.clear
 
+#: Every module a behaviour set can depend on: the import closure of the
+#: enumerator and of the models it judges with (pinned by a guard test),
+#: except ``repro.errors``, ``repro.obs`` and ``repro.store``, which
+#: cannot change a behaviour.
+SALTED_MODULES: tuple[str, ...] = tuple(f"repro.core.{name}" for name in (
+    "enumerate", "dpor", "relations", "execution", "events", "program",
+    "behavior_cache", "models", "models.terms", "models.x86tso",
+    "models.armcats", "models.tcg",
+))
+
 #: Lazily computed digest of the behaviour-computation source.
 _CODE_SALT: str | None = None
 
@@ -55,15 +68,9 @@ _CODE_SALT: str | None = None
 def _code_salt() -> str:
     global _CODE_SALT
     if _CODE_SALT is None:
-        import inspect
-
-        from . import axioms, dpor, enumerate as enum_mod, events, \
-            execution, program, relations
-        from .models import armcats, base, tcg, x86tso
-
         hasher = hashlib.sha256()
-        for module in (enum_mod, dpor, relations, execution, axioms,
-                       events, program, base, x86tso, armcats, tcg):
+        for name in SALTED_MODULES:
+            module = importlib.import_module(name)
             try:
                 hasher.update(inspect.getsource(module).encode())
             except (OSError, TypeError):  # pragma: no cover - frozen envs

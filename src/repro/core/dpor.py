@@ -28,7 +28,8 @@ this module holds the three pieces that keep that walk small:
 Soundness notes (each prune, in one line):
 
 * prefix precheck — ``rf_stage_consistent`` is monotone in rf and co
-  (see :class:`~repro.core.models.base.MemoryModel`); extending an
+  whenever ``supports_staged`` holds, which the evaluator derives from
+  the axiom terms (see :mod:`repro.core.models.terms`); extending an
   assignment only grows rf and the forced co edges, so a violated
   axiom stays violated.
 * symmetry — identical thread bodies yield identical trace lists, and

@@ -42,8 +42,7 @@ class _per_combo(_cached):
     """A property fixed by the trace combo, cached in ``ex.memo``."""
 
     def __get__(self, ex, owner=None):
-        return self if ex is None \
-            else ex.invariant(self.name, lambda: self.fn(ex))
+        return self if ex is None else ex.invariant(self.name, self.fn, ex)
 
 
 @dataclass
@@ -70,12 +69,12 @@ class Execution:
     #: of one trace combo (see :meth:`invariant`).
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def invariant(self, key, compute):
-        """``compute()``, memoized under ``key`` in the combo memo: only
-        for values that depend on nothing but events/po/data/ctrl."""
+    def invariant(self, key, compute, *args):
+        """``compute(*args)``, memoized under ``key`` in the combo memo:
+        only for values that depend on nothing but events/po/data/ctrl."""
         memo = self.memo
         if key not in memo:
-            memo[key] = compute()
+            memo[key] = compute(*args)
         return memo[key]
 
     # ------------------------------------------------------------------
@@ -104,31 +103,6 @@ class Execution:
         return self.invariant(("mode", kind, mode), lambda: frozenset(
             e for e, ev in self.events.items()
             if ev.kind == kind and ev.mode == mode))
-
-    @property
-    def acquires(self) -> frozenset[int]:
-        """Arm ``A`` events (acquire reads)."""
-        return self.with_mode("R", Mode.ACQ)
-
-    @property
-    def acquire_pcs(self) -> frozenset[int]:
-        """Arm ``Q`` events (acquirePC reads, e.g. from ``ldapr``)."""
-        return self.with_mode("R", Mode.ACQ_PC)
-
-    @property
-    def releases(self) -> frozenset[int]:
-        """Arm ``L`` events (release writes)."""
-        return self.with_mode("W", Mode.REL)
-
-    @property
-    def sc_reads(self) -> frozenset[int]:
-        """TCG ``Rsc`` events."""
-        return self.with_mode("R", Mode.SC)
-
-    @property
-    def sc_writes(self) -> frozenset[int]:
-        """TCG ``Wsc`` events."""
-        return self.with_mode("W", Mode.SC)
 
     # ------------------------------------------------------------------
     # RMW relations
@@ -189,10 +163,6 @@ class Execution:
     @_cached
     def rfe(self) -> Rel:
         return self._external(self.rf)
-
-    @_cached
-    def rfi(self) -> Rel:
-        return self.rf - self.rfe
 
     @_cached
     def coe(self) -> Rel:

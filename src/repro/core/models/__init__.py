@@ -1,12 +1,8 @@
 """Axiomatic memory models: x86-TSO, Arm (Arm-Cats), and TCG IR.
 
-Each model is a stateless object with
-
-* ``name`` — stable identifier (used for caching),
-* ``arch`` — which program level it judges,
-* ``is_consistent(execution)`` — the consistency predicate.
-
-Module-level singletons are exported for convenience:
+Each model is data — a :class:`~.terms.MemoryModel` ``(name, arch,
+axioms)`` over relational terms — judged by the one evaluator in
+:mod:`.terms`:
 
 * :data:`X86` — the x86-TSO model (GHB axiom, Section 5.2),
 * :data:`ARM` — the *corrected* Arm-Cats model (Figure 5 with the green
@@ -14,20 +10,20 @@ Module-level singletons are exported for convenience:
 * :data:`ARM_ORIGINAL` — the pre-fix Arm-Cats model whose weaker amo
   ordering admits the SBAL bug of Section 3.3,
 * :data:`TCG` — the paper's proposed TCG IR model (Figure 6),
-* :data:`SC` — sequential consistency, useful as a strongest-model
-  reference in tests.
+* :data:`SC` — sequential consistency (Lamport), a strongest-model
+  reference in tests: one total order over memory events, fences inert.
 """
 
-from .base import MemoryModel, SCModel
-from .x86tso import X86Model
-from .armcats import ArmModel
-from .tcg import TCGModel
+from ..events import Arch
+from .armcats import ARM, ARM_ORIGINAL
+from .tcg import TCG
+from .terms import ATOMICITY, SC_PER_LOC, M, MemoryModel, acyclic, co, \
+    fr, po, rf, union
+from .x86tso import X86
 
-X86 = X86Model()
-ARM = ArmModel(corrected=True)
-ARM_ORIGINAL = ArmModel(corrected=False)
-TCG = TCGModel()
-SC = SCModel()
+#: Judged at any level; the arch tag is informational.
+SC = MemoryModel("sc", Arch.X86, (SC_PER_LOC, ATOMICITY,
+                                  acyclic(union(M @ po @ M, rf, co, fr))))
 
 #: Name -> singleton, for CLI/run-spec surfaces that address models by
 #: their stable cache identifier.
@@ -35,16 +31,5 @@ MODEL_BY_NAME: dict[str, MemoryModel] = {
     m.name: m for m in (X86, ARM, ARM_ORIGINAL, TCG, SC)
 }
 
-__all__ = [
-    "MemoryModel",
-    "X86Model",
-    "ArmModel",
-    "TCGModel",
-    "SCModel",
-    "X86",
-    "ARM",
-    "ARM_ORIGINAL",
-    "TCG",
-    "SC",
-    "MODEL_BY_NAME",
-]
+__all__ = ["MemoryModel", "X86", "ARM", "ARM_ORIGINAL", "TCG", "SC",
+           "MODEL_BY_NAME"]

@@ -30,7 +30,7 @@ from .enumerate import behaviors
 from .events import Fence, RmwFlavor
 from .litmus_library import LitmusTest, shows
 from .mappings import OpMapping
-from .models.base import MemoryModel
+from .models import MemoryModel
 from .program import FenceOp, If, Op, Program, Rmw
 
 

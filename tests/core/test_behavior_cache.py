@@ -29,8 +29,24 @@ from repro.core.enumerate import (
     clear_behavior_cache,
 )
 from repro.core.litmus_library import R, W, outcome, shows, x86
-from repro.core.models.armcats import ArmModel
+from repro.core.events import Arch
+from repro.core.models import armcats
+from repro.core.models.terms import ATOMICITY, SC_PER_LOC, MemoryModel, \
+    irreflexive
 from repro.store import DiskStore
+from tests.import_closure import import_closure
+
+
+def make_imposter() -> MemoryModel:
+    """The original Arm-Cats terms (the paper's SBAL bug) dressed up
+    under the corrected model's name."""
+    return MemoryModel(ARM.name, ARM.arch, ARM_ORIGINAL.axioms)
+
+
+def rebuilt_arm() -> MemoryModel:
+    """The corrected Arm-Cats model built afresh from Figure 5's terms."""
+    return MemoryModel("arm-cats", Arch.ARM,
+                       (SC_PER_LOC, ATOMICITY, irreflexive(armcats.OB)))
 
 
 @pytest.fixture
@@ -60,8 +76,7 @@ class TestModelKeyCollision:
         prog = M.armcats_intended.apply(L.SBAL.program)
         weak = outcome(X=1, Y=1, T0_a=0, T1_b=0)
 
-        imposter = ArmModel(corrected=False)
-        imposter.name = ARM.name
+        imposter = make_imposter()
         assert imposter.name == "arm-cats"
 
         corrected = behaviors(prog, ARM)          # populates the cache
@@ -73,28 +88,49 @@ class TestModelKeyCollision:
     def test_order_independent(self, no_disk):
         # Same collision with the imposter populating the cache first.
         prog = M.armcats_intended.apply(L.SBAL.program)
-        imposter = ArmModel(corrected=False)
-        imposter.name = ARM.name
+        imposter = make_imposter()
         first = behaviors(prog, imposter)
         assert behaviors(prog, ARM) != first
 
     def test_identical_config_still_shares_entries(self, no_disk):
-        # Two instances of the same class+config are the same model and
-        # must share one entry (the point of fingerprinting content).
+        # Two models with the same name, arch and terms are the same
+        # model and must share one entry (the point of fingerprinting
+        # content).
         prog = M.armcats_intended.apply(L.MP.program)
-        behaviors(prog, ArmModel(corrected=True))
+        behaviors(prog, rebuilt_arm())
         before = behavior_cache_stats()
-        behaviors(prog, ArmModel(corrected=True))
+        behaviors(prog, rebuilt_arm())
         after = behavior_cache_stats()
         assert after.hits == before.hits + 1
 
     def test_fingerprints_differ_between_variants(self):
         assert ARM.fingerprint() != ARM_ORIGINAL.fingerprint()
-        imposter = ArmModel(corrected=False)
-        imposter.name = ARM.name
+        imposter = make_imposter()
         assert imposter.fingerprint() != ARM.fingerprint()
-        assert ArmModel(corrected=True).fingerprint() == \
-            ARM.fingerprint()
+        assert rebuilt_arm().fingerprint() == ARM.fingerprint()
+
+
+class TestCodeSalt:
+    def test_code_salt_covers_the_import_closure(self):
+        """Every ``repro.core`` module the enumerator or the models
+        import, directly or transitively, is salted — a new evaluator
+        or model module cannot fall out of the salt and serve stale
+        behaviours.  Outside ``repro.core`` the closure is only the
+        error types, the obs layer and the store, none of which can
+        change a behaviour."""
+        salted = set(behavior_cache.SALTED_MODULES)
+        closure = import_closure(
+            {"repro.core.enumerate", "repro.core.models"})
+        unsalted = sorted(name for name in closure - salted
+                          if name.startswith("repro.core."))
+        assert {name for name in closure
+                if not name.startswith("repro.core.")} <= {
+            "repro.errors", "repro.store"} | {
+            name for name in closure if name.startswith("repro.obs.")}
+        assert unsalted == []
+        assert {"repro.core.models.terms", "repro.core.dpor",
+                "repro.core.behavior_cache"} <= closure
+        assert salted <= closure
 
 
 class TestProgramFingerprint:
@@ -147,8 +183,7 @@ class TestDiskLayer:
 
     def test_distinct_models_get_distinct_entries(self, disk_cache):
         prog = M.armcats_intended.apply(L.SBAL.program)
-        imposter = ArmModel(corrected=False)
-        imposter.name = ARM.name
+        imposter = make_imposter()
         corrected = behaviors(prog, ARM)
         clear_behavior_cache()
         # Imposter with the same name must not load ARM's disk entry.

@@ -41,7 +41,7 @@ from repro.core.enumerate import (
 )
 from repro.errors import ModelError
 from repro.core.litmus_library import ALL_TESTS, R, W, x86
-from repro.core.models.x86tso import X86Model
+from repro.core.models.terms import MemoryModel, co, empty, fre, rf
 from repro.core.verifier import check_annotations
 
 
@@ -226,8 +226,8 @@ class TestCoherenceClasses:
 # ----------------------------------------------------------------------
 # Bugfix regressions: the enumerator soundness fixes
 # ----------------------------------------------------------------------
-class WeakPrecheckX86(X86Model):
-    """Strictly weaker staged precheck: accepts everything.
+class WeakPrecheckX86(MemoryModel):
+    """x86-TSO with a strictly weaker staged precheck: accepts everything.
 
     A model like this is *allowed* — ``rf_stage_consistent`` is a
     monotone precheck, never exact — so the staged unique-extension
@@ -237,17 +237,18 @@ class WeakPrecheckX86(X86Model):
     behaviours whenever only one coherence order existed.
     """
 
-    name = "x86-weak-precheck"
+    def __init__(self):
+        super().__init__("x86-weak-precheck", X86.arch, X86.axioms)
 
     def rf_stage_consistent(self, ex) -> bool:
         return True
 
 
-class UnstagedX86(X86Model):
-    """An x86 judge that opts out of the staged fast path."""
-
-    name = "x86-unstaged"
-    supports_staged = False
+#: An x86 judge the staged fast path cannot take: x86-TSO plus an axiom
+#: that always holds (fre ⊆ rf⁻¹;co) but names co on the right of "-",
+#: so the evaluator derives ``supports_staged == False``.
+UNSTAGED_X86 = MemoryModel("x86-unstaged", X86.arch,
+                           (*X86.axioms, empty(fre - rf.inv() @ co)))
 
 
 class TestSoundnessFixes:
@@ -273,7 +274,7 @@ class TestSoundnessFixes:
         reset_enumeration_stats()
         behs = frozenset(
             ex.full_behavior
-            for ex in enumerate_consistent(program, UnstagedX86(),
+            for ex in enumerate_consistent(program, UNSTAGED_X86,
                                            stats=run)
         )
         assert behs == naive_behaviors(program, X86)
@@ -287,7 +288,7 @@ class TestSoundnessFixes:
     def test_unstaged_fallback_in_reduced_behaviors(self):
         program = ALL_TESTS["MP"].program
         run = EnumerationStats()
-        behs = reduced(program, UnstagedX86(), stats=run)
+        behs = reduced(program, UNSTAGED_X86, stats=run)
         assert behs == naive_behaviors(program, X86)
         assert run.executions_enumerated > 0
         assert run.consistent > 0

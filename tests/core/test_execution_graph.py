@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.axioms import atomicity, co_well_formed, rf_well_formed, \
-    sc_per_loc
+from repro.core.axioms import co_well_formed, rf_well_formed
 from repro.core.events import Event, Fence, INIT_TID, Mode, RmwFlavor
 from repro.core.execution import Execution
+from repro.core.models.terms import ATOMICITY, SC_PER_LOC, A, L, Q, \
+    evaluate
 from repro.core.relations import Rel
 
 
@@ -51,7 +52,7 @@ class TestDerivedRelations:
         ex = mp_execution
         assert (3, 4) in ex.rfe
         assert (5, 2) in ex.fre
-        assert not ex.rfi
+        assert ex.rfe == ex.rf
 
     def test_po_loc_empty_for_different_locations(self, mp_execution):
         assert not mp_execution.po_loc
@@ -72,8 +73,8 @@ class TestDerivedRelations:
     def test_well_formedness(self, mp_execution):
         assert rf_well_formed(mp_execution)
         assert co_well_formed(mp_execution)
-        assert sc_per_loc(mp_execution)
-        assert atomicity(mp_execution)
+        assert evaluate(SC_PER_LOC, mp_execution)
+        assert evaluate(ATOMICITY, mp_execution)
 
     def test_rf_wrong_value_rejected(self, mp_execution):
         broken = Execution(
@@ -144,9 +145,9 @@ class TestRmwClassification:
             rf=Rel([(0, 1)]),
             co=Rel([(0, 2)]),
         )
-        assert ex.acquires == {1}
-        assert ex.releases == {2}
-        assert not ex.acquire_pcs
+        assert evaluate(A, ex) == {1}
+        assert evaluate(L, ex) == {2}
+        assert not evaluate(Q, ex)
 
     def test_atomicity_violation_detected(self):
         # An external write between the rmw read and write.
@@ -159,4 +160,4 @@ class TestRmwClassification:
             rf=Rel([(0, 1)]),
             co=Rel([(0, 3), (3, 2), (0, 2)]),
         )
-        assert not atomicity(ex)
+        assert not evaluate(ATOMICITY, ex)

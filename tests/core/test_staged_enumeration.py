@@ -21,7 +21,7 @@ from repro.core.enumerate import (
     reset_enumeration_stats,
 )
 from repro.core.litmus_library import ALL_TESTS, CAS, R, W, x86
-from repro.core.models.base import MemoryModel
+from repro.core.models.terms import MemoryModel, co, empty, fre, rf
 from repro.core.relations import Rel, linear_extensions
 from repro.errors import ModelError
 
@@ -111,16 +111,14 @@ class TestRmwProductCut:
 
 class TestPrecheckHook:
     def test_unsupported_model_falls_back_to_naive_filter(self):
-        class Opaque(MemoryModel):
-            name = "opaque"
-            supports_staged = False
-
-            def is_consistent(self, ex):
-                return SC.is_consistent(ex)
-
+        # SC plus an axiom that always holds but names co on the right
+        # of "-": the evaluator cannot vouch for monotonicity.
+        opaque = MemoryModel("opaque", SC.arch, (
+            *SC.axioms, empty(fre - rf.inv() @ co)))
+        assert not opaque.supports_staged
         prog = ALL_TESTS["MP"].program
         staged = {ex.full_behavior
-                  for ex in enumerate_consistent(prog, Opaque())}
+                  for ex in enumerate_consistent(prog, opaque)}
         oracle = {ex.full_behavior
                   for ex in consistent_executions(prog, SC,
                                                   staged=False)}
@@ -130,30 +128,29 @@ class TestPrecheckHook:
         calls = []
 
         class Spy(MemoryModel):
-            name = "spy"
-            supports_staged = True
-
-            def is_consistent(self, ex):
-                return SC.is_consistent(ex)
-
             def rf_stage_consistent(self, ex):
                 calls.append(len(ex.co.pairs))
-                return SC.rf_stage_consistent(ex)
+                return super().rf_stage_consistent(ex)
 
         prog = ALL_TESTS["MP"].program
+        spy = Spy("spy", SC.arch, SC.axioms)
+        assert spy.supports_staged
         staged = {ex.full_behavior
-                  for ex in enumerate_consistent(prog, Spy())}
+                  for ex in enumerate_consistent(prog, spy)}
         assert calls, "rf-stage precheck never invoked"
         assert staged == {ex.full_behavior
                          for ex in consistent_executions(prog, SC,
                                                          staged=False)}
 
     def test_all_builtin_models_expose_the_hook(self):
+        # The one monotonicity check: supports_staged is derived from
+        # the terms, so an edit that puts rf or co on the right of "-"
+        # in any built-in model fails here instead of silently pruning.
         from repro.core import ARM_ORIGINAL, TCG
         prog = x86("p", (W("X", 1),))
         ex = next(enumerate_executions(prog))
         for model in (X86, ARM, ARM_ORIGINAL, TCG, SC):
-            assert model.supports_staged
+            assert model.supports_staged, model.name
             assert model.rf_stage_consistent(ex) == \
                 model.is_consistent(ex)
 

@@ -10,9 +10,7 @@ contract in ``tests/test_store.py``, which runs through this cache
 too.
 """
 
-import ast
 import dataclasses
-import importlib.util
 import json
 
 import pytest
@@ -32,6 +30,7 @@ from repro.store import DiskStore
 from repro.tcg.backend_arm import ArmBackend, CompiledBlock, HelperRequest
 from repro.tcg.optimizer import OptStats
 from repro.workloads.kernels import KernelSpec
+from tests.import_closure import import_closure
 
 TINY = KernelSpec("tiny", loads=2, stores=1, alu=2, fp=1,
                   iterations=40, threads=2, working_set=64)
@@ -92,7 +91,7 @@ class TestKeying:
         must change the key.  Only the error types and the obs layer
         cannot change a translated block."""
         salted = set(xlat_cache.SALTED_MODULES)
-        closure = _import_closure(salted)
+        closure = import_closure(salted)
         unsalted = sorted(
             name for name in closure - salted
             if name != "repro.errors" and not name.startswith("repro.obs.")
@@ -100,43 +99,6 @@ class TestKeying:
         assert unsalted == []
         assert {"repro.core.most", "repro.core.transforms",
                 "repro.tcg.backend_arm"} <= closure
-
-
-def _module_imports(name: str) -> set[str]:
-    """The ``repro`` modules one module's import statements name (a
-    ``from pkg import sub`` counts the submodule, not the package)."""
-    spec = importlib.util.find_spec(name)
-    is_package = spec.origin.endswith("__init__.py")
-    package = name if is_package else name.rpartition(".")[0]
-    found = set()
-    for node in ast.walk(ast.parse(open(spec.origin).read())):
-        if isinstance(node, ast.Import):
-            found |= {alias.name for alias in node.names}
-            continue
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        base = package
-        for _ in range(max(node.level - 1, 0)):
-            base = base.rpartition(".")[0]
-        target = f"{base}.{node.module}" if node.level and node.module \
-            else (base if node.level else node.module)
-        for alias in node.names:
-            sub = f"{target}.{alias.name}"
-            found.add(sub if importlib.util.find_spec(target)
-                      .submodule_search_locations is not None
-                      and importlib.util.find_spec(sub) else target)
-    return {module for module in found if module.startswith("repro.")}
-
-
-def _import_closure(roots) -> set[str]:
-    seen: set[str] = set()
-    todo = list(roots)
-    while todo:
-        name = todo.pop()
-        if name not in seen:
-            seen.add(name)
-            todo.extend(_module_imports(name) - seen)
-    return seen
 
 
 class TestDiskLayer:
