@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dbt import DBTEngine, VARIANTS, guest_reg
+from repro.dbt import DBTEngine, guest_reg, resolve_variant
 from repro.dbt.runtime import STACK_BASE, STACK_SIZE, guest_flag
 from repro.isa.x86 import CpuState, X86Interpreter, assemble
 from repro.isa.x86.insns import GPR
@@ -51,7 +51,7 @@ def reference_run(assembly):
 
 
 def dbt_run(assembly, variant):
-    engine = DBTEngine(VARIANTS[variant], n_cores=1)
+    engine = DBTEngine(resolve_variant(variant), n_cores=1)
     engine.load_image(assembly.base, assembly.code)
     result = engine.run(assembly.base)
     core = engine.machine.core(0)
@@ -74,6 +74,22 @@ def check_equivalence(source, variants=("qemu", "risotto"),
         for addr, value in ref_memory.words.items():
             assert memory.load_word(addr) == value, \
                 f"{variant}: [{addr:#x}]"
+
+
+#: A store, a load that reaches the same word through another base
+#: register, and a second store to the first address: the load reads
+#: the first store, so WAW must keep it.
+WAW_ALIASING_LOAD = """
+    mov rbx, rsp
+    sub rbx, 64
+    mov rdx, 7
+    mov [rbx + 8], rdx
+    mov rcx, rbx
+    add rcx, 16
+    mov rax, [rcx - 8]
+    mov rdx, 9
+    mov [rbx + 8], rdx
+"""
 
 
 class TestHandWritten:
@@ -187,6 +203,14 @@ class TestHandWritten:
             mfence
             mov rcx, [rbx]
         """)
+
+    @pytest.mark.parametrize("variant", [
+        "no-fences", "most-pso-lead", "most-rmo-bare", "most-no-fences"])
+    def test_waw_keeps_a_store_an_aliasing_load_reads(self, variant):
+        """Regression: WAW dropped the first store because the load
+        between the stores names a different base register.  Variants
+        with a fence between the accesses hid it: a fence blocks WAW."""
+        check_equivalence(WAW_ALIASING_LOAD, variants=(variant,))
 
     def test_div(self):
         check_equivalence("""
