@@ -123,8 +123,8 @@ SALTED_MODULES: tuple[str, ...] = tuple(f"repro.{name}" for name in (
     "core.events", "core.most", "core.program", "core.transforms",
     "isa.common", "isa.arm.insns", "isa.arm.assembler", "isa.x86.insns",
     "tcg.ir", "tcg.frontend_x86", "tcg.optimizer",
-    "tcg.optimizer.constprop", "tcg.optimizer.memopt",
-    "tcg.optimizer.fence_merge", "tcg.optimizer.deadcode",
+    "tcg.optimizer.forward", "tcg.optimizer.fence_merge",
+    "tcg.optimizer.deadcode",
     "tcg.optimizer.inline_helpers", "tcg.superblock", "tcg.backend_arm",
     "store", "dbt.xlat_cache",
 ))

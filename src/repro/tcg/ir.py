@@ -148,7 +148,6 @@ OP_SIGNATURES: dict[str, tuple[int, int]] = {
     "cas": (1, 3),       # old_out, base, expect, new
     "atomic_add": (1, 2),   # old_out, base, addend
     "atomic_xchg": (1, 2),  # old_out, base, new
-    "discard": (0, 1),
 }
 
 #: Ops that touch guest memory (barriers interact with exactly these).

@@ -1,12 +1,15 @@
 """TCG IR optimizer: the passes Section 5.4 / 6.1 prove correct.
 
-* constant propagation and folding (including false-dependency
-  elimination: ``x*0 -> 0`` is legal because the TCG model has no
-  dependency ordering),
-* memory-access elimination (Figure 10's RAR/RAW/WAW rules, guarded by
-  the fence side conditions *as validated by the model checker* — in
-  particular no RAW forwarding across ``Fmr``-class fences, the FMR
-  bug),
+* one forward walk (:mod:`.forward`) with two rule sets:
+
+  - constant propagation and folding (including false-dependency
+    elimination: ``x*0 -> 0`` is legal because the TCG model has no
+    dependency ordering),
+  - memory-access elimination (Figure 10's RAR/RAW/WAW rules, guarded
+    by the fence side conditions *as validated by the model checker* —
+    in particular no RAW forwarding across ``Fmr``-class fences, the
+    FMR bug),
+
 * fence merging (``Frm · Fww -> Fmm``-style, placed at the earliest
   fence, Section 6.1),
 * dead code elimination.
@@ -17,16 +20,15 @@ translation-block boundaries (the ArMOR discussion in Section 8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...obs.metrics import Counters
 from ...obs.trace import get_tracer
 from ..ir import TCGBlock
-from .constprop import constant_propagation
 from .deadcode import dead_code_elimination
 from .fence_merge import merge_fences_pass
+from .forward import forward_walk
 from .inline_helpers import inline_helpers_pass
-from .memopt import memory_access_elimination
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,10 @@ def optimize(block: TCGBlock,
     config = config or OptimizerConfig()
     stats = OptStats()
     tracer = get_tracer()
-    if config.constprop:
-        with tracer.span("opt.constprop", cat="opt",
-                         pc=block.guest_pc):
-            stats.folded = constant_propagation(block)
-    if config.memopt:
-        with tracer.span("opt.memopt", cat="opt", pc=block.guest_pc):
-            stats.mem_eliminated = memory_access_elimination(block)
+    if config.constprop or config.memopt:
+        with tracer.span("opt.forward", cat="opt", pc=block.guest_pc):
+            stats.folded, stats.mem_eliminated = forward_walk(
+                block, fold=config.constprop, eliminate=config.memopt)
     if config.fence_merge:
         with tracer.span("opt.fence_merge", cat="opt",
                          pc=block.guest_pc):
@@ -77,6 +76,16 @@ def optimize(block: TCGBlock,
                          pc=block.guest_pc):
             stats.dead_removed = dead_code_elimination(block)
     return stats
+
+
+def constant_propagation(block: TCGBlock) -> int:
+    """Fold and propagate alone; returns the number of ops folded."""
+    return forward_walk(block, fold=True, eliminate=False)[0]
+
+
+def memory_access_elimination(block: TCGBlock) -> int:
+    """RAR/RAW/WAW alone; returns the number of accesses removed."""
+    return forward_walk(block, fold=False, eliminate=True)[1]
 
 
 __all__ = [

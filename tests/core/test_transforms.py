@@ -26,7 +26,7 @@ from repro.core.verifier import check_translation
 from repro.errors import MappingError
 from repro.tcg.ir import GUEST_REG_TEMPS, MO_ALL, Const, TCGBlock, \
     fence_to_mask
-from repro.tcg.optimizer.memopt import memory_access_elimination
+from repro.tcg.optimizer import memory_access_elimination
 
 
 def correct(src, tgt, model=TCG):
