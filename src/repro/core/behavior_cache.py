@@ -35,11 +35,9 @@ model edits never interleave) — see :class:`repro.store.StoreEnv`.
 from __future__ import annotations
 
 import hashlib
-import importlib
-import inspect
 import json
 
-from ..store import DiskStore, StoreEnv
+from ..store import DiskStore, StoreEnv, code_salt
 
 ENV_VAR = "REPRO_BEHAVIOR_CACHE"
 NAMESPACE_ENV = "REPRO_BEHAVIOR_CACHE_NS"
@@ -60,23 +58,6 @@ SALTED_MODULES: tuple[str, ...] = tuple(f"repro.core.{name}" for name in (
     "behavior_cache", "models", "models.terms", "models.x86tso",
     "models.armcats", "models.tcg",
 ))
-
-#: Lazily computed digest of the behaviour-computation source.
-_CODE_SALT: str | None = None
-
-
-def _code_salt() -> str:
-    global _CODE_SALT
-    if _CODE_SALT is None:
-        hasher = hashlib.sha256()
-        for name in SALTED_MODULES:
-            module = importlib.import_module(name)
-            try:
-                hasher.update(inspect.getsource(module).encode())
-            except (OSError, TypeError):  # pragma: no cover - frozen envs
-                hasher.update(module.__name__.encode())
-        _CODE_SALT = hasher.hexdigest()
-    return _CODE_SALT
 
 
 def program_fingerprint(program) -> str:
@@ -102,7 +83,7 @@ def entry_key(program, model) -> str:
     """The combined cache key for one (program, model) pair."""
     return hashlib.sha256(
         f"{program_fingerprint(program)}|{model_fingerprint(model)}"
-        f"|{_code_salt()}".encode()).hexdigest()
+        f"|{code_salt(SALTED_MODULES)}".encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------

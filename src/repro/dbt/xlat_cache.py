@@ -65,8 +65,6 @@ keyed by the resolved directory) — see :class:`repro.store.StoreEnv`.
 from __future__ import annotations
 
 import hashlib
-import importlib
-import inspect
 import json
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, fields
@@ -75,7 +73,7 @@ from pathlib import Path
 from ..errors import AssemblerError, MachineError, TranslationError
 from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
-from ..store import DiskStore, StoreEnv
+from ..store import DiskStore, StoreEnv, code_salt
 from ..tcg.backend_arm import CompiledBlock, HelperRequest
 from ..tcg.optimizer import OptStats
 
@@ -129,23 +127,6 @@ SALTED_MODULES: tuple[str, ...] = tuple(f"repro.{name}" for name in (
     "store", "dbt.xlat_cache",
 ))
 
-#: Lazily computed digest of the translation-pipeline source.
-_CODE_SALT: str | None = None
-
-
-def _code_salt() -> str:
-    global _CODE_SALT
-    if _CODE_SALT is None:
-        hasher = hashlib.sha256()
-        for name in SALTED_MODULES:
-            module = importlib.import_module(name)
-            try:
-                hasher.update(inspect.getsource(module).encode())
-            except (OSError, TypeError):  # pragma: no cover - frozen
-                hasher.update(module.__name__.encode())
-        _CODE_SALT = hasher.hexdigest()
-    return _CODE_SALT
-
 
 def config_fingerprint(config) -> str:
     """Digest of what translation consumes from a ``DBTConfig``.
@@ -157,7 +138,8 @@ def config_fingerprint(config) -> str:
     """
     canonical = repr((config.frontend, config.optimizer))
     return hashlib.sha256(
-        f"{SCHEMA}|{canonical}|{_code_salt()}".encode()).hexdigest()
+        f"{SCHEMA}|{canonical}|{code_salt(SALTED_MODULES)}".encode()
+    ).hexdigest()
 
 
 def block_key(config_fp: str, guest_pc: int, window: bytes) -> str:

@@ -5,8 +5,9 @@ The disk level under both persistent caches
 mapping and a behaviour set are pure functions of their inputs ("On
 Architecture to Architecture Mapping for Concurrency"), so an entry
 keyed by a content fingerprint can never go stale: the store moves
-text and never interprets it, while keys, code salts, codecs and
-counters stay with the cache that owns their meaning.
+text and never interprets it, while keys, salted-module lists, codecs
+and counters stay with the cache that owns their meaning
+(:func:`code_salt` only digests a list it is given).
 
 Layout: ``<root>/[<namespace>/]<key[:2]>/<key>.json`` — sharded by the
 first two hex digits of the fingerprint, so directory fan-out stays
@@ -27,12 +28,31 @@ namespace, and :func:`namespace_usage` enumerates them all for
 
 from __future__ import annotations
 
+import hashlib
+import importlib
+import inspect
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
+
+
+@cache
+def code_salt(modules: tuple[str, ...]) -> str:
+    """sha256 over the source of ``modules``, in order: the part of a
+    cache key that changes whenever code a cached value depends on is
+    edited.  Computed once per process and module list."""
+    hasher = hashlib.sha256()
+    for name in modules:
+        module = importlib.import_module(name)
+        try:
+            hasher.update(inspect.getsource(module).encode())
+        except (OSError, TypeError):  # pragma: no cover - frozen envs
+            hasher.update(module.__name__.encode())
+    return hasher.hexdigest()
 
 
 def sanitize_namespace(raw: str) -> str:
