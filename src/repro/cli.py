@@ -260,10 +260,24 @@ def _run_specs(args):
     raise ReproError(f"unknown figure {args.figure!r}")  # unreachable
 
 
-def _cmd_run(args) -> int:
-    from .analysis import BenchTable, run_stats_footer
+def _announce_outputs(args, figure: str, **export) -> None:
+    """The sweep commands' common tail: the ``--bench-json`` export of
+    ``figure`` (``export`` is ``write_bench_json``'s keywords) when one
+    was asked for, then the environment-requested trace, each announced
+    by its path."""
     from .analysis.export import write_bench_json
     from .obs.trace import flush_env_trace
+
+    paths = [write_bench_json(args.bench_json, figure, **export)] \
+        if args.bench_json else []
+    paths.append(flush_env_trace())
+    for path in paths:
+        if path:
+            print(f"wrote {path}")
+
+
+def _cmd_run(args) -> int:
+    from .analysis import BenchTable, run_stats_footer
 
     specs = _run_specs(args)
     sweep = api.run_parallel(specs, workers=args.workers, strict=True)
@@ -280,20 +294,15 @@ def _cmd_run(args) -> int:
         print(figure15_report(series))
     if not args.no_footer:
         print(run_stats_footer(sweep, f"{args.figure} harness stats"))
-    if args.bench_json:
-        path = write_bench_json(
-            args.bench_json, args.figure, table=table, sweep=sweep,
-            config={
-                "benchmarks": sorted({s.benchmark for s in specs}),
-                "variants": sorted({s.variant for s in specs}),
-                "iterations": args.iterations,
-                "seed": args.seed,
-                "tier2_threshold": args.tier2_threshold,
-            })
-        print(f"wrote {path}")
-    trace_path = flush_env_trace()
-    if trace_path:
-        print(f"wrote {trace_path}")
+    _announce_outputs(
+        args, args.figure, table=table, sweep=sweep,
+        config={
+            "benchmarks": sorted({s.benchmark for s in specs}),
+            "variants": sorted({s.variant for s in specs}),
+            "iterations": args.iterations,
+            "seed": args.seed,
+            "tier2_threshold": args.tier2_threshold,
+        })
     return 0
 
 
@@ -382,7 +391,6 @@ def _cmd_schemes(args) -> int:
     control means the checker lost its teeth, and fails the gate too.
     """
     from .analysis import run_stats_footer
-    from .analysis.export import write_bench_json
 
     names = None if args.schemes == "all" else _csv(args.schemes)
     specs = api.scheme_grid(names, enum_limit=args.enum_limit)
@@ -423,24 +431,18 @@ def _cmd_schemes(args) -> int:
     lines.append(run_stats_footer(sweep, "scheme-matrix stats"))
     print("\n".join(lines))
 
-    if args.bench_json:
-        path = write_bench_json(
-            args.bench_json, "schemes", sweep=sweep,
-            config={
-                "schemes": [spec.benchmark for spec in specs],
-                "rmw_lowerings": [spec.rmw_lowering for spec in specs],
-                "enum_limit": args.enum_limit,
-            },
-            extra={
-                "gate_failures": failures,
-                "verdicts": rows_extra,
-            },
-            record=args.record)
-        print(f"wrote {path}")
-    from .obs.trace import flush_env_trace
-    trace_path = flush_env_trace()
-    if trace_path:
-        print(f"wrote {trace_path}")
+    _announce_outputs(
+        args, "schemes", sweep=sweep,
+        config={
+            "schemes": [spec.benchmark for spec in specs],
+            "rmw_lowerings": [spec.rmw_lowering for spec in specs],
+            "enum_limit": args.enum_limit,
+        },
+        extra={
+            "gate_failures": failures,
+            "verdicts": rows_extra,
+        },
+        record=args.record)
     if failures:
         print(f"FAIL: {failures} scheme cell(s) off their expected "
               f"Theorem-1 verdict", file=sys.stderr)
@@ -451,13 +453,20 @@ def _cmd_schemes(args) -> int:
 def _cmd_verify(args) -> int:
     import os
 
-    from .analysis.export import write_bench_json
     from .analysis.stats import aggregate_sweep
+    from .core import behavior_cache
+    from .store import sanitize_namespace
 
     if args.schemes is not None:
         return _cmd_schemes(args)
     if args.cache_ns:
-        os.environ["REPRO_BEHAVIOR_CACHE_NS"] = args.cache_ns
+        # The store would sanitize a bad name into another namespace
+        # (".." into the shared root), so refuse it instead.
+        if args.cache_ns != sanitize_namespace(args.cache_ns):
+            raise ReproError(
+                f"--cache-ns {args.cache_ns!r} is not a namespace: use "
+                f"[A-Za-z0-9._-], and not only dots")
+        os.environ[behavior_cache.NAMESPACE_ENV] = args.cache_ns
     models = _csv(args.models) or ("x86-tso",)
     unknown = set(models) - set(api.MODEL_BY_NAME)
     if unknown:
@@ -477,32 +486,26 @@ def _cmd_verify(args) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(report + "\n")
         print(f"wrote {path}")
-    if args.bench_json:
-        path = write_bench_json(
-            args.bench_json, "verify", sweep=sweep,
-            config={
-                "reduction": args.reduction,
-                "models": list(models),
-                "tests": [spec.benchmark for spec in specs],
-                "enum_limit": args.enum_limit,
-                "use_cache": bool(args.use_cache),
+    _announce_outputs(
+        args, "verify", sweep=sweep,
+        config={
+            "reduction": args.reduction,
+            "models": list(models),
+            "tests": [spec.benchmark for spec in specs],
+            "enum_limit": args.enum_limit,
+            "use_cache": bool(args.use_cache),
+        },
+        extra={
+            "reduction": args.reduction,
+            "models": list(models),
+            "tests": [spec.benchmark for spec in specs],
+            "pruned_fraction": stats.enum_pruned_fraction,
+            "behavior_digests": {
+                f"{row.benchmark}|{row.variant}": list(row.payload)
+                for row in sweep
             },
-            extra={
-                "reduction": args.reduction,
-                "models": list(models),
-                "tests": [spec.benchmark for spec in specs],
-                "pruned_fraction": stats.enum_pruned_fraction,
-                "behavior_digests": {
-                    f"{row.benchmark}|{row.variant}": list(row.payload)
-                    for row in sweep
-                },
-            },
-            record=args.record)
-        print(f"wrote {path}")
-    from .obs.trace import flush_env_trace
-    trace_path = flush_env_trace()
-    if trace_path:
-        print(f"wrote {trace_path}")
+        },
+        record=args.record)
     return 0
 
 

@@ -290,6 +290,35 @@ class TestDelegatedHelp:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestVerifyCacheNamespace:
+    @pytest.fixture()
+    def ns_env(self, cache_env, monkeypatch):
+        from repro.core import behavior_cache
+        from repro.core.enumerate import clear_behavior_cache
+        # Recorded so the variable the command sets is undone after.
+        monkeypatch.setenv(behavior_cache.NAMESPACE_ENV, "")
+        # A memo hit would never reach the disk layer.
+        clear_behavior_cache()
+        return cache_env / "behaviors"
+
+    @pytest.mark.parametrize("name", ["..", "a/b"])
+    def test_a_name_the_store_would_rewrite_is_refused(self, ns_env,
+                                                       name):
+        from repro.errors import ReproError
+        with pytest.raises(ReproError, match=r"\[A-Za-z0-9\._-\]"):
+            main(["verify", "--tests", "MP", "--workers", "1",
+                  "--use-cache", "--cache-ns", name])
+        assert not ns_env.exists()
+
+    def test_a_valid_name_gets_its_own_directory(self, ns_env, capsys):
+        from repro.store import DiskStore
+        assert main(["verify", "--tests", "MP", "--workers", "1",
+                     "--use-cache", "--cache-ns", "tenant.v1"]) == 0
+        capsys.readouterr()
+        assert DiskStore(ns_env / "tenant.v1").entries()
+        assert not DiskStore(ns_env).entries()
+
+
 class TestSchemeMatrix:
     def test_schemes_sweep_passes_and_exports(self, cache_env,
                                               tmp_path, capsys):
