@@ -21,7 +21,7 @@ Three rules hold across the surface:
   readable and argument order can never silently swap;
 * **re-exports are the implementation** — classes and grid builders
   come straight from their home modules (one definition, one identity:
-  ``api.RunSpec is repro.workloads.RunSpec``); only the run functions
+  ``api.JobSpec is repro.workloads.JobSpec``); only the run functions
   are thin signature-normalizing wrappers.
 
 The facade is additive: the underlying modules remain importable and
@@ -67,15 +67,7 @@ from .dbt.xlat_cache import (
     reset_memory as reset_xlat_memory,
 )
 from .errors import ErrorInfo, JobError, ReproError, classify_error
-from .serve.jobs import (
-    JOB_SCHEMA,
-    JobResult,
-    JobSpec,
-    cas_job,
-    execute_job as _execute_job,
-    kernel_job,
-    library_job,
-)
+from .serve.jobs import JobResult, execute_job as _execute_job
 from .machine.timing import CostModel
 from .obs.flame import collapsed_stacks, write_collapsed
 from .obs.history import (
@@ -90,23 +82,28 @@ from .obs.sentinel import check_payload, load_floors
 from .machine.weakmem import BufferMode
 from .workloads import (
     ALL_SPECS,
+    JOB_SCHEMA,
     gen_arm_program,
     gen_x86_program,
     PARSEC_SPECS,
     PHOENIX_SPECS,
     SPEC_BY_NAME,
+    JobSpec,
     KernelSpec,
+    LitmusSpec,
     RunFailure,
     RunRow,
-    RunSpec,
     SweepResult,
     WorkloadResult,
     ablation_grid,
     cas_grid,
+    cas_job,
     default_workers,
     execute_spec,
     kernel_grid,
+    kernel_job,
     library_grid,
+    library_job,
     run_parallel,
     scheme_grid,
     verify_grid,
@@ -128,7 +125,7 @@ __all__ = [
     "run_kernel", "run_library_workload", "run_cas_benchmark",
     "make_engine",
     # sweep harness
-    "RunSpec", "RunRow", "RunFailure", "SweepResult", "run_parallel",
+    "LitmusSpec", "RunRow", "RunFailure", "SweepResult", "run_parallel",
     "execute_spec", "default_workers", "deterministic_row",
     # workload building blocks
     "KernelSpec", "CasConfig", "WorkloadResult", "RunResult",

@@ -1,20 +1,16 @@
-"""Typed job schema for translation-as-a-service.
+"""Typed results for translation-as-a-service.
 
-A :class:`JobSpec` is the canonical description of one run — what
-``api.run_kernel`` / ``run_library_workload`` / ``run_cas_benchmark``
-used to take as argument lists — and a :class:`JobResult` the typed
-response.  Both carry JSON codecs under the :data:`JOB_SCHEMA` tag, so
-the same objects travel through a local ``api.submit(job)`` call and
-over the serve socket protocol, and a served run is bit-identical to a
-direct one (the job *is* the run description; there is nothing else to
-diverge on).
+A job is a :class:`~repro.workloads.jobspec.JobSpec` — the one
+machine-run description, which sweeps run too — and a
+:class:`JobResult` the typed response.  The result carries a JSON
+codec under the same :data:`JOB_SCHEMA` tag, so the same objects travel
+through a local ``api.submit(job)`` call and over the serve socket
+protocol, and a served run is bit-identical to a direct one.
 
-Tenancy: ``namespace`` scopes both persistent caches
-(``REPRO_XLAT_CACHE_NS`` + ``REPRO_BEHAVIOR_CACHE_NS``) for the
-duration of the run via :func:`scoped_namespace`, so concurrent
-clients never read each other's cache entries.  An empty namespace
-inherits the executing process's environment unchanged — the local
-``api.run_*`` wrappers therefore behave exactly as before.
+A result's measured fields are copied by name from the run's
+:class:`~repro.workloads.parallel.RunRow`, the row a sweep gets for the
+same job (:func:`~repro.workloads.parallel.run_job_row`), so a sweep
+cell and a job cannot report different numbers for one run.
 
 Failures never cross a boundary as tracebacks: :func:`run_job` maps
 any exception through :func:`repro.errors.classify_error` into the
@@ -23,160 +19,22 @@ result's typed :class:`~repro.errors.ErrorInfo`.
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from ..core import behavior_cache
-from ..dbt import xlat_cache
 from ..errors import ErrorInfo, JobError, classify_error
-from ..machine.timing import CostModel
-from ..machine.weakmem import BufferMode
-from ..store import sanitize_namespace
-from ..workloads.casbench import CasConfig
-from ..workloads.kernels import KernelSpec
-from ..workloads.runner import WorkloadResult, run_workload
-
-#: Wire-format version; both sides check it and reject mismatches.
-JOB_SCHEMA = "repro-serve/1"
-
-#: The job kinds the dispatcher knows how to execute.
-JOB_KINDS = ("kernel", "library", "cas")
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One run request, complete and self-contained.
-
-    Exactly one payload group applies, selected by ``kind``:
-    ``kernel`` (an inline :class:`KernelSpec` — generated specs from
-    the fuzzer work like registry ones), ``library`` (registry name +
-    call description) or ``cas`` (an inline :class:`CasConfig`).
-    """
-
-    kind: str
-    benchmark: str
-    variant: str
-    seed: int = 7
-    max_steps: int = 80_000_000
-    buffer_mode: BufferMode = BufferMode.WEAK
-    tier2_threshold: int | None = None
-    costs: CostModel | None = None
-    #: cache tenancy scope; "" inherits the executor's environment.
-    namespace: str = ""
-    #: client-chosen correlation id, echoed verbatim on the result.
-    job_id: str = ""
-    # kind == "kernel"
-    kernel: KernelSpec | None = None
-    # kind == "library"
-    library: str | None = None     # LIBRARY_BUILDERS key
-    function: str | None = None
-    args: tuple[int, ...] = ()
-    calls: int = 0
-    setup: str | None = None       # MEMORY_SETUPS key
-    # kind == "cas"
-    cas: CasConfig | None = None
-
-    def validate(self) -> None:
-        """Raise :class:`JobError` on any malformed field."""
-        if self.kind not in JOB_KINDS:
-            raise JobError(f"unknown job kind {self.kind!r}; expected "
-                           f"one of {JOB_KINDS}")
-        if not self.benchmark:
-            raise JobError("job benchmark must be non-empty")
-        if not self.variant:
-            raise JobError("job variant must be non-empty")
-        if self.namespace != sanitize_namespace(self.namespace):
-            raise JobError(
-                f"namespace {self.namespace!r} contains characters "
-                f"outside [A-Za-z0-9._-]")
-        if self.kind == "kernel" and self.kernel is None:
-            raise JobError(f"kernel payload missing for "
-                           f"{self.benchmark!r}")
-        if self.kind == "library" and (not self.function
-                                       or self.calls <= 0):
-            raise JobError(f"library payload incomplete for "
-                           f"{self.benchmark!r} (function + calls "
-                           f"required)")
-        if self.kind == "cas" and self.cas is None:
-            raise JobError(f"cas payload missing for "
-                           f"{self.benchmark!r}")
-
-    # ------------------------------------------------------------------
-    # Codec
-    # ------------------------------------------------------------------
-    def to_json(self) -> dict:
-        payload: dict = {
-            "schema": JOB_SCHEMA,
-            "kind": self.kind,
-            "benchmark": self.benchmark,
-            "variant": self.variant,
-            "seed": self.seed,
-            "max_steps": self.max_steps,
-            "buffer_mode": self.buffer_mode.value,
-            "tier2_threshold": self.tier2_threshold,
-            "namespace": self.namespace,
-            "job_id": self.job_id,
-        }
-        if self.costs is not None:
-            payload["costs"] = dataclasses.asdict(self.costs)
-        if self.kernel is not None:
-            payload["kernel"] = dataclasses.asdict(self.kernel)
-        if self.kind == "library":
-            payload["library"] = self.library
-            payload["function"] = self.function
-            payload["args"] = list(self.args)
-            payload["calls"] = self.calls
-            payload["setup"] = self.setup
-        if self.cas is not None:
-            payload["cas"] = dataclasses.asdict(self.cas)
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "JobSpec":
-        if not isinstance(payload, dict):
-            raise JobError(f"job payload must be an object, got "
-                           f"{type(payload).__name__}")
-        schema = payload.get("schema")
-        if schema != JOB_SCHEMA:
-            raise JobError(f"job schema {schema!r} unsupported "
-                           f"(expected {JOB_SCHEMA!r})")
-        try:
-            buffer_mode = BufferMode(
-                payload.get("buffer_mode", BufferMode.WEAK.value))
-        except ValueError:
-            raise JobError(f"unknown buffer_mode "
-                           f"{payload.get('buffer_mode')!r}") from None
-        try:
-            costs = payload.get("costs")
-            kernel = payload.get("kernel")
-            cas = payload.get("cas")
-            tier2 = payload.get("tier2_threshold")
-            job = cls(
-                kind=str(payload["kind"]),
-                benchmark=str(payload["benchmark"]),
-                variant=str(payload["variant"]),
-                seed=int(payload.get("seed", 7)),
-                max_steps=int(payload.get("max_steps", 80_000_000)),
-                buffer_mode=buffer_mode,
-                tier2_threshold=None if tier2 is None else int(tier2),
-                costs=None if costs is None else CostModel(**costs),
-                namespace=str(payload.get("namespace", "")),
-                job_id=str(payload.get("job_id", "")),
-                kernel=None if kernel is None else KernelSpec(**kernel),
-                library=payload.get("library"),
-                function=payload.get("function"),
-                args=tuple(int(a) for a in payload.get("args", ())),
-                calls=int(payload.get("calls", 0)),
-                setup=payload.get("setup"),
-                cas=None if cas is None else CasConfig(**cas),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise JobError(f"malformed job payload: {exc}") from None
-        job.validate()
-        return job
+# The job description and its builders live with the executor; the
+# serve layer and its callers name them through this module too.
+from ..workloads.jobspec import (  # noqa: F401 - re-exports
+    JOB_SCHEMA,
+    JobSpec,
+    cas_job,
+    kernel_job,
+    library_job,
+    scoped_namespace,
+)
+from ..workloads.parallel import RunRow, run_job_row
+from ..workloads.runner import WorkloadResult
 
 
 @dataclass
@@ -223,30 +81,19 @@ class JobResult:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_workload(cls, job: JobSpec, outcome: WorkloadResult,
-                      wall: float) -> "JobResult":
-        stats = outcome.result.stats
+    def from_row(cls, job: JobSpec, row: RunRow,
+                 outcome: WorkloadResult) -> "JobResult":
+        """The result of a run whose row is ``row``: every measured
+        field is the row's field of the same name."""
         return cls(
             job_id=job.job_id,
             kind=job.kind,
-            benchmark=job.benchmark,
-            variant=job.variant,
             seed=job.seed,
             namespace=job.namespace,
-            ok=True,
-            cycles=outcome.result.elapsed_cycles,
-            fence_cycles=outcome.result.fence_cycles,
-            total_cycles=outcome.result.total_cycles,
-            checksum=outcome.checksum,
-            exit_code=outcome.result.exit_code,
-            wall_seconds=outcome.wall_seconds or wall,
-            blocks_translated=stats.blocks_translated,
-            xlat_hits=stats.xlat_hits,
-            xlat_misses=stats.xlat_misses,
-            xlat_disk_hits=stats.xlat_disk_hits,
-            cache_tier=cache_tier(stats.xlat_hits, stats.xlat_misses,
-                                  stats.xlat_disk_hits),
+            cache_tier=cache_tier(row.xlat_hits, row.xlat_misses,
+                                  row.xlat_disk_hits),
             outcome=outcome,
+            **{name: getattr(row, name) for name in _FROM_ROW},
         )
 
     @classmethod
@@ -334,6 +181,12 @@ class JobResult:
                 f"malformed result payload: {exc}") from None
 
 
+#: What a result copies from its run's row: every field the two
+#: declare, by name (identity, cycles, checksum, wall time, xlat_*).
+_FROM_ROW = tuple(sorted({f.name for f in fields(JobResult)}
+                         & {f.name for f in fields(RunRow)}))
+
+
 def cache_tier(hits: int, misses: int, disk_hits: int) -> str:
     """Which translation-cache level effectively served the run.
 
@@ -362,31 +215,6 @@ def batch_key(job: JobSpec) -> tuple:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-@contextmanager
-def scoped_namespace(namespace: str):
-    """Scope both persistent caches to ``namespace`` for the block.
-
-    An empty namespace leaves the environment untouched (the caller's
-    ambient namespaces keep applying — local ``api.run_*`` calls must
-    behave exactly as before the serve layer existed).
-    """
-    if not namespace:
-        yield
-        return
-    env_vars = (xlat_cache.NAMESPACE_ENV, behavior_cache.NAMESPACE_ENV)
-    saved = {var: os.environ.get(var) for var in env_vars}
-    try:
-        for var in env_vars:
-            os.environ[var] = namespace
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
 def execute_job(job: JobSpec, *, library=None) -> JobResult:
     """Run one job in-process and return its result; raises on
     failure (the local :func:`repro.api.submit` contract — callers
@@ -397,12 +225,7 @@ def execute_job(job: JobSpec, *, library=None) -> JobResult:
     facade wrapper can pass user-constructed libraries through
     unchanged.
     """
-    job.validate()
-    started = time.perf_counter()
-    with scoped_namespace(job.namespace):
-        outcome = run_workload(job, library=library)
-    return JobResult.from_workload(
-        job, outcome, time.perf_counter() - started)
+    return JobResult.from_row(job, *run_job_row(job, library=library))
 
 
 def run_job(job: JobSpec, *, library=None) -> JobResult:
@@ -414,50 +237,3 @@ def run_job(job: JobSpec, *, library=None) -> JobResult:
     except Exception as exc:  # noqa: BLE001 - the boundary by design
         return JobResult.from_error(
             job, classify_error(exc), time.perf_counter() - started)
-
-
-# ----------------------------------------------------------------------
-# Job builders (the facade wrappers' construction path)
-# ----------------------------------------------------------------------
-def kernel_job(spec: KernelSpec, *, variant: str, seed: int = 7,
-               costs: CostModel | None = None,
-               max_steps: int = 80_000_000,
-               buffer_mode: BufferMode = BufferMode.WEAK,
-               tier2_threshold: int | None = None,
-               namespace: str = "", job_id: str = "") -> JobSpec:
-    """A kernel run as a job (inline spec: generated kernels work)."""
-    return JobSpec(kind="kernel", benchmark=spec.name, variant=variant,
-                   seed=seed, costs=costs, max_steps=max_steps,
-                   buffer_mode=buffer_mode,
-                   tier2_threshold=tier2_threshold,
-                   namespace=namespace, job_id=job_id, kernel=spec)
-
-
-def library_job(function: str, args: tuple[int, ...], calls: int, *,
-                variant: str, library: str | None = None,
-                setup: str | None = None, seed: int = 7,
-                costs: CostModel | None = None,
-                max_steps: int = 80_000_000,
-                buffer_mode: BufferMode = BufferMode.WEAK,
-                tier2_threshold: int | None = None,
-                namespace: str = "", job_id: str = "") -> JobSpec:
-    """A library-call benchmark as a job.  ``library`` is a
-    :data:`LIBRARY_BUILDERS` registry name; leave it ``None`` only
-    when the executor will receive the library object directly."""
-    return JobSpec(kind="library", benchmark=function, variant=variant,
-                   seed=seed, costs=costs, max_steps=max_steps,
-                   buffer_mode=buffer_mode,
-                   tier2_threshold=tier2_threshold,
-                   namespace=namespace, job_id=job_id, library=library,
-                   function=function, args=tuple(args), calls=calls,
-                   setup=setup)
-
-
-def cas_job(config: CasConfig, *, variant: str, seed: int = 7,
-            costs: CostModel | None = None,
-            buffer_mode: BufferMode = BufferMode.WEAK,
-            namespace: str = "", job_id: str = "") -> JobSpec:
-    """A Figure 15 CAS configuration as a job."""
-    return JobSpec(kind="cas", benchmark=config.label, variant=variant,
-                   seed=seed, costs=costs, buffer_mode=buffer_mode,
-                   namespace=namespace, job_id=job_id, cas=config)

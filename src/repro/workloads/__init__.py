@@ -1,8 +1,9 @@
 """Benchmark workloads: PARSEC/Phoenix kernels, library-bound
-applications (OpenSSL, SQLite, libm), the CAS microbenchmark, and the
-parallel evaluation harness that fans the figure sweeps over a
-process pool."""
+applications (OpenSSL, SQLite, libm), the CAS microbenchmark, the one
+machine-run description (:class:`JobSpec`), and the parallel
+evaluation harness that fans the figure sweeps over a process pool."""
 
+from .jobspec import JOB_SCHEMA, JobSpec, cas_job, kernel_job, library_job
 from .kernels import ARRAY_BASE, KernelSpec, gen_arm_program, gen_x86_program
 from .libs import (
     SQLITE_DB_BASE,
@@ -12,9 +13,9 @@ from .libs import (
     standard_libraries,
 )
 from .parallel import (
+    LitmusSpec,
     RunFailure,
     RunRow,
-    RunSpec,
     SweepResult,
     default_workers,
     execute_spec,
@@ -44,7 +45,8 @@ __all__ = [
     "ARRAY_BASE", "KernelSpec", "gen_arm_program", "gen_x86_program",
     "SQLITE_DB_BASE", "build_libcrypto", "build_libm", "build_libsqlite",
     "standard_libraries",
-    "RunFailure", "RunRow", "RunSpec", "SweepResult", "default_workers",
+    "JOB_SCHEMA", "JobSpec", "kernel_job", "library_job", "cas_job",
+    "LitmusSpec", "RunFailure", "RunRow", "SweepResult", "default_workers",
     "execute_spec", "run_parallel",
     "ALL_VARIANTS", "NATIVE", "WorkloadResult",
     "run_kernel", "run_library_workload",

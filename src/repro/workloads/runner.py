@@ -7,10 +7,9 @@ workload's reported checksum/count — the raw material every figure
 harness consumes.
 
 :func:`run_workload` is the one dispatcher over the three machine
-kinds (``kernel`` / ``library`` / ``cas``): the sweep harness hands it
-a :class:`~repro.workloads.parallel.RunSpec`, the job API a
-:class:`~repro.serve.jobs.JobSpec`, and both get the same run and the
-same typed errors.
+kinds (:data:`MACHINE_KINDS`): the sweep harness and the job API both
+hand it a :class:`~repro.workloads.jobspec.JobSpec`, and both get the
+same run and the same typed errors.
 """
 
 from __future__ import annotations
@@ -278,42 +277,53 @@ def _registered(registry: dict, name, what: str):
                        f"{sorted(registry)}") from None
 
 
-def run_workload(desc, *, library=None) -> WorkloadResult:
-    """Execute one ``kernel`` / ``library`` / ``cas`` run description.
+def _run_kernel_job(desc, library) -> WorkloadResult:
+    return run_kernel(desc.kernel, desc.variant, seed=desc.seed,
+                      costs=desc.costs, max_steps=desc.max_steps,
+                      buffer_mode=desc.buffer_mode,
+                      tier2_threshold=desc.tier2_threshold)
 
-    ``desc`` is a ``RunSpec`` or a ``JobSpec`` — they share every field
-    read here.  Callables never travel in a description: libraries and
+
+def _run_library_job(desc, library) -> WorkloadResult:
+    if library is None:
+        library = _registered(LIBRARY_BUILDERS, desc.library, "library")()
+    setup = None if desc.setup is None else _registered(
+        MEMORY_SETUPS, desc.setup, "memory setup")
+    return run_library_workload(
+        desc.function, desc.args, desc.calls, desc.variant, library,
+        setup_memory=setup, seed=desc.seed, costs=desc.costs,
+        max_steps=desc.max_steps, buffer_mode=desc.buffer_mode,
+        tier2_threshold=desc.tier2_threshold)
+
+
+def _run_cas_job(desc, library) -> WorkloadResult:
+    # casbench builds on this module's WorkloadResult.
+    from .casbench import run_cas_benchmark
+
+    return run_cas_benchmark(desc.cas, desc.variant, seed=desc.seed,
+                             costs=desc.costs,
+                             buffer_mode=desc.buffer_mode)
+
+
+#: The machine kinds, kind -> executor: the one statement of which
+#: kinds exist.  ``JobSpec.validate`` accepts exactly these keys and
+#: :func:`run_workload` dispatches on them.
+MACHINE_KINDS = {
+    "kernel": _run_kernel_job,
+    "library": _run_library_job,
+    "cas": _run_cas_job,
+}
+
+
+def run_workload(desc, *, library=None) -> WorkloadResult:
+    """Execute one validated machine-kind ``JobSpec``.
+
+    The payload checks are ``JobSpec.validate``'s, which every caller
+    runs first.  Callables never travel in a description: libraries and
     memory setups are registry names, rebuilt in the executing process;
     a name no registry knows is a :class:`~repro.errors.JobError`
     (``bad-request``) on every path.  ``library`` overrides the
     registry lookup with an already-built
     :class:`~repro.loader.hostlibs.HostLibrary`.
     """
-    if desc.kind == "kernel":
-        if desc.kernel is None:
-            raise JobError(f"kernel spec missing for {desc.benchmark}")
-        return run_kernel(desc.kernel, desc.variant, seed=desc.seed,
-                          costs=desc.costs, max_steps=desc.max_steps,
-                          buffer_mode=desc.buffer_mode,
-                          tier2_threshold=desc.tier2_threshold)
-    if desc.kind == "library":
-        if library is None:
-            library = _registered(LIBRARY_BUILDERS, desc.library,
-                                  "library")()
-        setup = None if desc.setup is None else _registered(
-            MEMORY_SETUPS, desc.setup, "memory setup")
-        return run_library_workload(
-            desc.function, desc.args, desc.calls, desc.variant, library,
-            setup_memory=setup, seed=desc.seed, costs=desc.costs,
-            max_steps=desc.max_steps, buffer_mode=desc.buffer_mode,
-            tier2_threshold=desc.tier2_threshold)
-    if desc.kind == "cas":
-        # casbench builds on this module's WorkloadResult.
-        from .casbench import run_cas_benchmark
-
-        if desc.cas is None:
-            raise JobError(f"cas config missing for {desc.benchmark}")
-        return run_cas_benchmark(desc.cas, desc.variant, seed=desc.seed,
-                                 costs=desc.costs,
-                                 buffer_mode=desc.buffer_mode)
-    raise JobError(f"unknown run-spec kind {desc.kind!r}")
+    return MACHINE_KINDS[desc.kind](desc, library)

@@ -12,7 +12,11 @@ they fail to build/run natively on Arm).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from .jobspec import cas_job, kernel_job, library_job
 from .kernels import KernelSpec
+from .parallel import LitmusSpec
 
 PARSEC_SPECS: tuple[KernelSpec, ...] = (
     # fp-heavy pricing kernel; moderate memory traffic
@@ -71,26 +75,18 @@ def kernel_grid(specs: tuple[KernelSpec, ...] = ALL_SPECS,
                 *, iterations: int | None = None, seed: int = 7,
                 max_steps: int = 80_000_000,
                 tier2_threshold: int | None = None):
-    """The Figure 12 sweep as :class:`~.parallel.RunSpec` rows.
+    """The Figure 12 sweep as :func:`~.jobspec.kernel_job` cells.
 
     Row order is (benchmark-major, variant-minor) — the order the
     figure tables print in and the order ``run_parallel`` returns.
     """
-    from dataclasses import replace
-
-    from .parallel import RunSpec
-
-    grid = []
-    for spec in specs:
-        sized = spec if iterations is None \
-            else replace(spec, iterations=iterations)
-        for variant in variants:
-            grid.append(RunSpec(
-                kind="kernel", benchmark=spec.name, variant=variant,
-                seed=seed, max_steps=max_steps, kernel=sized,
-                tier2_threshold=tier2_threshold,
-            ))
-    return tuple(grid)
+    return tuple(
+        kernel_job(spec if iterations is None
+                   else replace(spec, iterations=iterations),
+                   variant=variant, seed=seed, max_steps=max_steps,
+                   tier2_threshold=tier2_threshold)
+        for spec in specs for variant in variants
+    )
 
 
 def library_grid(cases: dict, library: str,
@@ -98,43 +94,29 @@ def library_grid(cases: dict, library: str,
                                               "native"),
                  *, seed: int = 7, max_steps: int = 80_000_000):
     """Figure 13/14-style sweeps: ``cases`` maps a benchmark label to
-    ``(function, args, calls, setup-name-or-None)``."""
-    from .parallel import RunSpec
-
-    grid = []
-    for bench, (function, args, calls, setup) in cases.items():
-        for variant in variants:
-            grid.append(RunSpec(
-                kind="library", benchmark=bench, variant=variant,
-                seed=seed, max_steps=max_steps, library=library,
-                function=function, args=tuple(args), calls=calls,
-                setup=setup,
-            ))
-    return tuple(grid)
+    ``(function, args, calls, setup-name-or-None)``; each cell is a
+    :func:`~.jobspec.library_job` renamed to its label."""
+    return tuple(
+        replace(library_job(function, args, calls, variant=variant,
+                            library=library, setup=setup, seed=seed,
+                            max_steps=max_steps), benchmark=bench)
+        for bench, (function, args, calls, setup) in cases.items()
+        for variant in variants
+    )
 
 
 def cas_grid(configs, variants: tuple[str, ...] = ("qemu", "risotto",
                                                    "native"),
              *, seed: int = 7):
     """The Figure 15 sweep: every (CAS config × variant) pair."""
-    from .parallel import RunSpec
-
-    return tuple(
-        RunSpec(kind="cas", benchmark=config.label, variant=variant,
-                seed=seed, cas=config)
-        for config in configs for variant in variants
-    )
+    return tuple(cas_job(config, variant=variant, seed=seed)
+                 for config in configs for variant in variants)
 
 
 def ablation_grid(labels):
     """Minimality ablations (Figures 8-9) as parallelizable specs."""
-    from .parallel import RunSpec
-
-    return tuple(
-        RunSpec(kind="ablation", benchmark=label, variant="ablation",
-                ablation=label)
-        for label in labels
-    )
+    return tuple(LitmusSpec(kind="ablation", benchmark=label,
+                            variant="ablation") for label in labels)
 
 
 def verify_grid(tests=None, models: tuple[str, ...] = ("x86-tso",),
@@ -152,15 +134,14 @@ def verify_grid(tests=None, models: tuple[str, ...] = ("x86-tso",),
     single test, not the sum.
     """
     from ..core.corpus_large import verify_registry
-    from .parallel import RunSpec
 
     if tests is None:
         tests = tuple(verify_registry())
     return tuple(
-        RunSpec(kind="verify", benchmark=test,
-                variant=f"{model}/{reduction}", seed=seed,
-                model=model, reduction=reduction,
-                enum_limit=enum_limit, use_cache=use_cache)
+        LitmusSpec(kind="verify", benchmark=test,
+                   variant=f"{model}/{reduction}", seed=seed,
+                   model=model, reduction=reduction,
+                   enum_limit=enum_limit, use_cache=use_cache)
         for test in tests for model in models
     )
 
@@ -177,7 +158,6 @@ def scheme_grid(schemes=None, *, enum_limit: int | None = None,
     from ..core.mappings import SCHEME_RMW_LOWERINGS
     from ..core.most import SCHEMES
     from ..errors import ReproError
-    from .parallel import RunSpec
 
     if schemes is None:
         schemes = tuple(SCHEMES)
@@ -192,7 +172,7 @@ def scheme_grid(schemes=None, *, enum_limit: int | None = None,
         rmws = SCHEME_RMW_LOWERINGS if scheme.expect_sound \
             else SCHEME_RMW_LOWERINGS[:1]
         for rmw in rmws:
-            grid.append(RunSpec(
+            grid.append(LitmusSpec(
                 kind="scheme", benchmark=name,
                 variant=f"{scheme.source}->arm/{rmw}", seed=seed,
                 enum_limit=enum_limit, rmw_lowering=rmw,

@@ -6,8 +6,10 @@ and ``SweepStats`` inherit it, ``aggregate_sweep`` folds it with
 iterating its fields.  The first class pins that a declared counter
 cannot be lost on the way out (``cache_disk_hits``/``cache_disk_misses``
 were summed and printed but never exported while the export named its
-keys by hand); the second keeps the hand-written copies, and the twin
-kind if-chains under sweeps and jobs, from growing back.
+keys by hand); the second keeps the hand-written copies, the twin
+kind if-chains under sweeps and jobs, and the second run description
+(``RunSpec``, retired for ``JobSpec`` + ``LitmusSpec``) from growing
+back.
 """
 
 import inspect
@@ -17,12 +19,64 @@ from pathlib import Path
 
 from repro.analysis.export import _sweep_stats, bench_payload
 from repro.analysis.stats import RunCounters, SweepStats, aggregate_sweep
-from repro.serve.jobs import JobSpec
-from repro.workloads import RunRow, RunSpec, SweepResult
-from repro.workloads.runner import run_workload
+from repro.cli import build_parser
+from repro.serve import loadgen, server
+from repro.serve.jobs import JobResult
+from repro.workloads import JobSpec, LitmusSpec, RunRow, SweepResult
+from repro.workloads.runner import MACHINE_KINDS, run_workload
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+from tests.import_closure import import_closure
+
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
 COUNTERS = fields(RunCounters)
+
+#: The knobs a run can be given, pinned: a second description or a
+#: per-kind side channel would have to add to one of these.
+REPRO_ENV = {
+    "REPRO_BEHAVIOR_CACHE", "REPRO_BEHAVIOR_CACHE_NS",
+    "REPRO_BENCH_HISTORY", "REPRO_BENCH_HISTORY_DIR",
+    "REPRO_TIER2_THRESHOLD", "REPRO_TRACE", "REPRO_TRACE_FILE",
+    "REPRO_WORKERS", "REPRO_XLAT_CACHE", "REPRO_XLAT_CACHE_NS",
+}
+CLI_FLAGS = {
+    "-h", "--help", "--batch-window-ms", "--behavior", "--bench",
+    "--bench-json", "--benchmarks", "--cache-ns", "--clients", "--corpus",
+    "--enum-limit", "--flame", "--floors", "--format", "--history",
+    "--host", "--iterations", "--jobs", "--json", "--mad-k", "--max-batch",
+    "--models", "--namespace", "--no-footer", "--note", "--port", "--qps",
+    "--record", "--reduction", "--rel-tol", "--require-baseline", "--rev",
+    "--schemes", "--seed", "--spawn", "--stats-txt", "--tests",
+    "--tier2-threshold", "--use-cache", "--variants", "--window",
+    "--workers", "--xlat",
+}
+JOB_FIELDS = (
+    "kind", "benchmark", "variant", "seed", "max_steps", "buffer_mode",
+    "tier2_threshold", "costs", "namespace", "job_id", "kernel",
+    "library", "function", "args", "calls", "setup", "cas",
+)
+LITMUS_FIELDS = (
+    "kind", "benchmark", "variant", "seed", "model", "reduction",
+    "enum_limit", "use_cache", "rmw_lowering",
+)
+
+
+def _sources():
+    return sorted(SRC.rglob("*.py"))
+
+
+def _cli_flags() -> set[str]:
+    """Every option of ``python -m repro`` and of its serve/loadgen
+    front-ends, subcommands included."""
+    flags = set()
+    parsers = [build_parser(), loadgen.build_parser(),
+               server.build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            flags.update(action.option_strings)
+            parsers.extend((action.choices or {}).values()
+                           if isinstance(action.choices, dict) else ())
+    return flags
 
 
 def _row(variant: str, scale: int) -> RunRow:
@@ -80,8 +134,42 @@ class TestNoSecondDeclaration:
             ["desc", "library"]
 
     def test_both_descriptions_carry_what_the_executor_reads(self):
-        read = set(re.findall(r"\bdesc\.(\w+)",
-                              inspect.getsource(run_workload)))
+        read = set(re.findall(r"\bdesc\.(\w+)", "".join(
+            inspect.getsource(fn)
+            for fn in (run_workload, *MACHINE_KINDS.values()))))
         assert {"kind", "kernel", "library", "setup", "cas"} <= read
-        for cls in (RunSpec, JobSpec):
-            assert read <= {f.name for f in fields(cls)}, cls.__name__
+        assert read <= {f.name for f in fields(JobSpec)}
+
+    def test_one_run_description(self):
+        for path in [*_sources(), ROOT / "README.md", ROOT / "DESIGN.md"]:
+            assert "RunSpec" not in path.read_text(), path
+        assert tuple(f.name for f in fields(JobSpec)) == JOB_FIELDS
+        assert tuple(f.name for f in fields(LitmusSpec)) == LITMUS_FIELDS
+
+    def test_the_sweep_does_not_import_the_serve_layer(self):
+        workloads = {f"repro.workloads.{path.stem}"
+                     for path in (SRC / "workloads").glob("*.py")
+                     if path.stem != "__init__"}
+        assert not {name for name in import_closure(workloads)
+                    if name.startswith("repro.serve")}
+
+    def test_validate_is_the_only_payload_check(self):
+        for fn in (run_workload, *MACHINE_KINDS.values()):
+            source = inspect.getsource(fn)
+            assert "missing" not in source and "raise" not in source, \
+                fn.__name__
+        assert set(MACHINE_KINDS) == {"kernel", "library", "cas"}
+
+    def test_one_outcome_to_row_mapping(self):
+        assert not hasattr(JobResult, "from_workload")
+        for path in _sources():
+            assert not re.search(r"\bfrom_workload\b",
+                                 path.read_text()), path
+
+    def test_no_new_knob(self):
+        names = set()
+        for path in _sources():
+            names.update(re.findall(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b",
+                                    path.read_text()))
+        assert names == REPRO_ENV
+        assert _cli_flags() == CLI_FLAGS

@@ -21,7 +21,7 @@ EXPECTED_SURFACE = {
     "run_kernel", "run_library_workload", "run_cas_benchmark",
     "make_engine",
     # sweep harness
-    "RunSpec", "RunRow", "RunFailure", "SweepResult", "run_parallel",
+    "LitmusSpec", "RunRow", "RunFailure", "SweepResult", "run_parallel",
     "execute_spec", "default_workers", "deterministic_row",
     # workload building blocks
     "KernelSpec", "CasConfig", "WorkloadResult", "RunResult",
@@ -86,8 +86,8 @@ class TestSurfaceSnapshot:
 
     def test_reexports_share_identity(self):
         # Facade re-exports are the implementation objects, not copies.
-        from repro.workloads import RunSpec, run_parallel
-        assert api.RunSpec is RunSpec
+        from repro.workloads import JobSpec, run_parallel
+        assert api.JobSpec is JobSpec
         assert api.run_parallel is run_parallel
 
 

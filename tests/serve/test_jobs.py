@@ -35,9 +35,9 @@ from repro.serve.jobs import (
     kernel_job,
     library_job,
     run_job,
-    sanitize_namespace,
     scoped_namespace,
 )
+from repro.store import sanitize_namespace
 from repro.workloads.casbench import CasConfig
 from repro.workloads.kernels import KernelSpec
 

@@ -5,7 +5,7 @@ machine with the default — so "native" bars in a TSO or SC sweep
 silently ran under WEAK buffering while every DBT variant honoured the
 spec.  These tests pin the whole path: engine constructors, the
 ``_make_engine`` parity guard, the workload entry points and the
-``RunSpec`` plumbing of the parallel harness.
+``JobSpec`` plumbing of the parallel harness.
 """
 
 import dataclasses
@@ -14,7 +14,7 @@ import pytest
 
 from repro.dbt import DBTEngine, NativeRunner, VARIANTS
 from repro.machine.weakmem import BufferMode
-from repro.workloads import RunSpec, execute_spec
+from repro.workloads import execute_spec, kernel_job
 from repro.workloads.kernels import KernelSpec
 from repro.workloads.runner import ALL_VARIANTS, _make_engine, \
     run_kernel
@@ -72,7 +72,7 @@ class TestWorkloadEntryPoints:
 
 class TestRunSpecPlumbing:
     def test_default_mode_is_weak(self):
-        spec = RunSpec(kind="kernel", benchmark="tiny", kernel=TINY)
+        spec = kernel_job(TINY, variant="risotto")
         assert spec.buffer_mode is BufferMode.WEAK
 
     def test_execute_spec_forwards_mode(self, monkeypatch):
@@ -84,17 +84,16 @@ class TestRunSpecPlumbing:
 
         monkeypatch.setattr("repro.workloads.runner.run_kernel",
                             spy_run_kernel)
-        spec = RunSpec(kind="kernel", benchmark="tiny", kernel=TINY,
-                       variant="native",
-                       buffer_mode=BufferMode.TSO)
+        spec = kernel_job(TINY, variant="native",
+                          buffer_mode=BufferMode.TSO)
         row = execute_spec(spec)
         assert captured["buffer_mode"] is BufferMode.TSO
         assert row.exit_code == 0
 
     def test_spec_is_still_picklable_with_mode(self):
         import pickle
-        spec = RunSpec(kind="kernel", benchmark="tiny", kernel=TINY,
-                       buffer_mode=BufferMode.TSO)
+        spec = kernel_job(TINY, variant="risotto",
+                          buffer_mode=BufferMode.TSO)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.buffer_mode is BufferMode.TSO
         assert clone == spec

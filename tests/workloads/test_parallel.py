@@ -11,9 +11,9 @@ import pickle
 import pytest
 
 from repro.errors import ReproError
-from repro.serve.jobs import library_job, run_job
+from repro.serve.jobs import kernel_job, library_job, run_job
 from repro.workloads import (
-    RunSpec,
+    JobSpec,
     SweepResult,
     ablation_grid,
     cas_grid,
@@ -64,19 +64,19 @@ class TestRunSpec:
 
 class TestExecuteSpec:
     def test_unknown_kind_raises(self):
-        with pytest.raises(ReproError, match="unknown run-spec kind"):
-            execute_spec(RunSpec(kind="nonsense", benchmark="x"))
+        with pytest.raises(ReproError, match="unknown job kind"):
+            execute_spec(JobSpec(kind="nonsense", benchmark="x",
+                                 variant="risotto"))
 
     def test_unknown_library_raises(self):
-        spec = RunSpec(kind="library", benchmark="x", library="libzzz",
-                       function="exp", args=(1,), calls=1)
+        spec = library_job("exp", (1,), 1, variant="risotto",
+                           library="libzzz")
         with pytest.raises(ReproError, match="unknown library"):
             execute_spec(spec)
 
     def test_unknown_memory_setup_is_a_typed_request_error(self):
-        spec = RunSpec(kind="library", benchmark="x", library="libm",
-                       function="exp", args=(1,), calls=1,
-                       setup="digest-bufer")
+        spec = library_job("exp", (1,), 1, variant="risotto",
+                           library="libm", setup="digest-bufer")
         sweep = run_parallel((spec,), workers=1)
         (failure,) = sweep.failures
         assert failure.code == "bad-request"
@@ -90,8 +90,9 @@ class TestExecuteSpec:
         assert served.error.code == failure.code
 
     def test_missing_kernel_raises(self):
-        with pytest.raises(ReproError, match="kernel spec missing"):
-            execute_spec(RunSpec(kind="kernel", benchmark="x"))
+        with pytest.raises(ReproError, match="kernel payload missing"):
+            execute_spec(JobSpec(kind="kernel", benchmark="x",
+                                 variant="risotto"))
 
     def test_kernel_row_carries_observability(self):
         (spec,) = kernel_grid((TINY,), ("risotto",))
@@ -103,6 +104,17 @@ class TestExecuteSpec:
         assert row.blocks_translated > 0
         assert row.block_dispatches >= row.blocks_translated
         assert 0.0 <= row.fence_share < 1.0
+
+    def test_namespace_scopes_a_sweep_cell_like_a_job(self, tmp_path,
+                                                      monkeypatch):
+        from repro.store import DiskStore
+
+        monkeypatch.setenv("REPRO_XLAT_CACHE", str(tmp_path))
+        job = kernel_job(TINY, variant="risotto", namespace="tenant")
+        (row,) = run_parallel((job,), workers=1, strict=True)
+        assert DiskStore(tmp_path / "tenant").entries()
+        assert not DiskStore(tmp_path).entries()
+        assert run_job(job).cycles == row.cycles
 
     def test_library_registries_cover_figure_needs(self):
         assert {"libm", "libcrypto", "libsqlite", "standard"} <= \
