@@ -1,8 +1,9 @@
 """Translation-as-a-service: typed jobs, a batching server, a client
 and a QPS load harness over the :mod:`repro.api` run surface.
 
-* :mod:`repro.serve.jobs` — the ``repro-serve/1`` JobSpec/JobResult
-  schema and the in-process executor (`api.submit` is built on it);
+* :mod:`repro.serve.jobs` — the ``repro-serve/1`` JobResult over the
+  workloads' JobSpec, and the in-process executor (`api.submit` is
+  built on it);
 * :mod:`repro.serve.server` — ``python -m repro serve``: batched
   async dispatch over the process pool behind a line-delimited JSON
   socket protocol;
