@@ -35,7 +35,6 @@ QPS = 30.0
 @pytest.fixture()
 def fresh_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_XLAT_CACHE", str(tmp_path / "xlat"))
-    monkeypatch.setenv("REPRO_BEHAVIOR_CACHE", str(tmp_path / "beh"))
     xlat_cache.reset_stats()
     yield
     xlat_cache.reset_memory()

@@ -97,14 +97,10 @@ def run_stats_footer(sweep, title: str = "harness stats") -> str:
             line += f"   from disk: {stats.xlat_disk_hits}"
         lines.append(line)
     if stats.cache_hits or stats.cache_misses:
-        line = (
+        lines.append(
             f"behavior cache: {stats.cache_hits} hits / "
             f"{stats.cache_misses} misses "
             f"({_fmt_pct(stats.cache_hit_rate).strip()} hit rate)")
-        if stats.cache_disk_hits or stats.cache_disk_misses:
-            line += (f"   disk: {stats.cache_disk_hits} hits / "
-                     f"{stats.cache_disk_misses} misses")
-        lines.append(line)
     if stats.enum_candidates_naive:
         lines.append(
             f"staged enumeration: {stats.enum_executions} of "

@@ -210,14 +210,10 @@ class RunCounters:
     fence_origin_cycles: dict = field(
         default_factory=dict,
         metadata={"export": "fence_cycles_by_origin"})
-    #: behaviour-cache counters accumulated during the run (litmus
-    #: ablations; zero for machine workloads).  ``cache_misses`` counts
-    #: in-process misses; the disk pair splits those misses into
-    #: persistent-layer hits and true enumerations.
+    #: behaviour-memo counters accumulated during the run (litmus
+    #: ablations; zero for machine workloads).
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_disk_hits: int = 0
-    cache_disk_misses: int = 0
     #: translation-cache counters (machine workloads; zero for litmus
     #: ablations).  ``xlat_misses`` counts actual frontend+optimizer+
     #: backend pipeline runs — a fully warm run reports 0 — while

@@ -31,16 +31,9 @@ stable, but new code (benchmarks/, the fuzzer oracles, the
 
 from __future__ import annotations
 
-from .core.behavior_cache import (
-    cache_dir as behavior_cache_dir,
-    clear_disk_cache as clear_behavior_cache,
-    enabled as behavior_cache_enabled,
-    namespace_usage as behavior_cache_namespaces,
-)
 from .core.corpus_large import FIVE_THREAD_CORPUS, verify_registry
 from .core.dpor import reduced_behaviors
-from .core.enumerate import behavior_cache_stats, enumeration_stats, \
-    reset_enumeration_stats
+from .core.enumerate import enumeration_stats, reset_enumeration_stats
 from .core.mappings import SCHEME_EXPECTED, SCHEME_MAPPINGS, \
     scheme_mapping
 from .core.models import MODEL_BY_NAME
@@ -159,9 +152,6 @@ __all__ = [
     "xlat_cache_stats", "xlat_cache_dir", "xlat_cache_enabled",
     "clear_xlat_cache", "reset_xlat_memory", "get_xlat_cache",
     "xlat_cache_namespaces",
-    "behavior_cache_stats", "behavior_cache_dir",
-    "behavior_cache_enabled", "clear_behavior_cache",
-    "behavior_cache_namespaces",
     # performance observatory (bench history + regression sentinel)
     "record_bench", "load_history", "history_dir",
     "figures_in_history", "config_fingerprint", "render_trend",

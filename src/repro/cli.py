@@ -19,8 +19,7 @@ runners (which keep working unchanged):
   the append-only history store, check fresh exports against recorded
   baselines with the noise-aware regression sentinel, and render
   trend tables / flamegraph collapsed stacks;
-* ``cache`` — inspect or clear the persistent caches (behavior
-  enumeration + block translation).
+* ``cache`` — inspect or clear the persistent translation cache.
 
 Everything the CLI runs goes through :mod:`repro.api` — it is the
 facade's first consumer.
@@ -104,11 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="materialized-candidate cap per cell "
                              "(default: enumerator default)")
-    verify.add_argument("--use-cache", action="store_true",
-                        help="serve cells through the behaviour cache")
-    verify.add_argument("--cache-ns", metavar="NAME",
-                        help="behaviour-cache namespace "
-                             "(REPRO_BEHAVIOR_CACHE_NS) for this run")
     verify.add_argument("--stats-txt", metavar="PATH",
                         help="write the verifier stats report here")
     verify.add_argument("--bench-json", metavar="PATH",
@@ -215,12 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="show cache locations, sizes and counters")
     stats.add_argument("--json", action="store_true",
                        help="machine-readable output")
-    clear = cache_sub.add_parser(
+    cache_sub.add_parser(
         "clear", help="remove persisted cache entries")
-    clear.add_argument("--xlat", action="store_true",
-                       help="only the translation cache")
-    clear.add_argument("--behavior", action="store_true",
-                       help="only the behavior cache")
     return parser
 
 
@@ -451,22 +441,10 @@ def _cmd_schemes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import os
-
     from .analysis.stats import aggregate_sweep
-    from .core import behavior_cache
-    from .store import sanitize_namespace
 
     if args.schemes is not None:
         return _cmd_schemes(args)
-    if args.cache_ns:
-        # The store would sanitize a bad name into another namespace
-        # (".." into the shared root), so refuse it instead.
-        if args.cache_ns != sanitize_namespace(args.cache_ns):
-            raise ReproError(
-                f"--cache-ns {args.cache_ns!r} is not a namespace: use "
-                f"[A-Za-z0-9._-], and not only dots")
-        os.environ[behavior_cache.NAMESPACE_ENV] = args.cache_ns
     models = _csv(args.models) or ("x86-tso",)
     unknown = set(models) - set(api.MODEL_BY_NAME)
     if unknown:
@@ -475,7 +453,7 @@ def _cmd_verify(args) -> int:
             f"{sorted(api.MODEL_BY_NAME)}")
     specs = api.verify_grid(
         _verify_tests(args), models, reduction=args.reduction,
-        enum_limit=args.enum_limit, use_cache=args.use_cache)
+        enum_limit=args.enum_limit)
     sweep = api.run_parallel(specs, workers=args.workers, strict=True)
     stats = aggregate_sweep(sweep)
     report = _verify_report(sweep, args, stats)
@@ -493,7 +471,6 @@ def _cmd_verify(args) -> int:
             "models": list(models),
             "tests": [spec.benchmark for spec in specs],
             "enum_limit": args.enum_limit,
-            "use_cache": bool(args.use_cache),
         },
         extra={
             "reduction": args.reduction,
@@ -574,35 +551,24 @@ def _cmd_perf(args) -> int:
 # ----------------------------------------------------------------------
 # cache
 # ----------------------------------------------------------------------
-def _disk_figures(cache) -> dict:
-    """A cache module's disk block: ``disk_entries``/``disk_bytes`` are
-    the active namespace's row of ``namespaces``, so no tenant listed
-    there is counted a second time at the root."""
-    spaces = cache.namespace_usage()
-    active = spaces.get(cache.namespace(), {"entries": 0, "bytes": 0})
-    return {"disk_entries": active["entries"],
-            "disk_bytes": active["bytes"],
-            "namespaces": spaces}
-
-
 def _cache_stats_payload() -> dict:
-    from .core import behavior_cache
     from .dbt import xlat_cache
 
-    # Every counter of the two producers, by field: one added to
-    # XlatCacheStats / BehaviorCacheStats shows up here unnamed.
+    # Every counter of XlatCacheStats, by field: one added there shows
+    # up here unnamed.  ``disk_entries``/``disk_bytes`` are the active
+    # namespace's row of ``namespaces``, so no tenant listed there is
+    # counted a second time at the root.
+    spaces = api.xlat_cache_namespaces()
+    active = spaces.get(xlat_cache.namespace(),
+                        {"entries": 0, "bytes": 0})
     return {
         "xlat": {
             "enabled": api.xlat_cache_enabled(),
             "dir": str(api.xlat_cache_dir()),
             **dataclasses.asdict(api.xlat_cache_stats()),
-            **_disk_figures(xlat_cache),
-        },
-        "behavior": {
-            "enabled": api.behavior_cache_enabled(),
-            "dir": str(api.behavior_cache_dir()),
-            **dataclasses.asdict(api.behavior_cache_stats()),
-            **_disk_figures(behavior_cache),
+            "disk_entries": active["entries"],
+            "disk_bytes": active["bytes"],
+            "namespaces": spaces,
         },
     }
 
@@ -613,29 +579,23 @@ def _cmd_cache(args) -> int:
         if args.json:
             print(json.dumps(payload, indent=2))
             return 0
-        for name, info in payload.items():
-            state = "enabled" if info["enabled"] else "disabled"
-            print(f"{name} cache ({state}): {info['dir']}")
-            print(f"  disk: {info['disk_entries']} entries, "
-                  f"{info['disk_bytes']} bytes")
-            print(f"  this process: {info['hits']} hits / "
-                  f"{info['misses']} misses")
-            for ns, usage in info["namespaces"].items():
-                label = ns or "(root)"
-                print(f"  namespace {label}: {usage['entries']} "
-                      f"entries, {usage['bytes']} bytes")
+        info = payload["xlat"]
+        state = "enabled" if info["enabled"] else "disabled"
+        print(f"xlat cache ({state}): {info['dir']}")
+        print(f"  disk: {info['disk_entries']} entries, "
+              f"{info['disk_bytes']} bytes")
+        print(f"  this process: {info['hits']} hits / "
+              f"{info['misses']} misses")
+        for ns, usage in info["namespaces"].items():
+            label = ns or "(root)"
+            print(f"  namespace {label}: {usage['entries']} "
+                  f"entries, {usage['bytes']} bytes")
         return 0
     if args.cache_command == "clear":
-        both = not (args.xlat or args.behavior)
-        if args.xlat or both:
-            removed = api.clear_xlat_cache()
-            api.reset_xlat_memory()
-            print(f"translation cache: removed {removed} entries "
-                  f"from {api.xlat_cache_dir()}")
-        if args.behavior or both:
-            removed = api.clear_behavior_cache()
-            print(f"behavior cache: removed {removed} entries "
-                  f"from {api.behavior_cache_dir()}")
+        removed = api.clear_xlat_cache()
+        api.reset_xlat_memory()
+        print(f"translation cache: removed {removed} entries "
+              f"from {api.xlat_cache_dir()}")
         return 0
     print("usage: python -m repro cache {stats,clear}",
           file=sys.stderr)

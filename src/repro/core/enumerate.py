@@ -47,10 +47,10 @@ Two walks share that pipeline:
     not execution lists.
 
 Consistency filtering against a memory model and behaviour collection
-are thin wrappers at the bottom; behaviours are memoized in-process and
-(via :mod:`repro.core.behavior_cache`) on disk, keyed by content
-fingerprints rather than names.  Dependencies (data/ctrl) are tracked
-during the symbolic execution because the Arm model consumes them.
+are thin wrappers at the bottom; behaviours are memoized in-process,
+keyed by the program and the model's content fingerprint rather than
+its name.  Dependencies (data/ctrl) are tracked during the symbolic
+execution because the Arm model consumes them.
 
 Address dependencies are not modelled: the litmus AST has no computed
 addresses, which mirrors the paper's mapping-verification corpus.
@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 from ..errors import ModelError
 from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
-from . import behavior_cache, dpor
+from . import dpor
 from .events import INIT_TID, Event, Mode, RmwFlavor
 from .execution import Execution
 from .program import FenceOp, If, Load, Op, Program, Rmw, Store
@@ -727,19 +727,10 @@ _BEHAVIOR_CACHE: dict[tuple[Program, str], frozenset] = {}
 
 @dataclass
 class BehaviorCacheStats(Counters):
-    """Hit/miss counters for the behaviour memo (observability layer).
-
-    ``hits``/``misses`` describe the in-process memo; every miss then
-    consults the persistent layer, splitting into ``disk_hits`` (loaded
-    from :mod:`repro.core.behavior_cache`) and ``disk_misses``
-    (enumerated from scratch, then stored).  Both stay zero when the
-    disk layer is disabled.
-    """
+    """Hit/miss counters for the behaviour memo (observability layer)."""
 
     hits: int = 0
     misses: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
 
     @property
     def lookups(self) -> int:
@@ -811,45 +802,34 @@ def behaviors(program: Program, model, limit: int | None = None,
               reduction: str | None = None) -> frozenset:
     """The set of ``full_behavior`` values of consistent executions.
 
-    Results are memoized in-process and persisted on disk: programs are
-    immutable and the cache key is a *content fingerprint* of program
-    and model (plus a source-code salt), so two model instances only
-    share entries when their class source and configuration agree —
-    ``model.name`` alone is not trusted, as ablation-built variants
-    legitimately reuse standard names.  A cached result is returned
-    without re-enumerating, so ``limit`` only takes effect on misses.
+    Results are memoized in-process: programs are immutable and the
+    key is the program plus the model's content
+    :meth:`~repro.core.models.terms.MemoryModel.fingerprint`, so two
+    model instances only share entries when their class and axioms
+    agree — ``model.name`` alone is not trusted, as ablation-built
+    variants legitimately reuse standard names.  A memoized result is
+    returned without re-enumerating, so ``limit`` only takes effect on
+    misses.
 
     ``reduction`` picks the enumeration strategy on a miss (see
     :data:`REDUCTIONS`; default ``dpor``).  All strategies compute the
-    identical set — the differential tests pin that — so cache entries
-    are shared across modes.
+    identical set — the differential tests pin that — so entries are
+    shared across modes.
     """
     reduction = resolve_reduction(reduction)
-    key = (program, behavior_cache.model_fingerprint(model))
+    key = (program, model.fingerprint())
     cached = _BEHAVIOR_CACHE.get(key)
     if cached is None:
         _CACHE_STATS.misses += 1
-        cached = behavior_cache.load(program, model)
-        if cached is not None:
-            _CACHE_STATS.disk_hits += 1
-        else:
-            if behavior_cache.enabled():
-                _CACHE_STATS.disk_misses += 1
-            cached = enumerate_behaviors(program, model, limit,
-                                         reduction)
-            behavior_cache.store(program, model, cached)
+        cached = enumerate_behaviors(program, model, limit, reduction)
         _BEHAVIOR_CACHE[key] = cached
     else:
         _CACHE_STATS.hits += 1
     return cached
 
 
-def clear_behavior_cache(disk: bool = False) -> None:
-    """Drop memoized behaviours (used by tests that tweak models).
-
-    ``disk=True`` additionally clears the persistent layer.
-    """
+def clear_behavior_cache() -> None:
+    """Drop memoized behaviours and reset their counters (used by
+    tests that tweak models, and between benchmark passes)."""
     _BEHAVIOR_CACHE.clear()
     _CACHE_STATS.reset()
-    if disk:
-        behavior_cache.clear_disk_cache()

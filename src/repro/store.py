@@ -1,13 +1,11 @@
 """Content-addressed, namespaced, byte-budgeted directory store.
 
-The disk level under both persistent caches
-(:mod:`repro.dbt.xlat_cache`, :mod:`repro.core.behavior_cache`).  A
-mapping and a behaviour set are pure functions of their inputs ("On
-Architecture to Architecture Mapping for Concurrency"), so an entry
-keyed by a content fingerprint can never go stale: the store moves
-text and never interprets it, while keys, salted-module lists, codecs
-and counters stay with the cache that owns their meaning
-(:func:`code_salt` only digests a list it is given).
+The disk level under the persistent translation cache
+(:mod:`repro.dbt.xlat_cache`).  A translated block is a pure function
+of its inputs, so an entry keyed by a content fingerprint can never go
+stale: the store moves text and never interprets it, while keys,
+salted-module lists, codecs and counters stay with the cache that owns
+their meaning (:func:`code_salt` only digests a list it is given).
 
 Layout: ``<root>/[<namespace>/]<key[:2]>/<key>.json`` — sharded by the
 first two hex digits of the fingerprint, so directory fan-out stays
@@ -20,9 +18,8 @@ with an equivalent entry, and a reader sees a whole entry or none.
 overrides the root, and ``0``/``off``/``none``/``disabled`` turns the
 cache off.  ``<namespace_env>`` names a *namespace* — a subdirectory
 of the root.  The serve front-end scopes each tenant's entries under
-its namespace and sharded verification runs isolate their corpora the
-same way; eviction and :meth:`DiskStore.clear` touch only the active
-namespace, and :func:`namespace_usage` enumerates them all for
+its namespace; eviction and :meth:`DiskStore.clear` touch only the
+active namespace, and :func:`namespace_usage` enumerates them all for
 ``python -m repro cache stats``.
 """
 
@@ -33,6 +30,7 @@ import importlib
 import inspect
 import os
 import tempfile
+import threading
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -141,6 +139,11 @@ class DiskStore:
     trims exactly.  A store at its budget has no headroom to hand out
     and is walked on every write; there is no low-water mark because
     no committed workload fills its budget.
+
+    One lock per instance covers each write's rename and charge and
+    the whole walk, so threads sharing an instance neither lose a
+    charge nor have a walk hand out headroom a write has since used:
+    the allowance never exceeds a quarter of the true headroom.
     """
 
     def __init__(self, directory: Path, max_bytes: int = 0):
@@ -149,6 +152,7 @@ class DiskStore:
         #: Bytes this instance may still write before it must walk
         #: again; nothing until the first walk has sized the store.
         self._allowance = 0
+        self._lock = threading.Lock()
 
     def path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
@@ -173,13 +177,14 @@ class DiskStore:
             try:
                 with os.fdopen(fd, "w") as fh:
                     fh.write(text)
-                os.replace(tmp, path)
+                with self._lock:
+                    os.replace(tmp, path)
+                    self._allowance -= len(text.encode())
             except BaseException:
                 os.unlink(tmp)
                 raise
         except OSError:  # pragma: no cover - read-only cache dir
             return False
-        self._allowance -= len(text.encode())
         return True
 
     def walk_due(self) -> bool:
@@ -212,21 +217,22 @@ class DiskStore:
         evicted keys."""
         if not self.max_bytes:
             return []
-        entries = self.entries()
-        total = sum(size for _, size, _ in entries)
-        evicted = []
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            if path.stem == keep:
-                continue
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent removal
-                continue
-            total -= size
-            evicted.append(path.stem)
-        self._allowance = max(self.max_bytes - total, 0) // 4
+        with self._lock:
+            entries = self.entries()
+            total = sum(size for _, size, _ in entries)
+            evicted = []
+            for _, size, path in entries:
+                if total <= self.max_bytes:
+                    break
+                if path.stem == keep:
+                    continue
+                try:
+                    path.unlink()
+                except OSError:  # pragma: no cover - concurrent removal
+                    continue
+                total -= size
+                evicted.append(path.stem)
+            self._allowance = max(self.max_bytes - total, 0) // 4
         return evicted
 
     def clear(self) -> int:

@@ -11,12 +11,12 @@ serve socket protocol and a served run is bit-identical to a direct
 one (the job *is* the run description; there is nothing else to
 diverge on).
 
-Tenancy: ``namespace`` scopes both persistent caches
-(``REPRO_XLAT_CACHE_NS`` + ``REPRO_BEHAVIOR_CACHE_NS``) for the
-duration of the run via :func:`scoped_namespace`, whichever path runs
-the job.  An empty namespace inherits the executing process's
-environment unchanged, so the local ``api.run_*`` wrappers and plain
-sweeps behave exactly as before.
+Tenancy: ``namespace`` scopes the translation cache
+(``REPRO_XLAT_CACHE_NS``) for the duration of the run via
+:func:`scoped_namespace`, whichever path runs the job.  An empty
+namespace inherits the executing process's environment unchanged, so
+the local ``api.run_*`` wrappers and plain sweeps behave exactly as
+before.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from ..core import behavior_cache
 from ..dbt import xlat_cache
 from ..errors import JobError
 from ..machine.timing import CostModel
@@ -182,27 +181,24 @@ class JobSpec:
 
 @contextmanager
 def scoped_namespace(namespace: str):
-    """Scope both persistent caches to ``namespace`` for the block.
+    """Scope the translation cache to ``namespace`` for the block.
 
     An empty namespace leaves the environment untouched (the caller's
-    ambient namespaces keep applying — local ``api.run_*`` calls must
+    ambient namespace keeps applying — local ``api.run_*`` calls must
     behave exactly as before the serve layer existed).
     """
     if not namespace:
         yield
         return
-    env_vars = (xlat_cache.NAMESPACE_ENV, behavior_cache.NAMESPACE_ENV)
-    saved = {var: os.environ.get(var) for var in env_vars}
+    saved = os.environ.get(xlat_cache.NAMESPACE_ENV)
     try:
-        for var in env_vars:
-            os.environ[var] = namespace
+        os.environ[xlat_cache.NAMESPACE_ENV] = namespace
         yield
     finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        if saved is None:
+            os.environ.pop(xlat_cache.NAMESPACE_ENV, None)
+        else:
+            os.environ[xlat_cache.NAMESPACE_ENV] = saved
 
 
 # ----------------------------------------------------------------------

@@ -69,9 +69,6 @@ class LitmusSpec:
     reduction: str = "dpor"
     #: candidate-materialization limit (None = enumerator default).
     enum_limit: int | None = None
-    #: ``verify``: go through :func:`repro.core.behaviors` (memo + disk
-    #: cache) instead of enumerating directly.
-    use_cache: bool = False
     #: ``scheme``: RMW lowering of the scheme's end-to-end mapping, per
     #: :data:`repro.core.mappings.SCHEME_RMW_LOWERINGS`.
     rmw_lowering: str = "rmw1al"
@@ -268,7 +265,7 @@ def _run_verify(spec: LitmusSpec, started: float) -> RunRow:
     """One sharded-verification cell: enumerate the behaviours of one
     litmus test under one model with the requested reduction."""
     from ..core.corpus_large import verify_registry
-    from ..core.enumerate import behaviors, enumerate_behaviors
+    from ..core.enumerate import enumerate_behaviors
     from ..core.models import MODEL_BY_NAME
 
     registry = verify_registry()
@@ -285,11 +282,11 @@ def _run_verify(spec: LitmusSpec, started: float) -> RunRow:
         raise ReproError(
             f"unknown model {model_name!r}; expected one of "
             f"{sorted(MODEL_BY_NAME)}") from None
-    enumerate_ = behaviors if spec.use_cache else enumerate_behaviors
 
     def work() -> tuple:
-        behs = enumerate_(test.program, model, limit=spec.enum_limit,
-                          reduction=spec.reduction)
+        behs = enumerate_behaviors(test.program, model,
+                                   limit=spec.enum_limit,
+                                   reduction=spec.reduction)
         return (_behavior_digest(behs), len(behs))
 
     return _litmus_row(spec, started, work)

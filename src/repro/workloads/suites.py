@@ -121,8 +121,7 @@ def ablation_grid(labels):
 
 def verify_grid(tests=None, models: tuple[str, ...] = ("x86-tso",),
                 *, reduction: str = "dpor",
-                enum_limit: int | None = None,
-                use_cache: bool = False, seed: int = 7):
+                enum_limit: int | None = None, seed: int = 7):
     """Sharded-verification specs: one cell per (litmus test × model).
 
     ``tests`` is an iterable of litmus-test names (default: the classic
@@ -141,7 +140,7 @@ def verify_grid(tests=None, models: tuple[str, ...] = ("x86-tso",),
         LitmusSpec(kind="verify", benchmark=test,
                    variant=f"{model}/{reduction}", seed=seed,
                    model=model, reduction=reduction,
-                   enum_limit=enum_limit, use_cache=use_cache)
+                   enum_limit=enum_limit)
         for test in tests for model in models
     )
 

@@ -4,12 +4,11 @@
 and ``SweepStats`` inherit it, ``aggregate_sweep`` folds it with
 ``add`` and the ``stats`` block of every ``bench_*.json`` is written by
 iterating its fields.  The first class pins that a declared counter
-cannot be lost on the way out (``cache_disk_hits``/``cache_disk_misses``
-were summed and printed but never exported while the export named its
-keys by hand); the second keeps the hand-written copies, the twin
-kind if-chains under sweeps and jobs, and the second run description
-(``RunSpec``, retired for ``JobSpec`` + ``LitmusSpec``) from growing
-back.
+cannot be lost on the way out (two once were summed and printed but
+never exported while the export named its keys by hand); the second
+keeps the hand-written copies, the twin kind if-chains under sweeps
+and jobs, and the second run description (``RunSpec``, retired for
+``JobSpec`` + ``LitmusSpec``) from growing back.
 """
 
 import inspect
@@ -25,31 +24,17 @@ from repro.serve.jobs import JobResult
 from repro.workloads import JobSpec, LitmusSpec, RunRow, SweepResult
 from repro.workloads.runner import MACHINE_KINDS, run_workload
 
+from tests import knobs
 from tests.import_closure import import_closure
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
 COUNTERS = fields(RunCounters)
 
-#: The knobs a run can be given, pinned: a second description or a
-#: per-kind side channel would have to add to one of these.
-REPRO_ENV = {
-    "REPRO_BEHAVIOR_CACHE", "REPRO_BEHAVIOR_CACHE_NS",
-    "REPRO_BENCH_HISTORY", "REPRO_BENCH_HISTORY_DIR",
-    "REPRO_TIER2_THRESHOLD", "REPRO_TRACE", "REPRO_TRACE_FILE",
-    "REPRO_WORKERS", "REPRO_XLAT_CACHE", "REPRO_XLAT_CACHE_NS",
-}
-CLI_FLAGS = {
-    "-h", "--help", "--batch-window-ms", "--behavior", "--bench",
-    "--bench-json", "--benchmarks", "--cache-ns", "--clients", "--corpus",
-    "--enum-limit", "--flame", "--floors", "--format", "--history",
-    "--host", "--iterations", "--jobs", "--json", "--mad-k", "--max-batch",
-    "--models", "--namespace", "--no-footer", "--note", "--port", "--qps",
-    "--record", "--reduction", "--rel-tol", "--require-baseline", "--rev",
-    "--schemes", "--seed", "--spawn", "--stats-txt", "--tests",
-    "--tier2-threshold", "--use-cache", "--variants", "--window",
-    "--workers", "--xlat",
-}
+#: The knobs a run can be given, pinned (in :mod:`tests.knobs`): a
+#: second description or a per-kind side channel would have to add to
+#: one of these.  The parsers below do not nest the fuzzer's.
+CLI_FLAGS = (knobs.CLI_FLAGS - knobs.FUZZ_ONLY_FLAGS) | {"-h", "--help"}
 JOB_FIELDS = (
     "kind", "benchmark", "variant", "seed", "max_steps", "buffer_mode",
     "tier2_threshold", "costs", "namespace", "job_id", "kernel",
@@ -57,7 +42,7 @@ JOB_FIELDS = (
 )
 LITMUS_FIELDS = (
     "kind", "benchmark", "variant", "seed", "model", "reduction",
-    "enum_limit", "use_cache", "rmw_lowering",
+    "enum_limit", "rmw_lowering",
 )
 
 
@@ -101,11 +86,6 @@ class TestEveryCounterIsExported:
                 assert exported == {f"origin-{i}": expected}, f.name
             else:
                 assert exported == expected, f.name
-
-    def test_the_two_counters_the_hand_written_export_forgot(self):
-        stats = bench_payload(
-            "unit", sweep=[_row("qemu", 1)])["stats"]
-        assert stats["cache_disk_hits"] and stats["cache_disk_misses"]
 
     def test_fold_leaves_the_rows_alone(self):
         rows = [_row("qemu", 1), _row("risotto", 10)]
@@ -171,5 +151,5 @@ class TestNoSecondDeclaration:
         for path in _sources():
             names.update(re.findall(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b",
                                     path.read_text()))
-        assert names == REPRO_ENV
+        assert names == knobs.REPRO_ENV
         assert _cli_flags() == CLI_FLAGS

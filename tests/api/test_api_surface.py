@@ -55,9 +55,6 @@ EXPECTED_SURFACE = {
     "xlat_cache_stats", "xlat_cache_dir", "xlat_cache_enabled",
     "clear_xlat_cache", "reset_xlat_memory", "get_xlat_cache",
     "xlat_cache_namespaces",
-    "behavior_cache_stats", "behavior_cache_dir",
-    "behavior_cache_enabled", "clear_behavior_cache",
-    "behavior_cache_namespaces",
     # performance observatory (bench history + regression sentinel)
     "record_bench", "load_history", "history_dir",
     "figures_in_history", "config_fingerprint", "render_trend",

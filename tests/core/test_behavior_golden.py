@@ -338,11 +338,6 @@ GOLDEN_ORDER = {('CAS-chain', 'arm-cats'): 'c3faa32fe83cdce3',
  ('SB+mfences', 'x86-tso'): '9f11a7e04fdd6056'}
 
 
-@pytest.fixture(autouse=True)
-def _no_disk_behaviors(monkeypatch):
-    monkeypatch.setenv("REPRO_BEHAVIOR_CACHE", "off")
-
-
 def test_golden_covers_the_bench_grid():
     specs = _enumeration_specs()
     assert len(specs) == len(GOLDEN_CELLS) == 224
@@ -383,15 +378,12 @@ def test_staged_yield_order_matches(cell):
 
 
 if __name__ == "__main__":
-    patch = pytest.MonkeyPatch()
-    patch.setenv("REPRO_BEHAVIOR_CACHE", "off")
     cells = {f"{s.benchmark}|{s.variant}": observe_cell(s)
              for s in _enumeration_specs()}
     schemes = {f"{s.benchmark}|{s.variant}": observe_scheme(s)
                for s in api.scheme_grid()}
     order = {(t, m): observe_order(t, m)
              for t in ORDER_TESTS for m in MODELS}
-    patch.undo()
     for label, table in (("GOLDEN_CELLS", cells),
                          ("GOLDEN_SCHEMES", schemes),
                          ("GOLDEN_ORDER", order)):

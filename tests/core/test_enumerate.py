@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.core import SC, TCG, X86, Arch, Fence, Mode, RmwFlavor
+from repro.core import ARM, ARM_ORIGINAL, SC, TCG, X86, Arch, Fence, \
+    Mode, RmwFlavor
+from repro.core import litmus_library as L
+from repro.core import mappings as M
 from repro.core.enumerate import (
     DEFAULT_CANDIDATE_LIMIT,
     behavior_cache_stats,
@@ -15,8 +18,12 @@ from repro.core.enumerate import (
 )
 from repro.core.axioms import co_well_formed, rf_well_formed
 from repro.core.litmus_library import CAS, MFENCE, R, W, outcome, shows, x86
+from repro.core.models import armcats
+from repro.core.models.terms import ATOMICITY, SC_PER_LOC, MemoryModel, \
+    irreflexive
 from repro.core.program import If, Load, Program, Rmw, Store
 from repro.errors import ModelError
+from tests.import_closure import import_closure
 
 
 class TestLocationDomains:
@@ -229,3 +236,78 @@ class TestBehaviorCache:
         merged.merge(snap)
         assert merged.misses == 2
         assert merged.hits == 1
+
+    def test_the_memo_has_no_disk_dependency(self):
+        """Behaviour sets are memoized in-process only: nothing the
+        enumerator or the verifier imports may reach the disk store."""
+        closure = import_closure({"repro.core.enumerate",
+                                  "repro.core.verifier"})
+        assert "repro.core.dpor" in closure
+        assert "repro.store" not in closure
+
+
+def make_imposter() -> MemoryModel:
+    """The original Arm-Cats terms (the paper's SBAL bug) dressed up
+    under the corrected model's name."""
+    return MemoryModel(ARM.name, ARM.arch, ARM_ORIGINAL.axioms)
+
+
+def rebuilt_arm() -> MemoryModel:
+    """The corrected Arm-Cats model built afresh from Figure 5's terms."""
+    return MemoryModel("arm-cats", Arch.ARM,
+                       (SC_PER_LOC, ATOMICITY, irreflexive(armcats.OB)))
+
+
+@pytest.fixture
+def fresh_memo():
+    clear_behavior_cache()
+    yield
+    clear_behavior_cache()
+
+
+class TestModelKeyCollision:
+    """Regression: the memo key must be the model's content, not its
+    name (keyed on ``(program, model.name)``, an ablated or variant
+    model reusing a standard name inherited the standard model's
+    behaviours)."""
+
+    def test_variant_model_with_reused_name_not_conflated(self,
+                                                          fresh_memo):
+        # The original Arm-Cats model (the paper's SBAL bug) dressed up
+        # under the corrected model's name.  Keying on (program, name)
+        # would hand it the corrected model's memoized behaviours.
+        prog = M.armcats_intended.apply(L.SBAL.program)
+        weak = outcome(X=1, Y=1, T0_a=0, T1_b=0)
+
+        imposter = make_imposter()
+        assert imposter.name == "arm-cats"
+
+        corrected = behaviors(prog, ARM)          # populates the memo
+        impostor_behs = behaviors(prog, imposter)  # must NOT hit it
+        assert impostor_behs != corrected
+        assert not shows(corrected, weak)
+        assert shows(impostor_behs, weak)
+
+    def test_order_independent(self, fresh_memo):
+        # Same collision with the imposter populating the memo first.
+        prog = M.armcats_intended.apply(L.SBAL.program)
+        imposter = make_imposter()
+        first = behaviors(prog, imposter)
+        assert behaviors(prog, ARM) != first
+
+    def test_identical_config_still_shares_entries(self, fresh_memo):
+        # Two models with the same name, arch and terms are the same
+        # model and must share one entry (the point of fingerprinting
+        # content).
+        prog = M.armcats_intended.apply(L.MP.program)
+        behaviors(prog, rebuilt_arm())
+        before = behavior_cache_stats()
+        behaviors(prog, rebuilt_arm())
+        after = behavior_cache_stats()
+        assert after.hits == before.hits + 1
+
+    def test_fingerprints_differ_between_variants(self):
+        assert ARM.fingerprint() != ARM_ORIGINAL.fingerprint()
+        imposter = make_imposter()
+        assert imposter.fingerprint() != ARM.fingerprint()
+        assert rebuilt_arm().fingerprint() == ARM.fingerprint()

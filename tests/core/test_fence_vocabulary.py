@@ -14,6 +14,7 @@ import re
 from pathlib import Path
 
 from repro.tcg.frontend_x86 import FrontendConfig
+from tests import knobs
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
@@ -29,15 +30,6 @@ RETIRED = re.compile(
 PAIR_LITERAL = re.compile(r"""\(\s*["'][rwm]["']\s*,\s*["'][rwm]["']\s*\)""")
 #: The single-bit ``TCG_MO_*`` mask names.
 MO_BIT = re.compile(r"\bMO_(LD_LD|LD_ST|ST_LD|ST_ST)\b")
-
-#: Every ``REPRO_*`` environment name the package reads.
-REPRO_NAMES = {
-    "REPRO_BEHAVIOR_CACHE", "REPRO_BEHAVIOR_CACHE_NS",
-    "REPRO_BENCH_HISTORY", "REPRO_BENCH_HISTORY_DIR",
-    "REPRO_TIER2_THRESHOLD", "REPRO_TRACE", "REPRO_TRACE_FILE",
-    "REPRO_WORKERS", "REPRO_XLAT_CACHE", "REPRO_XLAT_CACHE_NS",
-}
-
 
 def _sources():
     sources = sorted(SRC.rglob("*.py"))
@@ -116,4 +108,4 @@ class TestNoPolicyEnum:
             for name in re.findall(r"\bREPRO_[A-Z0-9_]+",
                                    path.read_text())
         }
-        assert found == REPRO_NAMES
+        assert found == knobs.REPRO_ENV

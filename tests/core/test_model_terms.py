@@ -27,6 +27,7 @@ from repro.core.models.terms import ATOMICITY, COMMUNICATION, \
     SC_PER_LOC, MemoryModel, R, Term, W, acyclic, co, empty, evaluate, \
     fences, fr, fre, irreflexive, monotone, operands, po, rf, union
 from repro.core.relations import Rel
+from tests import knobs
 
 SRC = pathlib.Path(repro.__file__).parent
 MODELS_DIR = SRC / "core" / "models"
@@ -224,31 +225,15 @@ class TestGuards:
 
     def test_no_new_knob(self):
         """No environment variable, CLI flag or model constructor
-        argument beyond these (extend the lists when one is added on
-        purpose)."""
+        argument beyond these (extend :mod:`tests.knobs` when one is
+        added on purpose)."""
         env, flags = set(), set()
         for path in SRC.rglob("*.py"):
             text = path.read_text()
             env |= set(re.findall(r"REPRO_[A-Z0-9_]+", text))
             flags |= set(re.findall(r'add_argument\(\s*"(--[a-z0-9-]+)"',
                                     text))
-        assert env == {
-            "REPRO_BEHAVIOR_CACHE", "REPRO_BEHAVIOR_CACHE_NS",
-            "REPRO_BENCH_HISTORY", "REPRO_BENCH_HISTORY_DIR",
-            "REPRO_TIER2_THRESHOLD", "REPRO_TRACE", "REPRO_TRACE_FILE",
-            "REPRO_WORKERS", "REPRO_XLAT_CACHE", "REPRO_XLAT_CACHE_NS"}
-        assert flags == {
-            "--batch-window-ms", "--behavior", "--bench", "--bench-json",
-            "--benchmarks", "--cache-ns", "--cases", "--clients",
-            "--corpus", "--dbt-mapping", "--enum-limit",
-            "--fail-on-divergence", "--findings", "--flame", "--floors",
-            "--format", "--history", "--host", "--iterations", "--jobs",
-            "--json", "--mad-k", "--max-batch", "--models", "--namespace",
-            "--no-footer", "--no-shrink", "--note", "--oracles", "--port",
-            "--qps", "--record", "--reduction", "--rel-tol",
-            "--require-baseline", "--rev", "--schemes", "--seed",
-            "--shrink-budget", "--spawn", "--stats-txt", "--tests",
-            "--tier2-threshold", "--use-cache", "--variants", "--window",
-            "--workers", "--xlat"}
+        assert env == knobs.REPRO_ENV
+        assert flags == knobs.CLI_FLAGS
         assert list(inspect.signature(MemoryModel).parameters) == [
             "name", "arch", "axioms"]

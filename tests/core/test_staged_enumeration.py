@@ -183,21 +183,17 @@ class TestLimitPlumbing:
         with pytest.raises(ModelError):
             consistent_executions(prog, X86, limit=1, staged=False)
 
-    def test_behaviors_passes_limit_on_miss(self, monkeypatch):
-        # Disk layer off: a warm persistent entry would satisfy the
-        # lookup without enumerating, and limit only binds on misses.
-        from repro.core import behavior_cache
-        monkeypatch.setenv(behavior_cache.ENV_VAR, "off")
+    def test_behaviors_passes_limit_on_miss(self):
+        # A fresh memo: a memoized entry would satisfy the lookup
+        # without enumerating, and limit only binds on misses.
         clear_behavior_cache()
         prog = ALL_TESTS["IRIW"].program
         with pytest.raises(ModelError):
             behaviors(prog, X86, limit=1)
         clear_behavior_cache()
 
-    def test_verifier_forwards_limit(self, monkeypatch):
-        from repro.core import behavior_cache
+    def test_verifier_forwards_limit(self):
         from repro.core.verifier import check_translation
-        monkeypatch.setenv(behavior_cache.ENV_VAR, "off")
         prog = ALL_TESTS["IRIW"].program
         clear_behavior_cache()
         with pytest.raises(ModelError):

@@ -32,7 +32,7 @@ from repro.isa.x86 import assemble as assemble_x86
 from repro.store import DiskStore
 from repro.workloads import ALL_SPECS
 from repro.workloads.runner import run_kernel
-from tests.machine import test_machine_golden as machine_guard
+from tests import knobs
 
 REPO = Path(__file__).parents[2]
 SRC = REPO / "src" / "repro"
@@ -212,7 +212,7 @@ class TestOnePath:
     def test_no_new_environment_name(self):
         """The machine guard pins the names under ``src/``; the docs
         may name those and the one README already had beside them."""
-        known = machine_guard.TestOneFetchPath.ENV_VARS | {"REPRO_METRICS"}
+        known = knobs.REPRO_ENV | {"REPRO_METRICS"}
         found = set()
         for path in [*sorted(SRC.rglob("*.py")), REPO / "README.md",
                      REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"]:

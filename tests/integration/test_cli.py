@@ -11,8 +11,6 @@ from repro.dbt import xlat_cache
 @pytest.fixture()
 def cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_XLAT_CACHE", str(tmp_path / "xlat"))
-    monkeypatch.setenv("REPRO_BEHAVIOR_CACHE",
-                       str(tmp_path / "behaviors"))
     xlat_cache.reset_stats()
     yield tmp_path
     xlat_cache.reset_memory()
@@ -80,7 +78,7 @@ class TestCache:
     def test_stats_json_round_trips(self, cache_env, capsys):
         assert main(["cache", "stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"xlat", "behavior"}
+        assert set(payload) == {"xlat"}
         assert payload["xlat"]["enabled"] is True
         assert payload["xlat"]["disk_entries"] == 0
 
@@ -92,7 +90,7 @@ class TestCache:
         assert main(["cache", "stats", "--json"]) == 0
         before = json.loads(capsys.readouterr().out)
         assert before["xlat"]["disk_entries"] > 0
-        assert main(["cache", "clear", "--xlat"]) == 0
+        assert main(["cache", "clear"]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--json"]) == 0
         after = json.loads(capsys.readouterr().out)
@@ -107,7 +105,7 @@ class TestCache:
                                   namespace="tenant-a"))
         assert main(["cache", "stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        # The per-namespace breakdown nests inside each cache block.
+        # The per-namespace breakdown nests inside the cache block.
         spaces = payload["xlat"]["namespaces"]
         assert spaces["tenant-a"]["entries"] > 0
         assert spaces["tenant-a"]["bytes"] > 0
@@ -116,7 +114,6 @@ class TestCache:
         # never counted once under "namespaces" and again at the root.
         assert payload["xlat"]["disk_entries"] == spaces[""]["entries"]
         assert payload["xlat"]["disk_bytes"] == spaces[""]["bytes"]
-        assert "namespaces" in payload["behavior"]
         capsys.readouterr()
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
@@ -288,35 +285,6 @@ class TestDelegatedHelp:
             main(["cache", "--bogus-flag"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-
-class TestVerifyCacheNamespace:
-    @pytest.fixture()
-    def ns_env(self, cache_env, monkeypatch):
-        from repro.core import behavior_cache
-        from repro.core.enumerate import clear_behavior_cache
-        # Recorded so the variable the command sets is undone after.
-        monkeypatch.setenv(behavior_cache.NAMESPACE_ENV, "")
-        # A memo hit would never reach the disk layer.
-        clear_behavior_cache()
-        return cache_env / "behaviors"
-
-    @pytest.mark.parametrize("name", ["..", "a/b"])
-    def test_a_name_the_store_would_rewrite_is_refused(self, ns_env,
-                                                       name):
-        from repro.errors import ReproError
-        with pytest.raises(ReproError, match=r"\[A-Za-z0-9\._-\]"):
-            main(["verify", "--tests", "MP", "--workers", "1",
-                  "--use-cache", "--cache-ns", name])
-        assert not ns_env.exists()
-
-    def test_a_valid_name_gets_its_own_directory(self, ns_env, capsys):
-        from repro.store import DiskStore
-        assert main(["verify", "--tests", "MP", "--workers", "1",
-                     "--use-cache", "--cache-ns", "tenant.v1"]) == 0
-        capsys.readouterr()
-        assert DiskStore(ns_env / "tenant.v1").entries()
-        assert not DiskStore(ns_env).entries()
 
 
 class TestSchemeMatrix:

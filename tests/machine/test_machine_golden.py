@@ -33,6 +33,7 @@ from repro.core import mappings as M
 from repro.machine import ArmCore, Machine
 from repro.machine.litmus import run_stress
 from repro.machine.weakmem import BufferMode
+from tests import knobs
 
 REPO = Path(__file__).resolve().parents[2]
 MACHINE_SRC = REPO / "src" / "repro" / "machine"
@@ -177,12 +178,6 @@ class TestGolden:
 # Tooling guard: the replaced path must not grow back
 # ----------------------------------------------------------------------
 class TestOneFetchPath:
-    ENV_VARS = {
-        "REPRO_BEHAVIOR_CACHE", "REPRO_BEHAVIOR_CACHE_NS",
-        "REPRO_BENCH_HISTORY", "REPRO_BENCH_HISTORY_DIR",
-        "REPRO_TIER2_THRESHOLD", "REPRO_TRACE", "REPRO_TRACE_FILE",
-        "REPRO_WORKERS", "REPRO_XLAT_CACHE", "REPRO_XLAT_CACHE_NS",
-    }
     MACHINE_PARAMS = [
         "n_cores", "costs", "buffer_mode", "seed", "track_coherence",
         "spurious_failure_rate", "jitter", "memory", "cores"]
@@ -217,7 +212,7 @@ class TestOneFetchPath:
         for path in sorted((REPO / "src" / "repro").rglob("*.py")):
             found |= set(re.findall(r"REPRO_[A-Z][A-Z0-9_]*[A-Z0-9]",
                                     path.read_text()))
-        assert found <= self.ENV_VARS, found - self.ENV_VARS
+        assert found <= knobs.REPRO_ENV, found - knobs.REPRO_ENV
 
     def test_no_new_constructor_parameter(self):
         assert list(inspect.signature(Machine).parameters) \

@@ -12,7 +12,6 @@ import os
 import pytest
 
 from repro import api
-from repro.core import behavior_cache
 from repro.dbt import xlat_cache
 from repro.errors import (
     DecodeError,
@@ -189,14 +188,15 @@ class TestErrorTaxonomy:
 
 
 class TestScopedNamespace:
-    def test_sets_and_restores_both_envs(self, monkeypatch):
+    def test_sets_and_restores_the_env(self, monkeypatch):
         monkeypatch.delenv(xlat_cache.NAMESPACE_ENV, raising=False)
-        monkeypatch.setenv(behavior_cache.NAMESPACE_ENV, "ambient")
         with scoped_namespace("tenant"):
             assert os.environ[xlat_cache.NAMESPACE_ENV] == "tenant"
-            assert os.environ[behavior_cache.NAMESPACE_ENV] == "tenant"
         assert xlat_cache.NAMESPACE_ENV not in os.environ
-        assert os.environ[behavior_cache.NAMESPACE_ENV] == "ambient"
+        monkeypatch.setenv(xlat_cache.NAMESPACE_ENV, "ambient")
+        with scoped_namespace("tenant"):
+            assert os.environ[xlat_cache.NAMESPACE_ENV] == "tenant"
+        assert os.environ[xlat_cache.NAMESPACE_ENV] == "ambient"
 
     def test_empty_namespace_inherits_environment(self, monkeypatch):
         # "" must NOT clear ambient namespaces: local api.run_* calls

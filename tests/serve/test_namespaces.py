@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro import api
-from repro.core import behavior_cache
 from repro.dbt import xlat_cache
 from repro.dbt.xlat_cache import XlatCache
 from repro.store import DiskStore
@@ -34,11 +33,9 @@ TINY = KernelSpec("tiny", loads=2, stores=1, alu=2, fp=1,
 
 @pytest.fixture()
 def cache_env(tmp_path, monkeypatch):
-    """Both persistent caches enabled, rooted in the test tmp dir."""
+    """The translation cache enabled, rooted in the test tmp dir."""
     monkeypatch.setenv("REPRO_XLAT_CACHE", str(tmp_path / "xlat"))
-    monkeypatch.setenv("REPRO_BEHAVIOR_CACHE", str(tmp_path / "beh"))
     monkeypatch.delenv("REPRO_XLAT_CACHE_NS", raising=False)
-    monkeypatch.delenv("REPRO_BEHAVIOR_CACHE_NS", raising=False)
     yield tmp_path
     xlat_cache.reset_memory()
 
@@ -125,7 +122,7 @@ class TestNamespaceUsage:
         assert usage["alice"]["bytes"] > 0
 
     def test_missing_store_is_empty(self, cache_env):
-        assert behavior_cache.namespace_usage() == {}
+        assert xlat_cache.namespace_usage() == {}
 
     def test_shardlike_namespace_not_miscounted(self, cache_env,
                                                 server):
@@ -139,25 +136,13 @@ class TestNamespaceUsage:
         assert usage["ab"]["entries"] > 0
         assert usage[""]["entries"] == 0
 
-    def test_behavior_cache_namespaces(self, cache_env, monkeypatch):
-        base = behavior_cache.base_dir()
-        assert DiskStore(base / "alice").write("0a" * 32, "{}")
-        assert DiskStore(base).write("0b" * 32, "{}")
-        usage = behavior_cache.namespace_usage()
-        assert usage[""]["entries"] == 1
-        assert usage["alice"]["entries"] == 1
-
     def test_api_reexports(self, cache_env):
         from repro.store import namespace_usage
         DiskStore(xlat_cache.base_dir() / "alice").write("0a" * 32, "{}")
-        DiskStore(behavior_cache.base_dir()).write("0b" * 32, "{}")
         assert api.xlat_cache_namespaces() \
             == namespace_usage(xlat_cache.base_dir()) \
             == {"": {"entries": 0, "bytes": 0},
                 "alice": {"entries": 1, "bytes": 2}}
-        assert api.behavior_cache_namespaces() \
-            == namespace_usage(behavior_cache.base_dir()) \
-            == {"": {"entries": 1, "bytes": 2}}
 
 
 class TestNamespaceSanitization:
@@ -166,11 +151,6 @@ class TestNamespaceSanitization:
         root = xlat_cache.cache_dir()
         monkeypatch.setenv("REPRO_XLAT_CACHE_NS", "alice")
         assert xlat_cache.cache_dir() == root / "alice"
-        # The behavior cache only scopes by its *own* env var.
-        assert behavior_cache.cache_dir() == behavior_cache.base_dir()
-        monkeypatch.setenv("REPRO_BEHAVIOR_CACHE_NS", "alice")
-        assert behavior_cache.cache_dir() == \
-            behavior_cache.base_dir() / "alice"
 
 
 def _entry(pc: int) -> tuple[CompiledBlock, OptStats]:

@@ -1,13 +1,12 @@
 """The disk-store contract (:mod:`repro.store`), stated once.
 
-Every case in :class:`TestContract` runs three times: against a bare
+Every case in :class:`TestContract` runs twice: against a bare
 :class:`~repro.store.DiskStore` behind a :class:`~repro.store.StoreEnv`
-and through each persistent cache built on it (the translation cache
-and the behaviour cache), so the namespace / traversal / clear /
-orphan-``.tmp`` / damaged-entry / concurrent-writer guarantees are the
-same guarantees for both.  What only one cache means — keys, codecs,
-counters, the memory LRU, warm-vs-cold identity — stays in that
-cache's own suite.
+and through the translation cache built on it, so the namespace /
+traversal / clear / orphan-``.tmp`` / damaged-entry / concurrent-writer
+guarantees are the same guarantees for both.  What only the cache
+means — keys, codecs, counters, the memory LRU, warm-vs-cold identity
+— stays in the cache's own suite.
 """
 
 import json
@@ -20,8 +19,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import X86, behavior_cache
-from repro.core.litmus_library import R, W, outcome, x86
 from repro.dbt import xlat_cache
 from repro.store import DiskStore, StoreEnv
 from repro.tcg.backend_arm import CompiledBlock
@@ -32,7 +29,7 @@ SRC = REPO / "src" / "repro"
 
 
 # ----------------------------------------------------------------------
-# Subjects: one surface over the bare store and both caches
+# Subjects: one surface over the bare store and the cache
 # ----------------------------------------------------------------------
 def _bare_subject():
     """A DiskStore resolved through its own pair of env vars; entries
@@ -97,36 +94,7 @@ def _xlat_subject():
         key=key, put=put, get=get)
 
 
-def _behavior_subject():
-    def program(i):
-        return x86(f"p{i}", (W("X", i + 1),), (R("a", "X"),))
-
-    def expected(i):
-        return frozenset({outcome(X=i + 1, T1_a=0),
-                          outcome(X=i + 1, T1_a=i + 1)})
-
-    def get(i):
-        loaded = behavior_cache.load(program(i), X86)
-        assert loaded is None or loaded == expected(i)
-        return loaded
-
-    return SimpleNamespace(
-        ENV_VAR=behavior_cache.ENV_VAR,
-        NAMESPACE_ENV=behavior_cache.NAMESPACE_ENV,
-        enabled=behavior_cache.enabled,
-        namespace=behavior_cache.namespace,
-        base_dir=behavior_cache.base_dir,
-        cache_dir=behavior_cache.cache_dir,
-        namespace_usage=behavior_cache.namespace_usage,
-        clear_disk_cache=behavior_cache.clear_disk_cache,
-        key=lambda i: behavior_cache.entry_key(program(i), X86),
-        put=lambda i: behavior_cache.store(program(i), X86,
-                                           expected(i)),
-        get=get)
-
-
-SUBJECTS = {"store": _bare_subject, "xlat": _xlat_subject,
-            "behavior": _behavior_subject}
+SUBJECTS = {"store": _bare_subject, "xlat": _xlat_subject}
 
 
 @pytest.fixture(params=sorted(SUBJECTS))
@@ -353,6 +321,64 @@ class TestBudget:
         assert disk.evict_to_budget() == []
         assert disk.usage() == (8, 800)
 
+    def test_a_write_during_a_walk_keeps_its_charge(self, tmp_path):
+        """A walk paused after listing the store while another thread
+        writes: the walk must not hand out headroom the write has
+        used.  With 1000 of 4000 bytes listed and 1000 more written,
+        a walk that overwrites the write's charge leaves an allowance
+        of 3000 // 4 = 750, above the true 2000 // 4 = 500."""
+        disk = DiskStore(tmp_path, max_bytes=4000)
+        assert disk.write(self.KEYS[0], "x" * 1000)
+        listed, resume, writer_waits = (threading.Event()
+                                        for _ in range(3))
+        plain = disk.entries
+
+        def paused_listing():
+            found = plain()
+            listed.set()
+            resume.wait(timeout=60)
+            return found
+
+        disk.entries = paused_listing
+
+        class Signalling:
+            """The instance's lock, announcing each acquirer, so the
+            write below is known to be waiting on the walk."""
+
+            def __init__(self, lock):
+                self.lock = lock
+
+            def __enter__(self):
+                writer_waits.set()
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        walk = threading.Thread(target=disk.evict_to_budget, daemon=True)
+        walk.start()
+        assert listed.wait(timeout=60)
+        # The walk holds the lock now, so only the writer below enters
+        # the wrapper.  (A store without the lock lets the write finish
+        # at once and the walk then overwrites its charge.)
+        if hasattr(disk, "_lock"):
+            disk._lock = Signalling(disk._lock)
+
+        def write():
+            disk.write(self.KEYS[1], "y" * 1000)
+            writer_waits.set()
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        # Either the write is blocked on the walk, or (no lock) done.
+        assert writer_waits.wait(timeout=60)
+        resume.set()
+        walk.join(timeout=60)
+        writer.join(timeout=60)
+        assert not walk.is_alive() and not writer.is_alive()
+        assert disk.usage() == (2, 2000)
+        assert disk._allowance <= (4000 - 2000) // 4
+
 
 # ----------------------------------------------------------------------
 # The put path: a running estimate, walked only when it runs out
@@ -492,11 +518,10 @@ class TestOneStore:
             (SRC / "store.py").read_text())) >= 3
 
     def test_caches_do_no_filesystem_plumbing(self):
-        for name in ("dbt/xlat_cache.py", "core/behavior_cache.py"):
-            text = (SRC / name).read_text()
-            for banned in ("os.environ", "tempfile", "glob", "iterdir"):
-                assert not re.search(rf"\b{re.escape(banned)}\b", text), \
-                    (name, banned)
+        text = (SRC / "dbt" / "xlat_cache.py").read_text()
+        for banned in ("os.environ", "tempfile", "glob", "iterdir"):
+            assert not re.search(rf"\b{re.escape(banned)}\b", text), \
+                banned
         cli = (SRC / "cli.py").read_text()
         for walker in ("glob", "rglob", "iterdir", "walk", "scandir"):
             assert not re.search(rf"\b{walker}\b", cli), walker

@@ -115,13 +115,6 @@ def _load_golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.fixture(autouse=True)
-def _no_disk_behaviours(monkeypatch):
-    # The suite already runs with the translation cache off; behaviour
-    # sets must come from enumeration, not from an earlier test's disk.
-    monkeypatch.setenv("REPRO_BEHAVIOR_CACHE", "off")
-
-
 class TestRunGolden:
     @pytest.mark.parametrize("name", list(grids()))
     def test_rows(self, name):
@@ -152,7 +145,6 @@ class TestRunGolden:
 def _write_golden() -> None:
     patch = pytest.MonkeyPatch()
     patch.setenv("REPRO_XLAT_CACHE", "off")
-    patch.setenv("REPRO_BEHAVIOR_CACHE", "off")
     patch.delenv("REPRO_TIER2_THRESHOLD", raising=False)
     rows = {}
     for name, cells in grids().items():
