@@ -1,4 +1,4 @@
-"""Persistent sharded translation cache for the DBT pipeline.
+"""Persistent translation cache for the DBT pipeline.
 
 Translation is pure: the compiled artifact of a guest block is a
 function of the guest code bytes, the frontend config (fence scheme,
@@ -59,7 +59,7 @@ written a quarter of the headroom the last walk found
 Configuration via ``REPRO_XLAT_CACHE`` (directory override, or
 ``0``/``off`` to disable both levels) and ``REPRO_XLAT_CACHE_NS`` (the
 namespace; the in-memory LRU is per namespace too, as instances are
-keyed by the resolved directory) — see :class:`repro.store.StoreEnv`.
+keyed by the resolved directory) — see :mod:`repro.store`.
 """
 
 from __future__ import annotations
@@ -73,7 +73,18 @@ from pathlib import Path
 from ..errors import AssemblerError, MachineError, TranslationError
 from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
-from ..store import DiskStore, StoreEnv, code_salt
+from ..store import (  # noqa: F401 - re-exports
+    ENV_VAR,
+    NAMESPACE_ENV,
+    DiskStore,
+    base_dir,
+    cache_dir,
+    clear_disk_cache,
+    code_salt,
+    enabled,
+    namespace,
+    namespace_usage,
+)
 from ..tcg.backend_arm import CompiledBlock, HelperRequest
 from ..tcg.optimizer import OptStats
 
@@ -86,17 +97,6 @@ SCHEMA = "repro-xlat/2"
 #: the same head pc as a plain block must never collide with it, so
 #: trace keys hash this tag plus the ordered (pc, window) list.
 TRACE_SCHEMA = "repro-xlat-trace/2"
-
-ENV_VAR = "REPRO_XLAT_CACHE"
-NAMESPACE_ENV = "REPRO_XLAT_CACHE_NS"
-_ENV = StoreEnv(ENV_VAR, NAMESPACE_ENV, "xlat")
-enabled = _ENV.enabled
-namespace = _ENV.namespace
-base_dir = _ENV.base_dir
-cache_dir = _ENV.cache_dir
-namespace_usage = _ENV.namespace_usage
-#: Removes the active namespace's disk entries (memory levels survive).
-clear_disk_cache = _ENV.clear
 
 #: Disk budget in bytes (entries are a few hundred bytes each); 0
 #: disables eviction.

@@ -7,18 +7,19 @@ stale: the store moves text and never interprets it, while keys,
 salted-module lists, codecs and counters stay with the cache that owns
 their meaning (:func:`code_salt` only digests a list it is given).
 
-Layout: ``<root>/[<namespace>/]<key[:2]>/<key>.json`` — sharded by the
-first two hex digits of the fingerprint, so directory fan-out stays
-bounded for large sweeps.  Entries are written atomically (temp file +
-``os.replace``): concurrent pool workers are safe, last writer wins
+Layout: ``<root>/[<namespace>/]<key>.json`` — a regular file is an
+entry and a directory is a namespace, so a namespace is listed once
+and never descended into.  Entries are written atomically (temp file
++ ``os.replace``): concurrent pool workers are safe, last writer wins
 with an equivalent entry, and a reader sees a whole entry or none.
 
-:class:`StoreEnv` resolves one cache's location from the environment:
-``<env_var>`` unset uses ``<cwd>/.repro-cache/<default_name>``, a path
+The location comes from the environment, re-read on every call so a
+scoped namespace or a monkeypatched root takes effect at once:
+:data:`ENV_VAR` unset uses ``<cwd>/.repro-cache/xlat``, a path
 overrides the root, and ``0``/``off``/``none``/``disabled`` turns the
-cache off.  ``<namespace_env>`` names a *namespace* — a subdirectory
+cache off.  :data:`NAMESPACE_ENV` names a *namespace* — a subdirectory
 of the root.  The serve front-end scopes each tenant's entries under
-its namespace; eviction and :meth:`DiskStore.clear` touch only the
+its namespace; eviction and :func:`clear_disk_cache` touch only the
 active namespace, and :func:`namespace_usage` enumerates them all for
 ``python -m repro cache stats``.
 """
@@ -31,10 +32,13 @@ import inspect
 import os
 import tempfile
 import threading
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
+#: The root override (a path, or an :data:`OFF_VALUES` spelling).
+ENV_VAR = "REPRO_XLAT_CACHE"
+#: The active namespace, a subdirectory of the root.
+NAMESPACE_ENV = "REPRO_XLAT_CACHE_NS"
 OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
 
 
@@ -65,59 +69,31 @@ def sanitize_namespace(raw: str) -> str:
     return ns
 
 
-@dataclass(frozen=True)
-class StoreEnv:
-    """One cache's environment knobs, re-read on every call so a
-    scoped namespace or a monkeypatched root takes effect at once."""
-
-    env_var: str
-    namespace_env: str
-    default_name: str
-
-    def _setting(self) -> str:
-        return os.environ.get(self.env_var, "").strip()
-
-    def enabled(self) -> bool:
-        return self._setting().lower() not in OFF_VALUES
-
-    def namespace(self) -> str:
-        """The active namespace (sanitized), or "" for the root."""
-        return sanitize_namespace(
-            os.environ.get(self.namespace_env, ""))
-
-    def base_dir(self) -> Path:
-        """The store root, *before* namespace scoping."""
-        override = self._setting()
-        if override and override.lower() not in OFF_VALUES:
-            return Path(override)
-        return Path.cwd() / ".repro-cache" / self.default_name
-
-    def cache_dir(self) -> Path:
-        base = self.base_dir()
-        ns = self.namespace()
-        return base / ns if ns else base
-
-    def namespace_usage(self) -> dict[str, dict]:
-        """:func:`namespace_usage` of this cache's root."""
-        return namespace_usage(self.base_dir())
-
-    def clear(self) -> int:
-        """Remove every disk entry of the active namespace (none when
-        the cache is off); returns the number of files removed."""
-        return DiskStore(self.cache_dir()).clear() \
-            if self.enabled() else 0
+def enabled() -> bool:
+    return os.environ.get(ENV_VAR, "").strip().lower() not in OFF_VALUES
 
 
-def _shard_entries(shard: Path) -> list[tuple[float, int, Path]]:
-    """(mtime, size, path) of one shard directory's entry files."""
-    found = []
-    for path in shard.glob("*.json"):
-        try:
-            stat = path.stat()
-        except OSError:  # pragma: no cover - concurrent removal
-            continue
-        found.append((stat.st_mtime, stat.st_size, path))
-    return found
+def namespace() -> str:
+    """The active namespace (sanitized), or "" for the root."""
+    return sanitize_namespace(os.environ.get(NAMESPACE_ENV, ""))
+
+
+def base_dir() -> Path:
+    """The store root, *before* namespace scoping."""
+    override = os.environ.get(ENV_VAR, "").strip()
+    if override and enabled():
+        return Path(override)
+    return Path.cwd() / ".repro-cache" / "xlat"
+
+
+def cache_dir() -> Path:
+    return base_dir() / namespace()
+
+
+def clear_disk_cache() -> int:
+    """Remove every disk entry of the active namespace (none when the
+    cache is off); returns the number of files removed."""
+    return DiskStore(cache_dir()).clear() if enabled() else 0
 
 
 class DiskStore:
@@ -155,7 +131,7 @@ class DiskStore:
         self._lock = threading.Lock()
 
     def path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.json"
+        return self.directory / f"{key}.json"
 
     def read(self, key: str) -> str | None:
         """The entry's text, or ``None`` when there is none.  Whether
@@ -170,15 +146,14 @@ class DiskStore:
         """Atomically (re)place one entry; ``False`` when the
         directory is not writable (a cache is an accelerator, never a
         correctness dependency)."""
-        path = self.path(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
                     fh.write(text)
                 with self._lock:
-                    os.replace(tmp, path)
+                    os.replace(tmp, self.path(key))
                     self._allowance -= len(text.encode())
             except BaseException:
                 os.unlink(tmp)
@@ -192,17 +167,28 @@ class DiskStore:
         allowed, so the budget needs :meth:`evict_to_budget` now."""
         return bool(self.max_bytes) and self._allowance <= 0
 
-    def _shards(self) -> list[Path]:
-        if not self.directory.is_dir():
+    def _files(self, *suffixes: str) -> list[os.DirEntry]:
+        """This namespace's regular files ending in ``suffixes``, from
+        one listing; a subdirectory is another namespace, whatever its
+        name, and is never counted, sized or removed."""
+        try:
+            with os.scandir(self.directory) as listing:
+                return [item for item in listing
+                        if item.name.endswith(suffixes)
+                        and item.is_file(follow_symlinks=False)]
+        except OSError:  # no directory yet
             return []
-        return [child for child in self.directory.iterdir()
-                if child.is_dir()]
 
     def entries(self) -> list[tuple[float, int, Path]]:
         """(mtime, size, path) of every entry, oldest first."""
-        found = [entry for shard in self._shards()
-                 for entry in _shard_entries(shard)]
-        found.sort(key=lambda item: (item[0], item[2].name))
+        found = []
+        for item in self._files(".json"):
+            try:
+                stat = item.stat()
+            except OSError:  # pragma: no cover - concurrent removal
+                continue
+            found.append((stat.st_mtime, stat.st_size, Path(item.path)))
+        found.sort(key=lambda entry: (entry[0], entry[2].name))
         return found
 
     def usage(self) -> tuple[int, int]:
@@ -241,45 +227,26 @@ class DiskStore:
         (nothing else ever collects those); returns the number of
         files removed."""
         removed = 0
-        for shard in self._shards():
-            for pattern in ("*.json", "*.tmp"):
-                for path in shard.glob(pattern):
-                    try:
-                        path.unlink()
-                        removed += 1
-                    except OSError:  # pragma: no cover
-                        pass
+        for item in self._files(".json", ".tmp"):
+            try:
+                os.unlink(item.path)
+                removed += 1
+            except OSError:  # pragma: no cover
+                pass
         return removed
 
 
-def _looks_like_shard(directory: Path) -> bool:
-    """Shards are two hex digits holding only entry files; a
-    namespace that *spells* like a shard still contains shard
-    subdirectories, so contents disambiguate the two."""
-    name = directory.name
-    if len(name) != 2 or any(c not in "0123456789abcdef" for c in name):
-        return False
-    try:
-        return not any(child.is_dir() for child in directory.iterdir())
-    except OSError:  # pragma: no cover - concurrent removal
-        return True
-
-
-def namespace_usage(base: Path) -> dict[str, dict]:
+def namespace_usage(base: Path | None = None) -> dict[str, dict]:
     """Per-namespace ``{"entries": n, "bytes": b}`` of the store
-    rooted at ``base``, keyed by namespace name ("" is the root
-    namespace); empty when the root does not exist."""
+    rooted at ``base`` (default :func:`base_dir`), keyed by namespace
+    name ("" is the root's own entries); empty when the root does not
+    exist."""
+    base = base_dir() if base is None else base
     if not base.is_dir():
         return {}
-    usage = {"": {"entries": 0, "bytes": 0}}
-    for child in sorted(base.iterdir()):
-        if not child.is_dir():
-            continue
-        if _looks_like_shard(child):
-            name, entries = "", _shard_entries(child)
-        else:
-            name, entries = child.name, DiskStore(child).entries()
-        row = usage.setdefault(name, {"entries": 0, "bytes": 0})
-        row["entries"] += len(entries)
-        row["bytes"] += sum(size for _, size, _ in entries)
+    usage = {}
+    for name in ["", *sorted(child.name for child in base.iterdir()
+                             if child.is_dir())]:
+        count, size = DiskStore(base / name).usage()
+        usage[name] = {"entries": count, "bytes": size}
     return usage

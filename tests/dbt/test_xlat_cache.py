@@ -112,19 +112,11 @@ class TestDiskLayer:
         assert hit.compiled == compiled
         assert hit.opt_stats == opt
 
-    def test_entries_are_sharded_by_prefix(self, tmp_path):
-        cache = XlatCache(tmp_path)
-        compiled, opt = _entry()
-        cache.put("ab" * 32, compiled, opt)
-        cache.put("cd" * 32, compiled, opt)
-        assert (tmp_path / "ab" / ("ab" * 32 + ".json")).is_file()
-        assert (tmp_path / "cd" / ("cd" * 32 + ".json")).is_file()
-
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = XlatCache(tmp_path)
         compiled, opt = _entry()
         cache.put("ab" * 32, compiled, opt)
-        path = tmp_path / "ab" / ("ab" * 32 + ".json")
+        path = DiskStore(tmp_path).path("ab" * 32)
         path.write_text("{ not json")
         cache.clear_memory()
         before = xlat_cache.cache_stats().corrupt_entries
@@ -142,7 +134,7 @@ class TestDiskLayer:
         cache = XlatCache(tmp_path)
         compiled, opt = _entry()
         cache.put("ab" * 32, compiled, opt)
-        path = tmp_path / "ab" / ("ab" * 32 + ".json")
+        path = DiskStore(tmp_path).path("ab" * 32)
         payload = json.loads(path.read_text())
         assert payload["opt_stats"] == list(dataclasses.astuple(opt))
         payload["opt_stats"].pop()

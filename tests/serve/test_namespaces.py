@@ -9,6 +9,7 @@ safe under simultaneous writers, and ``namespace_usage`` enumerates
 every tenant for ``python -m repro cache stats``.
 """
 
+import dataclasses
 import threading
 
 import pytest
@@ -126,15 +127,27 @@ class TestNamespaceUsage:
 
     def test_shardlike_namespace_not_miscounted(self, cache_env,
                                                 server):
-        # A tenant named like a shard ("ab": two hex digits) must not
-        # be folded into the root: contents disambiguate.
+        # A tenant spelled like an entry file ("ab.json") is still a
+        # directory: the root neither counts it nor clears or evicts
+        # its entry.
         host, port = server.address
+        job = kernel_job(TINY, variant="qemu", seed=5,
+                         namespace="ab.json", job_id="cold")
         with ServeClient(host, port) as client:
-            client.submit(kernel_job(TINY, variant="qemu", seed=5,
-                                     namespace="ab"))
+            assert client.submit(job).ok
         usage = xlat_cache.namespace_usage()
-        assert usage["ab"]["entries"] > 0
         assert usage[""]["entries"] == 0
+        assert usage["ab.json"]["entries"] > 0
+        assert xlat_cache.clear_disk_cache() == 0
+        assert DiskStore(xlat_cache.base_dir(),
+                         max_bytes=1).evict_to_budget() == []
+        assert xlat_cache.namespace_usage()["ab.json"] == \
+            usage["ab.json"]
+        xlat_cache.reset_memory()
+        with ServeClient(host, port) as client:
+            warm = client.submit(dataclasses.replace(job, job_id="warm"))
+        assert warm.ok and warm.xlat_misses == 0
+        assert warm.cache_tier == "disk"
 
     def test_api_reexports(self, cache_env):
         from repro.store import namespace_usage

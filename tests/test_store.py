@@ -1,10 +1,11 @@
 """The disk-store contract (:mod:`repro.store`), stated once.
 
 Every case in :class:`TestContract` runs twice: against a bare
-:class:`~repro.store.DiskStore` behind a :class:`~repro.store.StoreEnv`
-and through the translation cache built on it, so the namespace /
-traversal / clear / orphan-``.tmp`` / damaged-entry / concurrent-writer
-guarantees are the same guarantees for both.  What only the cache
+:class:`~repro.store.DiskStore` resolved through the store's own
+environment functions and through the translation cache built on it,
+so the namespace / traversal / clear / orphan-``.tmp`` /
+damaged-entry / concurrent-writer guarantees are the same guarantees
+for both.  What only the cache
 means — keys, codecs, counters, the memory LRU, warm-vs-cold identity
 — stays in the cache's own suite.
 """
@@ -19,8 +20,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import store
 from repro.dbt import xlat_cache
-from repro.store import DiskStore, StoreEnv
+from repro.store import DiskStore
 from repro.tcg.backend_arm import CompiledBlock
 from repro.tcg.optimizer import OptStats
 
@@ -32,32 +34,33 @@ SRC = REPO / "src" / "repro"
 # Subjects: one surface over the bare store and the cache
 # ----------------------------------------------------------------------
 def _bare_subject():
-    """A DiskStore resolved through its own pair of env vars; entries
-    are JSON texts decoded by the subject, as a cache would."""
-    env = StoreEnv("REPRO_TEST_STORE", "REPRO_TEST_STORE_NS", "bare")
+    """A DiskStore driven directly, resolved through the store's two
+    env names; entries are JSON texts decoded by the subject, as a
+    cache would."""
 
     def key(i):
         return f"{i:02x}" * 32
 
     def put(i):
-        if env.enabled():
-            DiskStore(env.cache_dir()).write(key(i),
-                                             json.dumps({"value": i}))
+        if store.enabled():
+            DiskStore(store.cache_dir()).write(key(i),
+                                               json.dumps({"value": i}))
 
     def get(i):
-        text = DiskStore(env.cache_dir()).read(key(i)) \
-            if env.enabled() else None
+        text = DiskStore(store.cache_dir()).read(key(i)) \
+            if store.enabled() else None
         try:
             return None if text is None else json.loads(text)["value"]
         except ValueError:
             return None
 
     return SimpleNamespace(
-        ENV_VAR=env.env_var, NAMESPACE_ENV=env.namespace_env,
-        enabled=env.enabled, namespace=env.namespace,
-        base_dir=env.base_dir, cache_dir=env.cache_dir,
-        namespace_usage=env.namespace_usage,
-        clear_disk_cache=env.clear, key=key, put=put, get=get)
+        ENV_VAR=store.ENV_VAR, NAMESPACE_ENV=store.NAMESPACE_ENV,
+        enabled=store.enabled, namespace=store.namespace,
+        base_dir=store.base_dir, cache_dir=store.cache_dir,
+        namespace_usage=store.namespace_usage,
+        clear_disk_cache=store.clear_disk_cache, key=key, put=put,
+        get=get)
 
 
 def _xlat_subject():
@@ -123,17 +126,17 @@ class TestContract:
         assert subject.get(0) is None
         subject.put(0)
         key = subject.key(0)
-        # <root>/[<ns>/]<key[:2]>/<key>.json, for every subject.
-        assert _files(subject.root, "*") == [
-            subject.root / key[:2],
-            subject.root / key[:2] / f"{key}.json"]
+        # <root>/[<ns>/]<key>.json, for every subject.
+        assert _files(subject.root, "*") == [subject.root / f"{key}.json"]
         assert subject.get(0) is not None
         assert subject.get(1) is None
         subject.scope("tenant")
         subject.put(1)
         key = subject.key(1)
-        assert (subject.root / "tenant" / key[:2]
-                / f"{key}.json").is_file()
+        assert _files(subject.root, "*") == [
+            subject.root / f"{subject.key(0)}.json",
+            subject.root / "tenant",
+            subject.root / "tenant" / f"{key}.json"]
 
     def test_cache_dir_override(self, subject):
         assert subject.base_dir() == subject.root
@@ -192,7 +195,7 @@ class TestContract:
         sweeps and counts it like any other removal."""
         subject.put(0)
         subject.put(1)
-        orphan = subject.root / subject.key(0)[:2] / "deadbeef.tmp"
+        orphan = subject.root / "deadbeef.tmp"
         orphan.write_text("{\"partial\":")
         assert subject.clear_disk_cache() == 3
         assert not orphan.exists()
@@ -249,13 +252,20 @@ class TestContract:
         assert usage[""]["bytes"] == DiskStore(subject.root).usage()[1]
 
     def test_shard_spelled_namespace_is_a_namespace(self, subject):
-        # A tenant named like a shard ("ab": two hex digits) must not
-        # be folded into the root: contents disambiguate.
-        subject.scope("ab")
+        # A tenant spelled like an entry file ("ab.json") is still a
+        # directory, so the root never counts, sizes, clears or
+        # evicts it.
+        subject.scope("ab.json")
         subject.put(0)
         usage = subject.namespace_usage()
-        assert usage["ab"]["entries"] == 1
+        assert usage["ab.json"]["entries"] == 1
         assert usage[""]["entries"] == 0
+        subject.scope("")
+        assert subject.clear_disk_cache() == 0
+        assert DiskStore(subject.root, max_bytes=1).evict_to_budget() \
+            == []
+        subject.scope("ab.json")
+        assert subject.get(0) is not None
 
     def test_concurrent_writers_in_one_namespace_are_safe(self, subject):
         subject.scope("shared")
