@@ -10,7 +10,8 @@ this module holds the three pieces that keep that walk small:
   (CoWR, CoRW, CoRR and the RMW pin — so no candidate it lets through
   fails sc-per-loc), (b) RMW source-disjointness cuts and (c) the model's
   monotone rf-stage precheck on every *partial* assignment, so an
-  inconsistent prefix kills its whole subtree.  The search is exact —
+  inconsistent prefix kills its whole subtree, judged by difference
+  along the branch (:meth:`RfSearch._judge`).  The search is exact —
   it removes only candidates no consistent execution can extend — so
   both configurations of the walk sit on it.
 
@@ -39,6 +40,9 @@ Soundness notes (each prune, in one line):
   the axiom terms (see :mod:`repro.core.models.terms`); extending an
   assignment only grows rf and the forced co edges, so a violated
   axiom stays violated.
+* judging by difference — an extension adds exactly its rf edge, its
+  new co bits and the fr (= rf⁻¹;co) edges those make, so a plan's
+  relation turns cyclic iff one new edge (a, b) has b reaching a.
 * symmetry — identical thread bodies yield identical trace lists, and
   relabeling identical threads is an isomorphism of candidate
   executions for tid-agnostic models; behaviours follow by renaming
@@ -61,29 +65,75 @@ from typing import TYPE_CHECKING
 
 from .execution import Execution
 from .program import Program
-from .relations import Rel, union
+from .relations import Rel, _bits, union
 
 if TYPE_CHECKING:
     from .enumerate import EnumerationStats
 
 
-def _forced_co_base(graph) -> dict[str, set]:
-    """rf-independent forced coherence edges, per location: the init
-    write first, and same-thread same-location writes in program order
-    (CoWW; both are consequences of sc-per-loc ∪ co well-formedness).
-    The rf-dependent shapes are :meth:`RfSearch._extend`'s."""
-    base: dict[str, set] = {}
+def _link(rows: dict, base: dict, a: int, mask: int) -> dict | None:
+    """Closed ``rows`` plus ``a -> b`` for every bit b of ``mask``, kept
+    closed (copied first while still ``base``); None when an edge closes
+    a cycle.  Every row reaching ``a``, and ``a``'s own, gains each new
+    b and b's row."""
+    gain = mask & ~rows.get(a, 0)
+    if not gain:
+        return rows
+    for b in _bits(gain):
+        gain |= rows.get(b, 0)
+    if gain >> a & 1:
+        return None
+    if rows is base:
+        rows = dict(base)
+    bit_a = 1 << a
+    for x, row in rows.items():
+        if row & bit_a:
+            rows[x] = row | gain
+    rows[a] = rows.get(a, 0) | gain
+    return rows
+
+
+def _skeleton_state(graph, model) -> tuple:
+    """What :class:`RfSearch` needs of a combo that neither values nor
+    rf move, shared by its skeleton's combos: forced co base closures,
+    read peers, readers per location, thread masks, per plan its (rf,
+    co, fr) modes — whole (1), cross-thread (2), none (0) — and rows
+    seeded with its static part and the base co (None if those cycle),
+    and the checks a prefix execution must still pass.
+
+    The base co is rf-independent: the init write first, and same-thread
+    same-location writes in program order (CoWW; both consequences of
+    sc-per-loc ∪ co well-formedness); the rest is
+    :meth:`RfSearch._extend`'s."""
+    events, reads = graph.events, graph.reads
+    base = {}
     for loc, writes in graph.writes_by_loc.items():
         init = graph.init_writes[loc]
         edges = {(init, w.eid) for w in writes if w.eid != init}
         for w1, w2 in itertools.combinations(writes, 2):
             if w1.tid == w2.tid and not w1.is_init:
-                if w1.idx < w2.idx:
-                    edges.add((w1.eid, w2.eid))
-                else:
-                    edges.add((w2.eid, w1.eid))
-        base[loc] = edges
-    return base
+                edges.add((w1.eid, w2.eid) if w1.idx < w2.idx
+                          else (w2.eid, w1.eid))
+        base[loc] = Rel(edges).plus()
+    peers = {rd.eid: [(e.eid, e.idx < rd.idx, e.is_read())
+                      for e in events.values()
+                      if e.tid == rd.tid and e.loc == rd.loc
+                      and e.eid != rd.eid]
+             for rd in reads}
+    readers = {loc: [rd.eid for rd in reads if rd.loc == loc]
+               for loc in graph.locations}
+    ex = graph.execution(co=union(base.values()))
+    plans, checks = model.prefix_judge(ex)
+    modes, reach = [], []
+    for static, leaves in plans:
+        modes.append(tuple(
+            1 if name in leaves else 2 if f"{name}e" in leaves else 0
+            for name in ("rf", "co", "fr")))
+        closed = union([static(ex) if static else Rel.empty(),
+                        *(getattr(ex, name) for name in leaves)]).plus()
+        reach.append(closed.rows if closed.is_irreflexive() else None)
+    return base, peers, readers, ex._same_thread, tuple(modes), \
+        tuple(reach), checks
 
 
 class RfSearch:
@@ -100,7 +150,6 @@ class RfSearch:
                  stats: EnumerationStats):
         self.graph = graph
         self.options = rf_options
-        self.model = model
         self.stats = stats
         self.reads = graph.reads
         # Most-constrained-first: reads with few sources sit near the
@@ -110,18 +159,14 @@ class RfSearch:
         self.order = sorted(
             range(len(self.reads)),
             key=lambda i: (len(rf_options[i]), self.reads[i].eid))
+        memo = graph.memo   # one search's, so one model's
+        if "rf" not in memo:
+            memo["rf"] = _skeleton_state(graph, model)
+        base, self.peers, self.readers, self.same, self.modes, \
+            self.reach, self.checks = memo["rf"]
         #: Per location, the closure of the forced co edges so far; a
         #: branch swaps in an extended copy and restores it on backtrack.
-        self.closed = {loc: Rel(pairs).plus()
-                       for loc, pairs in _forced_co_base(graph).items()}
-        #: Per read, its thread's other same-location memory events:
-        #: (eid, po-before the read?, is a read?).
-        self.peers = {
-            rd.eid: [(e.eid, e.idx < rd.idx, e.is_read())
-                     for e in graph.events.values()
-                     if e.tid == rd.tid and e.loc == rd.loc
-                     and e.eid != rd.eid]
-            for rd in self.reads}
+        self.closed = dict(base)
         self.choice: dict[int, int] = {}       # read eid -> source eid
         self.rmw_used: set[int] = set()
 
@@ -153,8 +198,11 @@ class RfSearch:
             self.choice[rd.eid] = src
             if is_rmw:
                 self.rmw_used.add(src)
-            if self._precheck():
+            reach = self._judge(rd, src, prev_closed)
+            if reach is not None:
+                prev_reach, self.reach = self.reach, reach
                 yield from self._rec(depth + 1)
+                self.reach = prev_reach
             else:
                 stats.rf_rejected_precheck += 1
                 if not last_depth:
@@ -177,8 +225,7 @@ class RfSearch:
         a cycle.  E a write gives CoWR and CoRW (which pins a successful
         RMW's source immediately co-before its write), E a read CoRR;
         the DFS is not in po order, so a read assigned later covers the
-        pair from the other side.  Adding ``a -> b``: every row
-        reaching ``a``, and ``a``'s own, gains ``b`` and ``b``'s row."""
+        pair from the other side."""
         rows = closed.rows
         choice = self.choice
         for eid, before, is_read in self.peers[rd.eid]:
@@ -186,32 +233,47 @@ class RfSearch:
             if v is None or v == src:
                 continue
             a, b = (v, src) if before else (src, v)
-            if rows.get(a, 0) >> b & 1:
-                continue
-            reach_b = rows.get(b, 0)
-            if reach_b >> a & 1:
+            rows = _link(rows, closed.rows, a, 1 << b)
+            if rows is None:
                 return None
-            if rows is closed.rows:
-                rows = dict(rows)
-            gain, bit_a = reach_b | 1 << b, 1 << a
-            for x, row in rows.items():
-                if row & bit_a:
-                    rows[x] = row | gain
-            rows[a] = rows.get(a, 0) | gain
         return closed if rows is closed.rows else Rel.of_rows(rows)
 
-    def _precheck(self) -> bool:
-        """The model's monotone precheck on the current partial
-        assignment: rf over assigned reads, co the union of per-location
-        forced closures."""
-        graph = self.graph
-        ex = Execution(
-            events=graph.events, po=graph.po,
-            rf=Rel((src, eid) for eid, src in self.choice.items()),
-            co=union(self.closed.values()), data=graph.data,
-            ctrl=graph.ctrl, regs=graph.regs, memo=graph.memo,
-        )
-        return self.model.rf_stage_consistent(ex)
+    def _judge(self, rd, src, prev: Rel):
+        """The plans' rows plus the rf, new co and new fr edges of
+        ``rd`` taking ``src``; None when an edge (a, b) has a reachable
+        from b, or a remaining check fails on the prefix."""
+        rows = self.closed[rd.loc].rows
+        old = prev.rows
+        co = {x: new for x, row in rows.items()
+              if (new := row & ~old.get(x, 0))} if rows is not old else {}
+        fr = [(rd.eid, rows.get(src, 0))]
+        for r in self.readers[rd.loc]:
+            s = self.choice.get(r)
+            if r != rd.eid and s in co:
+                fr.append((r, co[s]))
+        groups = ([(src, 1 << rd.eid)], co.items(), fr)
+        same, out = self.same, []
+        for modes, base in zip(self.modes, self.reach):
+            if base is None:
+                return None
+            reach = base
+            for mode, edges in zip(modes, groups):
+                for a, mask in edges if mode else ():
+                    reach = _link(reach, base, a,
+                                  mask & ~same[a] if mode == 2 else mask)
+                    if reach is None:
+                        return None
+            out.append(reach)
+        if self.checks:
+            graph = self.graph
+            ex = Execution(
+                events=graph.events, po=graph.po,
+                rf=Rel((s, r) for r, s in self.choice.items()),
+                co=union(self.closed.values()), data=graph.data,
+                ctrl=graph.ctrl, regs=graph.regs, memo=graph.memo)
+            if not all(check(ex) for check in self.checks):
+                return None
+        return out
 
 
 # ----------------------------------------------------------------------

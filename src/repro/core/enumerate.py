@@ -100,6 +100,8 @@ class _Trace:
     data: set[tuple[int, int]] = field(default_factory=set)
     ctrl: set[tuple[int, int]] = field(default_factory=set)
     regs: dict[str, int] = field(default_factory=dict)
+    #: Numbers the trace's value-free shape within its thread.
+    skeleton: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -281,8 +283,17 @@ class _ComboGraph:
     writes_by_loc: dict[str, list[Event]]
     init_writes: dict[str, int]
     locations: list[str]
-    #: Shared by every candidate :class:`Execution` of the combo.
+    #: Shared by every candidate :class:`Execution` of every combo with
+    #: this one's skeleton (see :func:`_trace_sets`).
     memo: dict = field(default_factory=dict)
+
+    def execution(self, rf: Rel = Rel.empty(),
+                  co: Rel = Rel.empty()) -> Execution:
+        """A candidate of the combo; with no rf or co, what its static
+        terms are judged on."""
+        return Execution(events=self.events, po=self.po, rf=rf, co=co,
+                         data=self.data, ctrl=self.ctrl, regs=self.regs,
+                         memo=self.memo)
 
 
 def _trace_sets(program: Program):
@@ -291,10 +302,18 @@ def _trace_sets(program: Program):
     Identical thread bodies produce identical trace lists (the symbolic
     execution is deterministic), which is what the symmetry reduction
     in :mod:`repro.core.dpor` relies on to treat trace *indices* of
-    identical threads as interchangeable.
+    identical threads as interchangeable.  A thread's traces that differ
+    only in values share a ``skeleton`` number (and combos, a memo).
     """
     domains = location_domains(program)
     per_thread = [thread_traces(ops, domains) for ops in program.threads]
+    for traces in per_thread:
+        shapes: dict = {}
+        for trace in traces:
+            trace.skeleton = shapes.setdefault((
+                tuple((s.kind, s.loc, s.fence, s.mode, s.rmw_flavor,
+                       s.partner) for s in trace.specs),
+                frozenset(trace.data), frozenset(trace.ctrl)), len(shapes))
     locations = sorted(program.locations())
     return per_thread, locations
 
@@ -596,14 +615,16 @@ def _search(program: Program, model, limit: int,
         if representatives else ()
     produced = 0
     tracer = get_tracer()
+    memos: dict[tuple, dict] = {}    # skeleton -> memo, this search only
     for combo_idx in itertools.product(
             *(range(len(traces)) for traces in per_thread)):
         if not dpor.is_canonical(combo_idx, classes):
             stats.symmetry_collapsed += 1
             continue
-        graph = _materialize_combo(
-            program, locations,
-            tuple(per_thread[t][i] for t, i in enumerate(combo_idx)))
+        combo = tuple(per_thread[t][i] for t, i in enumerate(combo_idx))
+        graph = _materialize_combo(program, locations, combo)
+        graph.memo = memos.setdefault(
+            tuple(trace.skeleton for trace in combo), graph.memo)
         stats.combos += 1
         if tracer.enabled:
             tracer.instant("enum.combo", cat="enum",
@@ -643,12 +664,7 @@ def _search(program: Program, model, limit: int,
                             f"{program.name}: candidate executions "
                             f"exceed limit {limit}"
                         )
-                    ex = Execution(
-                        events=graph.events, po=graph.po, rf=rf,
-                        co=union(co_parts), data=graph.data,
-                        ctrl=graph.ctrl, regs=graph.regs,
-                        memo=graph.memo,
-                    )
+                    ex = graph.execution(rf, union(co_parts))
                     # rf_stage_consistent is only a monotone *precheck*
                     # — even when the forced order is already total,
                     # the full axioms must judge the candidate (a

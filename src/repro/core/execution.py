@@ -9,8 +9,8 @@ Dependency relations (``data``, ``ctrl``; the litmus AST computes no
 addresses) are carried along because the Arm model orders some
 dependent accesses (``dob``); the x86 and TCG models ignore them — which
 is exactly why TCG may legally erase false dependencies (Section 6.1).
-What depends on events/po/data/ctrl alone lives in the combo memo
-(:meth:`Execution.invariant`), shared by every candidate of one combo.
+What depends on the combo's skeleton alone lives in the skeleton memo
+(:meth:`Execution.invariant`), shared by every combo of one skeleton.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class _cached:
 
 
 class _per_combo(_cached):
-    """A property fixed by the trace combo, cached in ``ex.memo``."""
+    """A property fixed by the combo's skeleton, cached in ``ex.memo``."""
 
     def __get__(self, ex, owner=None):
         return self if ex is None else ex.invariant(self.name, self.fn, ex)
@@ -65,13 +65,13 @@ class Execution:
     #: shared variables to observe thread-local values" device, without
     #: polluting the event graph.
     regs: Behavior = frozenset()
-    #: Values fixed by events/po/data/ctrl, shared by every candidate
-    #: of one trace combo (see :meth:`invariant`).
+    #: Values fixed by the combo's skeleton, shared by every candidate
+    #: of every combo with it (see :meth:`invariant`).
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def invariant(self, key, compute, *args):
-        """``compute(*args)``, memoized under ``key`` in the combo memo:
-        only for values that depend on nothing but events/po/data/ctrl."""
+        """``compute(*args)``, memoized under ``key`` in the skeleton
+        memo: for values of the skeleton only, never values."""
         memo = self.memo
         if key not in memo:
             memo[key] = compute(*args)

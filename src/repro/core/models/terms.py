@@ -12,11 +12,17 @@ product, ``.plus()``/``.inv()``, ``dom``/``codom``.
 Derived when a model is built, never written per model:
 
 * **The static/communication split.**  A term is static when no rf/co
-  relation occurs in it (its value is fixed by the trace combo).  Each
-  ``acyclic`` axiom's union is split into its static operands, one term
-  evaluated once per combo through :meth:`Execution.invariant`, and the
-  communication operands a candidate unions onto it.  Every other
-  static compound is memoized the same way.
+  relation occurs in it (its value is fixed by the trace combo's
+  skeleton).  Each ``acyclic`` axiom's union is split into its static
+  operands, one term evaluated once per skeleton through
+  :meth:`Execution.invariant`, and the communication operands a
+  candidate unions onto it.  Every other static compound is memoized
+  the same way.
+* **Plans and guards** (:meth:`MemoryModel.prefix_judge`).  An acyclic
+  axiom whose communication operands are bare leaves has a plan: that
+  same static term and the leaf names, which the rf search judges by
+  difference.  ``empty(S & X)`` with ``S`` static is guarded by ``S``:
+  it cannot fail on a combo where ``S`` is empty.
 * **Staged soundness** (``supports_staged``).  The staged and DPOR
   enumerators run the axioms on a *prefix* of rf and the *forced
   subset* of co, and cut the subtree on a violation — sound only if the
@@ -155,7 +161,7 @@ _SHARED = frozenset({SC_PER_LOC.text, ATOMICITY.text})
 # ----------------------------------------------------------------------
 _APPLY = {"-": operator.sub, "*": Rel.cross, "+": Rel.plus,
           "^-1": Rel.inv, "[]": Rel.identity, "dom": Rel.domain,
-          "codom": Rel.codomain, "acyclic": Rel.is_acyclic,
+          "codom": Rel.codomain,
           "irreflexive": Rel.is_irreflexive, "empty": operator.not_}
 
 
@@ -167,24 +173,39 @@ def operands(term: Term, unclose: bool = False) -> list[Term]:
     return [term]
 
 
-def _compile(term: Term, once: bool = True):
+def _split(axiom: Term):
+    """An acyclic axiom (``irreflexive(r+)`` counts as ``acyclic(r)``)
+    as its static operands joined into one term (None when it has
+    none) and its communication operands; None for any other axiom."""
+    rel = axiom.args[0]
+    if axiom.op != "acyclic" and not (axiom.op == "irreflexive"
+                                      and rel.op == "+"):
+        return None
+    parts = operands(rel, unclose=True)
+    static = [p for p in parts if not p.comm]
+    return (union(*static) if static else None), \
+        [p for p in parts if p.comm]
+
+
+def _compile(term: Term, once: bool = True, split=None):
     """``ex -> value`` for ``term``.  With ``once``, a static compound is
-    computed once per trace combo (memoized under the term object)."""
+    computed once per skeleton (memoized under the term object).  An
+    acyclic axiom is judged on the union of its :func:`_split` parts
+    (``split`` when given)."""
     op, args = term.op, term.args
     if op == "leaf":
         return args[0]
     if once and not term.comm:
         plain = _compile(term, once=False)
         return lambda ex: ex.invariant(term, plain, ex)
-    if op == "irreflexive" and args[0].op == "+":
-        op = "acyclic"
-    if op == "acyclic":
-        args = (union(*operands(args[0], unclose=True)),)
-    elif op == "|" and term.sort == "rel":
+    if term.sort == "axiom" and (split := split or _split(term)):
+        static, comm = split
+        parts = [_compile(a, once) for a in ([static] if static else [])
+                 + comm]
+        return lambda ex: union_rels([part(ex) for part in parts]) \
+            .is_acyclic()
+    if op == "|" and term.sort == "rel":
         args = operands(term)
-        static = [a for a in args if not a.comm]
-        if once and len(static) > 1:   # the derived split
-            args = [union(*static), *(a for a in args if a.comm)]
     parts = [_compile(a, once) for a in args]
     first = parts[0]
     if op == "|":
@@ -240,7 +261,23 @@ class MemoryModel:
         if any(ax.sort != "axiom" for ax in axioms):
             raise TypeError(f"{name}: every axiom must be an axiom term")
         self.name, self.arch, self.axioms = name, arch, tuple(axioms)
-        self._checks = tuple(_compile(ax) for ax in self.axioms)
+        checks, plans, self._residue = [], [], []
+        for ax in self.axioms:
+            split = _split(ax)
+            checks.append(_compile(ax, split=split))
+            if split and all(c.op == "leaf" for c in split[1]):
+                static, leaves = split
+                plans.append((static and _compile(static),
+                              frozenset(c.text for c in leaves)))
+                continue
+            rel = ax.args[0]
+            guarded = ax.op == "empty" and rel.op == "&" \
+                and not rel.args[0].comm
+            self._residue.append(
+                (_compile(rel.args[0]) if guarded else None, checks[-1]))
+        #: Per axiom :func:`_split` into a static term and bare leaves:
+        #: (that term's evaluator or None, the leaf names).
+        self.plans, self._checks = tuple(plans), tuple(checks)
         #: May the staged/DPOR enumerators run :meth:`rf_stage_consistent`
         #: on partial rf and forced co?  Every axiom monotone in rf, co,
         #: and the two axioms the search's prunes assume both stated.
@@ -261,6 +298,19 @@ class MemoryModel:
         rejects every extension; a pass is never final (a candidate
         still needs :meth:`is_consistent` once its co is total)."""
         return self.is_consistent(ex)
+
+    def prefix_judge(self, ex: Execution):
+        """How the rf search judges a prefix of ``ex``'s combo: the
+        :attr:`plans`, and the checks left to run on a prefix execution
+        — every other axiom unless it is ``empty(S & X)`` with ``S``
+        static and empty on ``ex``.  A subclass that overrides how
+        executions are judged gets no plans and its own hook."""
+        cls, base = type(self), MemoryModel
+        if cls.rf_stage_consistent is not base.rf_stage_consistent \
+                or cls.is_consistent is not base.is_consistent:
+            return (), (self.rf_stage_consistent,)
+        return self.plans, tuple(check for guard, check in self._residue
+                                 if guard is None or guard(ex))
 
     def fingerprint(self) -> str:
         """Content identity for behaviour caching: class (a subclass may

@@ -18,7 +18,7 @@ from random import Random
 
 import pytest
 
-from repro.core import ARM, SC, TCG, X86
+from repro.core import ARM, ARM_ORIGINAL, SC, TCG, X86, dpor
 from repro.core.corpus_large import (
     CAS5,
     FIVE_THREAD_CORPUS,
@@ -47,8 +47,10 @@ from repro.core.enumerate import (
 from repro.errors import ModelError
 from repro.core.events import Arch
 from repro.core.litmus_library import ALL_TESTS, R, W, x86
-from repro.core.models.terms import SC_PER_LOC, MemoryModel, co, empty, \
-    evaluate, fre, rf
+from repro.core.execution import Execution
+from repro.core.models.terms import SC_PER_LOC, MemoryModel, Term, \
+    acyclic, co, empty, evaluate, fre, po, rf, rfe
+from repro.core.relations import Rel, union
 from repro.core.verifier import check_annotations
 from repro.fuzz.generate import gen_litmus
 
@@ -212,6 +214,164 @@ class TestForcedCoherence:
             assert spy.incoherent == [], program
             checked += 1
         assert checked >= 150
+
+
+# ----------------------------------------------------------------------
+# Judging prefixes by difference
+# ----------------------------------------------------------------------
+class DifferentialSearch(RfSearch):
+    """The rf search, judging every prefix twice: by difference, and
+    by the model's full ``rf_stage_consistent`` on a prefix execution
+    (sharing the skeleton memo, which :class:`TestSkeletonMemo`
+    holds to a fresh recomputation)."""
+
+    judged: list = []
+    mismatches: list = []
+
+    def __init__(self, graph, options, model, stats):
+        super().__init__(graph, options, model, stats)
+        self.model = model
+
+    def _judge(self, rd, src, prev):
+        reach = super()._judge(rd, src, prev)
+        graph = self.graph
+        ex = Execution(
+            events=graph.events, po=graph.po,
+            rf=Rel((s, r) for r, s in self.choice.items()),
+            co=union(self.closed.values()), data=graph.data,
+            ctrl=graph.ctrl, regs=graph.regs, memo=graph.memo)
+        full = self.model.rf_stage_consistent(ex)
+        self.judged.append(full)
+        if (reach is not None) != full:
+            self.mismatches.append((self.model.name, dict(self.choice)))
+        return reach
+
+
+@pytest.fixture
+def differential(monkeypatch):
+    monkeypatch.setattr(dpor, "RfSearch", DifferentialSearch)
+    monkeypatch.setattr(DifferentialSearch, "judged", [])
+    monkeypatch.setattr(DifferentialSearch, "mismatches", [])
+    return DifferentialSearch
+
+
+BUILTIN_MODELS = [X86, ARM, ARM_ORIGINAL, TCG, SC]
+LARGE = {test.name for test in FIVE_THREAD_CORPUS}
+#: x86-TSO plus an unguarded axiom no plan covers (a communication
+#: operand that is not a bare leaf), judged on a prefix execution.
+LEFTOVER = MemoryModel("x86-leftover", X86.arch,
+                       (*X86.axioms, acyclic(po | rfe @ po)))
+
+
+class TestJudgeByDifference:
+    """The incremental judge must say exactly what the full precheck
+    says on every prefix the DFS reaches, in both configurations —
+    else a counter, or a behaviour, moves."""
+
+    @pytest.mark.parametrize("model", [*BUILTIN_MODELS, LEFTOVER],
+                             ids=lambda m: m.name)
+    def test_registry_every_prefix(self, differential, model):
+        for test in verify_registry().values():
+            reduced(test.program, model)
+            if test.name not in LARGE:
+                list(enumerate_consistent(test.program, model))
+        assert differential.mismatches == []
+        assert differential.judged
+
+    def test_fuzzed_programs_every_prefix(self, differential):
+        rng = Random(17)
+        checked = 0
+        for case in range(200):
+            arch = rng.choice(tuple(MODEL_FOR_ARCH))
+            program = gen_litmus(rng, arch, name=f"judge-{case}")
+            try:   # the same budget as the coherence test above
+                naive_behaviors(program, SC, limit=1_000)
+            except ModelError:
+                continue
+            for model in BUILTIN_MODELS:
+                reduced(program, model)
+            list(enumerate_consistent(program, MODEL_FOR_ARCH[arch]))
+            checked += 1
+        assert checked >= 150
+        assert differential.mismatches == []
+        assert set(differential.judged) == {True, False}
+
+    @pytest.mark.parametrize("model", BUILTIN_MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("name", ["MP", "SB"])
+    def test_fast_path_builds_no_prefix_execution(self, monkeypatch,
+                                                  model, name):
+        built = []
+
+        class Counted(Execution):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(dpor, "Execution", Counted)
+        stats = EnumerationStats()
+        program = ALL_TESTS[name].program
+        list(enumerate_consistent(program, model, stats=stats))
+        reduced(program, model, stats=stats)
+        assert stats.rf_choices > 0
+        assert built == []
+
+    def test_a_hook_override_is_still_called(self):
+        calls = []
+
+        class Hooked(WeakPrecheckX86):
+            def rf_stage_consistent(self, ex):
+                calls.append(len(ex.rf))
+                return True
+
+        program = ALL_TESTS["MP"].program
+        assert reduced(program, Hooked()) == naive_behaviors(program, X86)
+        assert calls
+
+
+class TestSkeletonMemo:
+    """Combos of one skeleton share one memo, so nothing in it may
+    depend on a value: every entry must equal what a fresh memo of each
+    combo of the skeleton computes."""
+
+    @staticmethod
+    def _recompute(key, graph, search_args):
+        ex = graph.execution()
+        if key == "rf":
+            RfSearch(graph, *search_args)
+            return graph.memo["rf"]
+        if isinstance(key, Term):
+            return evaluate(key, ex)
+        if isinstance(key, str):
+            return getattr(ex, key)
+        kind, *args = key
+        return {"fences": lambda: ex.fences(*args[0]),
+                "mode": lambda: ex.with_mode(*args),
+                "rmw": lambda: ex.rmw_of_flavor(*args[0])}[kind]()
+
+    @pytest.mark.parametrize("model", BUILTIN_MODELS, ids=lambda m: m.name)
+    def test_shared_entries_equal_a_fresh_recomputation(self, monkeypatch,
+                                                        model):
+        searched = []
+
+        class Recorded(RfSearch):
+            def __init__(self, graph, *args):
+                super().__init__(graph, *args)
+                searched.append((graph, args))
+
+        monkeypatch.setattr(dpor, "RfSearch", Recorded)
+        shared = checked = 0
+        for test in verify_registry().values():
+            searched.clear()
+            reduced(test.program, model)
+            memos = [graph.memo for graph, _ in searched]
+            shared += len(memos) - len({id(memo) for memo in memos})
+            for graph, args in searched:
+                fresh = dataclasses.replace(graph, memo={})
+                for key, value in graph.memo.items():
+                    assert self._recompute(key, fresh, args) == value, \
+                        (test.name, key)
+                    checked += 1
+        assert shared > 0 and checked > 0
 
 
 # ----------------------------------------------------------------------

@@ -78,9 +78,11 @@ class TestEvaluator:
         with pytest.raises(TypeError):
             MemoryModel("bad", Arch.X86, (po,))
 
-    def test_static_part_is_memoized_per_combo(self):
+    def test_static_part_is_memoized_per_skeleton(self):
         # The split: GHB's rf/co-free operands are one term, memoized
-        # in the combo memo that every candidate of the combo shares.
+        # in the skeleton memo that every candidate of every combo of
+        # one skeleton shares — one entry, shared with the rf search's
+        # plan for the axiom.
         memos = {id(ex.memo): ex for ex in
                  enumerate_consistent(ALL_TESTS["MP"].program, X86)}
         assert memos
@@ -107,6 +109,32 @@ class TestDerived:
             dynamic = [p.text for p in parts if p.comm]
             assert dynamic and set(dynamic) <= COMMUNICATION, axiom
             assert any(not p.comm for p in parts), axiom
+
+    @pytest.mark.parametrize("model", MODEL_BY_NAME.values(),
+                             ids=lambda m: m.name)
+    def test_plans_cover_every_axiom_but_atomicity(self, model):
+        # sc-per-loc and the main axiom are judged by difference;
+        # atomicity is left to a prefix execution, and only on a combo
+        # with a successful RMW.
+        main = model.axioms[2].args[0]
+        leaves = {p.text for p in operands(main, unclose=True) if p.comm}
+        assert [names for _, names in model.plans] == [
+            {"rf", "co", "fr"}, leaves]
+        plain = next(enumerate_executions(ALL_TESTS["MP"].program))
+        assert model.prefix_judge(plain) == (model.plans, ())
+        cas = next(enumerate_executions(ALL_TESTS["MP+rmw"].program))
+        assert cas.rmw
+        assert model.prefix_judge(cas) == (model.plans,
+                                           (model._checks[1],))
+
+    def test_a_hook_override_takes_no_plans(self):
+        class Hooked(MemoryModel):
+            def rf_stage_consistent(self, ex):
+                return True
+
+        hooked = Hooked("hooked", X86.arch, X86.axioms)
+        ex = next(enumerate_executions(ALL_TESTS["MP"].program))
+        assert hooked.prefix_judge(ex) == ((), (hooked.rf_stage_consistent,))
 
     def test_non_monotone_model_takes_the_naive_fallback(self):
         # fre ⊆ rf⁻¹;co always holds, so the extra axiom changes no
