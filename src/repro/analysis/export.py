@@ -65,9 +65,8 @@ def bench_payload(figure: str, table: BenchTable | None = None,
     """Assemble the export dict for one figure.
 
     ``table`` contributes per-cell rows, ``sweep`` the harness-level
-    aggregate (including the sweep-wide metrics snapshot when the
-    sweep carries one), ``series``/``extra`` free-form figure data
-    (e.g. Figure 15's throughput curves or prose numbers).
+    aggregate, failures and hot blocks, ``series``/``extra`` free-form
+    figure data (e.g. Figure 15's throughput curves or prose numbers).
     ``config`` declares the knobs that make runs comparable (iteration
     counts, enumeration limits, …): it feeds the history store's
     :func:`~repro.obs.history.config_fingerprint`, never the measured
@@ -81,9 +80,6 @@ def bench_payload(figure: str, table: BenchTable | None = None,
         payload["rows"] = _table_rows(table)
     if sweep is not None:
         payload["stats"] = _sweep_stats(sweep)
-        metrics = getattr(sweep, "metrics", None)
-        if metrics:
-            payload["metrics"] = metrics
         failures = getattr(sweep, "failures", ())
         if failures:
             payload["failures"] = [str(f) for f in failures]

@@ -4,8 +4,8 @@
 same text-table style as :mod:`repro.analysis.report`:
 
 * ``bench_*.json`` exports (:mod:`repro.analysis.export`) — per-cell
-  rows, the harness aggregate, the fence-by-origin breakdown, hot
-  blocks, and the sweep's metrics snapshot;
+  rows, the harness aggregate, the fence-by-origin breakdown and hot
+  blocks;
 * Chrome ``trace_event`` files written by :mod:`repro.obs.trace` —
   validated, then summarized as per-span totals.
 
@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 from ..errors import ReproError
-from ..obs.metrics import parse_labels
 from ..obs.trace import validate_chrome_events
 from .export import BENCH_SCHEMA, load_bench_json
 from .report import _fence_origin_lines, _fmt_pct
@@ -60,9 +59,6 @@ def render_bench(payload: dict, source: str = "") -> str:
     hot = payload.get("hot_blocks") or {}
     if hot:
         lines.append(render_hot_blocks(hot))
-    metrics = payload.get("metrics")
-    if metrics:
-        lines.append(render_metrics(metrics))
     return "\n".join(lines)
 
 
@@ -89,27 +85,6 @@ def render_hot_blocks(hot: dict) -> str:
                 f"    {int(pc):#012x}  {dispatches:>8d}  "
                 f"{cycles:>12d}  "
                 f"{_fmt_pct(cycles / total).strip():>7s}")
-    return "\n".join(lines)
-
-
-def render_metrics(snapshot: dict) -> str:
-    """A metrics-registry snapshot as a labelled text table."""
-    metrics = snapshot.get("metrics", {})
-    lines = [f"metrics ({snapshot.get('schema', '?')}):"]
-    for name in sorted(metrics):
-        metric = metrics[name]
-        kind = metric.get("kind", "?")
-        lines.append(f"  {name} [{kind}]")
-        for key in sorted(metric.get("series", {})):
-            value = metric["series"][key]
-            labels = parse_labels(key)
-            label_text = ", ".join(
-                f"{k}={v}" for k, v in sorted(labels.items())) \
-                or "(no labels)"
-            if kind == "histogram":
-                value = (f"count={value.get('count', 0)} "
-                         f"sum={value.get('sum', 0)}")
-            lines.append(f"    {label_text:<44s} {value}")
     return "\n".join(lines)
 
 

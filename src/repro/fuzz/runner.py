@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ReproError
-from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .cases import canonical_json
 from .oracles import ORACLES, make_oracles
@@ -78,9 +77,6 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     oracles = make_oracles(config.oracles,
                            dbt_mapping=config.dbt_mapping)
     report = FuzzReport(config=config)
-    registry = get_registry()
-    counter = registry.counter(
-        "repro_fuzz_cases_total", "fuzz cases checked, by outcome")
     tracer = get_tracer()
 
     from random import Random
@@ -95,8 +91,6 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                 case = oracle.generate(rng)
                 outcome = oracle.check(case)
             counts[outcome.status] = counts.get(outcome.status, 0) + 1
-            counter.labels(oracle=oracle.name,
-                           status=outcome.status).inc()
             if outcome.status != "divergence":
                 continue
             finding = {

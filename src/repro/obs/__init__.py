@@ -1,6 +1,6 @@
-"""Observability layer: structured tracing and a metrics registry.
+"""Observability layer: structured tracing, counters, bench history.
 
-Two small, dependency-free subsystems every other layer can import
+Small, dependency-free subsystems every other layer can import
 without cost:
 
 * :mod:`repro.obs.trace` — span/instant event tracing with a no-op
@@ -8,9 +8,9 @@ without cost:
   ``REPRO_TRACE=1``) the DBT pipeline, optimizer passes, scheduler
   loop and staged enumerator emit events renderable as JSONL or Chrome
   ``trace_event`` JSON (loadable in Perfetto / ``chrome://tracing``).
-* :mod:`repro.obs.metrics` — counters, gauges and histograms with
-  labeled series and a snapshot/merge protocol that crosses the
-  ``run_parallel`` process boundary.
+* :mod:`repro.obs.metrics` — :class:`~repro.obs.metrics.Counters`,
+  the base of the producer ``*Stats`` blocks whose fields reach the
+  run rows, the bench export, the history store and the sentinel.
 
 The contract is zero overhead when disabled: the default tracer is a
 shared :class:`~repro.obs.trace.NullTracer` whose methods record
@@ -29,7 +29,6 @@ from .history import (
     record_bench,
     render_trend,
 )
-from .metrics import MetricsRegistry, get_registry, set_registry
 from .sentinel import Finding, SentinelReport, check_payload, \
     load_floors
 from .trace import (
@@ -43,7 +42,6 @@ from .trace import (
 )
 
 __all__ = [
-    "MetricsRegistry", "get_registry", "set_registry",
     "NullTracer", "Tracer", "get_tracer", "install_tracer",
     "trace_disable", "trace_enable", "validate_chrome_trace",
     # bench history + regression sentinel

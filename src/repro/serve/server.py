@@ -23,10 +23,11 @@ namespaces once and runs the jobs back to back.  Worker processes are
 long-lived, so their in-memory translation LRUs stay warm across
 requests — the serving win the paper's cache layer was built for.
 
-Per-request observability flows into the process metrics registry
-(queue wait, batch size, cache hit tier, end-to-end latency, typed
-error counts) and the trace lanes (one ``serve.batch`` span per
-dispatched batch).
+Per-request observability travels on each :class:`JobResult` (queue
+wait, batch size, cache hit tier, execution seconds, typed error
+code), which ``loadgen`` aggregates into its bench export, and on the
+trace lanes (one ``serve.batch`` span per dispatched batch).  The
+``stats`` op answers with the dispatcher's scalars only.
 """
 
 from __future__ import annotations
@@ -43,20 +44,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from ..errors import ErrorInfo, JobError, classify_error
-from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..workloads.parallel import default_workers
 from .jobs import JOB_SCHEMA, JobResult, JobSpec, batch_key, run_job
-
-#: Histogram bucket bounds for second-scale serve latencies (the
-#: registry default buckets are count-scale and useless here).
-TIME_BUCKETS: tuple[float, ...] = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0, 30.0,
-)
-
-#: Batch-size histogram bounds.
-BATCH_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -152,7 +142,6 @@ class JobDispatcher:
         self._queue: queue.Queue = queue.Queue()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
-        self._registry = get_registry()
         self._closed = False
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch",
@@ -270,7 +259,6 @@ class JobDispatcher:
             result = JobResult.from_error(pending.job, info)
             result.queue_seconds = wait
             result.batch_size = len(batch)
-            self._record(result)
             pending.future.set_result(result)
 
     def _deliver(self, batch: list[_Pending], results: list[dict],
@@ -283,33 +271,7 @@ class JobDispatcher:
                                               classify_error(exc))
             result.queue_seconds = wait
             result.batch_size = len(batch)
-            self._record(result)
             pending.future.set_result(result)
-
-    # ------------------------------------------------------------------
-    def _record(self, result: JobResult) -> None:
-        """Per-request metrics into the process registry."""
-        reg = self._registry
-        reg.counter("repro_serve_jobs_total",
-                    "Jobs served, by kind/namespace/cache tier") \
-            .labels(kind=result.kind, namespace=result.namespace,
-                    cache_tier=result.cache_tier).inc()
-        if not result.ok and result.error is not None:
-            reg.counter("repro_serve_errors_total",
-                        "Typed job errors, by taxonomy code") \
-                .labels(code=result.error.code).inc()
-        reg.histogram("repro_serve_queue_seconds",
-                      "Dispatcher queue wait per job",
-                      buckets=TIME_BUCKETS) \
-            .observe(result.queue_seconds)
-        reg.histogram("repro_serve_batch_size",
-                      "Jobs per dispatched batch",
-                      buckets=BATCH_BUCKETS) \
-            .observe(result.batch_size)
-        reg.histogram("repro_serve_exec_seconds",
-                      "Worker-side execution seconds per job",
-                      buckets=TIME_BUCKETS) \
-            .observe(result.wall_seconds)
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +396,6 @@ class ReproServer:
             "max_batch": self.dispatcher.max_batch,
             "jobs_dispatched": self.dispatcher.jobs_dispatched,
             "batches_dispatched": self.dispatcher.batches_dispatched,
-            "metrics": get_registry().snapshot(),
         }
 
     # ------------------------------------------------------------------

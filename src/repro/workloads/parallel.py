@@ -41,7 +41,6 @@ from ..analysis.stats import RunCounters
 from ..core.enumerate import EnumerationStats, behavior_cache_stats, \
     enumeration_stats
 from ..errors import ReproError, classify_error
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
 from .jobspec import JobSpec, scoped_namespace
 # The registries live with the executor; re-exported here for
@@ -91,10 +90,6 @@ class RunRow(RunCounters):
     #: run tracked no profile at all (native runs), as opposed to
     #: ``()`` — "tracked, but nothing dispatched".
     hot_blocks: tuple | None = ()
-    #: metrics-registry snapshot of this run (the picklable wire form
-    #: of :meth:`repro.obs.metrics.MetricsRegistry.snapshot`), merged
-    #: across the process boundary by :func:`run_parallel`.
-    metrics: dict = field(default_factory=dict)
     #: trace_event dicts recorded in the worker while this spec ran
     #: (empty unless tracing is enabled).  ``run_parallel`` rebases
     #: them onto the parent tracer's timeline so a sweep leaves one
@@ -175,39 +170,6 @@ def deterministic_row(row: RunRow) -> RunRow:
     return replace(row, wall_seconds=0.0, xlat_hits=0,
                    xlat_misses=0, xlat_disk_hits=0,
                    trace_events=(), trace_epoch_ns=0)
-
-
-def _run_metrics(spec: JobSpec | LitmusSpec, row: RunRow) -> dict:
-    """A per-run metrics snapshot (the wire form of the registry).
-
-    Built fresh per spec so merging snapshots is associative whatever
-    the worker layout; ``run_parallel`` folds them into the sweep-wide
-    registry on the parent side of the process boundary.  Only
-    deterministic quantities go in (cycles, counts — never wall time),
-    so rows stay bit-identical across worker layouts.
-    """
-    reg = MetricsRegistry()
-    labels = {"kind": spec.kind, "variant": spec.variant}
-    reg.counter("repro_runs_total",
-                "Runs executed by the sweep harness") \
-        .labels(**labels).inc()
-    reg.histogram("repro_run_cycles",
-                  "Elapsed machine cycles of one run") \
-        .labels(**labels).observe(row.cycles)
-    if row.blocks_translated:
-        reg.counter("repro_blocks_translated_total",
-                    "Guest blocks translated") \
-            .labels(variant=spec.variant).inc(row.blocks_translated)
-    if row.block_dispatches:
-        reg.counter("repro_block_dispatches_total",
-                    "Block dispatches through the runtime") \
-            .labels(variant=spec.variant).inc(row.block_dispatches)
-    fences = reg.counter(
-        "repro_fence_cycles_total",
-        "Fence cycles by provenance tag")
-    for origin, cycles in sorted(row.fence_origin_cycles.items()):
-        fences.labels(variant=spec.variant, origin=origin).inc(cycles)
-    return reg.snapshot()
 
 
 def _enum_fields(run: EnumerationStats) -> dict:
@@ -346,12 +308,9 @@ def run_job_row(job: JobSpec, *, library=None
 
 def execute_spec(spec: JobSpec | LitmusSpec) -> RunRow:
     """Worker entry point: run one cell in-process, return its row."""
-    started = time.perf_counter()
     if isinstance(spec, LitmusSpec):
-        row = _LITMUS_KINDS[spec.kind](spec, started)
-    else:
-        row, _ = run_job_row(spec)
-    row.metrics = _run_metrics(spec, row)
+        return _LITMUS_KINDS[spec.kind](spec, time.perf_counter())
+    row, _ = run_job_row(spec)
     return row
 
 
@@ -437,8 +396,6 @@ class SweepResult:
     #: Specs that died in a worker; the surviving rows keep submission
     #: order, so partial sweeps stay deterministic and comparable.
     failures: list[RunFailure] = field(default_factory=list)
-    #: Sweep-wide merge of every row's metrics snapshot.
-    metrics: dict = field(default_factory=dict)
 
     def __iter__(self):
         return iter(self.rows)
@@ -454,14 +411,6 @@ class SweepResult:
                 f"{len(self.failures)} of "
                 f"{len(self.rows) + len(self.failures)} sweep runs "
                 f"failed: {detail}")
-
-
-def _merge_metrics(rows: list[RunRow]) -> dict:
-    merged = MetricsRegistry()
-    for row in rows:
-        if row.metrics:
-            merged.merge(row.metrics)
-    return merged.snapshot()
 
 
 def run_parallel(specs, workers: int | None = None,
@@ -514,8 +463,7 @@ def run_parallel(specs, workers: int | None = None,
     result = SweepResult(rows=rows,
                          wall_seconds=time.perf_counter() - started,
                          workers=workers,
-                         failures=failures,
-                         metrics=_merge_metrics(rows))
+                         failures=failures)
     if strict:
         result.raise_failures()
     return result

@@ -211,8 +211,8 @@ class TestOnePath:
 
     def test_no_new_environment_name(self):
         """The machine guard pins the names under ``src/``; the docs
-        may name those and the one README already had beside them."""
-        known = knobs.REPRO_ENV | {"REPRO_METRICS"}
+        may name those and no other."""
+        known = knobs.REPRO_ENV
         found = set()
         for path in [*sorted(SRC.rglob("*.py")), REPO / "README.md",
                      REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"]:

@@ -15,20 +15,15 @@ from repro.analysis.obsreport import (
     main,
     render_bench,
     render_file,
-    render_metrics,
     render_trace,
 )
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.workloads import RunFailure, RunRow, SweepResult
 
 
 @pytest.fixture
 def sweep():
-    reg = MetricsRegistry()
-    reg.counter("repro_runs_total", "runs") \
-        .labels(kind="kernel", variant="qemu").inc()
     rows = [
         RunRow(benchmark="alpha", variant="qemu", cycles=1000,
                fence_cycles=400, total_cycles=1000, checksum=7,
@@ -36,8 +31,7 @@ def sweep():
                block_dispatches=40, chained_dispatches=30,
                fence_origin_cycles={"RMOV->Frr;ld": 250,
                                     "WMOV->Fmw;st": 150},
-               hot_blocks=((0x400290, 12, 900), (0x400300, 3, 100)),
-               metrics=reg.snapshot()),
+               hot_blocks=((0x400290, 12, 900), (0x400300, 3, 100))),
         RunRow(benchmark="alpha", variant="risotto", cycles=800,
                fence_cycles=100, total_cycles=800, checksum=7,
                wall_seconds=0.25,
@@ -55,7 +49,7 @@ def sweep():
                            error="ReproError: boom",
                            code="repro")]
     return SweepResult(rows=rows, wall_seconds=0.6, workers=2,
-                       failures=failures, metrics=reg.snapshot())
+                       failures=failures)
 
 
 @pytest.fixture
@@ -85,7 +79,6 @@ class TestExport:
         # but-empty profiles (risotto's default) are omitted entirely.
         assert payload["hot_blocks"]["alpha/native"] is None
         assert "alpha/risotto" not in payload["hot_blocks"]
-        assert "repro_runs_total" in payload["metrics"]["metrics"]
 
     def test_origin_buckets_partition_fence_cycles(self, table):
         for row in table.rows.values():
@@ -127,8 +120,6 @@ class TestRenderBench:
         assert "FAILED: kernel:beta/qemu (seed 7): " \
             "[repro] ReproError: boom" in text
         assert "hot blocks" in text and "0x0000400290" in text
-        assert "repro_runs_total [counter]" in text
-        assert "kind=kernel, variant=qemu" in text
 
     def test_untracked_profile_renders(self, table, sweep):
         # Regression test: native rows export hot_blocks as an
@@ -146,16 +137,6 @@ class TestRenderBench:
         payload = bench_payload("fig12", table=table, sweep=sweep,
                                 config={"iterations": 40, "seed": 7})
         assert payload["config"] == {"iterations": 40, "seed": 7}
-
-
-class TestRenderMetrics:
-    def test_histogram_series(self):
-        reg = MetricsRegistry()
-        reg.histogram("cycles", "c", buckets=(10,)).observe(5)
-        text = render_metrics(reg.snapshot())
-        assert "cycles [histogram]" in text
-        assert "count=1 sum=5" in text
-        assert "(no labels)" in text
 
 
 class TestRenderTrace:

@@ -1,148 +1,50 @@
-"""Metrics registry tests: series semantics, label encoding, and the
-snapshot/merge protocol that crosses the run_parallel process
-boundary."""
+"""One accounting path: the run rows, job results and fuzz reports are
+the only record of what they count.  ``repro.obs.metrics`` holds the
+``Counters`` base of the producer ``*Stats`` blocks and nothing else,
+so no labelled registry grows back beside them, and no row, sweep,
+job result, bench export or serve ``stats`` answer carries a second,
+re-counted ``metrics`` copy."""
 
-import json
+import ast
+import dataclasses
+import inspect
 
-import pytest
+from repro.analysis.export import bench_payload
+from repro.obs import metrics
+from repro.serve import ReproServer, ServeConfig
+from repro.serve.jobs import JobResult
+from repro.workloads import RunRow, SweepResult, run_parallel, verify_grid
 
-from repro.errors import ReproError
-from repro.obs.metrics import (
-    SNAPSHOT_SCHEMA,
-    MetricsRegistry,
-    get_registry,
-    label_key,
-    parse_labels,
-    set_registry,
-)
-
-
-class TestLabelKey:
-    def test_sorted_roundtrip(self):
-        key = label_key({"variant": "qemu", "kind": "kernel"})
-        assert key == "kind=kernel,variant=qemu"
-        assert parse_labels(key) == {"kind": "kernel",
-                                     "variant": "qemu"}
-
-    def test_empty(self):
-        assert label_key({}) == ""
-        assert parse_labels("") == {}
-
-    @pytest.mark.parametrize("labels", [
-        {"bad,name": "x"}, {"k": "a,b"}, {"k": "a=b"},
-    ])
-    def test_reserved_characters_rejected(self, labels):
-        with pytest.raises(ReproError):
-            label_key(labels)
+STATS_KEYS = {"schema", "uptime_seconds", "workers", "batch_window",
+              "max_batch", "jobs_dispatched", "batches_dispatched"}
 
 
-class TestSeries:
-    def test_counter_semantics(self):
-        reg = MetricsRegistry()
-        runs = reg.counter("runs_total", "runs")
-        runs.inc()
-        runs.inc(4)
-        assert runs.value == 5
-        with pytest.raises(ReproError, match="only go up"):
-            runs.inc(-1)
-
-    def test_gauge_allows_decrease(self):
-        reg = MetricsRegistry()
-        depth = reg.gauge("queue_depth", "depth")
-        depth.set(10)
-        depth.inc(-3)
-        assert depth.value == 7
-
-    def test_histogram_buckets(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("latency", "lat", buckets=(10, 100))
-        for v in (5, 50, 500):
-            hist.observe(v)
-        snap = reg.snapshot()["metrics"]["latency"]
-        (series,) = snap["series"].values()
-        assert series["count"] == 3
-        assert series["sum"] == 555
-        # one observation landed in each bucket (last is +Inf)
-        assert series["buckets"] == [1, 1, 1]
-
-    def test_labeled_series_are_distinct(self):
-        reg = MetricsRegistry()
-        runs = reg.counter("runs_total", "runs")
-        runs.labels(variant="qemu").inc(2)
-        runs.labels(variant="risotto").inc(3)
-        series = reg.counter_series("runs_total")
-        assert series[label_key({"variant": "qemu"})] == 2
-        assert series[label_key({"variant": "risotto"})] == 3
-        assert reg.total("runs_total") == 5
-
-    def test_kind_conflict(self):
-        reg = MetricsRegistry()
-        reg.counter("x", "a counter")
-        assert reg.counter("x", "again") is not None  # get-or-create
-        with pytest.raises(ReproError, match="already registered"):
-            reg.gauge("x", "but as a gauge")
+def _public_definitions(module) -> set[str]:
+    """Top-level names the module itself binds (imports excluded)."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
 
 
-class TestSnapshotMerge:
-    def _worker_snapshot(self, variant, cycles):
-        reg = MetricsRegistry()
-        reg.counter("runs_total", "runs").labels(variant=variant).inc()
-        reg.histogram("cycles", "c", buckets=(100, 1000)) \
-            .observe(cycles)
-        reg.gauge("workers", "w").set(1)
-        return reg.snapshot()
-
-    def test_schema_tag(self):
-        assert self._worker_snapshot("qemu", 5)["schema"] == \
-            SNAPSHOT_SCHEMA
-
-    def test_merge_across_json_boundary(self):
-        """Snapshots survive the pickling/JSON trip workers take."""
-        snaps = [
-            json.loads(json.dumps(self._worker_snapshot("qemu", 50))),
-            json.loads(json.dumps(self._worker_snapshot("qemu", 500))),
-            json.loads(json.dumps(
-                self._worker_snapshot("risotto", 5000))),
-        ]
-        parent = MetricsRegistry()
-        for snap in snaps:
-            parent.merge(snap)
-        assert parent.total("runs_total") == 3
-        series = parent.counter_series("runs_total")
-        assert series[label_key({"variant": "qemu"})] == 2
-        merged = parent.snapshot()["metrics"]["cycles"]
-        (hist,) = merged["series"].values()
-        assert hist["count"] == 3
-        assert hist["sum"] == 5550
-
-    def test_merge_rejects_wrong_schema(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ReproError, match="schema"):
-            reg.merge({"schema": "bogus/9", "metrics": {}})
-
-    def test_merge_rejects_bucket_mismatch(self):
-        a = MetricsRegistry()
-        a.histogram("h", "x", buckets=(1, 2)).observe(1)
-        b = MetricsRegistry()
-        b.histogram("h", "x", buckets=(1, 2, 3)).observe(1)
-        with pytest.raises(ReproError, match="bucket"):
-            a.merge(b.snapshot())
-
-    def test_merge_gauge_last_write_wins(self):
-        a = MetricsRegistry()
-        a.gauge("depth", "d").set(3)
-        b = MetricsRegistry()
-        b.gauge("depth", "d").set(9)
-        a.merge(b.snapshot())
-        assert a.get("depth").value == 9
-
-
-class TestModuleRegistry:
-    def test_set_and_restore(self):
-        mine = MetricsRegistry()
-        previous = set_registry(mine)
-        try:
-            assert get_registry() is mine
-        finally:
-            set_registry(previous)
-        assert get_registry() is previous
+def test_no_registry_beside_the_rows():
+    assert _public_definitions(metrics) == {"Counters"}
+    for record in (RunRow, SweepResult, JobResult):
+        names = {f.name for f in dataclasses.fields(record)}
+        assert "metrics" not in names, record.__name__
+    sweep = run_parallel(verify_grid(tests=("MP",), models=("x86-tso",)),
+                         workers=1, strict=True)
+    assert "metrics" not in bench_payload("verify", sweep=sweep)
+    server = ReproServer(ServeConfig(port=0, workers=0))
+    server.start_background()
+    try:
+        assert set(server.stats_payload()) == STATS_KEYS
+    finally:
+        server.close()

@@ -18,7 +18,6 @@ import pytest
 
 from repro import api
 from repro.errors import JobError
-from repro.obs.metrics import get_registry
 from repro.serve import (
     ReproServer,
     ServeClient,
@@ -95,7 +94,6 @@ class TestRoundTrip:
         assert stats["workers"] == 0
         assert stats["jobs_dispatched"] >= 1
         assert stats["batches_dispatched"] >= 1
-        assert "repro_serve_jobs_total" in stats["metrics"]["metrics"]
 
 
 class TestBatching:
@@ -190,30 +188,6 @@ class TestWorkerEntryPoint:
         assert results[0]["job_id"] == "w1"
         assert results[1]["ok"] is False
         assert results[1]["error"]["code"] == "bad-request"
-
-
-class TestObservability:
-    def test_per_request_metrics_flow(self, client):
-        before = _serve_jobs_count()
-        client.submit(cas_job(CAS, variant="qemu"))
-        client.submit(library_job("sqrt", (7,), 2, variant="qemu",
-                                  library="libzzz"))  # typed failure
-        snapshot = get_registry().snapshot()["metrics"]
-        assert _serve_jobs_count() >= before + 2
-        for name in ("repro_serve_queue_seconds",
-                     "repro_serve_batch_size",
-                     "repro_serve_exec_seconds"):
-            assert snapshot[name]["kind"] == "histogram"
-        errors = snapshot["repro_serve_errors_total"]["series"]
-        assert any("bad-request" in key for key in errors)
-
-
-def _serve_jobs_count() -> int:
-    snapshot = get_registry().snapshot()["metrics"]
-    metric = snapshot.get("repro_serve_jobs_total")
-    if metric is None:
-        return 0
-    return sum(metric["series"].values())
 
 
 class TestShutdown:

@@ -10,6 +10,7 @@ import pickle
 
 import pytest
 
+from repro.analysis.stats import aggregate_sweep
 from repro.errors import ReproError
 from repro.serve.jobs import kernel_job, library_job, run_job
 from repro.workloads import (
@@ -225,6 +226,9 @@ class TestVerifyKind:
         for left, right in zip(serial, fanned):
             assert deterministic_row(left) == deterministic_row(right)
         assert [r.benchmark for r in serial] == list(self.NAMES)
+        # Every cell shares one (kind, variant): the pooled sweep still
+        # counts each run once.
+        assert aggregate_sweep(fanned).runs == len(grid)
 
     def test_digests_agree_across_reductions(self):
         per_mode = {}
