@@ -84,7 +84,7 @@ def test_staged_fastpath_speedup(benchmark, emit_report):
         "",
         run_stats_footer(sweep, title="verifier stats"),
     ]
-    emit_report("verifier_stats", "\n".join(lines))
+    emit_report("staged_fastpath", "\n".join(lines))
 
     # Pathology guard only: at ~0.1 s scale OS jitter swamps tight
     # bounds, so the hard assertion is on materialized work (above)

@@ -221,28 +221,25 @@ def run_library_workload(function: str, args: tuple[int, ...],
 
     ``library`` is a :class:`~repro.loader.hostlibs.HostLibrary`
     object; ``setup_memory`` an optional callable applied to guest
-    memory before the run.  A callable setup that is not a registered
-    :data:`~repro.workloads.parallel.MEMORY_SETUPS` entry cannot
-    travel on the wire, so it runs through the job's local override
-    path here — the job itself stays the canonical description.
+    memory before the run.  Callables never travel in a job, so the
+    setup must be a registered
+    :data:`~repro.workloads.parallel.MEMORY_SETUPS` entry; any other
+    callable is a :class:`~repro.errors.JobError` (``bad-request``),
+    as an unknown setup name is.
     """
     setup_name = next(
         (name for name, fn in _parallel.MEMORY_SETUPS.items()
          if fn is setup_memory), None)
+    if setup_memory is not None and setup_name is None:
+        raise JobError(f"unknown memory setup {setup_memory!r}; "
+                       f"expected one of "
+                       f"{sorted(_parallel.MEMORY_SETUPS)}")
     job = library_job(
         function, args, calls, variant=variant,
         library=getattr(library, "name", None),
         setup=setup_name, seed=seed, costs=costs,
         max_steps=max_steps, buffer_mode=buffer_mode,
         tier2_threshold=tier2_threshold)
-    if setup_memory is not None and setup_name is None:
-        # Unregistered setup callable: execute directly through the
-        # runner (identical code path; only the wire form is off).
-        return _runner.run_library_workload(
-            function, args, calls, variant, library,
-            setup_memory=setup_memory, seed=seed, costs=costs,
-            max_steps=max_steps, buffer_mode=buffer_mode,
-            tier2_threshold=tier2_threshold)
     return submit(job, library=library).outcome
 
 

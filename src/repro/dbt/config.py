@@ -63,10 +63,6 @@ class Tier2Config:
 
     #: Dispatch count at which a block is promoted to a trace head.
     threshold: int = DEFAULT_TIER2_THRESHOLD
-    #: Maximum chain length followed through the goto_tb profile.
-    max_blocks: int = 8
-    #: Rewrite RMW/FP helper calls to native IR ops inside traces.
-    inline_helpers: bool = True
 
 
 def tier2_from_env() -> Tier2Config | None:

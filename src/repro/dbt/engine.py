@@ -233,9 +233,7 @@ class DBTEngine:
         ]
         stitched = stitch_trace(blocks)
         trace = stitched.block
-        inlined = 0
-        if self.tier2.inline_helpers:
-            inlined = inline_helpers_pass(trace)
+        inlined = inline_helpers_pass(trace)
         if len(chain) == 1 and stitched.internal_branches == 0 \
                 and inlined == 0:
             # The trace would be byte-identical to the tier-1 block.

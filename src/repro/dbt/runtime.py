@@ -17,13 +17,13 @@ translated code:
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 from ..errors import GuestFault, TranslationError
 from ..isa.x86.insns import GPR as X86_GPR
 from ..isa.arm.insns import CODER as ARM_CODER
 from ..isa.common import Imm, Insn
+from ..isa.floatbits import bits_to_double, double_to_bits
 from ..machine.cpu import ArmCore
 from ..machine.scheduler import Machine
 from ..tcg.backend_arm import GUEST_FLAG_MAP, GUEST_REG_MAP
@@ -41,6 +41,8 @@ STACK_BASE = 0x7000_0000
 STACK_SIZE = 0x10_0000
 #: Magic guest pc meaning "this guest thread's entry function returned".
 THREAD_EXIT_PC = 0xDEAD_0000
+#: Longest chain of blocks a tier-2 trace stitches together.
+TRACE_MAX_BLOCKS = 8
 
 #: Guest syscall numbers (custom user-mode ABI, see DESIGN.md).
 SYS_EXIT = 60
@@ -66,14 +68,6 @@ def set_guest_reg(core: ArmCore, name: str, value: int) -> None:
 
 def guest_flag(core: ArmCore, name: str) -> int:
     return core.get(GUEST_FLAG_MAP[f"g_{name}"])
-
-
-def _bits_to_double(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<Q", bits & U64))[0]
-
-
-def _double_to_bits(value: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
 @dataclass
@@ -237,25 +231,25 @@ class Runtime:
 
     def _helper_fadd(self, core: ArmCore, a: int, b: int) -> int:
         self._softfloat(core)
-        return _double_to_bits(_bits_to_double(a) + _bits_to_double(b))
+        return double_to_bits(bits_to_double(a) + bits_to_double(b))
 
     def _helper_fmul(self, core: ArmCore, a: int, b: int) -> int:
         self._softfloat(core)
-        return _double_to_bits(_bits_to_double(a) * _bits_to_double(b))
+        return double_to_bits(bits_to_double(a) * bits_to_double(b))
 
     def _helper_fdiv(self, core: ArmCore, a: int, b: int) -> int:
         self._softfloat(core)
-        db = _bits_to_double(b)
+        db = bits_to_double(b)
         if db == 0.0:
             raise GuestFault("guest float division by zero")
-        return _double_to_bits(_bits_to_double(a) / db)
+        return double_to_bits(bits_to_double(a) / db)
 
     def _helper_fsqrt(self, core: ArmCore, a: int) -> int:
         self._softfloat(core)
-        da = _bits_to_double(a)
+        da = bits_to_double(a)
         if da < 0:
             raise GuestFault("guest sqrt of negative value")
-        return _double_to_bits(math.sqrt(da))
+        return double_to_bits(math.sqrt(da))
 
     def _helper_halt(self, core: ArmCore) -> None:
         self._finish_thread(core, guest_reg(core, "rdi"))
@@ -456,7 +450,7 @@ class Runtime:
         chain = [head]
         seen = {head}
         threshold = self.tier2.threshold
-        while len(chain) < self.tier2.max_blocks:
+        while len(chain) < TRACE_MAX_BLOCKS:
             succs = self._succ_counts.get(chain[-1])
             if not succs:
                 break

@@ -10,14 +10,9 @@ from .insns import (
     OPCODES,
     REGISTER_IDS,
 )
-from .semantics import (
-    CpuState,
-    Syscall,
-    X86Interpreter,
-    bits_to_double,
-    double_to_bits,
-    evaluate_condition,
-)
+from ..floatbits import bits_to_double, double_to_bits
+from .semantics import CpuState, Syscall, X86Interpreter, \
+    evaluate_condition
 
 __all__ = [
     "Assembly", "assemble", "parse_line", "parse_operand",

@@ -12,11 +12,11 @@ QEMU-style RMW helper calls.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 from ...errors import GuestFault
 from ..common import Imm, Insn, Mem, Reg, to_signed, to_unsigned
+from ..floatbits import bits_to_double, double_to_bits
 from .insns import CODER, CONDITIONAL_JUMPS, GPR
 
 U64 = (1 << 64) - 1
@@ -60,14 +60,6 @@ def evaluate_condition(suffix: str, flags: dict[str, bool]) -> bool:
         return table[suffix]
     except KeyError:
         raise GuestFault(f"unknown condition {suffix!r}") from None
-
-
-def bits_to_double(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<Q", bits & U64))[0]
-
-
-def double_to_bits(value: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
 class Syscall(Exception):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable
@@ -37,6 +36,7 @@ from ..isa.arm.insns import (
     LINK_REGISTER,
 )
 from ..isa.common import Imm, Insn, Mem, Reg
+from ..isa.floatbits import bits_to_double, double_to_bits
 from .memory import CoherenceTracker, Memory
 from .timing import CostModel
 from .weakmem import BufferMode, StoreBuffer
@@ -48,21 +48,10 @@ _SIGN = 1 << 63
 #: workload code, hand-assembled harness snippets).
 UNTAGGED_ORIGIN = "untagged"
 
-_DOUBLE = struct.Struct("<d")
-_QWORD = struct.Struct("<Q")
-
 
 def cond_index(name: str) -> int:
     """Encoding of a condition name for CSET/CSEL immediates."""
     return CONDITIONS.index(name)
-
-
-def _bits_to_double(bits: int) -> float:
-    return _DOUBLE.unpack(_QWORD.pack(bits & U64))[0]
-
-
-def _double_to_bits(value: float) -> int:
-    return _QWORD.unpack(_DOUBLE.pack(value))[0]
 
 
 #: Condition name -> test over the NZCV flag dict.
@@ -388,13 +377,13 @@ def _asr(a: int, b: int) -> int:
 
 
 def _fp(fn):
-    return lambda a, b: _double_to_bits(
-        fn(_bits_to_double(a), _bits_to_double(b)))
+    return lambda a, b: double_to_bits(
+        fn(bits_to_double(a), bits_to_double(b)))
 
 
 def _fsqrt(bits: int) -> int:
-    a = _bits_to_double(bits)
-    return _double_to_bits(math.sqrt(a) if a >= 0 else math.nan)
+    a = bits_to_double(bits)
+    return double_to_bits(math.sqrt(a) if a >= 0 else math.nan)
 
 
 def _bind_cmp(ops, costs):

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import argparse
 import random
-import struct
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
+from ..isa.floatbits import double_to_bits
 from ..workloads.casbench import CasConfig
 from ..workloads.kernels import KernelSpec
 from ..workloads.parallel import RunRow, SweepResult
@@ -50,15 +50,11 @@ _KERNEL_SHAPES: tuple[KernelSpec, ...] = (
 )
 
 
-def _bits(x: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", x))[0]
-
-
 #: (function, args, calls) library calls against libm.
 _LIBRARY_CALLS: tuple[tuple[str, tuple[int, ...], int], ...] = (
-    ("sqrt", (_bits(0.5),), 20),
-    ("sin", (_bits(0.5),), 12),
-    ("log", (_bits(1.5),), 12),
+    ("sqrt", (double_to_bits(0.5),), 20),
+    ("sin", (double_to_bits(0.5),), 12),
+    ("log", (double_to_bits(1.5),), 12),
 )
 
 #: CAS configurations: one uncontended, one contended.

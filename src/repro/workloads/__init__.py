@@ -21,13 +21,7 @@ from .parallel import (
     execute_spec,
     run_parallel,
 )
-from .runner import (
-    ALL_VARIANTS,
-    NATIVE,
-    WorkloadResult,
-    run_kernel,
-    run_library_workload,
-)
+from .runner import NATIVE, WorkloadResult
 from .suites import (
     ALL_SPECS,
     PARSEC_SPECS,
@@ -48,8 +42,7 @@ __all__ = [
     "JOB_SCHEMA", "JobSpec", "kernel_job", "library_job", "cas_job",
     "LitmusSpec", "RunFailure", "RunRow", "SweepResult", "default_workers",
     "execute_spec", "run_parallel",
-    "ALL_VARIANTS", "NATIVE", "WorkloadResult",
-    "run_kernel", "run_library_workload",
+    "NATIVE", "WorkloadResult",
     "ALL_SPECS", "PARSEC_SPECS", "PHOENIX_SPECS", "SPEC_BY_NAME",
     "ablation_grid", "cas_grid", "kernel_grid", "library_grid",
     "scheme_grid", "verify_grid",

@@ -10,16 +10,9 @@ dominates and the two converge (the paper's observation).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from ..dbt import DBTEngine, NativeRunner, resolve_variant
-from ..isa.arm.assembler import assemble as assemble_arm
-from ..loader.gelf import build_binary
-from ..machine.timing import CostModel
-from ..machine.weakmem import BufferMode
 from .kernels import TID_BASE
-from .runner import WorkloadResult
 
 #: Each CAS variable sits on its own cache line.
 CAS_VAR_BASE = 0x0500_0000
@@ -54,7 +47,7 @@ FIGURE15_CONFIGS: tuple[CasConfig, ...] = tuple(
 )
 
 
-def _x86_cas_program(config: CasConfig) -> str:
+def x86_cas_program(config: CasConfig) -> str:
     spawn = []
     for tid in range(1, config.threads):
         spawn += [
@@ -106,7 +99,7 @@ casloop:
 """
 
 
-def _arm_cas_program(config: CasConfig) -> str:
+def arm_cas_program(config: CasConfig) -> str:
     spawn = []
     for tid in range(1, config.threads):
         spawn += [
@@ -159,45 +152,7 @@ casloop:
 """
 
 
-def run_cas_benchmark(config: CasConfig, variant: str,
-                      seed: int = 7,
-                      costs: CostModel | None = None,
-                      buffer_mode: BufferMode = BufferMode.WEAK,
-                      ) -> WorkloadResult:
-    """Run one Figure 15 configuration; throughput is
-    ``config.total_ops / result.elapsed_cycles``."""
-    started = time.perf_counter()
-    dbt_config = resolve_variant(variant)
-    if dbt_config is None:
-        engine = NativeRunner(n_cores=config.threads, seed=seed,
-                              costs=costs, buffer_mode=buffer_mode)
-        assembly = assemble_arm(_arm_cas_program(config),
-                                base=0x0F00_0000)
-        engine.load_image(assembly.base, assembly.code)
-        entry = assembly.labels["main"]
-    else:
-        engine = DBTEngine(dbt_config, n_cores=config.threads,
-                           seed=seed, costs=costs,
-                           buffer_mode=buffer_mode)
-        binary = build_binary(_x86_cas_program(config))
-        binary.load_into(engine.machine.memory)
-        entry = binary.entry
-    result = engine.run(entry, max_steps=200_000_000)
-    return WorkloadResult(variant=variant, result=result,
-                          checksum=result.output[0]
-                          if result.output else None,
-                          wall_seconds=time.perf_counter() - started)
-
-
-def throughput(config: CasConfig, workload: WorkloadResult,
-               cycles_per_second: float = 2.0e9) -> float:
-    """CAS attempts per second at the paper's 2.0 GHz clock."""
-    return throughput_from_cycles(config,
-                                  workload.result.elapsed_cycles,
-                                  cycles_per_second)
-
-
 def throughput_from_cycles(config: CasConfig, elapsed_cycles: int,
                            cycles_per_second: float = 2.0e9) -> float:
-    """Throughput from a bare cycle count (parallel-harness rows)."""
+    """CAS attempts per second at the paper's 2.0 GHz clock."""
     return config.total_ops * cycles_per_second / max(1, elapsed_cycles)

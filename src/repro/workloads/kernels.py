@@ -19,18 +19,15 @@ reports the checksum through write_int and exits.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+
+from ..isa.floatbits import double_to_bits
 
 #: Guest-visible data layout (shared by both ISAs).
 ARRAY_BASE = 0x0100_0000
 ARRAY_SLICE = 0x4_0000          # per-thread working-set spacing
 RESULT_BASE = 0x0200_0000
 TID_BASE = 0x0210_0000
-
-
-def _bits(x: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", x))[0]
 
 
 @dataclass(frozen=True)
@@ -177,9 +174,9 @@ worker:
     mov rdx, 0                 ; offset cursor
     mov r8, r9                 ; integer accumulator (seeded by slice)
     add r8, 99991
-    mov r12, {_bits(1.0001)}   ; fp accumulator
-    mov r13, {_bits(1.000001)}
-    mov r14, {_bits(0.000001)}
+    mov r12, {double_to_bits(1.0001)}   ; fp accumulator
+    mov r13, {double_to_bits(1.000001)}
+    mov r14, {double_to_bits(0.000001)}
     mov rcx, {spec.iterations}
 wloop:
 {body}
@@ -256,9 +253,9 @@ worker:
     mov x10, x7                // integer accumulator
     mov x5, #99991
     add x10, x10, x5
-    mov x14, #{_bits(1.0001)}  // fp accumulator
-    mov x15, #{_bits(1.000001)}
-    mov x16, #{_bits(0.000001)}
+    mov x14, #{double_to_bits(1.0001)}  // fp accumulator
+    mov x15, #{double_to_bits(1.000001)}
+    mov x16, #{double_to_bits(0.000001)}
     mov x2, #{spec.iterations}
 wloop:
 {body}

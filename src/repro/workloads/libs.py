@@ -22,14 +22,9 @@ Native cost calibration notes (target: Figure 13/14 shapes):
 
 from __future__ import annotations
 
-import struct
-
+from ..isa.floatbits import double_to_bits
 from ..loader.hostlibs import HostFunction, HostLibrary
 from ..loader.idl import Signature
-
-
-def _bits(x: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", x))[0]
 
 
 # ----------------------------------------------------------------------
@@ -59,41 +54,41 @@ def _series_asm(name: str, *, init_sum: float | None,
         ]
     if negate_x2:
         lines += [
-            f"    mov rdx, {_bits(-1.0)}",
+            f"    mov rdx, {double_to_bits(-1.0)}",
             "    fmul rcx, rdx",
         ]
     if seed_with_x:
         lines += ["    mov rax, rdi", "    mov rbx, rdi"]
     else:
         lines += [
-            f"    mov rax, {_bits(init_sum)}",
-            f"    mov rbx, {_bits(1.0)}",
+            f"    mov rax, {double_to_bits(init_sum)}",
+            f"    mov rbx, {double_to_bits(1.0)}",
         ]
     for k, c in enumerate(ratio_consts, start=1):
         lines.append("    fmul rbx, rcx")
         if odd_denominators:
             lines += [
                 "    mov rdx, rbx",
-                f"    mov r8, {_bits(c)}",
+                f"    mov r8, {double_to_bits(c)}",
                 "    fdiv rdx, r8",
                 "    fadd rax, rdx",
             ]
         else:
             lines += [
-                f"    mov rdx, {_bits(c)}",
+                f"    mov rdx, {double_to_bits(c)}",
                 "    fdiv rbx, rdx",
                 "    fadd rax, rbx",
             ]
     if scale_result is not None:
         lines += [
-            f"    mov rdx, {_bits(scale_result)}",
+            f"    mov rdx, {double_to_bits(scale_result)}",
             "    fmul rax, rdx",
         ]
     if shift_result is not None:
         lines += [
-            f"    mov rdx, {_bits(-1.0)}",
+            f"    mov rdx, {double_to_bits(-1.0)}",
             "    fmul rax, rdx",
-            f"    mov rdx, {_bits(shift_result)}",
+            f"    mov rdx, {double_to_bits(shift_result)}",
             "    fadd rax, rdx",
         ]
     lines.append("    ret")
@@ -140,7 +135,8 @@ log:
     fadd rcx, rax          ; x + 1
     fdiv rbx, rcx          ; t
     mov rdi, rbx
-""".format(one=_bits(1.0), minus_one=_bits(-1.0)) + _series_asm(
+""".format(one=double_to_bits(1.0),
+           minus_one=double_to_bits(-1.0)) + _series_asm(
     "log_body", init_sum=None, seed_with_x=True, negate_x2=False,
     ratio_consts=[3.0, 5.0, 7.0, 9.0], odd_denominators=True,
     scale_result=2.0).replace("log_body:", "") + "\n"

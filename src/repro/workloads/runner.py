@@ -1,13 +1,14 @@
-"""Workload execution harness: one entry point per benchmark family.
+"""Workload execution harness: the one machine-run executor.
 
 Runs a workload under any DBT variant (``qemu``, ``no-fences``,
-``tcg-ver``, ``risotto``) or natively, on a freshly constructed
-machine, and returns the :class:`~repro.dbt.engine.RunResult` plus the
-workload's reported checksum/count — the raw material every figure
-harness consumes.
+``tcg-ver``, ``risotto``, ``most-*``) or natively, on a freshly
+constructed machine, and returns the
+:class:`~repro.dbt.engine.RunResult` plus the workload's reported
+checksum — the raw material every figure harness consumes.
 
-:func:`run_workload` is the one dispatcher over the three machine
-kinds (:data:`MACHINE_KINDS`): the sweep harness and the job API both
+:func:`run_workload` is the only code that runs a machine job: it
+builds the engine, lets the job's kind (:data:`MACHINE_KINDS`) load
+the program, and runs it.  The sweep harness and the job API both
 hand it a :class:`~repro.workloads.jobspec.JobSpec`, and both get the
 same run and the same typed errors.
 """
@@ -18,21 +19,20 @@ import time
 from dataclasses import dataclass
 
 from ..dbt import DBTEngine, NATIVE, NativeRunner, RunResult, \
-    VARIANT_NAMES, VARIANTS, resolve_variant
+    resolve_variant
 from ..dbt.config import Tier2Config
+from ..dbt.runtime import _ARM_REG_OF_GUEST, guest_reg
 from ..errors import JobError, ReproError
 from ..isa.arm.assembler import assemble as assemble_arm
-from ..loader.gelf import GuestBinary, build_binary
-from ..loader.hostlibs import ARG_REGISTERS, HostLibrary
+from ..loader.gelf import build_binary
+from ..loader.hostlibs import ARG_REGISTERS
 from ..loader.linker import HostLinker
 from ..machine.timing import CostModel
 from ..machine.weakmem import BufferMode
-from .kernels import KernelSpec, gen_arm_program, gen_x86_program
+from .casbench import arm_cas_program, x86_cas_program
+from .kernels import gen_arm_program, gen_x86_program
 from .libs import build_libcrypto, build_libm, build_libsqlite, \
     standard_libraries
-
-# Compatibility alias for the registry now owned by repro.dbt.config.
-ALL_VARIANTS: tuple[str, ...] = VARIANT_NAMES
 
 
 @dataclass
@@ -85,34 +85,18 @@ def _make_engine(variant: str, n_cores: int, seed: int,
     return engine
 
 
-# ----------------------------------------------------------------------
-# Kernel workloads (Figure 12)
-# ----------------------------------------------------------------------
-def run_kernel(spec: KernelSpec, variant: str,
-               seed: int = 7, costs: CostModel | None = None,
-               max_steps: int = 80_000_000,
-               buffer_mode: BufferMode = BufferMode.WEAK,
-               tier2_threshold: int | None = None,
-               ) -> WorkloadResult:
-    """Run one PARSEC/Phoenix kernel under a variant (or natively)."""
-    started = time.perf_counter()
-    n_cores = spec.threads
-    engine = _make_engine(variant, n_cores, seed, costs, buffer_mode,
-                          tier2_threshold)
-    if variant == NATIVE:
-        assembly = assemble_arm(gen_arm_program(spec), base=0x0100_0000
-                                + 0x0F00_0000)
-        engine.load_image(assembly.base, assembly.code)
-        entry = assembly.labels["main"]
-    else:
-        binary = build_binary(gen_x86_program(spec))
-        binary.load_into(engine.machine.memory)
-        entry = binary.entry
-    result = engine.run(entry, max_steps=max_steps)
-    checksum = result.output[0] if result.output else None
-    return WorkloadResult(variant=variant, result=result,
-                          checksum=checksum,
-                          wall_seconds=time.perf_counter() - started)
+def _load_x86(engine, source: str, guest_libs=None):
+    """Build the guest binary and map it into the machine."""
+    binary = build_binary(source, guest_libs=guest_libs)
+    binary.load_into(engine.machine.memory)
+    return binary
+
+
+def _load_arm(engine, source: str, base: int) -> int:
+    """Assemble the Arm-native build at ``base``; its entry pc."""
+    assembly = assemble_arm(source, base=base)
+    engine.load_image(assembly.base, assembly.code)
+    return assembly.labels["main"]
 
 
 # ----------------------------------------------------------------------
@@ -145,40 +129,17 @@ bench_loop:
 """
 
 
-def run_library_workload(function_name: str, args: tuple[int, ...],
-                         calls: int, variant: str,
-                         library: HostLibrary,
-                         setup_memory=None,
-                         seed: int = 7,
-                         costs: CostModel | None = None,
-                         max_steps: int = 80_000_000,
-                         buffer_mode: BufferMode = BufferMode.WEAK,
-                         tier2_threshold: int | None = None,
-                         ) -> WorkloadResult:
-    """Benchmark a shared-library function under a variant.
-
-    * DBT variants build a guest binary importing the function; the
-      ``risotto`` variant additionally links the PLT entry to the host
-      library (tcg-ver/qemu translate the guest library body).
-    * ``native`` runs an Arm caller loop invoking the host function
-      directly — no marshaling, the Figure 13/14 reference.
-    """
-    started = time.perf_counter()
-    function = library[function_name]
-    engine = _make_engine(variant, 1, seed, costs, buffer_mode,
-                          tier2_threshold)
-    memory = engine.machine.memory
-    if setup_memory is not None:
-        setup_memory(memory)
-
-    if variant == NATIVE:
-        trap = engine.runtime.alloc_trap(
-            _native_call_trap(engine.runtime, function))
-        set_args = "\n".join(
-            f"    mov {_native_arg_reg(i)}, #{value}"
-            for i, value in enumerate(args)
-        )
-        source = f"""
+def _library_native_program(args: tuple[int, ...], calls: int,
+                            trap: int) -> str:
+    """Arm caller loop invoking the host function directly through
+    ``trap`` — no marshaling, the Figure 13/14 reference.  Arguments
+    go in the registers the guest map assigns to rdi/rsi/rdx/rcx, so
+    one trap convention serves both worlds."""
+    set_args = "\n".join(
+        f"    mov {_ARM_REG_OF_GUEST[reg]}, #{value}"
+        for reg, value in zip(ARG_REGISTERS, args)
+    )
+    return f"""
 main:
     mov x21, #{calls}
     mov x22, #0
@@ -196,40 +157,9 @@ nloop:
     mov x8, #60
     svc #0
 """
-        assembly = assemble_arm(source, base=0x0F00_0000)
-        engine.load_image(assembly.base, assembly.code)
-        entry = assembly.labels["main"]
-    else:
-        binary = build_binary(
-            _library_guest_program(function_name, args, calls),
-            guest_libs={function_name: function.guest_asm},
-        )
-        binary.load_into(memory)
-        if VARIANTS[variant].use_host_linker:
-            linker = HostLinker(library, library.idl_source())
-            report = linker.link(binary, engine.runtime)
-            if function_name not in report.linked:
-                raise ReproError(
-                    f"{function_name} did not link: {report}")
-        entry = binary.entry
-    result = engine.run(entry, max_steps=max_steps)
-    checksum = result.output[0] if result.output else None
-    return WorkloadResult(variant=variant, result=result,
-                          checksum=checksum,
-                          wall_seconds=time.perf_counter() - started)
-
-
-def _native_arg_reg(index: int) -> str:
-    """Native calls use the same registers the guest map assigns to
-    rdi/rsi/rdx/rcx, so one trap convention serves both worlds."""
-    from ..dbt.runtime import _ARM_REG_OF_GUEST
-
-    return _ARM_REG_OF_GUEST[ARG_REGISTERS[index]]
 
 
 def _native_call_trap(runtime, function):
-    from ..dbt.runtime import guest_reg
-
     n_args = len(function.signature.params)
 
     def trap(core):
@@ -243,9 +173,15 @@ def _native_call_trap(runtime, function):
     return trap
 
 
-# ----------------------------------------------------------------------
-# The machine-kind executor (sweeps and jobs)
-# ----------------------------------------------------------------------
+def _host_link(library, binary, runtime, function: str) -> None:
+    """Point ``function@plt`` at the host library (the dynamic host
+    linker of ``risotto`` and the ``most-*`` variants)."""
+    report = HostLinker(library, library.idl_source()).link(binary,
+                                                            runtime)
+    if function not in report.linked:
+        raise ReproError(f"{function} did not link: {report}")
+
+
 #: Name -> zero-argument library factory, rebuilt inside each worker.
 LIBRARY_BUILDERS = {
     "libm": build_libm,
@@ -277,41 +213,81 @@ def _registered(registry: dict, name, what: str):
                        f"{sorted(registry)}") from None
 
 
-def _run_kernel_job(desc, library) -> WorkloadResult:
-    return run_kernel(desc.kernel, desc.variant, seed=desc.seed,
-                      costs=desc.costs, max_steps=desc.max_steps,
-                      buffer_mode=desc.buffer_mode,
-                      tier2_threshold=desc.tier2_threshold)
+# ----------------------------------------------------------------------
+# The machine kinds: what each loads, on how many cores
+# ----------------------------------------------------------------------
+class KernelRun:
+    """A PARSEC/Phoenix kernel (Figure 12), one core per thread."""
+
+    @staticmethod
+    def cores(desc) -> int:
+        return desc.kernel.threads
+
+    @staticmethod
+    def load(desc, engine, library) -> int:
+        if desc.variant == NATIVE:
+            return _load_arm(engine, gen_arm_program(desc.kernel),
+                             0x1000_0000)
+        return _load_x86(engine, gen_x86_program(desc.kernel)).entry
 
 
-def _run_library_job(desc, library) -> WorkloadResult:
-    if library is None:
-        library = _registered(LIBRARY_BUILDERS, desc.library, "library")()
-    setup = None if desc.setup is None else _registered(
-        MEMORY_SETUPS, desc.setup, "memory setup")
-    return run_library_workload(
-        desc.function, desc.args, desc.calls, desc.variant, library,
-        setup_memory=setup, seed=desc.seed, costs=desc.costs,
-        max_steps=desc.max_steps, buffer_mode=desc.buffer_mode,
-        tier2_threshold=desc.tier2_threshold)
+class LibraryRun:
+    """``calls`` calls of one shared-library function (Figures 13, 14).
+
+    DBT variants import the function through the PLT and translate
+    its guest body, unless the variant links the host library;
+    ``native`` calls the host function directly through a trap.
+    """
+
+    @staticmethod
+    def cores(desc) -> int:
+        return 1
+
+    @staticmethod
+    def load(desc, engine, library) -> int:
+        if library is None:
+            library = _registered(LIBRARY_BUILDERS, desc.library,
+                                  "library")()
+        function = library[desc.function]
+        if desc.setup is not None:
+            _registered(MEMORY_SETUPS, desc.setup, "memory setup")(
+                engine.machine.memory)
+        if desc.variant == NATIVE:
+            trap = engine.runtime.alloc_trap(
+                _native_call_trap(engine.runtime, function))
+            return _load_arm(engine, _library_native_program(
+                desc.args, desc.calls, trap), 0x0F00_0000)
+        binary = _load_x86(
+            engine,
+            _library_guest_program(desc.function, desc.args, desc.calls),
+            guest_libs={desc.function: function.guest_asm})
+        if engine.config.use_host_linker:
+            _host_link(library, binary, engine.runtime, desc.function)
+        return binary.entry
 
 
-def _run_cas_job(desc, library) -> WorkloadResult:
-    # casbench builds on this module's WorkloadResult.
-    from .casbench import run_cas_benchmark
+class CasRun:
+    """One Figure 15 CAS configuration, one core per thread."""
 
-    return run_cas_benchmark(desc.cas, desc.variant, seed=desc.seed,
-                             costs=desc.costs,
-                             buffer_mode=desc.buffer_mode)
+    @staticmethod
+    def cores(desc) -> int:
+        return desc.cas.threads
+
+    @staticmethod
+    def load(desc, engine, library) -> int:
+        if desc.variant == NATIVE:
+            return _load_arm(engine, arm_cas_program(desc.cas),
+                             0x0F00_0000)
+        return _load_x86(engine, x86_cas_program(desc.cas)).entry
 
 
-#: The machine kinds, kind -> executor: the one statement of which
-#: kinds exist.  ``JobSpec.validate`` accepts exactly these keys and
-#: :func:`run_workload` dispatches on them.
+#: The machine kinds, kind -> its core count and program loader: the
+#: one statement of which kinds exist.  ``JobSpec.validate`` accepts
+#: exactly these keys and :func:`run_workload` dispatches on them.
 MACHINE_KINDS = {
-    "kernel": _run_kernel_job,
-    "library": _run_library_job,
-    "cas": _run_cas_job,
+    "kernel": KernelRun,
+    "library": LibraryRun,
+    "cas": CasRun,
 }
 
 
@@ -326,4 +302,14 @@ def run_workload(desc, *, library=None) -> WorkloadResult:
     registry lookup with an already-built
     :class:`~repro.loader.hostlibs.HostLibrary`.
     """
-    return MACHINE_KINDS[desc.kind](desc, library)
+    started = time.perf_counter()
+    kind = MACHINE_KINDS[desc.kind]
+    engine = _make_engine(desc.variant, kind.cores(desc), desc.seed,
+                          desc.costs, desc.buffer_mode,
+                          desc.tier2_threshold)
+    entry = kind.load(desc, engine, library)
+    result = engine.run(entry, max_steps=desc.max_steps)
+    return WorkloadResult(
+        variant=desc.variant, result=result,
+        checksum=result.output[0] if result.output else None,
+        wall_seconds=time.perf_counter() - started)

@@ -22,7 +22,8 @@ from repro.cli import build_parser
 from repro.serve import loadgen, server
 from repro.serve.jobs import JobResult
 from repro.workloads import JobSpec, LitmusSpec, RunRow, SweepResult
-from repro.workloads.runner import MACHINE_KINDS, run_workload
+from repro.workloads.runner import MACHINE_KINDS, _make_engine, \
+    run_workload
 
 from tests import knobs
 from tests.import_closure import import_closure
@@ -153,3 +154,14 @@ class TestNoSecondDeclaration:
                                     path.read_text()))
         assert names == knobs.REPRO_ENV
         assert _cli_flags() == CLI_FLAGS
+
+
+class TestOneEngineBuild:
+    def test_no_engine_is_built_outside_make_engine(self):
+        # Each kind once built its own engine, and one of the copies
+        # dropped the job's step budget and tier-2 knob.
+        build = inspect.getsource(_make_engine)
+        for path in sorted((SRC / "workloads").glob("*.py")):
+            source = path.read_text().replace(build, "")
+            assert not re.search(r"\b(DBTEngine|NativeRunner)\(",
+                                 source), path

@@ -31,7 +31,6 @@ from repro.isa.common import Imm, Insn, Label
 from repro.isa.x86 import assemble as assemble_x86
 from repro.store import DiskStore
 from repro.workloads import ALL_SPECS
-from repro.workloads.runner import run_kernel
 from tests import knobs
 
 REPO = Path(__file__).parents[2]
@@ -99,8 +98,8 @@ def installed():
             small = dataclasses.replace(spec, iterations=3, threads=1)
             for variant in VARIANTS:
                 for threshold in (0, 1):
-                    run_kernel(small, variant,
-                               tier2_threshold=threshold)
+                    api.run_kernel(small, variant=variant,
+                                   tier2_threshold=threshold)
         fig12_blocks = len(seen)
         for i in range(150):
             guest = assemble_x86(

@@ -8,19 +8,19 @@ import pytest
 from repro.machine.cpu import UNTAGGED_ORIGIN
 from repro.tcg.ir import MO_LD_LD, MO_ST_ST, Const, Op, TCGBlock
 from repro.tcg.optimizer import OptimizerConfig, optimize
-from repro.workloads import SPEC_BY_NAME, run_kernel
+from repro.api import SPEC_BY_NAME, run_kernel
 
 SPEC = SPEC_BY_NAME["histogram"]
 
 
 @pytest.fixture(scope="module")
 def qemu_result():
-    return run_kernel(SPEC, "qemu", seed=7).result
+    return run_kernel(SPEC, variant="qemu", seed=7).result
 
 
 @pytest.fixture(scope="module")
 def risotto_result():
-    return run_kernel(SPEC, "risotto", seed=7).result
+    return run_kernel(SPEC, variant="risotto", seed=7).result
 
 
 class TestEndToEnd:

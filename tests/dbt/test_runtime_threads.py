@@ -4,11 +4,11 @@ import dataclasses
 
 import pytest
 
+from repro.api import run_kernel
 from repro.dbt import DBTEngine, VARIANTS
 from repro.dbt.config import RISOTTO
 from repro.errors import GuestFault
 from repro.isa.x86 import assemble
-from repro.workloads.runner import run_kernel
 from repro.workloads.suites import SPEC_BY_NAME
 
 
@@ -158,7 +158,8 @@ class TestRecycledCore:
                                                    iterations):
         spec = dataclasses.replace(SPEC_BY_NAME[kernel],
                                    iterations=iterations)
-        outcomes = [run_kernel(spec, variant, max_steps=3_000_000)
+        outcomes = [run_kernel(spec, variant=variant,
+                               max_steps=3_000_000)
                     for variant in ("native", "qemu", "risotto")]
         assert all(o.result.exit_code == 0 for o in outcomes)
         assert len({o.checksum for o in outcomes}) == 1

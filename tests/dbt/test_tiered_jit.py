@@ -104,13 +104,6 @@ class TestTier2Promotion:
         on, engine = run_loop(tier2=Tier2Config(threshold=8))
         assert engine.opt_stats.helpers_inlined >= 1
 
-    def test_inlining_can_be_disabled(self):
-        on, engine = run_loop(
-            tier2=Tier2Config(threshold=8, inline_helpers=False))
-        assert engine.opt_stats.helpers_inlined == 0
-        # The self-loop seam still makes the trace worthwhile.
-        assert on.stats.tier2_traces >= 1
-
     def test_fp_trace_bit_identical(self):
         # FP helper inlining must preserve the softfloat results
         # bit-for-bit (both sides are Python float64).
@@ -179,6 +172,13 @@ class TestTier2EnvKnob:
         monkeypatch.setenv("REPRO_TIER2_THRESHOLD", "16")
         engine = DBTEngine(VARIANTS["qemu"], n_cores=1, tier2=None)
         assert engine.tier2 is None
+
+    def test_threshold_is_the_only_tier2_knob(self):
+        # The trace cache key carries no tier-2 setting, so a knob
+        # that changes the emitted trace would let one engine be
+        # served another's trace: trace shape stays constant.
+        assert [f.name for f in dataclasses.fields(Tier2Config)] == \
+            ["threshold"]
 
 
 # ----------------------------------------------------------------------
@@ -340,15 +340,15 @@ class TestFig12Differential:
         return [s.name for s in ALL_SPECS]
 
     def test_every_fig12_benchmark_bit_identical(self, spec_names):
-        from repro.workloads.runner import run_kernel
+        from repro.api import run_kernel
         from repro.workloads.suites import SPEC_BY_NAME
 
         assert len(spec_names) == 16
         for name in spec_names:
             spec = dataclasses.replace(SPEC_BY_NAME[name],
                                        iterations=60)
-            off = run_kernel(spec, "qemu", tier2_threshold=0)
-            on = run_kernel(spec, "qemu", tier2_threshold=8)
+            off = run_kernel(spec, variant="qemu", tier2_threshold=0)
+            on = run_kernel(spec, variant="qemu", tier2_threshold=8)
             assert on.checksum == off.checksum, name
             assert on.result.output == off.result.output, name
             assert on.result.exit_code == off.result.exit_code, name

@@ -172,13 +172,13 @@ class TestPipelineIntegration:
     def test_engine_emits_translation_spans(self):
         """A traced run records the pipeline's span hierarchy; the
         same run with tracing disabled records nothing."""
-        from repro.workloads import SPEC_BY_NAME, run_kernel
+        from repro.api import SPEC_BY_NAME, run_kernel
 
         spec = SPEC_BY_NAME["histogram"]
         tracer = Tracer()
         install_tracer(tracer)
         try:
-            traced = run_kernel(spec, "risotto", seed=7)
+            traced = run_kernel(spec, variant="risotto", seed=7)
         finally:
             trace_disable()
         names = {e["name"] for e in tracer.events}
@@ -189,7 +189,7 @@ class TestPipelineIntegration:
 
         null = get_tracer()
         assert not null.enabled
-        untraced = run_kernel(spec, "risotto", seed=7)
+        untraced = run_kernel(spec, variant="risotto", seed=7)
         assert null.events == ()
         # Tracing must not perturb the simulation itself.
         assert traced.result.elapsed_cycles == \

@@ -12,12 +12,12 @@ import dataclasses
 
 import pytest
 
-from repro.dbt import DBTEngine, NativeRunner, VARIANTS
+from repro.api import run_kernel
+from repro.dbt import DBTEngine, NativeRunner, VARIANT_NAMES, VARIANTS
 from repro.machine.weakmem import BufferMode
-from repro.workloads import execute_spec, kernel_job
+from repro.workloads import execute_spec, kernel_job, runner
 from repro.workloads.kernels import KernelSpec
-from repro.workloads.runner import ALL_VARIANTS, _make_engine, \
-    run_kernel
+from repro.workloads.runner import _make_engine
 
 MODES = (BufferMode.TSO, BufferMode.WEAK, BufferMode.NONE)
 
@@ -44,7 +44,7 @@ class TestEngineConstructors:
 
 
 class TestMakeEngineParity:
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
     def test_every_variant_gets_the_requested_mode(self, variant, mode):
         engine = _make_engine(variant, n_cores=2, seed=7, costs=None,
@@ -55,7 +55,7 @@ class TestMakeEngineParity:
 class TestWorkloadEntryPoints:
     def test_run_kernel_native_runs_under_tso(self):
         # End to end: the kernel actually executes on a TSO machine.
-        outcome = run_kernel(TINY, "native",
+        outcome = run_kernel(TINY, variant="native",
                              buffer_mode=BufferMode.TSO)
         assert outcome.result.exit_code == 0
 
@@ -63,9 +63,9 @@ class TestWorkloadEntryPoints:
         # Same checksum whatever the buffer mode — the kernels are
         # data-race-free — so a silently defaulted mode is invisible in
         # results and only these structural checks catch it.
-        native = run_kernel(TINY, "native",
+        native = run_kernel(TINY, variant="native",
                             buffer_mode=BufferMode.NONE)
-        weak = run_kernel(TINY, "native",
+        weak = run_kernel(TINY, variant="native",
                           buffer_mode=BufferMode.WEAK)
         assert native.checksum == weak.checksum
 
@@ -78,12 +78,13 @@ class TestRunSpecPlumbing:
     def test_execute_spec_forwards_mode(self, monkeypatch):
         captured = {}
 
-        def spy_run_kernel(kernel, variant, **kw):
-            captured.update(kw, kernel=kernel, variant=variant)
-            return run_kernel(kernel, variant, **kw)
+        def spy_make_engine(variant, n_cores, seed, costs, buffer_mode,
+                            tier2_threshold):
+            captured.update(variant=variant, buffer_mode=buffer_mode)
+            return _make_engine(variant, n_cores, seed, costs,
+                                buffer_mode, tier2_threshold)
 
-        monkeypatch.setattr("repro.workloads.runner.run_kernel",
-                            spy_run_kernel)
+        monkeypatch.setattr(runner, "_make_engine", spy_make_engine)
         spec = kernel_job(TINY, variant="native",
                           buffer_mode=BufferMode.TSO)
         row = execute_spec(spec)

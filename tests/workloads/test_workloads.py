@@ -5,6 +5,8 @@ import struct
 import pytest
 from dataclasses import replace
 
+from repro.api import run_cas_benchmark, run_kernel, \
+    run_library_workload
 from repro.machine.memory import Memory
 from repro.workloads import (
     ALL_SPECS,
@@ -12,15 +14,12 @@ from repro.workloads import (
     PHOENIX_SPECS,
     SPEC_BY_NAME,
     build_libm,
-    run_kernel,
-    run_library_workload,
     standard_libraries,
 )
 from repro.workloads.casbench import (
     CasConfig,
     FIGURE15_CONFIGS,
-    run_cas_benchmark,
-    throughput,
+    throughput_from_cycles,
 )
 from repro.workloads.kernels import gen_arm_program, gen_x86_program
 
@@ -57,7 +56,7 @@ class TestKernelEquivalence:
     def test_all_variants_same_checksum(self, name):
         spec = small(SPEC_BY_NAME[name])
         checksums = {
-            variant: run_kernel(spec, variant).checksum
+            variant: run_kernel(spec, variant=variant).checksum
             for variant in ("qemu", "no-fences", "tcg-ver", "risotto",
                             "native")
         }
@@ -65,21 +64,21 @@ class TestKernelEquivalence:
 
     def test_native_beats_translated(self):
         spec = small(SPEC_BY_NAME["canneal"], iterations=120)
-        qemu = run_kernel(spec, "qemu")
-        native = run_kernel(spec, "native")
+        qemu = run_kernel(spec, variant="qemu")
+        native = run_kernel(spec, variant="native")
         assert native.cycles < qemu.cycles / 2
 
     def test_fence_policy_ordering(self):
         spec = small(SPEC_BY_NAME["freqmine"], iterations=120)
-        qemu = run_kernel(spec, "qemu")
-        tcgver = run_kernel(spec, "tcg-ver")
-        nofences = run_kernel(spec, "no-fences")
+        qemu = run_kernel(spec, variant="qemu")
+        tcgver = run_kernel(spec, variant="tcg-ver")
+        nofences = run_kernel(spec, variant="no-fences")
         assert nofences.cycles < tcgver.cycles < qemu.cycles
 
     def test_deterministic_for_seed(self):
         spec = small(SPEC_BY_NAME["vips"])
-        a = run_kernel(spec, "risotto", seed=3)
-        b = run_kernel(spec, "risotto", seed=3)
+        a = run_kernel(spec, variant="risotto", seed=3)
+        b = run_kernel(spec, variant="risotto", seed=3)
         assert a.cycles == b.cycles and a.checksum == b.checksum
 
 
@@ -118,7 +117,8 @@ class TestLibraries:
         bits = struct.unpack("<Q", struct.pack("<d", 0.5))[0]
         results = {
             variant: run_library_workload(
-                "cos", (bits,), 10, variant, library).checksum
+                "cos", (bits,), 10, variant=variant,
+                library=library).checksum
             for variant in ("qemu", "tcg-ver", "risotto", "native")
         }
         assert len(set(results.values())) == 1, results
@@ -126,9 +126,10 @@ class TestLibraries:
     def test_linker_speedup_on_library_workload(self):
         library = build_libm()
         bits = struct.unpack("<Q", struct.pack("<d", 0.5))[0]
-        qemu = run_library_workload("cos", (bits,), 15, "qemu", library)
+        qemu = run_library_workload("cos", (bits,), 15, variant="qemu",
+                                    library=library)
         risotto = run_library_workload(
-            "cos", (bits,), 15, "risotto", library)
+            "cos", (bits,), 15, variant="risotto", library=library)
         assert risotto.cycles < qemu.cycles / 3
 
 
@@ -143,7 +144,7 @@ class TestCasBench:
 
         config = CasConfig(2, 1, attempts=40)
         for variant in ("qemu", "risotto", "native"):
-            outcome = run_cas_benchmark(config, variant)
+            outcome = run_cas_benchmark(config, variant=variant)
             # All CAS attempts target one variable; successful ones
             # increment it.  With read-then-CAS the count is positive
             # and bounded by total attempts.
@@ -152,16 +153,19 @@ class TestCasBench:
 
     def test_uncontended_beats_contended(self):
         free = run_cas_benchmark(CasConfig(4, 4, attempts=120),
-                                 "risotto")
+                                 variant="risotto")
         contended = run_cas_benchmark(CasConfig(4, 1, attempts=120),
-                                      "risotto")
-        free_tp = throughput(CasConfig(4, 4, attempts=120), free)
-        cont_tp = throughput(CasConfig(4, 1, attempts=120), contended)
+                                      variant="risotto")
+        free_tp = throughput_from_cycles(CasConfig(4, 4, attempts=120),
+                                         free.cycles)
+        cont_tp = throughput_from_cycles(CasConfig(4, 1, attempts=120),
+                                         contended.cycles)
         assert free_tp > 2 * cont_tp
 
     def test_risotto_beats_qemu_uncontended(self):
         config = CasConfig(1, 1, attempts=200)
-        qemu = throughput(config, run_cas_benchmark(config, "qemu"))
-        risotto = throughput(
-            config, run_cas_benchmark(config, "risotto"))
+        qemu = throughput_from_cycles(
+            config, run_cas_benchmark(config, variant="qemu").cycles)
+        risotto = throughput_from_cycles(
+            config, run_cas_benchmark(config, variant="risotto").cycles)
         assert risotto > qemu * 1.2
