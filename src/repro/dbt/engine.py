@@ -248,12 +248,12 @@ class DBTEngine:
     def _install(self, compiled: CompiledBlock) -> int:
         """Bind one artifact into this engine's code cache.
 
-        The block is encoded once (``CompiledBlock.link``: here, or
-        when the cache decoded it); the host address and this engine's
+        The block was encoded once, by the backend (or read back in
+        that form by the cache); the host address and this engine's
         trap addresses are patched into a copy of those bytes, whose
         length depends on neither, so the one allocation is exact.
         """
-        linked = compiled.linked or compiled.link()
+        linked = compiled.linked
         traps: dict[str, int] = {}
         for request in compiled.helper_requests:
             hint = "goto_tb" if request.trap_label.endswith("goto_tb") \

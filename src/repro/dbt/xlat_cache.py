@@ -12,10 +12,10 @@ worker, on every invocation, even though the Figure 12–15 sweeps
 translate the same bytes under the same configs each time.
 
 This module memoizes the *pre-install* artifact — the backend's
-:class:`~repro.tcg.backend_arm.CompiledBlock` (relocatable asm text,
-helper/dispatch relocation requests, fence-origin metadata) together
-with the block's :class:`~repro.tcg.optimizer.OptStats` — in two
-levels:
+:class:`~repro.tcg.backend_arm.CompiledBlock` (the block's linked
+form: code bytes with relocations, label and DMB offsets; helper/
+dispatch relocation requests; fence-origin metadata) together with
+the block's :class:`~repro.tcg.optimizer.OptStats` — in two levels:
 
 * an **in-memory LRU** shared by every engine in the process (bounded
   by :data:`DEFAULT_MEM_ENTRIES`), and
@@ -26,17 +26,17 @@ On a hit the engine skips frontend, optimizer and backend entirely;
 ``_install`` still runs per engine, binding the run-specific trap
 addresses through the stored relocation requests, so cached and
 freshly-translated runs are bit-identical (simulated cycles never
-depend on host-side translation work).  The asm is encoded once
-(``CompiledBlock.link``: as a disk entry is decoded, or at a fresh
-block's first install) and that form stays, unserialized, on the
-instance the memory level shares: a memory hit installs with no parsing.
+depend on host-side translation work).  The backend encodes a block
+once and the entry stores that encoding, not the asm text: neither a
+memory hit nor a disk hit parses or encodes anything.
 
 Key structure (any change misses, never corrupts):
 
-* **guest code bytes** — a fixed-size window at the block's pc (the
-  decoder's maximal reach, so identical windows imply identical
-  decode), plus the pc itself (blocks embed absolute continuation
-  targets);
+* **guest code bytes** — a fixed-size window at the block's pc, read
+  on across images mapped back to back as the frontend decodes (the
+  decoder's maximal reach, image seams included, so identical windows
+  imply identical decode), plus the pc itself (blocks embed absolute
+  continuation targets);
 * **config** — the frontend fence scheme and CAS policy, and the
   optimizer pass list (``DBTConfig.name`` is deliberately excluded:
   identically configured variants share entries);
@@ -46,12 +46,14 @@ Key structure (any change misses, never corrupts):
   editing any of them invalidates stale entries;
 * **schema tag** — :data:`SCHEMA`, bumped on entry-layout changes.
 
-Entries are JSON texts; layout, atomic writes and namespaces are
-:mod:`repro.store`'s.  Corrupt or truncated entries read as misses and
-are rewritten by the following store, as do well-formed entries that
-do not link (bad asm, a label defined twice, fence origins that
-disagree with the asm's DMBs).  The disk level is held to
-:data:`DEFAULT_DISK_BUDGET` bytes by evicting the least-recently-
+Entries are JSON texts: a sha256 digest over the payload, checked
+before the payload is decoded, then the payload; layout, atomic
+writes and namespaces are :mod:`repro.store`'s.  Corrupt or truncated
+entries read as counted misses and are rewritten by the following
+store, as do entries whose digest does not match and entries whose
+layout cannot be installed (a relocation or label outside the code,
+DMB offsets that disagree with the fence origins).  The disk level
+is held to :data:`DEFAULT_DISK_BUDGET` bytes by evicting the least-recently-
 written entries; a put sizes the store only once this process has
 written a quarter of the headroom the last walk found
 (:class:`repro.store.DiskStore`).
@@ -64,13 +66,15 @@ keyed by the resolved directory) — see :mod:`repro.store`.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
-from ..errors import AssemblerError, MachineError, TranslationError
+from ..errors import MachineError
+from ..isa.arm.assembler import LinkedCode
 from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
 from ..store import (  # noqa: F401 - re-exports
@@ -91,7 +95,9 @@ from ..tcg.optimizer import OptStats
 #: Entry-layout version; part of the key, so a bump orphans (and a
 #: later budget sweep collects) every pre-bump entry.
 #: /2: opt_stats grew empty_fences_dropped + helpers_inlined.
-SCHEMA = "repro-xlat/2"
+#: /3: the linked form (code bytes, relocations, label and DMB
+#: offsets) replaces the asm text, under a payload digest.
+SCHEMA = "repro-xlat/3"
 
 #: Distinct tag for tier-2 superblock artifacts: a trace keyed over
 #: the same head pc as a plain block must never collide with it, so
@@ -140,6 +146,31 @@ def config_fingerprint(config) -> str:
     return hashlib.sha256(
         f"{SCHEMA}|{canonical}|{code_salt(SALTED_MODULES)}".encode()
     ).hexdigest()
+
+
+def read_window(memory, guest_pc: int, size: int) -> bytes | None:
+    """The key's view of the ``size`` guest bytes from ``guest_pc`` on,
+    or ``None`` when ``guest_pc`` is unmapped.
+
+    One fetch stops at the end of its image, but the frontend's next
+    one reads on into an image mapped right after it, so the window
+    does too.  Each image's part is prefixed by its length: a seam
+    moves what a fetch that straddles it returns, so it is part of
+    what the decode depends on.
+    """
+    parts = []
+    addr, left = guest_pc, size
+    while left > 0:
+        try:
+            part = memory.read_bytes(addr, left)
+        except MachineError:
+            break
+        if not part:
+            break
+        parts.append(len(part).to_bytes(4, "little") + part)
+        addr += len(part)
+        left -= len(part)
+    return b"".join(parts) if parts else None
 
 
 def block_key(config_fp: str, guest_pc: int, window: bytes) -> str:
@@ -197,29 +228,89 @@ reset_stats = _STATS.reset
 # ----------------------------------------------------------------------
 # Entry (de)serialization
 # ----------------------------------------------------------------------
+#: A stored entry is ``_SEAL_HEAD + digest + _SEAL_MID + payload +
+#: "}"``: still one JSON object, and the payload's text is sliced out
+#: and hashed before anything is decoded.
+_SEAL_HEAD = '{"sha256":"'
+_SEAL_MID = '","payload":'
+_DIGEST_END = len(_SEAL_HEAD) + 64
+
+
+def _seal(payload: str) -> str:
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    return f"{_SEAL_HEAD}{digest}{_SEAL_MID}{payload}}}"
+
+
+def _unseal(text: str) -> str:
+    """The payload text of a stored entry whose digest matches."""
+    if not (text.startswith(_SEAL_HEAD)
+            and text.startswith(_SEAL_MID, _DIGEST_END)
+            and text.endswith("}")):
+        raise ValueError("not a sealed entry")
+    payload = text[_DIGEST_END + len(_SEAL_MID):-1]
+    if hashlib.sha256(payload.encode()).hexdigest() != \
+            text[len(_SEAL_HEAD):_DIGEST_END]:
+        raise ValueError("payload digest mismatch")
+    return payload
+
+
 def _entry_to_json(compiled: CompiledBlock, opt: OptStats) -> str:
-    return json.dumps({
+    linked = compiled.linked
+    return _seal(json.dumps({
         "schema": SCHEMA,
         "guest_pc": compiled.guest_pc,
-        "asm": compiled.asm,
+        "code": base64.b64encode(linked.code).decode("ascii"),
+        "relocs": linked.relocs,
+        "labels": linked.labels,
+        "dmb_offsets": linked.dmb_offsets,
         "helper_requests": [
             [r.trap_label, r.helper, list(r.arg_regs), r.ret_reg]
             for r in compiled.helper_requests
         ],
         "guest_insns": compiled.guest_insns,
         "op_count": compiled.op_count,
-        "fence_origins": list(compiled.fence_origins),
+        "fence_origins": compiled.fence_origins,
         "opt_stats": astuple(opt),
-    }, separators=(",", ":"))
+    }, separators=(",", ":")))
+
+
+def _check_layout(linked: LinkedCode, fence_origins: list) -> None:
+    """Refuse a linked form the engine could not install as it was
+    compiled.  Nothing reassembles a stored entry, so this and the
+    digest are its only checks."""
+    size = len(linked.code)
+    if not (all(0 <= offset <= size - 8 for offset, _ in linked.relocs)
+            and all(0 <= offset <= size
+                    for offset in linked.labels.values())
+            and all(0 <= offset < size
+                    for offset in linked.dmb_offsets)):
+        raise ValueError("an offset lies outside the code")
+    if len(linked.dmb_offsets) != len(fence_origins):
+        raise ValueError(
+            f"{len(linked.dmb_offsets)} DMBs but "
+            f"{len(fence_origins)} fence origins")
 
 
 def _entry_from_json(text: str) -> tuple[CompiledBlock, OptStats]:
-    payload = json.loads(text)
+    payload = json.loads(_unseal(text))
     if payload["schema"] != SCHEMA:
         raise ValueError(f"schema {payload['schema']!r}")
+    linked = LinkedCode(
+        code=base64.b64decode(payload["code"], validate=True),
+        relocs=tuple((int(offset), str(label))
+                     for offset, label in payload["relocs"]),
+        labels={str(label): int(offset)
+                for label, offset in dict(payload["labels"]).items()},
+        dmb_offsets=tuple(map(int, payload["dmb_offsets"])),
+    )
+    fence_origins = [
+        origin if origin is None else str(origin)
+        for origin in payload["fence_origins"]
+    ]
+    _check_layout(linked, fence_origins)
     compiled = CompiledBlock(
         guest_pc=int(payload["guest_pc"]),
-        asm=str(payload["asm"]),
+        linked=linked,
         helper_requests=[
             HelperRequest(trap_label=str(label), helper=str(helper),
                           arg_regs=tuple(args),
@@ -228,13 +319,8 @@ def _entry_from_json(text: str) -> tuple[CompiledBlock, OptStats]:
         ],
         guest_insns=int(payload["guest_insns"]),
         op_count=int(payload["op_count"]),
-        fence_origins=[
-            origin if origin is None else str(origin)
-            for origin in payload["fence_origins"]
-        ],
+        fence_origins=fence_origins,
     )
-    # Link here, where damage is still a miss and not an install error.
-    compiled.link()
     values = payload["opt_stats"]
     if len(values) != len(fields(OptStats)):
         # A short list would silently zero-fill through the defaults.
@@ -276,9 +362,8 @@ class XlatCache:
         """The content fingerprint for the block at ``guest_pc``, or
         ``None`` when the pc is unmapped (the frontend then raises the
         canonical fetch error)."""
-        try:
-            window = memory.read_bytes(guest_pc, window_bytes)
-        except MachineError:
+        window = read_window(memory, guest_pc, window_bytes)
+        if window is None:
             return None
         return block_key(config_fp, guest_pc, window)
 
@@ -289,9 +374,8 @@ class XlatCache:
         when any chain member's window is unmapped."""
         segments: list[tuple[int, bytes]] = []
         for guest_pc in guest_pcs:
-            try:
-                window = memory.read_bytes(guest_pc, window_bytes)
-            except MachineError:
+            window = read_window(memory, guest_pc, window_bytes)
+            if window is None:
                 return None
             segments.append((guest_pc, window))
         return trace_key(config_fp, segments)
@@ -310,11 +394,10 @@ class XlatCache:
         try:
             text = self._disk.read(key)
             entry = None if text is None else _entry_from_json(text)
-        except (ValueError, KeyError, TypeError, AssemblerError,
-                TranslationError):
-            # Present but unusable: corruption, a stale layout, or asm
-            # that does not link.  Fall back to translating; the store
-            # below rewrites it.
+        except (ValueError, KeyError, TypeError):
+            # Present but unusable: corruption, a digest mismatch, a
+            # stale layout, or offsets the code cannot hold.  Fall back
+            # to translating; the store below rewrites it.
             _STATS.corrupt_entries += 1
             entry = None
         if entry is not None:

@@ -26,7 +26,7 @@ to the argument registers the backend chose at compile time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..core.events import weakest_dmb
 from ..errors import TranslationError
@@ -74,7 +74,7 @@ def lower_barrier(mask: int) -> str | None:
 class HelperRequest:
     """A helper/dispatcher entry the runtime must install."""
 
-    trap_label: str              # label placeholder in the asm text
+    trap_label: str              # label the trap address binds to
     helper: str                  # helper name, or "dispatch"
     arg_regs: tuple[str, ...]    # registers holding the arguments
     ret_reg: str | None          # register receiving the return value
@@ -82,10 +82,13 @@ class HelperRequest:
 
 @dataclass
 class CompiledBlock:
-    """Backend output: asm text plus the traps it references."""
+    """Backend output: the block encoded once plus the traps it
+    references."""
 
     guest_pc: int
-    asm: str
+    #: The relocatable encoding the engine installs; what the
+    #: translation cache stores, so a hit installs with no parsing.
+    linked: LinkedCode
     helper_requests: list[HelperRequest]
     guest_insns: int
     op_count: int
@@ -93,27 +96,32 @@ class CompiledBlock:
     #: untagged fences).  The engine zips this with the linked form's
     #: DMB offsets to build the host fence-origin map.
     fence_origins: list[str | None] = field(default_factory=list)
-    #: ``asm`` encoded once (:meth:`link`): derived, so no part of the
-    #: block's identity and never serialized.  It rides on the instance
-    #: the translation cache shares, so engines install without parsing.
-    linked: LinkedCode | None = field(default=None, compare=False,
-                                      repr=False)
+    #: The asm text ``linked`` was encoded from: debug text, no part
+    #: of the block's identity, and not stored by the cache (a block
+    #: served from disk has none).
+    asm: str = field(default="", compare=False, repr=False)
 
-    def link(self) -> LinkedCode:
-        """Encode ``asm`` into its relocatable form and keep it.
+    @classmethod
+    def from_asm(cls, guest_pc: int, asm: str,
+                 helper_requests: list[HelperRequest], guest_insns: int,
+                 op_count: int,
+                 fence_origins: Sequence[str | None] = (),
+                 ) -> CompiledBlock:
+        """Encode ``asm`` once into the block's linked form.
 
         Origins are recorded in DMB emission order and the assembler
         preserves instruction order, so pairing by position is exact;
         a count mismatch would mis-attribute fence cycles silently.
         """
-        linked = link(self.asm)
-        if len(linked.dmb_offsets) != len(self.fence_origins):
+        fence_origins = list(fence_origins)
+        linked = link(asm)
+        if len(linked.dmb_offsets) != len(fence_origins):
             raise TranslationError(
-                f"block @{self.guest_pc:#x}: "
+                f"block @{guest_pc:#x}: "
                 f"{len(linked.dmb_offsets)} assembled DMBs but "
-                f"{len(self.fence_origins)} recorded fence origins")
-        self.linked = linked
-        return linked
+                f"{len(fence_origins)} recorded fence origins")
+        return cls(guest_pc, linked, helper_requests, guest_insns,
+                   op_count, fence_origins, asm)
 
 
 class _TempAllocator:
@@ -185,10 +193,9 @@ class ArmBackend:
                            reg_operand, requests, fence_origins)
             alloc.release_dead(index)
 
-        asm = "\n".join(lines) + "\n"
-        return CompiledBlock(
+        return CompiledBlock.from_asm(
             guest_pc=block.guest_pc,
-            asm=asm,
+            asm="\n".join(lines) + "\n",
             helper_requests=requests,
             guest_insns=block.guest_insns,
             op_count=len(block.ops),

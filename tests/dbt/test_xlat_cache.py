@@ -2,22 +2,24 @@
 
 The contract under test: a cache hit must be indistinguishable from a
 fresh translation (bit-identical RunResult), invalidation must be
-keyed on content (guest bytes, config, code/schema revision), and a
+keyed on content (guest bytes, config, code/schema revision), a
 damaged disk entry degrades to a translate-and-rewrite, never an
-error.  What the disk level guarantees by itself (namespaces, clear +
+error, and a hit installs the stored linked form without assembling.
+What the disk level guarantees by itself (namespaces, clear +
 orphan sweep, damaged entries, concurrent writers) is the store
 contract in ``tests/test_store.py``, which runs through this cache
 too.
 """
 
+import base64
 import dataclasses
 import json
 
 import pytest
 
-from repro.api import deterministic_row, kernel_grid, run_kernel, \
-    run_parallel
-from repro.dbt import xlat_cache
+from repro.api import deterministic_row, execute_spec, kernel_grid, \
+    kernel_job, run_kernel, run_parallel
+from repro.dbt import DBTEngine, guest_reg, xlat_cache
 from repro.dbt.config import QEMU, RISOTTO, TCG_VER
 from repro.dbt.xlat_cache import (
     XlatCache,
@@ -26,8 +28,11 @@ from repro.dbt.xlat_cache import (
     trace_key,
 )
 from repro.errors import TranslationError
+from repro.isa.arm import assembler
+from repro.isa.x86 import assemble as assemble_x86
+from repro.machine.memory import Memory
 from repro.store import DiskStore
-from repro.tcg.backend_arm import ArmBackend, CompiledBlock, HelperRequest
+from repro.tcg.backend_arm import CompiledBlock, HelperRequest
 from repro.tcg.optimizer import OptStats
 from repro.workloads.kernels import KernelSpec
 from tests.import_closure import import_closure
@@ -46,9 +51,10 @@ def cache_env(tmp_path, monkeypatch):
 
 
 def _entry() -> tuple[CompiledBlock, OptStats]:
-    compiled = CompiledBlock(
+    compiled = CompiledBlock.from_asm(
         guest_pc=0x400000,
-        asm="block_400000:\n    dmbld\n    ret\n",
+        asm=("block_400000:\n    dmbld\n"
+             "    bl __helper_write_int_1\n    ret\n"),
         helper_requests=[HelperRequest(
             trap_label="__helper_write_int_1", helper="write_int",
             arg_regs=("x13",), ret_reg=None)],
@@ -135,10 +141,9 @@ class TestDiskLayer:
         compiled, opt = _entry()
         cache.put("ab" * 32, compiled, opt)
         path = DiskStore(tmp_path).path("ab" * 32)
-        payload = json.loads(path.read_text())
-        assert payload["opt_stats"] == list(dataclasses.astuple(opt))
-        payload["opt_stats"].pop()
-        path.write_text(json.dumps(payload))
+        assert _payload(path)["opt_stats"] == \
+            list(dataclasses.astuple(opt))
+        _damage(path, lambda payload: payload["opt_stats"].pop())
         cache.clear_memory()
         before = xlat_cache.cache_stats().corrupt_entries
         assert cache.get("ab" * 32) is None
@@ -154,15 +159,46 @@ class TestDiskLayer:
         assert cache.get("ab" * 32) is None
 
 
-#: Entries that parse as JSON and carry every field, yet cannot be
-#: installed: asm that does not assemble, one fence origin missing
-#: for the DMBs the asm has, a label defined twice.
+def _payload(path) -> dict:
+    return json.loads(path.read_text())["payload"]
+
+
+def _damage(path, how, reseal: bool = True) -> None:
+    """Edit a stored entry's payload; resealed under a fresh digest
+    unless ``reseal`` is off, so what refuses it is the layout check."""
+    payload = _payload(path)
+    how(payload)
+    text = json.dumps(payload, separators=(",", ":"))
+    if reseal:
+        path.write_text(xlat_cache._seal(text))
+    else:
+        whole = path.read_text()
+        head = whole[:whole.index('"payload":') + len('"payload":')]
+        path.write_text(head + text + "}")
+
+
+def _flip_code_byte(payload) -> None:
+    code = bytearray(base64.b64decode(payload["code"]))
+    code[len(code) // 2] ^= 0x01
+    payload["code"] = base64.b64encode(bytes(code)).decode()
+
+
+def _code_size(payload) -> int:
+    return len(base64.b64decode(payload["code"]))
+
+
+#: Entries that parse as JSON and carry every field, yet must not be
+#: installed, each as (edit, reseal): a code byte flipped under the
+#: old digest, a relocation or a label past the end of the code, one
+#: fence origin missing for the DMBs the code has.
 WELL_FORMED_DAMAGE = {
-    "bad-asm": lambda payload: payload.update(
-        asm=payload["asm"].replace("ret", "frobnicate x0")),
-    "origin-short": lambda payload: payload["fence_origins"].pop(),
-    "duplicate-label": lambda payload: payload.update(
-        asm=payload["asm"] + "block_400000:\n"),
+    "code-flip": (_flip_code_byte, False),
+    "reloc-past-end": (lambda payload: payload["relocs"][0].__setitem__(
+        0, _code_size(payload) - 4), True),
+    "label-past-end": (lambda payload: payload["labels"].__setitem__(
+        "block_400000", _code_size(payload) + 1), True),
+    "origin-short": (lambda payload: payload["fence_origins"].pop(),
+                     True),
 }
 KEYS = {
     "block": block_key("fp", 0x400000, b"\x90" * 64),
@@ -171,16 +207,10 @@ KEYS = {
 }
 
 
-def _damage(path, how) -> None:
-    payload = json.loads(path.read_text())
-    how(payload)
-    path.write_text(json.dumps(payload))
-
-
 class TestWellFormedDamage:
     """A cache is an accelerator, never a correctness dependency: an
-    entry that decodes but does not link is a counted miss, not a
-    ``TranslationError`` out of the warm run's install."""
+    entry that fails its digest or layout check is a counted miss, not
+    a wrong block or an error out of the warm run's install."""
 
     @pytest.mark.parametrize("kind", sorted(KEYS))
     @pytest.mark.parametrize("damage", sorted(WELL_FORMED_DAMAGE))
@@ -192,7 +222,7 @@ class TestWellFormedDamage:
         cache.put(key, compiled, opt)
         path = DiskStore(tmp_path).path(key)
         whole = path.read_text()
-        _damage(path, WELL_FORMED_DAMAGE[damage])
+        _damage(path, *WELL_FORMED_DAMAGE[damage])
         cache.clear_memory()
         before = xlat_cache.cache_stats().corrupt_entries
         assert cache.get(key) is None
@@ -202,8 +232,26 @@ class TestWellFormedDamage:
         cache.clear_memory()
         hit = cache.get(key)
         assert hit is not None and hit.source == "disk"
-        # Decoding linked it: the engine installs with no parsing.
+        assert hit.compiled == compiled
         assert hit.compiled.linked.dmb_offsets == (0,)
+
+    def test_any_flipped_byte_is_a_counted_miss(self, tmp_path):
+        cache = XlatCache(tmp_path, max_mem_entries=0)
+        compiled, opt = _entry()
+        key = KEYS["block"]
+        cache.put(key, compiled, opt)
+        path = DiskStore(tmp_path).path(key)
+        whole = path.read_bytes()
+        before = xlat_cache.cache_stats().corrupt_entries
+        for index in range(len(whole)):
+            damaged = bytearray(whole)
+            damaged[index] ^= 0x01
+            path.write_bytes(bytes(damaged))
+            assert cache.get(key) is None, index
+        assert xlat_cache.cache_stats().corrupt_entries == \
+            before + len(whole)
+        path.write_bytes(whole)
+        assert cache.get(key).compiled == compiled
 
     def test_warm_run_over_a_damaged_store_is_bit_identical(
             self, cache_env):
@@ -235,15 +283,16 @@ class TestWellFormedDamage:
 
     def test_fresh_mismatch_is_still_a_translation_error(
             self, cache_env, monkeypatch):
-        plain = ArmBackend.compile_block
+        # The backend links a block once, where it checks the DMBs
+        # against the origins it recorded; record one too many.
+        plain = CompiledBlock.from_asm.__func__
 
-        def one_origin_too_many(self, block):
-            compiled = plain(self, block)
-            compiled.fence_origins.append("bogus")
-            return compiled
+        def one_origin_too_many(cls, **block):
+            block["fence_origins"] = [*block["fence_origins"], "bogus"]
+            return plain(cls, **block)
 
-        monkeypatch.setattr(ArmBackend, "compile_block",
-                            one_origin_too_many)
+        monkeypatch.setattr(CompiledBlock, "from_asm",
+                            classmethod(one_origin_too_many))
         for _ in range(2):  # the entry it stored must not mask it
             xlat_cache.reset_memory()
             with pytest.raises(TranslationError,
@@ -347,3 +396,80 @@ class TestCrossWorkerSharing:
             sum(r.xlat_misses for r in cold)
         for left, right in zip(cold, warm):
             assert deterministic_row(left) == deterministic_row(right)
+
+
+class TestHitsNeverAssemble:
+    """A hit installs the stored linked form: with the assembler
+    broken, a warm run over a filled store gives the cold run's row."""
+
+    @staticmethod
+    def _row():
+        return execute_spec(kernel_job(TINY, variant="risotto",
+                                       tier2_threshold=1))
+
+    @pytest.mark.parametrize("tier", ["disk", "memory"])
+    def test_warm_run_with_a_broken_assembler(self, cache_env,
+                                              monkeypatch, tier):
+        cold = self._row()
+        assert cold.xlat_misses > 0
+        if tier == "disk":
+            xlat_cache.reset_memory()
+
+        def refuse(source):
+            raise AssertionError("a cache hit parsed asm")
+
+        monkeypatch.setattr(assembler, "_link", refuse)
+        xlat_cache.reset_stats()
+        warm = self._row()
+        assert warm.xlat_misses == 0
+        assert deterministic_row(warm) == deterministic_row(cold)
+        stats = xlat_cache.cache_stats()
+        # The only misses are chains not worth a trace, which store
+        # nothing; trace entries were served too, not just blocks.
+        assert stats.stores == 0
+        assert getattr(stats, f"{tier}_hits") == stats.hits \
+            > warm.xlat_hits
+
+
+class TestAdjacentImages:
+    """The frontend decodes on into an image mapped right where the
+    one holding the pc ends, so the key window reads on too."""
+
+    @staticmethod
+    def _images(n: int, split: bool = True) -> list[tuple[int, bytes]]:
+        first = assemble_x86("mov rax, 1\n", base=0x400000)
+        second = assemble_x86(f"mov rbx, {n}\nhlt\n",
+                              base=0x400000 + len(first.code))
+        if not split:
+            return [(first.base, first.code + second.code)]
+        return [(first.base, first.code), (second.base, second.code)]
+
+    def test_a_hit_never_serves_the_old_next_image(self, tmp_path):
+        cache = XlatCache(tmp_path)
+
+        def run(n):
+            engine = DBTEngine(RISOTTO, n_cores=1, xlat_cache=cache,
+                               tier2=None)
+            for base, code in self._images(n):
+                engine.load_image(base, code)
+            result = engine.run(0x400000)
+            return (guest_reg(engine.machine.core(0), "rbx"),
+                    result.stats.xlat_hits)
+
+        assert run(2) == (2, 0)
+        assert run(7) == (7, 0)
+        assert run(7) == (7, 1)
+
+    @pytest.mark.parametrize("kind", ["block", "trace"])
+    def test_key_covers_the_next_image_and_the_seam(self, tmp_path,
+                                                   kind):
+        cache = XlatCache(tmp_path)
+        keys = set()
+        for n, split in ((2, True), (7, True), (2, False)):
+            memory = Memory()
+            for base, code in self._images(n, split):
+                memory.add_image(base, code)
+            keys.add(cache.key_for(memory, 0x400000, "fp", 2048)
+                     if kind == "block" else
+                     cache.trace_key_for(memory, [0x400000], "fp", 2048))
+        assert None not in keys and len(keys) == 3

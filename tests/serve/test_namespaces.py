@@ -167,7 +167,7 @@ class TestNamespaceSanitization:
 
 
 def _entry(pc: int) -> tuple[CompiledBlock, OptStats]:
-    return CompiledBlock(
+    return CompiledBlock.from_asm(
         guest_pc=pc,
         asm=f"block_{pc:x}:\n" + "    nop\n" * 40 + "    ret\n",
         helper_requests=[],

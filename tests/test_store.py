@@ -68,7 +68,7 @@ def _xlat_subject():
         return xlat_cache.block_key("fp", 0x400000 + 16 * i, b"\x90")
 
     def entry(i):
-        return CompiledBlock(
+        return CompiledBlock.from_asm(
             guest_pc=0x400000 + 16 * i,
             asm=f"block_{i}:\n" + "    nop\n" * 40 + "    dmbld\n    ret\n",
             helper_requests=[], guest_insns=3, op_count=7,
@@ -396,7 +396,7 @@ class TestBudget:
 def _put_block():
     """One translation-cache entry; every put below stores this same
     content under its own key, so all entries are one size."""
-    compiled = CompiledBlock(
+    compiled = CompiledBlock.from_asm(
         guest_pc=0x400000, asm="block:\n" + "    nop\n" * 40 + "    ret\n",
         helper_requests=[], guest_insns=3, op_count=7)
     opt = OptStats()
