@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import TranslationError
+from ..isa.arm.assembler import as_decoded
 from ..machine.scheduler import Machine
 from ..machine.timing import CostModel, DEFAULT_COSTS
 from ..machine.weakmem import BufferMode
@@ -116,9 +117,9 @@ class DBTEngine:
 
     # ------------------------------------------------------------------
     def _trap_for(self, helper: str, arg_regs: tuple[str, ...],
-                  ret_reg: str | None, direct_hint: str) -> int:
+                  ret_reg: str | None, direct: bool) -> int:
         if helper == "dispatch":
-            return self._dispatch_traps[direct_hint == "goto_tb"]
+            return self._dispatch_traps[direct]
         key = (helper, arg_regs, ret_reg)
         addr = self._helper_traps.get(key)
         if addr is None:
@@ -251,16 +252,16 @@ class DBTEngine:
         The block was encoded once, by the backend (or read back in
         that form by the cache); the host address and this engine's
         trap addresses are patched into a copy of those bytes, whose
-        length depends on neither, so the one allocation is exact.
+        length depends on neither, so the one allocation is exact.  A
+        fresh block's records go to the machine with its bytes, so its
+        first execution decodes nothing.
         """
         linked = compiled.linked
         traps: dict[str, int] = {}
         for request in compiled.helper_requests:
-            hint = "goto_tb" if request.trap_label.endswith("goto_tb") \
-                else "exit_tb"
             traps[request.trap_label] = self._trap_for(
                 request.helper, request.arg_regs, request.ret_reg,
-                hint)
+                request.trap_label.endswith("goto_tb"))
         host_pc = self.runtime.alloc_code(len(linked.code))
         code = linked.place(host_pc, traps)
         fence_origins = self.machine.fence_origins
@@ -268,7 +269,10 @@ class DBTEngine:
                                   compiled.fence_origins):
             if origin is not None:
                 fence_origins[host_pc + offset] = origin
-        self.machine.memory.add_image(host_pc, code)
+        insns = as_decoded(compiled.insns, host_pc, len(code),
+                           linked.bind(host_pc, traps)) \
+            if compiled.insns else None
+        self.machine.memory.add_image(host_pc, code, insns)
         return host_pc
 
     # ------------------------------------------------------------------

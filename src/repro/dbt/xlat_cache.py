@@ -1,67 +1,42 @@
 """Persistent translation cache for the DBT pipeline.
 
-Translation is pure: the compiled artifact of a guest block is a
-function of the guest code bytes, the frontend config (fence scheme,
-CAS policy), the optimizer pass list, and the translation code itself.
-"On Architecture to Architecture Mapping for Concurrency" makes the
-same observation for the mapping proper — the whole pipeline is
-deterministic, hence perfectly memoizable.  Yet every
-:class:`~repro.dbt.engine.DBTEngine` re-runs frontend → optimizer →
-backend for every block, in every variant, in every ``run_parallel``
-worker, on every invocation, even though the Figure 12–15 sweeps
-translate the same bytes under the same configs each time.
+Translation is pure: a guest block's compiled artifact is a function
+of the guest code bytes, the frontend config (fence scheme, CAS
+policy), the optimizer pass list and the translation code itself —
+the observation "On Architecture to Architecture Mapping for
+Concurrency" makes for the mapping proper.  So the Figure 12–15
+sweeps, which translate the same bytes under the same configs in
+every variant, worker and invocation, memoize it here: the backend's
+:class:`~repro.tcg.backend_arm.CompiledBlock` in its linked form (code
+bytes with relocations, label and DMB offsets; helper/dispatch
+requests; fence origins) with the block's
+:class:`~repro.tcg.optimizer.OptStats`, in an **in-memory LRU** shared
+by every engine in the process (:data:`DEFAULT_MEM_ENTRIES`) over a
+**persistent store** (:class:`repro.store.DiskStore`) shared across
+workers and runs.
 
-This module memoizes the *pre-install* artifact — the backend's
-:class:`~repro.tcg.backend_arm.CompiledBlock` (the block's linked
-form: code bytes with relocations, label and DMB offsets; helper/
-dispatch relocation requests; fence-origin metadata) together with
-the block's :class:`~repro.tcg.optimizer.OptStats` — in two levels:
+A hit skips frontend, optimizer and backend; ``_install`` still binds
+the run's trap addresses through the stored requests, so cached and
+fresh runs are bit-identical.  Both levels keep the linked form alone:
+no hit parses or encodes anything, and neither level holds the
+records a fresh compile hands the machine (a hit's first execution
+decodes its bytes instead).  Helper trap labels are numbered within
+their block, so an entry's text is a function of its key.
 
-* an **in-memory LRU** shared by every engine in the process (bounded
-  by :data:`DEFAULT_MEM_ENTRIES`), and
-* a **persistent on-disk store** (:class:`repro.store.DiskStore`),
-  shared across ``run_parallel`` workers and across runs.
-
-On a hit the engine skips frontend, optimizer and backend entirely;
-``_install`` still runs per engine, binding the run-specific trap
-addresses through the stored relocation requests, so cached and
-freshly-translated runs are bit-identical (simulated cycles never
-depend on host-side translation work).  The backend encodes a block
-once and the entry stores that encoding, not the asm text: neither a
-memory hit nor a disk hit parses or encodes anything.
-
-Key structure (any change misses, never corrupts):
-
-* **guest code bytes** — a fixed-size window at the block's pc, read
-  on across images mapped back to back as the frontend decodes (the
-  decoder's maximal reach, image seams included, so identical windows
-  imply identical decode), plus the pc itself (blocks embed absolute
-  continuation targets);
-* **config** — the frontend fence scheme and CAS policy, and the
-  optimizer pass list (``DBTConfig.name`` is deliberately excluded:
-  identically configured variants share entries);
-* **code salt** — a digest of every module the artifact depends on
-  (:data:`SALTED_MODULES`: the pipeline, the fence and scheme tables
-  it reads from ``repro.core``, the ISA encoders, this module), so
-  editing any of them invalidates stale entries;
-* **schema tag** — :data:`SCHEMA`, bumped on entry-layout changes.
-
-Entries are JSON texts: a sha256 digest over the payload, checked
-before the payload is decoded, then the payload; layout, atomic
-writes and namespaces are :mod:`repro.store`'s.  Corrupt or truncated
-entries read as counted misses and are rewritten by the following
-store, as do entries whose digest does not match and entries whose
-layout cannot be installed (a relocation or label outside the code,
-DMB offsets that disagree with the fence origins).  The disk level
-is held to :data:`DEFAULT_DISK_BUDGET` bytes by evicting the least-recently-
-written entries; a put sizes the store only once this process has
-written a quarter of the headroom the last walk found
-(:class:`repro.store.DiskStore`).
-
-Configuration via ``REPRO_XLAT_CACHE`` (directory override, or
-``0``/``off`` to disable both levels) and ``REPRO_XLAT_CACHE_NS`` (the
-namespace; the in-memory LRU is per namespace too, as instances are
-keyed by the resolved directory) — see :mod:`repro.store`.
+The key (any change misses, never corrupts) covers a fixed-size guest
+byte window at the pc, read on across images mapped back to back as
+the frontend decodes, and the pc itself; the frontend and optimizer
+config (not ``DBTConfig.name``: identical variants share entries); a
+digest of every module a block depends on (:data:`SALTED_MODULES`);
+and :data:`SCHEMA`.  An entry is JSON sealed by a sha256 over its
+payload, checked before decoding; corrupt, mismatched or uninstallable
+entries (an offset outside the code, DMBs that disagree with the
+origins) are counted misses that the next store rewrites.  The disk
+level is held to :data:`DEFAULT_DISK_BUDGET` bytes, least recently
+written first (:class:`repro.store.DiskStore`).  ``REPRO_XLAT_CACHE``
+(a directory, or ``0``/``off`` for neither level) and
+``REPRO_XLAT_CACHE_NS`` (the namespace; the LRU is per directory)
+configure it — see :mod:`repro.store` and DESIGN.md §6e.
 """
 
 from __future__ import annotations
@@ -70,7 +45,7 @@ import base64
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 from ..errors import MachineError
@@ -410,7 +385,9 @@ class XlatCache:
 
     def put(self, key: str, compiled: CompiledBlock,
             opt: OptStats) -> None:
-        self._remember(key, (compiled, opt))
+        # The linked form alone: the records only serve the install
+        # that follows this compile.
+        self._remember(key, (replace(compiled, insns=[]), opt))
         _STATS.stores += 1
         if self._disk.write(key, _entry_to_json(compiled, opt)) \
                 and self._disk.walk_due():

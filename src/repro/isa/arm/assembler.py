@@ -1,6 +1,16 @@
-"""A link-then-place text assembler for the host Arm subset.
+"""The host Arm subset's linker, and a text assembler over it.
 
-Syntax (A64-flavoured)::
+A unit is a list of records: an :class:`Insn` per instruction, whose
+:class:`Label` operands are branch or trap targets, and a name per
+label.  :func:`link_records` encodes one once into a
+:class:`LinkedCode`; labels encode as absolute 64-bit immediates, so
+:meth:`LinkedCode.place` binds it to any base and external labels by
+patching them.  The DBT backend emits records, so a fresh block is
+never printed and parsed back: :func:`as_decoded` gives the machine
+its instructions as placed, and :func:`render` prints them only when
+something reads the text.  Text is for hand-written code:
+:func:`parse` reads it into records, :func:`link` is parse then link,
+and :func:`assemble` is link then place.  Syntax (A64-flavoured)::
 
     // comment
     loop:
@@ -11,51 +21,27 @@ Syntax (A64-flavoured)::
         cbnz x3, loop
         dmbff
         ret
-
-Branch targets assemble to absolute 64-bit immediates (same layout
-trick as the x86 assembler), so the encoding is relocatable:
-:func:`link` parses and encodes a unit once, :meth:`LinkedCode.place`
-binds it to a base and to external labels by patching those
-immediates, and :func:`assemble` is the two run back to back.
 """
 
 from __future__ import annotations
 
-import re
 import struct
-from functools import lru_cache
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable
 
 from ...errors import AssemblerError
-from ..common import Imm, Insn, Label, Mem, Reg
-from .insns import CODER, REGISTER_IDS
+from ..common import (IDENT_RE, INT_RE, LABEL_RE, Assembly, Imm, Insn,
+                      Label, Mem, Reg, split_operands, to_signed)
+from .insns import CODER, REGISTER_IDS, REGS
 
-_LABEL_RE = re.compile(r"^([.\w]+):$")
-_INT_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F]+|\d+)$")
-_IDENT_RE = re.compile(r"^[.\w]+$")
 _IMM64 = struct.Struct("<Q")
 _U64_MASK = (1 << 64) - 1
+_I64_MIN, _I64_END = -(1 << 63), 1 << 63
+_ZERO = Imm(0)
 
 
-@dataclass
-class Assembly:
-    """The result of assembling one Arm source unit."""
-
-    code: bytes
-    base: int
-    labels: dict[str, int]
-    insns: list[Insn]
-    addresses: list[int]
-
-    def label(self, name: str) -> int:
-        try:
-            return self.labels[name]
-        except KeyError:
-            raise AssemblerError(f"unknown label {name!r}") from None
-
-
-# Translated blocks spell the same few dozen registers and small
-# immediates over and over, and operands are immutable: memoize.
+# Operands are immutable and repeat over and over: memoize.
 @lru_cache(maxsize=1024)
 def parse_operand(text: str) -> Reg | Imm | Mem | Label:
     text = text.strip()
@@ -67,15 +53,15 @@ def parse_operand(text: str) -> Reg | Imm | Mem | Label:
         return _parse_mem(text[1:-1])
     if text.startswith("#"):
         body = text[1:]
-        if not _INT_RE.match(body):
+        if not INT_RE.match(body):
             raise AssemblerError(f"bad immediate {text!r}")
         return Imm(int(body, 0))
     lowered = text.lower()
     if lowered in REGISTER_IDS:
-        return Reg(lowered)
-    if _INT_RE.match(text):
+        return REGS[lowered]
+    if INT_RE.match(text):
         return Imm(int(text, 0))
-    if _IDENT_RE.match(text):
+    if IDENT_RE.match(text):
         return Label(text)
     raise AssemblerError(f"cannot parse operand {text!r}")
 
@@ -104,7 +90,7 @@ def parse_line(line: str) -> Insn | str | None:
     code = line.split("//", 1)[0].strip()
     if not code:
         return None
-    match = _LABEL_RE.match(code)
+    match = LABEL_RE.match(code)
     if match:
         return match.group(1)
     parts = code.split(None, 1)
@@ -112,28 +98,9 @@ def parse_line(line: str) -> Insn | str | None:
     operands: tuple = ()
     if len(parts) > 1:
         operands = tuple(
-            parse_operand(tok) for tok in _split_operands(parts[1])
+            parse_operand(tok) for tok in split_operands(parts[1])
         )
     return Insn(mnemonic, operands)
-
-
-def _split_operands(text: str) -> list[str]:
-    if "[" not in text and "]" not in text:
-        return [tok for tok in map(str.strip, text.split(",")) if tok]
-    out, depth, current = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        out.append("".join(current))
-    return [tok for tok in (t.strip() for t in out) if tok]
 
 
 @dataclass(frozen=True)
@@ -178,45 +145,60 @@ class LinkedCode:
         return bytes(code)
 
 
-def _link(source: str) -> tuple[LinkedCode, list[Insn], list[int]]:
-    """The linked form plus the parsed instructions and their offsets
-    (what :func:`assemble` reports and :func:`link` need not retain)."""
+def link_records(records: Iterable[Insn | str]
+                 ) -> tuple[LinkedCode, list[tuple[int, Insn]]]:
+    """Encode a record list once: the linked form, plus every
+    instruction at its offset in the code.
+
+    A record is an :class:`Insn`, whose :class:`Label` operands become
+    relocations, or a label name, defined at the current offset.
+    """
     code = bytearray()
     relocs: list[tuple[int, str]] = []
     labels: dict[str, int] = {}
-    dmb_offsets, insns, offsets = [], [], []
+    dmb_offsets, placed = [], []
+    for item in records:
+        offset = len(code)
+        if type(item) is str:
+            if item in labels:
+                raise AssemblerError(f"duplicate label {item!r}")
+            labels[item] = offset
+            continue
+        placeholder = item
+        if Label in map(type, item.operands):
+            # Encode a zero where each label's address will go.
+            placeholder = Insn(
+                item.mnemonic,
+                tuple(_ZERO if type(op) is Label else op
+                      for op in item.operands))
+            relocs.extend(
+                (offset + CODER.imm_offset(placeholder, index), op.name)
+                for index, op in enumerate(item.operands)
+                if type(op) is Label)
+        if item.mnemonic.startswith("dmb"):
+            dmb_offsets.append(offset)
+        placed.append((offset, item))
+        code += CODER.encode(placeholder)
+    linked = LinkedCode(bytes(code), tuple(relocs), labels,
+                        tuple(dmb_offsets))
+    return linked, placed
+
+
+def parse(source: str) -> list[Insn | str]:
+    """Arm text as the records :func:`link_records` takes."""
+    records = []
     for lineno, line in enumerate(source.splitlines(), start=1):
         try:
             item = parse_line(line)
         except AssemblerError as exc:
             raise AssemblerError(f"line {lineno}: {exc}") from exc
-        if item is None:
-            continue
-        if isinstance(item, str):
-            if item in labels:
-                raise AssemblerError(f"duplicate label {item!r}")
-            labels[item] = len(code)
-            continue
-        placeholder = item
-        if any(isinstance(op, Label) for op in item.operands):
-            # Encode a zero where each label's address will go.
-            placeholder = Insn(
-                item.mnemonic,
-                tuple(Imm(0) if isinstance(op, Label) else op
-                      for op in item.operands))
-            relocs.extend(
-                (len(code) + CODER.imm_offset(placeholder, index),
-                 op.name)
-                for index, op in enumerate(item.operands)
-                if isinstance(op, Label))
-        if item.mnemonic.startswith("dmb"):
-            dmb_offsets.append(len(code))
-        insns.append(item)
-        offsets.append(len(code))
-        code.extend(CODER.encode(placeholder))
-    linked = LinkedCode(bytes(code), tuple(relocs), labels,
-                        tuple(dmb_offsets))
-    return linked, insns, offsets
+        if item is not None:
+            records.append(item)
+    return records
+
+
+def _link(source: str) -> tuple[LinkedCode, list[tuple[int, Insn]]]:
+    return link_records(parse(source))
 
 
 def link(source: str) -> LinkedCode:
@@ -224,19 +206,64 @@ def link(source: str) -> LinkedCode:
     return _link(source)[0]
 
 
+def as_decoded(placed: list[tuple[int, Insn]], base: int, end: int,
+               labels: dict[str, int]) -> dict[int, tuple[Insn, int]]:
+    """``pc -> (insn, size)`` for ``placed`` (as :func:`link_records`
+    returns it, ``end`` bytes long) at ``base``: each instruction as
+    :meth:`~repro.isa.common.InsnCoder.decode` reads it back, a label
+    operand its address in ``labels`` and every immediate signed."""
+    out = {}
+    for offset, insn in reversed(placed):
+        for op in insn.operands:
+            kind = type(op)
+            if kind is Label or (kind is Imm and not
+                                 _I64_MIN <= op.value < _I64_END):
+                insn = Insn(insn.mnemonic, tuple(
+                    Imm(to_signed(labels[op.name] if type(op) is Label
+                                  else op.value))
+                    if type(op) in (Label, Imm) else op
+                    for op in insn.operands), insn.lock)
+                break
+        out[base + offset] = (insn, end - offset)
+        end = offset
+    return out
+
+
+def render(placed: list[tuple[int, Insn]],
+           labels: dict[str, int]) -> str:
+    """The text :func:`link` reads back to the unit that
+    :func:`link_records` returned as ``placed`` and ``labels``."""
+    lines = [(offset, 0, f"{name}:") for name, offset in labels.items()]
+    lines += [(offset, 1, f"    {insn.mnemonic} " + ", ".join(
+        _spell(insn.mnemonic, op) for op in insn.operands))
+        for offset, insn in placed]
+    lines.sort(key=lambda line: line[:2])  # labels keep their order
+    return "\n".join(text.rstrip() for *_, text in lines) + "\n"
+
+
+def _spell(mnemonic: str, op: Reg | Imm | Mem | Label) -> str:
+    if type(op) is Imm:
+        return f"#{op.value}"
+    if type(op) is not Mem:
+        return op.name
+    if op.index:
+        return f"[{op.base}, {op.index}]"
+    # Plain loads and stores spell a zero offset; atomics take a bare
+    # base.
+    if op.offset or mnemonic in ("ldr", "str"):
+        return f"[{op.base}, #{op.offset}]"
+    return f"[{op.base}]"
+
+
 def assemble(source: str, base: int = 0x10000000,
              external_labels: dict[str, int] | None = None) -> Assembly:
     """Assemble Arm text into bytes loaded at ``base``."""
-    linked, insns, offsets = _link(source)
+    linked, placed = _link(source)
     code = linked.place(base, external_labels)
     labels = linked.bind(base, external_labels)
-    resolved = [
-        Insn(insn.mnemonic,
-             tuple(Imm(labels[op.name]) if isinstance(op, Label) else op
-                   for op in insn.operands))
-        for insn in insns
-    ]
+    decoded = sorted(as_decoded(placed, base, len(code), labels).items())
     return Assembly(
-        code=code, base=base, labels=labels, insns=resolved,
-        addresses=[base + offset for offset in offsets],
+        code=code, base=base, labels=labels,
+        insns=[insn for _, (insn, _) in decoded],
+        addresses=[pc for pc, _ in decoded],
     )

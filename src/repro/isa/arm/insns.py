@@ -14,13 +14,16 @@ substitution documented in DESIGN.md.
 
 from __future__ import annotations
 
-from ..common import InsnCoder
+from ..common import InsnCoder, Reg
 
 #: General-purpose registers.  x31 is written ``xzr`` (zero register);
 #: ``sp`` is a separate register in this simplified model.
 GPR: tuple[str, ...] = tuple(f"x{i}" for i in range(31)) + ("sp", "xzr")
 
 REGISTER_IDS: dict[str, int] = {name: i for i, name in enumerate(GPR)}
+
+#: One interned :class:`Reg` per register name.
+REGS: dict[str, Reg] = {name: Reg(name) for name in GPR}
 
 #: Link register alias used by BL/RET.
 LINK_REGISTER = "x30"

@@ -17,8 +17,9 @@ advance by instruction size" loop faithful.
 
 from __future__ import annotations
 
+import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import AssemblerError, DecodeError
 
@@ -251,10 +252,6 @@ class InsnCoder:
         raise DecodeError(f"{self.name}: bad operand tag 0x{tag:02x}")
 
     # ------------------------------------------------------------------
-    def assemble_block(self, insns: list[Insn]) -> bytes:
-        """Encode a straight-line sequence."""
-        return b"".join(self.encode(i) for i in insns)
-
     def disassemble(self, data: bytes) -> list[Insn]:
         """Decode an entire byte buffer (for tests and dumps)."""
         out = []
@@ -264,3 +261,37 @@ class InsnCoder:
             out.append(insn)
             offset += size
         return out
+
+
+# ----------------------------------------------------------------------
+# Assembly text, shared by both assemblers
+# ----------------------------------------------------------------------
+LABEL_RE = re.compile(r"^([.\w]+):$")
+INT_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F]+|\d+)$")
+IDENT_RE = re.compile(r"^[.\w]+$")
+#: A comma outside brackets: no ``]`` ahead before the next ``[``.
+_OPERAND_COMMA = re.compile(r",(?![^\[]*\])")
+
+
+def split_operands(text: str) -> list[str]:
+    """The operands of one line, split on commas outside brackets."""
+    return [tok for tok in map(str.strip, _OPERAND_COMMA.split(text))
+            if tok]
+
+
+@dataclass
+class Assembly:
+    """The result of assembling one source unit."""
+
+    code: bytes
+    base: int
+    labels: dict[str, int]
+    insns: list[Insn]
+    #: Byte address of each instruction, parallel to ``insns``.
+    addresses: list[int]
+
+    def label(self, name: str) -> int:
+        try:
+            return self.labels[name]
+        except KeyError:
+            raise AssemblerError(f"unknown label {name!r}") from None

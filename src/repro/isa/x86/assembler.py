@@ -17,38 +17,10 @@ only needs operand *kinds* to lay out addresses.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
 from ...errors import AssemblerError
-from ..common import Imm, Insn, Label, Mem, Reg
+from ..common import (IDENT_RE, INT_RE, LABEL_RE, Assembly, Imm, Insn,
+                      Label, Mem, Reg, split_operands)
 from .insns import CODER, REGISTER_IDS
-
-_LABEL_RE = re.compile(r"^([.\w]+):$")
-_INT_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F]+|\d+)$")
-_IDENT_RE = re.compile(r"^[.\w]+$")
-
-
-@dataclass
-class Assembly:
-    """The result of assembling one source unit."""
-
-    code: bytes
-    base: int
-    labels: dict[str, int]
-    insns: list[Insn]
-    #: Byte address of each instruction, parallel to ``insns``.
-    addresses: list[int]
-
-    def label(self, name: str) -> int:
-        try:
-            return self.labels[name]
-        except KeyError:
-            raise AssemblerError(f"unknown label {name!r}") from None
-
-
-def _parse_int(text: str) -> int:
-    return int(text, 0)
 
 
 def parse_operand(text: str) -> Reg | Imm | Mem | Label:
@@ -63,9 +35,9 @@ def parse_operand(text: str) -> Reg | Imm | Mem | Label:
     lowered = text.lower()
     if lowered in REGISTER_IDS:
         return Reg(lowered)
-    if _INT_RE.match(text):
-        return Imm(_parse_int(text))
-    if _IDENT_RE.match(text):
+    if INT_RE.match(text):
+        return Imm(int(text, 0))
+    if IDENT_RE.match(text):
         return Label(text)
     raise AssemblerError(f"cannot parse operand {text!r}")
 
@@ -89,7 +61,7 @@ def _parse_mem(inner: str) -> Mem:
             if index is not None:
                 raise AssemblerError(f"two index registers in [{inner}]")
             index = reg_part.lower()
-            scale = _parse_int(scale_part)
+            scale = int(scale_part, 0)
         elif lowered in REGISTER_IDS:
             if base is None:
                 base = lowered
@@ -97,8 +69,8 @@ def _parse_mem(inner: str) -> Mem:
                 index = lowered
             else:
                 raise AssemblerError(f"too many registers in [{inner}]")
-        elif _INT_RE.match(term):
-            offset += _parse_int(term)
+        elif INT_RE.match(term):
+            offset += int(term, 0)
         else:
             raise AssemblerError(f"cannot parse memory term {term!r}")
     return Mem(base=base, offset=offset, index=index, scale=scale)
@@ -109,7 +81,7 @@ def parse_line(line: str) -> Insn | str | None:
     code = line.split(";", 1)[0].strip()
     if not code:
         return None
-    match = _LABEL_RE.match(code)
+    match = LABEL_RE.match(code)
     if match:
         return match.group(1)
     lock = False
@@ -121,39 +93,18 @@ def parse_line(line: str) -> Insn | str | None:
     operands: tuple = ()
     if len(parts) > 1:
         operands = tuple(
-            parse_operand(tok) for tok in _split_operands(parts[1])
+            parse_operand(tok) for tok in split_operands(parts[1])
         )
     return Insn(mnemonic, operands, lock=lock)
 
 
-def _split_operands(text: str) -> list[str]:
-    """Split on commas that are not inside brackets."""
-    out, depth, current = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        out.append("".join(current))
-    return [tok for tok in (t.strip() for t in out) if tok]
-
-
 def _resolve(insn: Insn, labels: dict[str, int]) -> Insn:
-    resolved = []
-    for op in insn.operands:
-        if isinstance(op, Label):
-            if op.name not in labels:
-                raise AssemblerError(f"undefined label {op.name!r}")
-            resolved.append(Imm(labels[op.name]))
-        else:
-            resolved.append(op)
-    return Insn(insn.mnemonic, tuple(resolved), lock=insn.lock)
+    try:
+        return Insn(insn.mnemonic, tuple(
+            Imm(labels[op.name]) if isinstance(op, Label) else op
+            for op in insn.operands), lock=insn.lock)
+    except KeyError as exc:
+        raise AssemblerError(f"undefined label {exc.args[0]!r}") from None
 
 
 def assemble(source: str, base: int = 0x400000,
@@ -172,11 +123,10 @@ def assemble(source: str, base: int = 0x400000,
         if item is not None:
             items.append(item)
 
-    # Pass 1: lay out addresses.  Label operands have the same encoded
-    # size as immediates, so sizes are final already.
+    # Pass 1 lays out addresses: a label operand encodes as wide as an
+    # immediate, so sizes are final already.  Pass 2 resolves labels.
     labels: dict[str, int] = dict(external_labels or {})
-    addresses: list[int] = []
-    insns: list[Insn] = []
+    placed: list[tuple[int, Insn]] = []
     cursor = base
     for item in items:
         if isinstance(item, str):
@@ -184,25 +134,13 @@ def assemble(source: str, base: int = 0x400000,
                 raise AssemblerError(f"duplicate label {item!r}")
             labels[item] = cursor
             continue
-        placeholder = Insn(
-            item.mnemonic,
-            tuple(Imm(0) if isinstance(op, Label) else op
-                  for op in item.operands),
-            lock=item.lock,
-        )
-        addresses.append(cursor)
-        insns.append(item)
-        cursor += CODER.encoded_size(placeholder)
-
-    # Pass 2: resolve and encode.
-    code = bytearray()
-    resolved_insns = []
-    for insn in insns:
-        resolved = _resolve(insn, labels)
-        resolved_insns.append(resolved)
-        code.extend(CODER.encode(resolved))
-
+        placed.append((cursor, item))
+        cursor += CODER.encoded_size(Insn(item.mnemonic, tuple(
+            Imm(0) if isinstance(op, Label) else op
+            for op in item.operands), lock=item.lock))
+    insns = [_resolve(insn, labels) for _, insn in placed]
     return Assembly(
-        code=bytes(code), base=base, labels=labels,
-        insns=resolved_insns, addresses=addresses,
+        code=b"".join(map(CODER.encode, insns)), base=base,
+        labels=labels, insns=insns,
+        addresses=[address for address, _ in placed],
     )

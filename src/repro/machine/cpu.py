@@ -9,14 +9,16 @@ entry points (QEMU-style helpers, native host library functions).
 
 Decoding and operand resolution are per-*instruction* work, so they
 are paid once per pc, not once per step: the first time a pc executes,
-:meth:`ArmCore.step` fetches and decodes it and a per-mnemonic *binder*
-(the second half of this module) resolves register names, masked
-immediates, the address shape and the cycle costs into a handler
-``handler(core)``.  ``(handler, size)`` goes into the table the
-machine's :class:`~repro.machine.memory.Memory` keeps for all its
-cores, and every later step at that pc is one dict lookup and one
-call.  Handlers take the core as their argument and capture none, so
-the table holds no reference back into the machine.
+:meth:`ArmCore.step` takes the instruction the memory was seeded with
+there (a freshly translated block's records), or else fetches and
+decodes it, and a per-mnemonic *binder* (the second half of this
+module) resolves register names, masked immediates, the address shape
+and the cycle costs into a handler ``handler(core)``.
+``(handler, size)`` goes into the table the machine's
+:class:`~repro.machine.memory.Memory` keeps for all its cores, and
+every later step at that pc is one dict lookup and one call.
+Handlers take the core as their argument and capture none, so the
+table holds no reference back into the machine.
 """
 
 from __future__ import annotations
@@ -120,6 +122,9 @@ class ArmCore:
         #: pc -> (handler, size): the memory's table for this core's
         #: cost model, shared with every other core on the machine.
         self._code = self.memory.code_table(self.costs)
+        #: The memory's seeded records: a miss binds the one at its pc,
+        #: and decodes the bytes only when there is none.
+        self._seeded = self.memory.seeded
 
     # ------------------------------------------------------------------
     # Register access (xzr handling)
@@ -238,7 +243,8 @@ class ArmCore:
             return
         bound = self._code.get(pc)
         if bound is None:
-            insn, size = CODER.decode(self.memory.read_bytes(pc, 32))
+            insn, size = self._seeded.pop(pc, None) or \
+                CODER.decode(self.memory.read_bytes(pc, 32))
             bound = self._code[pc] = (bind(insn, self.costs), size)
         self._insn_pc = pc
         self.pc = pc + bound[1]

@@ -52,12 +52,17 @@ class Memory:
         self._exclusive: dict[int, int] = {}
         #: Cost model -> {pc: (handler, size)}; see :meth:`code_table`.
         self._code: dict[object, dict[int, tuple]] = {}
+        #: pc -> (insn, size) handed over with an image, for the first
+        #: execution at pc to bind instead of decoding the bytes.
+        self.seeded: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Code images
     # ------------------------------------------------------------------
-    def add_image(self, base: int, data: bytes) -> None:
-        """Map ``data`` at ``base``; an empty image maps nothing."""
+    def add_image(self, base: int, data: bytes,
+                  insns: dict[int, tuple] | None = None) -> None:
+        """Map ``data`` at ``base`` (an empty image maps nothing) and
+        seed ``insns``, ``pc -> (insn, size)`` as decoded from it."""
         if not data:
             return
         end = base + len(data)
@@ -71,6 +76,8 @@ class Memory:
                     f"0x{image.base:x}")
         self._images.insert(pos, Image(base, bytes(data), end))
         self._bases.insert(pos, base)
+        if insns:
+            self.seeded.update(insns)
 
     def _image_at(self, addr: int) -> Image | None:
         pos = bisect_right(self._bases, addr)
@@ -103,12 +110,14 @@ class Memory:
         return self._code.setdefault(costs, {})
 
     def release_code(self) -> None:
-        """Drop every bound instruction (cores keep their tables and
-        refill them on demand).  :meth:`Machine.run` calls this when it
-        returns: a finished machine sits in a reference cycle until a
-        full collection, and should not pin its table that long."""
+        """Drop every bound and seeded instruction (cores keep their
+        tables and refill them on demand).  :meth:`Machine.run` calls
+        this when it returns: a finished machine sits in a reference
+        cycle until a full collection, and should not pin its table
+        that long."""
         for table in self._code.values():
             table.clear()
+        self.seeded.clear()
 
     # ------------------------------------------------------------------
     # Data

@@ -24,8 +24,8 @@ from repro.errors import AssemblerError
 from repro.fuzz.generate import gen_x86_block
 from repro.dbt.xlat_cache import XlatCache
 from repro.isa.arm import assembler
-from repro.isa.arm.assembler import LinkedCode, assemble, link, \
-    parse_line
+from repro.isa.arm.assembler import LinkedCode, as_decoded, assemble, \
+    link, parse_line
 from repro.isa.arm.insns import CODER
 from repro.isa.common import Imm, Insn, Label
 from repro.isa.x86 import assemble as assemble_x86
@@ -68,9 +68,11 @@ def _two_pass(source, base, external_labels):
 
 @pytest.fixture(scope="module")
 def installed():
-    """Every distinct block the engine installed, as (asm, host pc,
-    traps): the fig12 programs under four variants at tier 1 and with
-    tier 2 promoting at the first dispatch, then 150 fuzz blocks."""
+    """Every distinct block the engine installed, as asm -> (host pc,
+    traps, placed bytes, the compiled block, the records the machine
+    was seeded with): the fig12 programs under four variants at tier 1
+    and with tier 2 promoting at the first dispatch, then 150 fuzz
+    blocks."""
     seen = {}
     placing = []
     plain_install = engine_mod.DBTEngine._install
@@ -85,9 +87,14 @@ def installed():
         (base, traps), = placing
         placing.clear()
         assert base == host_pc
-        image = self.machine.memory.read_bytes(
-            host_pc, len(compiled.linked.code))
-        seen.setdefault(compiled.asm, (host_pc, traps, image))
+        memory = self.machine.memory
+        end = host_pc + len(compiled.linked.code)
+        image = memory.read_bytes(host_pc, end - host_pc)
+        # Nothing here has run yet, so every record is still seeded.
+        seeded = {pc: record for pc, record in memory.seeded.items()
+                  if host_pc <= pc < end}
+        seen.setdefault(compiled.asm,
+                        (host_pc, traps, image, compiled, seeded))
         return host_pc
 
     with pytest.MonkeyPatch.context() as patch:
@@ -116,7 +123,7 @@ def installed():
 
 def test_place_equals_from_scratch_assembly_at_every_base(installed):
     relocations = 0
-    for asm, (host_pc, traps, image) in installed.items():
+    for asm, (host_pc, traps, image, *_) in installed.items():
         linked = link(asm)
         assert linked.relocs, "every block ends in a dispatch trap"
         relocations += len(linked.relocs)
@@ -132,7 +139,7 @@ def test_place_equals_from_scratch_assembly_at_every_base(installed):
 
 
 def test_relocations_are_disjoint_imm64_sites_inside_the_code(installed):
-    for asm, (host_pc, traps, _) in installed.items():
+    for asm, (host_pc, traps, *_) in installed.items():
         linked = link(asm)
         end = 0
         for offset, _ in sorted(linked.relocs):
@@ -148,6 +155,43 @@ def test_relocations_are_disjoint_imm64_sites_inside_the_code(installed):
                  for i in range(offset, offset + 8)}
         assert all(a == b for i, (a, b) in enumerate(zip(here, there))
                    if i not in sites)
+
+
+def _decode_all(code: bytes, base: int) -> dict:
+    """pc -> (insn, size) for every instruction of ``code`` at ``base``."""
+    out, offset = {}, 0
+    while offset < len(code):
+        insn, size = CODER.decode(code, offset)
+        out[base + offset] = (insn, size)
+        offset += size
+    return out
+
+
+def test_seeded_records_are_the_decode_at_every_base(installed):
+    """A fresh install hands the machine exactly what decoding the
+    placed bytes gives, so binding either is the same: labels resolved
+    (past the sign bit too) and every immediate signed."""
+    wide = 0
+    for asm, (host_pc, traps, image, compiled, seeded) in \
+            installed.items():
+        assert seeded == _decode_all(image, host_pc)
+        linked = compiled.linked
+        for base in EXTRA_BASES:
+            records = as_decoded(compiled.insns, base, len(linked.code),
+                                 linked.bind(base, traps))
+            assert records == _decode_all(linked.place(base, traps),
+                                          base)
+        wide += sum(isinstance(op, Imm) and op.value >= 1 << 63
+                    for _, insn in compiled.insns
+                    for op in insn.operands)
+    assert wide, "no emitted immediate needed signing"
+
+
+def test_text_stays_the_oracle(installed):
+    """The rendered records link, as text, to the linked form the
+    records did."""
+    for asm, (*_, compiled, _) in installed.items():
+        assert link(asm) == compiled.linked
 
 
 def test_unbound_and_clashing_labels_are_still_errors():

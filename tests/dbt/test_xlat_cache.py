@@ -12,6 +12,7 @@ too.
 """
 
 import base64
+import copy
 import dataclasses
 import json
 
@@ -29,11 +30,14 @@ from repro.dbt.xlat_cache import (
 )
 from repro.errors import TranslationError
 from repro.isa.arm import assembler
+from repro.isa.arm.insns import CODER
 from repro.isa.x86 import assemble as assemble_x86
+from repro.machine import cpu
 from repro.machine.memory import Memory
 from repro.store import DiskStore
-from repro.tcg.backend_arm import CompiledBlock, HelperRequest
+from repro.tcg.backend_arm import ArmBackend, CompiledBlock, HelperRequest
 from repro.tcg.optimizer import OptStats
+from repro.workloads import SPEC_BY_NAME
 from repro.workloads.kernels import KernelSpec
 from tests.import_closure import import_closure
 
@@ -51,10 +55,11 @@ def cache_env(tmp_path, monkeypatch):
 
 
 def _entry() -> tuple[CompiledBlock, OptStats]:
-    compiled = CompiledBlock.from_asm(
+    compiled = CompiledBlock.from_records(
         guest_pc=0x400000,
-        asm=("block_400000:\n    dmbld\n"
-             "    bl __helper_write_int_1\n    ret\n"),
+        records=assembler.parse(
+            "block_400000:\n    dmbld\n"
+            "    bl __helper_write_int_1\n    ret\n"),
         helper_requests=[HelperRequest(
             trap_label="__helper_write_int_1", helper="write_int",
             arg_regs=("x13",), ret_reg=None)],
@@ -285,13 +290,13 @@ class TestWellFormedDamage:
             self, cache_env, monkeypatch):
         # The backend links a block once, where it checks the DMBs
         # against the origins it recorded; record one too many.
-        plain = CompiledBlock.from_asm.__func__
+        plain = CompiledBlock.from_records.__func__
 
         def one_origin_too_many(cls, **block):
             block["fence_origins"] = [*block["fence_origins"], "bogus"]
             return plain(cls, **block)
 
-        monkeypatch.setattr(CompiledBlock, "from_asm",
+        monkeypatch.setattr(CompiledBlock, "from_records",
                             classmethod(one_origin_too_many))
         for _ in range(2):  # the entry it stored must not mask it
             xlat_cache.reset_memory()
@@ -429,6 +434,103 @@ class TestHitsNeverAssemble:
         assert stats.stores == 0
         assert getattr(stats, f"{tier}_hits") == stats.hits \
             > warm.xlat_hits
+
+
+class TestColdRunsNeitherParseNorDecode:
+    """A fresh compile hands the linker records and the machine their
+    decoded form: no asm text is parsed, and the machine decodes no
+    byte the backend has just encoded."""
+
+    @staticmethod
+    def _row():
+        return execute_spec(kernel_job(TINY, variant="risotto",
+                                       tier2_threshold=1))
+
+    @pytest.mark.parametrize("store", ["off", "empty"])
+    def test_cold_run_with_a_broken_parser(self, tmp_path, monkeypatch,
+                                           store):
+        def fresh(name):
+            monkeypatch.setenv("REPRO_XLAT_CACHE", "off" if store == "off"
+                               else str(tmp_path / name))
+
+        fresh("real")
+        real = self._row()
+        assert real.xlat_misses > 0
+
+        def refuse(line):
+            raise AssertionError("a cold run parsed asm text")
+
+        monkeypatch.setattr(assembler, "parse_line", refuse)
+        fresh("broken")
+        try:
+            assert deterministic_row(self._row()) == \
+                deterministic_row(real)
+        finally:
+            xlat_cache.reset_memory()
+
+    def test_machine_decodes_only_what_it_was_not_handed(
+            self, tmp_path, monkeypatch):
+        decodes = []
+
+        class Counting:
+            def decode(self, data, offset=0):
+                decodes.append(offset)
+                return CODER.decode(data, offset)
+
+        monkeypatch.setattr(cpu, "CODER", Counting())
+        cold = self._row()  # cache off
+        assert cold.xlat_misses > 0 and decodes == []
+        monkeypatch.setenv("REPRO_XLAT_CACHE", str(tmp_path / "xlat"))
+        try:
+            self._row()  # fills the store: still fresh compiles
+            assert decodes == []
+            xlat_cache.reset_memory()
+            warm = self._row()
+        finally:
+            xlat_cache.reset_memory()
+        # Disk hits carry bytes only, so those are decoded.
+        assert warm.xlat_disk_hits > 0 and warm.xlat_misses == 0
+        assert decodes
+        assert deterministic_row(warm) == deterministic_row(cold)
+
+
+class TestEntriesAreAFunctionOfTheBlock:
+    def test_two_compiles_of_one_block_are_equal(self, monkeypatch):
+        """Helper trap labels are numbered within the block, so a
+        block compiles to one linked form and one entry text in any
+        process."""
+        blocks = []
+        plain = ArmBackend.compile_block
+
+        def keep(self, block):
+            blocks.append(copy.deepcopy(block))
+            return plain(self, block)
+
+        monkeypatch.setattr(ArmBackend, "compile_block", keep)
+        run_kernel(dataclasses.replace(SPEC_BY_NAME["blackscholes"],
+                                       iterations=3, threads=1),
+                   variant="risotto")
+        monkeypatch.undo()
+        calling = 0
+        for block in blocks:
+            first, second = (ArmBackend().compile_block(
+                copy.deepcopy(block)) for _ in range(2))
+            assert first == second
+            assert xlat_cache._entry_to_json(first, OptStats()) == \
+                xlat_cache._entry_to_json(second, OptStats())
+            calling += any(request.helper != "dispatch"
+                           for request in first.helper_requests)
+        assert calling >= 3
+
+    def test_memory_level_keeps_the_linked_form_alone(self, tmp_path):
+        compiled, opt = _entry()
+        cache = XlatCache(tmp_path)
+        cache.put("ab" * 32, compiled, opt)
+        ((stored, _),) = cache._mem.values()
+        assert stored == compiled and stored.insns == []
+        assert compiled.insns, "the caller's block keeps its records"
+        hit = cache.get("ab" * 32)
+        assert hit.source == "memory" and hit.compiled.asm == ""
 
 
 class TestAdjacentImages:

@@ -223,7 +223,7 @@ class TestOneFetchPath:
     def test_no_module_level_cache_outlives_a_machine(self, recorder):
         """Run a kernel twice; no module-level container under
         ``repro.machine`` may have grown in between, and the finished
-        machine's memory holds no bound instructions."""
+        machine's memory holds no bound or seeded instructions."""
         import sys
 
         def sizes():
@@ -246,6 +246,7 @@ class TestOneFetchPath:
         ((machine, _),) = recorder.runs
         table = getattr(machine.memory, "code_table", None)
         assert table is None or table(machine.costs) == {}
+        assert machine.memory.seeded == {}
 
 
 # ----------------------------------------------------------------------

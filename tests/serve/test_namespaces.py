@@ -17,6 +17,7 @@ import pytest
 from repro import api
 from repro.dbt import xlat_cache
 from repro.dbt.xlat_cache import XlatCache
+from repro.isa.arm.assembler import parse
 from repro.store import DiskStore
 from repro.serve import (
     ReproServer,
@@ -167,9 +168,10 @@ class TestNamespaceSanitization:
 
 
 def _entry(pc: int) -> tuple[CompiledBlock, OptStats]:
-    return CompiledBlock.from_asm(
+    return CompiledBlock.from_records(
         guest_pc=pc,
-        asm=f"block_{pc:x}:\n" + "    nop\n" * 40 + "    ret\n",
+        records=parse(f"block_{pc:x}:\n" + "    nop\n" * 40
+                      + "    ret\n"),
         helper_requests=[],
         guest_insns=3,
         op_count=7,

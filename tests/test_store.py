@@ -22,6 +22,7 @@ import pytest
 
 from repro import store
 from repro.dbt import xlat_cache
+from repro.isa.arm.assembler import parse
 from repro.store import DiskStore
 from repro.tcg.backend_arm import CompiledBlock
 from repro.tcg.optimizer import OptStats
@@ -68,9 +69,10 @@ def _xlat_subject():
         return xlat_cache.block_key("fp", 0x400000 + 16 * i, b"\x90")
 
     def entry(i):
-        return CompiledBlock.from_asm(
+        return CompiledBlock.from_records(
             guest_pc=0x400000 + 16 * i,
-            asm=f"block_{i}:\n" + "    nop\n" * 40 + "    dmbld\n    ret\n",
+            records=parse(f"block_{i}:\n" + "    nop\n" * 40
+                          + "    dmbld\n    ret\n"),
             helper_requests=[], guest_insns=3, op_count=7,
             fence_origins=["RMOV->ld;Frm"]), OptStats(folded=i)
 
@@ -396,8 +398,9 @@ class TestBudget:
 def _put_block():
     """One translation-cache entry; every put below stores this same
     content under its own key, so all entries are one size."""
-    compiled = CompiledBlock.from_asm(
-        guest_pc=0x400000, asm="block:\n" + "    nop\n" * 40 + "    ret\n",
+    compiled = CompiledBlock.from_records(
+        guest_pc=0x400000,
+        records=parse("block:\n" + "    nop\n" * 40 + "    ret\n"),
         helper_requests=[], guest_insns=3, op_count=7)
     opt = OptStats()
     return compiled, opt, len(xlat_cache._entry_to_json(compiled, opt))
