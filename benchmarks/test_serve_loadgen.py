@@ -1,6 +1,6 @@
 """Translation-as-a-service under load: the serve stack end to end.
 
-Spawns a real server (process-pool workers, batched dispatch), replays
+Spawns a real server (process-pool workers, one job per task), replays
 the deterministic loadgen mix against it twice — once against a fresh
 cache, once warm — and asserts the serving contract:
 
@@ -43,8 +43,7 @@ def fresh_cache(tmp_path, monkeypatch):
 def test_serve_loadgen(fresh_cache, emit_report, emit_bench):
     from repro.analysis.stats import BenchTable
 
-    server = ReproServer(ServeConfig(port=0, workers=2,
-                                     batch_window=0.01, max_batch=8))
+    server = ReproServer(ServeConfig(port=0, workers=2))
     host, port = server.start_background()
     try:
         config = LoadgenConfig(host=host, port=port, qps=QPS,

@@ -8,7 +8,7 @@ runners (which keep working unchanged):
   ``bench_*.json``);
 * ``serve`` — the translation-as-a-service server (delegates to
   ``python -m repro.serve.server``): typed jobs over a line-delimited
-  JSON socket, batched over the process pool;
+  JSON socket, run on the process pool;
 * ``loadgen`` — the QPS load harness against a running server
   (delegates to ``python -m repro.serve.loadgen``);
 * ``fuzz`` — the differential fuzzer (delegates to
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="translation-as-a-service server (line-delimited JSON "
-             "jobs, batched over the process pool)",
+             "jobs, run on the process pool)",
         add_help=False)
     serve.add_argument("args", nargs=argparse.REMAINDER)
 

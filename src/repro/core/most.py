@@ -16,8 +16,7 @@ Three layers live here:
 * :class:`Strength`/:class:`MOST` — the table type plus the source
   requirement tables (SC, TSO, PSO, RMO) transcribed from ArMOR;
 * :class:`MenuFence`/:class:`TargetMenu` — target fence vocabularies:
-  the TCG fence kinds the Arm backend lowers to ``dmb`` variants, and
-  a Power-like ``sync``/``lwsync`` menu kept as data;
+  the TCG fence kinds the Arm backend lowers to ``dmb`` variants;
 * :func:`derive_scheme`/:class:`FenceScheme` — the derivation pass and
   its result: per-slot fence kinds *and* the provenance strings the
   obs layer attributes fence cycles to.  The scheme is the single
@@ -177,14 +176,13 @@ SOURCE_TABLES: dict[str, MOST] = {
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MenuFence:
-    """One fence the target offers: the pairs it orders and a relative
-    cost.  ``kind`` is the TCG fence the frontend emits for it; menus
-    for targets outside the pipeline (Power) carry ``None``."""
+    """One fence the target offers: the pairs it orders, a relative
+    cost, and ``kind``, the TCG fence the frontend emits for it."""
 
     name: str
     pairs: frozenset
     cost: int
-    kind: Fence | None = None
+    kind: Fence
 
 
 @dataclass(frozen=True)
@@ -225,24 +223,7 @@ ARM_DMB_MENU = TargetMenu(
                  if kind is not Fence.FMM),
 )
 
-_ALL_PAIRS = frozenset(ACCESS_PAIRS)
-
-#: A Power-like menu kept as data: lwsync orders everything except
-#: write->read; sync orders all pairs and is much more expensive.  No
-#: Power backend exists — the menu exercises selection over a second
-#: vocabulary (and documents what a Power port would derive).
-POWER_SYNC_MENU = TargetMenu(
-    name="power-sync",
-    fences=(
-        MenuFence(name="lwsync",
-                  pairs=_ALL_PAIRS - TCG_FENCE_PAIRS[Fence.FWR], cost=1),
-        MenuFence(name="sync", pairs=_ALL_PAIRS, cost=3),
-    ),
-)
-
-TARGET_MENUS: dict[str, TargetMenu] = {
-    m.name: m for m in (ARM_DMB_MENU, POWER_SYNC_MENU)
-}
+TARGET_MENUS: dict[str, TargetMenu] = {ARM_DMB_MENU.name: ARM_DMB_MENU}
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +249,7 @@ SCHEME_SLOTS = tuple(ORIGIN_FORMATS)
 #: architectural, not table-derived): mfence orders everything, lfence
 #: keeps loads before later accesses, sfence keeps stores ordered.
 _EXPLICIT_FENCE_PAIRS = {
-    "mfence": _ALL_PAIRS,
+    "mfence": frozenset(ACCESS_PAIRS),
     "lfence": TCG_FENCE_PAIRS[Fence.FRM],
     "sfence": TCG_FENCE_PAIRS[Fence.FWW],
 }
@@ -392,22 +373,12 @@ def derive_scheme(table: MOST, menu: TargetMenu,
         if not pairs:
             kinds[slot] = None
             continue
-        chosen = menu.select(pairs)
-        if chosen.kind is None:
-            raise MappingError(
-                f"menu {menu.name!r} fence {chosen.name!r} has no TCG "
-                f"kind; the frontend cannot emit it")
-        kinds[slot] = chosen.kind
+        kinds[slot] = menu.select(pairs).kind
     for which, pairs in _EXPLICIT_FENCE_PAIRS.items():
         if not explicit_fences:
             kinds[which] = None
             continue
-        chosen = menu.select(pairs)
-        if chosen.kind is None:
-            raise MappingError(
-                f"menu {menu.name!r} fence {chosen.name!r} has no TCG "
-                f"kind; the frontend cannot emit it")
-        kinds[which] = chosen.kind
+        kinds[which] = menu.select(pairs).kind
     return FenceScheme(
         name=name or f"{table.name}-{placement['ld']}-{placement['st']}",
         source=table.name,

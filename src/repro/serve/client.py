@@ -4,8 +4,8 @@
 codecs as the server, so a submitted :class:`JobSpec` round-trips to
 a :class:`JobResult` with no re-interpretation anywhere.
 ``submit_many`` pipelines: it writes every request before reading any
-response, which is what lets the server's dispatcher see several of
-this client's jobs inside one batching window.
+response, so several of this client's jobs are in flight at once and
+the answers come back in request order.
 
 Job *failures* are data, not exceptions: a result with ``ok=False``
 carries its typed :class:`~repro.errors.ErrorInfo`.  Only protocol

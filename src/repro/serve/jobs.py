@@ -43,8 +43,8 @@ class JobResult:
 
     ``ok`` selects which half is meaningful: measured quantities on
     success, the classified ``error`` on failure.  ``queue_seconds``
-    and ``batch_size`` are stamped by the server's dispatcher; local
-    submission leaves them at their inline defaults.
+    is stamped by the server's dispatcher; local submission leaves it
+    at 0.
     """
 
     job_id: str
@@ -71,6 +71,10 @@ class JobResult:
     cache_tier: str = "none"
     # Serve-side observability (stamped by the dispatcher).
     queue_seconds: float = 0.0
+    #: Always 1: the dispatcher sends one job per pool task and stamps
+    #: nothing here.  Kept (with its wire key) only because the
+    #: ``serve_mix`` benchmark reads it for ``serve.batch_size_mean``;
+    #: the benchmark change that drops that metric deletes this field.
     batch_size: int = 1
     #: The full in-process outcome — never serialized; this is what
     #: lets ``api.run_*`` keep returning :class:`WorkloadResult`.
@@ -203,13 +207,6 @@ def cache_tier(hits: int, misses: int, disk_hits: int) -> str:
     if hits > 0:
         return "memory"
     return "none"
-
-
-def batch_key(job: JobSpec) -> tuple:
-    """Jobs sharing a key may run in one dispatched batch: the worker
-    pins the cache namespace once per batch, so only same-namespace
-    jobs are compatible."""
-    return (job.namespace,)
 
 
 # ----------------------------------------------------------------------

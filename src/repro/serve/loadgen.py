@@ -7,8 +7,8 @@ several pipelined client connections, and reports:
 * end-to-end latency percentiles (p50/p95/p99, linear interpolation —
   :func:`percentile` is the unit-tested primitive),
 * achieved throughput vs the requested QPS,
-* cache-tier and error breakdowns, queue-wait and batch-size stats
-  straight off the typed results.
+* cache-tier and error breakdowns and queue-wait stats straight off
+  the typed results.
 
 The machine-readable export reuses the bench pipeline end to end: the
 deterministic per-cell quantities (cycles, checksums — identical for
@@ -188,8 +188,8 @@ def _client_worker(config: LoadgenConfig,
                    epoch: float, out: dict) -> None:
     """One connection's replay: a writer thread paces the sends on
     the global schedule (job *i* goes out at ``epoch + i/qps``) while
-    this thread reads the pipelined responses in order — in-flight
-    depth is what gives the server's dispatcher batches to form."""
+    this thread reads the pipelined responses in order, so a slow job
+    delays no later send."""
     client = ServeClient(config.host, config.port)
     send_times: dict[int, float] = {}
 
@@ -285,7 +285,6 @@ def bench_extra(report: LoadgenReport) -> dict:
     """The free-form (non-gated) block of the export."""
     results = report.results
     queue_waits = [r.queue_seconds for r in results]
-    batch_sizes = [r.batch_size for r in results]
     return {
         "requested_qps": report.config.qps,
         "achieved_qps": report.achieved_qps,
@@ -300,9 +299,6 @@ def bench_extra(report: LoadgenReport) -> dict:
         "cache_tiers": report.cache_tiers(),
         "xlat": report.xlat_totals(),
         "queue_seconds": latency_summary(queue_waits),
-        "mean_batch_size": (sum(batch_sizes) / len(batch_sizes))
-        if batch_sizes else 0.0,
-        "max_batch_size": max(batch_sizes, default=0),
     }
 
 

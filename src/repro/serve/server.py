@@ -6,7 +6,7 @@ Protocol: one JSON object per line over a TCP connection.  Requests::
     {"op": "ping"} | {"op": "stats"} | {"op": "shutdown"}
 
 Responses mirror the request order on the connection (pipelining is
-how one client gets its requests batched)::
+how one client keeps several jobs in flight)::
 
     {"schema": "repro-serve/1", "op": "submit", "ok": true,
      "result": {... JobResult.to_json ...}}
@@ -14,20 +14,19 @@ how one client gets its requests batched)::
      "error": {"code": ..., "message": ..., "retryable": ...}}
 
 Architecture: every connection handler enqueues submitted jobs into
-one :class:`JobDispatcher`.  A single dispatcher thread gathers the
-queue for up to ``batch_window`` seconds (or ``max_batch`` jobs),
-partitions the gathered jobs into namespace-compatible batches
-(:func:`form_batches` — pure and unit-tested), and ships each batch
-to a ``ProcessPoolExecutor`` worker, which pins the tenant's cache
-namespaces once and runs the jobs back to back.  Worker processes are
-long-lived, so their in-memory translation LRUs stay warm across
-requests — the serving win the paper's cache layer was built for.
+one :class:`JobDispatcher`.  A single dispatcher thread takes each job
+off the queue as soon as a ``ProcessPoolExecutor`` worker is free and
+sends it to the pool as its own task; the worker scopes the job's
+cache namespace (``run_job_row``) and runs it.  The dispatcher's queue
+is the only place a job waits, so its ``queue_seconds`` is the whole
+wait for a worker.  Worker processes are long-lived, so
+their in-memory translation LRUs stay warm across requests — the
+serving win the paper's cache layer was built for.
 
 Per-request observability travels on each :class:`JobResult` (queue
-wait, batch size, cache hit tier, execution seconds, typed error
-code), which ``loadgen`` aggregates into its bench export, and on the
-trace lanes (one ``serve.batch`` span per dispatched batch).  The
-``stats`` op answers with the dispatcher's scalars only.
+wait, cache hit tier, execution seconds, typed error code), which
+``loadgen`` aggregates into its bench export.  The ``stats`` op
+answers with the dispatcher's scalars only.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import argparse
 import json
 import queue
 import socketserver
-import sys
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -44,9 +42,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from ..errors import ErrorInfo, JobError, classify_error
-from ..obs.trace import get_tracer
 from ..workloads.parallel import default_workers
-from .jobs import JOB_SCHEMA, JobResult, JobSpec, batch_key, run_job
+from .jobs import JOB_SCHEMA, JobResult, JobSpec, run_job
 
 
 @dataclass(frozen=True)
@@ -58,60 +55,22 @@ class ServeConfig:
     #: pool size; ``None`` = :func:`default_workers`, ``0`` = inline
     #: execution in the dispatcher thread (tests, tiny deployments).
     workers: int | None = None
-    #: how long the dispatcher waits to grow a batch, seconds.
-    batch_window: float = 0.005
-    #: jobs per dispatched batch, upper bound.
-    max_batch: int = 8
 
 
-def form_batches(items: list, max_batch: int, key=batch_key) -> list:
-    """Partition gathered items into dispatchable batches.
-
-    Rules (unit-tested in ``tests/serve/test_loadgen.py``):
-
-    * only items with equal ``key(item)`` share a batch (the worker
-      pins one cache namespace per batch);
-    * arrival order is preserved within a key, and batches are emitted
-      in first-arrival order of their key;
-    * no batch exceeds ``max_batch`` items.
-    """
-    if max_batch < 1:
-        raise JobError(f"max_batch must be >= 1, got {max_batch}")
-    groups: dict = {}
-    order: list = []
-    for item in items:
-        k = key(item)
-        if k not in groups:
-            groups[k] = []
-            order.append(k)
-        groups[k].append(item)
-    batches = []
-    for k in order:
-        bucket = groups[k]
-        for i in range(0, len(bucket), max_batch):
-            batches.append(bucket[i:i + max_batch])
-    return batches
-
-
-def _run_batch(payloads: list[dict]) -> list[dict]:
-    """Worker entry point: run one batch of wire jobs, return wire
-    results.  Top-level so the pool can pickle it; every outcome is a
-    result dict — errors are classified, never raised."""
-    results = []
-    for payload in payloads:
-        try:
-            job = JobSpec.from_json(payload)
-        except Exception as exc:  # noqa: BLE001 - boundary
-            stub = JobSpec(
-                kind=str(payload.get("kind") or "kernel"),
-                benchmark=str(payload.get("benchmark") or "?"),
-                variant=str(payload.get("variant") or "?"),
-                job_id=str(payload.get("job_id") or ""))
-            results.append(JobResult.from_error(
-                stub, classify_error(exc)).to_json())
-            continue
-        results.append(run_job(job).to_json())
-    return results
+def _run_one(payload: dict) -> dict:
+    """Worker entry point: run one wire job, return its wire result.
+    Top-level so the pool can pickle it; every outcome is a result
+    dict — errors are classified, never raised."""
+    try:
+        job = JobSpec.from_json(payload)
+    except Exception as exc:  # noqa: BLE001 - boundary
+        stub = JobSpec(
+            kind=str(payload.get("kind") or "kernel"),
+            benchmark=str(payload.get("benchmark") or "?"),
+            variant=str(payload.get("variant") or "?"),
+            job_id=str(payload.get("job_id") or ""))
+        return JobResult.from_error(stub, classify_error(exc)).to_json()
+    return run_job(job).to_json()
 
 
 @dataclass
@@ -122,27 +81,28 @@ class _Pending:
 
 
 class JobDispatcher:
-    """Batched async dispatch over the process pool.
+    """Async dispatch over the process pool, one job per task.
 
     ``submit`` returns a future resolving to a :class:`JobResult`
     (never raising for job failures — those come back typed).  One
-    dispatcher thread owns batching; the pool owns execution.
+    dispatcher thread hands jobs to the pool in arrival order, one per
+    free worker; the pool owns execution.
     """
 
     _SHUTDOWN = object()
 
-    def __init__(self, *, workers: int | None = None,
-                 batch_window: float = 0.005, max_batch: int = 8):
+    def __init__(self, *, workers: int | None = None):
         self.workers = default_workers() if workers is None \
             else max(0, workers)
-        self.batch_window = batch_window
-        self.max_batch = max(1, max_batch)
         self.jobs_dispatched = 0
-        self.batches_dispatched = 0
         self._queue: queue.Queue = queue.Queue()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._closed = False
+        #: one job per worker at a time: the rest wait in ``_queue``,
+        #: where ``queue_seconds`` sees them, not in the pool's own
+        #: call queue.
+        self._free = threading.Semaphore(max(1, self.workers))
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch",
             daemon=True)
@@ -163,10 +123,7 @@ class JobDispatcher:
         self._closed = True
         self._queue.put(self._SHUTDOWN)
         self._thread.join(timeout=30)
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
+        self._drop_pool()
 
     # ------------------------------------------------------------------
     def _get_pool(self) -> ProcessPoolExecutor:
@@ -182,96 +139,64 @@ class JobDispatcher:
                 self._pool.shutdown(wait=False)
                 self._pool = None
 
-    def _gather(self, first: _Pending) -> tuple[list[_Pending], bool]:
-        """One batching window: the first item plus whatever arrives
-        before the window closes or the size cap is hit.  Returns the
-        gathered items and whether shutdown was seen."""
-        batch = [first]
-        deadline = time.perf_counter() + self.batch_window
-        while len(batch) < self.max_batch:
-            timeout = deadline - time.perf_counter()
-            if timeout <= 0:
-                break
-            try:
-                item = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                break
-            if item is self._SHUTDOWN:
-                return batch, True
-            batch.append(item)
-        return batch, False
-
     def _dispatch_loop(self) -> None:
         while True:
             item = self._queue.get()
             if item is self._SHUTDOWN:
                 return
-            gathered, stop = self._gather(item)
-            for batch in form_batches(gathered, self.max_batch,
-                                      key=lambda p: batch_key(p.job)):
-                self._dispatch(batch)
-            if stop:
-                return
+            self._free.acquire()
+            self._dispatch(item)
 
-    def _dispatch(self, batch: list[_Pending]) -> None:
-        now = time.perf_counter()
-        payloads = [p.job.to_json() for p in batch]
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.counter("serve.batch", jobs=len(batch))
-        self.batches_dispatched += 1
-        self.jobs_dispatched += len(batch)
-        queue_waits = [now - p.enqueued_at for p in batch]
+    def _dispatch(self, pending: _Pending) -> None:
+        wait = time.perf_counter() - pending.enqueued_at
+        self.jobs_dispatched += 1
+        payload = pending.job.to_json()
         if self.workers == 0:
-            results = _run_batch(payloads)
-            self._deliver(batch, results, queue_waits)
+            self._free.release()
+            self._deliver(pending, _run_one(payload), wait)
             return
         try:
-            pool_future = self._get_pool().submit(_run_batch, payloads)
+            pool_future = self._get_pool().submit(_run_one, payload)
         except Exception as exc:  # noqa: BLE001 - pool creation died
-            self._fail_batch(batch, queue_waits, exc)
+            self._free.release()
+            self._fail(pending, wait, exc)
             return
         pool_future.add_done_callback(
-            lambda f, b=batch, w=queue_waits: self._on_done(f, b, w))
+            lambda f, p=pending, w=wait: self._on_done(f, p, w))
 
-    def _on_done(self, pool_future: Future, batch: list[_Pending],
-                 queue_waits: list[float]) -> None:
+    def _on_done(self, pool_future: Future, pending: _Pending,
+                 wait: float) -> None:
+        self._free.release()
         try:
-            results = pool_future.result()
+            payload = pool_future.result()
         except BrokenProcessPool as exc:
             self._drop_pool()
-            self._fail_batch(batch, queue_waits, exc,
-                             code="unavailable")
+            self._fail(pending, wait, exc, code="unavailable")
             return
         except Exception as exc:  # noqa: BLE001 - boundary
-            self._fail_batch(batch, queue_waits, exc)
+            self._fail(pending, wait, exc)
             return
-        self._deliver(batch, results, queue_waits)
+        self._deliver(pending, payload, wait)
 
-    def _fail_batch(self, batch: list[_Pending],
-                    queue_waits: list[float], exc: Exception,
-                    code: str | None = None) -> None:
+    def _fail(self, pending: _Pending, wait: float, exc: Exception,
+              code: str | None = None) -> None:
         info = classify_error(exc)
         if code is not None:
             info = ErrorInfo(code=code, message=info.message,
                              retryable=True)
-        for pending, wait in zip(batch, queue_waits):
-            result = JobResult.from_error(pending.job, info)
-            result.queue_seconds = wait
-            result.batch_size = len(batch)
-            pending.future.set_result(result)
+        result = JobResult.from_error(pending.job, info)
+        result.queue_seconds = wait
+        pending.future.set_result(result)
 
-    def _deliver(self, batch: list[_Pending], results: list[dict],
-                 queue_waits: list[float]) -> None:
-        for pending, payload, wait in zip(batch, results, queue_waits):
-            try:
-                result = JobResult.from_json(payload)
-            except Exception as exc:  # noqa: BLE001
-                result = JobResult.from_error(pending.job,
-                                              classify_error(exc))
-            result.queue_seconds = wait
-            result.batch_size = len(batch)
-            pending.future.set_result(result)
+    def _deliver(self, pending: _Pending, payload: dict,
+                 wait: float) -> None:
+        try:
+            result = JobResult.from_json(payload)
+        except Exception as exc:  # noqa: BLE001
+            result = JobResult.from_error(pending.job,
+                                          classify_error(exc))
+        result.queue_seconds = wait
+        pending.future.set_result(result)
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +210,7 @@ class _ThreadingServer(socketserver.ThreadingTCPServer):
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: a reader loop (this thread) and a writer
     thread draining responses in request order — the queue of futures
-    preserves ordering while letting many jobs be in flight, which is
-    exactly what lets a single client's requests form batches."""
+    preserves ordering while letting many jobs be in flight."""
 
     def handle(self) -> None:  # noqa: C901 - protocol switch
         server: ReproServer = self.server.repro_server  # type: ignore
@@ -367,15 +291,12 @@ def _error_response(op: str, info: ErrorInfo) -> dict:
 
 
 class ReproServer:
-    """The assembled service: TCP front-end + batched dispatcher."""
+    """The assembled service: TCP front-end + job dispatcher."""
 
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
         self.started_at = time.time()
-        self.dispatcher = JobDispatcher(
-            workers=self.config.workers,
-            batch_window=self.config.batch_window,
-            max_batch=self.config.max_batch)
+        self.dispatcher = JobDispatcher(workers=self.config.workers)
         self._tcp = _ThreadingServer(
             (self.config.host, self.config.port), _Handler)
         self._tcp.repro_server = self  # type: ignore[attr-defined]
@@ -392,10 +313,7 @@ class ReproServer:
             "schema": JOB_SCHEMA,
             "uptime_seconds": time.time() - self.started_at,
             "workers": self.dispatcher.workers,
-            "batch_window": self.dispatcher.batch_window,
-            "max_batch": self.dispatcher.max_batch,
             "jobs_dispatched": self.dispatcher.jobs_dispatched,
-            "batches_dispatched": self.dispatcher.batches_dispatched,
         }
 
     # ------------------------------------------------------------------
@@ -430,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="Translation-as-a-service: line-delimited JSON "
-                    "jobs over TCP, batched over the process pool.")
+                    "jobs over TCP, run on the process pool.")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=7421,
@@ -438,26 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None,
                         help="pool size (default: REPRO_WORKERS or "
                              "cpu count; 0 = inline execution)")
-    parser.add_argument("--batch-window-ms", type=float, default=5.0,
-                        help="batching window in milliseconds "
-                             "(default 5)")
-    parser.add_argument("--max-batch", type=int, default=8,
-                        help="max jobs per dispatched batch "
-                             "(default 8)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     server = ReproServer(ServeConfig(
-        host=args.host, port=args.port, workers=args.workers,
-        batch_window=args.batch_window_ms / 1000.0,
-        max_batch=args.max_batch))
+        host=args.host, port=args.port, workers=args.workers))
     host, port = server.address
     print(f"repro-serve {JOB_SCHEMA} listening on {host}:{port} "
-          f"(workers={server.dispatcher.workers}, "
-          f"window={server.dispatcher.batch_window * 1000:.1f}ms, "
-          f"max_batch={server.dispatcher.max_batch})", flush=True)
+          f"(workers={server.dispatcher.workers})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive

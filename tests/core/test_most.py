@@ -34,7 +34,6 @@ from repro.core.most import (
     NOFENCES_SCHEME,
     OPTIMIZER_ORIGINS,
     ORIGIN_FORMATS,
-    POWER_SYNC_MENU,
     QEMU_SCHEME,
     RISOTTO_SCHEME,
     RMO_MOST,
@@ -127,16 +126,7 @@ class TestMenuSelection:
 
     def test_uncoverable_pairs_raise(self):
         with pytest.raises(MappingError, match="no fence covering"):
-            POWER_SYNC_MENU.select({("r", "x")})
-
-    def test_power_menu_prefers_lwsync(self):
-        chosen = POWER_SYNC_MENU.select(
-            {("r", "r"), ("r", "w"), ("w", "w")})
-        assert chosen.name == "lwsync"
-        assert chosen.kind is None  # no TCG spelling: data-only menu
-
-    def test_power_menu_needs_sync_for_store_load(self):
-        assert POWER_SYNC_MENU.select({("w", "r")}).name == "sync"
+            ARM_DMB_MENU.select({("r", "x")})
 
 
 # ----------------------------------------------------------------------
@@ -190,11 +180,6 @@ class TestDerivation:
     def test_explicit_fences_droppable(self):
         assert NOFENCES_SCHEME.mfence is None
         assert NOFENCES_SCHEME.rules() == ()
-
-    def test_data_only_menu_cannot_feed_the_frontend(self):
-        with pytest.raises(MappingError, match="no TCG kind"):
-            derive_scheme(TSO_MOST, POWER_SYNC_MENU,
-                          {"ld": "post", "st": "pre"})
 
 
 # ----------------------------------------------------------------------

@@ -18,11 +18,11 @@ REPRO_ENV = frozenset({
 
 #: Every option an ``add_argument`` call under ``src/repro`` declares.
 CLI_FLAGS = frozenset({
-    "--batch-window-ms", "--bench", "--bench-json", "--benchmarks",
+    "--bench", "--bench-json", "--benchmarks",
     "--cases", "--clients", "--corpus", "--dbt-mapping", "--enum-limit",
     "--fail-on-divergence", "--findings", "--flame", "--floors",
     "--format", "--history", "--host", "--iterations", "--jobs", "--json",
-    "--mad-k", "--max-batch", "--models", "--namespace", "--no-footer",
+    "--mad-k", "--models", "--namespace", "--no-footer",
     "--no-shrink", "--note", "--oracles", "--port", "--qps", "--record",
     "--reduction", "--rel-tol", "--require-baseline", "--rev",
     "--schemes", "--seed", "--shrink-budget", "--spawn", "--stats-txt",

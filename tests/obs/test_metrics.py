@@ -15,8 +15,7 @@ from repro.serve import ReproServer, ServeConfig
 from repro.serve.jobs import JobResult
 from repro.workloads import RunRow, SweepResult, run_parallel, verify_grid
 
-STATS_KEYS = {"schema", "uptime_seconds", "workers", "batch_window",
-              "max_batch", "jobs_dispatched", "batches_dispatched"}
+STATS_KEYS = {"schema", "uptime_seconds", "workers", "jobs_dispatched"}
 
 
 def _public_definitions(module) -> set[str]:

@@ -27,7 +27,6 @@ from repro.serve.jobs import (
     JOB_SCHEMA,
     JobResult,
     JobSpec,
-    batch_key,
     cache_tier,
     cas_job,
     execute_job,
@@ -247,11 +246,3 @@ class TestLocalExecution:
         assert not result.ok
         assert result.error.code == "bad-request"
 
-
-class TestBatchKey:
-    def test_namespace_partitions(self):
-        a = kernel_job(TINY, variant="qemu", namespace="a")
-        b = kernel_job(TINY, variant="risotto", namespace="a")
-        c = cas_job(CasConfig(2, 2, 9), variant="qemu", namespace="c")
-        assert batch_key(a) == batch_key(b)  # variants may share
-        assert batch_key(a) != batch_key(c)

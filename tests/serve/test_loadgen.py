@@ -1,9 +1,8 @@
 """Unit tests for the loadgen primitives plus one small end-to-end
 replay.
 
-``percentile`` and ``form_batches`` are the pure functions the serve
-stack leans on (latency reporting and dispatch grouping); both get
-exhaustive table tests here.  The end-to-end case replays a tiny mix
+``percentile`` is the pure function the serve stack's latency
+reporting leans on; it gets exhaustive table tests here.  The end-to-end case replays a tiny mix
 against an in-process server and validates the bench export.
 """
 
@@ -12,8 +11,8 @@ import json
 import pytest
 
 from repro.analysis.export import load_bench_json
-from repro.errors import JobError, ReproError
-from repro.serve.jobs import JobResult, batch_key, cas_job, kernel_job
+from repro.errors import ReproError
+from repro.serve.jobs import JobResult
 from repro.serve.loadgen import (
     LoadgenConfig,
     LoadgenReport,
@@ -25,12 +24,7 @@ from repro.serve.loadgen import (
     synthesized_rows,
     write_report,
 )
-from repro.serve.server import ReproServer, ServeConfig, form_batches
-from repro.workloads.casbench import CasConfig
-from repro.workloads.kernels import KernelSpec
-
-TINY = KernelSpec("tiny", loads=2, stores=1, alu=2, fp=1,
-                  iterations=40, threads=2, working_set=64)
+from repro.serve.server import ReproServer, ServeConfig
 
 
 class TestPercentile:
@@ -84,48 +78,6 @@ class TestLatencySummary:
         assert summary["min"] <= summary["p50"] <= summary["p95"] \
             <= summary["p99"] <= summary["max"]
         assert summary["mean"] == pytest.approx(0.020)
-
-
-class TestFormBatches:
-    def test_single_key_one_batch(self):
-        items = ["a", "b", "c"]
-        assert form_batches(items, 8, key=lambda _: ()) == [items]
-
-    def test_size_cap_splits(self):
-        items = list(range(5))
-        batches = form_batches(items, 2, key=lambda _: ())
-        assert batches == [[0, 1], [2, 3], [4]]
-
-    def test_keys_partition(self):
-        items = [("a", 1), ("b", 2), ("a", 3), ("b", 4)]
-        batches = form_batches(items, 8, key=lambda i: i[0])
-        assert batches == [[("a", 1), ("a", 3)],
-                           [("b", 2), ("b", 4)]]
-
-    def test_first_arrival_order_of_keys(self):
-        items = [("z", 1), ("a", 2), ("z", 3)]
-        batches = form_batches(items, 8, key=lambda i: i[0])
-        assert [b[0][0] for b in batches] == ["z", "a"]
-
-    def test_order_preserved_within_key(self):
-        items = [("a", i) for i in range(4)]
-        batches = form_batches(items, 3, key=lambda i: i[0])
-        assert [i for batch in batches for _, i in batch] == \
-            [0, 1, 2, 3]
-
-    def test_default_key_is_namespace(self):
-        a = kernel_job(TINY, variant="qemu", namespace="a")
-        b = kernel_job(TINY, variant="qemu", namespace="b")
-        batches = form_batches([a, b, a], 8)
-        assert batches == [[a, a], [b]]
-        assert batch_key(a) == ("a",)
-
-    def test_invalid_max_batch(self):
-        with pytest.raises(JobError, match="max_batch"):
-            form_batches([1], 0)
-
-    def test_empty_input(self):
-        assert form_batches([], 4) == []
 
 
 class TestGenJobs:
@@ -188,7 +140,7 @@ class TestSynthesizedRows:
         report = LoadgenReport(
             config=LoadgenConfig(qps=10.0, clients=2),
             results=[_result("k", "qemu", xlat_misses=3,
-                             cache_tier="cold", batch_size=2),
+                             cache_tier="cold"),
                      _result("k", "qemu", ok=False)],
             latencies=[0.01, 0.02], wall_seconds=0.5)
         extra = bench_extra(report)
@@ -198,13 +150,12 @@ class TestSynthesizedRows:
         assert extra["cache_tiers"]["cold"] == 1
         assert extra["xlat"]["misses"] == 3
         assert extra["latency"]["count"] == 2
-        assert extra["max_batch_size"] == 2
+        assert not [key for key in extra if "batch" in key]
 
 
 class TestEndToEnd:
     def test_replay_and_export(self, tmp_path):
-        srv = ReproServer(ServeConfig(port=0, workers=0,
-                                      batch_window=0.01))
+        srv = ReproServer(ServeConfig(port=0, workers=0))
         host, port = srv.start_background()
         try:
             config = LoadgenConfig(

@@ -44,8 +44,7 @@ def cache_env(tmp_path, monkeypatch):
 
 @pytest.fixture()
 def server(cache_env):
-    srv = ReproServer(ServeConfig(port=0, workers=0,
-                                  batch_window=0.02))
+    srv = ReproServer(ServeConfig(port=0, workers=0))
     srv.start_background()
     yield srv
     srv.close()

@@ -1,24 +1,29 @@
 """End-to-end tests for the serve front-end.
 
 The acceptance contract: a served job returns results bit-identical
-to the direct ``api`` call for every job kind, pipelined requests
-form batches, failures arrive as typed error results (never dropped
-connections), and the control ops (ping/stats/shutdown) work.
+to the direct ``api`` call for every job kind, pipelined responses
+come back in request order, a lone job is dispatched at once,
+failures arrive as typed error results (never dropped connections),
+and the control ops (ping/stats/shutdown) work.
 
 The servers here run with ``workers=0`` (inline execution in the
-dispatcher thread): the batch/observability path is identical to the
-pool path minus process fan-out, and tier-1 stays fast.  The pool
+dispatcher thread): the dispatch/observability path is identical to
+the pool path minus process fan-out, and tier-1 stays fast.  The pool
 path itself is exercised by the serve benchmark and the CI smoke job.
 """
 
+import dataclasses
 import json
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro import api
 from repro.errors import JobError
 from repro.serve import (
+    JobDispatcher,
     ReproServer,
     ServeClient,
     ServeConfig,
@@ -26,7 +31,7 @@ from repro.serve import (
     kernel_job,
     library_job,
 )
-from repro.serve.server import _run_batch
+from repro.serve.server import _run_one
 from repro.workloads.casbench import CasConfig
 from repro.workloads.kernels import KernelSpec
 
@@ -37,8 +42,7 @@ CAS = CasConfig(threads=2, variables=2, attempts=20)
 
 @pytest.fixture()
 def server():
-    srv = ReproServer(ServeConfig(port=0, workers=0,
-                                  batch_window=0.02))
+    srv = ReproServer(ServeConfig(port=0, workers=0))
     srv.start_background()
     yield srv
     srv.close()
@@ -92,12 +96,66 @@ class TestRoundTrip:
         stats = client.stats()
         assert stats["schema"] == "repro-serve/1"
         assert stats["workers"] == 0
-        assert stats["jobs_dispatched"] >= 1
-        assert stats["batches_dispatched"] >= 1
+        assert stats["jobs_dispatched"] == 1
 
 
-class TestBatching:
-    def test_pipelined_jobs_share_a_batch(self, server):
+class TestDispatch:
+    def test_config_is_address_and_pool_size(self):
+        names = {f.name for f in dataclasses.fields(ServeConfig)}
+        assert names == {"host", "port", "workers"}
+
+    def test_lone_job_is_dispatched_at_once(self, client):
+        # Nothing holds a job back waiting for company: each job of a
+        # sequential stream leaves the queue as soon as the dispatcher
+        # thread wakes.  (The best of three keeps a descheduled thread
+        # on a busy host from failing the check.)
+        waits = [client.submit(cas_job(CAS, variant="qemu"))
+                 .queue_seconds for _ in range(3)]
+        assert min(waits) < 0.005, waits
+
+    def test_one_job_per_worker_and_the_rest_wait_in_queue(self):
+        # With one worker, a second job stays in the dispatcher's
+        # queue until the first comes back, and that wait is its
+        # queue_seconds.
+        class HeldPool:
+            def __init__(self):
+                self.tasks = []
+
+            def submit(self, fn, payload):
+                self.tasks.append((Future(), fn, payload))
+                return self.tasks[-1][0]
+
+            def shutdown(self, wait=True):
+                pass
+
+        def wait_for(count):
+            deadline = time.time() + 10
+            while len(pool.tasks) < count and time.time() < deadline:
+                time.sleep(0.005)
+
+        pool = HeldPool()
+        dispatcher = JobDispatcher(workers=1)
+        dispatcher._pool = pool
+        try:
+            futures = [dispatcher.submit(
+                cas_job(CAS, variant="qemu", job_id=f"q{i}"))
+                for i in range(2)]
+            wait_for(1)
+            time.sleep(0.05)
+            assert len(pool.tasks) == 1
+            future, fn, payload = pool.tasks[0]
+            future.set_result(fn(payload))
+            wait_for(2)
+            future, fn, payload = pool.tasks[1]
+            future.set_result(fn(payload))
+            results = [f.result(10) for f in futures]
+        finally:
+            dispatcher.close()
+        assert [r.job_id for r in results] == ["q0", "q1"]
+        assert all(r.ok for r in results)
+        assert results[1].queue_seconds >= 0.05
+
+    def test_pipelined_responses_in_request_order(self, server):
         host, port = server.address
         with ServeClient(host, port) as client:
             jobs = [cas_job(CAS, variant="qemu", job_id=f"b{i}")
@@ -105,13 +163,10 @@ class TestBatching:
             results = client.submit_many(jobs)
         assert [r.job_id for r in results] == ["b0", "b1", "b2"]
         assert all(r.ok for r in results)
-        # All three went out before any response was read, and the
-        # window is far wider than the socket hop: one batch.
-        assert results[0].batch_size == 3
-        assert all(r.batch_size == 3 for r in results)
         assert all(r.queue_seconds >= 0 for r in results)
+        assert all(r.batch_size == 1 for r in results)
 
-    def test_namespaces_split_batches(self, server):
+    def test_results_equal_across_tenants(self, server):
         host, port = server.address
         with ServeClient(host, port) as client:
             jobs = [cas_job(CAS, variant="qemu", namespace="a"),
@@ -119,14 +174,11 @@ class TestBatching:
                     cas_job(CAS, variant="qemu", namespace="a")]
             results = client.submit_many(jobs)
         assert all(r.ok for r in results)
-        # Mixed namespaces cannot share a dispatch: the "a" pair forms
-        # one batch, the lone "b" its own.
-        assert results[0].batch_size == 2
-        assert results[2].batch_size == 2
-        assert results[1].batch_size == 1
-        # Namespace scoping is per-batch only: with no cache dirs
+        # Each job scopes its own namespace; with no cache dirs
         # configured the results stay identical across tenants.
-        assert results[0].checksum == results[1].checksum
+        assert results[0].checksum == results[1].checksum \
+            == results[2].checksum
+        assert results[0].cycles == results[1].cycles
 
     def test_results_echo_namespace(self, server):
         host, port = server.address
@@ -177,17 +229,41 @@ class TestErrors:
 
 
 class TestWorkerEntryPoint:
-    def test_run_batch_is_pure_wire(self):
+    def test_run_one_is_pure_wire(self):
         payloads = [cas_job(CAS, variant="qemu",
                             job_id="w1").to_json(),
                     {"kind": "kernel", "benchmark": "?",
                      "variant": "?"}]  # no schema: rejected
-        results = _run_batch(payloads)
+        results = [_run_one(payload) for payload in payloads]
         assert json.loads(json.dumps(results)) == results
         assert results[0]["ok"] is True
         assert results[0]["job_id"] == "w1"
         assert results[1]["ok"] is False
         assert results[1]["error"]["code"] == "bad-request"
+
+    def test_broken_pool_is_a_retryable_unavailable(self):
+        class DeadPool:
+            def submit(self, fn, payload):
+                future = Future()
+                future.set_exception(BrokenProcessPool("worker died"))
+                return future
+
+            def shutdown(self, wait=True):
+                pass
+
+        dispatcher = JobDispatcher(workers=1)
+        dispatcher._pool = DeadPool()
+        try:
+            result = dispatcher.submit(
+                cas_job(CAS, variant="qemu", job_id="d1")).result(10)
+        finally:
+            dispatcher.close()
+        assert not result.ok
+        assert result.job_id == "d1"
+        assert result.error.code == "unavailable"
+        assert result.error.retryable
+        # The dead pool is dropped, so the next job gets a fresh one.
+        assert dispatcher._pool is None
 
 
 class TestShutdown:
