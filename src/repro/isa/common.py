@@ -30,6 +30,9 @@ _TAG_MEM = 0x03
 _NO_REG = 0xFF
 
 _U64_MASK = (1 << 64) - 1
+#: A tagged immediate and a tagged memory operand, as encoded.
+_IMM = struct.Struct("<Bq")
+_MEM = struct.Struct("<BBBBi")
 
 
 def to_signed(value: int, bits: int = 64) -> int:
@@ -42,34 +45,113 @@ def to_unsigned(value: int, bits: int = 64) -> int:
     return value & ((1 << bits) - 1)
 
 
-@dataclass(frozen=True)
-class Reg:
-    """A register operand."""
+class Record:
+    """Base of the immutable ``__slots__`` records: the operands and
+    instructions here and the TCG values and ops (:mod:`repro.tcg.ir`).
 
-    name: str
+    A subclass lists its fields, in constructor order, as
+    ``__slots__`` and sets them once, through :func:`slot_setters`;
+    assignment afterwards raises.  Records compare and hash by the
+    fields in ``_compared`` (default: all of them), as the frozen
+    dataclasses they replace did, except interned ones, which keep
+    identity for both.  ``repr`` is the dataclass-style
+    ``Name(field=value, ...)``, and ``pickle``/``copy`` rebuild a
+    record through its constructor, so an interned one comes back as
+    the same object.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_compared" not in cls.__dict__:
+            cls._compared = cls.__slots__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name)
+                                  for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in self.__slots__) + ")"
+
+
+def slot_setters(cls: type) -> tuple:
+    """The raw setters of ``cls``'s fields, in ``__slots__`` order: a
+    constructor calls these, which bypass :meth:`Record.__setattr__`."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+class Reg(Record):
+    """A register operand, interned: one object per name, so registers
+    compare and hash by identity."""
+
+    __slots__ = ("name",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, name: str):
+        reg = _REGS.get(name)
+        if reg is None:
+            reg = object.__new__(cls)
+            _set_reg_name(reg, name)
+            reg = _REGS.setdefault(name, reg)  # one winner per name
+        return reg
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Imm:
+#: name -> the one :class:`Reg` of that name.
+_REGS: dict[str, Reg] = {}
+(_set_reg_name,) = slot_setters(Reg)
+
+
+class Imm(Record):
     """A 64-bit immediate operand."""
 
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set_imm_value(self, value)
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Mem:
+(_set_imm_value,) = slot_setters(Imm)
+
+
+class Mem(Record):
     """A memory operand: ``[base + index*scale + offset]``."""
 
-    base: str | None = None
-    offset: int = 0
-    index: str | None = None
-    scale: int = 1
+    __slots__ = ("base", "offset", "index", "scale")
+
+    def __init__(self, base: str | None = None, offset: int = 0,
+                 index: str | None = None, scale: int = 1):
+        _set_mem_base(self, base)
+        _set_mem_offset(self, offset)
+        _set_mem_index(self, index)
+        _set_mem_scale(self, scale)
 
     def __str__(self) -> str:
         parts = []
@@ -82,15 +164,23 @@ class Mem:
         return "[" + " + ".join(parts) + "]"
 
 
-@dataclass(frozen=True)
-class Label:
+_set_mem_base, _set_mem_offset, _set_mem_index, _set_mem_scale = \
+    slot_setters(Mem)
+
+
+class Label(Record):
     """A not-yet-resolved branch target (assembly-time only)."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_label_name(self, name)
 
     def __str__(self) -> str:
         return self.name
 
+
+(_set_label_name,) = slot_setters(Label)
 
 Operand = Reg | Imm | Mem | Label
 
@@ -98,13 +188,16 @@ Operand = Reg | Imm | Mem | Label
 _OPERAND_BYTES = {Reg: 2, Imm: 9, Mem: 8}
 
 
-@dataclass(frozen=True)
-class Insn:
+class Insn(Record):
     """One instruction: mnemonic + operands (+ x86 LOCK prefix)."""
 
-    mnemonic: str
-    operands: tuple[Operand, ...] = ()
-    lock: bool = False
+    __slots__ = ("mnemonic", "operands", "lock")
+
+    def __init__(self, mnemonic: str, operands: tuple[Operand, ...] = (),
+                 lock: bool = False):
+        _set_insn_mnemonic(self, mnemonic)
+        _set_insn_operands(self, operands)
+        _set_insn_lock(self, lock)
 
     def __str__(self) -> str:
         prefix = "lock " if self.lock else ""
@@ -112,6 +205,10 @@ class Insn:
             return prefix + self.mnemonic
         return (prefix + self.mnemonic + " "
                 + ", ".join(str(op) for op in self.operands))
+
+
+_set_insn_mnemonic, _set_insn_operands, _set_insn_lock = \
+    slot_setters(Insn)
 
 
 class InsnCoder:
@@ -130,6 +227,9 @@ class InsnCoder:
         self.allow_lock = allow_lock
         self._mnemonic_of = {v: k for k, v in opcodes.items()}
         self._reg_of = {v: k for k, v in registers.items()}
+        #: Each register operand's encoding (registers are interned).
+        self._reg_bytes = {Reg(name): bytes((_TAG_REG, rid))
+                           for name, rid in registers.items()}
         if len(self._mnemonic_of) != len(opcodes):
             raise AssemblerError(f"{name}: duplicate opcode bytes")
         if len(self._reg_of) != len(registers):
@@ -148,27 +248,23 @@ class InsnCoder:
         if insn.lock and not self.allow_lock:
             raise AssemblerError(
                 f"{self.name}: LOCK prefix not supported")
-        out = bytearray()
-        if insn.lock:
-            out.append(_LOCK_PREFIX)
-        out.append(opcode)
-        out.append(len(insn.operands))
-        for op in insn.operands:
-            out.extend(self._encode_operand(insn, op))
-        return bytes(out)
+        head = bytes((_LOCK_PREFIX, opcode, len(insn.operands))) \
+            if insn.lock else bytes((opcode, len(insn.operands)))
+        return head + b"".join([self._encode_operand(insn, op)
+                                for op in insn.operands])
 
     def _encode_operand(self, insn: Insn, op: Operand) -> bytes:
-        if isinstance(op, Reg):
-            rid = self.registers.get(op.name)
-            if rid is None:
+        kind = type(op)
+        if kind is Reg:
+            encoded = self._reg_bytes.get(op)
+            if encoded is None:
                 raise AssemblerError(
                     f"{self.name}: unknown register {op.name!r} "
                     f"in {insn}")
-            return bytes((_TAG_REG, rid))
-        if isinstance(op, Imm):
-            return bytes((_TAG_IMM,)) + struct.pack(
-                "<q", to_signed(to_unsigned(op.value)))
-        if isinstance(op, Mem):
+            return encoded
+        if kind is Imm:
+            return _IMM.pack(_TAG_IMM, to_signed(op.value & _U64_MASK))
+        if kind is Mem:
             base = self.registers.get(op.base, _NO_REG) \
                 if op.base else _NO_REG
             if op.base and base == _NO_REG:
@@ -182,9 +278,8 @@ class InsnCoder:
             if op.scale not in (1, 2, 4, 8):
                 raise AssemblerError(
                     f"{self.name}: bad scale {op.scale} in {insn}")
-            return bytes((_TAG_MEM, base, index, op.scale)) + \
-                struct.pack("<i", op.offset)
-        if isinstance(op, Label):
+            return _MEM.pack(_TAG_MEM, base, index, op.scale, op.offset)
+        if kind is Label:
             raise AssemblerError(
                 f"{self.name}: unresolved label {op.name!r} in {insn}")
         raise AssemblerError(f"{self.name}: bad operand {op!r}")

@@ -149,26 +149,26 @@ class _TempAllocator:
     """Linear-scan allocation of block-local temps onto TEMP_POOL."""
 
     def __init__(self, ops: list[Op]):
-        # Locals are keyed by name: a string hashes faster than a Temp.
-        last_use: dict[str, int] = {}
+        # Temps are interned, so these tables hash them by identity.
+        last_use: dict[Temp, int] = {}
         for index, op in enumerate(ops):
             for temp in op.inputs():
                 if not temp.is_global:
-                    last_use[temp.name] = index
+                    last_use[temp] = index
             for temp in op.outputs():
                 if not temp.is_global:
-                    last_use.setdefault(temp.name, index)
+                    last_use.setdefault(temp, index)
         #: op index -> the temps that die there, in first-use order.
-        self.deaths: dict[int, list[str]] = {}
-        for name, last in last_use.items():
-            self.deaths.setdefault(last, []).append(name)
+        self.deaths: dict[int, list[Temp]] = {}
+        for temp, last in last_use.items():
+            self.deaths.setdefault(last, []).append(temp)
         self.free = [REGS[reg] for reg in TEMP_POOL]
-        self.assigned: dict[str, Reg] = {}
+        self.assigned: dict[Temp, Reg] = {}
 
     def reg_for(self, temp: Temp, index: int, defining: bool) -> Reg:
         if temp.is_global:
             return _GLOBAL_REGS[temp.name]
-        reg = self.assigned.get(temp.name)
+        reg = self.assigned.get(temp)
         if reg is None:
             if not defining:
                 raise TranslationError(
@@ -177,12 +177,12 @@ class _TempAllocator:
                 raise TranslationError(
                     "TCG temp pressure exceeds the host temp pool")
             reg = self.free.pop(0)
-            self.assigned[temp.name] = reg
+            self.assigned[temp] = reg
         return reg
 
     def release_dead(self, index: int) -> None:
-        for name in self.deaths.get(index, ()):
-            reg = self.assigned.pop(name, None)
+        for temp in self.deaths.get(index, ()):
+            reg = self.assigned.pop(temp, None)
             if reg is not None:
                 self.free.append(reg)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from ..core.events import ACCESS_PAIRS, TCG_FENCE_PAIRS, Fence
 from ..errors import TranslationError
+from ..isa.common import Record, slot_setters
 
 # ----------------------------------------------------------------------
 # Memory-order bitmask (QEMU's TCG_MO_* values)
@@ -69,28 +70,51 @@ def mask_to_fence(mask: int) -> Fence:
 # ----------------------------------------------------------------------
 # Values
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Temp:
+class Temp(Record):
     """A TCG value: a block-local temp or a global bound to guest state.
 
     Globals (``is_global``) survive across blocks (guest registers and
-    flags); locals are scratch within one translation block.
+    flags); locals are scratch within one translation block.  Temps
+    are interned, one object per (name, kind), so the optimizer's fact
+    tables, live sets and the register allocator hash and compare them
+    by identity.
     """
 
-    name: str
-    is_global: bool = False
+    __slots__ = ("name", "is_global")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, name: str, is_global: bool = False):
+        table = _GLOBAL_TEMPS if is_global else _TEMPS
+        temp = table.get(name)
+        if temp is None:
+            temp = object.__new__(cls)
+            _set_temp_name(temp, name)
+            _set_temp_is_global(temp, bool(is_global))
+            temp = table.setdefault(name, temp)  # one winner per name
+        return temp
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+#: name -> the one local / global :class:`Temp` of that name.
+_TEMPS: dict[str, Temp] = {}
+_GLOBAL_TEMPS: dict[str, Temp] = {}
+_set_temp_name, _set_temp_is_global = slot_setters(Temp)
+
+
+class Const(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set_const_value(self, value)
 
     def __str__(self) -> str:
         return f"${self.value}"
 
+
+(_set_const_value,) = slot_setters(Const)
 
 Value = Temp | Const
 
@@ -159,8 +183,7 @@ TERMINATOR_OPS: frozenset[str] = frozenset(
     {"exit_tb", "goto_tb", "br", "brcond"})
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(Record):
     """One TCG op.  ``args`` layout follows OP_SIGNATURES; ``call`` ops
     carry (helper_name, ret_temp_or_None, *arg_values).
 
@@ -172,9 +195,14 @@ class Op:
     where fence cycles are attributed per origin.
     """
 
-    name: str
-    args: tuple = ()
-    origin: str | None = field(default=None, compare=False)
+    __slots__ = ("name", "args", "origin")
+    _compared = ("name", "args")
+
+    def __init__(self, name: str, args: tuple = (),
+                 origin: str | None = None):
+        _set_op_name(self, name)
+        _set_op_args(self, args)
+        _set_op_origin(self, origin)
 
     def __str__(self) -> str:
         if self.name == "call":
@@ -189,24 +217,22 @@ class Op:
         if self.name == "call":
             ret = self.args[1]
             return (ret,) if isinstance(ret, Temp) else ()
-        n_out, _ = OP_SIGNATURES[self.name]
-        return tuple(a for a in self.args[:n_out]
-                     if isinstance(a, Temp))
+        return tuple([a for a in self.args[:OP_SIGNATURES[self.name][0]]
+                      if isinstance(a, Temp)])
 
     def inputs(self) -> tuple[Temp, ...]:
-        if self.name == "call":
-            return tuple(a for a in self.args[2:]
-                         if isinstance(a, Temp))
-        n_out, _ = OP_SIGNATURES[self.name]
-        return tuple(a for a in self.args[n_out:]
-                     if isinstance(a, Temp))
+        start = 2 if self.name == "call" else OP_SIGNATURES[self.name][0]
+        return tuple([a for a in self.args[start:] if isinstance(a, Temp)])
 
     def is_memory(self) -> bool:
         return self.name in MEMORY_OPS
 
     def has_side_effects(self) -> bool:
-        return self.name in MEMORY_OPS or self.name in TERMINATOR_OPS \
-            or self.name in ("mb", "call", "set_label")
+        return self.name in _SIDE_EFFECT_OPS
+
+
+_set_op_name, _set_op_args, _set_op_origin = slot_setters(Op)
+_SIDE_EFFECT_OPS = MEMORY_OPS | TERMINATOR_OPS | {"mb", "call", "set_label"}
 
 
 # ----------------------------------------------------------------------

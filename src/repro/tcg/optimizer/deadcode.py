@@ -59,20 +59,18 @@ def dead_code_elimination(block: TCGBlock) -> int:
                 live.update(ins)
         for index in range(stop - 1, start - 1, -1):
             op = ops[index]
+            outputs = op.outputs()
             if op.has_side_effects():
-                for out in op.outputs():
-                    live.discard(out)
+                live.difference_update(outputs)
                 live.update(reads[index])
                 if op.name == "call":
                     # Helpers may read guest state implicitly (syscall).
                     live.update(ALL_GLOBALS)
                 continue
-            outputs = op.outputs()
-            if not any(out in live for out in outputs):
+            if live.isdisjoint(outputs):
                 keep[index] = False
                 continue
-            for out in outputs:
-                live.discard(out)
+            live.difference_update(outputs)
             live.update(reads[index])
 
     removed = keep.count(False)

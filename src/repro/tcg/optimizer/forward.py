@@ -142,7 +142,7 @@ class _Walk:
     def __init__(self):
         self.facts: defaultdict[Temp, _Fact] = defaultdict(_Fact)
         #: key -> value number: ``("const", v)``, ``("global", name)``
-        #: (its value since its last write), ``("other", repr)`` or
+        #: (its value since its last write), ``("other", arg)`` or
         #: ``(op, *input numbers)``.  Opaque numbers have no key.
         self.numbers: dict[tuple, int] = {}
         #: value number -> the guest globals it mentions
@@ -197,7 +197,16 @@ class _Walk:
             return Op("call", (helper, ret, *args))
 
         n_out = OP_SIGNATURES[name][0]
-        args = op.args[:n_out] + tuple(map(self.resolve, op.args[n_out:]))
+        args = op.args
+        facts = self.facts
+        for arg in args[n_out:]:
+            if isinstance(arg, Temp):
+                fact = facts.get(arg)
+                if fact is not None and fact.const is not None:
+                    # Some input is a known constant: substitute all.
+                    args = args[:n_out] + tuple(
+                        map(self.resolve, args[n_out:]))
+                    break
         if name == "movi":
             self.facts[args[0]].const = args[1].value & U64
             return op
@@ -233,7 +242,7 @@ class _Walk:
         # origins) must survive the rebuild.
         if n_out:
             self.facts[args[0]].const = None
-        return op if args == op.args else Op(name, args, origin=op.origin)
+        return op if args is op.args else Op(name, args, origin=op.origin)
 
     # -- eliminate --------------------------------------------------
     def number(self, key: tuple, parts: tuple[int, ...] = (),
@@ -264,7 +273,7 @@ class _Walk:
         if not isinstance(arg, Temp):
             return self.number(("const", arg.value)
                                if isinstance(arg, Const)
-                               else ("other", repr(arg)))
+                               else ("other", arg))
         value = self.facts[arg].value
         if value is None:
             value = self.number(("global", arg.name),
@@ -308,7 +317,13 @@ class _Walk:
     def eliminate(self, op: Op) -> None:
         name = op.name
         out = self.out
-        if name in ("set_label", "brcond", "br", "call"):
+        if name == "mov":
+            dst, src = op.args
+            self.define(dst, self.value_of(src))
+        elif name == "movi":
+            dst, const = op.args
+            self.define(dst, self.number(("const", const.value)))
+        elif name in ("set_label", "brcond", "br", "call"):
             # Join point, branch, or a helper that may read/write
             # memory and guest globals.
             for fact in self.facts.values():
@@ -365,12 +380,6 @@ class _Walk:
             self.stored[addr] = (src, self.value_of(src), len(self.fences))
             self.store_site[addr] = len(out)
             self.loaded.pop(addr, None)
-        elif name == "movi":
-            dst, const = op.args
-            self.define(dst, self.number(("const", const.value)))
-        elif name == "mov":
-            dst, src = op.args
-            self.define(dst, self.value_of(src))
         elif OP_SIGNATURES[name][0]:
             parts = tuple(map(self.value_of, op.args[1:]))
             self.define(op.args[0], self.number((name, *parts), parts))

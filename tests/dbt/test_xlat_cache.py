@@ -40,6 +40,7 @@ from repro.tcg.optimizer import OptStats
 from repro.workloads import SPEC_BY_NAME
 from repro.workloads.kernels import KernelSpec
 from tests.import_closure import import_closure
+from tests.store_entries import rewrite_entry
 
 TINY = KernelSpec("tiny", loads=2, stores=1, alu=2, fp=1,
                   iterations=40, threads=2, working_set=64)
@@ -127,8 +128,7 @@ class TestDiskLayer:
         cache = XlatCache(tmp_path)
         compiled, opt = _entry()
         cache.put("ab" * 32, compiled, opt)
-        path = DiskStore(tmp_path).path("ab" * 32)
-        path.write_text("{ not json")
+        rewrite_entry(tmp_path, "ab" * 32, "{ not json")
         cache.clear_memory()
         before = xlat_cache.cache_stats().corrupt_entries
         assert cache.get("ab" * 32) is None
@@ -145,10 +145,10 @@ class TestDiskLayer:
         cache = XlatCache(tmp_path)
         compiled, opt = _entry()
         cache.put("ab" * 32, compiled, opt)
-        path = DiskStore(tmp_path).path("ab" * 32)
-        assert _payload(path)["opt_stats"] == \
+        assert _payload(tmp_path, "ab" * 32)["opt_stats"] == \
             list(dataclasses.astuple(opt))
-        _damage(path, lambda payload: payload["opt_stats"].pop())
+        _damage(tmp_path, "ab" * 32,
+                lambda payload: payload["opt_stats"].pop())
         cache.clear_memory()
         before = xlat_cache.cache_stats().corrupt_entries
         assert cache.get("ab" * 32) is None
@@ -164,22 +164,22 @@ class TestDiskLayer:
         assert cache.get("ab" * 32) is None
 
 
-def _payload(path) -> dict:
-    return json.loads(path.read_text())["payload"]
+def _payload(directory, key) -> dict:
+    return json.loads(DiskStore(directory).read(key))["payload"]
 
 
-def _damage(path, how, reseal: bool = True) -> None:
+def _damage(directory, key, how, reseal: bool = True) -> None:
     """Edit a stored entry's payload; resealed under a fresh digest
     unless ``reseal`` is off, so what refuses it is the layout check."""
-    payload = _payload(path)
+    payload = _payload(directory, key)
     how(payload)
     text = json.dumps(payload, separators=(",", ":"))
     if reseal:
-        path.write_text(xlat_cache._seal(text))
+        rewrite_entry(directory, key, xlat_cache._seal(text))
     else:
-        whole = path.read_text()
+        whole = DiskStore(directory).read(key)
         head = whole[:whole.index('"payload":') + len('"payload":')]
-        path.write_text(head + text + "}")
+        rewrite_entry(directory, key, head + text + "}")
 
 
 def _flip_code_byte(payload) -> None:
@@ -225,15 +225,14 @@ class TestWellFormedDamage:
         compiled, opt = _entry()
         key = KEYS[kind]
         cache.put(key, compiled, opt)
-        path = DiskStore(tmp_path).path(key)
-        whole = path.read_text()
-        _damage(path, *WELL_FORMED_DAMAGE[damage])
+        whole = DiskStore(tmp_path).read(key)
+        _damage(tmp_path, key, *WELL_FORMED_DAMAGE[damage])
         cache.clear_memory()
         before = xlat_cache.cache_stats().corrupt_entries
         assert cache.get(key) is None
         assert xlat_cache.cache_stats().corrupt_entries == before + 1
         cache.put(key, compiled, opt)
-        assert path.read_text() == whole
+        assert DiskStore(tmp_path).read(key) == whole
         cache.clear_memory()
         hit = cache.get(key)
         assert hit is not None and hit.source == "disk"
@@ -245,17 +244,17 @@ class TestWellFormedDamage:
         compiled, opt = _entry()
         key = KEYS["block"]
         cache.put(key, compiled, opt)
-        path = DiskStore(tmp_path).path(key)
-        whole = path.read_bytes()
+        whole = DiskStore(tmp_path).read(key)
+        assert whole.isascii()  # so a flipped low bit is a flipped byte
         before = xlat_cache.cache_stats().corrupt_entries
         for index in range(len(whole)):
-            damaged = bytearray(whole)
-            damaged[index] ^= 0x01
-            path.write_bytes(bytes(damaged))
+            flipped = chr(ord(whole[index]) ^ 0x01)
+            rewrite_entry(tmp_path, key,
+                          whole[:index] + flipped + whole[index + 1:])
             assert cache.get(key) is None, index
         assert xlat_cache.cache_stats().corrupt_entries == \
             before + len(whole)
-        path.write_bytes(whole)
+        rewrite_entry(tmp_path, key, whole)
         assert cache.get(key).compiled == compiled
 
     def test_warm_run_over_a_damaged_store_is_bit_identical(
@@ -268,8 +267,8 @@ class TestWellFormedDamage:
         entries = DiskStore(cache_env).entries()
         # Block entries and trace entries both.
         assert len(entries) > cold.stats.xlat_misses > 0
-        for _, _, path in entries:
-            _damage(path, lambda payload:
+        for _, _, key in entries:
+            _damage(cache_env, key, lambda payload:
                     payload["fence_origins"].append("bogus"))
         xlat_cache.reset_memory()
         xlat_cache.reset_stats()
@@ -401,6 +400,26 @@ class TestCrossWorkerSharing:
             sum(r.xlat_misses for r in cold)
         for left, right in zip(cold, warm):
             assert deterministic_row(left) == deterministic_row(right)
+
+
+class TestStoreIsAFunctionOfItsKeys:
+    def test_two_workers_and_one_fill_identical_stores(self, tmp_path,
+                                                        monkeypatch):
+        """The same sweep with two pool workers and with one leaves
+        the same keys, each with byte-identical text (CI checks the
+        same property on a fig12 slice)."""
+        grid = kernel_grid((TINY,), ("qemu", "tcg-ver", "risotto"))
+        stores = []
+        for workers in (2, 1):
+            directory = tmp_path / f"workers-{workers}"
+            monkeypatch.setenv("REPRO_XLAT_CACHE", str(directory))
+            run_parallel(grid, workers=workers)
+            stores.append(DiskStore(directory))
+        keys = [sorted(key for _, _, key in store.entries())
+                for store in stores]
+        assert keys[0] and keys[0] == keys[1]
+        for key in keys[0]:
+            assert stores[0].read(key) == stores[1].read(key), key
 
 
 class TestHitsNeverAssemble:

@@ -210,8 +210,10 @@ class TestConcurrentEviction:
         assert size <= budget
         assert entries > 0
         # Survivors are intact entries, not torn writes.
-        survivors = DiskStore(tmp_path / "xlat" / "tenant").entries()
+        disk = DiskStore(tmp_path / "xlat" / "tenant")
+        survivors = disk.entries()
         assert len(survivors) == entries
-        for _, _, path in survivors:
-            assert path.suffix == ".json"
-            assert path.read_text().startswith("{")
+        for _, _, key in survivors:
+            assert key.endswith("ab" * 30)
+            assert disk.read(key).startswith("{")
+            xlat_cache._entry_from_json(disk.read(key))
