@@ -17,6 +17,18 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="session", autouse=True)
+def _private_xlat_cache(tmp_path_factory):
+    """Every harness translates into a fresh, session-private cache:
+    a figure's "from disk" counts must come from this run, never from
+    the user's ``./.repro-cache``.  Tests that need their own cache
+    directory still set one per test."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_XLAT_CACHE",
+                     str(tmp_path_factory.mktemp("xlat")))
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
 def _flush_trace():
     """REPRO_TRACE=1 runs flush their trace to results/trace.json
     (or REPRO_TRACE_FILE) when the harness session ends; a no-op with

@@ -48,8 +48,7 @@ from .core.most import (
 )
 from .dbt import DBTConfig, DBTEngine, NATIVE, NativeRunner, \
     RunResult, VARIANT_NAMES, VARIANTS, resolve_variant
-from .dbt.config import DEFAULT_TIER2_THRESHOLD, Tier2Config, \
-    tier2_from_env
+from .dbt.config import DEFAULT_TIER2_THRESHOLD, Tier2Config
 from .dbt.xlat_cache import (
     cache_dir as xlat_cache_dir,
     cache_stats as xlat_cache_stats,
@@ -142,7 +141,7 @@ __all__ = [
     "DBTConfig", "DBTEngine", "NativeRunner",
     "BufferMode", "CostModel", "ReproError",
     # tiered JIT (superblock) knobs
-    "Tier2Config", "tier2_from_env", "DEFAULT_TIER2_THRESHOLD",
+    "Tier2Config", "DEFAULT_TIER2_THRESHOLD",
     # typed job surface (the canonical run description)
     "JobSpec", "JobResult", "JOB_SCHEMA", "submit",
     "kernel_job", "library_job", "cas_job",
@@ -163,15 +162,15 @@ __all__ = [
 def make_engine(*, variant: str, n_cores: int = 1, seed: int = 42,
                 costs: CostModel | None = None,
                 buffer_mode: BufferMode = BufferMode.WEAK,
-                tier2_threshold: int | None = None):
+                tier2_threshold: int = 0):
     """Build the engine for ``variant`` on a fresh machine.
 
     Returns a :class:`~repro.dbt.engine.DBTEngine` for the DBT
     variants and a :class:`~repro.dbt.engine.NativeRunner` for
     ``"native"``; raises :class:`~repro.errors.ReproError` naming the
     valid variants on anything else.  ``tier2_threshold`` selects the
-    superblock tier: ``None`` defers to ``REPRO_TIER2_THRESHOLD``,
-    ``0`` forces it off, a positive count promotes at that hotness.
+    superblock tier: ``0`` keeps it off, a positive count promotes at
+    that hotness.
     """
     return _runner._make_engine(variant, n_cores, seed, costs,
                                 buffer_mode, tier2_threshold)
@@ -200,7 +199,7 @@ def run_kernel(spec: KernelSpec, *, variant: str, seed: int = 7,
                costs: CostModel | None = None,
                max_steps: int = 80_000_000,
                buffer_mode: BufferMode = BufferMode.WEAK,
-               tier2_threshold: int | None = None,
+               tier2_threshold: int = 0,
                ) -> WorkloadResult:
     """Run one PARSEC/Phoenix kernel under a variant (or natively)."""
     job = kernel_job(spec, variant=variant, seed=seed, costs=costs,
@@ -215,7 +214,7 @@ def run_library_workload(function: str, args: tuple[int, ...],
                          costs: CostModel | None = None,
                          max_steps: int = 80_000_000,
                          buffer_mode: BufferMode = BufferMode.WEAK,
-                         tier2_threshold: int | None = None,
+                         tier2_threshold: int = 0,
                          ) -> WorkloadResult:
     """Benchmark a shared-library function under a variant.
 

@@ -63,19 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="kernel iteration count override (fig12)")
     run.add_argument("--seed", type=int, default=7,
                      help="run seed (default 7)")
-    run.add_argument("--tier2-threshold", type=int, default=None,
+    run.add_argument("--tier2-threshold", type=int, default=0,
                      metavar="N",
                      help="promote blocks dispatched N times to "
-                          "tier-2 superblock traces (fig12; default: "
-                          "off, or REPRO_TIER2_THRESHOLD; 0 forces "
-                          "off)")
+                          "tier-2 superblock traces (fig12; default "
+                          "0: off)")
     run.add_argument("--workers", type=int, default=None,
                      help="process-pool size (default: REPRO_WORKERS "
                           "or the cpu count)")
     run.add_argument("--bench-json", metavar="PATH",
                      help="write the machine-readable export here")
-    run.add_argument("--no-footer", action="store_true",
-                     help="suppress the harness stats footer")
 
     verify = sub.add_parser(
         "verify",
@@ -168,14 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("files", nargs="+", metavar="BENCH_JSON")
     check.add_argument("--history", metavar="DIR",
                        help="history store location")
-    check.add_argument("--window", type=int, default=5,
-                       help="baseline records per fingerprint "
-                            "(default 5)")
-    check.add_argument("--mad-k", type=float, default=3.0,
-                       help="MAD multiplier of the noise band "
-                            "(default 3.0)")
-    check.add_argument("--rel-tol", type=float, default=0.05,
-                       help="relative tolerance floor (default 0.05)")
     check.add_argument("--floors", metavar="FILE",
                        help="absolute metric floors: "
                             "{\"floors\": {metric: min}}")
@@ -282,8 +271,7 @@ def _cmd_run(args) -> int:
         from .analysis.report import figure15_report
         series = _fig15_series(sweep)
         print(figure15_report(series))
-    if not args.no_footer:
-        print(run_stats_footer(sweep, f"{args.figure} harness stats"))
+    print(run_stats_footer(sweep, f"{args.figure} harness stats"))
     _announce_outputs(
         args, args.figure, table=table, sweep=sweep,
         config={
@@ -291,7 +279,8 @@ def _cmd_run(args) -> int:
             "variants": sorted({s.variant for s in specs}),
             "iterations": args.iterations,
             "seed": args.seed,
-            "tier2_threshold": args.tier2_threshold,
+            # Off stays null, as the recorded history fingerprints it.
+            "tier2_threshold": args.tier2_threshold or None,
         })
     return 0
 
@@ -516,10 +505,8 @@ def _cmd_perf(args) -> int:
             payload = load_bench_json(entry)
             records = history.load_history(payload["figure"],
                                            history=hdir)
-            report = sentinel.check_payload(
-                payload, records, window=args.window,
-                mad_k=args.mad_k, rel_tol=args.rel_tol,
-                floors=floors)
+            report = sentinel.check_payload(payload, records,
+                                            floors=floors)
             print(report.render())
             if not report.ok(require_baseline=args.require_baseline):
                 status = 1

@@ -20,8 +20,7 @@ Arm-compiled workload directly on the machine (see
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..core.most import NOFENCES_SCHEME, QEMU_SCHEME, RISOTTO_SCHEME, \
     SCHEMES, FenceScheme
@@ -42,14 +41,8 @@ class DBTConfig:
 
 
 #: Default hotness threshold when tier-2 is enabled without an
-#: explicit value (``--tier2-threshold 0`` / env ``1``&co pick their
-#: own numbers; this is what plain "on" means).
+#: explicit value: what plain "on" means.
 DEFAULT_TIER2_THRESHOLD = 128
-
-#: Env var holding the session-wide tier-2 threshold.  Unset, ``0``,
-#: ``off``, ``none`` or ``disabled`` mean tier-2 stays off — the
-#: tier-1 default every existing test and figure relies on.
-TIER2_ENV = "REPRO_TIER2_THRESHOLD"
 
 
 @dataclass(frozen=True)
@@ -57,28 +50,11 @@ class Tier2Config:
     """Second-tier (superblock) compilation knobs.
 
     Tier-2 is opt-in: engines only promote when a ``Tier2Config`` is
-    present (CLI flag, API argument, or the ``REPRO_TIER2_THRESHOLD``
-    environment variable).
+    passed (CLI flag or API argument); nothing else turns it on.
     """
 
     #: Dispatch count at which a block is promoted to a trace head.
     threshold: int = DEFAULT_TIER2_THRESHOLD
-
-
-def tier2_from_env() -> Tier2Config | None:
-    """The environment's tier-2 config, or ``None`` (tier-2 off)."""
-    raw = os.environ.get(TIER2_ENV, "").strip().lower()
-    if raw in ("", "0", "off", "none", "disabled"):
-        return None
-    try:
-        threshold = int(raw)
-    except ValueError:
-        raise ReproError(
-            f"{TIER2_ENV}={raw!r}: expected an integer threshold or "
-            f"0/off/none/disabled") from None
-    if threshold <= 0:
-        return None
-    return Tier2Config(threshold=threshold)
 
 
 QEMU = DBTConfig(

@@ -27,18 +27,14 @@ from ..tcg.backend_arm import ArmBackend, CompiledBlock
 from ..tcg.frontend_x86 import X86Frontend
 from ..tcg.optimizer import OptStats, inline_helpers_pass, optimize
 from ..tcg.superblock import stitch_trace
-from .config import DBTConfig, RISOTTO, Tier2Config, tier2_from_env
-from .runtime import Runtime, RunStats, THREAD_EXIT_PC
+from .config import DBTConfig, RISOTTO, Tier2Config
+from .runtime import Runtime, RunStats, guest_reg
 from .xlat_cache import DECODE_WINDOW, XlatCache, config_fingerprint, \
     get_cache
 
 #: Sentinel distinguishing "use the environment's cache" from an
 #: explicit ``xlat_cache=None`` (cache off for this engine).
 _ENV_CACHE = object()
-
-#: Sentinel distinguishing "use the environment's tier-2 setting"
-#: (REPRO_TIER2_THRESHOLD) from an explicit ``tier2=None`` (off).
-_ENV_TIER2 = object()
 
 
 @dataclass
@@ -71,8 +67,56 @@ class RunResult:
         return self.fence_cycles / self.total_cycles
 
 
-class DBTEngine:
-    """Translate-and-execute a guest x86 program on the Arm machine."""
+class _Engine:
+    """The machine, runtime and run loop both engines share."""
+
+    def __init__(self, machine: Machine | None, n_cores: int,
+                 costs: CostModel | None, seed: int,
+                 buffer_mode: BufferMode):
+        # buffer_mode must reach the Machine for every engine alike:
+        # the native bars are the reference the DBT variants are
+        # divided by, so running them under a different memory setup
+        # skews every relative-runtime figure.
+        self.machine = machine or Machine(
+            n_cores=n_cores, costs=costs or DEFAULT_COSTS, seed=seed,
+            buffer_mode=buffer_mode)
+        self.runtime = Runtime(self.machine)
+        self.opt_stats = OptStats()
+
+    def load_image(self, base: int, code: bytes) -> None:
+        """Map guest code/data into the shared address space."""
+        self.machine.memory.add_image(base, code)
+
+    def run(self, entry_pc: int,
+            max_steps: int = 50_000_000) -> RunResult:
+        main = self.runtime.start_main_thread(entry_pc)
+        self.machine.run(max_steps=max_steps)
+        return RunResult(
+            elapsed_cycles=self.machine.elapsed_cycles(),
+            total_cycles=self.machine.total_cycles(),
+            fence_cycles=self.machine.total_fence_cycles(),
+            host_insns=self.machine.total_insns(),
+            stats=self.runtime.stats,
+            opt_stats=self.opt_stats,
+            exit_code=self.runtime.threads[main.tid].exit_code,
+            output=self.runtime.stats.output,
+            fence_cycles_by_origin=(
+                self.machine.total_fence_cycles_by_origin()),
+            # Native code runs no translated blocks, so there is no
+            # profile to track — an explicit None (not an empty dict)
+            # tells consumers "not tracked" rather than "no hot blocks".
+            block_profile=None if self.runtime.native_mode
+            else self.runtime.block_profile_snapshot(),
+        )
+
+
+class DBTEngine(_Engine):
+    """Translate-and-execute a guest x86 program on the Arm machine.
+
+    ``tier2=None`` (the default) keeps tier-2 off; a
+    :class:`~repro.dbt.config.Tier2Config` turns superblock promotion
+    on at its threshold.  Nothing but the arguments configures a run.
+    """
 
     def __init__(self, config: DBTConfig = RISOTTO,
                  machine: Machine | None = None,
@@ -81,21 +125,16 @@ class DBTEngine:
                  seed: int = 42,
                  buffer_mode: BufferMode = BufferMode.WEAK,
                  xlat_cache: XlatCache | None | object = _ENV_CACHE,
-                 tier2: Tier2Config | None | object = _ENV_TIER2):
+                 tier2: Tier2Config | None = None):
+        super().__init__(machine, n_cores, costs, seed, buffer_mode)
         self.config = config
-        self.machine = machine or Machine(
-            n_cores=n_cores, costs=costs or DEFAULT_COSTS, seed=seed,
-            buffer_mode=buffer_mode)
-        self.runtime = Runtime(self.machine)
         self.runtime.translator = self._translate
-        self.tier2: Tier2Config | None = \
-            tier2_from_env() if tier2 is _ENV_TIER2 else tier2
-        if self.tier2 is not None:
-            self.runtime.tier2 = self.tier2
+        self.tier2 = tier2
+        if tier2 is not None:
+            self.runtime.tier2 = tier2
             self.runtime.trace_translator = self._translate_trace
         self.frontend = X86Frontend(config.frontend)
         self.backend = ArmBackend()
-        self.opt_stats = OptStats()
         self.xlat_cache: XlatCache | None = \
             get_cache() if xlat_cache is _ENV_CACHE else xlat_cache
         # The key prefix is config-dependent but block-independent, so
@@ -111,11 +150,6 @@ class DBTEngine:
         }
 
     # ------------------------------------------------------------------
-    def load_image(self, base: int, code: bytes) -> None:
-        """Map guest code/data into the shared address space."""
-        self.machine.memory.add_image(base, code)
-
-    # ------------------------------------------------------------------
     def _trap_for(self, helper: str, arg_regs: tuple[str, ...],
                   ret_reg: str | None, direct: bool) -> int:
         if helper == "dispatch":
@@ -128,6 +162,31 @@ class DBTEngine:
             self._helper_traps[key] = addr
         return addr
 
+    def _cached(self, key_of, compile, hit_event: str, pc: int,
+                tracer):
+        """The cacheable part of translation, blocks and traces alike:
+        ``(CompiledBlock, OptStats, source)``.
+
+        A hit returns the artifact with the exact ``OptStats`` the
+        optimizer produced for it, and ``source`` names the tier that
+        served it.  A miss (also when ``key_of(cache)`` is ``None``:
+        an unmapped pc, for the frontend to report) runs ``compile()``
+        and stores a non-``None`` artifact; ``source`` is ``None``.
+        """
+        cache = self.xlat_cache
+        key = None if cache is None else key_of(cache)
+        if key is not None:
+            hit = cache.get(key)
+            if hit is not None:
+                if tracer.enabled:
+                    tracer.instant(hit_event, cat="dbt", pc=pc,
+                                   source=hit.source)
+                return hit.compiled, hit.opt_stats, hit.source
+        compiled, stats = compile()
+        if key is not None and compiled is not None:
+            cache.put(key, compiled, stats)
+        return compiled, stats, None
+
     def _translate(self, guest_pc: int) -> int:
         """Translate one guest block; returns its host address.
 
@@ -136,42 +195,32 @@ class DBTEngine:
         ``_install`` runs, binding this engine's trap addresses into
         the stored relocatable artifact.  The simulated guest pays the
         same dispatch cost either way, so results are bit-identical.
+        The RunStats xlat counters track tier-1 blocks only, so their
+        hits + misses == ``blocks_translated``.
         """
         tracer = get_tracer()
+        stats = self.runtime.stats
         with tracer.span("dbt.translate", cat="dbt", pc=guest_pc):
-            compiled, stats = self._lookup_or_compile(guest_pc, tracer)
-            self.opt_stats.merge(stats)
+            compiled, opt, source = self._cached(
+                lambda cache: cache.key_for(
+                    self.machine.memory, guest_pc, self._config_fp,
+                    self._key_window),
+                lambda: self._compile_block(guest_pc, tracer),
+                "dbt.xlat_hit", guest_pc, tracer)
+            if source is None:
+                stats.xlat_misses += 1
+            else:
+                stats.xlat_hits += 1
+                if source == "disk":
+                    stats.xlat_disk_hits += 1
+            self.opt_stats.merge(opt)
             with tracer.span("dbt.install", cat="dbt", pc=guest_pc):
                 host_pc = self._install(compiled)
-        self.runtime.stats.blocks_translated += 1
-        self.runtime.stats.guest_insns_translated += \
-            compiled.guest_insns
+        stats.blocks_translated += 1
+        stats.guest_insns_translated += compiled.guest_insns
         return host_pc
 
-    def _lookup_or_compile(self, guest_pc: int, tracer):
-        """The cacheable part of translation: (CompiledBlock, OptStats).
-
-        The returned ``OptStats`` is the per-block delta — stored with
-        the artifact, so a hit merges the exact stats the optimizer
-        would have produced.
-        """
-        cache = self.xlat_cache
-        key = None
-        if cache is not None:
-            # An unmapped pc yields key=None: fall through so the
-            # frontend raises its canonical fetch error.
-            key = cache.key_for(self.machine.memory, guest_pc,
-                                self._config_fp, self._key_window)
-            if key is not None:
-                hit = cache.get(key)
-                if hit is not None:
-                    self.runtime.stats.xlat_hits += 1
-                    if hit.source == "disk":
-                        self.runtime.stats.xlat_disk_hits += 1
-                    if tracer.enabled:
-                        tracer.instant("dbt.xlat_hit", cat="dbt",
-                                       pc=guest_pc, source=hit.source)
-                    return hit.compiled, hit.opt_stats
+    def _compile_block(self, guest_pc: int, tracer):
         with tracer.span("dbt.frontend", cat="dbt", pc=guest_pc):
             block = self.frontend.translate_block(
                 self.machine.memory, guest_pc)
@@ -179,9 +228,6 @@ class DBTEngine:
             stats = optimize(block, self.config.optimizer)
         with tracer.span("dbt.backend", cat="dbt", pc=guest_pc):
             compiled = self.backend.compile_block(block)
-        self.runtime.stats.xlat_misses += 1
-        if key is not None:
-            cache.put(key, compiled, stats)
         return compiled, stats
 
     def _translate_trace(self, chain: list[int]) -> int | None:
@@ -191,13 +237,21 @@ class DBTEngine:
         worth a trace (nothing inlined, no seam removed) or cannot be
         compiled (e.g. cross-seam optimization extends a temp's live
         range past the host temp pool) — the runtime then blacklists
-        the head and keeps running tier-1 blocks.
+        the head and keeps running tier-1 blocks.  The trace is cached
+        under the trace schema tag, keyed by the ordered chain
+        windows, so it never collides with the head's tier-1 entry;
+        its cache traffic shows in the process-wide cache stats.
         """
         tracer = get_tracer()
         with tracer.span("dbt.translate_trace", cat="dbt",
                          pc=chain[0], blocks=len(chain)):
             try:
-                compiled, stats = self._compile_trace(chain, tracer)
+                compiled, stats, _ = self._cached(
+                    lambda cache: cache.trace_key_for(
+                        self.machine.memory, chain, self._config_fp,
+                        self._key_window),
+                    lambda: self._compile_trace(chain),
+                    "dbt.xlat_trace_hit", chain[0], tracer)
             except TranslationError:
                 return None
             if compiled is None:
@@ -206,28 +260,9 @@ class DBTEngine:
             with tracer.span("dbt.install", cat="dbt", pc=chain[0]):
                 return self._install(compiled)
 
-    def _compile_trace(self, chain: list[int], tracer):
-        """(CompiledBlock, OptStats) for a superblock, or (None, None).
-
-        Cached under the trace schema tag, keyed by the ordered chain
-        windows — never colliding with the head's tier-1 block entry.
-        The RunStats xlat counters track tier-1 blocks only (their
-        hits+misses == blocks_translated invariant stays intact);
-        trace cache traffic shows up in the process-wide cache stats.
-        """
-        cache = self.xlat_cache
-        key = None
-        if cache is not None:
-            key = cache.trace_key_for(self.machine.memory, chain,
-                                      self._config_fp,
-                                      self._key_window)
-            if key is not None:
-                hit = cache.get(key)
-                if hit is not None:
-                    if tracer.enabled:
-                        tracer.instant("dbt.xlat_trace_hit", cat="dbt",
-                                       pc=chain[0], source=hit.source)
-                    return hit.compiled, hit.opt_stats
+    def _compile_trace(self, chain: list[int]):
+        """(CompiledBlock, OptStats) for a superblock, or (None, None)
+        when it would be byte-identical to the tier-1 block."""
         blocks = [
             self.frontend.translate_block(self.machine.memory, pc)
             for pc in chain
@@ -237,14 +272,10 @@ class DBTEngine:
         inlined = inline_helpers_pass(trace)
         if len(chain) == 1 and stitched.internal_branches == 0 \
                 and inlined == 0:
-            # The trace would be byte-identical to the tier-1 block.
             return None, None
         stats = optimize(trace, self.config.optimizer)
         stats.helpers_inlined = inlined
-        compiled = self.backend.compile_block(trace)
-        if key is not None:
-            cache.put(key, compiled, stats)
-        return compiled, stats
+        return self.backend.compile_block(trace), stats
 
     def _install(self, compiled: CompiledBlock) -> int:
         """Bind one artifact into this engine's code cache.
@@ -275,27 +306,8 @@ class DBTEngine:
         self.machine.memory.add_image(host_pc, code, insns)
         return host_pc
 
-    # ------------------------------------------------------------------
-    def run(self, entry_pc: int,
-            max_steps: int = 50_000_000) -> RunResult:
-        main = self.runtime.start_main_thread(entry_pc)
-        self.machine.run(max_steps=max_steps)
-        return RunResult(
-            elapsed_cycles=self.machine.elapsed_cycles(),
-            total_cycles=self.machine.total_cycles(),
-            fence_cycles=self.machine.total_fence_cycles(),
-            host_insns=self.machine.total_insns(),
-            stats=self.runtime.stats,
-            opt_stats=self.opt_stats,
-            exit_code=self.runtime.threads[main.tid].exit_code,
-            output=self.runtime.stats.output,
-            fence_cycles_by_origin=(
-                self.machine.total_fence_cycles_by_origin()),
-            block_profile=self.runtime.block_profile_snapshot(),
-        )
 
-
-class NativeRunner:
+class NativeRunner(_Engine):
     """Run an Arm-native workload build on the same machine/syscalls.
 
     Native code uses the same syscall register convention as the
@@ -309,42 +321,10 @@ class NativeRunner:
                  costs: CostModel | None = None,
                  seed: int = 42,
                  buffer_mode: BufferMode = BufferMode.WEAK):
-        # buffer_mode must reach the Machine here exactly as in
-        # DBTEngine: the native bars are the reference the DBT variants
-        # are divided by, so running them under a different memory
-        # setup skews every relative-runtime figure.
-        self.machine = machine or Machine(
-            n_cores=n_cores, costs=costs or DEFAULT_COSTS, seed=seed,
-            buffer_mode=buffer_mode)
-        self.runtime = Runtime(self.machine)
+        super().__init__(machine, n_cores, costs, seed, buffer_mode)
         self.runtime.native_mode = True
-        self._exit_trap = self.runtime.alloc_trap(self._thread_exit)
-        self.runtime.native_exit = self._exit_trap
+        self.runtime.native_exit = self.runtime.alloc_trap(
+            self._thread_exit)
 
     def _thread_exit(self, core) -> None:
-        from .runtime import guest_reg
         self.runtime._finish_thread(core, guest_reg(core, "rax"))
-
-    def load_image(self, base: int, code: bytes) -> None:
-        self.machine.memory.add_image(base, code)
-
-    def run(self, entry_pc: int,
-            max_steps: int = 50_000_000) -> RunResult:
-        main = self.runtime.start_main_thread(entry_pc)
-        self.machine.run(max_steps=max_steps)
-        return RunResult(
-            elapsed_cycles=self.machine.elapsed_cycles(),
-            total_cycles=self.machine.total_cycles(),
-            fence_cycles=self.machine.total_fence_cycles(),
-            host_insns=self.machine.total_insns(),
-            stats=self.runtime.stats,
-            opt_stats=OptStats(),
-            exit_code=self.runtime.threads[main.tid].exit_code,
-            output=self.runtime.stats.output,
-            fence_cycles_by_origin=(
-                self.machine.total_fence_cycles_by_origin()),
-            # Native code runs no translated blocks, so there is no
-            # profile to track — an explicit None (not an empty dict)
-            # tells consumers "not tracked" rather than "no hot blocks".
-            block_profile=None,
-        )

@@ -3,9 +3,9 @@
 The sentinel compares a fresh ``bench_*.json`` payload against the
 recorded baseline in the history store (:mod:`repro.obs.history`):
 
-* **baseline** — the median of the last ``window`` records with the
-  same config fingerprint, per cell and per metric;
-* **tolerance** — ``max(mad_k · 1.4826 · MAD, rel_tol · |median|,
+* **baseline** — the median of the last ``window`` (:data:`WINDOW`)
+  records with the same config fingerprint, per cell and per metric;
+* **tolerance** — ``max(MAD_K · 1.4826 · MAD, REL_TOL · |median|,
   abs_tol)``: the MAD term absorbs run-to-run noise where it exists,
   the relative and absolute floors keep deterministic metrics (the
   simulator's cycle counts repeat exactly) from tripping on nothing
@@ -33,6 +33,12 @@ from .history import config_fingerprint, history_record
 
 #: Consistency constant: 1.4826 · MAD estimates a Gaussian sigma.
 MAD_SIGMA = 1.4826
+#: Baseline records per fingerprint.
+WINDOW = 5
+#: MAD multiplier of the noise band.
+MAD_K = 3.0
+#: Relative tolerance floor.
+REL_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -159,16 +165,13 @@ def _mad(values: list[float], center: float) -> float:
     return median([abs(v - center) for v in values]) if values else 0.0
 
 
-def _tolerance(spec: MetricSpec, center: float, values: list,
-               mad_k: float, rel_tol: float) -> float:
-    noise = mad_k * MAD_SIGMA * _mad([float(v) for v in values],
-                                     center)
-    return max(noise, rel_tol * abs(center), spec.abs_tol)
+def _tolerance(spec: MetricSpec, center: float, values: list) -> float:
+    noise = MAD_K * MAD_SIGMA * _mad([float(v) for v in values], center)
+    return max(noise, REL_TOL * abs(center), spec.abs_tol)
 
 
 def _judge(figure: str, scope: str, key: str, metric: str,
-           spec: MetricSpec, value, values: list,
-           mad_k: float, rel_tol: float) -> Finding:
+           spec: MetricSpec, value, values: list) -> Finding:
     """Judge one current value against its baseline series."""
     if spec.direction == "exact":
         baseline = values[-1]
@@ -179,7 +182,7 @@ def _judge(figure: str, scope: str, key: str, metric: str,
                        else "exact-match metric changed "
                             "(determinism break)")
     center = median([float(v) for v in values])
-    tol = _tolerance(spec, center, values, mad_k, rel_tol)
+    tol = _tolerance(spec, center, values)
     delta = float(value) - center
     bad = delta > tol if spec.direction == "down" else delta < -tol
     good = delta < -tol if spec.direction == "down" else delta > tol
@@ -192,8 +195,7 @@ def _judge(figure: str, scope: str, key: str, metric: str,
 
 
 def check_payload(payload: dict, records: list[dict], *,
-                  window: int = 5, mad_k: float = 3.0,
-                  rel_tol: float = 0.05,
+                  window: int = WINDOW,
                   floors: dict[str, float] | None = None,
                   ) -> SentinelReport:
     """Judge one bench payload against its recorded history.
@@ -236,8 +238,7 @@ def check_payload(payload: dict, records: list[dict], *,
                         detail="no matching history record"))
                     continue
                 report.findings.append(_judge(
-                    figure, scope, key, metric, spec, value, values,
-                    mad_k, rel_tol))
+                    figure, scope, key, metric, spec, value, values))
 
     for metric, floor in sorted((floors or {}).items()):
         value = current["stats"].get(metric)

@@ -43,6 +43,10 @@ JOB_SCHEMA = "repro-serve/1"
 class JobSpec:
     """One machine run, complete, self-contained and picklable.
 
+    The fields are the whole configuration: no environment variable
+    changes what a job computes, so a served job and a direct one give
+    the same numbers whatever either process's environment holds.
+
     Exactly one payload group applies, selected by ``kind``:
     ``kernel`` (an inline :class:`KernelSpec` — generated specs from
     the fuzzer work like registry ones), ``library`` (registry name +
@@ -57,11 +61,11 @@ class JobSpec:
     #: Store-buffer mode for the machine — applied to *every* variant,
     #: native included, so the bars of one benchmark are comparable.
     buffer_mode: BufferMode = BufferMode.WEAK
-    #: Tier-2 hotness knob for DBT variants: ``None`` defers to
-    #: ``REPRO_TIER2_THRESHOLD``, ``0`` forces tier-2 off, a positive
-    #: count promotes hot blocks to superblock traces at that dispatch
-    #: count.  Ignored by native runs.
-    tier2_threshold: int | None = None
+    #: Tier-2 hotness knob for DBT variants: ``0`` keeps tier-2 off, a
+    #: positive count promotes hot blocks to superblock traces at that
+    #: dispatch count.  Ignored by native runs.  The wire carries off
+    #: as ``null``, as clients that predate the integer form send it.
+    tier2_threshold: int = 0
     costs: CostModel | None = None
     #: cache tenancy scope; "" inherits the executor's environment.
     namespace: str = ""
@@ -88,6 +92,10 @@ class JobSpec:
             raise JobError("job benchmark must be non-empty")
         if not self.variant:
             raise JobError("job variant must be non-empty")
+        if not isinstance(self.tier2_threshold, int) \
+                or self.tier2_threshold < 0:
+            raise JobError(f"tier2_threshold must be an int >= 0 (0 is "
+                           f"off), got {self.tier2_threshold!r}")
         if self.namespace != sanitize_namespace(self.namespace):
             raise JobError(
                 f"namespace {self.namespace!r} contains characters "
@@ -116,7 +124,7 @@ class JobSpec:
             "seed": self.seed,
             "max_steps": self.max_steps,
             "buffer_mode": self.buffer_mode.value,
-            "tier2_threshold": self.tier2_threshold,
+            "tier2_threshold": self.tier2_threshold or None,
             "namespace": self.namespace,
             "job_id": self.job_id,
         }
@@ -153,7 +161,6 @@ class JobSpec:
             costs = payload.get("costs")
             kernel = payload.get("kernel")
             cas = payload.get("cas")
-            tier2 = payload.get("tier2_threshold")
             job = cls(
                 kind=str(payload["kind"]),
                 benchmark=str(payload["benchmark"]),
@@ -161,7 +168,8 @@ class JobSpec:
                 seed=int(payload.get("seed", 7)),
                 max_steps=int(payload.get("max_steps", 80_000_000)),
                 buffer_mode=buffer_mode,
-                tier2_threshold=None if tier2 is None else int(tier2),
+                tier2_threshold=int(payload.get("tier2_threshold")
+                                    or 0),
                 costs=None if costs is None else CostModel(**costs),
                 namespace=str(payload.get("namespace", "")),
                 job_id=str(payload.get("job_id", "")),
@@ -208,7 +216,7 @@ def kernel_job(spec: KernelSpec, *, variant: str, seed: int = 7,
                costs: CostModel | None = None,
                max_steps: int = 80_000_000,
                buffer_mode: BufferMode = BufferMode.WEAK,
-               tier2_threshold: int | None = None,
+               tier2_threshold: int = 0,
                namespace: str = "", job_id: str = "") -> JobSpec:
     """A kernel run as a job (inline spec: generated kernels work)."""
     return JobSpec(kind="kernel", benchmark=spec.name, variant=variant,
@@ -224,7 +232,7 @@ def library_job(function: str, args: tuple[int, ...], calls: int, *,
                 costs: CostModel | None = None,
                 max_steps: int = 80_000_000,
                 buffer_mode: BufferMode = BufferMode.WEAK,
-                tier2_threshold: int | None = None,
+                tier2_threshold: int = 0,
                 namespace: str = "", job_id: str = "") -> JobSpec:
     """A library-call benchmark as a job, named after its function.
     ``library`` is a :data:`LIBRARY_BUILDERS` registry name; leave it

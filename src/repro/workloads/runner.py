@@ -49,25 +49,13 @@ class WorkloadResult:
         return self.result.elapsed_cycles
 
 
-def _resolve_tier2(tier2_threshold: int | None):
-    """Map the harness knob onto the engine's ``tier2`` argument.
-
-    ``None`` defers to the ``REPRO_TIER2_THRESHOLD`` environment (the
-    engine's own default), ``0`` forces tier-2 off, and a positive
-    count becomes a :class:`~repro.dbt.config.Tier2Config` promoting
-    at that dispatch count.
-    """
-    if tier2_threshold is None:
-        return {}
-    if tier2_threshold <= 0:
-        return {"tier2": None}
-    return {"tier2": Tier2Config(threshold=tier2_threshold)}
-
-
 def _make_engine(variant: str, n_cores: int, seed: int,
                  costs: CostModel | None,
                  buffer_mode: BufferMode = BufferMode.WEAK,
-                 tier2_threshold: int | None = None):
+                 tier2_threshold: int = 0):
+    """The engine for ``variant``; a positive ``tier2_threshold``
+    promotes hot blocks to superblock traces at that dispatch count,
+    ``0`` keeps tier-2 off (native runs ignore it)."""
     config = resolve_variant(variant)
     if config is None:
         engine = NativeRunner(n_cores=n_cores, seed=seed, costs=costs,
@@ -75,7 +63,8 @@ def _make_engine(variant: str, n_cores: int, seed: int,
     else:
         engine = DBTEngine(config, n_cores=n_cores, seed=seed,
                            costs=costs, buffer_mode=buffer_mode,
-                           **_resolve_tier2(tier2_threshold))
+                           tier2=Tier2Config(threshold=tier2_threshold)
+                           if tier2_threshold > 0 else None)
     # Parity guard for grid sweeps: every variant of a benchmark,
     # native included, must run under the memory setup the spec asked
     # for — a silently defaulted buffer mode is the bug this catches.

@@ -74,7 +74,7 @@ def kernel_grid(specs: tuple[KernelSpec, ...] = ALL_SPECS,
                                              "native"),
                 *, iterations: int | None = None, seed: int = 7,
                 max_steps: int = 80_000_000,
-                tier2_threshold: int | None = None):
+                tier2_threshold: int = 0):
     """The Figure 12 sweep as :func:`~.jobspec.kernel_job` cells.
 
     Row order is (benchmark-major, variant-minor) — the order the

@@ -45,7 +45,7 @@ EXPECTED_SURFACE = {
     "DBTConfig", "DBTEngine", "NativeRunner",
     "BufferMode", "CostModel", "ReproError",
     # tiered JIT (superblock) knobs
-    "Tier2Config", "tier2_from_env", "DEFAULT_TIER2_THRESHOLD",
+    "Tier2Config", "DEFAULT_TIER2_THRESHOLD",
     # typed job surface (the canonical run description)
     "JobSpec", "JobResult", "JOB_SCHEMA", "submit",
     "kernel_job", "library_job", "cas_job",

@@ -13,6 +13,3 @@ import pytest
 @pytest.fixture(autouse=True)
 def _no_ambient_xlat_cache(monkeypatch):
     monkeypatch.setenv("REPRO_XLAT_CACHE", "off")
-    # Tier-2 promotion is likewise opt-in per test: an ambient
-    # REPRO_TIER2_THRESHOLD would change dispatch counters suite-wide.
-    monkeypatch.delenv("REPRO_TIER2_THRESHOLD", raising=False)

@@ -17,8 +17,8 @@ import dataclasses
 import pytest
 
 from repro.dbt import DBTEngine, VARIANTS
-from repro.dbt.config import Tier2Config, tier2_from_env
-from repro.errors import MachineError, ReproError
+from repro.dbt.config import Tier2Config
+from repro.errors import MachineError
 from repro.isa.x86 import assemble
 from repro.tcg.ir import Const, Op, TCGBlock, Temp
 from repro.tcg.optimizer import inline_helpers_pass
@@ -144,33 +144,24 @@ fploop:
 
 
 class TestTier2EnvKnob:
-    def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIER2_THRESHOLD", raising=False)
-        assert tier2_from_env() is None
+    """Tier-2 is configured by the engine's argument alone; the
+    environment variable that once reached every engine is gone."""
 
-    @pytest.mark.parametrize("raw", ["0", "off", "none", "disabled",
-                                     "", "-3"])
-    def test_disabling_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_TIER2_THRESHOLD", raw)
-        assert tier2_from_env() is None
+    def test_unset_means_off(self):
+        engine = DBTEngine(VARIANTS["qemu"], n_cores=1)
+        assert engine.tier2 is None
+        assert engine.runtime.trace_translator is None
 
-    def test_integer_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER2_THRESHOLD", "64")
-        assert tier2_from_env() == Tier2Config(threshold=64)
+    def test_integer_threshold(self):
+        from repro.api import make_engine
+        engine = make_engine(variant="qemu", tier2_threshold=64)
+        assert engine.tier2 == Tier2Config(threshold=64)
+        assert make_engine(variant="qemu", tier2_threshold=0).tier2 \
+            is None
 
-    def test_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER2_THRESHOLD", "warp9")
-        with pytest.raises(ReproError):
-            tier2_from_env()
-
-    def test_engine_picks_up_env(self, monkeypatch):
+    def test_engine_ignores_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIER2_THRESHOLD", "16")
         engine = DBTEngine(VARIANTS["qemu"], n_cores=1)
-        assert engine.tier2 == Tier2Config(threshold=16)
-
-    def test_explicit_none_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER2_THRESHOLD", "16")
-        engine = DBTEngine(VARIANTS["qemu"], n_cores=1, tier2=None)
         assert engine.tier2 is None
 
     def test_threshold_is_the_only_tier2_knob(self):
@@ -355,11 +346,10 @@ class TestFig12Differential:
 
 
 class TestFuzzSmoke:
-    def test_dbt_differential_under_tier2(self, monkeypatch):
-        # Force tier-2 on for every engine the oracle builds: all
-        # three legs (block / kernel / mapping) must stay divergence-
-        # free with traces compiled at threshold 1.
-        monkeypatch.setenv("REPRO_TIER2_THRESHOLD", "1")
+    def test_dbt_differential_under_tier2(self):
+        # The oracle runs its block and kernel legs with tier-2 at
+        # threshold 1 as well as off: every leg must stay divergence-
+        # free with traces compiled.
         from repro.fuzz.runner import FuzzConfig, run_fuzz
 
         report = run_fuzz(FuzzConfig(

@@ -12,7 +12,7 @@ so adding or retiring a knob on purpose is one edit.
 #: Every ``REPRO_*`` environment name the package reads.
 REPRO_ENV = frozenset({
     "REPRO_BENCH_HISTORY", "REPRO_BENCH_HISTORY_DIR",
-    "REPRO_TIER2_THRESHOLD", "REPRO_TRACE", "REPRO_TRACE_FILE",
+    "REPRO_TRACE", "REPRO_TRACE_FILE",
     "REPRO_WORKERS", "REPRO_XLAT_CACHE", "REPRO_XLAT_CACHE_NS",
 })
 
@@ -22,11 +22,10 @@ CLI_FLAGS = frozenset({
     "--cases", "--clients", "--corpus", "--dbt-mapping", "--enum-limit",
     "--fail-on-divergence", "--findings", "--flame", "--floors",
     "--format", "--history", "--host", "--iterations", "--jobs", "--json",
-    "--mad-k", "--models", "--namespace", "--no-footer",
-    "--no-shrink", "--note", "--oracles", "--port", "--qps", "--record",
-    "--reduction", "--rel-tol", "--require-baseline", "--rev",
-    "--schemes", "--seed", "--shrink-budget", "--spawn", "--stats-txt",
-    "--tests", "--tier2-threshold", "--variants", "--window",
+    "--models", "--namespace", "--no-shrink", "--note", "--oracles",
+    "--port", "--qps", "--record", "--reduction", "--require-baseline",
+    "--rev", "--schemes", "--seed", "--shrink-budget", "--spawn",
+    "--stats-txt", "--tests", "--tier2-threshold", "--variants",
     "--workers",
 })
 

@@ -65,6 +65,13 @@ class TestJobSpecCodec:
                       variant="tcg-ver")
         assert JobSpec.from_json(job.to_json()) == job
 
+    def test_null_tier2_threshold_decodes_to_off(self):
+        # Clients that predate the integer form send null for off.
+        payload = kernel_job(TINY, variant="qemu",
+                             tier2_threshold=16).to_json()
+        payload["tier2_threshold"] = None
+        assert JobSpec.from_json(payload).tier2_threshold == 0
+
     def test_schema_tag_checked(self):
         payload = kernel_job(TINY, variant="qemu").to_json()
         payload["schema"] = "repro-serve/99"
@@ -101,6 +108,12 @@ class TestValidation:
         with pytest.raises(JobError, match="cas payload"):
             JobSpec(kind="cas", benchmark="b",
                     variant="qemu").validate()
+
+    @pytest.mark.parametrize("threshold", [-1, None])
+    def test_tier2_threshold_is_a_count(self, threshold):
+        with pytest.raises(JobError, match="tier2_threshold"):
+            kernel_job(TINY, variant="qemu",
+                       tier2_threshold=threshold).validate()
 
     def test_namespace_must_be_sanitized(self):
         with pytest.raises(JobError, match="namespace"):
