@@ -13,12 +13,12 @@ from .report import (
     run_stats_footer,
     speedup_report,
 )
-from .stats import BenchRow, BenchTable, SweepStats, aggregate_sweep
+from .stats import BenchTable, SweepStats, aggregate_sweep
 
 __all__ = [
     "BENCH_SCHEMA", "bench_payload", "load_bench_json",
     "write_bench_json",
-    "BenchRow", "BenchTable", "SweepStats", "aggregate_sweep",
+    "BenchTable", "SweepStats", "aggregate_sweep",
     "figure12_report", "figure15_report", "mapping_table_report",
     "run_stats_footer", "speedup_report",
 ]

@@ -10,59 +10,33 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 from ..errors import ReproError
 
-
-@dataclass
-class BenchRow:
-    """One benchmark × variant measurement."""
-
-    benchmark: str
-    variant: str
-    cycles: int
-    fence_cycles: int = 0
-    total_cycles: int = 0
-    checksum: int | None = None
-    #: Fence cycles by provenance tag; sums to ``fence_cycles``.
-    fence_origin_cycles: dict = field(default_factory=dict)
-
-    @property
-    def fence_share(self) -> float:
-        if not self.total_cycles:
-            return 0.0
-        return self.fence_cycles / self.total_cycles
+if TYPE_CHECKING:  # a runtime import would be circular
+    from ..workloads.parallel import RunRow
 
 
 @dataclass
 class BenchTable:
-    """All measurements of one experiment, keyed by (bench, variant)."""
+    """All measurements of one experiment: the sweep's own
+    :class:`~repro.workloads.parallel.RunRow` objects, keyed by
+    (bench, variant)."""
 
     name: str
     baseline: str = "qemu"
-    rows: dict[tuple[str, str], BenchRow] = field(default_factory=dict)
+    rows: dict[tuple[str, str], RunRow] = field(default_factory=dict)
 
-    def add(self, row: BenchRow) -> None:
+    def add(self, row: RunRow) -> None:
         self.rows[(row.benchmark, row.variant)] = row
 
     @classmethod
     def from_rows(cls, name: str, rows, baseline: str = "qemu",
                   ) -> "BenchTable":
-        """Build a table from parallel-harness result rows (anything
-        with benchmark/variant/cycles/fence_cycles/total_cycles/
-        checksum/fence_origin_cycles attributes)."""
-        table = cls(name=name, baseline=baseline)
-        for row in rows:
-            table.add(BenchRow(
-                benchmark=row.benchmark,
-                variant=row.variant,
-                cycles=row.cycles,
-                fence_cycles=row.fence_cycles,
-                total_cycles=row.total_cycles,
-                checksum=row.checksum,
-                fence_origin_cycles=dict(row.fence_origin_cycles),
-            ))
-        return table
+        """A table of the given rows (a sweep's, or any iterable)."""
+        return cls(name=name, baseline=baseline, rows={
+            (row.benchmark, row.variant): row for row in rows})
 
     # ------------------------------------------------------------------
     def benchmarks(self) -> list[str]:

@@ -170,7 +170,8 @@ def make_engine(*, variant: str, n_cores: int = 1, seed: int = 42,
     ``"native"``; raises :class:`~repro.errors.ReproError` naming the
     valid variants on anything else.  ``tier2_threshold`` selects the
     superblock tier: ``0`` keeps it off, a positive count promotes at
-    that hotness.
+    that hotness.  A DBT engine translates through the environment's
+    cache (``REPRO_XLAT_CACHE``, namespace ``REPRO_XLAT_CACHE_NS``).
     """
     return _runner._make_engine(variant, n_cores, seed, costs,
                                 buffer_mode, tier2_threshold)

@@ -29,12 +29,7 @@ from ..tcg.optimizer import OptStats, inline_helpers_pass, optimize
 from ..tcg.superblock import stitch_trace
 from .config import DBTConfig, RISOTTO, Tier2Config
 from .runtime import Runtime, RunStats, guest_reg
-from .xlat_cache import DECODE_WINDOW, XlatCache, config_fingerprint, \
-    get_cache
-
-#: Sentinel distinguishing "use the environment's cache" from an
-#: explicit ``xlat_cache=None`` (cache off for this engine).
-_ENV_CACHE = object()
+from .xlat_cache import DECODE_WINDOW, XlatCache, config_fingerprint
 
 
 @dataclass
@@ -115,7 +110,10 @@ class DBTEngine(_Engine):
 
     ``tier2=None`` (the default) keeps tier-2 off; a
     :class:`~repro.dbt.config.Tier2Config` turns superblock promotion
-    on at its threshold.  Nothing but the arguments configures a run.
+    on at its threshold, and ``xlat_cache`` is the translation cache
+    to use (``None``, the default, translates every block afresh;
+    ``runner._make_engine`` hands in the job's).  Nothing but the
+    arguments configures a run.
     """
 
     def __init__(self, config: DBTConfig = RISOTTO,
@@ -124,7 +122,7 @@ class DBTEngine(_Engine):
                  costs: CostModel | None = None,
                  seed: int = 42,
                  buffer_mode: BufferMode = BufferMode.WEAK,
-                 xlat_cache: XlatCache | None | object = _ENV_CACHE,
+                 xlat_cache: XlatCache | None = None,
                  tier2: Tier2Config | None = None):
         super().__init__(machine, n_cores, costs, seed, buffer_mode)
         self.config = config
@@ -135,8 +133,7 @@ class DBTEngine(_Engine):
             self.runtime.trace_translator = self._translate_trace
         self.frontend = X86Frontend(config.frontend)
         self.backend = ArmBackend()
-        self.xlat_cache: XlatCache | None = \
-            get_cache() if xlat_cache is _ENV_CACHE else xlat_cache
+        self.xlat_cache = xlat_cache
         # The key prefix is config-dependent but block-independent, so
         # hash it once per engine rather than once per block.
         self._config_fp = config_fingerprint(config) \

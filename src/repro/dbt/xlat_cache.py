@@ -35,9 +35,9 @@ entries (an offset outside the code, DMBs that disagree with the
 origins) are counted misses that the next store rewrites.  The disk
 level is held to :data:`DEFAULT_DISK_BUDGET` bytes, least recently
 written first (:class:`repro.store.DiskStore`).  ``REPRO_XLAT_CACHE``
-(a directory, or ``0``/``off`` for neither level) and
-``REPRO_XLAT_CACHE_NS`` (the namespace; the LRU is per directory)
-configure it — see :mod:`repro.store` and DESIGN.md §6e.
+(a directory, or ``0``/``off`` for neither level) sets the root; the
+namespace (the LRU is per directory) is an argument of
+:func:`get_cache`, else ``REPRO_XLAT_CACHE_NS`` — see DESIGN.md §6e.
 """
 
 from __future__ import annotations
@@ -449,11 +449,12 @@ class XlatCache:
 _INSTANCES: dict[str, XlatCache] = {}
 
 
-def get_cache() -> XlatCache | None:
-    """The cache for the current environment, or ``None`` if disabled."""
+def get_cache(ns: str = "") -> XlatCache | None:
+    """The cache of namespace ``ns`` (the ambient one when ``ns`` is
+    "") under the environment's root, or ``None`` if disabled."""
     if not enabled():
         return None
-    directory = cache_dir()
+    directory = cache_dir(ns)
     cache = _INSTANCES.get(str(directory))
     if cache is None:
         cache = _INSTANCES[str(directory)] = XlatCache(directory)

@@ -86,10 +86,16 @@ class ErrorInfo:
                 "retryable": self.retryable}
 
     @classmethod
-    def from_json(cls, payload: dict) -> "ErrorInfo":
-        return cls(code=str(payload["code"]),
-                   message=str(payload["message"]),
-                   retryable=bool(payload.get("retryable", False)))
+    def from_json(cls, payload) -> "ErrorInfo":
+        """Decode an error object; a wrong JSON type is a
+        :class:`JobError`."""
+        if not isinstance(payload, dict) \
+                or type(payload.get("code")) is not str \
+                or type(payload.get("message")) is not str \
+                or type(payload.get("retryable", False)) is not bool:
+            raise JobError(f"malformed error payload: {payload!r}")
+        return cls(payload["code"], payload["message"],
+                   payload.get("retryable", False))
 
 
 #: Exception type -> error code, most-specific first: subclasses must

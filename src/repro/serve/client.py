@@ -48,6 +48,8 @@ class ServeClient:
             response = json.loads(line.decode("utf-8"))
         except ValueError as exc:
             raise JobError(f"unparseable response: {exc}") from None
+        if not isinstance(response, dict):
+            raise JobError(f"response is not an object: {response!r}")
         if response.get("schema") != JOB_SCHEMA:
             raise JobError(f"response schema "
                            f"{response.get('schema')!r} unsupported "
@@ -62,8 +64,8 @@ class ServeClient:
         # it as the typed error the protocol promised.
         error = response.get("error")
         if error is not None:
-            raise JobError(
-                f"[{error.get('code')}] {error.get('message')}")
+            error = ErrorInfo.from_json(error)
+            raise JobError(f"[{error.code}] {error.message}")
         raise JobError(f"malformed response: {response!r}")
 
     # ------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 A job is a :class:`~repro.workloads.jobspec.JobSpec` — the one
 machine-run description, which sweeps run too — and a
-:class:`JobResult` the typed response.  The result carries a JSON
-codec under the same :data:`JOB_SCHEMA` tag, so the same objects travel
-through a local ``api.submit(job)`` call and over the serve socket
-protocol, and a served run is bit-identical to a direct one.
+:class:`JobResult` the typed response.  The result's JSON codec,
+under the same :data:`JOB_SCHEMA` tag, is its fields by name in
+declaration order, each decoded against the JSON types of its
+annotation; so the same objects travel through a local
+``api.submit(job)`` call and over the serve socket protocol, and a
+served run is bit-identical to a direct one.
 
 A result's measured fields are copied by name from the run's
 :class:`~repro.workloads.parallel.RunRow`, the row a sweep gets for the
@@ -20,7 +22,7 @@ result's typed :class:`~repro.errors.ErrorInfo`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from ..errors import ErrorInfo, JobError, classify_error
 # The job description and its builders live with the executor; the
@@ -31,7 +33,6 @@ from ..workloads.jobspec import (  # noqa: F401 - re-exports
     cas_job,
     kernel_job,
     library_job,
-    scoped_namespace,
 )
 from ..workloads.parallel import RunRow, run_job_row
 from ..workloads.runner import WorkloadResult
@@ -116,74 +117,54 @@ class JobResult:
         )
 
     # ------------------------------------------------------------------
-    # Codec
+    # Codec: the fields themselves, in declaration order (see _WIRE)
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
-        payload: dict = {
-            "schema": JOB_SCHEMA,
-            "job_id": self.job_id,
-            "kind": self.kind,
-            "benchmark": self.benchmark,
-            "variant": self.variant,
-            "seed": self.seed,
-            "namespace": self.namespace,
-            "ok": self.ok,
-            "cycles": self.cycles,
-            "fence_cycles": self.fence_cycles,
-            "total_cycles": self.total_cycles,
-            "checksum": self.checksum,
-            "exit_code": self.exit_code,
-            "wall_seconds": self.wall_seconds,
-            "blocks_translated": self.blocks_translated,
-            "xlat_hits": self.xlat_hits,
-            "xlat_misses": self.xlat_misses,
-            "xlat_disk_hits": self.xlat_disk_hits,
-            "cache_tier": self.cache_tier,
-            "queue_seconds": self.queue_seconds,
-            "batch_size": self.batch_size,
-        }
+        payload = {"schema": JOB_SCHEMA}
+        for name, _, _ in _WIRE:
+            payload[name] = getattr(self, name)
         if self.error is not None:
             payload["error"] = self.error.to_json()
         return payload
 
     @classmethod
-    def from_json(cls, payload: dict) -> "JobResult":
-        schema = payload.get("schema")
-        if schema != JOB_SCHEMA:
-            raise JobError(f"result schema {schema!r} unsupported "
-                           f"(expected {JOB_SCHEMA!r})")
+    def from_json(cls, payload) -> "JobResult":
+        """Decode a result, checking every field's JSON type (a
+        ``bool`` is not an ``int``); anything else is a
+        :class:`JobError`."""
+        if not isinstance(payload, dict):
+            raise JobError(f"result payload must be an object, got "
+                           f"{type(payload).__name__}")
+        if payload.get("schema") != JOB_SCHEMA:
+            raise JobError(f"result schema {payload.get('schema')!r} "
+                           f"unsupported (expected {JOB_SCHEMA!r})")
+        values = {}
+        for name, types, absent in _WIRE:
+            value = payload.get(name, absent)
+            if value is MISSING:
+                raise JobError(f"result payload lacks {name!r}")
+            if type(value) not in types:
+                raise JobError(f"result field {name!r} is "
+                               f"{type(value).__name__}")
+            values[name] = float(value) if float in types else value
         error = payload.get("error")
-        checksum = payload.get("checksum")
-        try:
-            return cls(
-                job_id=str(payload.get("job_id", "")),
-                kind=str(payload["kind"]),
-                benchmark=str(payload["benchmark"]),
-                variant=str(payload["variant"]),
-                seed=int(payload.get("seed", 0)),
-                namespace=str(payload.get("namespace", "")),
-                ok=bool(payload.get("ok", False)),
-                error=None if error is None
-                else ErrorInfo.from_json(error),
-                cycles=int(payload.get("cycles", 0)),
-                fence_cycles=int(payload.get("fence_cycles", 0)),
-                total_cycles=int(payload.get("total_cycles", 0)),
-                checksum=None if checksum is None else int(checksum),
-                exit_code=int(payload.get("exit_code", 0)),
-                wall_seconds=float(payload.get("wall_seconds", 0.0)),
-                blocks_translated=int(
-                    payload.get("blocks_translated", 0)),
-                xlat_hits=int(payload.get("xlat_hits", 0)),
-                xlat_misses=int(payload.get("xlat_misses", 0)),
-                xlat_disk_hits=int(payload.get("xlat_disk_hits", 0)),
-                cache_tier=str(payload.get("cache_tier", "none")),
-                queue_seconds=float(payload.get("queue_seconds", 0.0)),
-                batch_size=int(payload.get("batch_size", 1)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise JobError(
-                f"malformed result payload: {exc}") from None
+        return cls(error=None if error is None
+                   else ErrorInfo.from_json(error), **values)
 
+
+#: JSON types a field's annotation accepts (``float`` takes an integer
+#: literal too).
+_JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,),
+               "int | None": (int, type(None)), "float": (int, float)}
+#: A key's value when absent, where it is not the field's default: a
+#: result that does not say it succeeded did not.
+_ABSENT = {"job_id": "", "seed": 0, "ok": False}
+#: The ``repro-serve/1`` result keys: (name, accepted JSON types, value
+#: when absent) per field, in declaration order.  ``error`` travels as
+#: its :class:`ErrorInfo` object after them, ``outcome`` never.
+_WIRE = tuple(
+    (f.name, _JSON_TYPES[f.type], _ABSENT.get(f.name, f.default))
+    for f in fields(JobResult) if f.name not in ("error", "outcome"))
 
 #: What a result copies from its run's row: every field the two
 #: declare, by name (identity, cycles, checksum, wall time, xlat_*).

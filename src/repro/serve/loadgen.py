@@ -33,9 +33,10 @@ from ..errors import ReproError
 from ..isa.floatbits import double_to_bits
 from ..workloads.casbench import CasConfig
 from ..workloads.kernels import KernelSpec
-from ..workloads.parallel import RunRow, SweepResult
+from ..workloads.parallel import RunRow, SweepResult, deterministic_row
 from .client import ServeClient
-from .jobs import JobResult, JobSpec, cas_job, kernel_job, library_job
+from .jobs import _FROM_ROW, JobResult, JobSpec, cas_job, kernel_job, \
+    library_job
 from .server import ReproServer, ServeConfig
 
 #: The loadgen's kernel shapes: Figure 12 mixes scaled down to serve
@@ -256,29 +257,20 @@ def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
 def synthesized_rows(report: LoadgenReport) -> list[RunRow]:
     """One deterministic RunRow per (benchmark, variant) cell.
 
-    Only spec-determined quantities go in (cycles, fences, checksum —
-    the first successful result of each cell; repeats are identical
-    by determinism), so the bench history's row metrics gate the
-    *served results*, not the host's mood.
+    The row fields of the first successful result of each cell
+    (repeats are identical by determinism), through
+    :func:`deterministic_row`: only spec-determined quantities stay, so
+    the bench history's row metrics gate the *served results*, not the
+    host's mood.
     """
     cells: dict[tuple[str, str], JobResult] = {}
     for result in report.results:
         if result.ok:
             cells.setdefault((result.benchmark, result.variant),
                              result)
-    rows = []
-    for (benchmark, variant), result in sorted(cells.items()):
-        rows.append(RunRow(
-            benchmark=benchmark,
-            variant=variant,
-            cycles=result.cycles,
-            fence_cycles=result.fence_cycles,
-            total_cycles=result.total_cycles,
-            checksum=result.checksum,
-            exit_code=result.exit_code,
-            blocks_translated=result.blocks_translated,
-        ))
-    return rows
+    return [deterministic_row(RunRow(**{
+                name: getattr(result, name) for name in _FROM_ROW}))
+            for _, result in sorted(cells.items())]
 
 
 def bench_extra(report: LoadgenReport) -> dict:

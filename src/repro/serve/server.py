@@ -16,8 +16,8 @@ how one client keeps several jobs in flight)::
 Architecture: every connection handler enqueues submitted jobs into
 one :class:`JobDispatcher`.  A single dispatcher thread takes each job
 off the queue as soon as a ``ProcessPoolExecutor`` worker is free and
-sends it to the pool as its own task; the worker scopes the job's
-cache namespace (``run_job_row``) and runs it.  The dispatcher's queue
+sends it to the pool as its own task; the worker runs it
+(``run_job_row``) on an engine built with the job's cache namespace.  The dispatcher's queue
 is the only place a job waits, so its ``queue_seconds`` is the whole
 wait for a worker.  Worker processes are long-lived, so
 their in-memory translation LRUs stay warm across requests — the

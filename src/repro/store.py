@@ -20,15 +20,14 @@ REPLACE``: concurrent pool workers and threads are safe, last writer
 wins with an equivalent entry, and a reader sees a whole entry or
 none.
 
-The location comes from the environment, re-read on every call so a
-scoped namespace or a monkeypatched root takes effect at once:
-:data:`ENV_VAR` unset uses ``<cwd>/.repro-cache/xlat``, a path
-overrides the root, and ``0``/``off``/``none``/``disabled`` turns the
-cache off.  :data:`NAMESPACE_ENV` names a *namespace* — a subdirectory
-of the root.  The serve front-end scopes each tenant's entries under
-its namespace; eviction and :func:`clear_disk_cache` touch only the
-active namespace, and :func:`namespace_usage` enumerates them all for
-``python -m repro cache stats``.
+The root comes from the environment, re-read on every call so a
+monkeypatched root takes effect at once: :data:`ENV_VAR` unset uses
+``<cwd>/.repro-cache/xlat``, a path overrides the root, and
+``0``/``off``/``none``/``disabled`` turns the cache off.  A
+*namespace* is a subdirectory of the root: a job's own, passed to
+:func:`cache_dir` as an argument, else the ambient
+:data:`NAMESPACE_ENV`.  Eviction and :func:`clear_disk_cache` touch
+only the ambient namespace; :func:`namespace_usage` lists them all.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from pathlib import Path
 
 #: The root override (a path, or an :data:`OFF_VALUES` spelling).
 ENV_VAR = "REPRO_XLAT_CACHE"
-#: The active namespace, a subdirectory of the root.
+#: The ambient namespace, a subdirectory of the root.
 NAMESPACE_ENV = "REPRO_XLAT_CACHE_NS"
 OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
 #: The database file of one namespace directory.
@@ -100,8 +99,10 @@ def base_dir() -> Path:
     return Path.cwd() / ".repro-cache" / "xlat"
 
 
-def cache_dir() -> Path:
-    return base_dir() / namespace()
+def cache_dir(ns: str = "") -> Path:
+    """The directory of namespace ``ns``, or of the ambient one
+    (:data:`NAMESPACE_ENV`) when ``ns`` is ""."""
+    return base_dir() / (sanitize_namespace(ns) or namespace())
 
 
 def clear_disk_cache() -> int:

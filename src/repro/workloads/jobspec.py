@@ -11,22 +11,19 @@ serve socket protocol and a served run is bit-identical to a direct
 one (the job *is* the run description; there is nothing else to
 diverge on).
 
-Tenancy: ``namespace`` scopes the translation cache
-(``REPRO_XLAT_CACHE_NS``) for the duration of the run via
-:func:`scoped_namespace`, whichever path runs the job.  An empty
-namespace inherits the executing process's environment unchanged, so
-the local ``api.run_*`` wrappers and plain sweeps behave exactly as
+Tenancy: ``namespace`` names the translation-cache namespace the
+job's engine is built with, whichever path runs the job; it is an
+argument, and nothing writes the environment.  An empty namespace
+uses the executing process's ambient ``REPRO_XLAT_CACHE_NS``, so the
+local ``api.run_*`` wrappers and plain sweeps behave exactly as
 before.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-from ..dbt import xlat_cache
 from ..errors import JobError
 from ..machine.timing import CostModel
 from ..machine.weakmem import BufferMode
@@ -67,7 +64,7 @@ class JobSpec:
     #: as ``null``, as clients that predate the integer form send it.
     tier2_threshold: int = 0
     costs: CostModel | None = None
-    #: cache tenancy scope; "" inherits the executor's environment.
+    #: cache tenancy scope; "" uses the executor's ambient namespace.
     namespace: str = ""
     #: client-chosen correlation id, echoed verbatim on the result.
     job_id: str = ""
@@ -181,32 +178,10 @@ class JobSpec:
                 setup=payload.get("setup"),
                 cas=None if cas is None else CasConfig(**cas),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise JobError(f"malformed job payload: {exc}") from None
         job.validate()
         return job
-
-
-@contextmanager
-def scoped_namespace(namespace: str):
-    """Scope the translation cache to ``namespace`` for the block.
-
-    An empty namespace leaves the environment untouched (the caller's
-    ambient namespace keeps applying — local ``api.run_*`` calls must
-    behave exactly as before the serve layer existed).
-    """
-    if not namespace:
-        yield
-        return
-    saved = os.environ.get(xlat_cache.NAMESPACE_ENV)
-    try:
-        os.environ[xlat_cache.NAMESPACE_ENV] = namespace
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(xlat_cache.NAMESPACE_ENV, None)
-        else:
-            os.environ[xlat_cache.NAMESPACE_ENV] = saved
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ from ..core.enumerate import EnumerationStats, behavior_cache_stats, \
     enumeration_stats
 from ..errors import ReproError, classify_error
 from ..obs.trace import get_tracer
-from .jobspec import JobSpec, scoped_namespace
+from .jobspec import JobSpec
 # The registries live with the executor; re-exported here for
 # ``repro.api`` (DATA_BUF, the MEMORY_SETUPS lookup) and the tests.
 from .runner import DATA_BUF, LIBRARY_BUILDERS, MEMORY_SETUPS, \
@@ -294,14 +294,13 @@ _LITMUS_KINDS = {
 
 def run_job_row(job: JobSpec, *, library=None
                 ) -> tuple[RunRow, WorkloadResult]:
-    """Validate one machine job, run it in its cache namespace, and
-    return its row with the full outcome — the path under both
-    :func:`execute_spec` and ``api.submit``.  ``library`` overrides
-    the registry lookup (see :func:`~.runner.run_workload`)."""
+    """Validate one machine job, run it, and return its row with the
+    full outcome — the path under both :func:`execute_spec` and
+    ``api.submit``.  ``library`` overrides the registry lookup (see
+    :func:`~.runner.run_workload`)."""
     job.validate()
     started = time.perf_counter()
-    with scoped_namespace(job.namespace):
-        outcome = run_workload(job, library=library)
+    outcome = run_workload(job, library=library)
     wall = time.perf_counter() - started
     return _row_from_workload(job, outcome, wall), outcome
 

@@ -22,6 +22,7 @@ from ..dbt import DBTEngine, NATIVE, NativeRunner, RunResult, \
     resolve_variant
 from ..dbt.config import Tier2Config
 from ..dbt.runtime import _ARM_REG_OF_GUEST, guest_reg
+from ..dbt.xlat_cache import get_cache
 from ..errors import JobError, ReproError
 from ..isa.arm.assembler import assemble as assemble_arm
 from ..loader.gelf import build_binary
@@ -52,10 +53,13 @@ class WorkloadResult:
 def _make_engine(variant: str, n_cores: int, seed: int,
                  costs: CostModel | None,
                  buffer_mode: BufferMode = BufferMode.WEAK,
-                 tier2_threshold: int = 0):
+                 tier2_threshold: int = 0, namespace: str = ""):
     """The engine for ``variant``; a positive ``tier2_threshold``
     promotes hot blocks to superblock traces at that dispatch count,
-    ``0`` keeps tier-2 off (native runs ignore it)."""
+    ``0`` keeps tier-2 off (native runs ignore it).  A DBT engine
+    translates through the cache of ``namespace`` under the
+    ``REPRO_XLAT_CACHE`` root, the ambient ``REPRO_XLAT_CACHE_NS`` when
+    it is "" — the one place an engine's cache is chosen."""
     config = resolve_variant(variant)
     if config is None:
         engine = NativeRunner(n_cores=n_cores, seed=seed, costs=costs,
@@ -63,6 +67,7 @@ def _make_engine(variant: str, n_cores: int, seed: int,
     else:
         engine = DBTEngine(config, n_cores=n_cores, seed=seed,
                            costs=costs, buffer_mode=buffer_mode,
+                           xlat_cache=get_cache(namespace),
                            tier2=Tier2Config(threshold=tier2_threshold)
                            if tier2_threshold > 0 else None)
     # Parity guard for grid sweeps: every variant of a benchmark,
@@ -295,7 +300,7 @@ def run_workload(desc, *, library=None) -> WorkloadResult:
     kind = MACHINE_KINDS[desc.kind]
     engine = _make_engine(desc.variant, kind.cores(desc), desc.seed,
                           desc.costs, desc.buffer_mode,
-                          desc.tier2_threshold)
+                          desc.tier2_threshold, desc.namespace)
     entry = kind.load(desc, engine, library)
     result = engine.run(entry, max_steps=desc.max_steps)
     return WorkloadResult(

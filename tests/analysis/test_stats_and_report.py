@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import (
-    BenchRow,
     BenchTable,
     aggregate_sweep,
     figure12_report,
@@ -29,9 +28,9 @@ def table():
             ("beta", "no-fences", 1500, 0),
             ("beta", "native", 300, 0),
     ):
-        t.add(BenchRow(benchmark=bench, variant=variant,
-                       cycles=cycles, fence_cycles=fences,
-                       total_cycles=cycles, checksum=7))
+        t.add(RunRow(benchmark=bench, variant=variant,
+                     cycles=cycles, fence_cycles=fences,
+                     total_cycles=cycles, checksum=7))
     return t
 
 
@@ -58,12 +57,12 @@ class TestBenchTable:
 
     def test_checksum_consistency(self, table):
         assert table.checksums_consistent("alpha")
-        table.add(BenchRow(benchmark="alpha", variant="broken",
-                           cycles=1, checksum=9))
+        table.add(RunRow(benchmark="alpha", variant="broken",
+                         cycles=1, checksum=9))
         assert not table.checksums_consistent("alpha")
 
     def test_zero_total_cycles_fence_share(self):
-        row = BenchRow(benchmark="x", variant="v", cycles=10)
+        row = RunRow(benchmark="x", variant="v", cycles=10)
         assert row.fence_share == 0.0
 
 
@@ -74,9 +73,9 @@ class TestSparseTable:
     @pytest.fixture
     def sparse(self, table):
         # gamma ran only under qemu: no tcg-ver cell.
-        table.add(BenchRow(benchmark="gamma", variant="qemu",
-                           cycles=4000, fence_cycles=400,
-                           total_cycles=4000, checksum=7))
+        table.add(RunRow(benchmark="gamma", variant="qemu",
+                         cycles=4000, fence_cycles=400,
+                         total_cycles=4000, checksum=7))
         return table
 
     def test_cycles_missing_cell_raises(self, sparse):
@@ -106,8 +105,8 @@ class TestSparseTable:
 
     def test_no_overlapping_cells_raises(self):
         t = BenchTable(name="t")
-        t.add(BenchRow(benchmark="a", variant="qemu", cycles=100))
-        t.add(BenchRow(benchmark="b", variant="risotto", cycles=90))
+        t.add(RunRow(benchmark="a", variant="qemu", cycles=100))
+        t.add(RunRow(benchmark="b", variant="risotto", cycles=90))
         with pytest.raises(ReproError):
             t.average_gain("risotto")
 

@@ -523,7 +523,6 @@ GOLDEN_LITMUS = {('MP', 'tso'): {'cycles': 246184,
 if __name__ == "__main__":
     patch = pytest.MonkeyPatch()
     patch.setenv("REPRO_XLAT_CACHE", "off")
-    patch.delenv("REPRO_TIER2_THRESHOLD", raising=False)
     rec = _Recorder(patch)
     kernels = {(k, c[0]): observe_kernel(rec, k, c[0])
                for k in KERNELS for c in CELLS}

@@ -1,16 +1,25 @@
 """Tests for the typed job schema (:mod:`repro.serve.jobs`).
 
 The contract under test: a JobSpec/JobResult survives its JSON codec
-unchanged, malformed payloads fail as typed :class:`JobError`s (never
-tracebacks), the error taxonomy classifies exceptions subclass-first,
-and local execution through a job is bit-identical to the direct
-``api`` call it replaces.
+unchanged, malformed payloads and responses fail as typed
+:class:`JobError`s (never tracebacks), the error taxonomy classifies
+exceptions subclass-first, a job's cache namespace is an argument that
+no run writes into the environment, and local execution through a job
+is bit-identical to the direct ``api`` call it replaces.
 """
 
+import ast
+import io
+import json
+import math
 import os
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro import api
 from repro.dbt import xlat_cache
 from repro.errors import (
@@ -33,9 +42,10 @@ from repro.serve.jobs import (
     kernel_job,
     library_job,
     run_job,
-    scoped_namespace,
 )
-from repro.store import sanitize_namespace
+from repro.serve.client import ServeClient
+from repro.store import DiskStore, sanitize_namespace
+from repro.workloads import parallel
 from repro.workloads.casbench import CasConfig
 from repro.workloads.kernels import KernelSpec
 
@@ -132,6 +142,11 @@ class TestValidation:
         assert sanitize_namespace("a.b-c_d") == "a.b-c_d"
 
 
+#: The smallest result payload the decoder accepts.
+MINIMAL_RESULT = {"schema": JOB_SCHEMA, "kind": "kernel",
+                  "benchmark": "b", "variant": "qemu"}
+
+
 class TestJobResultCodec:
     def test_success_roundtrip(self):
         result = JobResult(job_id="j", kind="kernel", benchmark="b",
@@ -162,6 +177,107 @@ class TestJobResultCodec:
     def test_schema_tag_checked(self):
         with pytest.raises(JobError, match="unsupported"):
             JobResult.from_json({"schema": "repro-serve/0"})
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        "x",
+        {**MINIMAL_RESULT, "ok": "false"},
+        {**MINIMAL_RESULT, "ok": False, "error": "oops"},
+        {**MINIMAL_RESULT, "cycles": True},
+        {**MINIMAL_RESULT, "seed": 1.5},
+        {**MINIMAL_RESULT, "checksum": "7"},
+    ], ids=["list", "string", "ok-string", "error-string",
+            "bool-cycles", "float-seed", "string-checksum"])
+    def test_malformed_result_is_typed(self, payload):
+        with pytest.raises(JobError):
+            JobResult.from_json(payload)
+
+    def test_absent_keys_decode_as_defaults(self):
+        result = JobResult.from_json(MINIMAL_RESULT)
+        assert not result.ok  # a result that does not say so failed
+        assert (result.job_id, result.seed, result.error) == ("", 0, None)
+        assert result.cache_tier == "none" and result.batch_size == 1
+        for required in ("kind", "benchmark", "variant"):
+            payload = dict(MINIMAL_RESULT)
+            del payload[required]
+            with pytest.raises(JobError, match=required):
+                JobResult.from_json(payload)
+
+    def test_integral_float_fields_decode_as_floats(self):
+        result = JobResult.from_json({**MINIMAL_RESULT,
+                                      "wall_seconds": 2})
+        assert type(result.wall_seconds) is float
+
+
+#: Any JSON value, with the edge numbers drawn often (NaN and the
+#: infinities included: Python's ``json`` reads them).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from([math.inf, -math.inf, math.nan, -1, 2 ** 64]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+#: (codec, a valid payload of it): every job kind, a success and a
+#: failure.
+VALID_PAYLOADS = [
+    (JobSpec, kernel_job(TINY, variant="risotto", costs=CostModel(),
+                         tier2_threshold=4, namespace="t").to_json()),
+    (JobSpec, library_job("sqrt", (7,), 4, variant="qemu",
+                          library="libm",
+                          setup="digest-buffer").to_json()),
+    (JobSpec, cas_job(CasConfig(threads=2, variables=2, attempts=4),
+                      variant="qemu").to_json()),
+    (JobResult, JobResult(job_id="j", kind="kernel", benchmark="b",
+                          variant="qemu", seed=7, cycles=10,
+                          checksum=3, wall_seconds=0.5).to_json()),
+    (JobResult, JobResult.from_error(
+        kernel_job(TINY, variant="qemu"),
+        ErrorInfo("timeout", "TimeoutError: slow", True)).to_json()),
+]
+
+
+class TestProtocolFuzz:
+    """Whatever arrives, a decoder returns or raises :class:`JobError`:
+    never a traceback of another type."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_one_field_replaced_or_removed(self, data):
+        for codec, valid in VALID_PAYLOADS:
+            for key in valid:
+                removed = {k: v for k, v in valid.items() if k != key}
+                replaced = {**valid, key: data.draw(JSON_VALUES)}
+                for payload in (removed, replaced):
+                    try:
+                        codec.from_json(payload)
+                    except JobError:
+                        pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
+    def test_non_objects(self, value):
+        for codec in (JobSpec, JobResult):
+            with pytest.raises(JobError):
+                codec.from_json(value)
+
+
+class TestClientTypedErrors:
+    """A response line that is JSON but not what the protocol sends is
+    a :class:`JobError` on the client, like any protocol breakage."""
+
+    @pytest.mark.parametrize("line", [
+        "[1, 2]", "null", '"x"',
+        json.dumps({"schema": JOB_SCHEMA, "ok": False, "error": "oops"}),
+        json.dumps({"schema": JOB_SCHEMA, "ok": False, "error": [1]}),
+    ], ids=["list", "null", "string", "error-string", "error-list"])
+    def test_malformed_response_is_typed(self, line):
+        client = object.__new__(ServeClient)  # no socket: fake streams
+        client._rfile = io.BytesIO(line.encode() + b"\n")
+        client._wfile = io.BytesIO()
+        with pytest.raises(JobError):
+            client.submit(kernel_job(TINY, variant="qemu"))
 
 
 class TestCacheTier:
@@ -199,23 +315,74 @@ class TestErrorTaxonomy:
         assert ErrorInfo.from_json(info.to_json()) == info
 
 
-class TestScopedNamespace:
-    def test_sets_and_restores_the_env(self, monkeypatch):
-        monkeypatch.delenv(xlat_cache.NAMESPACE_ENV, raising=False)
-        with scoped_namespace("tenant"):
-            assert os.environ[xlat_cache.NAMESPACE_ENV] == "tenant"
-        assert xlat_cache.NAMESPACE_ENV not in os.environ
-        monkeypatch.setenv(xlat_cache.NAMESPACE_ENV, "ambient")
-        with scoped_namespace("tenant"):
-            assert os.environ[xlat_cache.NAMESPACE_ENV] == "tenant"
-        assert os.environ[xlat_cache.NAMESPACE_ENV] == "ambient"
+#: The ``os.environ`` methods that change it.
+ENVIRON_WRITERS = {"pop", "popitem", "update", "setdefault", "clear",
+                   "__setitem__", "__delitem__"}
 
-    def test_empty_namespace_inherits_environment(self, monkeypatch):
-        # "" must NOT clear ambient namespaces: local api.run_* calls
-        # behave exactly as before the serve layer existed.
+
+class TestTenancyIsAnArgument:
+    """A job's namespace reaches its engine as an argument: the run
+    writes nothing to ``os.environ`` (a process-wide write that every
+    thread of a server shares)."""
+
+    @pytest.fixture()
+    def cache_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(xlat_cache.ENV_VAR, str(tmp_path))
+        monkeypatch.delenv(xlat_cache.NAMESPACE_ENV, raising=False)
+        yield tmp_path
+        xlat_cache.reset_memory()
+
+    def test_empty_namespace_uses_the_ambient_one(self, cache_root,
+                                                  monkeypatch):
+        # "" must not clear an ambient namespace: local api.run_*
+        # calls behave exactly as before the serve layer existed.
         monkeypatch.setenv(xlat_cache.NAMESPACE_ENV, "ambient")
-        with scoped_namespace(""):
-            assert os.environ[xlat_cache.NAMESPACE_ENV] == "ambient"
+        result = api.submit(kernel_job(TINY, variant="risotto", seed=5))
+        assert result.ok and result.xlat_misses > 0
+        assert DiskStore(cache_root / "ambient").entries()
+        assert not DiskStore(cache_root).entries()
+
+    def test_namespaced_submit_leaves_the_environment(self, cache_root,
+                                                      monkeypatch):
+        before = dict(os.environ)
+        during = []
+        run_workload = parallel.run_workload
+
+        def spy(job, **kwargs):
+            during.append(dict(os.environ))
+            return run_workload(job, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_workload", spy)
+        result = api.submit(kernel_job(TINY, variant="risotto", seed=5,
+                                       namespace="tenant"))
+        assert during == [before]
+        assert result.ok and result.xlat_misses > 0
+        assert DiskStore(cache_root / "tenant").entries()
+        assert not DiskStore(cache_root).entries()
+
+    def test_nothing_in_the_package_writes_the_environment(self):
+        def is_environ(node) -> bool:
+            return ast.unparse(node) in ("os.environ", "environ")
+
+        root = Path(repro.__file__).parent
+        writes = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Subscript) and isinstance(
+                        node.ctx, (ast.Store, ast.Del)):
+                    written = is_environ(node.value)
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    written = ast.unparse(func) in ("os.putenv",
+                                                    "os.unsetenv") \
+                        or isinstance(func, ast.Attribute) \
+                        and is_environ(func.value) \
+                        and func.attr in ENVIRON_WRITERS
+                else:
+                    continue
+                if written:
+                    writes.append(f"{path.name}:{node.lineno}")
+        assert writes == []
 
 
 class TestLocalExecution:

@@ -205,7 +205,6 @@ class TestOptimizerGolden:
 def _write_golden() -> None:
     patch = pytest.MonkeyPatch()
     patch.setenv("REPRO_XLAT_CACHE", "off")
-    patch.delenv("REPRO_TIER2_THRESHOLD", raising=False)
     capture = _Capture(patch)
     golden = {"stats": {}, "blocks": {}}
     for surface in SURFACES:

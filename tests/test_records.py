@@ -149,8 +149,7 @@ def test_a_cold_pass_interns_only_pipeline_names(tmp_path):
     from repro.tcg.ir import ALL_GLOBALS
 
     env = {"PYTHONPATH": f"{REPO / 'src'}:{REPO}",
-           "REPRO_XLAT_CACHE": str(tmp_path / "xlat"),
-           "REPRO_TIER2_THRESHOLD": "0"}
+           "REPRO_XLAT_CACHE": str(tmp_path / "xlat")}
     done = subprocess.run([sys.executable, "-c", _PASS], env=env,
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=600)

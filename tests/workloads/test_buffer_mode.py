@@ -79,10 +79,10 @@ class TestRunSpecPlumbing:
         captured = {}
 
         def spy_make_engine(variant, n_cores, seed, costs, buffer_mode,
-                            tier2_threshold):
+                            *rest):
             captured.update(variant=variant, buffer_mode=buffer_mode)
             return _make_engine(variant, n_cores, seed, costs,
-                                buffer_mode, tier2_threshold)
+                                buffer_mode, *rest)
 
         monkeypatch.setattr(runner, "_make_engine", spy_make_engine)
         spec = kernel_job(TINY, variant="native",

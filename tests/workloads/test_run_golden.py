@@ -145,7 +145,6 @@ class TestRunGolden:
 def _write_golden() -> None:
     patch = pytest.MonkeyPatch()
     patch.setenv("REPRO_XLAT_CACHE", "off")
-    patch.delenv("REPRO_TIER2_THRESHOLD", raising=False)
     rows = {}
     for name, cells in grids().items():
         rows.update(row_digests(name, cells))
