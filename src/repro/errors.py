@@ -81,22 +81,6 @@ class ErrorInfo:
     message: str
     retryable: bool = False
 
-    def to_json(self) -> dict:
-        return {"code": self.code, "message": self.message,
-                "retryable": self.retryable}
-
-    @classmethod
-    def from_json(cls, payload) -> "ErrorInfo":
-        """Decode an error object; a wrong JSON type is a
-        :class:`JobError`."""
-        if not isinstance(payload, dict) \
-                or type(payload.get("code")) is not str \
-                or type(payload.get("message")) is not str \
-                or type(payload.get("retryable", False)) is not bool:
-            raise JobError(f"malformed error payload: {payload!r}")
-        return cls(payload["code"], payload["message"],
-                   payload.get("retryable", False))
-
 
 #: Exception type -> error code, most-specific first: subclasses must
 #: precede their bases (LinkError before LoaderError), and the

@@ -1,8 +1,8 @@
 """Client for the serve protocol (line-delimited JSON over TCP).
 
-:class:`ServeClient` speaks the same :class:`~repro.serve.jobs`
-codecs as the server, so a submitted :class:`JobSpec` round-trips to
-a :class:`JobResult` with no re-interpretation anywhere.
+:class:`ServeClient` speaks the server's one codec (``to_wire`` /
+``from_wire``), so a submitted :class:`JobSpec` round-trips to a
+:class:`JobResult` with no re-interpretation anywhere.
 ``submit_many`` pipelines: it writes every request before reading any
 response, so several of this client's jobs are in flight at once and
 the answers come back in request order.
@@ -18,7 +18,7 @@ import json
 import socket
 
 from ..errors import ErrorInfo, JobError
-from .jobs import JOB_SCHEMA, JobResult, JobSpec
+from .jobs import JOB_SCHEMA, JobResult, JobSpec, from_wire
 
 
 class ServeClient:
@@ -64,7 +64,7 @@ class ServeClient:
         # it as the typed error the protocol promised.
         error = response.get("error")
         if error is not None:
-            error = ErrorInfo.from_json(error)
+            error = from_wire(ErrorInfo, error)
             raise JobError(f"[{error.code}] {error.message}")
         raise JobError(f"malformed response: {response!r}")
 
@@ -92,7 +92,7 @@ class ServeClient:
         self._send({"op": "stats"})
         response = self._recv()
         if not response.get("ok"):
-            error = ErrorInfo.from_json(response.get("error", {
+            error = from_wire(ErrorInfo, response.get("error", {
                 "code": "internal", "message": "stats failed"}))
             raise JobError(f"[{error.code}] {error.message}")
         return response.get("stats", {})

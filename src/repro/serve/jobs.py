@@ -2,12 +2,11 @@
 
 A job is a :class:`~repro.workloads.jobspec.JobSpec` — the one
 machine-run description, which sweeps run too — and a
-:class:`JobResult` the typed response.  The result's JSON codec,
-under the same :data:`JOB_SCHEMA` tag, is its fields by name in
-declaration order, each decoded against the JSON types of its
-annotation; so the same objects travel through a local
-``api.submit(job)`` call and over the serve socket protocol, and a
-served run is bit-identical to a direct one.
+:class:`JobResult` the typed response.  Both cross the serve socket
+through the job's codec (:func:`~repro.workloads.jobspec.to_wire` /
+``from_wire``, under the same :data:`JOB_SCHEMA` tag) and the process
+pool as objects, so a local ``api.submit(job)`` and a served job run
+the same objects, and a served run is bit-identical to a direct one.
 
 A result's measured fields are copied by name from the run's
 :class:`~repro.workloads.parallel.RunRow`, the row a sweep gets for the
@@ -22,17 +21,20 @@ result's typed :class:`~repro.errors.ErrorInfo`.
 from __future__ import annotations
 
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
-from ..errors import ErrorInfo, JobError, classify_error
+from ..errors import ErrorInfo, classify_error
 # The job description and its builders live with the executor; the
 # serve layer and its callers name them through this module too.
 from ..workloads.jobspec import (  # noqa: F401 - re-exports
     JOB_SCHEMA,
     JobSpec,
     cas_job,
+    from_wire,
     kernel_job,
     library_job,
+    to_wire,
+    wire_form,
 )
 from ..workloads.parallel import RunRow, run_job_row
 from ..workloads.runner import WorkloadResult
@@ -55,7 +57,6 @@ class JobResult:
     seed: int
     namespace: str = ""
     ok: bool = True
-    error: ErrorInfo | None = None
     # Measured quantities (success only).
     cycles: int = 0
     fence_cycles: int = 0
@@ -77,6 +78,8 @@ class JobResult:
     #: ``serve_mix`` benchmark reads it for ``serve.batch_size_mean``;
     #: the benchmark change that drops that metric deletes this field.
     batch_size: int = 1
+    #: the classified failure (``ok`` false only); last on the wire.
+    error: ErrorInfo | None = None
     #: The full in-process outcome — never serialized; this is what
     #: lets ``api.run_*`` keep returning :class:`WorkloadResult`.
     outcome: WorkloadResult | None = field(
@@ -116,55 +119,20 @@ class JobResult:
             wall_seconds=wall,
         )
 
-    # ------------------------------------------------------------------
-    # Codec: the fields themselves, in declaration order (see _WIRE)
-    # ------------------------------------------------------------------
+    # Codec: the job's (see :func:`~repro.workloads.jobspec.wire_form`).
     def to_json(self) -> dict:
-        payload = {"schema": JOB_SCHEMA}
-        for name, _, _ in _WIRE:
-            payload[name] = getattr(self, name)
-        if self.error is not None:
-            payload["error"] = self.error.to_json()
-        return payload
+        return to_wire(self)
 
     @classmethod
     def from_json(cls, payload) -> "JobResult":
-        """Decode a result, checking every field's JSON type (a
-        ``bool`` is not an ``int``); anything else is a
-        :class:`JobError`."""
-        if not isinstance(payload, dict):
-            raise JobError(f"result payload must be an object, got "
-                           f"{type(payload).__name__}")
-        if payload.get("schema") != JOB_SCHEMA:
-            raise JobError(f"result schema {payload.get('schema')!r} "
-                           f"unsupported (expected {JOB_SCHEMA!r})")
-        values = {}
-        for name, types, absent in _WIRE:
-            value = payload.get(name, absent)
-            if value is MISSING:
-                raise JobError(f"result payload lacks {name!r}")
-            if type(value) not in types:
-                raise JobError(f"result field {name!r} is "
-                               f"{type(value).__name__}")
-            values[name] = float(value) if float in types else value
-        error = payload.get("error")
-        return cls(error=None if error is None
-                   else ErrorInfo.from_json(error), **values)
+        return from_wire(cls, payload)
 
 
-#: JSON types a field's annotation accepts (``float`` takes an integer
-#: literal too).
-_JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,),
-               "int | None": (int, type(None)), "float": (int, float)}
 #: A key's value when absent, where it is not the field's default: a
 #: result that does not say it succeeded did not.
 _ABSENT = {"job_id": "", "seed": 0, "ok": False}
-#: The ``repro-serve/1`` result keys: (name, accepted JSON types, value
-#: when absent) per field, in declaration order.  ``error`` travels as
-#: its :class:`ErrorInfo` object after them, ``outcome`` never.
-_WIRE = tuple(
-    (f.name, _JSON_TYPES[f.type], _ABSENT.get(f.name, f.default))
-    for f in fields(JobResult) if f.name not in ("error", "outcome"))
+wire_form(JobResult, schema=JOB_SCHEMA, absent=_ABSENT,
+          omit_none=("error",))
 
 #: What a result copies from its run's row: every field the two
 #: declare, by name (identity, cycles, checksum, wall time, xlat_*).

@@ -188,19 +188,18 @@ def _client_worker(config: LoadgenConfig,
                    assigned: list[tuple[int, JobSpec]],
                    epoch: float, out: dict) -> None:
     """One connection's replay: a writer thread paces the sends on
-    the global schedule (job *i* goes out at ``epoch + i/qps``) while
+    the global schedule (job *i* is due at ``epoch + i/qps``) while
     this thread reads the pipelined responses in order, so a slow job
-    delays no later send."""
+    delays no later send.  A latency runs from the due time, not the
+    actual send, so a late writer's own delay is counted, not hidden
+    (no coordinated omission)."""
     client = ServeClient(config.host, config.port)
-    send_times: dict[int, float] = {}
 
     def _writer() -> None:
         for index, job in assigned:
-            target = epoch + index / config.qps
-            delay = target - time.perf_counter()
+            delay = epoch + index / config.qps - time.perf_counter()
             if delay > 0:
                 time.sleep(delay)
-            send_times[index] = time.perf_counter()
             client._send({"op": "submit", "job": job.to_json()})
 
     writer = threading.Thread(target=_writer, daemon=True)
@@ -208,8 +207,8 @@ def _client_worker(config: LoadgenConfig,
     try:
         for index, _job in assigned:
             result = client._result_of(client._recv())
-            out[index] = (result,
-                          time.perf_counter() - send_times[index])
+            out[index] = (result, time.perf_counter()
+                          - (epoch + index / config.qps))
     finally:
         writer.join(timeout=60)
         client.close()

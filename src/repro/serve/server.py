@@ -13,15 +13,17 @@ how one client keeps several jobs in flight)::
     {"schema": "repro-serve/1", "op": "submit", "ok": false,
      "error": {"code": ..., "message": ..., "retryable": ...}}
 
-Architecture: every connection handler enqueues submitted jobs into
-one :class:`JobDispatcher`.  A single dispatcher thread takes each job
-off the queue as soon as a ``ProcessPoolExecutor`` worker is free and
-sends it to the pool as its own task; the worker runs it
-(``run_job_row``) on an engine built with the job's cache namespace.  The dispatcher's queue
-is the only place a job waits, so its ``queue_seconds`` is the whole
-wait for a worker.  Worker processes are long-lived, so
-their in-memory translation LRUs stay warm across requests — the
-serving win the paper's cache layer was built for.
+A line longer than :data:`MAX_LINE_BYTES` is a ``bad-request`` that
+closes the connection.  JSON exists only at the socket
+(``_Handler._respond`` decodes, ``_write_loop`` encodes): handlers
+enqueue the decoded :class:`JobSpec` into one :class:`JobDispatcher`,
+whose thread hands each job object to a free ``ProcessPoolExecutor``
+worker as its own task; the worker runs it (:func:`run_job`) and
+returns the :class:`JobResult` object.  The dispatcher's queue is the
+only place a job waits, so its ``queue_seconds`` is the whole wait for
+a worker.  Worker processes are long-lived, so their in-memory
+translation LRUs stay warm across requests — the serving win the
+paper's cache layer was built for.
 
 Per-request observability travels on each :class:`JobResult` (queue
 wait, cache hit tier, execution seconds, typed error code), which
@@ -39,11 +41,15 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from ..errors import ErrorInfo, JobError, classify_error
 from ..workloads.parallel import default_workers
-from .jobs import JOB_SCHEMA, JobResult, JobSpec, run_job
+from .jobs import JOB_SCHEMA, JobResult, JobSpec, run_job, to_wire
+
+#: The longest request line read, newline excluded (1 MiB).
+MAX_LINE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -57,20 +63,9 @@ class ServeConfig:
     workers: int | None = None
 
 
-def _run_one(payload: dict) -> dict:
-    """Worker entry point: run one wire job, return its wire result.
-    Top-level so the pool can pickle it; every outcome is a result
-    dict — errors are classified, never raised."""
-    try:
-        job = JobSpec.from_json(payload)
-    except Exception as exc:  # noqa: BLE001 - boundary
-        stub = JobSpec(
-            kind=str(payload.get("kind") or "kernel"),
-            benchmark=str(payload.get("benchmark") or "?"),
-            variant=str(payload.get("variant") or "?"),
-            job_id=str(payload.get("job_id") or ""))
-        return JobResult.from_error(stub, classify_error(exc)).to_json()
-    return run_job(job).to_json()
+def _run_in_worker(job: JobSpec) -> JobResult:
+    """The pool's (picklable) task: the result without its outcome."""
+    return replace(run_job(job), outcome=None)
 
 
 @dataclass
@@ -150,16 +145,15 @@ class JobDispatcher:
     def _dispatch(self, pending: _Pending) -> None:
         wait = time.perf_counter() - pending.enqueued_at
         self.jobs_dispatched += 1
-        payload = pending.job.to_json()
         if self.workers == 0:
             self._free.release()
-            self._deliver(pending, _run_one(payload), wait)
+            self._deliver(pending, _run_in_worker(pending.job), wait)
             return
         try:
-            pool_future = self._get_pool().submit(_run_one, payload)
+            pool_future = self._get_pool().submit(_run_in_worker, pending.job)
         except Exception as exc:  # noqa: BLE001 - pool creation died
             self._free.release()
-            self._fail(pending, wait, exc)
+            self._deliver(pending, _failed(pending.job, exc), wait)
             return
         pool_future.add_done_callback(
             lambda f, p=pending, w=wait: self._on_done(f, p, w))
@@ -168,35 +162,29 @@ class JobDispatcher:
                  wait: float) -> None:
         self._free.release()
         try:
-            payload = pool_future.result()
+            result = pool_future.result()
         except BrokenProcessPool as exc:
             self._drop_pool()
-            self._fail(pending, wait, exc, code="unavailable")
-            return
+            result = _failed(pending.job, exc, code="unavailable")
         except Exception as exc:  # noqa: BLE001 - boundary
-            self._fail(pending, wait, exc)
-            return
-        self._deliver(pending, payload, wait)
+            result = _failed(pending.job, exc)
+        self._deliver(pending, result, wait)
 
-    def _fail(self, pending: _Pending, wait: float, exc: Exception,
-              code: str | None = None) -> None:
-        info = classify_error(exc)
-        if code is not None:
-            info = ErrorInfo(code=code, message=info.message,
-                             retryable=True)
-        result = JobResult.from_error(pending.job, info)
-        result.queue_seconds = wait
-        pending.future.set_result(result)
-
-    def _deliver(self, pending: _Pending, payload: dict,
+    @staticmethod
+    def _deliver(pending: _Pending, result: JobResult,
                  wait: float) -> None:
-        try:
-            result = JobResult.from_json(payload)
-        except Exception as exc:  # noqa: BLE001
-            result = JobResult.from_error(pending.job,
-                                          classify_error(exc))
         result.queue_seconds = wait
         pending.future.set_result(result)
+
+
+def _failed(job: JobSpec, exc: Exception,
+            code: str | None = None) -> JobResult:
+    """A failed result; ``code`` overrides the classified one as a
+    retryable error."""
+    info = classify_error(exc)
+    if code is not None:
+        info = ErrorInfo(code=code, message=info.message, retryable=True)
+    return JobResult.from_error(job, info)
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +207,13 @@ class _Handler(socketserver.StreamRequestHandler):
                                   args=(out,), daemon=True)
         writer.start()
         try:
-            for raw in self.rfile:
+            for raw in iter(partial(self.rfile.readline,
+                                    MAX_LINE_BYTES + 1), b""):
+                if len(raw) > MAX_LINE_BYTES and raw[-1:] != b"\n":
+                    out.put(_error_response("?", ErrorInfo(
+                        "bad-request", f"request line longer than "
+                        f"{MAX_LINE_BYTES} bytes", False)))
+                    break
                 line = raw.decode("utf-8", errors="replace").strip()
                 if not line:
                     continue
@@ -259,9 +253,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 return ("submit", server.dispatcher.submit(job))
             except Exception as exc:  # noqa: BLE001 - boundary
                 return _error_response("submit", classify_error(exc))
-        return _error_response(
-            str(op), ErrorInfo("bad-request",
-                               f"unknown op {op!r}", False))
+        return _error_response(op, ErrorInfo(
+            "bad-request", f"unknown op {op!r}", False))
 
     def _write_loop(self, out: queue.Queue) -> None:
         while True:
@@ -275,7 +268,7 @@ class _Handler(socketserver.StreamRequestHandler):
                         "ok": result.ok,
                         "result": result.to_json()}
                 if not result.ok and result.error is not None:
-                    item["error"] = result.error.to_json()
+                    item["error"] = to_wire(result.error)
             try:
                 self.wfile.write(
                     (json.dumps(item, separators=(",", ":"))
@@ -285,9 +278,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 return  # client went away; drain and exit
 
 
-def _error_response(op: str, info: ErrorInfo) -> dict:
+def _error_response(op, info: ErrorInfo) -> dict:
     return {"schema": JOB_SCHEMA, "op": op, "ok": False,
-            "error": info.to_json()}
+            "error": to_wire(info)}
 
 
 class ReproServer:

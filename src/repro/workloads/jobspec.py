@@ -1,15 +1,17 @@
-"""The machine-run description: :class:`JobSpec`, its codec and builders.
+"""The machine-run description: :class:`JobSpec`, its builders, and
+the one ``repro-serve/1`` codec.
 
 A :class:`JobSpec` describes one ``kernel`` / ``library`` / ``cas``
 run completely, and it is the only such description: the figure
 sweeps build their cells with :func:`kernel_job` / :func:`library_job`
 / :func:`cas_job` and run them through
 :func:`~repro.workloads.parallel.run_parallel`, and ``api.submit`` and
-the serve workers run the very same objects.  It carries a JSON codec
-under the :data:`JOB_SCHEMA` tag, so a job travels unchanged over the
-serve socket protocol and a served run is bit-identical to a direct
-one (the job *is* the run description; there is nothing else to
-diverge on).
+the serve workers run the very same objects.  Every record on the
+serve socket (job, result, error, and the records in them) goes
+through the one codec here, :func:`to_wire` / :func:`from_wire` under
+the :data:`JOB_SCHEMA` tag: its fields by name, decoded against their
+annotations and never coerced, so a served job runs what the client
+sent and a served run is bit-identical to a direct one.
 
 Tenancy: ``namespace`` names the translation-cache namespace the
 job's engine is built with, whichever path runs the job; it is an
@@ -21,8 +23,11 @@ before.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+import enum
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import partial
+from types import UnionType
 
 from ..errors import JobError
 from ..machine.timing import CostModel
@@ -61,7 +66,8 @@ class JobSpec:
     #: Tier-2 hotness knob for DBT variants: ``0`` keeps tier-2 off, a
     #: positive count promotes hot blocks to superblock traces at that
     #: dispatch count.  Ignored by native runs.  The wire carries off
-    #: as ``null``, as clients that predate the integer form send it.
+    #: as ``null``, as clients that predate the integer form send it
+    #: (absent or ``null`` decodes to off).
     tier2_threshold: int = 0
     costs: CostModel | None = None
     #: cache tenancy scope; "" uses the executor's ambient namespace.
@@ -109,79 +115,127 @@ class JobSpec:
             raise JobError(f"cas payload missing for "
                            f"{self.benchmark!r}")
 
-    # ------------------------------------------------------------------
-    # Codec
-    # ------------------------------------------------------------------
+    # Codec: the one below, JobSpec's wire form declared after it.
     def to_json(self) -> dict:
-        payload: dict = {
-            "schema": JOB_SCHEMA,
-            "kind": self.kind,
-            "benchmark": self.benchmark,
-            "variant": self.variant,
-            "seed": self.seed,
-            "max_steps": self.max_steps,
-            "buffer_mode": self.buffer_mode.value,
-            "tier2_threshold": self.tier2_threshold or None,
-            "namespace": self.namespace,
-            "job_id": self.job_id,
-        }
-        if self.costs is not None:
-            payload["costs"] = dataclasses.asdict(self.costs)
-        if self.kernel is not None:
-            payload["kernel"] = dataclasses.asdict(self.kernel)
-        if self.kind == "library":
-            payload["library"] = self.library
-            payload["function"] = self.function
-            payload["args"] = list(self.args)
-            payload["calls"] = self.calls
-            payload["setup"] = self.setup
-        if self.cas is not None:
-            payload["cas"] = dataclasses.asdict(self.cas)
-        return payload
+        return to_wire(self)
 
     @classmethod
-    def from_json(cls, payload: dict) -> "JobSpec":
-        if not isinstance(payload, dict):
-            raise JobError(f"job payload must be an object, got "
-                           f"{type(payload).__name__}")
-        schema = payload.get("schema")
-        if schema != JOB_SCHEMA:
-            raise JobError(f"job schema {schema!r} unsupported "
-                           f"(expected {JOB_SCHEMA!r})")
-        try:
-            buffer_mode = BufferMode(
-                payload.get("buffer_mode", BufferMode.WEAK.value))
-        except ValueError:
-            raise JobError(f"unknown buffer_mode "
-                           f"{payload.get('buffer_mode')!r}") from None
-        try:
-            costs = payload.get("costs")
-            kernel = payload.get("kernel")
-            cas = payload.get("cas")
-            job = cls(
-                kind=str(payload["kind"]),
-                benchmark=str(payload["benchmark"]),
-                variant=str(payload["variant"]),
-                seed=int(payload.get("seed", 7)),
-                max_steps=int(payload.get("max_steps", 80_000_000)),
-                buffer_mode=buffer_mode,
-                tier2_threshold=int(payload.get("tier2_threshold")
-                                    or 0),
-                costs=None if costs is None else CostModel(**costs),
-                namespace=str(payload.get("namespace", "")),
-                job_id=str(payload.get("job_id", "")),
-                kernel=None if kernel is None else KernelSpec(**kernel),
-                library=payload.get("library"),
-                function=payload.get("function"),
-                args=tuple(int(a) for a in payload.get("args", ())),
-                calls=int(payload.get("calls", 0)),
-                setup=payload.get("setup"),
-                cas=None if cas is None else CasConfig(**cas),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise JobError(f"malformed job payload: {exc}") from None
+    def from_json(cls, payload) -> "JobSpec":
+        job = from_wire(cls, payload)
         job.validate()
         return job
+
+
+# ----------------------------------------------------------------------
+# The repro-serve/1 codec: a record on the wire is its fields by name
+# ----------------------------------------------------------------------
+#: Per record class, built once: (schema tag or None, one (name, encode,
+#: decode, value when absent, omitted when None, only for this kind)
+#: entry per field on the wire).
+_FORMS: dict[type, tuple] = {}
+
+
+def wire_form(cls, *, schema=None, absent=None, null=None, omit_none=(),
+              payloads=None) -> tuple:
+    """Build ``cls``'s wire table from its fields and annotations and
+    from how its wire form departs from them, which is data: ``absent``
+    maps a key to its value when missing (else the field's default; a
+    field without one is required), ``null`` a key to the value sent as
+    null (and read from it), ``omit_none`` names keys left out when
+    ``None``, and ``payloads`` maps a ``kind`` to the keys only a record
+    of that kind sends.  A ``compare=False`` field never travels; a
+    class not declared here (``ErrorInfo``, ``KernelSpec``) gets the
+    plain form on first use."""
+    absent, null = absent or {}, null or {}
+    owner = {key: kind for kind, keys in (payloads or {}).items()
+             for key in keys}
+    hints = typing.get_type_hints(cls)
+    entries = []
+    for f in fields(cls):
+        if f.compare:
+            encode, decode = _codec(hints[f.name], null.get(f.name, MISSING))
+            entries.append((f.name, encode, decode,
+                            absent.get(f.name, f.default),
+                            f.name in omit_none, owner.get(f.name)))
+    _FORMS[cls] = form = (schema, tuple(entries))
+    return form
+
+
+def to_wire(record) -> dict:
+    """A record as its JSON object: an enum as its (string) value, a
+    tuple as a list, a nested record as an object."""
+    schema, entries = _FORMS.get(type(record)) or wire_form(type(record))
+    payload = {} if schema is None else {"schema": schema}
+    for name, encode, _, _, omit_none, kind in entries:
+        value = getattr(record, name)
+        if not (omit_none and value is None
+                or kind is not None and kind != record.kind):
+            payload[name] = value if encode is None else encode(value)
+    return payload
+
+
+def from_wire(cls, payload):
+    """The record of ``cls`` a JSON object describes, each value checked
+    against its field's annotation (a ``bool`` is not an ``int``, an
+    integer is a ``float``, ``X | None`` takes null) and unknown keys
+    ignored; anything else is a :class:`JobError`."""
+    schema, entries = _FORMS.get(cls) or wire_form(cls)
+    if not isinstance(payload, dict):
+        raise JobError(f"{cls.__name__} payload must be an object, got "
+                       f"{type(payload).__name__}")
+    if schema is not None and payload.get("schema") != schema:
+        raise JobError(f"{cls.__name__} schema {payload.get('schema')!r}"
+                       f" unsupported (expected {schema!r})")
+    values = {}
+    for name, _, decode, absent, _, _ in entries:
+        value = payload.get(name, MISSING)
+        if value is MISSING and absent is MISSING:
+            raise JobError(f"malformed {cls.__name__} payload: lacks "
+                           f"{name!r}")
+        try:
+            values[name] = absent if value is MISSING else decode(value)
+        except (JobError, ValueError, OverflowError) as exc:
+            raise JobError(f"{name}: {exc}") from None
+    return cls(**values)
+
+
+def _codec(hint, null=MISSING) -> tuple:
+    """(encode, or ``None`` for as-is; decode) for one annotation, with
+    ``null`` the value that travels as null."""
+    if null is not MISSING:
+        encode, decode = _codec(hint)
+        return ((lambda v: None if v == null else encode(v) if encode
+                 else v), lambda v: null if v is None else decode(v))
+    if typing.get_origin(hint) is UnionType:  # X | None
+        (inner,) = set(typing.get_args(hint)) - {type(None)}
+        return _codec(inner, None)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        _, item = _codec(typing.get_args(hint)[0])
+        return list, _typed(list, then=lambda v: tuple(map(item, v)))
+    if is_dataclass(hint):
+        return to_wire, partial(from_wire, hint)
+    if issubclass(hint, enum.Enum):  # its value; unknown: ValueError
+        return (lambda v: v.value), _typed(str, then=hint)
+    if hint is float:
+        return None, _typed(float, int, then=float)
+    return None, _typed(hint)
+
+
+def _typed(*kinds, then=None):
+    """A decoder taking exactly the JSON types ``kinds``, then ``then``."""
+    def decode(value):
+        if type(value) not in kinds:
+            raise JobError(f"expected {kinds[0].__name__}, got "
+                           f"{type(value).__name__}")
+        return value if then is None else then(value)
+    return decode
+
+
+wire_form(JobSpec, schema=JOB_SCHEMA, null={"tier2_threshold": 0},
+          omit_none=("costs",),
+          payloads={"kernel": ("kernel",), "cas": ("cas",),
+                    "library": ("library", "function", "args", "calls",
+                                "setup")})
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ is bit-identical to the direct ``api`` call it replaces.
 """
 
 import ast
+import dataclasses
 import io
 import json
 import math
@@ -47,6 +48,7 @@ from repro.serve.client import ServeClient
 from repro.store import DiskStore, sanitize_namespace
 from repro.workloads import parallel
 from repro.workloads.casbench import CasConfig
+from repro.workloads.jobspec import from_wire, to_wire
 from repro.workloads.kernels import KernelSpec
 
 TINY = KernelSpec("tiny", loads=2, stores=1, alu=2, fp=1,
@@ -100,6 +102,100 @@ class TestJobSpecCodec:
                                "variant": "qemu"})  # no benchmark
         with pytest.raises(JobError, match="object"):
             JobSpec.from_json("not a dict")
+
+
+def _wire_trip(record):
+    """``record`` through its codec and real JSON text."""
+    return type(record).from_json(json.loads(json.dumps(record.to_json())))
+
+
+NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789._-", min_size=1,
+                max_size=8)
+COUNTS = st.integers(min_value=0, max_value=2 ** 40)
+#: What every kind of job takes besides its payload.
+COMMON = {
+    "variant": NAMES,
+    "seed": COUNTS,
+    "costs": st.none() | st.builds(CostModel, **{
+        f.name: COUNTS for f in dataclasses.fields(CostModel)}),
+    "buffer_mode": st.sampled_from(BufferMode),
+    "namespace": st.just("") | NAMES,
+    "job_id": st.text(max_size=8),
+}
+#: Any valid job of every kind, with every optional field drawn.
+JOBS = st.one_of(
+    st.builds(kernel_job, st.builds(KernelSpec, NAMES, *[COUNTS] * 7,
+                                    NAMES),
+              tier2_threshold=COUNTS, **COMMON),
+    st.builds(library_job, NAMES, st.lists(COUNTS, max_size=3).map(tuple),
+              st.integers(min_value=1, max_value=64),
+              library=st.none() | NAMES, setup=st.none() | NAMES,
+              tier2_threshold=COUNTS, **COMMON),
+    st.builds(cas_job, st.builds(CasConfig, COUNTS, COUNTS, COUNTS),
+              **COMMON))
+
+
+class TestRoundTripProperty:
+    """Any valid record survives its codec and JSON text unchanged."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(JOBS)
+    def test_any_valid_job(self, job):
+        job.validate()
+        assert _wire_trip(job) == job
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.builds(
+        JobResult, job_id=st.text(max_size=8), kind=NAMES,
+        benchmark=NAMES, variant=NAMES, seed=COUNTS,
+        namespace=st.just("") | NAMES, cycles=COUNTS,
+        fence_cycles=COUNTS, total_cycles=COUNTS,
+        checksum=st.none() | st.integers(), exit_code=st.integers(),
+        wall_seconds=st.floats(0, 1e6), blocks_translated=COUNTS,
+        xlat_hits=COUNTS, xlat_misses=COUNTS, xlat_disk_hits=COUNTS,
+        cache_tier=st.sampled_from(["cold", "disk", "memory", "none"]),
+        queue_seconds=st.floats(0, 1e6)))
+    def test_any_success_result(self, result):
+        assert _wire_trip(result) == result
+
+    @settings(max_examples=100, deadline=None)
+    @given(JOBS, st.builds(ErrorInfo, NAMES, st.text(max_size=20),
+                           st.booleans()), st.floats(0, 1e6))
+    def test_any_failure_result(self, job, error, wall):
+        result = JobResult.from_error(job, error, wall)
+        assert _wire_trip(result) == result
+
+
+#: A valid job of each kind, every nested record present.
+KERNEL_JOB = kernel_job(TINY, variant="qemu", costs=CostModel())
+CAS_JOB = cas_job(CasConfig(2, 2, 4), variant="qemu", costs=CostModel())
+LIBRARY_JOB = library_job("sqrt", (7,), 4, variant="qemu", library="libm")
+#: (job, path of keys into its payload, a value of the wrong type): each
+#: once decoded as something other than what was sent.
+MISTYPED = [
+    (KERNEL_JOB, ("seed",), 1.5), (KERNEL_JOB, ("seed",), True),
+    (KERNEL_JOB, ("tier2_threshold",), 2.9),
+    (KERNEL_JOB, ("variant",), 7), (KERNEL_JOB, ("buffer_mode",), 3),
+    (KERNEL_JOB, ("kernel", "iterations"), "40"),
+    (CAS_JOB, ("cas", "attempts"), "6"),
+    (KERNEL_JOB, ("costs", "dmb_ff"), True),
+    (LIBRARY_JOB, ("args",), [1.9]),
+]
+
+
+class TestNoCoercion:
+    @pytest.mark.parametrize("job, path, value", MISTYPED,
+                             ids=[f"{'.'.join(path)}={value!r}"
+                                  for _, path, value in MISTYPED])
+    def test_mistyped_value_is_rejected(self, job, path, value):
+        payload = json.loads(json.dumps(job.to_json()))
+        *parents, key = path
+        target = payload
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(JobError, match=key):
+            JobSpec.from_json(payload)
 
 
 class TestValidation:
@@ -186,8 +282,10 @@ class TestJobResultCodec:
         {**MINIMAL_RESULT, "cycles": True},
         {**MINIMAL_RESULT, "seed": 1.5},
         {**MINIMAL_RESULT, "checksum": "7"},
+        {**MINIMAL_RESULT, "wall_seconds": 10 ** 400},
     ], ids=["list", "string", "ok-string", "error-string",
-            "bool-cycles", "float-seed", "string-checksum"])
+            "bool-cycles", "float-seed", "string-checksum",
+            "float-overflow"])
     def test_malformed_result_is_typed(self, payload):
         with pytest.raises(JobError):
             JobResult.from_json(payload)
@@ -312,7 +410,7 @@ class TestErrorTaxonomy:
     def test_message_names_the_type(self):
         info = classify_error(ReproError("boom"))
         assert info == ErrorInfo("repro", "ReproError: boom", False)
-        assert ErrorInfo.from_json(info.to_json()) == info
+        assert from_wire(ErrorInfo, to_wire(info)) == info
 
 
 #: The ``os.environ`` methods that change it.

@@ -7,11 +7,13 @@ against an in-process server and validates the bench export.
 """
 
 import json
+import time
 
 import pytest
 
 from repro.analysis.export import load_bench_json
 from repro.errors import ReproError
+from repro.serve.client import ServeClient
 from repro.serve.jobs import JobResult
 from repro.serve.loadgen import (
     LoadgenConfig,
@@ -182,3 +184,27 @@ class TestEndToEnd:
         assert payload["extra"]["errors"] == 0
         assert payload["config"]["seed"] == 11
         assert payload["rows"]  # per-cell deterministic quantities
+
+    def test_latency_runs_from_the_due_time(self, monkeypatch):
+        # Every job is due at once; each send takes 30 ms, so the last
+        # of 4 goes out ~90 ms after the first.  Timed from its own
+        # late send, that wait would vanish (coordinated omission).
+        send = ServeClient._send
+
+        def slow_send(self, request):
+            time.sleep(0.03)
+            send(self, request)
+
+        monkeypatch.setattr(ServeClient, "_send", slow_send)
+        srv = ReproServer(ServeConfig(port=0, workers=0))
+        host, port = srv.start_background()
+        try:
+            report = run_loadgen(LoadgenConfig(
+                host=host, port=port, qps=1e6, jobs=4, seed=11,
+                clients=1, namespace="", variants=("qemu",),
+                mix=(0.0, 0.0, 1.0)))
+        finally:
+            srv.close()
+        assert report.errors == 0
+        assert report.latencies[-1] - report.latencies[0] >= 0.06, \
+            report.latencies

@@ -6,14 +6,16 @@ come back in request order, a lone job is dispatched at once,
 failures arrive as typed error results (never dropped connections),
 and the control ops (ping/stats/shutdown) work.
 
-The servers here run with ``workers=0`` (inline execution in the
+Most servers here run with ``workers=0`` (inline execution in the
 dispatcher thread): the dispatch/observability path is identical to
-the pool path minus process fan-out, and tier-1 stays fast.  The pool
-path itself is exercised by the serve benchmark and the CI smoke job.
+the pool path minus process fan-out, and tier-1 stays fast.
+``TestRealPool`` crosses the pickle hop to a real worker process once
+per job kind; the serve benchmark and the CI smoke job load it.
 """
 
 import dataclasses
 import json
+import socket
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -31,7 +33,7 @@ from repro.serve import (
     kernel_job,
     library_job,
 )
-from repro.serve.server import _run_one
+from repro.serve.server import MAX_LINE_BYTES
 from repro.workloads.casbench import CasConfig
 from repro.workloads.kernels import KernelSpec
 
@@ -220,6 +222,15 @@ class TestErrors:
         assert response["error"]["code"] == "bad-request"
         assert "dance" in response["error"]["message"]
 
+    def test_overlong_line_is_rejected_and_closes(self, server):
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(b"x" * (MAX_LINE_BYTES + 1))  # no newline
+            reply = sock.makefile("rb")
+            response = json.loads(reply.readline())
+            assert reply.readline() == b""  # the server hung up
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad-request"
+
     def test_unparseable_line(self, client):
         client._wfile.write(b"{not json}\n")
         client._wfile.flush()
@@ -228,19 +239,36 @@ class TestErrors:
         assert response["error"]["code"] == "bad-request"
 
 
-class TestWorkerEntryPoint:
-    def test_run_one_is_pure_wire(self):
-        payloads = [cas_job(CAS, variant="qemu",
-                            job_id="w1").to_json(),
-                    {"kind": "kernel", "benchmark": "?",
-                     "variant": "?"}]  # no schema: rejected
-        results = [_run_one(payload) for payload in payloads]
-        assert json.loads(json.dumps(results)) == results
-        assert results[0]["ok"] is True
-        assert results[0]["job_id"] == "w1"
-        assert results[1]["ok"] is False
-        assert results[1]["error"]["code"] == "bad-request"
+#: Result keys that depend on the host or on how warm a cache is.
+UNPINNED = ("wall_seconds", "queue_seconds", "xlat_hits", "xlat_misses",
+            "xlat_disk_hits", "cache_tier")
 
+
+def _pinned(result) -> dict:
+    payload = result.to_json()
+    for key in UNPINNED:
+        del payload[key]
+    return payload
+
+
+class TestRealPool:
+    def test_served_equals_direct_through_a_worker_process(self):
+        jobs = [kernel_job(TINY, variant="risotto", seed=5, job_id="k"),
+                library_job("sqrt", (0x3FE0000000000000,), 4,
+                            variant="qemu", library="libm", job_id="l"),
+                cas_job(CAS, variant="tcg-ver", job_id="c")]
+        srv = ReproServer(ServeConfig(port=0, workers=1))
+        try:
+            with ServeClient(*srv.start_background()) as client:
+                served = client.submit_many(jobs)
+        finally:
+            srv.close()
+        assert [r.ok for r in served] == [True] * 3
+        assert [_pinned(r) for r in served] == \
+            [_pinned(api.submit(job)) for job in jobs]
+
+
+class TestWorkerEntryPoint:
     def test_broken_pool_is_a_retryable_unavailable(self):
         class DeadPool:
             def submit(self, fn, payload):
