@@ -280,9 +280,10 @@ class DBTEngine(_Engine):
         The block was encoded once, by the backend (or read back in
         that form by the cache); the host address and this engine's
         trap addresses are patched into a copy of those bytes, whose
-        length depends on neither, so the one allocation is exact.  A
-        fresh block's records go to the machine with its bytes, so its
-        first execution decodes nothing.
+        length depends on neither, so the one allocation is exact.  The
+        machine gets the block's records with its bytes, so its first
+        execution decodes nothing: a fresh block's own, resolved, or a
+        hit's, decoded from the placed bytes through the cache's memo.
         """
         linked = compiled.linked
         traps: dict[str, int] = {}
@@ -299,7 +300,7 @@ class DBTEngine(_Engine):
                 fence_origins[host_pc + offset] = origin
         insns = as_decoded(compiled.insns, host_pc, len(code),
                            linked.bind(host_pc, traps)) \
-            if compiled.insns else None
+            if compiled.insns else self.xlat_cache.records(code, host_pc)
         self.machine.memory.add_image(host_pc, code, insns)
         return host_pc
 

@@ -18,19 +18,22 @@ runs.
 
 A hit skips frontend, optimizer and backend; ``_install`` still binds
 the run's trap addresses through the stored requests, so cached and
-fresh runs are bit-identical.  Both levels keep the linked form alone:
-no hit parses or encodes anything, and neither level holds the
-records a fresh compile hands the machine (a hit's first execution
-decodes its bytes instead).  Helper trap labels are numbered within
-their block, so an entry's text is a function of its key.
+fresh runs are bit-identical.  Both levels keep the linked form alone,
+so a hit from either takes one path: no hit parses or encodes
+anything, and ``_install`` decodes the placed bytes once, through the
+memory level's memo of instruction encodings (:meth:`XlatCache.records`),
+to seed the machine with the records a fresh compile hands it.  Helper
+trap labels are numbered within their block, so an entry's bytes are
+a function of its key.
 
 The key (any change misses, never corrupts) covers a fixed-size guest
 byte window at the pc, read on across images mapped back to back as
 the frontend decodes, and the pc itself; the frontend and optimizer
 config (not ``DBTConfig.name``: identical variants share entries); a
 digest of every module a block depends on (:data:`SALTED_MODULES`);
-and :data:`SCHEMA`.  An entry is JSON sealed by a sha256 over its
-payload, checked before decoding; corrupt, mismatched or uninstallable
+and :data:`SCHEMA`.  An entry is binary (:func:`_entry_to_bytes`),
+sealed by a raw sha256 over its payload that is checked before
+anything is unpacked; corrupt, mismatched or uninstallable
 entries (an offset outside the code, DMBs that disagree with the
 origins) are counted misses that the next store rewrites.  The disk
 level is held to :data:`DEFAULT_DISK_BUDGET` bytes, least recently
@@ -42,15 +45,17 @@ namespace (the LRU is per directory) is an argument of
 
 from __future__ import annotations
 
-import base64
+import functools
 import hashlib
-import json
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from ..errors import MachineError
 from ..isa.arm.assembler import LinkedCode
+from ..isa.arm.insns import CODER
+from ..isa.common import Insn
 from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
 from ..store import (  # noqa: F401 - re-exports
@@ -64,6 +69,7 @@ from ..store import (  # noqa: F401 - re-exports
     enabled,
     namespace,
     namespace_usage,
+    resolution_key,
 )
 from ..tcg.backend_arm import CompiledBlock, HelperRequest
 from ..tcg.optimizer import OptStats
@@ -73,18 +79,23 @@ from ..tcg.optimizer import OptStats
 #: /2: opt_stats grew empty_fences_dropped + helpers_inlined.
 #: /3: the linked form (code bytes, relocations, label and DMB
 #: offsets) replaces the asm text, under a payload digest.
-SCHEMA = "repro-xlat/3"
+#: /4: the entry is binary (:func:`_entry_to_bytes`), not JSON.
+SCHEMA = "repro-xlat/4"
 
 #: Distinct tag for tier-2 superblock artifacts: a trace keyed over
 #: the same head pc as a plain block must never collide with it, so
 #: trace keys hash this tag plus the ordered (pc, window) list.
 TRACE_SCHEMA = "repro-xlat-trace/2"
 
-#: Disk budget in bytes (entries are about 0.9 KB each: an xlat_cold
-#: pass stores 559,121 bytes in 606); 0 disables eviction.
+#: Disk budget in bytes (entries are about 0.57 KB each: an xlat_cold
+#: pass stores 345,023 bytes in 606); 0 disables eviction.
 DEFAULT_DISK_BUDGET = 64 * 1024 * 1024
 #: In-memory LRU capacity in entries; 0 disables the memory level.
 DEFAULT_MEM_ENTRIES = 4096
+#: Distinct instruction encodings the decode memo of a cache holds
+#: before it starts over.  A warm ``xlat_warm`` pass installs about
+#: 18,600 instructions spelled in about 1,900 distinct ways.
+DECODE_MEMO_ENTRIES = 16384
 
 #: Bytes the frontend may consult per decoded instruction (it reads
 #: ``read_bytes(cursor, 32)`` per step), so a window of
@@ -116,11 +127,17 @@ def config_fingerprint(config) -> str:
     Covers the frontend config (fence scheme, CAS policy, block limit)
     and the optimizer pass list.  The variant *name* and the host
     linker flag are excluded: neither changes a single translated
-    block, so identically configured variants share entries.
+    block, so identically configured variants share entries.  Both
+    configs are frozen, so the digest is computed once per process.
     """
-    canonical = repr((config.frontend, config.optimizer))
+    return _fingerprint(config.frontend, config.optimizer, SCHEMA)
+
+
+@functools.cache
+def _fingerprint(frontend, optimizer, schema: str) -> str:
+    canonical = repr((frontend, optimizer))
     return hashlib.sha256(
-        f"{SCHEMA}|{canonical}|{code_salt(SALTED_MODULES)}".encode()
+        f"{schema}|{canonical}|{code_salt(SALTED_MODULES)}".encode()
     ).hexdigest()
 
 
@@ -204,54 +221,64 @@ reset_stats = _STATS.reset
 # ----------------------------------------------------------------------
 # Entry (de)serialization
 # ----------------------------------------------------------------------
-#: A stored entry is ``_SEAL_HEAD + digest + _SEAL_MID + payload +
-#: "}"``: still one JSON object, and the payload's text is sliced out
-#: and hashed before anything is decoded.
-_SEAL_HEAD = '{"sha256":"'
-_SEAL_MID = '","payload":'
-_DIGEST_END = len(_SEAL_HEAD) + 64
-
-
-def _seal(payload: str) -> str:
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    return f"{_SEAL_HEAD}{digest}{_SEAL_MID}{payload}}}"
-
-
-def _unseal(text: str) -> str:
-    """The payload text of a stored entry whose digest matches."""
-    if not (text.startswith(_SEAL_HEAD)
-            and text.startswith(_SEAL_MID, _DIGEST_END)
-            and text.endswith("}")):
-        raise ValueError("not a sealed entry")
-    payload = text[_DIGEST_END + len(_SEAL_MID):-1]
-    if hashlib.sha256(payload.encode()).hexdigest() != \
-            text[len(_SEAL_HEAD):_DIGEST_END]:
-        raise ValueError("payload digest mismatch")
-    return payload
-
-
 #: The optimizer counters an entry stores, in order.
 _OPT_FIELDS = tuple(field.name for field in fields(OptStats))
+#: An entry's fixed header, after its schema tag: the guest pc, the
+#: guest instruction and TCG op counts, the code size, the number of
+#: relocations, labels, DMBs, fence origins, helper requests and
+#: strings, the number of optimizer counters, then the counters.
+_HEADER = struct.Struct(f"<Q9IB{len(_OPT_FIELDS)}I")
+#: The size of an entry's seal, a sha256 over the rest.
+_DIGEST = 32
 
 
-def _entry_to_json(compiled: CompiledBlock, opt: OptStats) -> str:
+def _schema_tag() -> bytes:
+    """The payload's first bytes: :data:`SCHEMA`, length-prefixed."""
+    tag = SCHEMA.encode()
+    return bytes((len(tag),)) + tag
+
+
+def _entry_to_bytes(compiled: CompiledBlock, opt: OptStats) -> bytes:
+    """One entry: ``sha256(payload) + payload``, where the payload is
+    the schema tag, :data:`_HEADER`, the u32 offsets (relocations,
+    labels, DMBs), the u16 string indices (relocation and label
+    names, fence origins, then each helper request's trap label,
+    helper, comma-joined argument registers and return register), the
+    code bytes and the string table, each string NUL-terminated."""
     linked = compiled.linked
-    return _seal(json.dumps({
-        "schema": SCHEMA,
-        "guest_pc": compiled.guest_pc,
-        "code": base64.b64encode(linked.code).decode("ascii"),
-        "relocs": linked.relocs,
-        "labels": linked.labels,
-        "dmb_offsets": linked.dmb_offsets,
-        "helper_requests": [
-            [r.trap_label, r.helper, list(r.arg_regs), r.ret_reg]
-            for r in compiled.helper_requests
-        ],
-        "guest_insns": compiled.guest_insns,
-        "op_count": compiled.op_count,
-        "fence_origins": compiled.fence_origins,
-        "opt_stats": [getattr(opt, name) for name in _OPT_FIELDS],
-    }, separators=(",", ":")))
+    requests = compiled.helper_requests
+    # Index 0 stands for None (an untagged fence, a helper with no
+    # return register); the table proper starts at 1.
+    names: dict[str | None, int] = {None: 0}
+
+    def index(name: str | None) -> int:
+        return names.setdefault(name, len(names))
+
+    indices = [index(label) for _, label in linked.relocs]
+    indices += map(index, linked.labels)
+    indices += map(index, compiled.fence_origins)
+    for request in requests:
+        indices += (index(request.trap_label), index(request.helper),
+                    index(",".join(request.arg_regs)),
+                    index(request.ret_reg))
+    offsets = [offset for offset, _ in linked.relocs]
+    offsets += linked.labels.values()
+    offsets += linked.dmb_offsets
+    strings = list(names)[1:]
+    payload = b"".join((
+        _schema_tag(),
+        _HEADER.pack(
+            compiled.guest_pc, compiled.guest_insns, compiled.op_count,
+            len(linked.code), len(linked.relocs), len(linked.labels),
+            len(linked.dmb_offsets), len(compiled.fence_origins),
+            len(requests), len(strings), len(_OPT_FIELDS),
+            *[getattr(opt, name) for name in _OPT_FIELDS]),
+        struct.pack(f"<{len(offsets)}I{len(indices)}H",
+                    *offsets, *indices),
+        linked.code,
+        "".join([string + "\0" for string in strings]).encode(),
+    ))
+    return hashlib.sha256(payload).digest() + payload
 
 
 def _check_layout(linked: LinkedCode, fence_origins: list) -> None:
@@ -259,11 +286,12 @@ def _check_layout(linked: LinkedCode, fence_origins: list) -> None:
     compiled.  Nothing reassembles a stored entry, so this and the
     digest are its only checks."""
     size = len(linked.code)
-    if not (all(0 <= offset <= size - 8 for offset, _ in linked.relocs)
-            and all(0 <= offset <= size
-                    for offset in linked.labels.values())
-            and all(0 <= offset < size
-                    for offset in linked.dmb_offsets)):
+    relocs = [offset for offset, _ in linked.relocs]
+    labels = linked.labels.values()
+    dmbs = linked.dmb_offsets
+    if (relocs and not 0 <= min(relocs) <= max(relocs) <= size - 8) \
+            or (labels and not 0 <= min(labels) <= max(labels) <= size) \
+            or (dmbs and not 0 <= min(dmbs) <= max(dmbs) < size):
         raise ValueError("an offset lies outside the code")
     if len(linked.dmb_offsets) != len(fence_origins):
         raise ValueError(
@@ -271,41 +299,56 @@ def _check_layout(linked: LinkedCode, fence_origins: list) -> None:
             f"{len(fence_origins)} fence origins")
 
 
-def _entry_from_json(text: str) -> tuple[CompiledBlock, OptStats]:
-    payload = json.loads(_unseal(text))
-    if payload["schema"] != SCHEMA:
-        raise ValueError(f"schema {payload['schema']!r}")
+def _entry_from_bytes(entry: bytes) -> tuple[CompiledBlock, OptStats]:
+    """The artifact :func:`_entry_to_bytes` stored; ``ValueError``,
+    ``IndexError`` or ``struct.error`` when the digest, the schema,
+    the counts or the layout disagree with what is there."""
+    payload = entry[_DIGEST:]
+    if hashlib.sha256(payload).digest() != entry[:_DIGEST]:
+        raise ValueError("payload digest mismatch")
+    tag = _schema_tag()
+    if not payload.startswith(tag):
+        raise ValueError("not a current-schema entry")
+    (guest_pc, guest_insns, op_count, code_size, n_relocs, n_labels,
+     n_dmbs, n_origins, n_requests, n_strings, n_opt, *opt) = \
+        _HEADER.unpack_from(payload, len(tag))
+    if n_opt != len(_OPT_FIELDS):
+        # Read positionally, a short list would shift every field.
+        raise ValueError(f"{n_opt} optimizer counters")
+    at = len(tag) + _HEADER.size
+    n_offsets = n_relocs + n_labels + n_dmbs
+    ints = struct.unpack_from(
+        f"<{n_offsets}I"
+        f"{n_relocs + n_labels + n_origins + 4 * n_requests}H",
+        payload, at)
+    at += 4 * n_offsets + 2 * (len(ints) - n_offsets)
+    code = payload[at:at + code_size]
+    names = [None, *payload[at + code_size:].decode().split("\0")]
+    if len(code) != code_size or names.pop() != "" \
+            or len(names) != n_strings + 1:
+        raise ValueError("the code or the string table is cut short")
+    labels_at = n_relocs
+    dmbs_at = labels_at + n_labels
+    names_at = n_offsets + n_relocs
+    origins_at = names_at + n_labels
+    requests_at = origins_at + n_origins
+    name = names.__getitem__
     linked = LinkedCode(
-        code=base64.b64decode(payload["code"], validate=True),
-        relocs=tuple((int(offset), str(label))
-                     for offset, label in payload["relocs"]),
-        labels={str(label): int(offset)
-                for label, offset in dict(payload["labels"]).items()},
-        dmb_offsets=tuple(map(int, payload["dmb_offsets"])),
-    )
-    fence_origins = [
-        origin if origin is None else str(origin)
-        for origin in payload["fence_origins"]
-    ]
+        code,
+        tuple(zip(ints[:labels_at], map(name, ints[n_offsets:names_at]))),
+        dict(zip(map(name, ints[names_at:origins_at]),
+                 ints[labels_at:dmbs_at])),
+        ints[dmbs_at:n_offsets])
+    fence_origins = list(map(name, ints[origins_at:requests_at]))
     _check_layout(linked, fence_origins)
-    compiled = CompiledBlock(
-        guest_pc=int(payload["guest_pc"]),
-        linked=linked,
-        helper_requests=[
-            HelperRequest(trap_label=str(label), helper=str(helper),
-                          arg_regs=tuple(args),
-                          ret_reg=ret if ret is None else str(ret))
-            for label, helper, args, ret in payload["helper_requests"]
-        ],
-        guest_insns=int(payload["guest_insns"]),
-        op_count=int(payload["op_count"]),
-        fence_origins=fence_origins,
-    )
-    values = payload["opt_stats"]
-    if len(values) != len(_OPT_FIELDS):
-        # A short list would silently zero-fill through the defaults.
-        raise ValueError(f"opt_stats has {len(values)} counters")
-    return compiled, OptStats(*map(int, values))
+    requests = []
+    for label, helper, args, ret in zip(*[iter(ints[requests_at:])] * 4):
+        args = names[args]
+        requests.append(HelperRequest(
+            names[label], names[helper],
+            tuple(args.split(",")) if args else (), names[ret]))
+    return CompiledBlock(guest_pc, linked, requests, guest_insns,
+                         op_count, fence_origins), OptStats(*opt)
 
 
 @dataclass
@@ -333,6 +376,9 @@ class XlatCache:
         self.max_mem_entries = max_mem_entries
         self._mem: OrderedDict[str, tuple[CompiledBlock, OptStats]] = \
             OrderedDict()
+        #: Instruction bytes -> the :class:`Insn` they decode to, for
+        #: :meth:`records`: part of the memory level.
+        self._decoded: dict[bytes, Insn] = {}
 
     # ------------------------------------------------------------------
     # Keys
@@ -372,9 +418,9 @@ class XlatCache:
             _STATS.memory_hits += 1
             return XlatHit(entry[0], entry[1], "memory")
         try:
-            text = self._disk.read(key)
-            entry = None if text is None else _entry_from_json(text)
-        except (ValueError, KeyError, TypeError):
+            body = self._disk.read(key)
+            entry = None if body is None else _entry_from_bytes(body)
+        except (ValueError, IndexError, struct.error):
             # Present but unusable: corruption, a digest mismatch, a
             # stale layout, or offsets the code cannot hold.  Fall back
             # to translating; the store below rewrites it.
@@ -390,13 +436,25 @@ class XlatCache:
 
     def put(self, key: str, compiled: CompiledBlock,
             opt: OptStats) -> None:
-        # The linked form alone: the records only serve the install
-        # that follows this compile.
+        # The linked form alone, as a disk hit rebuilds it: the
+        # records only serve the install that follows this compile.
         self._remember(key, (replace(compiled, insns=[]), opt))
         _STATS.stores += 1
-        if self._disk.write(key, _entry_to_json(compiled, opt)) \
+        if self._disk.write(key, _entry_to_bytes(compiled, opt)) \
                 and self._disk.walk_due():
             self.evict_to_budget(keep=key)
+
+    def records(self, code: bytes, base: int
+                ) -> dict[int, tuple[Insn, int]]:
+        """The records a hit's placed ``code`` at ``base`` seeds the
+        machine with, decoded through this cache's memo (see
+        :meth:`~repro.isa.common.InsnCoder.decode_block`), which is
+        emptied whenever it grows past :data:`DECODE_MEMO_ENTRIES`."""
+        memo = self._decoded
+        records = CODER.decode_block(code, base, memo)
+        if len(memo) > DECODE_MEMO_ENTRIES:
+            memo.clear()
+        return records
 
     def _remember(self, key: str,
                   entry: tuple[CompiledBlock, OptStats]) -> None:
@@ -430,8 +488,11 @@ class XlatCache:
         return len(evicted)
 
     def clear_memory(self) -> int:
+        """Drop the memory level and the decode memo; returns the
+        number of entries dropped."""
         removed = len(self._mem)
         self._mem.clear()
+        self._decoded.clear()
         return removed
 
     def clear_disk(self) -> int:
@@ -447,17 +508,27 @@ class XlatCache:
 #: environments and namespaces get their own cache while every engine
 #: under one configuration shares one memory LRU.
 _INSTANCES: dict[str, XlatCache] = {}
+#: What :func:`get_cache` returned, by the
+#: :func:`~repro.store.resolution_key` it was called under: the
+#: directory is resolved once per process and environment.
+_RESOLVED: dict[tuple, XlatCache | None] = {}
 
 
 def get_cache(ns: str = "") -> XlatCache | None:
     """The cache of namespace ``ns`` (the ambient one when ``ns`` is
     "") under the environment's root, or ``None`` if disabled."""
-    if not enabled():
-        return None
-    directory = cache_dir(ns)
-    cache = _INSTANCES.get(str(directory))
-    if cache is None:
-        cache = _INSTANCES[str(directory)] = XlatCache(directory)
+    key = resolution_key(ns)
+    try:
+        return _RESOLVED[key]
+    except KeyError:
+        pass
+    cache = None
+    if enabled():
+        directory = str(cache_dir(ns))
+        cache = _INSTANCES.get(directory)
+        if cache is None:
+            cache = _INSTANCES[directory] = XlatCache(Path(directory))
+    _RESOLVED[key] = cache
     return cache
 
 

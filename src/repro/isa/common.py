@@ -186,6 +186,11 @@ Operand = Reg | Imm | Mem | Label
 
 #: Encoded width of each operand kind, tag byte included.
 _OPERAND_BYTES = {Reg: 2, Imm: 9, Mem: 8}
+#: The same widths by tag byte (0: not a tag), for walking encoded
+#: instructions.
+_TAG_WIDTHS = [0] * 256
+_TAG_WIDTHS[_TAG_REG], _TAG_WIDTHS[_TAG_IMM], _TAG_WIDTHS[_TAG_MEM] = \
+    2, 9, 8
 
 
 class Insn(Record):
@@ -227,9 +232,12 @@ class InsnCoder:
         self.allow_lock = allow_lock
         self._mnemonic_of = {v: k for k, v in opcodes.items()}
         self._reg_of = {v: k for k, v in registers.items()}
-        #: Each register operand's encoding (registers are interned).
+        #: Each register operand's encoding (registers are interned),
+        #: and the operand each id decodes to.
         self._reg_bytes = {Reg(name): bytes((_TAG_REG, rid))
                            for name, rid in registers.items()}
+        self._reg_operand = {rid: Reg(name)
+                             for name, rid in registers.items()}
         if len(self._mnemonic_of) != len(opcodes):
             raise AssemblerError(f"{name}: duplicate opcode bytes")
         if len(self._reg_of) != len(registers):
@@ -313,38 +321,82 @@ class InsnCoder:
             raise DecodeError(
                 f"{self.name}: unknown opcode 0x{data[offset]:02x} "
                 f"at offset {start}")
-        offset += 1
-        count = data[offset]
-        offset += 1
+        count = data[offset + 1]
+        offset += 2
         operands: list[Operand] = []
         for _ in range(count):
-            op, offset = self._decode_operand(data, offset)
-            operands.append(op)
-        return Insn(mnemonic, tuple(operands), lock=lock), offset - start
-
-    def _decode_operand(self, data: bytes,
-                        offset: int) -> tuple[Operand, int]:
-        tag = data[offset]
-        offset += 1
-        if tag == _TAG_REG:
-            name = self._reg_of.get(data[offset])
-            if name is None:
+            tag = data[offset]
+            if tag == _TAG_REG:
+                reg = self._reg_operand.get(data[offset + 1])
+                if reg is None:
+                    raise DecodeError(
+                        f"{self.name}: unknown register id "
+                        f"{data[offset + 1]}")
+                operands.append(reg)
+                offset += 2
+            elif tag == _TAG_IMM:
+                operands.append(Imm(_IMM.unpack_from(data, offset)[1]))
+                offset += 9
+            elif tag == _TAG_MEM:
+                _, base_id, index_id, scale, disp = \
+                    _MEM.unpack_from(data, offset)
+                operands.append(Mem(
+                    base=self._reg_of.get(base_id), offset=disp,
+                    index=self._reg_of.get(index_id), scale=scale))
+                offset += 8
+            else:
                 raise DecodeError(
-                    f"{self.name}: unknown register id {data[offset]}")
-            return Reg(name), offset + 1
-        if tag == _TAG_IMM:
-            (value,) = struct.unpack_from("<q", data, offset)
-            return Imm(value), offset + 8
-        if tag == _TAG_MEM:
-            base_id, index_id, scale = data[offset:offset + 3]
-            (disp,) = struct.unpack_from("<i", data, offset + 3)
-            base = self._reg_of.get(base_id) if base_id != _NO_REG \
-                else None
-            index = self._reg_of.get(index_id) if index_id != _NO_REG \
-                else None
-            return Mem(base=base, offset=disp, index=index,
-                       scale=scale), offset + 7
-        raise DecodeError(f"{self.name}: bad operand tag 0x{tag:02x}")
+                    f"{self.name}: bad operand tag 0x{tag:02x}")
+        return Insn(mnemonic, tuple(operands), lock), offset - start
+
+    def decode_block(self, code: bytes, base: int,
+                     memo: dict[bytes, Insn]
+                     ) -> dict[int, tuple[Insn, int]]:
+        """``pc -> (insn, size)`` for every instruction of ``code``
+        loaded at ``base``, as :meth:`decode` reads each one.
+
+        An instruction's length follows from its operand tags alone,
+        so each one's exact bytes are sliced out and looked up in
+        ``memo`` (bytes -> the :class:`Insn` they decode to, which
+        this fills); only a miss decodes.  Bytes that do not decode
+        raise :meth:`decode`'s :class:`DecodeError`, and an
+        instruction cut off by the end of ``code`` raises one too.
+        """
+        out = {}
+        end = len(code)
+        offset = 0
+        widths = _TAG_WIDTHS
+        lookup = memo.get
+        try:
+            while offset < end:
+                # Past the (lock prefix,) opcode and operand count.
+                cursor = offset + 2
+                if code[offset] == _LOCK_PREFIX:
+                    cursor += 1
+                for _ in range(code[cursor - 1]):
+                    # An unknown tag runs the cursor past the end.
+                    cursor += widths[code[cursor]] or end
+                if cursor > end:
+                    raise IndexError
+                key = code[offset:cursor]
+                insn = lookup(key)
+                if insn is None:
+                    insn = memo[key] = self.decode(code, offset)[0]
+                out[base + offset] = (insn, cursor - offset)
+                offset = cursor
+        except IndexError:
+            self._undecodable(code, offset)
+        return out
+
+    def _undecodable(self, code: bytes, offset: int) -> None:
+        """Raise what :meth:`decode` raises at ``offset``, or that the
+        instruction there is cut off."""
+        try:
+            self.decode(code, offset)
+        except (IndexError, struct.error):
+            pass
+        raise DecodeError(
+            f"{self.name}: truncated instruction at offset {offset}")
 
     # ------------------------------------------------------------------
     def disassemble(self, data: bytes) -> list[Insn]:

@@ -10,10 +10,11 @@ entry points (QEMU-style helpers, native host library functions).
 Decoding and operand resolution are per-*instruction* work, so they
 are paid once per pc, not once per step: the first time a pc executes,
 :meth:`ArmCore.step` takes the instruction the memory was seeded with
-there (a freshly translated block's records), or else fetches and
-decodes it, and a per-mnemonic *binder* (the second half of this
-module) resolves register names, masked immediates, the address shape
-and the cycle costs into a handler ``handler(core)``.
+there (every translated block's records, whether freshly compiled or
+served by the translation cache), or else (native code, hand-written
+asm) fetches and decodes it, and a per-mnemonic *binder* (the second
+half of this module) resolves register names, masked immediates, the
+address shape and the cycle costs into a handler ``handler(core)``.
 ``(handler, size)`` goes into the table the machine's
 :class:`~repro.machine.memory.Memory` keeps for all its cores, and
 every later step at that pc is one dict lookup and one call.

@@ -3,14 +3,14 @@
 The disk level under the persistent translation cache
 (:mod:`repro.dbt.xlat_cache`).  A translated block is a pure function
 of its inputs, so an entry keyed by a content fingerprint can never go
-stale: the store moves text and never interprets it, while keys,
+stale: the store moves bytes and never interprets them, while keys,
 salted-module lists, codecs and counters stay with the cache that owns
 their meaning (:func:`code_salt` only digests a list it is given).
 
 Layout: ``<root>/[<namespace>/]`` holds one SQLite database,
 :data:`DB_NAME` (in WAL mode, so also its ``-wal``/``-shm`` files
 while a connection is open), with one row per entry: the key, the
-entry's text byte for byte, and a write sequence number.  A database
+entry's bytes, and a write sequence number.  A database
 appears whole: it is set up under a temporary name and linked into
 place.  Any other regular file is ignored (``<key>.json`` entries of
 the old file-per-entry layout and ``*.tmp`` orphans are only ever
@@ -103,6 +103,16 @@ def cache_dir(ns: str = "") -> Path:
     """The directory of namespace ``ns``, or of the ambient one
     (:data:`NAMESPACE_ENV`) when ``ns`` is ""."""
     return base_dir() / (sanitize_namespace(ns) or namespace())
+
+
+def resolution_key(ns: str = "") -> tuple:
+    """Everything :func:`enabled` and :func:`cache_dir` read for
+    ``ns``, unresolved: the raw root and namespace variables, ``ns``,
+    and the working directory when the root is unset.  Equal keys
+    resolve alike, so a caller may memoize the resolution by it."""
+    root = os.environ.get(ENV_VAR, "")
+    return (root, os.environ.get(NAMESPACE_ENV), ns,
+            None if root.strip() else os.getcwd())
 
 
 def clear_disk_cache() -> int:
@@ -268,24 +278,23 @@ class DiskStore:
         #: The database file, as a string: no path object per call.
         self._db = os.path.join(self.directory, DB_NAME)
 
-    def read(self, key: str) -> str | None:
-        """The entry's text, or ``None`` when there is none.  Whether
-        the text still decodes is the caller's concern: a damaged
-        entry is a miss there and the next :meth:`write` replaces it."""
+    def read(self, key: str) -> bytes | None:
+        """The entry's bytes, or ``None`` when there is none.  Whether
+        they still decode is the caller's concern: a damaged entry is
+        a miss there and the next :meth:`write` replaces it."""
         try:
             with _LOCK:
                 conn = _connection(self._db, create=False)
                 row = None if conn is None else conn.execute(
-                    "SELECT CAST(body AS TEXT) FROM entries WHERE key = ?",
+                    "SELECT body FROM entries WHERE key = ?",
                     (key,)).fetchone()
             return None if row is None else row[0]
         except (sqlite3.Error, OSError):
             return None
 
-    def write(self, key: str, text: str) -> bool:
+    def write(self, key: str, body: bytes) -> bool:
         """(Re)place one entry; ``False`` when the store cannot be
         written."""
-        body = text.encode()
         try:
             with self._lock, _LOCK:
                 _connection(self._db, create=True).execute(

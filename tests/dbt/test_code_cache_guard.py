@@ -170,21 +170,31 @@ def _decode_all(code: bytes, base: int) -> dict:
 def test_seeded_records_are_the_decode_at_every_base(installed):
     """A fresh install hands the machine exactly what decoding the
     placed bytes gives, so binding either is the same: labels resolved
-    (past the sign bit too) and every immediate signed."""
+    (past the sign bit too) and every immediate signed.  A hit's
+    records, from the bulk decode through one memo shared by every
+    block and base, are that decode too."""
     wide = 0
+    memo = {}
+    decoded = 0
     for asm, (host_pc, traps, image, compiled, seeded) in \
             installed.items():
         assert seeded == _decode_all(image, host_pc)
         linked = compiled.linked
-        for base in EXTRA_BASES:
-            records = as_decoded(compiled.insns, base, len(linked.code),
-                                 linked.bind(base, traps))
-            assert records == _decode_all(linked.place(base, traps),
-                                          base)
+        for base in (host_pc, *EXTRA_BASES):
+            placed = linked.place(base, traps)
+            oracle = _decode_all(placed, base)
+            if base != host_pc:
+                records = as_decoded(compiled.insns, base,
+                                     len(linked.code),
+                                     linked.bind(base, traps))
+                assert records == oracle
+            assert CODER.decode_block(placed, base, memo) == oracle
+            decoded += len(oracle)
         wide += sum(isinstance(op, Imm) and op.value >= 1 << 63
                     for _, insn in compiled.insns
                     for op in insn.operands)
     assert wide, "no emitted immediate needed signing"
+    assert len(memo) < decoded // 2, "the memo never hit"
 
 
 def test_text_stays_the_oracle(installed):

@@ -11,30 +11,33 @@ contract in ``tests/test_store.py``, which runs through this cache
 too.
 """
 
-import base64
 import copy
 import dataclasses
-import json
+import hashlib
+import struct
 
 import pytest
 
+from repro import api
 from repro.api import deterministic_row, execute_spec, kernel_grid, \
     kernel_job, run_kernel, run_parallel
 from repro.dbt import DBTEngine, guest_reg, xlat_cache
-from repro.dbt.config import QEMU, RISOTTO, TCG_VER
+from repro.dbt.config import QEMU, RISOTTO, SCHEME_VARIANTS, TCG_VER, \
+    VARIANTS
 from repro.dbt.xlat_cache import (
     XlatCache,
     block_key,
     config_fingerprint,
     trace_key,
 )
-from repro.errors import TranslationError
+from repro.errors import DecodeError, TranslationError
 from repro.isa.arm import assembler
 from repro.isa.arm.insns import CODER
+from repro.isa.common import Imm, Insn, Mem, Reg
 from repro.isa.x86 import assemble as assemble_x86
 from repro.machine import cpu
 from repro.machine.memory import Memory
-from repro.store import DiskStore
+from repro.store import DiskStore, code_salt
 from repro.tcg.backend_arm import ArmBackend, CompiledBlock, HelperRequest
 from repro.tcg.optimizer import OptStats
 from repro.workloads import SPEC_BY_NAME
@@ -128,7 +131,7 @@ class TestDiskLayer:
         cache = XlatCache(tmp_path)
         compiled, opt = _entry()
         cache.put("ab" * 32, compiled, opt)
-        rewrite_entry(tmp_path, "ab" * 32, "{ not json")
+        rewrite_entry(tmp_path, "ab" * 32, b"{ not json")
         cache.clear_memory()
         before = xlat_cache.cache_stats().corrupt_entries
         assert cache.get("ab" * 32) is None
@@ -145,10 +148,9 @@ class TestDiskLayer:
         cache = XlatCache(tmp_path)
         compiled, opt = _entry()
         cache.put("ab" * 32, compiled, opt)
-        assert _payload(tmp_path, "ab" * 32)["opt_stats"] == \
-            list(dataclasses.astuple(opt))
-        _damage(tmp_path, "ab" * 32,
-                lambda payload: payload["opt_stats"].pop())
+        assert _header(tmp_path, "ab" * 32)[-len(_OPT):] == \
+            dataclasses.astuple(opt)
+        _drop_last_opt_counter(tmp_path, "ab" * 32)
         cache.clear_memory()
         before = xlat_cache.cache_stats().corrupt_entries
         assert cache.get("ab" * 32) is None
@@ -164,46 +166,84 @@ class TestDiskLayer:
         assert cache.get("ab" * 32) is None
 
 
-def _payload(directory, key) -> dict:
-    return json.loads(DiskStore(directory).read(key))["payload"]
+#: The optimizer counters at the end of an entry's header.
+_OPT = dataclasses.fields(OptStats)
+
+
+def _header(directory, key) -> tuple:
+    """The stored entry's header fields, counters last."""
+    entry = DiskStore(directory).read(key)
+    return xlat_cache._HEADER.unpack_from(
+        entry, 32 + len(xlat_cache._schema_tag()))
+
+
+def _reseal(payload: bytes) -> bytes:
+    return hashlib.sha256(payload).digest() + payload
+
+
+def _drop_last_opt_counter(directory, key) -> None:
+    """Store the entry with one optimizer counter fewer, its count
+    lowered to match, under a fresh digest."""
+    entry = DiskStore(directory).read(key)
+    tag = xlat_cache._schema_tag()
+    at = 32 + len(tag)
+    fields = xlat_cache._HEADER.unpack_from(entry, at)
+    count = len(fields) - len(_OPT) - 1
+    short = struct.pack(f"<Q9IB{len(_OPT) - 1}I", *fields[:count],
+                        len(_OPT) - 1, *fields[count + 1:-1])
+    rewrite_entry(directory, key, _reseal(
+        tag + short + entry[at + xlat_cache._HEADER.size:]))
 
 
 def _damage(directory, key, how, reseal: bool = True) -> None:
-    """Edit a stored entry's payload; resealed under a fresh digest
-    unless ``reseal`` is off, so what refuses it is the layout check."""
-    payload = _payload(directory, key)
-    how(payload)
-    text = json.dumps(payload, separators=(",", ":"))
-    if reseal:
-        rewrite_entry(directory, key, xlat_cache._seal(text))
-    else:
-        whole = DiskStore(directory).read(key)
-        head = whole[:whole.index('"payload":') + len('"payload":')]
-        rewrite_entry(directory, key, head + text + "}")
+    """Store the entry's artifact as edited by ``how`` (block ->
+    block); under a fresh digest unless ``reseal`` is off, so what
+    refuses it is the layout check."""
+    whole = DiskStore(directory).read(key)
+    compiled, opt = xlat_cache._entry_from_bytes(whole)
+    damaged = xlat_cache._entry_to_bytes(how(compiled), opt)
+    if not reseal:
+        damaged = whole[:32] + damaged[32:]
+    rewrite_entry(directory, key, damaged)
 
 
-def _flip_code_byte(payload) -> None:
-    code = bytearray(base64.b64decode(payload["code"]))
+def _linked(compiled, **changes):
+    return dataclasses.replace(
+        compiled, linked=dataclasses.replace(compiled.linked, **changes))
+
+
+def _flip_code_byte(compiled):
+    code = bytearray(compiled.linked.code)
     code[len(code) // 2] ^= 0x01
-    payload["code"] = base64.b64encode(bytes(code)).decode()
+    return _linked(compiled, code=bytes(code))
 
 
-def _code_size(payload) -> int:
-    return len(base64.b64decode(payload["code"]))
+def _reloc_past_end(compiled):
+    (_, label), *rest = compiled.linked.relocs
+    return _linked(compiled, relocs=(
+        (len(compiled.linked.code) - 4, label), *rest))
 
 
-#: Entries that parse as JSON and carry every field, yet must not be
+def _label_past_end(compiled):
+    return _linked(compiled, labels={
+        **compiled.linked.labels,
+        "block_400000": len(compiled.linked.code) + 1})
+
+
+def _origins(compiled, origins):
+    return dataclasses.replace(compiled, fence_origins=origins)
+
+
+#: Entries that decode and carry every field, yet must not be
 #: installed, each as (edit, reseal): a code byte flipped under the
 #: old digest, a relocation or a label past the end of the code, one
 #: fence origin missing for the DMBs the code has.
 WELL_FORMED_DAMAGE = {
     "code-flip": (_flip_code_byte, False),
-    "reloc-past-end": (lambda payload: payload["relocs"][0].__setitem__(
-        0, _code_size(payload) - 4), True),
-    "label-past-end": (lambda payload: payload["labels"].__setitem__(
-        "block_400000", _code_size(payload) + 1), True),
-    "origin-short": (lambda payload: payload["fence_origins"].pop(),
-                     True),
+    "reloc-past-end": (_reloc_past_end, True),
+    "label-past-end": (_label_past_end, True),
+    "origin-short": (lambda compiled: _origins(
+        compiled, compiled.fence_origins[:-1]), True),
 }
 KEYS = {
     "block": block_key("fp", 0x400000, b"\x90" * 64),
@@ -245,16 +285,35 @@ class TestWellFormedDamage:
         key = KEYS["block"]
         cache.put(key, compiled, opt)
         whole = DiskStore(tmp_path).read(key)
-        assert whole.isascii()  # so a flipped low bit is a flipped byte
         before = xlat_cache.cache_stats().corrupt_entries
         for index in range(len(whole)):
-            flipped = chr(ord(whole[index]) ^ 0x01)
-            rewrite_entry(tmp_path, key,
-                          whole[:index] + flipped + whole[index + 1:])
+            flipped = bytearray(whole)
+            flipped[index] ^= 0x01
+            rewrite_entry(tmp_path, key, bytes(flipped))
             assert cache.get(key) is None, index
         assert xlat_cache.cache_stats().corrupt_entries == \
             before + len(whole)
         rewrite_entry(tmp_path, key, whole)
+        assert cache.get(key).compiled == compiled
+
+    @pytest.mark.parametrize("eighth", range(8))
+    def test_truncated_row_is_a_counted_miss_and_is_rewritten(
+            self, tmp_path, eighth):
+        """What a half-written row would hold: the entry cut at one of
+        eight evenly spaced lengths, from nothing to seven eighths."""
+        cache = XlatCache(tmp_path)
+        compiled, opt = _entry()
+        key = KEYS["block"]
+        cache.put(key, compiled, opt)
+        whole = DiskStore(tmp_path).read(key)
+        rewrite_entry(tmp_path, key, whole[:len(whole) * eighth // 8])
+        cache.clear_memory()
+        before = xlat_cache.cache_stats().corrupt_entries
+        assert cache.get(key) is None
+        assert xlat_cache.cache_stats().corrupt_entries == before + 1
+        cache.put(key, compiled, opt)
+        assert DiskStore(tmp_path).read(key) == whole
+        cache.clear_memory()
         assert cache.get(key).compiled == compiled
 
     def test_warm_run_over_a_damaged_store_is_bit_identical(
@@ -268,8 +327,8 @@ class TestWellFormedDamage:
         # Block entries and trace entries both.
         assert len(entries) > cold.stats.xlat_misses > 0
         for _, _, key in entries:
-            _damage(cache_env, key, lambda payload:
-                    payload["fence_origins"].append("bogus"))
+            _damage(cache_env, key, lambda compiled: _origins(
+                compiled, [*compiled.fence_origins, "bogus"]))
         xlat_cache.reset_memory()
         xlat_cache.reset_stats()
         warm = run()
@@ -307,8 +366,7 @@ class TestWellFormedDamage:
 class TestEviction:
     def test_disk_budget_is_enforced(self, tmp_path):
         compiled, opt = _entry()
-        entry_size = len(
-            xlat_cache._entry_to_json(compiled, opt).encode())
+        entry_size = len(xlat_cache._entry_to_bytes(compiled, opt))
         cache = XlatCache(tmp_path, max_disk_bytes=entry_size * 3)
         keys = [f"{i:02x}" * 32 for i in range(8)]
         for key in keys:
@@ -487,8 +545,9 @@ class TestColdRunsNeitherParseNorDecode:
         finally:
             xlat_cache.reset_memory()
 
+    @pytest.mark.parametrize("tier", ["disk", "memory"])
     def test_machine_decodes_only_what_it_was_not_handed(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, tier):
         decodes = []
 
         class Counting:
@@ -503,13 +562,16 @@ class TestColdRunsNeitherParseNorDecode:
         try:
             self._row()  # fills the store: still fresh compiles
             assert decodes == []
-            xlat_cache.reset_memory()
+            if tier == "disk":
+                xlat_cache.reset_memory()
             warm = self._row()
         finally:
             xlat_cache.reset_memory()
-        # Disk hits carry bytes only, so those are decoded.
-        assert warm.xlat_disk_hits > 0 and warm.xlat_misses == 0
-        assert decodes
+        # Hits from either tier seed the machine with their records.
+        disk_hits = warm.xlat_hits if tier == "disk" else 0
+        assert warm.xlat_hits > 0 and warm.xlat_misses == 0
+        assert warm.xlat_disk_hits == disk_hits
+        assert decodes == []
         assert deterministic_row(warm) == deterministic_row(cold)
 
 
@@ -535,8 +597,8 @@ class TestEntriesAreAFunctionOfTheBlock:
             first, second = (ArmBackend().compile_block(
                 copy.deepcopy(block)) for _ in range(2))
             assert first == second
-            assert xlat_cache._entry_to_json(first, OptStats()) == \
-                xlat_cache._entry_to_json(second, OptStats())
+            assert xlat_cache._entry_to_bytes(first, OptStats()) == \
+                xlat_cache._entry_to_bytes(second, OptStats())
             calling += any(request.helper != "dispatch"
                            for request in first.helper_requests)
         assert calling >= 3
@@ -594,3 +656,129 @@ class TestAdjacentImages:
                      if kind == "block" else
                      cache.trace_key_for(memory, [0x400000], "fp", 2048))
         assert None not in keys and len(keys) == 3
+
+
+class TestDecodeMemo:
+    """A hit's records come from one bulk decode through a memo of
+    the memory level: emptied with it, and bounded."""
+
+    @staticmethod
+    def _movs(first: int, count: int) -> bytes:
+        return b"".join(CODER.encode(Insn("mov", (Reg("x0"), Imm(i))))
+                        for i in range(first, first + count))
+
+    def test_reset_empties_the_memo(self, cache_env):
+        job = kernel_job(TINY, variant="risotto")
+        execute_spec(job)
+        xlat_cache.reset_memory()
+        assert execute_spec(job).xlat_disk_hits > 0
+        cache = xlat_cache.get_cache()
+        assert cache._decoded
+        api.reset_xlat_memory()
+        assert cache._decoded == {} and cache._mem == {}
+
+    def test_filling_past_the_bound_stays_within_it(self, tmp_path):
+        cache = XlatCache(tmp_path)
+        bound = xlat_cache.DECODE_MEMO_ENTRIES
+        chunk = 1000
+        for first in range(0, bound + 2 * chunk, chunk):
+            code = self._movs(first, chunk)
+            records = cache.records(code, 0x1000)
+            assert len(records) == chunk
+            assert records[0x1000] == (Insn("mov", (Reg("x0"),
+                                                    Imm(first))), 13)
+            assert len(cache._decoded) <= bound
+        assert cache._decoded, "the memo starts over, it is not off"
+
+    def test_a_repeated_encoding_is_decoded_once(self, monkeypatch):
+        decoded = []
+        plain = type(CODER).decode
+
+        def counting(self, data, offset=0):
+            decoded.append(offset)
+            return plain(self, data, offset)
+
+        monkeypatch.setattr(type(CODER), "decode", counting)
+        memo = {}
+        code = self._movs(7, 1) * 3 + self._movs(8, 1)
+        records = CODER.decode_block(code, 0x40, memo)
+        assert sorted(records) == [0x40, 0x4D, 0x5A, 0x67]
+        assert decoded == [0, 39]
+        assert records[0x40][0] is records[0x5A][0]
+        CODER.decode_block(code, 0x80, memo)
+        assert decoded == [0, 39]
+
+    def test_unknown_opcode_raises_what_decode_raises(self):
+        unknown = min(set(range(256)) - set(CODER.opcodes.values())
+                      - {0xF0})
+        code = self._movs(1, 2) + bytes((unknown, 0))
+        with pytest.raises(DecodeError) as plain:
+            CODER.decode(code, 26)
+        for memo in ({}, {code[:13]: Insn("mov", (Reg("x0"), Imm(1)))}):
+            with pytest.raises(DecodeError) as bulk:
+                CODER.decode_block(code, 0x1000, memo)
+            assert str(bulk.value) == str(plain.value)
+
+    def test_truncated_code_is_a_decode_error(self):
+        mem = CODER.encode(Insn("ldr", (Reg("x0"),
+                                        Mem(base="x1", offset=8))))
+        code = self._movs(1, 2) + mem
+        assert len(CODER.decode_block(code, 0, {})) == 3
+        ends = {0, 13, 26, len(code)}
+        for cut in range(len(code)):
+            if cut in ends:
+                continue
+            with pytest.raises(DecodeError, match="truncated"):
+                CODER.decode_block(code[:cut], 0, {})
+
+
+class TestPerProcessMemos:
+    """The fingerprint and the directory are resolved once per
+    process, yet every change to what they depend on is seen."""
+
+    @pytest.mark.parametrize("name", [*VARIANTS, *SCHEME_VARIANTS])
+    def test_fingerprint_is_the_digest_of_the_config(self, name):
+        config = {**VARIANTS, **SCHEME_VARIANTS}[name]
+        digest = hashlib.sha256(
+            f"{xlat_cache.SCHEMA}|{(config.frontend, config.optimizer)!r}"
+            f"|{code_salt(xlat_cache.SALTED_MODULES)}".encode()
+        ).hexdigest()
+        assert config_fingerprint(config) == digest
+        assert config_fingerprint(config) == digest  # memoized
+
+    def test_a_new_root_gets_its_own_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_XLAT_CACHE", str(tmp_path / "one"))
+        one = xlat_cache.get_cache()
+        assert xlat_cache.get_cache() is one
+        monkeypatch.setenv("REPRO_XLAT_CACHE", str(tmp_path / "two"))
+        two = xlat_cache.get_cache()
+        assert two._disk.directory == tmp_path / "two"
+        monkeypatch.setenv("REPRO_XLAT_CACHE", "off")
+        assert xlat_cache.get_cache() is None
+        monkeypatch.setenv("REPRO_XLAT_CACHE", str(tmp_path / "one"))
+        assert xlat_cache.get_cache() is one
+
+    def test_a_new_namespace_gets_its_own_cache(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setenv("REPRO_XLAT_CACHE", str(tmp_path))
+        root = xlat_cache.get_cache()
+        monkeypatch.setenv("REPRO_XLAT_CACHE_NS", "alice")
+        alice = xlat_cache.get_cache()
+        assert alice._disk.directory == tmp_path / "alice"
+        assert xlat_cache.get_cache("bob")._disk.directory == \
+            tmp_path / "bob"
+        monkeypatch.delenv("REPRO_XLAT_CACHE_NS")
+        assert xlat_cache.get_cache() is root
+        assert xlat_cache.get_cache("alice") is alice
+
+    def test_a_new_working_directory_gets_its_own_cache(
+            self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_XLAT_CACHE")
+        caches = []
+        for name in ("here", "there"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            caches.append(xlat_cache.get_cache())
+            assert caches[-1]._disk.directory == \
+                tmp_path / name / ".repro-cache" / "xlat"
+        assert caches[0] is not caches[1]

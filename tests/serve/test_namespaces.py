@@ -151,7 +151,7 @@ class TestNamespaceUsage:
 
     def test_api_reexports(self, cache_env):
         from repro.store import namespace_usage
-        DiskStore(xlat_cache.base_dir() / "alice").write("0a" * 32, "{}")
+        DiskStore(xlat_cache.base_dir() / "alice").write("0a" * 32, b"{}")
         assert api.xlat_cache_namespaces() \
             == namespace_usage(xlat_cache.base_dir()) \
             == {"": {"entries": 0, "bytes": 0},
@@ -215,5 +215,6 @@ class TestConcurrentEviction:
         assert len(survivors) == entries
         for _, _, key in survivors:
             assert key.endswith("ab" * 30)
-            assert disk.read(key).startswith("{")
-            xlat_cache._entry_from_json(disk.read(key))
+            body = disk.read(key)
+            assert body[32:].startswith(xlat_cache._schema_tag())
+            xlat_cache._entry_from_bytes(body)

@@ -10,12 +10,12 @@ from pathlib import Path
 from repro.store import DB_NAME
 
 
-def rewrite_entry(directory: Path, key: str, text: str) -> None:
-    """Replace the stored text of ``key``'s entry in the store at
+def rewrite_entry(directory: Path, key: str, body: bytes) -> None:
+    """Replace the stored bytes of ``key``'s entry in the store at
     ``directory``, keeping its place in the write order."""
     with closing(sqlite3.connect(Path(directory) / DB_NAME)) as conn, \
             conn:
         changed = conn.execute(
             "UPDATE entries SET body = ? WHERE key = ?",
-            (text.encode(), key)).rowcount
+            (body, key)).rowcount
     assert changed == 1, f"no entry {key} in {directory}"

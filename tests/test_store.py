@@ -39,7 +39,7 @@ SRC = REPO / "src" / "repro"
 # ----------------------------------------------------------------------
 def _bare_subject():
     """A DiskStore driven directly, resolved through the store's two
-    env names; entries are JSON texts decoded by the subject, as a
+    env names; entries are JSON bytes decoded by the subject, as a
     cache would."""
 
     def key(i):
@@ -47,14 +47,14 @@ def _bare_subject():
 
     def put(i):
         if store.enabled():
-            DiskStore(store.cache_dir()).write(key(i),
-                                               json.dumps({"value": i}))
+            DiskStore(store.cache_dir()).write(
+                key(i), json.dumps({"value": i}).encode())
 
     def get(i):
-        text = DiskStore(store.cache_dir()).read(key(i)) \
+        body = DiskStore(store.cache_dir()).read(key(i)) \
             if store.enabled() else None
         try:
-            return None if text is None else json.loads(text)["value"]
+            return None if body is None else json.loads(body)["value"]
         except ValueError:
             return None
 
@@ -226,8 +226,8 @@ class TestContract:
         subject.scope("tenant")
         for directory in (subject.root, subject.root / "tenant"):
             directory.mkdir(exist_ok=True)
-            (directory / f"{subject.key(1)}.json").write_text(whole)
-            (directory / "tmpab12cd.tmp").write_text(whole[:9])
+            (directory / f"{subject.key(1)}.json").write_bytes(whole)
+            (directory / "tmpab12cd.tmp").write_bytes(whole[:9])
         for ns in ("", "tenant"):
             subject.scope(ns)
             assert subject.get(1) is None
@@ -265,9 +265,9 @@ class TestContract:
         whole = DiskStore(subject.root).read(key)
         # "truncated" is what a torn, non-atomic write would have left.
         rewrite_entry(subject.root, key,
-                      {"garbage": "{ not json",
+                      {"garbage": b"{ not json",
                        "truncated": whole[:len(whole) // 2],
-                       "empty": ""}[damage])
+                       "empty": b""}[damage])
         assert subject.get(0) is None
         subject.put(0)
         assert DiskStore(subject.root).read(key) == whole
@@ -338,9 +338,9 @@ class TestContract:
 class TestBudget:
     KEYS = [f"{i:02x}" * 32 for i in range(8)]
 
-    def _fill(self, disk: DiskStore, text: str = "x" * 100):
+    def _fill(self, disk: DiskStore, body: bytes = b"x" * 100):
         for key in self.KEYS:
-            assert disk.write(key, text)
+            assert disk.write(key, body)
 
     def test_entries_are_oldest_first(self, tmp_path):
         disk = DiskStore(tmp_path)
@@ -348,7 +348,7 @@ class TestBudget:
         assert [key for _, _, key in disk.entries()] == self.KEYS
         assert disk.usage() == (8, 800)
         # A rewrite is the most recent write.
-        assert disk.write(self.KEYS[0], "y" * 100)
+        assert disk.write(self.KEYS[0], b"y" * 100)
         assert [key for _, _, key in disk.entries()] == \
             self.KEYS[1:] + self.KEYS[:1]
         assert disk.usage() == (8, 800)
@@ -364,7 +364,7 @@ class TestBudget:
         disk = DiskStore(tmp_path, max_bytes=1)
         self._fill(disk)
         assert disk.evict_to_budget(keep=self.KEYS[0]) == self.KEYS[1:]
-        assert disk.read(self.KEYS[0]) == "x" * 100
+        assert disk.read(self.KEYS[0]) == b"x" * 100
 
     def test_zero_budget_never_evicts(self, tmp_path):
         disk = DiskStore(tmp_path)
@@ -379,7 +379,7 @@ class TestBudget:
         a walk that overwrites the write's charge leaves an allowance
         of 3000 // 4 = 750, above the true 2000 // 4 = 500."""
         disk = DiskStore(tmp_path, max_bytes=4000)
-        assert disk.write(self.KEYS[0], "x" * 1000)
+        assert disk.write(self.KEYS[0], b"x" * 1000)
         listed, resume, writer_waits = (threading.Event()
                                         for _ in range(3))
         plain = disk.entries
@@ -416,7 +416,7 @@ class TestBudget:
             disk._lock = Signalling(disk._lock)
 
         def write():
-            disk.write(self.KEYS[1], "y" * 1000)
+            disk.write(self.KEYS[1], b"y" * 1000)
             writer_waits.set()
 
         writer = threading.Thread(target=write, daemon=True)
@@ -442,7 +442,7 @@ def _put_block():
         records=parse("block:\n" + "    nop\n" * 40 + "    ret\n"),
         helper_requests=[], guest_insns=3, op_count=7)
     opt = OptStats()
-    return compiled, opt, len(xlat_cache._entry_to_json(compiled, opt))
+    return compiled, opt, len(xlat_cache._entry_to_bytes(compiled, opt))
 
 
 def _put_key(i: int) -> str:
@@ -538,7 +538,7 @@ class TestPutPath:
         assert 0 < sum(size for _, size, _ in entries) \
             <= budget + 4 * size
         for _, _, key in entries:
-            xlat_cache._entry_from_json(disk.read(key))
+            xlat_cache._entry_from_bytes(disk.read(key))
         assert _files(tmp_path, "*.tmp") == []
 
     @pytest.mark.parametrize("puts", [20, 400])
@@ -561,15 +561,16 @@ def _child_uses_its_own_connection(directory: str, inherited_id: int):
     disk = DiskStore(Path(directory))
     ok = (not store._OPEN
           and inherited_id in map(id, store._INHERITED)
-          and disk.read("a" * 64) == "parent"
-          and disk.write("b" * 64, "child")
+          and disk.read("a" * 64) == b"parent"
+          and disk.write("b" * 64, b"child")
           and id(store._OPEN[disk._db][0]) != inherited_id)
     os._exit(0 if ok else 1)
 
 
 def _write_at_once(directory: str, key: str, barrier) -> None:
     barrier.wait(timeout=60)
-    os._exit(0 if DiskStore(Path(directory)).write(key, key) else 1)
+    os._exit(0 if DiskStore(Path(directory)).write(key, key.encode())
+             else 1)
 
 
 class TestConnections:
@@ -597,7 +598,7 @@ class TestConnections:
 
     def test_a_forked_child_opens_its_own_connection(self, tmp_path):
         disk = DiskStore(tmp_path)
-        assert disk.write("a" * 64, "parent")
+        assert disk.write("a" * 64, b"parent")
         inherited = store._OPEN[disk._db][0]
         child = multiprocessing.get_context("fork").Process(
             target=_child_uses_its_own_connection,
@@ -607,31 +608,31 @@ class TestConnections:
         assert child.exitcode == 0
         # The parent's connection still works and sees the child's row.
         assert store._OPEN[disk._db][0] is inherited
-        assert disk.read("b" * 64) == "child"
+        assert disk.read("b" * 64) == b"child"
 
     def test_at_most_two_databases_are_open(self, tmp_path):
         disks = [DiskStore(tmp_path / str(n)) for n in range(5)]
         for disk in disks:
-            assert disk.write("a" * 64, disk.directory.name)
+            assert disk.write("a" * 64, disk.directory.name.encode())
         assert len(store._OPEN) <= store.MAX_OPEN == 2
         # A closed one reopens on its next use.
         assert [disk.read("a" * 64) for disk in disks] == \
-            [str(n) for n in range(5)]
+            [str(n).encode() for n in range(5)]
 
     def test_a_replaced_database_is_reopened(self, tmp_path):
         disk = DiskStore(tmp_path / "ns")
-        assert disk.write("a" * 64, "old")
+        assert disk.write("a" * 64, b"old")
         for path in (tmp_path / "ns").iterdir():
             path.unlink()
         assert disk.read("a" * 64) is None
-        assert disk.write("b" * 64, "new")
+        assert disk.write("b" * 64, b"new")
         assert DiskStore(tmp_path / "ns").entries()[0][2] == "b" * 64
 
     def test_failures_are_misses_never_exceptions(self, tmp_path):
         (tmp_path / DB_NAME).write_text("not a database")
         disk = DiskStore(tmp_path, max_bytes=10)
         assert disk.read("a" * 64) is None
-        assert disk.write("a" * 64, "x") is False
+        assert disk.write("a" * 64, b"x") is False
         assert disk.usage() == (0, 0)
         assert disk.evict_to_budget() == []
         assert disk.clear() == 0
