@@ -84,25 +84,39 @@ class _Engine:
 
     def run(self, entry_pc: int,
             max_steps: int = 50_000_000) -> RunResult:
-        main = self.runtime.start_main_thread(entry_pc)
-        self.machine.run(max_steps=max_steps)
-        return RunResult(
-            elapsed_cycles=self.machine.elapsed_cycles(),
-            total_cycles=self.machine.total_cycles(),
-            fence_cycles=self.machine.total_fence_cycles(),
-            host_insns=self.machine.total_insns(),
-            stats=self.runtime.stats,
-            opt_stats=self.opt_stats,
-            exit_code=self.runtime.threads[main.tid].exit_code,
-            output=self.runtime.stats.output,
-            fence_cycles_by_origin=(
-                self.machine.total_fence_cycles_by_origin()),
-            # Native code runs no translated blocks, so there is no
-            # profile to track — an explicit None (not an empty dict)
-            # tells consumers "not tracked" rather than "no hot blocks".
-            block_profile=None if self.runtime.native_mode
-            else self.runtime.block_profile_snapshot(),
-        )
+        """Run from ``entry_pc`` until every core halts.  An engine
+        runs once: when this returns or raises, the runtime is
+        unbound from the cores."""
+        try:
+            main = self.runtime.start_main_thread(entry_pc)
+            self.machine.run(max_steps=max_steps)
+            return RunResult(
+                elapsed_cycles=self.machine.elapsed_cycles(),
+                total_cycles=self.machine.total_cycles(),
+                fence_cycles=self.machine.total_fence_cycles(),
+                host_insns=self.machine.total_insns(),
+                stats=self.runtime.stats,
+                opt_stats=self.opt_stats,
+                exit_code=self.runtime.threads[main.tid].exit_code,
+                output=self.runtime.stats.output,
+                fence_cycles_by_origin=(
+                    self.machine.total_fence_cycles_by_origin()),
+                # Native code runs no translated blocks, so there is no
+                # profile to track — an explicit None (not an empty dict)
+                # tells consumers "not tracked" rather than "no hot blocks".
+                block_profile=None if self.runtime.native_mode
+                else self.runtime.block_profile_snapshot(),
+            )
+        finally:
+            # Traps, the svc handler, the translators and the PLT
+            # thunks close over the runtime or the engine, and both
+            # reach the cores: unbinding them breaks every reference
+            # cycle, so a finished run is freed by refcount.
+            for core in self.machine.cores:
+                core.traps = {}
+                core.svc_handler = None
+            self.runtime.translator = self.runtime.trace_translator = None
+            self.runtime.plt_thunks = {}
 
 
 class DBTEngine(_Engine):

@@ -306,10 +306,21 @@ class InsnCoder:
     # Decode
     # ------------------------------------------------------------------
     def decode(self, data: bytes, offset: int = 0) -> tuple[Insn, int]:
-        """Decode one instruction; returns (insn, size_in_bytes)."""
-        start = offset
+        """Decode one instruction; returns (insn, size_in_bytes).
+
+        Bytes that are not an instruction, and an instruction cut off
+        by the end of ``data``, raise :class:`DecodeError`."""
         if offset >= len(data):
             raise DecodeError(f"{self.name}: decode past end of code")
+        try:
+            return self._decode(data, offset)
+        except (IndexError, struct.error):
+            raise DecodeError(
+                f"{self.name}: truncated instruction at offset "
+                f"{offset}") from None
+
+    def _decode(self, data: bytes, offset: int) -> tuple[Insn, int]:
+        start = offset
         lock = False
         if data[offset] == _LOCK_PREFIX:
             if not self.allow_lock:
@@ -389,12 +400,9 @@ class InsnCoder:
         return out
 
     def _undecodable(self, code: bytes, offset: int) -> None:
-        """Raise what :meth:`decode` raises at ``offset``, or that the
-        instruction there is cut off."""
-        try:
-            self.decode(code, offset)
-        except (IndexError, struct.error):
-            pass
+        """Raise what :meth:`decode` raises at ``offset``: the bulk
+        walk ran off ``code`` there, so it does raise."""
+        self.decode(code, offset)
         raise DecodeError(
             f"{self.name}: truncated instruction at offset {offset}")
 

@@ -20,6 +20,12 @@ address shape and the cycle costs into a handler ``handler(core)``.
 every later step at that pc is one dict lookup and one call.
 Handlers take the core as their argument and capture none, so the
 table holds no reference back into the machine.
+
+Every step reads a core's attributes many times over, so
+:class:`ArmCore` and its :class:`~repro.machine.weakmem.StoreBuffer`
+are slotted dataclasses: what ``__post_init__`` derives is declared
+as a ``field(init=False)``, not added to an instance dict, and the
+constructor takes what it took before.
 """
 
 from __future__ import annotations
@@ -76,9 +82,9 @@ _CONDITION_TESTS: dict[str, Callable[[dict], bool]] = {
 _TEST_BY_INDEX = tuple(_CONDITION_TESTS[name] for name in CONDITIONS)
 
 
-@dataclass
+@dataclass(slots=True)
 class ArmCore:
-    """One simulated core."""
+    """One simulated core (slotted; see the module docstring)."""
 
     core_id: int
     memory: Memory
@@ -109,6 +115,18 @@ class ArmCore:
         default_factory=dict)
     svc_handler: Callable[["ArmCore", int], None] | None = None
 
+    #: Set by ``__post_init__``, not by the caller.
+    buffer: StoreBuffer = field(init=False)
+    #: pc of the instruction currently executing (the fetch pc, before
+    #: advancing) — fence accounting keys the origin map on it.
+    _insn_pc: int = field(init=False)
+    #: pc -> (handler, size): the memory's table for this core's cost
+    #: model, shared with every other core on the machine.
+    _code: dict[int, tuple] = field(init=False)
+    #: The memory's seeded records: a miss binds the one at its pc,
+    #: and decodes the bytes only when there is none.
+    _seeded: dict[int, tuple] = field(init=False)
+
     def __post_init__(self):
         #: ``xzr`` is an entry like any other register so handlers can
         #: read it unconditionally; nothing ever stores a non-zero
@@ -116,15 +134,8 @@ class ArmCore:
         self.regs = {r: 0 for r in GPR}
         self.flags = {"n": False, "z": False, "c": False, "v": False}
         self.buffer = StoreBuffer(mode=self.buffer_mode)
-        #: pc of the instruction currently executing (the fetch pc,
-        #: before advancing) — fence accounting keys the origin map
-        #: on it.
         self._insn_pc = 0
-        #: pc -> (handler, size): the memory's table for this core's
-        #: cost model, shared with every other core on the machine.
         self._code = self.memory.code_table(self.costs)
-        #: The memory's seeded records: a miss binds the one at its pc,
-        #: and decodes the bytes only when there is none.
         self._seeded = self.memory.seeded
 
     # ------------------------------------------------------------------

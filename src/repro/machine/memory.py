@@ -109,16 +109,6 @@ class Memory:
         as long as the memory does (see the class docstring)."""
         return self._code.setdefault(costs, {})
 
-    def release_code(self) -> None:
-        """Drop every bound and seeded instruction (cores keep their
-        tables and refill them on demand).  :meth:`Machine.run` calls
-        this when it returns: a finished machine sits in a reference
-        cycle until a full collection, and should not pin its table
-        that long."""
-        for table in self._code.values():
-            table.clear()
-        self.seeded.clear()
-
     # ------------------------------------------------------------------
     # Data
     # ------------------------------------------------------------------

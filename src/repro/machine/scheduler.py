@@ -6,6 +6,12 @@ so cores progress "in parallel" against a single global timeline — the
 machine's elapsed time is the max core clock, and cross-core effects
 (coherence transfers, store-buffer drains) land at plausible points in
 the interleaving.  The interleaving is deterministic for a given seed.
+
+A step costs its instruction and one pick: the loop draws from
+``rng.getrandbits`` exactly what ``rng.choice(window)`` would, without
+the calls around each draw (see :meth:`Machine._run_loop`).  A DBT
+run unbinds its runtime from the cores when it ends, so a finished
+machine is freed by refcount once its owner drops it.
 """
 
 from __future__ import annotations
@@ -69,15 +75,9 @@ class Machine:
     def run(self, max_steps: int = 50_000_000) -> int:
         """Run until every core halts; returns total steps executed."""
         tracer = get_tracer()
-        try:
-            with tracer.span("machine.run", cat="machine",
-                             n_cores=self.n_cores):
-                steps = self._run_loop(max_steps, tracer)
-        finally:
-            # Machine, cores and the runtime's trap closures form a
-            # reference cycle, so a finished machine lingers until a
-            # full collection; its bound instructions need not.
-            self.memory.release_code()
+        with tracer.span("machine.run", cat="machine",
+                         n_cores=self.n_cores):
+            steps = self._run_loop(max_steps, tracer)
         for core in self.cores:
             core.drain_buffer()
         return steps
@@ -87,10 +87,17 @@ class Machine:
         slowest runnable one form the window (in core order), and
         ``rng`` picks among them — one draw per step, also when the
         window holds a single core, so the stream does not depend on
-        how many cores happen to be runnable."""
+        how many cores happen to be runnable.
+
+        The pick is ``rng.choice(window)`` written out: CPython's
+        ``choice`` draws ``getrandbits(n.bit_length())`` until the
+        value is below ``n``, and so does this loop, bit for bit, but
+        without the two calls around every draw."""
         steps = 0
         trace_dispatch = tracer.enabled
-        cores, jitter, choice = self.cores, self.jitter, self.rng.choice
+        cores, jitter = self.cores, self.jitter
+        getrandbits = self.rng.getrandbits
+        bits = [n.bit_length() for n in range(len(cores) + 1)]
         while True:
             window = []
             low = high = 0
@@ -112,7 +119,12 @@ class Machine:
             if high - low > jitter:
                 limit = low + jitter
                 window = [c for c in window if c.cycles <= limit]
-            core = choice(window)
+            n = len(window)
+            k = bits[n]
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            core = window[r]
             core.step()
             if core.buffer.entries:
                 core.maybe_background_drain()

@@ -44,17 +44,18 @@ class BufferMode(enum.Enum):
 _BARRIER = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreBuffer:
-    """One core's store buffer."""
+    """One core's store buffer (slotted, like the core that owns it)."""
 
     mode: BufferMode = BufferMode.WEAK
     entries: list = field(default_factory=list)
+    #: Stores among ``entries`` (the rest are barrier markers).  A
+    #: barrier is never first or alone, so the buffer holds a store
+    #: exactly when ``entries`` is non-empty.
+    _stores: int = field(init=False)
 
     def __post_init__(self):
-        #: Stores among ``entries`` (the rest are barrier markers).
-        #: A barrier is never first or alone, so the buffer holds a
-        #: store exactly when ``entries`` is non-empty.
         self._stores = sum(1 for e in self.entries if e is not _BARRIER)
 
     # ------------------------------------------------------------------

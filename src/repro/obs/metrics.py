@@ -11,6 +11,15 @@ aggregate, the bench export, the history store and the sentinel.
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from functools import cache
+
+
+@cache
+def _defaults(cls) -> tuple[tuple[str, int], ...]:
+    """``(name, default)`` of every field of ``cls``, read once per
+    class: ``fields()`` rebuilds its tuple on every call, and the
+    engine merges an ``OptStats`` per translated block."""
+    return tuple((f.name, f.default) for f in fields(cls))
 
 
 class Counters:
@@ -23,9 +32,8 @@ class Counters:
 
     def merge(self, other) -> None:
         """Field-wise ``self += other``."""
-        for f in fields(self):
-            setattr(self, f.name,
-                    getattr(self, f.name) + getattr(other, f.name))
+        for name, _ in _defaults(type(self)):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def snapshot(self):
         """A copy detached from the live counters."""
@@ -34,13 +42,12 @@ class Counters:
     def since(self, before):
         """Field-wise ``self - before``: the share of a process-wide
         total accumulated after the ``before`` snapshot was taken."""
-        return type(self)(**{
-            f.name: getattr(self, f.name) - getattr(before, f.name)
-            for f in fields(self)
-        })
+        cls = type(self)
+        return cls(**{name: getattr(self, name) - getattr(before, name)
+                      for name, _ in _defaults(cls)})
 
     def reset(self) -> None:
         """Zero every counter in place (module-wide instances keep
         their identity, so no ``global`` rebinding)."""
-        for f in fields(self):
-            setattr(self, f.name, f.default)
+        for name, default in _defaults(type(self)):
+            setattr(self, name, default)

@@ -8,7 +8,9 @@ binding, traps first, no caching of a miss, release at the end of
 ``Machine.run``, one scheduler draw per step) go through images.
 """
 
+import gc
 import struct
+import weakref
 from random import Random
 
 import pytest
@@ -18,6 +20,7 @@ from repro.isa.arm import assemble
 from repro.isa.arm.insns import CODER, CONDITIONS
 from repro.isa.common import Imm, Insn, Mem, Reg
 from repro.machine import (
+    ArmCore,
     BufferMode,
     CostModel,
     Machine,
@@ -588,7 +591,7 @@ class TestErrorPaths:
         core = machine.core(0)
         core.start(asm.base)
         core.step()
-        with pytest.raises((IndexError, struct.error)):
+        with pytest.raises(DecodeError, match="truncated"):
             core.step()
         assert core.insn_count == 1
 
@@ -715,7 +718,7 @@ class TestTableInvariants:
         memory.add_image(0x0FFC, b"\x01" * 8)
         assert memory.in_image(0x1000)
 
-    def test_cores_share_one_table_and_run_releases_it(self):
+    def test_cores_share_one_table_and_runs_reuse_it(self):
         machine = Machine(n_cores=2, track_coherence=False)
         asm = load(machine, "mov x0, #1\n add x0, x0, #1\n hlt")
         table = machine.memory.code_table(machine.costs)
@@ -733,17 +736,27 @@ class TestTableInvariants:
 
         first.start(asm.base)
         assert machine.run() == 3
-        assert table == {}
-        first.start(asm.base)               # and it fills again
-        assert machine.run() == 3
+        assert table == bound               # a run binds nothing anew
 
-    def test_run_releases_the_table_when_it_raises(self):
+    def test_a_machine_that_raised_is_freed_by_refcount(self):
+        """Nothing a run binds points back at the machine, so its table
+        goes with it once it is dropped, also after a failed run, and
+        without waiting for a collection."""
         machine = Machine(n_cores=1, track_coherence=False)
         asm = load(machine, "spin:\n b spin")
         machine.core(0).start(asm.base)
-        with pytest.raises(MachineError):
-            machine.run(max_steps=5)
-        assert machine.memory.code_table(machine.costs) == {}
+        gc.disable()
+        try:
+            try:
+                machine.run(max_steps=5)
+            except MachineError:
+                pass
+            assert machine.memory.code_table(machine.costs)
+            gone = weakref.ref(machine.memory)
+            del machine
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_handlers_hold_no_core_or_machine(self):
         machine = Machine(n_cores=1)
@@ -786,6 +799,17 @@ class TestTableInvariants:
 # ----------------------------------------------------------------------
 # The scheduler's two RNG streams
 # ----------------------------------------------------------------------
+@pytest.fixture
+def picks(monkeypatch):
+    """The id of every core the scheduler steps, in order (patched on
+    the class: a slotted core takes no per-instance method)."""
+    seen = []
+    plain = ArmCore.step
+    monkeypatch.setattr(ArmCore, "step", lambda core: (
+        seen.append(core.core_id), plain(core))[1])
+    return seen
+
+
 class TestSchedulerStreams:
     def test_one_machine_draw_per_step_even_with_one_core(self):
         machine = Machine(n_cores=1, seed=9, track_coherence=False)
@@ -827,7 +851,7 @@ class TestSchedulerStreams:
                 core.maybe_background_drain()
         assert core.rng.getstate() == mirror.getstate() and draws >= 1
 
-    def test_window_keeps_core_order_and_respects_jitter(self):
+    def test_window_keeps_core_order_and_respects_jitter(self, picks):
         """With ``jitter=0`` only the slowest cores are eligible, in
         core order; the pick among them is ``rng.choice``."""
         machine = Machine(n_cores=3, seed=1, jitter=0,
@@ -837,11 +861,6 @@ class TestSchedulerStreams:
                        base=BASE * (i + 1))
             core.start(asm.base)
         machine.core(1).cycles = 2          # starts behind the others
-        picks = []
-        for core in machine.cores:
-            plain = core.step
-            core.step = lambda c=core, plain=plain: (
-                picks.append(c.core_id), plain())[1]
         machine.run()
         mirror, clocks, want = Random(1), [0, 2, 0], []
         left = [4, 4, 4]
@@ -854,3 +873,36 @@ class TestSchedulerStreams:
             left[pick] -= 1
             clocks[pick] += COSTS.alu if left[pick] else 0
         assert picks == want
+
+    @pytest.mark.parametrize("n_cores", range(1, 9))
+    def test_pick_mirrors_random_choice(self, picks, n_cores):
+        """The loop writes ``rng.choice(window)`` out by hand: for every
+        window size, over many seeds, it picks what ``choice`` picks
+        and leaves the stream where ``choice`` leaves it.  A Python
+        whose ``choice`` draws differently fails here."""
+        for seed in range(200):
+            # A jitter no clock reaches: the window is every core that
+            # has not halted, shrinking from ``n_cores`` to one.
+            machine = Machine(n_cores=n_cores, seed=seed, jitter=1 << 30,
+                              track_coherence=False)
+            for i, core in enumerate(machine.cores):
+                core.start(load(machine, "nop\n nop\n hlt",
+                                base=BASE * (i + 1)).base)
+            picks.clear()
+            machine.run()
+            mirror, window, want = Random(seed), list(range(n_cores)), []
+            left = [3] * n_cores
+            while window:
+                pick = mirror.choice(window)
+                want.append(pick)
+                left[pick] -= 1
+                if not left[pick]:
+                    window.remove(pick)
+            assert picks == want
+            assert machine.rng.getstate() == mirror.getstate()
+
+    def test_cores_and_buffers_are_slotted(self):
+        machine = Machine(n_cores=2)
+        for core in machine.cores:
+            assert not hasattr(core, "__dict__")
+            assert not hasattr(core.buffer, "__dict__")

@@ -223,8 +223,11 @@ class TestOneFetchPath:
     def test_no_module_level_cache_outlives_a_machine(self, recorder):
         """Run a kernel twice; no module-level container under
         ``repro.machine`` may have grown in between, and the finished
-        machine's memory holds no bound or seeded instructions."""
+        machine is freed by refcount alone once nothing holds it: no
+        reference cycle keeps it, its cores or its table alive."""
+        import gc
         import sys
+        import weakref
 
         def sizes():
             out = {}
@@ -244,9 +247,14 @@ class TestOneFetchPath:
                        tier2_threshold=0)
         assert sizes() == before
         ((machine, _),) = recorder.runs
-        table = getattr(machine.memory, "code_table", None)
-        assert table is None or table(machine.costs) == {}
-        assert machine.memory.seeded == {}
+        gone = weakref.ref(machine)
+        gc.disable()
+        try:
+            del machine
+            recorder.runs.clear()
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -112,6 +112,10 @@ def _wire_trip(record):
 NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789._-", min_size=1,
                 max_size=8)
 COUNTS = st.integers(min_value=0, max_value=2 ** 40)
+#: Names a job may carry as its namespace: ``validate`` rejects the
+#: ones ``sanitize_namespace`` would change (``.`` and ``..`` among
+#: them), so only those it leaves alone are valid.
+NAMESPACES = NAMES.filter(lambda name: sanitize_namespace(name) == name)
 #: What every kind of job takes besides its payload.
 COMMON = {
     "variant": NAMES,
@@ -119,7 +123,7 @@ COMMON = {
     "costs": st.none() | st.builds(CostModel, **{
         f.name: COUNTS for f in dataclasses.fields(CostModel)}),
     "buffer_mode": st.sampled_from(BufferMode),
-    "namespace": st.just("") | NAMES,
+    "namespace": st.just("") | NAMESPACES,
     "job_id": st.text(max_size=8),
 }
 #: Any valid job of every kind, with every optional field drawn.
