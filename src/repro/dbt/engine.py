@@ -15,9 +15,10 @@ the same machine and syscall layer: the "native" bars of Figures 12-14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import add, attrgetter
 
-from ..errors import TranslationError
+from ..errors import AssemblerError, DecodeError, TranslationError
 from ..isa.arm.assembler import as_decoded
 from ..machine.scheduler import Machine
 from ..machine.timing import CostModel, DEFAULT_COSTS
@@ -30,6 +31,10 @@ from ..tcg.superblock import stitch_trace
 from .config import DBTConfig, RISOTTO, Tier2Config
 from .runtime import Runtime, RunStats, guest_reg
 from .xlat_cache import DECODE_WINDOW, XlatCache, config_fingerprint
+
+#: An ``OptStats``'s counters as a tuple, in field order.
+_OPT_COUNTERS = attrgetter(*(f.name for f in fields(OptStats)))
+_NO_OPT = _OPT_COUNTERS(OptStats())
 
 
 @dataclass
@@ -76,7 +81,11 @@ class _Engine:
             n_cores=n_cores, costs=costs or DEFAULT_COSTS, seed=seed,
             buffer_mode=buffer_mode)
         self.runtime = Runtime(self.machine)
+        #: The run's optimizer counters, made once, when it ends, from
+        #: ``_opt_totals``: the counters of every block and trace it
+        #: installed, summed field by field as they come.
         self.opt_stats = OptStats()
+        self._opt_totals = _NO_OPT
 
     def load_image(self, base: int, code: bytes) -> None:
         """Map guest code/data into the shared address space."""
@@ -90,6 +99,7 @@ class _Engine:
         try:
             main = self.runtime.start_main_thread(entry_pc)
             self.machine.run(max_steps=max_steps)
+            self.opt_stats = OptStats(*self._opt_totals)
             return RunResult(
                 elapsed_cycles=self.machine.elapsed_cycles(),
                 total_cycles=self.machine.total_cycles(),
@@ -173,30 +183,45 @@ class DBTEngine(_Engine):
             self._helper_traps[key] = addr
         return addr
 
-    def _cached(self, key_of, compile, hit_event: str, pc: int,
-                tracer):
-        """The cacheable part of translation, blocks and traces alike:
-        ``(CompiledBlock, OptStats, source)``.
+    def _translated(self, key_of, compile, hit_event: str, pc: int,
+                    tracer):
+        """Translation through the cache, blocks and traces alike:
+        ``(host pc, CompiledBlock, OptStats, source)``, installed.
 
-        A hit returns the artifact with the exact ``OptStats`` the
+        A hit is installed as stored, with the exact ``OptStats`` the
         optimizer produced for it, and ``source`` names the tier that
-        served it.  A miss (also when ``key_of(cache)`` is ``None``:
-        an unmapped pc, for the frontend to report) runs ``compile()``
-        and stores a non-``None`` artifact; ``source`` is ``None``.
+        served it.  A hit that cannot be installed (its placed code
+        does not decode as its instruction lengths say, a relocation
+        names a label nothing binds, or a request names a helper the
+        runtime does not have) is refused, a counted miss
+        (:meth:`XlatCache.refuse`), and the block is compiled afresh;
+        the refused placement's slot of the code buffer stays unused.  A miss (also when ``key_of(cache)`` is ``None``: an
+        unmapped pc, for the frontend to report) runs ``compile()``,
+        stores a non-``None`` artifact and installs it; ``source`` is
+        ``None``, and so is everything when ``compile()`` gives
+        ``(None, None)``.
         """
         cache = self.xlat_cache
         key = None if cache is None else key_of(cache)
-        if key is not None:
-            hit = cache.get(key)
-            if hit is not None:
+        hit = None if key is None else cache.get(key)
+        if hit is not None:
+            try:
+                with tracer.span("dbt.install", cat="dbt", pc=pc):
+                    host_pc = self._install(hit.compiled)
+            except (AssemblerError, DecodeError, TranslationError):
+                cache.refuse(key, hit)
+            else:
                 if tracer.enabled:
                     tracer.instant(hit_event, cat="dbt", pc=pc,
                                    source=hit.source)
-                return hit.compiled, hit.opt_stats, hit.source
+                return host_pc, hit.compiled, hit.opt_stats, hit.source
         compiled, stats = compile()
-        if key is not None and compiled is not None:
+        if compiled is None:
+            return None, None, None, None
+        if key is not None:
             cache.put(key, compiled, stats)
-        return compiled, stats, None
+        with tracer.span("dbt.install", cat="dbt", pc=pc):
+            return self._install(compiled), compiled, stats, None
 
     def _translate(self, guest_pc: int) -> int:
         """Translate one guest block; returns its host address.
@@ -212,7 +237,7 @@ class DBTEngine(_Engine):
         tracer = get_tracer()
         stats = self.runtime.stats
         with tracer.span("dbt.translate", cat="dbt", pc=guest_pc):
-            compiled, opt, source = self._cached(
+            host_pc, compiled, opt, source = self._translated(
                 lambda cache: cache.key_for(
                     self.machine.memory, guest_pc, self._config_fp,
                     self._key_window),
@@ -224,12 +249,14 @@ class DBTEngine(_Engine):
                 stats.xlat_hits += 1
                 if source == "disk":
                     stats.xlat_disk_hits += 1
-            self.opt_stats.merge(opt)
-            with tracer.span("dbt.install", cat="dbt", pc=guest_pc):
-                host_pc = self._install(compiled)
+            self._count_opt(opt)
         stats.blocks_translated += 1
         stats.guest_insns_translated += compiled.guest_insns
         return host_pc
+
+    def _count_opt(self, opt: OptStats) -> None:
+        self._opt_totals = tuple(map(add, self._opt_totals,
+                                     _OPT_COUNTERS(opt)))
 
     def _compile_block(self, guest_pc: int, tracer):
         with tracer.span("dbt.frontend", cat="dbt", pc=guest_pc):
@@ -256,37 +283,36 @@ class DBTEngine(_Engine):
         tracer = get_tracer()
         with tracer.span("dbt.translate_trace", cat="dbt",
                          pc=chain[0], blocks=len(chain)):
-            try:
-                compiled, stats, _ = self._cached(
-                    lambda cache: cache.trace_key_for(
-                        self.machine.memory, chain, self._config_fp,
-                        self._key_window),
-                    lambda: self._compile_trace(chain),
-                    "dbt.xlat_trace_hit", chain[0], tracer)
-            except TranslationError:
-                return None
-            if compiled is None:
-                return None
-            self.opt_stats.merge(stats)
-            with tracer.span("dbt.install", cat="dbt", pc=chain[0]):
-                return self._install(compiled)
+            host_pc, _, stats, _ = self._translated(
+                lambda cache: cache.trace_key_for(
+                    self.machine.memory, chain, self._config_fp,
+                    self._key_window),
+                lambda: self._compile_trace(chain),
+                "dbt.xlat_trace_hit", chain[0], tracer)
+            if host_pc is not None:
+                self._count_opt(stats)
+            return host_pc
 
     def _compile_trace(self, chain: list[int]):
         """(CompiledBlock, OptStats) for a superblock, or (None, None)
-        when it would be byte-identical to the tier-1 block."""
-        blocks = [
-            self.frontend.translate_block(self.machine.memory, pc)
-            for pc in chain
-        ]
-        stitched = stitch_trace(blocks)
-        trace = stitched.block
-        inlined = inline_helpers_pass(trace)
-        if len(chain) == 1 and stitched.internal_branches == 0 \
-                and inlined == 0:
+        when it would be byte-identical to the tier-1 block or cannot
+        be compiled."""
+        try:
+            blocks = [
+                self.frontend.translate_block(self.machine.memory, pc)
+                for pc in chain
+            ]
+            stitched = stitch_trace(blocks)
+            trace = stitched.block
+            inlined = inline_helpers_pass(trace)
+            if len(chain) == 1 and stitched.internal_branches == 0 \
+                    and inlined == 0:
+                return None, None
+            stats = optimize(trace, self.config.optimizer)
+            stats.helpers_inlined = inlined
+            return self.backend.compile_block(trace), stats
+        except TranslationError:
             return None, None
-        stats = optimize(trace, self.config.optimizer)
-        stats.helpers_inlined = inlined
-        return self.backend.compile_block(trace), stats
 
     def _install(self, compiled: CompiledBlock) -> int:
         """Bind one artifact into this engine's code cache.
@@ -297,7 +323,13 @@ class DBTEngine(_Engine):
         length depends on neither, so the one allocation is exact.  The
         machine gets the block's records with its bytes, so its first
         execution decodes nothing: a fresh block's own, resolved, or a
-        hit's, decoded from the placed bytes through the cache's memo.
+        hit's, decoded from the placed bytes by its stored instruction
+        lengths through the cache's memo.  A hit that is not what it
+        says raises before any fence origin or record is registered:
+        ``TranslationError`` for a helper the runtime does not have,
+        ``AssemblerError`` from ``place`` for a label nothing binds,
+        ``DecodeError`` from the decode for bytes that are not the
+        instructions its lengths describe.
         """
         linked = compiled.linked
         traps: dict[str, int] = {}
@@ -307,14 +339,15 @@ class DBTEngine(_Engine):
                 request.trap_label.endswith("goto_tb"))
         host_pc = self.runtime.alloc_code(len(linked.code))
         code = linked.place(host_pc, traps)
+        insns = as_decoded(compiled.insns, host_pc, len(code),
+                           linked.bind(host_pc, traps)) \
+            if compiled.insns else self.xlat_cache.records(
+                code, host_pc, linked.lengths)
         fence_origins = self.machine.fence_origins
         for offset, origin in zip(linked.dmb_offsets,
                                   compiled.fence_origins):
             if origin is not None:
                 fence_origins[host_pc + offset] = origin
-        insns = as_decoded(compiled.insns, host_pc, len(code),
-                           linked.bind(host_pc, traps)) \
-            if compiled.insns else self.xlat_cache.records(code, host_pc)
         self.machine.memory.add_image(host_pc, code, insns)
         return host_pc
 

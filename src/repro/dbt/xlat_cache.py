@@ -20,9 +20,10 @@ A hit skips frontend, optimizer and backend; ``_install`` still binds
 the run's trap addresses through the stored requests, so cached and
 fresh runs are bit-identical.  Both levels keep the linked form alone,
 so a hit from either takes one path: no hit parses or encodes
-anything, and ``_install`` decodes the placed bytes once, through the
-memory level's memo of instruction encodings (:meth:`XlatCache.records`),
-to seed the machine with the records a fresh compile hands it.  Helper
+anything, and ``_install`` decodes the placed bytes once, advancing by
+the instruction lengths the linker recorded, through the memory
+level's memo of instruction encodings (:meth:`XlatCache.records`), to
+seed the machine with the records a fresh compile hands it.  Helper
 trap labels are numbered within their block, so an entry's bytes are
 a function of its key.
 
@@ -33,9 +34,15 @@ config (not ``DBTConfig.name``: identical variants share entries); a
 digest of every module a block depends on (:data:`SALTED_MODULES`);
 and :data:`SCHEMA`.  An entry is binary (:func:`_entry_to_bytes`),
 sealed by a raw sha256 over its payload that is checked before
-anything is unpacked; corrupt, mismatched or uninstallable
-entries (an offset outside the code, DMBs that disagree with the
-origins) are counted misses that the next store rewrites.  The disk
+anything is unpacked.  Corrupt, mismatched or uninstallable entries
+are counted misses that the next store rewrites: what :meth:`get`
+finds (a digest or schema mismatch, counts the bytes do not hold, an
+offset outside the code, DMBs that disagree with the origins), and
+what only the install finds in a sealed entry (code that does not
+decode as its instruction lengths say, a relocation naming a label
+nothing binds, a helper the runtime does not have), which the engine
+hands back through
+:meth:`XlatCache.refuse` before compiling the block afresh.  The disk
 level is held to :data:`DEFAULT_DISK_BUDGET` bytes, least recently
 written first (:class:`repro.store.DiskStore`).  ``REPRO_XLAT_CACHE``
 (a directory, or ``0``/``off`` for neither level) sets the root; the
@@ -52,7 +59,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from ..errors import MachineError
 from ..isa.arm.assembler import LinkedCode
 from ..isa.arm.insns import CODER
 from ..isa.common import Insn
@@ -80,15 +86,16 @@ from ..tcg.optimizer import OptStats
 #: /3: the linked form (code bytes, relocations, label and DMB
 #: offsets) replaces the asm text, under a payload digest.
 #: /4: the entry is binary (:func:`_entry_to_bytes`), not JSON.
-SCHEMA = "repro-xlat/4"
+#: /5: the linked form carries each instruction's length.
+SCHEMA = "repro-xlat/5"
 
 #: Distinct tag for tier-2 superblock artifacts: a trace keyed over
 #: the same head pc as a plain block must never collide with it, so
 #: trace keys hash this tag plus the ordered (pc, window) list.
 TRACE_SCHEMA = "repro-xlat-trace/2"
 
-#: Disk budget in bytes (entries are about 0.57 KB each: an xlat_cold
-#: pass stores 345,023 bytes in 606); 0 disables eviction.
+#: Disk budget in bytes (entries are about 0.6 KB each: an xlat_cold
+#: pass stores 366,080 bytes in 606); 0 disables eviction.
 DEFAULT_DISK_BUDGET = 64 * 1024 * 1024
 #: In-memory LRU capacity in entries; 0 disables the memory level.
 DEFAULT_MEM_ENTRIES = 4096
@@ -127,18 +134,19 @@ def config_fingerprint(config) -> str:
     Covers the frontend config (fence scheme, CAS policy, block limit)
     and the optimizer pass list.  The variant *name* and the host
     linker flag are excluded: neither changes a single translated
-    block, so identically configured variants share entries.  Both
-    configs are frozen, so the digest is computed once per process.
+    block, so identically configured variants share entries.  The
+    config is frozen, so the digest is kept on the config object
+    itself with the schema tag it was made under: an engine reads it
+    back without hashing either config.
     """
-    return _fingerprint(config.frontend, config.optimizer, SCHEMA)
-
-
-@functools.cache
-def _fingerprint(frontend, optimizer, schema: str) -> str:
-    canonical = repr((frontend, optimizer))
-    return hashlib.sha256(
-        f"{schema}|{canonical}|{code_salt(SALTED_MODULES)}".encode()
-    ).hexdigest()
+    memo = getattr(config, "_xlat_fingerprint", None)
+    if memo is None or memo[0] != SCHEMA:
+        canonical = repr((config.frontend, config.optimizer))
+        memo = SCHEMA, hashlib.sha256(
+            f"{SCHEMA}|{canonical}|{code_salt(SALTED_MODULES)}".encode()
+        ).hexdigest()
+        object.__setattr__(config, "_xlat_fingerprint", memo)
+    return memo[1]
 
 
 def read_window(memory, guest_pc: int, size: int) -> bytes | None:
@@ -153,13 +161,8 @@ def read_window(memory, guest_pc: int, size: int) -> bytes | None:
     """
     parts = []
     addr, left = guest_pc, size
-    while left > 0:
-        try:
-            part = memory.read_bytes(addr, left)
-        except MachineError:
-            break
-        if not part:
-            break
+    while left > 0 and memory.in_image(addr):
+        part = memory.read_bytes(addr, left)
         parts.append(len(part).to_bytes(4, "little") + part)
         addr += len(part)
         left -= len(part)
@@ -225,17 +228,30 @@ reset_stats = _STATS.reset
 _OPT_FIELDS = tuple(field.name for field in fields(OptStats))
 #: An entry's fixed header, after its schema tag: the guest pc, the
 #: guest instruction and TCG op counts, the code size, the number of
-#: relocations, labels, DMBs, fence origins, helper requests and
-#: strings, the number of optimizer counters, then the counters.
-_HEADER = struct.Struct(f"<Q9IB{len(_OPT_FIELDS)}I")
+#: host instructions, relocations, labels, DMBs, fence origins, helper
+#: requests and strings, the number of optimizer counters, then the
+#: counters.
+_HEADER = struct.Struct(f"<Q10IB{len(_OPT_FIELDS)}I")
 #: The size of an entry's seal, a sha256 over the rest.
 _DIGEST = 32
 
 
 def _schema_tag() -> bytes:
     """The payload's first bytes: :data:`SCHEMA`, length-prefixed."""
-    tag = SCHEMA.encode()
+    return _tag(SCHEMA)
+
+
+@functools.cache
+def _tag(schema: str) -> bytes:
+    tag = schema.encode()
     return bytes((len(tag),)) + tag
+
+
+@functools.lru_cache(maxsize=1024)
+def _arrays(n_offsets: int, n_indices: int) -> struct.Struct:
+    """An entry's u32 offsets then u16 string indices, by their counts
+    (``struct``'s own cache of format strings holds only 100)."""
+    return struct.Struct(f"<{n_offsets}I{n_indices}H")
 
 
 def _entry_to_bytes(compiled: CompiledBlock, opt: OptStats) -> bytes:
@@ -244,7 +260,8 @@ def _entry_to_bytes(compiled: CompiledBlock, opt: OptStats) -> bytes:
     labels, DMBs), the u16 string indices (relocation and label
     names, fence origins, then each helper request's trap label,
     helper, comma-joined argument registers and return register), the
-    code bytes and the string table, each string NUL-terminated."""
+    code bytes, a byte per instruction holding its length, and the
+    string table, each string NUL-terminated."""
     linked = compiled.linked
     requests = compiled.helper_requests
     # Index 0 stands for None (an untagged fence, a helper with no
@@ -269,89 +286,88 @@ def _entry_to_bytes(compiled: CompiledBlock, opt: OptStats) -> bytes:
         _schema_tag(),
         _HEADER.pack(
             compiled.guest_pc, compiled.guest_insns, compiled.op_count,
-            len(linked.code), len(linked.relocs), len(linked.labels),
-            len(linked.dmb_offsets), len(compiled.fence_origins),
-            len(requests), len(strings), len(_OPT_FIELDS),
+            len(linked.code), len(linked.lengths), len(linked.relocs),
+            len(linked.labels), len(linked.dmb_offsets),
+            len(compiled.fence_origins), len(requests), len(strings),
+            len(_OPT_FIELDS),
             *[getattr(opt, name) for name in _OPT_FIELDS]),
-        struct.pack(f"<{len(offsets)}I{len(indices)}H",
-                    *offsets, *indices),
+        _arrays(len(offsets), len(indices)).pack(*offsets, *indices),
         linked.code,
+        linked.lengths,
         "".join([string + "\0" for string in strings]).encode(),
     ))
     return hashlib.sha256(payload).digest() + payload
 
 
-def _check_layout(linked: LinkedCode, fence_origins: list) -> None:
+def _check_layout(size: int, relocs: tuple, labels: tuple, dmbs: tuple,
+                  n_origins: int) -> None:
     """Refuse a linked form the engine could not install as it was
-    compiled.  Nothing reassembles a stored entry, so this and the
-    digest are its only checks."""
-    size = len(linked.code)
-    relocs = [offset for offset, _ in linked.relocs]
-    labels = linked.labels.values()
-    dmbs = linked.dmb_offsets
-    if (relocs and not 0 <= min(relocs) <= max(relocs) <= size - 8) \
-            or (labels and not 0 <= min(labels) <= max(labels) <= size) \
-            or (dmbs and not 0 <= min(dmbs) <= max(dmbs) < size):
+    compiled, from the offsets of its relocations, labels and DMBs.
+    Nothing reassembles a stored entry, so this, the digest and the
+    decode of the placed bytes (:meth:`XlatCache.records`, which holds
+    the code to its instruction lengths) are its only checks."""
+    if (relocs and max(relocs) > size - 8) \
+            or (labels and max(labels) > size) \
+            or (dmbs and max(dmbs) >= size):
         raise ValueError("an offset lies outside the code")
-    if len(linked.dmb_offsets) != len(fence_origins):
-        raise ValueError(
-            f"{len(linked.dmb_offsets)} DMBs but "
-            f"{len(fence_origins)} fence origins")
+    if len(dmbs) != n_origins:
+        raise ValueError(f"{len(dmbs)} DMBs but {n_origins} fence origins")
 
 
 def _entry_from_bytes(entry: bytes) -> tuple[CompiledBlock, OptStats]:
     """The artifact :func:`_entry_to_bytes` stored; ``ValueError``,
     ``IndexError`` or ``struct.error`` when the digest, the schema,
     the counts or the layout disagree with what is there."""
-    payload = entry[_DIGEST:]
-    if hashlib.sha256(payload).digest() != entry[:_DIGEST]:
+    if hashlib.sha256(memoryview(entry)[_DIGEST:]).digest() \
+            != entry[:_DIGEST]:
         raise ValueError("payload digest mismatch")
     tag = _schema_tag()
-    if not payload.startswith(tag):
+    if not entry.startswith(tag, _DIGEST):
         raise ValueError("not a current-schema entry")
-    (guest_pc, guest_insns, op_count, code_size, n_relocs, n_labels,
-     n_dmbs, n_origins, n_requests, n_strings, n_opt, *opt) = \
-        _HEADER.unpack_from(payload, len(tag))
+    at = _DIGEST + len(tag)
+    (guest_pc, guest_insns, op_count, code_size, n_insns, n_relocs,
+     n_labels, n_dmbs, n_origins, n_requests, n_strings, n_opt, *opt) = \
+        _HEADER.unpack_from(entry, at)
     if n_opt != len(_OPT_FIELDS):
         # Read positionally, a short list would shift every field.
         raise ValueError(f"{n_opt} optimizer counters")
-    at = len(tag) + _HEADER.size
+    at += _HEADER.size
     n_offsets = n_relocs + n_labels + n_dmbs
-    ints = struct.unpack_from(
-        f"<{n_offsets}I"
-        f"{n_relocs + n_labels + n_origins + 4 * n_requests}H",
-        payload, at)
-    at += 4 * n_offsets + 2 * (len(ints) - n_offsets)
-    code = payload[at:at + code_size]
-    names = [None, *payload[at + code_size:].decode().split("\0")]
-    if len(code) != code_size or names.pop() != "" \
-            or len(names) != n_strings + 1:
-        raise ValueError("the code or the string table is cut short")
-    labels_at = n_relocs
-    dmbs_at = labels_at + n_labels
-    names_at = n_offsets + n_relocs
-    origins_at = names_at + n_labels
-    requests_at = origins_at + n_origins
-    name = names.__getitem__
-    linked = LinkedCode(
-        code,
-        tuple(zip(ints[:labels_at], map(name, ints[n_offsets:names_at]))),
-        dict(zip(map(name, ints[names_at:origins_at]),
-                 ints[labels_at:dmbs_at])),
-        ints[dmbs_at:n_offsets])
-    fence_origins = list(map(name, ints[origins_at:requests_at]))
-    _check_layout(linked, fence_origins)
-    requests = []
-    for label, helper, args, ret in zip(*[iter(ints[requests_at:])] * 4):
-        args = names[args]
-        requests.append(HelperRequest(
-            names[label], names[helper],
-            tuple(args.split(",")) if args else (), names[ret]))
+    arrays = _arrays(n_offsets,
+                     n_relocs + n_labels + n_origins + 4 * n_requests)
+    ints = arrays.unpack_from(entry, at)
+    at += arrays.size
+    code = entry[at:at + code_size]
+    at += code_size
+    lengths = entry[at:at + n_insns]
+    names = [None, *entry[at + n_insns:].decode().split("\0")]
+    if len(code) != code_size or len(lengths) != n_insns \
+            or names.pop() != "" or len(names) != n_strings + 1:
+        raise ValueError("the code, its lengths or the string table is "
+                         "cut short")
+    # Offsets and strings both start with the relocations' and the
+    # labels'; the strings go on with the fence origins, then each
+    # helper request's four fields.
+    named = n_relocs + n_labels
+    relocs, labels = ints[:n_relocs], ints[n_relocs:named]
+    dmbs = ints[named:n_offsets]
+    _check_layout(code_size, relocs, labels, dmbs, n_origins)
+    strings = list(map(names.__getitem__, ints[n_offsets:]))
+    requests_at = named + n_origins
+    linked = LinkedCode(code, tuple(zip(relocs, strings)),
+                        dict(zip(strings[n_relocs:named], labels)),
+                        dmbs, lengths)
+    requests = [
+        HelperRequest(label, helper,
+                      tuple(args.split(",")) if args else (), ret)
+        for label, helper, args, ret in zip(*[iter(
+            strings[requests_at:])] * 4)]
     return CompiledBlock(guest_pc, linked, requests, guest_insns,
-                         op_count, fence_origins), OptStats(*opt)
+                         op_count, strings[named:requests_at]), \
+        OptStats(*opt)
 
 
-@dataclass
+@dataclass(slots=True)
 class XlatHit:
     """A successful lookup: the artifact plus which level served it."""
 
@@ -376,9 +392,9 @@ class XlatCache:
         self.max_mem_entries = max_mem_entries
         self._mem: OrderedDict[str, tuple[CompiledBlock, OptStats]] = \
             OrderedDict()
-        #: Instruction bytes -> the :class:`Insn` they decode to, for
-        #: :meth:`records`: part of the memory level.
-        self._decoded: dict[bytes, Insn] = {}
+        #: Instruction bytes -> the ``(Insn, size)`` record they decode
+        #: to, for :meth:`records`: part of the memory level.
+        self._decoded: dict[bytes, tuple[Insn, int]] = {}
 
     # ------------------------------------------------------------------
     # Keys
@@ -444,14 +460,35 @@ class XlatCache:
                 and self._disk.walk_due():
             self.evict_to_budget(keep=key)
 
-    def records(self, code: bytes, base: int
+    def refuse(self, key: str, hit: XlatHit) -> None:
+        """Take back ``hit``, which the engine could not install (its
+        placed code does not decode as its instruction lengths say, or
+        it names a label or a helper the engine does not have): a
+        counted miss after all, and
+        out of the memory level, so the put of the fresh compile that
+        follows replaces it on both levels."""
+        self._mem.pop(key, None)
+        _STATS.hits -= 1
+        if hit.source == "disk":
+            _STATS.disk_hits -= 1
+        else:
+            _STATS.memory_hits -= 1
+        _STATS.misses += 1
+        _STATS.corrupt_entries += 1
+
+    def records(self, code: bytes, base: int,
+                lengths: bytes | None = None
                 ) -> dict[int, tuple[Insn, int]]:
         """The records a hit's placed ``code`` at ``base`` seeds the
-        machine with, decoded through this cache's memo (see
+        machine with, one per stored instruction length (walked from
+        the code when none are given), decoded through this cache's
+        memo (see
         :meth:`~repro.isa.common.InsnCoder.decode_block`), which is
-        emptied whenever it grows past :data:`DECODE_MEMO_ENTRIES`."""
+        emptied whenever it grows past :data:`DECODE_MEMO_ENTRIES`.
+        Raises :class:`~repro.errors.DecodeError` when the code is not
+        the instructions its lengths describe."""
         memo = self._decoded
-        records = CODER.decode_block(code, base, memo)
+        records = CODER.decode_block(code, base, memo, lengths)
         if len(memo) > DECODE_MEMO_ENTRIES:
             memo.clear()
         return records

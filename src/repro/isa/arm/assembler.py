@@ -103,14 +103,16 @@ def parse_line(line: str) -> Insn | str | None:
     return Insn(mnemonic, operands)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinkedCode:
     """One source unit encoded once, not yet bound to an address.
 
     Immediates are a fixed 8 bytes, so length and layout depend on
     neither the base nor what labels resolve to: binding is a copy
-    plus one 64-bit store per relocation.  Immutable, so one instance
-    serves every engine that installs the block.
+    plus one 64-bit store per relocation.  Nothing changes one once it
+    is linked, so one instance serves every engine that installs the
+    block.  (It is not a frozen dataclass: every cache hit builds one,
+    and a frozen one pays an ``object.__setattr__`` per field.)
     """
 
     #: The encoding with every label immediate zeroed.
@@ -121,6 +123,10 @@ class LinkedCode:
     labels: dict[str, int]
     #: Offsets of the ``dmb*`` instructions, in program order.
     dmb_offsets: tuple[int, ...]
+    #: Each instruction's size in bytes, one byte each, in program
+    #: order: they tile ``code``, so a decode of the placed bytes
+    #: advances by them (:meth:`~repro.isa.common.InsnCoder.decode_block`).
+    lengths: bytes
 
     def bind(self, base: int,
              external_labels: dict[str, int] | None = None
@@ -138,10 +144,13 @@ class LinkedCode:
         """The unit's bytes when loaded at ``base``."""
         labels = self.bind(base, external_labels)
         code = bytearray(self.code)
-        for offset, name in self.relocs:
-            if name not in labels:
-                raise AssemblerError(f"undefined label {name!r}")
-            _IMM64.pack_into(code, offset, labels[name] & _U64_MASK)
+        pack = _IMM64.pack_into
+        try:
+            for offset, name in self.relocs:
+                pack(code, offset, labels[name] & _U64_MASK)
+        except KeyError as missing:
+            raise AssemblerError(
+                f"undefined label {missing.args[0]!r}") from None
         return bytes(code)
 
 
@@ -156,7 +165,7 @@ def link_records(records: Iterable[Insn | str]
     code = bytearray()
     relocs: list[tuple[int, str]] = []
     labels: dict[str, int] = {}
-    dmb_offsets, placed = [], []
+    dmb_offsets, placed, lengths = [], [], []
     for item in records:
         offset = len(code)
         if type(item) is str:
@@ -178,9 +187,14 @@ def link_records(records: Iterable[Insn | str]
         if item.mnemonic.startswith("dmb"):
             dmb_offsets.append(offset)
         placed.append((offset, item))
-        code += CODER.encode(placeholder)
+        encoded = CODER.encode(placeholder)
+        if len(encoded) > 0xFF:
+            raise AssemblerError(f"{item} encodes to {len(encoded)} "
+                                 f"bytes, past a one-byte length")
+        lengths.append(len(encoded))
+        code += encoded
     linked = LinkedCode(bytes(code), tuple(relocs), labels,
-                        tuple(dmb_offsets))
+                        tuple(dmb_offsets), bytes(lengths))
     return linked, placed
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..errors import AssemblerError, DecodeError
 
@@ -361,23 +362,56 @@ class InsnCoder:
         return Insn(mnemonic, tuple(operands), lock), offset - start
 
     def decode_block(self, code: bytes, base: int,
-                     memo: dict[bytes, Insn]
+                     memo: dict[bytes, tuple[Insn, int]],
+                     lengths: Sequence[int] | None = None
                      ) -> dict[int, tuple[Insn, int]]:
         """``pc -> (insn, size)`` for every instruction of ``code``
         loaded at ``base``, as :meth:`decode` reads each one.
 
-        An instruction's length follows from its operand tags alone,
-        so each one's exact bytes are sliced out and looked up in
-        ``memo`` (bytes -> the :class:`Insn` they decode to, which
-        this fills); only a miss decodes.  Bytes that do not decode
-        raise :meth:`decode`'s :class:`DecodeError`, and an
-        instruction cut off by the end of ``code`` raises one too.
+        ``lengths`` are the instructions' sizes in order, as the linker
+        recorded them; without them, each one's size is walked from its
+        operand tags (:meth:`_lengths`).  Each instruction's exact bytes
+        are then sliced out and looked up in ``memo`` (bytes -> the
+        ``(insn, size)`` record they decode to, which this fills, so
+        every pc spelled alike shares one record), and only a miss
+        decodes.  A memo key decoded to exactly its own length, so a
+        hit is an exact encoding; a miss whose decoded size is not its
+        length, lengths that do not cover ``code`` exactly, bytes that
+        do not decode and an instruction cut off by the end of ``code``
+        all raise :class:`DecodeError`.
         """
+        if lengths is None:
+            lengths = self._lengths(code)
         out = {}
+        offset = 0
+        lookup = memo.get
+        for size in lengths:
+            end = offset + size
+            key = code[offset:end]
+            record = lookup(key)
+            if record is None:
+                record = self.decode(code, offset)
+                if record[1] != size:
+                    raise DecodeError(
+                        f"{self.name}: the instruction at offset "
+                        f"{offset} is {record[1]} bytes, not {size}")
+                memo[key] = record
+            out[base + offset] = record
+            offset = end
+        if offset != len(code):
+            raise DecodeError(
+                f"{self.name}: {len(lengths)} instruction lengths do not "
+                f"cover {len(code)} bytes of code")
+        return out
+
+    def _lengths(self, code: bytes) -> list[int]:
+        """Each instruction's size in ``code``, walked from its operand
+        tags alone; an instruction cut off by the end of ``code`` raises
+        what :meth:`decode` raises there."""
+        lengths = []
         end = len(code)
         offset = 0
         widths = _TAG_WIDTHS
-        lookup = memo.get
         try:
             while offset < end:
                 # Past the (lock prefix,) opcode and operand count.
@@ -389,15 +423,11 @@ class InsnCoder:
                     cursor += widths[code[cursor]] or end
                 if cursor > end:
                     raise IndexError
-                key = code[offset:cursor]
-                insn = lookup(key)
-                if insn is None:
-                    insn = memo[key] = self.decode(code, offset)[0]
-                out[base + offset] = (insn, cursor - offset)
+                lengths.append(cursor - offset)
                 offset = cursor
         except IndexError:
             self._undecodable(code, offset)
-        return out
+        return lengths
 
     def _undecodable(self, code: bytes, offset: int) -> None:
         """Raise what :meth:`decode` raises at ``offset``: the bulk

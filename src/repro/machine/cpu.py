@@ -131,7 +131,7 @@ class ArmCore:
         #: ``xzr`` is an entry like any other register so handlers can
         #: read it unconditionally; nothing ever stores a non-zero
         #: there (:meth:`set`, :func:`_discarding`).
-        self.regs = {r: 0 for r in GPR}
+        self.regs = dict.fromkeys(GPR, 0)
         self.flags = {"n": False, "z": False, "c": False, "v": False}
         self.buffer = StoreBuffer(mode=self.buffer_mode)
         self._insn_pc = 0

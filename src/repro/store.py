@@ -107,12 +107,16 @@ def cache_dir(ns: str = "") -> Path:
 
 def resolution_key(ns: str = "") -> tuple:
     """Everything :func:`enabled` and :func:`cache_dir` read for
-    ``ns``, unresolved: the raw root and namespace variables, ``ns``,
-    and the working directory when the root is unset.  Equal keys
-    resolve alike, so a caller may memoize the resolution by it."""
+    ``ns``, unresolved: the raw root variable, and unless it turns the
+    cache off, the raw namespace variable, ``ns``, and the working
+    directory when the root is unset.  Equal keys resolve alike, so a
+    caller may memoize the resolution by it."""
     root = os.environ.get(ENV_VAR, "")
+    stripped = root.strip()
+    if stripped.lower() in OFF_VALUES:
+        return (root,)
     return (root, os.environ.get(NAMESPACE_ENV), ns,
-            None if root.strip() else os.getcwd())
+            None if stripped else os.getcwd())
 
 
 def clear_disk_cache() -> int:

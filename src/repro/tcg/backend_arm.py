@@ -83,7 +83,7 @@ def lower_barrier(mask: int) -> str | None:
     return _BARRIERS[mask]
 
 
-@dataclass
+@dataclass(slots=True)
 class HelperRequest:
     """A helper/dispatcher entry the runtime must install."""
 
@@ -93,7 +93,7 @@ class HelperRequest:
     ret_reg: str | None          # register receiving the return value
 
 
-@dataclass
+@dataclass(slots=True)
 class CompiledBlock:
     """Backend output: the block encoded once plus the traps it
     references."""

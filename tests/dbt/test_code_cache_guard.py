@@ -197,6 +197,22 @@ def test_seeded_records_are_the_decode_at_every_base(installed):
     assert len(memo) < decoded // 2, "the memo never hit"
 
 
+def test_stored_lengths_decode_to_the_same_records(installed):
+    """The linker's instruction lengths are the decode's: advancing by
+    them through one memo shared by every block and base, as a hit
+    does, gives the decode of the placed bytes."""
+    memo = {}
+    for asm, (host_pc, traps, image, compiled, _) in installed.items():
+        linked = compiled.linked
+        assert [offset for offset, _ in compiled.insns] == \
+            [sum(linked.lengths[:n]) for n in range(len(linked.lengths))]
+        for base in (host_pc, *EXTRA_BASES):
+            placed = linked.place(base, traps)
+            assert CODER.decode_block(placed, base, memo,
+                                      linked.lengths) == \
+                _decode_all(placed, base)
+
+
 def test_text_stays_the_oracle(installed):
     """The rendered records link, as text, to the linked form the
     records did."""
@@ -217,6 +233,14 @@ def test_unbound_and_clashing_labels_are_still_errors():
         assemble("top:\n    ret\n", external_labels={"top": 0x200})
     with pytest.raises(AssemblerError, match="duplicate label"):
         link("top:\n    nop\ntop:\n    ret\n")
+
+
+def test_an_instruction_longer_than_its_length_byte_is_refused():
+    """Each instruction's length is stored in one byte; hand-written
+    text can spell a longer one, which the linker refuses by name."""
+    many = ", ".join(["#1"] * 30)
+    with pytest.raises(AssemblerError, match="one-byte length"):
+        link(f"    mov x0, {many}\n")
 
 
 def test_stable_assembler_still_installs():

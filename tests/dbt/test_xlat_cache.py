@@ -189,8 +189,10 @@ def _drop_last_opt_counter(directory, key) -> None:
     at = 32 + len(tag)
     fields = xlat_cache._HEADER.unpack_from(entry, at)
     count = len(fields) - len(_OPT) - 1
-    short = struct.pack(f"<Q9IB{len(_OPT) - 1}I", *fields[:count],
-                        len(_OPT) - 1, *fields[count + 1:-1])
+    short = struct.pack(
+        xlat_cache._HEADER.format.replace(f"B{len(_OPT)}I",
+                                          f"B{len(_OPT) - 1}I"),
+        *fields[:count], len(_OPT) - 1, *fields[count + 1:-1])
     rewrite_entry(directory, key, _reseal(
         tag + short + entry[at + xlat_cache._HEADER.size:]))
 
@@ -361,6 +363,111 @@ class TestWellFormedDamage:
             with pytest.raises(TranslationError,
                                match="recorded fence origins"):
                 run_kernel(TINY, variant="risotto")
+
+
+def _undecodable(compiled):
+    return _linked(compiled, code=b"\xee" * len(compiled.linked.code))
+
+
+def _misaligned(compiled):
+    """Lengths that still tile the code, one byte off at the first
+    instruction boundary."""
+    first, second, *rest = compiled.linked.lengths
+    return _linked(compiled,
+                   lengths=bytes((first - 1, second + 1, *rest)))
+
+
+def _unbound_label(compiled):
+    (offset, _), *rest = compiled.linked.relocs
+    return _linked(compiled, relocs=((offset, "nowhere"), *rest))
+
+
+def _unknown_helper(compiled):
+    return dataclasses.replace(compiled, helper_requests=[
+        dataclasses.replace(request, helper="helper_nope")
+        for request in compiled.helper_requests])
+
+
+#: Entries sealed under their own digest and laid out within their
+#: code, that still cannot be installed: every code byte an unknown
+#: opcode, instruction lengths that split the code in the wrong place
+#: or stop one instruction short of its end, a relocation naming a
+#: label nothing binds, requests naming a helper the runtime lacks.
+UNINSTALLABLE = {
+    "undecodable": _undecodable,
+    "misaligned-lengths": _misaligned,
+    "lengths-short": lambda compiled: _linked(
+        compiled, lengths=compiled.linked.lengths[:-1]),
+    "unbound-label": _unbound_label,
+    "unknown-helper": _unknown_helper,
+}
+
+
+class TestUninstallableEntries:
+    """What only the install can find out about a sealed entry (its
+    placed bytes are not the instructions its lengths describe, or it
+    names a label or a helper nothing provides) makes it a counted
+    miss like any other damage: the block is compiled afresh, stored
+    over it and installed."""
+
+    @pytest.mark.parametrize("damage", sorted(UNINSTALLABLE))
+    def test_a_warm_run_over_them_is_bit_identical(self, cache_env,
+                                                   damage):
+        def run():
+            return run_kernel(TINY, variant="risotto",
+                              tier2_threshold=1).result
+
+        def observed(result):
+            return (result.elapsed_cycles, result.total_cycles,
+                    result.fence_cycles_by_origin, result.opt_stats,
+                    result.block_profile)
+
+        cold = run()
+        entries = DiskStore(cache_env).entries()
+        # Block entries and trace entries both.
+        assert len(entries) > cold.stats.xlat_misses > 0
+        for _, _, key in entries:
+            _damage(cache_env, key, UNINSTALLABLE[damage])
+        xlat_cache.reset_memory()
+        xlat_cache.reset_stats()
+        warm = run()
+        stats = xlat_cache.cache_stats()
+        assert stats.corrupt_entries == len(entries)
+        assert stats.hits == stats.disk_hits == 0
+        assert stats.misses == stats.lookups
+        assert warm.stats.xlat_hits == 0
+        assert observed(warm) == observed(cold)
+        # The fresh compiles replaced them on both levels.
+        for tier in ("memory", "disk"):
+            if tier == "disk":
+                xlat_cache.reset_memory()
+            xlat_cache.reset_stats()
+            again = run()
+            assert again.stats.xlat_misses == 0
+            assert observed(again) == observed(cold)
+            stats = xlat_cache.cache_stats()
+            assert stats.corrupt_entries == 0
+            assert getattr(stats, f"{tier}_hits") == stats.hits > 0
+
+    @pytest.mark.parametrize("tier", ["disk", "memory"])
+    def test_a_refused_hit_is_a_miss_and_leaves_memory(self, tmp_path,
+                                                       tier):
+        cache = XlatCache(tmp_path)
+        compiled, opt = _entry()
+        key = KEYS["block"]
+        cache.put(key, compiled, opt)
+        _damage(tmp_path, key, _undecodable)
+        cache.clear_memory()
+        hit = cache.get(key)
+        if tier == "memory":
+            hit = cache.get(key)
+        assert hit.source == tier and key in cache._mem
+        before = xlat_cache.cache_stats()
+        cache.refuse(key, hit)
+        moved = xlat_cache.cache_stats().since(before)
+        assert key not in cache._mem
+        assert (moved.hits, getattr(moved, f"{tier}_hits"), moved.misses,
+                moved.corrupt_entries, moved.lookups) == (-1, -1, 1, 1, 0)
 
 
 class TestEviction:
@@ -730,6 +837,59 @@ class TestDecodeMemo:
                 continue
             with pytest.raises(DecodeError, match="truncated"):
                 CODER.decode_block(code[:cut], 0, {})
+
+
+class TestDecodeByLengths:
+    """Given the linker's instruction lengths, the bulk decode advances
+    by them instead of walking operand tags, and holds the code to
+    them."""
+
+    @staticmethod
+    def _code() -> tuple[bytes, bytes]:
+        insns = [Insn("mov", (Reg("x0"), Imm(7))), Insn("dmbff"),
+                 Insn("ldr", (Reg("x0"), Mem(base="x1", offset=8))),
+                 Insn("mov", (Reg("x0"), Imm(7)))]
+        encoded = [CODER.encode(insn) for insn in insns]
+        return b"".join(encoded), bytes(map(len, encoded))
+
+    def test_lengths_give_the_walk_s_records(self):
+        code, lengths = self._code()
+        walked = CODER.decode_block(code, 0x40, {})
+        assert CODER.decode_block(code, 0x40, {}, lengths) == walked
+        assert [size for _, size in walked.values()] == list(lengths)
+
+    def test_a_memo_hit_decodes_nothing(self, monkeypatch):
+        code, lengths = self._code()
+        memo = {}
+        CODER.decode_block(code, 0, memo, lengths)
+
+        def refuse(self, data, offset=0):
+            raise AssertionError("a memo hit decoded")
+
+        monkeypatch.setattr(type(CODER), "decode", refuse)
+        assert len(CODER.decode_block(code, 0x80, memo, lengths)) == 4
+
+    @pytest.mark.parametrize("edit", ["short", "long"])
+    def test_lengths_must_tile_the_code(self, edit):
+        """One length too few, or the last one a byte long: its bytes,
+        cut off by the end of the code, are the first instruction's, a
+        memo hit, so only the final tally sees it."""
+        code, lengths = self._code()
+        lengths = lengths[:-1] if edit == "short" \
+            else lengths[:-1] + bytes((lengths[-1] + 1,))
+        with pytest.raises(DecodeError, match="do not cover"):
+            CODER.decode_block(code, 0, {}, lengths)
+
+    def test_a_miss_must_decode_to_its_length(self):
+        """Nor is a record kept under bytes that are not exactly its
+        encoding, which a later hit would take on trust."""
+        code, lengths = self._code()
+        shifted = bytes((lengths[0] + 1, lengths[1] - 1, *lengths[2:]))
+        memo = {}
+        for _ in range(2):
+            with pytest.raises(DecodeError, match="bytes, not"):
+                CODER.decode_block(code, 0, memo, shifted)
+            assert memo == {}
 
 
 class TestPerProcessMemos:

@@ -10,6 +10,7 @@ means — keys, codecs, counters, the memory LRU, warm-vs-cold identity
 — stays in the cache's own suite.
 """
 
+import gc
 import json
 import multiprocessing
 import os
@@ -557,14 +558,36 @@ class TestPutPath:
 # ----------------------------------------------------------------------
 # Connections: one per process and database, never across a fork
 # ----------------------------------------------------------------------
-def _child_uses_its_own_connection(directory: str, inherited_id: int):
+class _Watched:
+    """A connection that counts the closes it is asked for."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.closes = 0
+
+    def execute(self, *args):
+        return self.conn.execute(*args)
+
+    def close(self):
+        self.closes += 1
+        self.conn.close()
+
+
+def _child_uses_its_own_connection(directory: str):
     disk = DiskStore(Path(directory))
+    (watched,) = [conn for conn in store._INHERITED
+                  if isinstance(conn, _Watched)]
+    others = [DiskStore(Path(directory) / str(n))
+              for n in range(store.MAX_OPEN + 1)]
     ok = (not store._OPEN
-          and inherited_id in map(id, store._INHERITED)
           and disk.read("a" * 64) == b"parent"
           and disk.write("b" * 64, b"child")
-          and id(store._OPEN[disk._db][0]) != inherited_id)
-    os._exit(0 if ok else 1)
+          and store._OPEN[disk._db][0] is not watched
+          # Past MAX_OPEN, so the child evicts and closes its own.
+          and all(other.write("c" * 64, b"other") for other in others)
+          and disk._db not in store._OPEN)
+    gc.collect()
+    os._exit(0 if ok and watched.closes == 0 else 1)
 
 
 def _write_at_once(directory: str, key: str, barrier) -> None:
@@ -597,18 +620,28 @@ class TestConnections:
             assert list(directory.glob("*.tmp")) == []
 
     def test_a_forked_child_opens_its_own_connection(self, tmp_path):
+        """SQLite connections must not cross a fork: the child reads
+        and writes through connections of its own, evicts and closes
+        those, and never closes the one it inherited, which still
+        serves the parent's reads after the child is gone."""
         disk = DiskStore(tmp_path)
         assert disk.write("a" * 64, b"parent")
-        inherited = store._OPEN[disk._db][0]
-        child = multiprocessing.get_context("fork").Process(
-            target=_child_uses_its_own_connection,
-            args=(str(tmp_path), id(inherited)))
-        child.start()
-        child.join(timeout=60)
-        assert child.exitcode == 0
-        # The parent's connection still works and sees the child's row.
-        assert store._OPEN[disk._db][0] is inherited
-        assert disk.read("b" * 64) == b"child"
+        conn, identity = store._OPEN[disk._db]
+        watched = store._OPEN[disk._db] = (_Watched(conn), identity)
+        try:
+            child = multiprocessing.get_context("fork").Process(
+                target=_child_uses_its_own_connection,
+                args=(str(tmp_path),))
+            child.start()
+            child.join(timeout=60)
+            assert child.exitcode == 0
+            assert store._OPEN[disk._db] is watched
+            assert disk.read("b" * 64) == b"child"
+            assert disk.read("a" * 64) == b"parent"
+            assert watched[0].closes == 0
+        finally:
+            if store._OPEN.get(disk._db) is watched:
+                store._OPEN[disk._db] = (conn, identity)
 
     def test_at_most_two_databases_are_open(self, tmp_path):
         disks = [DiskStore(tmp_path / str(n)) for n in range(5)]
