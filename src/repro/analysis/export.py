@@ -80,9 +80,8 @@ def bench_payload(figure: str, table: BenchTable | None = None,
         payload["rows"] = _table_rows(table)
     if sweep is not None:
         payload["stats"] = _sweep_stats(sweep)
-        failures = getattr(sweep, "failures", ())
-        if failures:
-            payload["failures"] = [str(f) for f in failures]
+        if getattr(sweep, "failures", ()):
+            payload["failures"] = sweep.failure_lines()
         hot: dict = {}
         for row in sweep:
             blocks = getattr(row, "hot_blocks", ())

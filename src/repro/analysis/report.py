@@ -54,9 +54,8 @@ def run_stats_footer(sweep, title: str = "harness stats") -> str:
         f"sum of per-run wall: {stats.run_seconds:.2f}s",
     ]
     if stats.failed_runs:
-        failures = getattr(sweep, "failures", ())
         lines.append(f"FAILED runs: {stats.failed_runs}")
-        for failure in failures:
+        for failure in sweep.failure_lines():
             lines.append(f"  {failure}")
     if stats.blocks_translated or stats.block_dispatches:
         lines.append(

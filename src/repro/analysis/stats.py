@@ -238,7 +238,7 @@ class SweepStats(RunCounters):
     workers: int = 1
     wall_seconds: float = 0.0
     run_seconds: float = 0.0          # sum of per-run wall times
-    #: Runs that died in a worker (see SweepResult.failures).
+    #: Cells that failed, in a worker or inline (SweepResult.failures).
     failed_runs: int = 0
 
     @property

@@ -83,7 +83,6 @@ from .workloads import (
     JobSpec,
     KernelSpec,
     LitmusSpec,
-    RunFailure,
     RunRow,
     SweepResult,
     WorkloadResult,
@@ -117,7 +116,7 @@ __all__ = [
     "run_kernel", "run_library_workload", "run_cas_benchmark",
     "make_engine",
     # sweep harness
-    "LitmusSpec", "RunRow", "RunFailure", "SweepResult", "run_parallel",
+    "LitmusSpec", "RunRow", "SweepResult", "run_parallel",
     "execute_spec", "default_workers", "deterministic_row",
     # workload building blocks
     "KernelSpec", "CasConfig", "WorkloadResult", "RunResult",

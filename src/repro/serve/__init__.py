@@ -4,9 +4,10 @@ load harness over the :mod:`repro.api` run surface.
 * :mod:`repro.serve.jobs` — the ``repro-serve/1`` JobResult over the
   workloads' JobSpec, and the in-process executor (`api.submit` is
   built on it);
-* :mod:`repro.serve.server` — ``python -m repro serve``: async
-  dispatch over the process pool, one job per task, behind a
-  line-delimited JSON socket protocol;
+* :mod:`repro.serve.server` — ``python -m repro serve``: a
+  line-delimited JSON socket protocol in front of the one process pool
+  (:class:`~repro.workloads.parallel.JobDispatcher`, which sweeps run
+  on too);
 * :mod:`repro.serve.client` — the matching client;
 * :mod:`repro.serve.loadgen` — ``python -m repro loadgen``: replay a
   deterministic job mix at a fixed QPS, report latency percentiles.
@@ -23,7 +24,8 @@ from .jobs import (
     library_job,
     run_job,
 )
-from .server import JobDispatcher, ReproServer, ServeConfig
+from ..workloads.parallel import JobDispatcher
+from .server import ReproServer, ServeConfig
 
 __all__ = [
     "JOB_SCHEMA", "JobSpec", "JobResult",

@@ -13,17 +13,18 @@ A result's measured fields are copied by name from the run's
 same job (:func:`~repro.workloads.parallel.run_job_row`), so a sweep
 cell and a job cannot report different numbers for one run.
 
-Failures never cross a boundary as tracebacks: :func:`run_job` maps
-any exception through :func:`repro.errors.classify_error` into the
-result's typed :class:`~repro.errors.ErrorInfo`.
+Failures never cross a boundary as tracebacks: the worker entry
+(:func:`~repro.workloads.parallel.run_cell`) maps any exception through
+:func:`repro.errors.classify_error` into the row's typed
+:class:`~repro.errors.ErrorInfo`, and a result built from that row is
+a failed result.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields
 
-from ..errors import ErrorInfo, classify_error
+from ..errors import ErrorInfo
 # The job description and its builders live with the executor; the
 # serve layer and its callers name them through this module too.
 from ..workloads.jobspec import (  # noqa: F401 - re-exports
@@ -36,7 +37,7 @@ from ..workloads.jobspec import (  # noqa: F401 - re-exports
     to_wire,
     wire_form,
 )
-from ..workloads.parallel import RunRow, run_job_row
+from ..workloads.parallel import RunRow, run_cell, run_job_row
 from ..workloads.runner import WorkloadResult
 
 
@@ -90,33 +91,20 @@ class JobResult:
     # ------------------------------------------------------------------
     @classmethod
     def from_row(cls, job: JobSpec, row: RunRow,
-                 outcome: WorkloadResult) -> "JobResult":
+                 outcome: WorkloadResult | None = None) -> "JobResult":
         """The result of a run whose row is ``row``: every measured
-        field is the row's field of the same name."""
+        field is the row's field of the same name, and a row that
+        carries an error is a failed result."""
         return cls(
             job_id=job.job_id,
             kind=job.kind,
             seed=job.seed,
             namespace=job.namespace,
+            ok=row.error is None,
             cache_tier=cache_tier(row.xlat_hits, row.xlat_misses,
                                   row.xlat_disk_hits),
             outcome=outcome,
             **{name: getattr(row, name) for name in _FROM_ROW},
-        )
-
-    @classmethod
-    def from_error(cls, job: JobSpec, error: ErrorInfo,
-                   wall: float = 0.0) -> "JobResult":
-        return cls(
-            job_id=job.job_id,
-            kind=job.kind,
-            benchmark=job.benchmark,
-            variant=job.variant,
-            seed=job.seed,
-            namespace=job.namespace,
-            ok=False,
-            error=error,
-            wall_seconds=wall,
         )
 
     # Codec: the job's (see :func:`~repro.workloads.jobspec.wire_form`).
@@ -135,7 +123,8 @@ wire_form(JobResult, schema=JOB_SCHEMA, absent=_ABSENT,
           omit_none=("error",))
 
 #: What a result copies from its run's row: every field the two
-#: declare, by name (identity, cycles, checksum, wall time, xlat_*).
+#: declare, by name (identity, cycles, checksum, wall time, xlat_*,
+#: error).
 _FROM_ROW = tuple(sorted({f.name for f in fields(JobResult)}
                          & {f.name for f in fields(RunRow)}))
 
@@ -174,12 +163,7 @@ def execute_job(job: JobSpec, *, library=None) -> JobResult:
     return JobResult.from_row(job, *run_job_row(job, library=library))
 
 
-def run_job(job: JobSpec, *, library=None) -> JobResult:
-    """The catching variant for service boundaries: any exception
+def run_job(job: JobSpec) -> JobResult:
+    """The catching variant, as a served job runs: any exception
     comes back as a typed error result, never a traceback."""
-    started = time.perf_counter()
-    try:
-        return execute_job(job, library=library)
-    except Exception as exc:  # noqa: BLE001 - the boundary by design
-        return JobResult.from_error(
-            job, classify_error(exc), time.perf_counter() - started)
+    return JobResult.from_row(job, run_cell(job))

@@ -15,13 +15,17 @@ how one client keeps several jobs in flight)::
 
 A line longer than :data:`MAX_LINE_BYTES` is a ``bad-request`` that
 closes the connection.  JSON exists only at the socket
-(``_Handler._respond`` decodes, ``_write_loop`` encodes): handlers
-enqueue the decoded :class:`JobSpec` into one :class:`JobDispatcher`,
-whose thread hands each job object to a free ``ProcessPoolExecutor``
-worker as its own task; the worker runs it (:func:`run_job`) and
-returns the :class:`JobResult` object.  The dispatcher's queue is the
-only place a job waits, so its ``queue_seconds`` is the whole wait for
-a worker.  Worker processes are long-lived, so their in-memory
+(``_Handler._respond`` decodes, ``_write_loop`` encodes).  This module
+is only that front-end: handlers submit the decoded :class:`JobSpec`
+to the one process pool, a
+:class:`~repro.workloads.parallel.JobDispatcher` (the pool sweeps run
+on), whose worker returns the run's row; the writer builds the
+:class:`JobResult` from it in the server (:func:`served_result`).  The
+dispatcher's queue is the only place a job waits, so its
+``queue_seconds`` is the whole wait for a worker.  A worker that dies
+costs the job it held, which comes back as a retryable
+``unavailable`` error, and its slot is rebuilt for the next job.
+Worker processes are otherwise long-lived, so their in-memory
 translation LRUs stay warm across requests — the serving win the
 paper's cache layer was built for.
 
@@ -39,14 +43,13 @@ import queue
 import socketserver
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from concurrent.futures import Future
+from dataclasses import dataclass
 from functools import partial
 
-from ..errors import ErrorInfo, JobError, classify_error
-from ..workloads.parallel import default_workers
-from .jobs import JOB_SCHEMA, JobResult, JobSpec, run_job, to_wire
+from ..errors import ErrorInfo, classify_error
+from ..workloads.parallel import JobDispatcher
+from .jobs import JOB_SCHEMA, JobResult, JobSpec, to_wire
 
 #: The longest request line read, newline excluded (1 MiB).
 MAX_LINE_BYTES = 1 << 20
@@ -58,138 +61,19 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 7421
-    #: pool size; ``None`` = :func:`default_workers`, ``0`` = inline
+    #: pool size; ``None`` = ``default_workers()``, ``0`` = inline
     #: execution in the dispatcher thread (tests, tiny deployments).
     workers: int | None = None
 
 
-def _run_in_worker(job: JobSpec) -> JobResult:
-    """The pool's (picklable) task: the result without its outcome."""
-    return replace(run_job(job), outcome=None)
+def served_result(job: JobSpec, future: Future) -> JobResult:
+    """A served job's result, built in the server from the row its
+    worker returned, stamped with the job's wait in the queue."""
+    result = JobResult.from_row(job, future.result())
+    result.queue_seconds = future.queue_seconds
+    return result
 
 
-@dataclass
-class _Pending:
-    job: JobSpec
-    future: Future
-    enqueued_at: float
-
-
-class JobDispatcher:
-    """Async dispatch over the process pool, one job per task.
-
-    ``submit`` returns a future resolving to a :class:`JobResult`
-    (never raising for job failures — those come back typed).  One
-    dispatcher thread hands jobs to the pool in arrival order, one per
-    free worker; the pool owns execution.
-    """
-
-    _SHUTDOWN = object()
-
-    def __init__(self, *, workers: int | None = None):
-        self.workers = default_workers() if workers is None \
-            else max(0, workers)
-        self.jobs_dispatched = 0
-        self._queue: queue.Queue = queue.Queue()
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        self._closed = False
-        #: one job per worker at a time: the rest wait in ``_queue``,
-        #: where ``queue_seconds`` sees them, not in the pool's own
-        #: call queue.
-        self._free = threading.Semaphore(max(1, self.workers))
-        self._thread = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatch",
-            daemon=True)
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    def submit(self, job: JobSpec) -> Future:
-        if self._closed:
-            raise JobError("dispatcher is shut down")
-        pending = _Pending(job=job, future=Future(),
-                           enqueued_at=time.perf_counter())
-        self._queue.put(pending)
-        return pending.future
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(self._SHUTDOWN)
-        self._thread.join(timeout=30)
-        self._drop_pool()
-
-    # ------------------------------------------------------------------
-    def _get_pool(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers)
-            return self._pool
-
-    def _drop_pool(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is self._SHUTDOWN:
-                return
-            self._free.acquire()
-            self._dispatch(item)
-
-    def _dispatch(self, pending: _Pending) -> None:
-        wait = time.perf_counter() - pending.enqueued_at
-        self.jobs_dispatched += 1
-        if self.workers == 0:
-            self._free.release()
-            self._deliver(pending, _run_in_worker(pending.job), wait)
-            return
-        try:
-            pool_future = self._get_pool().submit(_run_in_worker, pending.job)
-        except Exception as exc:  # noqa: BLE001 - pool creation died
-            self._free.release()
-            self._deliver(pending, _failed(pending.job, exc), wait)
-            return
-        pool_future.add_done_callback(
-            lambda f, p=pending, w=wait: self._on_done(f, p, w))
-
-    def _on_done(self, pool_future: Future, pending: _Pending,
-                 wait: float) -> None:
-        self._free.release()
-        try:
-            result = pool_future.result()
-        except BrokenProcessPool as exc:
-            self._drop_pool()
-            result = _failed(pending.job, exc, code="unavailable")
-        except Exception as exc:  # noqa: BLE001 - boundary
-            result = _failed(pending.job, exc)
-        self._deliver(pending, result, wait)
-
-    @staticmethod
-    def _deliver(pending: _Pending, result: JobResult,
-                 wait: float) -> None:
-        result.queue_seconds = wait
-        pending.future.set_result(result)
-
-
-def _failed(job: JobSpec, exc: Exception,
-            code: str | None = None) -> JobResult:
-    """A failed result; ``code`` overrides the classified one as a
-    retryable error."""
-    info = classify_error(exc)
-    if code is not None:
-        info = ErrorInfo(code=code, message=info.message, retryable=True)
-    return JobResult.from_error(job, info)
-
-
-# ----------------------------------------------------------------------
-# The socket front-end
-# ----------------------------------------------------------------------
 class _ThreadingServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
@@ -230,7 +114,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _respond(self, server: "ReproServer", line: str):
         """Parse one request line; returns either a response dict or
-        a (op, future) pair the writer resolves in order."""
+        an (op, job, future) triple the writer resolves in order."""
         try:
             request = json.loads(line)
         except ValueError as exc:
@@ -250,7 +134,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if op == "submit":
             try:
                 job = JobSpec.from_json(request.get("job"))
-                return ("submit", server.dispatcher.submit(job))
+                return ("submit", job, server.dispatcher.submit(job))
             except Exception as exc:  # noqa: BLE001 - boundary
                 return _error_response("submit", classify_error(exc))
         return _error_response(op, ErrorInfo(
@@ -262,8 +146,8 @@ class _Handler(socketserver.StreamRequestHandler):
             if item is None:
                 return
             if isinstance(item, tuple):
-                op, future = item
-                result: JobResult = future.result()
+                op, job, future = item
+                result = served_result(job, future)
                 item = {"schema": JOB_SCHEMA, "op": op,
                         "ok": result.ok,
                         "result": result.to_json()}

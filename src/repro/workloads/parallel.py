@@ -1,9 +1,9 @@
-"""Parallel evaluation harness for the figure sweeps.
+"""Parallel evaluation harness: the one process pool.
 
 The paper's evaluation is a large (benchmark × variant) grid and every
 run constructs its own fresh :class:`~repro.machine.scheduler.Machine`,
-so the sweep is embarrassingly parallel.  This module fans it out over
-a ``ProcessPoolExecutor``:
+so the sweep is embarrassingly parallel; the server runs the same
+cells as jobs, on the same pool:
 
 * the cells — a machine run is a
   :class:`~repro.workloads.jobspec.JobSpec` (kernel spec / library
@@ -11,36 +11,42 @@ a ``ProcessPoolExecutor``:
   model-checking cell a :class:`LitmusSpec`.  Callables never cross
   the process boundary: libraries and memory setups travel as registry
   names and are rebuilt inside the worker.
-* :func:`execute_spec` — the worker entry point: builds the engine
-  in-process, runs it, and returns a flat, picklable :class:`RunRow`
-  that carries the figures' quantities *and* the observability
-  counters (wall time, translated blocks, optimizer work, fence share,
-  behaviour-cache hits/misses).  One function maps a machine outcome
-  to its row, and a job result is copied from that row
-  (:func:`run_job_row`).
-* :func:`run_parallel` — the fan-out.  Results come back in submission
-  order whatever the completion order, and every run is seeded by its
-  spec, so the result table is bit-identical to a serial sweep and
-  independent of the worker count.
+* :func:`execute_spec` — runs one cell in-process (raising on
+  failure) and returns a flat, picklable :class:`RunRow` that carries
+  the figures' quantities *and* the observability counters (wall
+  time, translated blocks, optimizer work, fence share, behaviour-cache
+  hits/misses).  One function maps a machine outcome to its row, and a
+  job result is copied from that row (:func:`run_job_row`).
+* :func:`run_cell` — the worker entry: a failed cell is a row carrying
+  an :class:`~repro.errors.ErrorInfo`, and the trace events ride on it.
+* :class:`JobDispatcher` — the pool, a single-worker
+  ``ProcessPoolExecutor`` per slot: a dead worker costs one cell.
+* :func:`run_parallel` — a sweep: every spec submitted to one
+  dispatcher, rows gathered in submission order.  Every run is seeded
+  by its spec, so the result table is bit-identical to a serial sweep
+  and independent of the worker count.
 
 The worker count comes from the ``workers`` argument, else the
 ``REPRO_WORKERS`` environment variable, else ``os.cpu_count()``.
-``workers <= 1`` runs the specs serially in-process — the degenerate
-pool, used as the reference in determinism tests.
+``workers <= 1`` runs the sweep on the dispatcher's inline mode — the
+serial, in-process reference of the determinism tests.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import queue
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
 
 from ..analysis.stats import RunCounters
 from ..core.enumerate import EnumerationStats, behavior_cache_stats, \
     enumeration_stats
-from ..errors import ReproError, classify_error
+from ..errors import ErrorInfo, JobError, ReproError, classify_error
 from ..obs.trace import get_tracer
 from .jobspec import JobSpec
 # The registries live with the executor; re-exported here for
@@ -90,9 +96,9 @@ class RunRow(RunCounters):
     #: run tracked no profile at all (native runs), as opposed to
     #: ``()`` — "tracked, but nothing dispatched".
     hot_blocks: tuple | None = ()
-    #: trace_event dicts recorded in the worker while this spec ran
-    #: (empty unless tracing is enabled).  ``run_parallel`` rebases
-    #: them onto the parent tracer's timeline so a sweep leaves one
+    #: trace_event dicts recorded while this spec ran (empty unless
+    #: tracing is enabled).  The dispatcher rebases a worker's onto the
+    #: parent tracer's timeline, so a sweep or a server leaves one
     #: merged Chrome trace with a lane per worker pid.
     trace_events: tuple = ()
     #: the worker tracer's ``perf_counter_ns`` epoch, needed to rebase
@@ -100,6 +106,9 @@ class RunRow(RunCounters):
     trace_epoch_ns: int = 0
     #: kind-specific extras (e.g. broken litmus tests of an ablation).
     payload: tuple = ()
+    #: why the cell did not complete (``None`` when it did).  Out of
+    #: ``repr``, so a completed row prints as its counters alone.
+    error: ErrorInfo | None = field(default=None, repr=False)
 
 
 #: Hot-block entries kept per run row (the profile's heavy tail is
@@ -306,70 +315,50 @@ def run_job_row(job: JobSpec, *, library=None
 
 
 def execute_spec(spec: JobSpec | LitmusSpec) -> RunRow:
-    """Worker entry point: run one cell in-process, return its row."""
+    """Run one cell in-process, return its row; raises on failure."""
     if isinstance(spec, LitmusSpec):
         return _LITMUS_KINDS[spec.kind](spec, time.perf_counter())
     row, _ = run_job_row(spec)
     return row
 
 
-@dataclass(frozen=True)
-class RunFailure:
-    """One run that died in a worker, with enough identity to rerun it.
-
-    Crossing the pool boundary as a plain record (rather than the
-    exception itself) keeps the failure picklable whatever the worker
-    raised, and lets the sweep keep its other rows.  ``code`` is the
-    :data:`repro.errors.ERROR_CODES` taxonomy code, so sweep failures
-    and serve error responses classify identically.
-    """
-
-    kind: str
-    benchmark: str
-    variant: str
-    seed: int
-    error: str
-    code: str = "internal"
-
-    def __str__(self) -> str:
-        return (f"{self.kind}:{self.benchmark}/{self.variant}"
-                f" (seed {self.seed}): [{self.code}] {self.error}")
+def failed_row(spec: JobSpec | LitmusSpec, error: ErrorInfo,
+               wall: float = 0.0) -> RunRow:
+    """The row of a cell that did not run to completion."""
+    return RunRow(benchmark=spec.benchmark, variant=spec.variant,
+                  wall_seconds=wall, error=error)
 
 
-def _pool_entry(spec: JobSpec | LitmusSpec):
-    """What actually runs in the worker: a row, or a failure record.
+def run_cell(spec: JobSpec | LitmusSpec, in_worker: bool = False
+             ) -> RunRow:
+    """The one worker entry: run one cell, return its row — a cell
+    that raises is a row carrying its classified error.
 
-    With tracing enabled the run is wrapped in one ``run.spec`` span
-    and every event it recorded travels back on the row, so the parent
-    can merge per-worker streams into a single sweep-wide trace.
+    With tracing enabled the run is one ``run.spec`` span and the
+    events it recorded travel on the row.  A pool worker
+    (``in_worker``) also drops them, so a long-lived worker's tracer
+    does not grow; inline, they stay in the caller's tracer.
     """
     tracer = get_tracer()
-    start = None
-    if tracer.enabled:
+    if in_worker and tracer.enabled:
         # Forked workers inherit the parent tracer object verbatim —
         # restamp the pid so this worker's events land in its own lane.
         tracer.pid = os.getpid()
-        start = len(tracer.events)
-        span = tracer.span("run.spec", cat="sweep", kind=spec.kind,
-                           benchmark=spec.benchmark,
-                           variant=spec.variant, seed=spec.seed)
+    start = len(tracer.events)
+    started = time.perf_counter()
     try:
-        if start is None:
-            return execute_spec(spec)
-        with span:
+        with tracer.span("run.spec", cat="sweep", kind=spec.kind,
+                         benchmark=spec.benchmark,
+                         variant=spec.variant, seed=spec.seed):
             row = execute_spec(spec)
     except Exception as exc:  # noqa: BLE001 - the boundary by design
-        info = classify_error(exc)
-        return RunFailure(
-            kind=spec.kind,
-            benchmark=spec.benchmark,
-            variant=spec.variant,
-            seed=spec.seed,
-            error=info.message,
-            code=info.code,
-        )
-    row.trace_events = tuple(dict(e) for e in tracer.events[start:])
-    row.trace_epoch_ns = tracer.epoch_ns
+        row = failed_row(spec, classify_error(exc),
+                         time.perf_counter() - started)
+    if tracer.enabled:
+        row.trace_events = tuple(dict(e) for e in tracer.events[start:])
+        row.trace_epoch_ns = tracer.epoch_ns
+        if in_worker:
+            del tracer.events[start:]
     return row
 
 
@@ -385,6 +374,144 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+class _Pending(Future):
+    """One queued cell, resolving to its :class:`RunRow`;
+    ``queue_seconds`` is its wait for a worker."""
+
+    def __init__(self, spec: JobSpec | LitmusSpec):
+        super().__init__()
+        self.spec = spec
+        self.enqueued_at = time.perf_counter()
+        self.queue_seconds = 0.0
+
+
+class JobDispatcher:
+    """The process pool: one thread hands queued cells, in arrival
+    order, to free worker slots, so the queue is the only place a cell
+    waits.  ``submit`` returns a future of the cell's :class:`RunRow`.
+
+    Each slot is its own single-worker ``ProcessPoolExecutor``: a dead
+    worker breaks only its slot, the cell it held comes back as a
+    retryable ``unavailable`` row, and the slot is rebuilt before its
+    next cell.  ``workers=0`` runs every cell inline in the dispatcher
+    thread — the serial, in-process reference.
+    """
+
+    _SHUTDOWN = object()
+
+    def __init__(self, *, workers: int | None = None):
+        self.workers = default_workers() if workers is None \
+            else max(0, workers)
+        self.jobs_dispatched = 0
+        self._queue: queue.Queue = queue.Queue()
+        #: one pool per worker, built on first use and after a death.
+        self._slots: list = [None] * self.workers
+        self._idle: queue.SimpleQueue = queue.SimpleQueue()
+        for slot in range(max(1, self.workers)):
+            self._idle.put(slot)
+        #: makes the closed check and the enqueue one step with close.
+        self._lock = threading.Lock()
+        self._closed = False
+        self._trace_pids: set = set()
+        self._thread = threading.Thread(
+            target=self._dispatch_loop, name="repro-dispatch",
+            daemon=True)
+        self._thread.start()
+
+    # ------------------------------------------------------------------
+    def submit(self, spec: JobSpec | LitmusSpec) -> Future:
+        with self._lock:
+            if self._closed:
+                raise JobError("dispatcher is shut down")
+            pending = _Pending(spec)
+            self._queue.put(pending)
+        return pending
+
+    def close(self) -> None:
+        """Run every cell submitted so far, then stop the workers."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._queue.put(self._SHUTDOWN)
+        self._thread.join()
+        for _ in range(max(1, self.workers)):
+            self._idle.get()  # every slot has delivered its last cell
+        for pool in self._slots:
+            if pool is not None:
+                pool.shutdown()
+
+    # ------------------------------------------------------------------
+    def _dispatch_loop(self) -> None:
+        while (pending := self._queue.get()) is not self._SHUTDOWN:
+            if not pending.set_running_or_notify_cancel():
+                continue
+            slot = self._idle.get()
+            pending.queue_seconds = time.perf_counter() \
+                - pending.enqueued_at
+            self.jobs_dispatched += 1
+            if self.workers:
+                self._dispatch(slot, pending)
+            else:
+                self._idle.put(slot)
+                self._deliver(pending, run_cell(pending.spec))
+
+    def _pool(self, slot: int):
+        if self._slots[slot] is None:
+            self._slots[slot] = ProcessPoolExecutor(max_workers=1)
+        return self._slots[slot]
+
+    def _dispatch(self, slot: int, pending: _Pending) -> None:
+        try:
+            try:
+                task = self._pool(slot).submit(run_cell, pending.spec,
+                                               True)
+            except BrokenProcessPool:
+                # The slot's worker died, holding its last cell or idle:
+                # this cell never reached it, so it goes to a fresh one.
+                self._slots[slot] = None
+                task = self._pool(slot).submit(run_cell, pending.spec,
+                                               True)
+        except Exception as exc:  # noqa: BLE001 - pool creation died
+            self._idle.put(slot)
+            self._deliver(pending, failed_row(pending.spec,
+                                              classify_error(exc)))
+            return
+        task.add_done_callback(
+            lambda task, s=slot, p=pending: self._on_done(task, s, p))
+
+    def _on_done(self, task: Future, slot: int, pending: _Pending
+                 ) -> None:
+        try:
+            row = task.result()
+        except BrokenProcessPool as exc:
+            # The worker died holding this cell.  Only this slot is
+            # lost; ``_dispatch`` rebuilds it.  Not here: a broken pool
+            # runs this callback under its own shutdown lock (Python
+            # 3.12), so touching or freeing the pool would deadlock.
+            row = failed_row(pending.spec, ErrorInfo(
+                "unavailable", classify_error(exc).message, True))
+        except Exception as exc:  # noqa: BLE001 - boundary
+            row = failed_row(pending.spec, classify_error(exc))
+        self._idle.put(slot)
+        self._deliver(pending, row)
+
+    def _deliver(self, pending: _Pending, row: RunRow) -> None:
+        tracer = get_tracer()
+        if self.workers and tracer.enabled and row.trace_events:
+            # perf_counter_ns is one shared monotonic clock: rebased,
+            # each worker's spans line up in one lane per pid.
+            tracer.merge_events(row.trace_events,
+                                epoch_ns=row.trace_epoch_ns)
+            with self._lock:
+                pids = {e.get("pid") for e in row.trace_events} \
+                    - self._trace_pids - {None, tracer.pid}
+                self._trace_pids |= pids
+            for pid in sorted(pids):
+                tracer.process_metadata(pid, f"repro-worker-{pid}")
+        pending.set_result(row)
+
+
 @dataclass
 class SweepResult:
     """All rows of one sweep plus harness-level observability."""
@@ -392,9 +519,10 @@ class SweepResult:
     rows: list[RunRow] = field(default_factory=list)
     wall_seconds: float = 0.0
     workers: int = 1
-    #: Specs that died in a worker; the surviving rows keep submission
-    #: order, so partial sweeps stay deterministic and comparable.
-    failures: list[RunFailure] = field(default_factory=list)
+    #: ``(spec, error)`` of every cell that failed, enough to rerun
+    #: it; the surviving rows keep submission order, so partial sweeps
+    #: stay deterministic and comparable.
+    failures: list[tuple] = field(default_factory=list)
 
     def __iter__(self):
         return iter(self.rows)
@@ -402,10 +530,17 @@ class SweepResult:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def failure_lines(self) -> list[str]:
+        """One ``kind:benchmark/variant (seed N): [code] message``
+        line per failed cell."""
+        return [f"{spec.kind}:{spec.benchmark}/{spec.variant}"
+                f" (seed {spec.seed}): [{error.code}] {error.message}"
+                for spec, error in self.failures]
+
     def raise_failures(self) -> None:
         """Raise a :class:`ReproError` naming every failed spec."""
         if self.failures:
-            detail = "; ".join(str(f) for f in self.failures)
+            detail = "; ".join(self.failure_lines())
             raise ReproError(
                 f"{len(self.failures)} of "
                 f"{len(self.rows) + len(self.failures)} sweep runs "
@@ -414,16 +549,16 @@ class SweepResult:
 
 def run_parallel(specs, workers: int | None = None,
                  strict: bool = False) -> SweepResult:
-    """Execute every spec, fanning out over a process pool.
+    """Execute every spec as a job on one :class:`JobDispatcher`
+    (``workers <= 1``: its inline mode).
 
     Rows come back in the order of ``specs`` regardless of completion
     order, and each run is fully determined by its spec (fresh machine,
     spec-owned seed), so the result table is identical for any worker
     count — the determinism contract the figure harnesses rely on.
 
-    A run that raises in its worker does not lose the sweep: it is
-    recorded in :attr:`SweepResult.failures` with the identity needed
-    to rerun it (kind, benchmark, variant, seed).  ``strict=True``
+    A cell that fails, by raising or by killing its worker, is recorded
+    in :attr:`SweepResult.failures` with its spec.  ``strict=True``
     converts any failure into a :class:`ReproError` after the whole
     sweep has drained, so one bad cell still cannot cancel the rest.
     """
@@ -434,28 +569,18 @@ def run_parallel(specs, workers: int | None = None,
     tracer = get_tracer()
     with tracer.span("sweep.run_parallel", cat="sweep",
                      specs=len(specs), workers=workers):
-        if workers == 1:
-            outcomes = [_pool_entry(spec) for spec in specs]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_pool_entry, specs))
-    rows = [o for o in outcomes if isinstance(o, RunRow)]
-    failures = [o for o in outcomes if isinstance(o, RunFailure)]
-    if tracer.enabled and workers > 1:
-        # Serial sweeps record straight into this tracer; pooled
-        # sweeps ship each worker's events back on the rows.  Rebase
-        # them here (perf_counter_ns is one shared monotonic clock)
-        # so the merged trace shows one aligned lane per worker pid.
-        worker_pids = set()
-        for row in rows:
-            if row.trace_events:
-                tracer.merge_events(row.trace_events,
-                                    epoch_ns=row.trace_epoch_ns)
-                worker_pids.update(e.get("pid")
-                                   for e in row.trace_events)
-        for pid in sorted(p for p in worker_pids
-                          if p and p != tracer.pid):
-            tracer.process_metadata(pid, f"repro-worker-{pid}")
+        dispatcher = JobDispatcher(workers=0 if workers == 1 else workers)
+        futures = []
+        try:
+            futures = [dispatcher.submit(spec) for spec in specs]
+            outcomes = [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()  # an interrupted sweep runs no more
+            dispatcher.close()
+    rows = [row for row in outcomes if row.error is None]
+    failures = [(spec, row.error) for spec, row in zip(specs, outcomes)
+                if row.error is not None]
     if tracer.enabled:
         tracer.counter("sweep.outcomes", rows=len(rows),
                        failures=len(failures))

@@ -11,8 +11,8 @@ from repro.analysis import (
     run_stats_footer,
     speedup_report,
 )
-from repro.errors import ReproError
-from repro.workloads import RunFailure, RunRow, SweepResult
+from repro.errors import ErrorInfo, ReproError
+from repro.workloads import JobSpec, RunRow, SweepResult
 
 
 @pytest.fixture
@@ -236,10 +236,9 @@ class TestObservabilityFooters:
                    fence_origin_cycles={"RMOV->ld;Frm": 60,
                                         "fence_merge:strengthen": 40}),
         ]
-        failures = [RunFailure(kind="kernel", benchmark="beta",
-                               variant="qemu", seed=3,
-                               error="ReproError: boom",
-                               code="repro")]
+        failures = [(JobSpec(kind="kernel", benchmark="beta",
+                             variant="qemu", seed=3),
+                     ErrorInfo("repro", "ReproError: boom"))]
         return SweepResult(rows=rows, wall_seconds=0.6, workers=2,
                            failures=failures)
 

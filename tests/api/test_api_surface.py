@@ -21,7 +21,7 @@ EXPECTED_SURFACE = {
     "run_kernel", "run_library_workload", "run_cas_benchmark",
     "make_engine",
     # sweep harness
-    "LitmusSpec", "RunRow", "RunFailure", "SweepResult", "run_parallel",
+    "LitmusSpec", "RunRow", "SweepResult", "run_parallel",
     "execute_spec", "default_workers", "deterministic_row",
     # workload building blocks
     "KernelSpec", "CasConfig", "WorkloadResult", "RunResult",

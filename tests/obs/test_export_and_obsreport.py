@@ -17,9 +17,9 @@ from repro.analysis.obsreport import (
     render_file,
     render_trace,
 )
-from repro.errors import ReproError
+from repro.errors import ErrorInfo, ReproError
 from repro.obs.trace import Tracer
-from repro.workloads import RunFailure, RunRow, SweepResult
+from repro.workloads import JobSpec, RunRow, SweepResult
 
 
 @pytest.fixture
@@ -44,10 +44,9 @@ def sweep():
                fence_cycles=0, total_cycles=600, checksum=7,
                wall_seconds=0.2, hot_blocks=None),
     ]
-    failures = [RunFailure(kind="kernel", benchmark="beta",
-                           variant="qemu", seed=7,
-                           error="ReproError: boom",
-                           code="repro")]
+    failures = [(JobSpec(kind="kernel", benchmark="beta",
+                         variant="qemu", seed=7),
+                 ErrorInfo("repro", "ReproError: boom"))]
     return SweepResult(rows=rows, wall_seconds=0.6, workers=2,
                        failures=failures)
 

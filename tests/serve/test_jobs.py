@@ -166,7 +166,8 @@ class TestRoundTripProperty:
     @given(JOBS, st.builds(ErrorInfo, NAMES, st.text(max_size=20),
                            st.booleans()), st.floats(0, 1e6))
     def test_any_failure_result(self, job, error, wall):
-        result = JobResult.from_error(job, error, wall)
+        result = JobResult.from_row(job, parallel.failed_row(
+            job, error, wall))
         assert _wire_trip(result) == result
 
 
@@ -261,8 +262,8 @@ class TestJobResultCodec:
 
     def test_error_roundtrip(self):
         job = kernel_job(TINY, variant="qemu", job_id="j-err")
-        result = JobResult.from_error(
-            job, ErrorInfo("timeout", "TimeoutError: slow", True))
+        result = JobResult.from_row(job, parallel.failed_row(
+            job, ErrorInfo("timeout", "TimeoutError: slow", True)))
         twin = JobResult.from_json(result.to_json())
         assert not twin.ok
         assert twin.error == ErrorInfo("timeout",
@@ -334,9 +335,10 @@ VALID_PAYLOADS = [
     (JobResult, JobResult(job_id="j", kind="kernel", benchmark="b",
                           variant="qemu", seed=7, cycles=10,
                           checksum=3, wall_seconds=0.5).to_json()),
-    (JobResult, JobResult.from_error(
-        kernel_job(TINY, variant="qemu"),
-        ErrorInfo("timeout", "TimeoutError: slow", True)).to_json()),
+    (JobResult, JobResult.from_row(
+        kernel_job(TINY, variant="qemu"), parallel.failed_row(
+            kernel_job(TINY, variant="qemu"),
+            ErrorInfo("timeout", "TimeoutError: slow", True))).to_json()),
 ]
 
 

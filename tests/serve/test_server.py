@@ -15,7 +15,11 @@ per job kind; the serve benchmark and the CI smoke job load it.
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
 import socket
+import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -24,6 +28,7 @@ import pytest
 
 from repro import api
 from repro.errors import JobError
+from repro.obs.trace import Tracer, install_tracer
 from repro.serve import (
     JobDispatcher,
     ReproServer,
@@ -33,7 +38,8 @@ from repro.serve import (
     kernel_job,
     library_job,
 )
-from repro.serve.server import MAX_LINE_BYTES
+from repro.serve.server import MAX_LINE_BYTES, served_result
+from repro.workloads import parallel
 from repro.workloads.casbench import CasConfig
 from repro.workloads.kernels import KernelSpec
 
@@ -123,8 +129,8 @@ class TestDispatch:
             def __init__(self):
                 self.tasks = []
 
-            def submit(self, fn, payload):
-                self.tasks.append((Future(), fn, payload))
+            def submit(self, fn, *args):
+                self.tasks.append((Future(), fn, args))
                 return self.tasks[-1][0]
 
             def shutdown(self, wait=True):
@@ -137,22 +143,27 @@ class TestDispatch:
 
         pool = HeldPool()
         dispatcher = JobDispatcher(workers=1)
-        dispatcher._pool = pool
-        try:
-            futures = [dispatcher.submit(
-                cas_job(CAS, variant="qemu", job_id=f"q{i}"))
+        dispatcher._slots[0] = pool
+        jobs = [cas_job(CAS, variant="qemu", job_id=f"q{i}")
                 for i in range(2)]
+        try:
+            futures = [dispatcher.submit(job) for job in jobs]
             wait_for(1)
             time.sleep(0.05)
             assert len(pool.tasks) == 1
-            future, fn, payload = pool.tasks[0]
-            future.set_result(fn(payload))
+            future, fn, args = pool.tasks[0]
+            future.set_result(fn(*args))
             wait_for(2)
-            future, fn, payload = pool.tasks[1]
-            future.set_result(fn(payload))
-            results = [f.result(10) for f in futures]
+            future, fn, args = pool.tasks[1]
+            future.set_result(fn(*args))
+            for f in futures:
+                f.result(10)
+            results = [served_result(job, f)
+                       for job, f in zip(jobs, futures)]
         finally:
             dispatcher.close()
+        # The pool received the jobs in request order.
+        assert [args[0] for _, _, args in pool.tasks] == jobs
         assert [r.job_id for r in results] == ["q0", "q1"]
         assert all(r.ok for r in results)
         assert results[1].queue_seconds >= 0.05
@@ -251,6 +262,14 @@ def _pinned(result) -> dict:
     return payload
 
 
+def _run_all(dispatcher, jobs) -> list:
+    futures = [dispatcher.submit(job) for job in jobs]
+    for future in futures:
+        future.result(timeout=60)
+    return [served_result(job, future)
+            for job, future in zip(jobs, futures)]
+
+
 class TestRealPool:
     def test_served_equals_direct_through_a_worker_process(self):
         jobs = [kernel_job(TINY, variant="risotto", seed=5, job_id="k"),
@@ -271,7 +290,15 @@ class TestRealPool:
 class TestWorkerEntryPoint:
     def test_broken_pool_is_a_retryable_unavailable(self):
         class DeadPool:
-            def submit(self, fn, payload):
+            """Its worker dies under the first job; like a real dead
+            pool, it refuses every later one."""
+
+            died = False
+
+            def submit(self, fn, *args):
+                if self.died:
+                    raise BrokenProcessPool("worker died")
+                self.died = True
                 future = Future()
                 future.set_exception(BrokenProcessPool("worker died"))
                 return future
@@ -279,11 +306,13 @@ class TestWorkerEntryPoint:
             def shutdown(self, wait=True):
                 pass
 
+        dead = DeadPool()
         dispatcher = JobDispatcher(workers=1)
-        dispatcher._pool = DeadPool()
+        dispatcher._slots[0] = dead
+        jobs = [cas_job(CAS, variant="qemu", job_id=f"d{i}")
+                for i in (1, 2)]
         try:
-            result = dispatcher.submit(
-                cas_job(CAS, variant="qemu", job_id="d1")).result(10)
+            result, after = _run_all(dispatcher, jobs)
         finally:
             dispatcher.close()
         assert not result.ok
@@ -291,7 +320,89 @@ class TestWorkerEntryPoint:
         assert result.error.code == "unavailable"
         assert result.error.retryable
         # The dead pool is dropped, so the next job gets a fresh one.
-        assert dispatcher._pool is None
+        assert dispatcher._slots[0] is not dead
+        assert after.ok, after.error
+
+
+class TestDeadWorkers:
+    """A dead worker costs exactly the job it held: its sibling
+    finishes, and the next jobs run on a rebuilt worker."""
+
+    def test_a_dying_job_spares_the_job_beside_it(self, monkeypatch):
+        survivor = kernel_job(TINY, variant="risotto", job_id="s")
+        doomed = kernel_job(dataclasses.replace(TINY, name="doomed"),
+                            variant="risotto", job_id="d")
+        real = parallel.execute_spec
+
+        def execute(spec):
+            # Workers fork after the patch, so they run it: the doomed
+            # job dies while the survivor is still running.
+            if spec.benchmark == "doomed":
+                time.sleep(0.1)
+                os._exit(3)
+            time.sleep(0.5)
+            return real(spec)
+
+        monkeypatch.setattr(parallel, "execute_spec", execute)
+        dispatcher = JobDispatcher(workers=2)
+        try:
+            kept, died = _run_all(dispatcher, [survivor, doomed])
+        finally:
+            dispatcher.close()
+        monkeypatch.undo()
+        assert kept.ok, kept.error
+        assert _pinned(kept) == _pinned(api.submit(survivor))
+        assert not died.ok
+        assert died.job_id == "d"
+        assert died.error.code == "unavailable"
+        assert died.error.retryable
+
+    def test_the_pool_recovers_after_an_idle_worker_is_killed(self):
+        before = set(multiprocessing.active_children())
+        dispatcher = JobDispatcher(workers=2)
+        try:
+            warm = _run_all(dispatcher, [
+                cas_job(CAS, variant="qemu", job_id=f"w{i}")
+                for i in range(2)])
+            assert all(r.ok for r in warm)
+            victim = sorted(set(multiprocessing.active_children())
+                            - before, key=lambda p: p.pid)[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.time() + 10
+            while victim.is_alive() and time.time() < deadline:
+                time.sleep(0.02)
+            time.sleep(1.0)  # the pool notices the death
+            results = _run_all(dispatcher, [
+                cas_job(CAS, variant="qemu", job_id=f"a{i}")
+                for i in range(4)])
+        finally:
+            dispatcher.close()
+        assert [r.job_id for r in results] == ["a0", "a1", "a2", "a3"]
+        assert [r.ok for r in results] == [True] * 4, \
+            [r.error for r in results]
+
+    def test_a_traced_worker_ships_its_lane(self):
+        tracer = Tracer()
+        previous = install_tracer(tracer)
+        dispatcher = JobDispatcher(workers=1)
+        try:
+            jobs = [cas_job(CAS, variant="qemu", job_id=f"t{i}")
+                    for i in range(2)]
+            rows = [dispatcher.submit(job).result(30) for job in jobs]
+        finally:
+            dispatcher.close()
+            install_tracer(previous)
+        for row in rows:
+            # Each row carries its own run, not its predecessor's.
+            assert [e["name"] for e in row.trace_events
+                    if e["ph"] == "X"].count("run.spec") == 1
+        spans = [e for e in tracer.events
+                 if e["ph"] == "X" and e["name"] == "run.spec"]
+        (pid,) = {e["pid"] for e in spans}
+        assert len(spans) == 2 and pid != os.getpid()
+        meta = [e for e in tracer.events if e["ph"] == "M"]
+        assert [(e["pid"], e["args"]["name"]) for e in meta] == \
+            [(pid, f"repro-worker-{pid}")]
 
 
 class TestShutdown:
@@ -308,3 +419,29 @@ class TestShutdown:
         assert not srv._serve_thread.is_alive()
         with pytest.raises(OSError):
             ServeClient(host, port, timeout=2.0)
+
+    def test_every_future_returned_before_or_during_close_resolves(self):
+        dispatcher = JobDispatcher(workers=0)
+        early = dispatcher.submit(cas_job(CAS, variant="qemu"))
+        entered = threading.Event()
+        put = dispatcher._queue.put
+
+        def slow_put(item):
+            # Widen the window between a submit's closed check and its
+            # enqueue, so close() runs inside it.
+            if item is not JobDispatcher._SHUTDOWN:
+                entered.set()
+                time.sleep(0.2)
+            put(item)
+
+        dispatcher._queue.put = slow_put
+        late = []
+        racer = threading.Thread(target=lambda: late.append(
+            dispatcher.submit(cas_job(CAS, variant="qemu"))))
+        racer.start()
+        assert entered.wait(10)
+        dispatcher.close()
+        racer.join(10)
+        assert len(late) == 1
+        for future in (early, *late):
+            assert future.result(timeout=10).error is None

@@ -6,15 +6,21 @@ builds a fresh machine seeded by its own spec.
 """
 
 import dataclasses
+import multiprocessing
+import os
 import pickle
+import re
+import sys
 
 import pytest
 
 from repro.analysis.stats import aggregate_sweep
 from repro.errors import ReproError
+from repro.obs.trace import Tracer, install_tracer
 from repro.serve.jobs import kernel_job, library_job, run_job
 from repro.workloads import (
     JobSpec,
+    parallel,
     SweepResult,
     ablation_grid,
     cas_grid,
@@ -79,10 +85,11 @@ class TestExecuteSpec:
         spec = library_job("exp", (1,), 1, variant="risotto",
                            library="libm", setup="digest-bufer")
         sweep = run_parallel((spec,), workers=1)
-        (failure,) = sweep.failures
+        ((failed, failure),) = sweep.failures
+        assert failed == spec
         assert failure.code == "bad-request"
-        assert "digest-bufer" in failure.error
-        assert str(sorted(MEMORY_SETUPS)) in failure.error
+        assert "digest-bufer" in failure.message
+        assert str(sorted(MEMORY_SETUPS)) in failure.message
         # The serve path runs the same executor: same job, same code.
         served = run_job(library_job(
             "exp", (1,), 1, variant=spec.variant, library="libm",
@@ -206,10 +213,10 @@ class TestOtherKinds:
         sweep_specs = ablation_grid(("no such ablation",))
         sweep = run_parallel(sweep_specs, workers=1)
         assert not sweep.rows
-        (failure,) = sweep.failures
-        assert failure.kind == "ablation"
-        assert failure.benchmark == "no such ablation"
-        assert "no such ablation" in failure.error
+        ((spec, failure),) = sweep.failures
+        assert spec.kind == "ablation"
+        assert spec.benchmark == "no such ablation"
+        assert "no such ablation" in failure.message
         with pytest.raises(ReproError):
             run_parallel(sweep_specs, workers=1, strict=True)
 
@@ -268,6 +275,64 @@ class TestVerifyKind:
                            models=("x86-tso",))
         sweep = run_parallel(grid, workers=2)
         assert len(sweep.rows) == 1
-        (failure,) = sweep.failures
-        assert failure.kind == "verify"
-        assert failure.benchmark == "no-such-litmus"
+        ((spec, failure),) = sweep.failures
+        assert spec.kind == "verify"
+        assert spec.benchmark == "no-such-litmus"
+
+
+class TestDeadWorker:
+    def test_a_dead_worker_costs_one_cell(self, monkeypatch):
+        grid = kernel_grid(
+            (TINY, dataclasses.replace(TINY, name="doomed"),
+             dataclasses.replace(TINY, name="other")),
+            ("qemu", "risotto"))
+        serial = run_parallel(grid, workers=1, strict=True)
+        doomed = grid[2]
+        real = parallel.execute_spec
+
+        def execute(spec):
+            if spec == doomed:
+                os._exit(3)  # the workers fork after the patch
+            return real(spec)
+
+        monkeypatch.setattr(parallel, "execute_spec", execute)
+        before = set(multiprocessing.active_children())
+        sweep = run_parallel(grid, workers=2)
+        assert not set(multiprocessing.active_children()) - before
+
+        ((spec, error),) = sweep.failures
+        assert spec == doomed
+        assert error.code == "unavailable" and error.retryable
+        survivors = [row for row, cell in zip(serial, grid)
+                     if cell != doomed]
+        assert [deterministic_row(row) for row in sweep] == \
+            [deterministic_row(row) for row in survivors]
+        named = re.escape("kernel:doomed/qemu (seed 7): [unavailable] "
+                          "BrokenProcessPool: ")
+        with pytest.raises(ReproError, match=named):
+            sweep.raise_failures()
+        with pytest.raises(ReproError, match=named):
+            run_parallel(grid, workers=2, strict=True)
+
+    def test_slots_and_lanes_survive_a_busy_pool(self):
+        # More workers than cores and a short switch interval: a lost
+        # slot hangs the sweep, and an unlocked lane check names a
+        # worker twice.
+        grid = verify_grid(tests=("MP", "SB", "LB", "R") * 3,
+                           models=("x86-tso",))
+        tracer = Tracer()
+        previous = install_tracer(tracer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sweep = run_parallel(grid, workers=3, strict=True)
+        finally:
+            sys.setswitchinterval(interval)
+            install_tracer(previous)
+        assert [row.benchmark for row in sweep] == \
+            [spec.benchmark for spec in grid]
+        lanes = [e["pid"] for e in tracer.events if e["ph"] == "M"]
+        spans = {e["pid"] for e in tracer.events
+                 if e["ph"] == "X" and e["name"] == "run.spec"}
+        assert sorted(lanes) == sorted(spans)
+        assert len(spans) == 3
