@@ -45,7 +45,9 @@ def results_dir() -> pathlib.Path:
 
 @pytest.fixture
 def emit_report(results_dir, capsys):
-    """Print a report and persist it under results/<name>.txt."""
+    """Print a report and persist it under results/<name>.txt — a
+    committed golden, so the text must be a function of the tree and
+    the seed: no host time, worker count or cache warmth."""
 
     def emit(name: str, text: str) -> None:
         (results_dir / f"{name}.txt").write_text(text + "\n")
@@ -58,15 +60,15 @@ def emit_report(results_dir, capsys):
 @pytest.fixture
 def emit_bench(results_dir):
     """Write a figure's machine-readable export to
-    results/bench_<figure>.json (see repro.analysis.export) and
-    record it into the append-only bench history store
-    (results/history/; REPRO_BENCH_HISTORY=0 disables)."""
+    results/bench_<figure>.json (see repro.analysis.export).  Host
+    time lives there; the history store is written only by
+    ``python -m repro perf record``."""
 
     def emit(figure: str, table=None, sweep=None, series=None,
              extra=None, config=None) -> pathlib.Path:
         return write_bench_json(
             results_dir / f"bench_{figure}.json", figure,
             table=table, sweep=sweep, series=series, extra=extra,
-            config=config, record=True)
+            config=config)
 
     return emit

@@ -8,9 +8,10 @@ cache, once warm — and asserts the serving contract:
   of the same job (the job *is* the run description);
 * the warm replay translates zero blocks (the tenant's persistent
   namespace serves every install);
-* the export carries the latency percentiles and a recorded history
-  baseline, with the deterministic per-cell quantities gated by the
-  perf sentinel like any other figure.
+* the export carries the latency percentiles, with the deterministic
+  per-cell quantities gated by the perf sentinel like any other
+  figure.  Latency is host state, so this harness writes no
+  ``results/*.txt``: ``results/bench_serve.json`` is its only output.
 """
 
 import pytest
@@ -24,7 +25,6 @@ from repro.serve.loadgen import (
     bench_extra,
     gen_jobs,
     latency_summary,
-    render_report,
     run_loadgen,
     synthesized_rows,
 )
@@ -40,7 +40,7 @@ def fresh_cache(tmp_path, monkeypatch):
     xlat_cache.reset_memory()
 
 
-def test_serve_loadgen(fresh_cache, emit_report, emit_bench):
+def test_serve_loadgen(fresh_cache, emit_bench):
     from repro.analysis.stats import BenchTable
 
     server = ReproServer(ServeConfig(port=0, workers=2))
@@ -88,12 +88,3 @@ def test_serve_loadgen(fresh_cache, emit_report, emit_bench):
                            latency=latency_summary(warm.latencies)))
     emit_bench("serve", table=table, sweep=sweep, extra=extra,
                config=bench_config(config))
-
-    text = "\n".join([
-        "Translation-as-a-service loadgen — cold vs warm replay",
-        "",
-        "cold:", render_report(cold),
-        "",
-        "warm:", render_report(warm),
-    ])
-    emit_report("serve", text)

@@ -3,9 +3,9 @@
 Runs the verifier's enumeration workload — every litmus program under
 every paper model — through both paths: the naive rf × co cross
 product filtered by the model, and the staged enumerator.  Emits the
-verifier stats footer (the artefact CI uploads) and asserts the staged
-path's headline properties: identical behaviours, strictly fewer
-materialized executions, no slower overall.
+verifier stats footer (the candidate counts; the wall times are only
+asserted) and asserts the staged path's headline properties: identical
+behaviours, strictly fewer materialized executions, no slower overall.
 """
 
 import time
@@ -20,7 +20,7 @@ from repro.core.enumerate import (
     enumerate_consistent,
 )
 from repro.core.litmus_library import ALL_TESTS
-from repro.api import RunRow, SweepResult
+from repro.api import RunRow
 
 MODELS = (X86, TCG, ARM, ARM_ORIGINAL)
 
@@ -60,29 +60,23 @@ def test_staged_fastpath_speedup(benchmark, emit_report):
     assert staged_behs == naive_behs
     assert stats.executions_enumerated < stats.candidates_naive
 
-    sweep = SweepResult(
-        rows=[RunRow(
-            benchmark="litmus-corpus", variant="staged",
-            wall_seconds=staged_wall,
-            enum_candidates_naive=stats.candidates_naive,
-            enum_executions=stats.executions_enumerated,
-            enum_rf_pruned=stats.rf_options_pruned,
-            enum_rf_rejected=(stats.rf_rejected_rmw
-                              + stats.rf_rejected_coherence
-                              + stats.rf_rejected_precheck),
-        )],
-        wall_seconds=staged_wall, workers=1)
+    row = RunRow(
+        benchmark="litmus-corpus", variant="staged",
+        enum_candidates_naive=stats.candidates_naive,
+        enum_executions=stats.executions_enumerated,
+        enum_rf_pruned=stats.rf_options_pruned,
+        enum_rf_rejected=(stats.rf_rejected_rmw
+                          + stats.rf_rejected_coherence
+                          + stats.rf_rejected_precheck),
+    )
     lines = [
         "Staged enumeration fast path — full corpus "
         f"({len(ALL_TESTS)} tests x {len(MODELS)} models)",
-        f"naive sweep:  {naive_wall:.3f}s "
-        f"({stats.candidates_naive} candidates)",
-        f"staged sweep: {staged_wall:.3f}s "
-        f"({stats.executions_enumerated} materialized, "
-        f"{100 * stats.pruned_fraction:.1f}% pruned)",
-        f"speedup: {naive_wall / max(staged_wall, 1e-9):.2f}x",
+        f"naive sweep:  {stats.candidates_naive} candidates",
+        f"staged sweep: {stats.executions_enumerated} materialized "
+        f"({100 * stats.pruned_fraction:.1f}% pruned)",
         "",
-        run_stats_footer(sweep, title="verifier stats"),
+        run_stats_footer([row], title="verifier stats"),
     ]
     emit_report("staged_fastpath", "\n".join(lines))
 

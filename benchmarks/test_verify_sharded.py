@@ -106,7 +106,6 @@ def test_sharded_dpor_verifies_corpus(benchmark, emit_report,
         f"aggregate: {stats.enum_candidates_naive} naive candidates, "
         f"{stats.enum_executions} materialized "
         f"({100 * pruned:.2f}% pruned, floor {100 * floor:.0f}%)",
-        f"wall: {sweep.wall_seconds:.3f}s on {sweep.workers} workers",
         "",
         run_stats_footer(sweep, title="sharded verify stats"),
     ]

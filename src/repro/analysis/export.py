@@ -106,15 +106,11 @@ def bench_payload(figure: str, table: BenchTable | None = None,
 def write_bench_json(path, figure: str, table: BenchTable | None = None,
                      sweep=None, series: dict | None = None,
                      extra: dict | None = None,
-                     config: dict | None = None,
-                     record: bool = False) -> Path:
+                     config: dict | None = None) -> Path:
     """Write the figure's export payload; returns the path written.
 
-    ``record=True`` additionally appends the payload to the bench
-    history store (``history/`` next to the file, or
-    ``REPRO_BENCH_HISTORY_DIR``) — the harness ``emit_bench`` fixture
-    passes it so every benchmark run leaves a durable perf record;
-    ``REPRO_BENCH_HISTORY=0`` switches recording off globally.
+    Writing an export never touches the bench history: ``python -m
+    repro perf record`` is its one writer.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -122,12 +118,6 @@ def write_bench_json(path, figure: str, table: BenchTable | None = None,
                             series=series, extra=extra, config=config)
     path.write_text(json.dumps(payload, indent=2, sort_keys=False)
                     + "\n")
-    if record:
-        from ..obs import history as _history
-        if _history.history_enabled():
-            _history.record_bench(
-                payload,
-                history=_history.history_dir(path.parent / "history"))
     return path
 
 

@@ -39,24 +39,31 @@ def _fence_origin_lines(by_origin: dict, total: int,
 
 
 def run_stats_footer(sweep, title: str = "harness stats") -> str:
-    """The timing/observability footer every figure harness prints.
+    """The observability footer every figure harness prints.
 
     ``sweep`` is a :class:`~repro.workloads.parallel.SweepResult` (or
-    any iterable of result rows): per-run wall time, translation and
-    optimizer counters, fence-cycle share, and the behaviour-cache
-    hit/miss line when litmus enumeration was involved.
+    any iterable of result rows): translation and optimizer counters,
+    fence-cycle share, and the behaviour-cache and enumeration lines
+    when litmus enumeration was involved.  Each row is folded as its
+    :func:`~repro.workloads.parallel.deterministic_row`, so the footer
+    is a function of the specs: worker count, wall time and cache
+    warmth live in the ``bench_*.json`` export instead.
     """
-    stats: SweepStats = aggregate_sweep(sweep)
+    # workloads.parallel imports this package: a module-level import
+    # would be circular.
+    from ..workloads.parallel import deterministic_row
+
+    stats: SweepStats = aggregate_sweep(
+        [deterministic_row(row) for row in sweep])
+    failures = sweep.failure_lines() \
+        if getattr(sweep, "failures", ()) else []
     lines = [
         f"--- {title} " + "-" * max(1, 64 - len(title)),
-        f"runs: {stats.runs}   workers: {stats.workers}   "
-        f"wall: {stats.wall_seconds:.2f}s   "
-        f"sum of per-run wall: {stats.run_seconds:.2f}s",
+        f"runs: {stats.runs}",
     ]
-    if stats.failed_runs:
-        lines.append(f"FAILED runs: {stats.failed_runs}")
-        for failure in sweep.failure_lines():
-            lines.append(f"  {failure}")
+    if failures:
+        lines.append(f"FAILED runs: {len(failures)}")
+        lines.extend(f"  {failure}" for failure in failures)
     if stats.blocks_translated or stats.block_dispatches:
         lines.append(
             f"translated: {stats.blocks_translated} blocks / "
@@ -87,14 +94,6 @@ def run_stats_footer(sweep, title: str = "harness stats") -> str:
     if stats.fence_cycles_by_origin:
         lines.append(_fence_origin_lines(
             stats.fence_cycles_by_origin, stats.fence_cycles))
-    if stats.xlat_hits or stats.xlat_misses:
-        line = (
-            f"translation cache: {stats.xlat_hits} hits / "
-            f"{stats.xlat_misses} misses "
-            f"({_fmt_pct(stats.xlat_hit_rate).strip()} hit rate)")
-        if stats.xlat_disk_hits:
-            line += f"   from disk: {stats.xlat_disk_hits}"
-        lines.append(line)
     if stats.cache_hits or stats.cache_misses:
         lines.append(
             f"behavior cache: {stats.cache_hits} hits / "

@@ -261,13 +261,6 @@ class SweepStats(RunCounters):
         return self.cache_hits / lookups
 
     @property
-    def xlat_hit_rate(self) -> float:
-        lookups = self.xlat_hits + self.xlat_misses
-        if not lookups:
-            return 0.0
-        return self.xlat_hits / lookups
-
-    @property
     def enum_pruned_fraction(self) -> float:
         """Share of the naive rf × co product never materialized by the
         staged enumerator."""

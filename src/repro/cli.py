@@ -111,9 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "RMW lowering) instead of the litmus "
                              "grid; optional comma-separated scheme "
                              "subset (default: all)")
-    verify.add_argument("--record", action="store_true",
-                        help="append the --bench-json export to the "
-                             "perf-observatory history store")
 
     serve = sub.add_parser(
         "serve",
@@ -152,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("files", nargs="+", metavar="BENCH_JSON")
     record.add_argument("--history", metavar="DIR",
                         help="history store location (default: "
-                             "REPRO_BENCH_HISTORY_DIR or "
                              "results/history)")
     record.add_argument("--rev", metavar="REV",
                         help="record under this revision (default: "
@@ -337,12 +333,13 @@ def _verify_tests(args) -> tuple[str, ...]:
 
 
 def _verify_report(sweep, args, stats) -> str:
+    """The ``--stats-txt`` report: a function of the grid alone, so
+    any worker count writes the same bytes (wall times are in the
+    ``--bench-json`` export)."""
     lines = [
-        f"sharded verification — reduction={args.reduction} "
-        f"workers={sweep.workers}",
+        f"sharded verification — reduction={args.reduction}",
         f"{'test':12s} {'model/reduction':24s} {'behs':>5s} "
-        f"{'digest':16s} {'naive':>10s} {'materialized':>12s} "
-        f"{'wall_s':>8s}",
+        f"{'digest':16s} {'naive':>10s} {'materialized':>12s}",
     ]
     for row in sweep:
         digest, count = (row.payload + ("?", 0))[:2] if row.payload \
@@ -350,7 +347,7 @@ def _verify_report(sweep, args, stats) -> str:
         lines.append(
             f"{row.benchmark:12s} {row.variant:24s} {count:5d} "
             f"{digest:16s} {row.enum_candidates_naive:10d} "
-            f"{row.enum_executions:12d} {row.wall_seconds:8.2f}")
+            f"{row.enum_executions:12d}")
     lines.append("")
     from .analysis import run_stats_footer
     lines.append(run_stats_footer(sweep, "verify harness stats"))
@@ -420,8 +417,7 @@ def _cmd_schemes(args) -> int:
         extra={
             "gate_failures": failures,
             "verdicts": rows_extra,
-        },
-        record=args.record)
+        })
     if failures:
         print(f"FAIL: {failures} scheme cell(s) off their expected "
               f"Theorem-1 verdict", file=sys.stderr)
@@ -470,8 +466,7 @@ def _cmd_verify(args) -> int:
                 f"{row.benchmark}|{row.variant}": list(row.payload)
                 for row in sweep
             },
-        },
-        record=args.record)
+        })
     return 0
 
 
@@ -507,8 +502,8 @@ def _cmd_perf(args) -> int:
                                            history=hdir)
             report = sentinel.check_payload(payload, records,
                                             floors=floors)
-            print(report.render())
-            if not report.ok(require_baseline=args.require_baseline):
+            print(report.render(args.require_baseline))
+            if not report.ok(args.require_baseline):
                 status = 1
         return status
     if args.perf_command == "report":

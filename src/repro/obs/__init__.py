@@ -24,7 +24,6 @@ from .history import (
     config_fingerprint,
     figures_in_history,
     history_dir,
-    history_enabled,
     load_history,
     record_bench,
     render_trend,
@@ -46,7 +45,7 @@ __all__ = [
     "trace_disable", "trace_enable", "validate_chrome_trace",
     # bench history + regression sentinel
     "HISTORY_SCHEMA", "config_fingerprint", "figures_in_history",
-    "history_dir", "history_enabled", "load_history", "record_bench",
+    "history_dir", "load_history", "record_bench",
     "render_trend",
     "Finding", "SentinelReport", "check_payload", "load_floors",
     # flamegraph export

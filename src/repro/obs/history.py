@@ -3,8 +3,8 @@
 Every figure harness already writes a machine-readable
 ``results/bench_<figure>.json`` (:mod:`repro.analysis.export`), but
 only the *latest* one — a PR that silently regresses Figure 12 or the
-DPOR verify path leaves no durable evidence.  This module records each
-export into ``results/history/<figure>.jsonl``:
+DPOR verify path leaves no durable evidence.  This module keeps the
+exports recorded on purpose in ``results/history/<figure>.jsonl``:
 
 * **append-only** — one JSON record per line, never rewritten, so the
   store is a time series that survives re-runs and is trivially
@@ -19,23 +19,16 @@ export into ``results/history/<figure>.jsonl``:
   runs with equal fingerprints, so an iteration-count change can never
   masquerade as a perf delta.
 
-Recording is wired into :func:`repro.analysis.export.write_bench_json`
-(the funnel under every harness's ``emit_bench``) and exposed directly
-as ``python -m repro perf record``.
-
-Environment knobs:
-
-* ``REPRO_BENCH_HISTORY=0`` disables recording entirely;
-* ``REPRO_BENCH_HISTORY_DIR`` overrides the store location (default:
-  ``history/`` next to the bench json being recorded, i.e.
-  ``results/history/`` for the standard harnesses).
+The store has one writer, ``python -m repro perf record``
+(:func:`record_bench`): running a harness or writing an export never
+appends to it, so a committed store changes only when a record is
+made on purpose.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
 import time
 from pathlib import Path
@@ -66,21 +59,10 @@ STAT_METRICS = (
 )
 
 
-def history_enabled() -> bool:
-    """Recording is on unless ``REPRO_BENCH_HISTORY`` disables it."""
-    value = os.environ.get("REPRO_BENCH_HISTORY", "1")
-    return value.lower() not in ("0", "false", "no", "")
-
-
 def history_dir(default: Path | str | None = None) -> Path:
-    """The store directory: env override, else ``default``, else
+    """The store directory: ``default``, else
     :data:`DEFAULT_HISTORY_DIR`."""
-    env = os.environ.get("REPRO_BENCH_HISTORY_DIR")
-    if env:
-        return Path(env)
-    if default is not None:
-        return Path(default)
-    return DEFAULT_HISTORY_DIR
+    return DEFAULT_HISTORY_DIR if default is None else Path(default)
 
 
 def config_fingerprint(payload: dict) -> str:

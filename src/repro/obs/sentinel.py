@@ -119,20 +119,29 @@ class SentinelReport:
     def missing(self) -> list[Finding]:
         return self._kind("no-baseline")
 
+    @property
+    def judged(self) -> int:
+        """Metrics compared against a baseline or a floor."""
+        return len(self.findings) - len(self.missing)
+
     def ok(self, require_baseline: bool = False) -> bool:
+        """No regression — and, under ``require_baseline``, every
+        metric had a baseline and at least one was judged: a payload
+        with no evidence passes nothing."""
         if self.regressions:
             return False
-        if require_baseline and self.missing:
+        if require_baseline and (self.missing or not self.judged):
             return False
         return True
 
-    def render(self) -> str:
-        checked = len(self.findings) - len(self.missing)
+    def render(self, require_baseline: bool = False) -> str:
+        """The report text; its verdict line is :meth:`ok` under the
+        same ``require_baseline``, so it agrees with the exit status."""
         lines = [
             f"=== perf sentinel: {self.figure} "
             f"(fingerprint {self.fingerprint}, "
             f"{self.records_used} baseline records) ===",
-            f"checked {checked} metrics: "
+            f"checked {self.judged} metrics: "
             f"{len(self.regressions)} regressions, "
             f"{len(self.improvements)} improvements, "
             f"{len(self.missing)} without baseline",
@@ -140,7 +149,7 @@ class SentinelReport:
         for finding in self.findings:
             if finding.kind != "ok":
                 lines.append(str(finding))
-        verdict = "FAIL" if self.regressions else "OK"
+        verdict = "OK" if self.ok(require_baseline) else "FAIL"
         lines.append(f"verdict: {verdict}")
         return "\n".join(lines)
 

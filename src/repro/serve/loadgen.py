@@ -306,8 +306,7 @@ def bench_config(config: LoadgenConfig) -> dict:
     }
 
 
-def write_report(report: LoadgenReport, path: str,
-                 record: bool = False) -> str:
+def write_report(report: LoadgenReport, path: str) -> str:
     """``results/bench_serve.json`` through the standard exporter."""
     from ..analysis.export import write_bench_json
     from ..analysis.stats import BenchTable
@@ -318,8 +317,7 @@ def write_report(report: LoadgenReport, path: str,
                         workers=report.config.clients)
     return str(write_bench_json(
         path, "serve", table=table, sweep=sweep,
-        extra=bench_extra(report), config=bench_config(report.config),
-        record=record))
+        extra=bench_extra(report), config=bench_config(report.config)))
 
 
 def render_report(report: LoadgenReport) -> str:
@@ -373,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bench-json", default=None, metavar="PATH",
                         help="write the machine-readable export here "
                              "(e.g. results/bench_serve.json)")
-    parser.add_argument("--record", action="store_true",
-                        help="append the export to the bench history")
     parser.add_argument("--spawn", action="store_true",
                         help="spawn an in-process server on an "
                              "ephemeral port instead of connecting")
@@ -403,8 +399,7 @@ def main(argv=None) -> int:
         report = run_loadgen(config)
         print(render_report(report))
         if args.bench_json:
-            path = write_report(report, args.bench_json,
-                                record=args.record)
+            path = write_report(report, args.bench_json)
             print(f"wrote {path}")
     finally:
         if server is not None:

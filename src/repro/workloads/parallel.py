@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from ..analysis.stats import RunCounters
 from ..core.enumerate import EnumerationStats, behavior_cache_stats, \
-    enumeration_stats
+    clear_behavior_cache, enumeration_stats
 from ..errors import ErrorInfo, JobError, ReproError, classify_error
 from ..obs.trace import get_tracer
 from .jobspec import JobSpec
@@ -171,10 +171,11 @@ def deterministic_row(row: RunRow) -> RunRow:
     """A copy of ``row`` with the warmth- and host-dependent fields
     zeroed (wall time, translation-cache hit/miss split).
 
-    Everything else in a row is fully determined by its spec, so two
-    normalized rows from the same spec compare equal whatever the
-    worker layout, cache temperature or host speed — the form the
-    determinism tests and the CI warm-vs-cold leg compare.
+    Everything else in a row that :func:`run_cell` produced is fully
+    determined by its spec, so two normalized rows from the same spec
+    compare equal whatever the worker layout, cache temperature or
+    host speed — the form the determinism tests, the CI warm-vs-cold
+    leg and every ``results/*.txt`` stats footer use.
     """
     return replace(row, wall_seconds=0.0, xlat_hits=0,
                    xlat_misses=0, xlat_disk_hits=0,
@@ -199,8 +200,9 @@ def _enum_fields(run: EnumerationStats) -> dict:
 def _litmus_row(spec: LitmusSpec, started: float, work) -> RunRow:
     """The row of one model-checking cell: ``work()`` returns its
     ``payload``.  Behaviour-cache and enumeration counters are
-    process-wide, so the cell's share is a before/after delta (a cache
-    hit legitimately reports zero enumeration work)."""
+    process-wide, so the cell's share is a before/after delta (a memo
+    hit legitimately reports zero enumeration work; :func:`run_cell`
+    empties the memo first, so there its counters are the spec's)."""
     cache_before = behavior_cache_stats()
     enum_before = enumeration_stats()
     payload = work()
@@ -334,6 +336,12 @@ def run_cell(spec: JobSpec | LitmusSpec, in_worker: bool = False
     """The one worker entry: run one cell, return its row — a cell
     that raises is a row carrying its classified error.
 
+    A model-checking cell runs against an empty behaviour memo, so its
+    counters depend on its spec alone, not on which cells the process
+    (or the parent a worker forked from) ran before.  A direct
+    :func:`execute_spec` keeps the memo, and with it the hits a caller
+    running many cells in one process is owed.
+
     With tracing enabled the run is one ``run.spec`` span and the
     events it recorded travel on the row.  A pool worker
     (``in_worker``) also drops them, so a long-lived worker's tracer
@@ -345,6 +353,8 @@ def run_cell(spec: JobSpec | LitmusSpec, in_worker: bool = False
         # restamp the pid so this worker's events land in its own lane.
         tracer.pid = os.getpid()
     start = len(tracer.events)
+    if isinstance(spec, LitmusSpec):
+        clear_behavior_cache()
     started = time.perf_counter()
     try:
         with tracer.span("run.spec", cat="sweep", kind=spec.kind,

@@ -200,7 +200,11 @@ class TestSweepAggregation:
     def test_footer_renders_all_sections(self, sweep):
         text = run_stats_footer(sweep, "unit-test stats")
         assert "--- unit-test stats" in text
-        assert "runs: 2   workers: 3" in text
+        assert "runs: 2" in text
+        # Host state stays in the bench export: the footer of a
+        # committed results/*.txt is a function of the specs.
+        assert "workers:" not in text
+        assert "wall:" not in text
         assert "translated: 22 blocks / 220 guest insns" in text
         assert "optimizer: 3 folded" in text
         assert "fence cycles:" in text

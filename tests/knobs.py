@@ -11,7 +11,6 @@ so adding or retiring a knob on purpose is one edit.
 
 #: Every ``REPRO_*`` environment name the package reads.
 REPRO_ENV = frozenset({
-    "REPRO_BENCH_HISTORY", "REPRO_BENCH_HISTORY_DIR",
     "REPRO_TRACE", "REPRO_TRACE_FILE",
     "REPRO_WORKERS", "REPRO_XLAT_CACHE", "REPRO_XLAT_CACHE_NS",
 })
@@ -23,7 +22,7 @@ CLI_FLAGS = frozenset({
     "--fail-on-divergence", "--findings", "--flame", "--floors",
     "--format", "--history", "--host", "--iterations", "--jobs", "--json",
     "--models", "--namespace", "--no-shrink", "--note", "--oracles",
-    "--port", "--qps", "--record", "--reduction", "--require-baseline",
+    "--port", "--qps", "--reduction", "--require-baseline",
     "--rev", "--schemes", "--seed", "--shrink-budget", "--spawn",
     "--stats-txt", "--tests", "--tier2-threshold", "--variants",
     "--workers",

@@ -7,11 +7,11 @@ import pytest
 
 from repro.errors import ReproError
 from repro.obs.history import (
+    DEFAULT_HISTORY_DIR,
     HISTORY_SCHEMA,
     config_fingerprint,
     figures_in_history,
     history_dir,
-    history_enabled,
     history_path,
     history_record,
     load_history,
@@ -115,46 +115,18 @@ class TestRecord:
         assert figures_in_history(tmp_path) == ["figx", "figy"]
 
 
-class TestEnv:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_HISTORY", raising=False)
-        assert history_enabled()
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", "0")
-        assert not history_enabled()
-
-    def test_dir_env_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_BENCH_HISTORY_DIR",
-                           str(tmp_path / "store"))
-        assert history_dir() == tmp_path / "store"
-        assert history_path("figx") == \
-            tmp_path / "store" / "figx.jsonl"
-        monkeypatch.delenv("REPRO_BENCH_HISTORY_DIR")
+class TestLocation:
+    def test_store_is_the_argument_else_results_history(self, tmp_path):
+        # No environment variable moves the store: only --history.
+        assert history_dir() == DEFAULT_HISTORY_DIR
         assert history_dir(tmp_path) == tmp_path
+        assert history_path("figx", tmp_path) == tmp_path / "figx.jsonl"
 
 
 class TestWriteBenchJsonRecording:
-    def test_record_flag_appends_next_to_export(self, tmp_path,
-                                                monkeypatch):
+    def test_default_does_not_record(self, tmp_path):
+        # `perf record` is the store's one writer: an export is not.
         from repro.analysis.export import write_bench_json
-        monkeypatch.delenv("REPRO_BENCH_HISTORY_DIR", raising=False)
-        monkeypatch.delenv("REPRO_BENCH_HISTORY", raising=False)
-        out = tmp_path / "results" / "bench_figx.json"
-        write_bench_json(out, "figx", extra={"n": 1}, record=True)
-        records = load_history("figx",
-                               history=out.parent / "history")
-        assert len(records) == 1
-        assert records[0]["figure"] == "figx"
-
-    def test_env_disables_recording(self, tmp_path, monkeypatch):
-        from repro.analysis.export import write_bench_json
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", "0")
-        out = tmp_path / "bench_figx.json"
-        write_bench_json(out, "figx", record=True)
-        assert not (tmp_path / "history").exists()
-
-    def test_default_does_not_record(self, tmp_path, monkeypatch):
-        from repro.analysis.export import write_bench_json
-        monkeypatch.delenv("REPRO_BENCH_HISTORY", raising=False)
         write_bench_json(tmp_path / "bench_figx.json", "figx")
         assert not (tmp_path / "history").exists()
 

@@ -191,3 +191,42 @@ class TestReportRendering:
         text = report.render()
         assert "cycles" in text
         assert "regression" in text.lower()
+
+
+class TestNoEvidenceNoPass:
+    """A check may not pass on empty evidence, and the printed verdict
+    is the exit status."""
+
+    def test_empty_export_fails_require_baseline(self, tmp_path):
+        from repro.analysis.export import load_bench_json, \
+            write_bench_json
+        path = write_bench_json(tmp_path / "empty.json", "schemes")
+        report = check_payload(load_bench_json(path),
+                               baseline_records())
+        assert report.judged == 0 and not report.findings
+        assert not report.ok(require_baseline=True)
+        assert report.render(require_baseline=True).endswith(
+            "checked 0 metrics: 0 regressions, 0 improvements, "
+            "0 without baseline\nverdict: FAIL")
+        # Lenient mode asks for no baseline, so nothing fails it.
+        assert report.ok()
+
+    def test_missing_baseline_verdict_matches_status(self):
+        report = check_payload(make_payload(), [])
+        assert report.missing and not report.regressions
+        assert not report.ok(require_baseline=True)
+        assert report.render(require_baseline=True).endswith(
+            "verdict: FAIL")
+        assert report.ok()
+        assert report.render().endswith("verdict: OK")
+
+    def test_cli_exit_and_verdict_agree(self, tmp_path, capsys):
+        from repro.analysis.export import write_bench_json
+        from repro.cli import main
+        empty = write_bench_json(tmp_path / "empty.json", "schemes")
+        store = str(tmp_path / "history")
+        assert main(["perf", "check", str(empty), "--history", store,
+                     "--require-baseline"]) == 1
+        out = capsys.readouterr().out
+        assert "checked 0 metrics" in out
+        assert "verdict: FAIL" in out and "verdict: OK" not in out

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from repro.analysis.stats import aggregate_sweep
+from repro.core.enumerate import clear_behavior_cache
 from repro.errors import ReproError
 from repro.obs.trace import Tracer, install_tracer
 from repro.serve.jobs import kernel_job, library_job, run_job
@@ -29,6 +30,7 @@ from repro.workloads import (
     kernel_grid,
     library_grid,
     run_parallel,
+    scheme_grid,
     verify_grid,
 )
 from repro.workloads.casbench import CasConfig
@@ -219,6 +221,34 @@ class TestOtherKinds:
         assert "no such ablation" in failure.message
         with pytest.raises(ReproError):
             run_parallel(sweep_specs, workers=1, strict=True)
+
+
+class TestLitmusCounters:
+    """A model-checking cell's counters are a function of its spec:
+    whatever behaviour memo the process (or the parent a worker forked
+    from) built before the cell does not show in its row."""
+
+    ABLATION = "drop trailing Frm after loads"
+
+    def test_inline_equals_pool(self):
+        from repro.core.most import SCHEMES
+        specs = list(scheme_grid(tuple(SCHEMES)[:2])) + \
+            list(ablation_grid((self.ABLATION,)))
+        inline = run_parallel(specs, workers=1, strict=True)
+        pooled = run_parallel(specs, workers=2, strict=True)
+        assert len(inline) == len(specs) > 3
+        assert [deterministic_row(row) for row in inline] == \
+            [deterministic_row(row) for row in pooled]
+        assert all(row.cache_misses > 0 and row.enum_executions > 0
+                   for row in inline)
+
+    def test_warm_memo_changes_nothing(self):
+        clear_behavior_cache()
+        grid = ablation_grid((self.ABLATION,))
+        (cold,) = run_parallel(grid, workers=1, strict=True)
+        (warm,) = run_parallel(grid, workers=1, strict=True)
+        assert cold.cache_misses > 0 and cold.enum_executions > 0
+        assert deterministic_row(warm) == deterministic_row(cold)
 
 
 class TestVerifyKind:
