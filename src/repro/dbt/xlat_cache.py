@@ -476,13 +476,11 @@ class XlatCache:
         _STATS.misses += 1
         _STATS.corrupt_entries += 1
 
-    def records(self, code: bytes, base: int,
-                lengths: bytes | None = None
+    def records(self, code: bytes, base: int, lengths: bytes
                 ) -> dict[int, tuple[Insn, int]]:
         """The records a hit's placed ``code`` at ``base`` seeds the
-        machine with, one per stored instruction length (walked from
-        the code when none are given), decoded through this cache's
-        memo (see
+        machine with, one per stored instruction length, decoded
+        through this cache's memo (see
         :meth:`~repro.isa.common.InsnCoder.decode_block`), which is
         emptied whenever it grows past :data:`DECODE_MEMO_ENTRIES`.
         Raises :class:`~repro.errors.DecodeError` when the code is not

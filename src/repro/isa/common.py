@@ -187,11 +187,6 @@ Operand = Reg | Imm | Mem | Label
 
 #: Encoded width of each operand kind, tag byte included.
 _OPERAND_BYTES = {Reg: 2, Imm: 9, Mem: 8}
-#: The same widths by tag byte (0: not a tag), for walking encoded
-#: instructions.
-_TAG_WIDTHS = [0] * 256
-_TAG_WIDTHS[_TAG_REG], _TAG_WIDTHS[_TAG_IMM], _TAG_WIDTHS[_TAG_MEM] = \
-    2, 9, 8
 
 
 class Insn(Record):
@@ -363,25 +358,22 @@ class InsnCoder:
 
     def decode_block(self, code: bytes, base: int,
                      memo: dict[bytes, tuple[Insn, int]],
-                     lengths: Sequence[int] | None = None
+                     lengths: Sequence[int]
                      ) -> dict[int, tuple[Insn, int]]:
         """``pc -> (insn, size)`` for every instruction of ``code``
         loaded at ``base``, as :meth:`decode` reads each one.
 
         ``lengths`` are the instructions' sizes in order, as the linker
-        recorded them; without them, each one's size is walked from its
-        operand tags (:meth:`_lengths`).  Each instruction's exact bytes
-        are then sliced out and looked up in ``memo`` (bytes -> the
-        ``(insn, size)`` record they decode to, which this fills, so
-        every pc spelled alike shares one record), and only a miss
-        decodes.  A memo key decoded to exactly its own length, so a
-        hit is an exact encoding; a miss whose decoded size is not its
-        length, lengths that do not cover ``code`` exactly, bytes that
-        do not decode and an instruction cut off by the end of ``code``
-        all raise :class:`DecodeError`.
+        recorded them.  Each instruction's exact bytes are sliced out
+        and looked up in ``memo`` (bytes -> the ``(insn, size)`` record
+        they decode to, which this fills, so every pc spelled alike
+        shares one record), and only a miss decodes.  A memo key
+        decoded to exactly its own length, so a hit is an exact
+        encoding; a miss whose decoded size is not its length, lengths
+        that do not cover ``code`` exactly, bytes that do not decode
+        and an instruction cut off by the end of ``code`` all raise
+        :class:`DecodeError`.
         """
-        if lengths is None:
-            lengths = self._lengths(code)
         out = {}
         offset = 0
         lookup = memo.get
@@ -403,38 +395,6 @@ class InsnCoder:
                 f"{self.name}: {len(lengths)} instruction lengths do not "
                 f"cover {len(code)} bytes of code")
         return out
-
-    def _lengths(self, code: bytes) -> list[int]:
-        """Each instruction's size in ``code``, walked from its operand
-        tags alone; an instruction cut off by the end of ``code`` raises
-        what :meth:`decode` raises there."""
-        lengths = []
-        end = len(code)
-        offset = 0
-        widths = _TAG_WIDTHS
-        try:
-            while offset < end:
-                # Past the (lock prefix,) opcode and operand count.
-                cursor = offset + 2
-                if code[offset] == _LOCK_PREFIX:
-                    cursor += 1
-                for _ in range(code[cursor - 1]):
-                    # An unknown tag runs the cursor past the end.
-                    cursor += widths[code[cursor]] or end
-                if cursor > end:
-                    raise IndexError
-                lengths.append(cursor - offset)
-                offset = cursor
-        except IndexError:
-            self._undecodable(code, offset)
-        return lengths
-
-    def _undecodable(self, code: bytes, offset: int) -> None:
-        """Raise what :meth:`decode` raises at ``offset``: the bulk
-        walk ran off ``code`` there, so it does raise."""
-        self.decode(code, offset)
-        raise DecodeError(
-            f"{self.name}: truncated instruction at offset {offset}")
 
     # ------------------------------------------------------------------
     def disassemble(self, data: bytes) -> list[Insn]:

@@ -14,6 +14,12 @@
   fence, Section 6.1),
 * dead code elimination.
 
+The default pipeline is fold → fence merge → DCE.  Memory-access
+elimination runs only under ``memopt=True`` (and as
+:func:`memory_access_elimination`): on the committed workloads it
+removes no access in any figure and 24 in 606 ``xlat_cold`` blocks,
+for about 40% of the optimizer's time.
+
 Passes run at basic-block scope, mirroring QEMU: no information crosses
 translation-block boundaries (the ArMOR discussion in Section 8).
 """
@@ -34,7 +40,7 @@ from .inline_helpers import inline_helpers_pass
 @dataclass(frozen=True)
 class OptimizerConfig:
     constprop: bool = True
-    memopt: bool = True
+    memopt: bool = False
     fence_merge: bool = True
     deadcode: bool = True
 

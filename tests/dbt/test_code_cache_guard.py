@@ -188,7 +188,8 @@ def test_seeded_records_are_the_decode_at_every_base(installed):
                                      len(linked.code),
                                      linked.bind(base, traps))
                 assert records == oracle
-            assert CODER.decode_block(placed, base, memo) == oracle
+            assert CODER.decode_block(placed, base, memo,
+                                      linked.lengths) == oracle
             decoded += len(oracle)
         wide += sum(isinstance(op, Imm) and op.value >= 1 << 63
                     for _, insn in compiled.insns

@@ -273,24 +273,25 @@ class TestRandomized:
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_optimizer_never_changes_results(self, seed):
-        """Same program with the optimizer fully disabled."""
+        """Same program with the optimizer fully disabled, against the
+        default pipeline and against every rule set on (memory-access
+        elimination runs only there)."""
         from repro.dbt.config import RISOTTO
         from repro.tcg.optimizer import OptimizerConfig
 
         source = _random_program(seed)
         assembly = assemble(source + "\n hlt", base=CODE_BASE)
-        plain = RISOTTO.with_overrides(optimizer=OptimizerConfig(
+
+        def final_regs(optimizer: OptimizerConfig) -> dict:
+            engine = DBTEngine(RISOTTO.with_overrides(optimizer=optimizer),
+                               n_cores=1)
+            engine.load_image(assembly.base, assembly.code)
+            engine.run(assembly.base)
+            return {reg: guest_reg(engine.machine.core(0), reg)
+                    for reg in GPR}
+
+        raw = final_regs(OptimizerConfig(
             constprop=False, memopt=False, fence_merge=False,
             deadcode=False))
-
-        raw_engine = DBTEngine(plain, n_cores=1)
-        raw_engine.load_image(assembly.base, assembly.code)
-        raw_engine.run(assembly.base)
-
-        opt_engine = DBTEngine(RISOTTO, n_cores=1)
-        opt_engine.load_image(assembly.base, assembly.code)
-        opt_engine.run(assembly.base)
-
-        for reg in GPR:
-            assert guest_reg(raw_engine.machine.core(0), reg) == \
-                guest_reg(opt_engine.machine.core(0), reg), reg
+        assert final_regs(OptimizerConfig()) == raw
+        assert final_regs(OptimizerConfig(memopt=True)) == raw

@@ -765,14 +765,21 @@ class TestAdjacentImages:
         assert None not in keys and len(keys) == 3
 
 
+def _code_and_lengths(insns) -> tuple[bytes, bytes]:
+    """``insns`` encoded back to back, and each one's size, as the
+    linker records them."""
+    encoded = [CODER.encode(insn) for insn in insns]
+    return b"".join(encoded), bytes(map(len, encoded))
+
+
 class TestDecodeMemo:
     """A hit's records come from one bulk decode through a memo of
     the memory level: emptied with it, and bounded."""
 
     @staticmethod
-    def _movs(first: int, count: int) -> bytes:
-        return b"".join(CODER.encode(Insn("mov", (Reg("x0"), Imm(i))))
-                        for i in range(first, first + count))
+    def _movs(first: int, count: int) -> tuple[bytes, bytes]:
+        return _code_and_lengths([Insn("mov", (Reg("x0"), Imm(i)))
+                                  for i in range(first, first + count)])
 
     def test_reset_empties_the_memo(self, cache_env):
         job = kernel_job(TINY, variant="risotto")
@@ -789,8 +796,8 @@ class TestDecodeMemo:
         bound = xlat_cache.DECODE_MEMO_ENTRIES
         chunk = 1000
         for first in range(0, bound + 2 * chunk, chunk):
-            code = self._movs(first, chunk)
-            records = cache.records(code, 0x1000)
+            code, lengths = self._movs(first, chunk)
+            records = cache.records(code, 0x1000, lengths)
             assert len(records) == chunk
             assert records[0x1000] == (Insn("mov", (Reg("x0"),
                                                     Imm(first))), 13)
@@ -807,56 +814,62 @@ class TestDecodeMemo:
 
         monkeypatch.setattr(type(CODER), "decode", counting)
         memo = {}
-        code = self._movs(7, 1) * 3 + self._movs(8, 1)
-        records = CODER.decode_block(code, 0x40, memo)
+        code, lengths = _code_and_lengths(
+            [Insn("mov", (Reg("x0"), Imm(7)))] * 3
+            + [Insn("mov", (Reg("x0"), Imm(8)))])
+        records = CODER.decode_block(code, 0x40, memo, lengths)
         assert sorted(records) == [0x40, 0x4D, 0x5A, 0x67]
         assert decoded == [0, 39]
         assert records[0x40][0] is records[0x5A][0]
-        CODER.decode_block(code, 0x80, memo)
+        CODER.decode_block(code, 0x80, memo, lengths)
         assert decoded == [0, 39]
 
     def test_unknown_opcode_raises_what_decode_raises(self):
         unknown = min(set(range(256)) - set(CODER.opcodes.values())
                       - {0xF0})
-        code = self._movs(1, 2) + bytes((unknown, 0))
+        movs, lengths = self._movs(1, 2)
+        code, lengths = movs + bytes((unknown, 0)), lengths + bytes((2,))
         with pytest.raises(DecodeError) as plain:
             CODER.decode(code, 26)
         for memo in ({}, {code[:13]: Insn("mov", (Reg("x0"), Imm(1)))}):
             with pytest.raises(DecodeError) as bulk:
-                CODER.decode_block(code, 0x1000, memo)
+                CODER.decode_block(code, 0x1000, memo, lengths)
             assert str(bulk.value) == str(plain.value)
 
     def test_truncated_code_is_a_decode_error(self):
-        mem = CODER.encode(Insn("ldr", (Reg("x0"),
-                                        Mem(base="x1", offset=8))))
-        code = self._movs(1, 2) + mem
-        assert len(CODER.decode_block(code, 0, {})) == 3
+        code, lengths = _code_and_lengths(
+            [Insn("mov", (Reg("x0"), Imm(1))),
+             Insn("mov", (Reg("x0"), Imm(2))),
+             Insn("ldr", (Reg("x0"), Mem(base="x1", offset=8)))])
+        assert len(CODER.decode_block(code, 0, {}, lengths)) == 3
         ends = {0, 13, 26, len(code)}
         for cut in range(len(code)):
             if cut in ends:
                 continue
             with pytest.raises(DecodeError, match="truncated"):
-                CODER.decode_block(code[:cut], 0, {})
+                CODER.decode_block(code[:cut], 0, {}, lengths)
 
 
 class TestDecodeByLengths:
-    """Given the linker's instruction lengths, the bulk decode advances
-    by them instead of walking operand tags, and holds the code to
-    them."""
+    """The bulk decode advances by the linker's instruction lengths and
+    holds the code to them."""
 
     @staticmethod
     def _code() -> tuple[bytes, bytes]:
-        insns = [Insn("mov", (Reg("x0"), Imm(7))), Insn("dmbff"),
-                 Insn("ldr", (Reg("x0"), Mem(base="x1", offset=8))),
-                 Insn("mov", (Reg("x0"), Imm(7)))]
-        encoded = [CODER.encode(insn) for insn in insns]
-        return b"".join(encoded), bytes(map(len, encoded))
+        return _code_and_lengths(
+            [Insn("mov", (Reg("x0"), Imm(7))), Insn("dmbff"),
+             Insn("ldr", (Reg("x0"), Mem(base="x1", offset=8))),
+             Insn("mov", (Reg("x0"), Imm(7)))])
 
-    def test_lengths_give_the_walk_s_records(self):
+    def test_lengths_give_the_decode_s_records(self):
         code, lengths = self._code()
-        walked = CODER.decode_block(code, 0x40, {})
-        assert CODER.decode_block(code, 0x40, {}, lengths) == walked
-        assert [size for _, size in walked.values()] == list(lengths)
+        decoded = {}
+        offset = 0
+        while offset < len(code):
+            decoded[0x40 + offset] = CODER.decode(code, offset)
+            offset += decoded[0x40 + offset][1]
+        assert CODER.decode_block(code, 0x40, {}, lengths) == decoded
+        assert [size for _, size in decoded.values()] == list(lengths)
 
     def test_a_memo_hit_decodes_nothing(self, monkeypatch):
         code, lengths = self._code()

@@ -476,6 +476,44 @@ class TestPipeline:
         assert len(block.ops) == 2
 
 
+class TestDefaultPipeline:
+    """The default pipeline is fold → fence merge → DCE: memory-access
+    elimination runs only where a config asks for it, and no variant
+    does.  A variant that wants the rule set arrives with a committed
+    workload where it fires."""
+
+    def test_default_keeps_every_access(self):
+        def block():
+            return make_block(
+                Op("st", (t("v"), g("g_rbx"), Const(0))),
+                Op("ld", (t("x"), g("g_rbx"), Const(0))),
+                Op("st", (t("x"), g("g_rcx"), Const(0))),
+                Op("exit_tb", (Const(0x2000),)),
+            )
+
+        default = block()
+        assert optimize(default).mem_eliminated == 0
+        assert [op.name for op in default.ops].count("ld") == 1
+        assert optimize(block(), OptimizerConfig(memopt=True)) \
+            .mem_eliminated == 1
+
+    def test_no_registered_variant_runs_memopt(self):
+        import repro.dbt.config as dbt_config
+
+        presets = [value for value in vars(dbt_config).values()
+                   if isinstance(value, dbt_config.DBTConfig)]
+        resolved = [dbt_config.resolve_variant(name)
+                    for name in (*dbt_config.VARIANTS,
+                                 *dbt_config.SCHEME_VARIANTS)]
+        derived = [dbt_config.scheme_variant(scheme)
+                   for scheme in dbt_config.SCHEMES.values()]
+        assert len(presets) >= 4 and len(derived) > 1
+        configs = presets + resolved + derived
+        assert dbt_config.resolve_variant(dbt_config.NATIVE) is None
+        assert not [config.name for config in configs
+                    if config.optimizer.memopt]
+
+
 class TestForwardingStaleness:
     """Regression: forwarding must not read a register overwritten
     between the store and the load (found by differential fuzzing)."""
@@ -580,7 +618,7 @@ class TestOneForwardWalk:
     def test_optimizer_config_and_stats_fields_unchanged(self):
         """``repr(OptimizerConfig())`` is part of every xlat key."""
         assert repr(OptimizerConfig()) == (
-            "OptimizerConfig(constprop=True, memopt=True, "
+            "OptimizerConfig(constprop=True, memopt=False, "
             "fence_merge=True, deadcode=True)")
         assert [f.name for f in dataclasses.fields(OptStats)] == [
             "folded", "mem_eliminated", "fences_merged", "dead_removed",

@@ -1,11 +1,13 @@
 """Op-stream golden for the optimizer: every output block, hashed.
 
 Each block the optimizer sees on three surfaces is run again through
-the four configurations below, and the golden holds a digest of each
+the five configurations below, and the golden holds a digest of each
 output op stream (op names, arguments and fence origins) plus the
 summed :class:`~repro.tcg.optimizer.OptStats` per configuration.  A
 restructured optimizer must be the *same* optimizer: the digests may
-move only where a commit means to change an op stream.
+move only where a commit means to change an op stream.  ``all-on``
+turns every rule set on, memory-access elimination included;
+``default`` is the pipeline every variant runs.
 
 Surfaces, each under the qemu, tcg-ver, risotto and no-fences
 variants:
@@ -47,15 +49,16 @@ GOLDEN_PATH = Path(__file__).with_name("optimizer_golden.json")
 
 SURFACES = ("snippets", "fig12", "xlat_cold")
 GOLDEN_VARIANTS = ("qemu", "tcg-ver", "risotto", "no-fences")
-#: Each rule set alone, everything, nothing.
+#: Each rule set alone, everything, nothing, and the default pipeline.
 CONFIGS = {
     "constprop": OptimizerConfig(memopt=False, fence_merge=False,
                                  deadcode=False),
-    "memopt": OptimizerConfig(constprop=False, fence_merge=False,
-                              deadcode=False),
-    "all-on": OptimizerConfig(),
+    "memopt": OptimizerConfig(constprop=False, memopt=True,
+                              fence_merge=False, deadcode=False),
+    "all-on": OptimizerConfig(memopt=True),
     "all-off": OptimizerConfig(constprop=False, memopt=False,
                                fence_merge=False, deadcode=False),
+    "default": OptimizerConfig(),
 }
 
 SEED = 11
@@ -139,8 +142,9 @@ def _digest(ops) -> str:
 
 def observe(capture, surface: str, variant: str) -> dict:
     """``blocks``: per run, one ``"<constprop> <memopt> <all-on>
-    <all-off>"`` digest line per block; ``stats``: per config, the
-    summed ``OptStats``.  Keys are prefixed ``<surface>/<variant>``."""
+    <all-off> <default>"`` digest line per block; ``stats``: per
+    config, the summed ``OptStats``.  Keys are prefixed
+    ``<surface>/<variant>``."""
     prefix = f"{surface}/{variant}"
     blocks: dict[str, list[str]] = {}
     totals = {name: OptStats() for name in CONFIGS}
